@@ -14,7 +14,7 @@ construction only produces something new in the noncommutative case.
 import numpy as np
 
 from qobs import (
-    RealObservable,
+    Observable,
     conjugate,
     conjugate_joint,
     is_commutative,
@@ -32,7 +32,7 @@ for k in range(3):
     theta = 2 * np.pi * k / 3
     effects.append((np.eye(2) + np.cos(theta) * SIGMA_X
                     + np.sin(theta) * SIGMA_Y) / 3)
-A = RealObservable([-1.0, 0.0, 1.0], effects)
+A = Observable([-1.0, 0.0, 1.0], effects)
 print("A:", A)
 print("  sharp?", is_sharp(A), " commutative?", is_commutative(A))
 

@@ -49,8 +49,8 @@ print(f"  <B> on the dephased state: {average(lued.channel(rho), B):+.4f}"
 # The product observable carries the full two-step statistics; functions of
 # the pair of outcomes become real-valued observables by coarse graining.
 product = sequential_product(lued, B)
-print("\nProduct observable labels:", product.labels)
-parity = {(x, y): x * y for x, _ in product.labels for y in B.outcomes}
+print("\nProduct observable keys:", product.keys)
+parity = {(x, y): x * y for x, _ in product.keys for y in B.outcomes}
 mean, var, parity_obs = product_statistics(lued, B, parity, rho)
 print(f"Outcome-product statistics: mean {mean:+.4f}, variance {var:.4f}")
 print("Coarse-grained observable outcomes:", parity_obs.outcomes)

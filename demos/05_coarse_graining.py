@@ -10,7 +10,7 @@ measured observable.
 import numpy as np
 
 from qobs import (
-    GeneralObservable,
+    Observable,
     average,
     coarse_grain,
     lueders_instrument,
@@ -41,10 +41,10 @@ direct = sum(f[x] * E for x, E in A.pairs())
 print("\nstochastic operator of f(A) vs sum f(x) A_x:",
       f"{max_abs(stochastic_operator(fA) - direct):.1e}")
 
-# Labels need not be numbers: a general observable is coarse-grained into a
-# real-valued one through a label -> value map.
-G = GeneralObservable(["low", "mid", "high"],
-                      [0.2 * np.eye(3), 0.5 * np.eye(3), 0.3 * np.eye(3)])
+# Keys need not be numbers: an observable keyed by labels is coarse-grained
+# into a real-valued one through a label -> value map.
+G = Observable(["low", "mid", "high"],
+               [0.2 * np.eye(3), 0.5 * np.eye(3), 0.3 * np.eye(3)])
 fG = coarse_grain(G, {"low": -1.0, "mid": 0.0, "high": 1.0})
 print("\ngeneral observable collapsed to outcomes:", fG.outcomes)
 

@@ -32,41 +32,30 @@ from .linalg import (
     TOL_REL,
     TOL_STAT,
     EigenDecomposition,
-    adjoint,
-    add,
     commutator,
     hermitian_eigendecomposition,
-    identity,
     is_hermitian,
     max_abs,
-    mul,
     psd_sqrt,
-    scale,
-    sub,
-    trace,
 )
 from .states import (
     DensityOperator,
     bloch_state,
     is_faithful,
     maximally_mixed,
-    new_density,
     normalized_density,
     state_form,
 )
 from .observables import (
-    GeneralObservable,
-    RealObservable,
+    Observable,
     coarse_grain,
     commuting_joint,
     conjugate,
     conjugate_joint,
     is_commutative,
     is_sharp,
-    new_real_observable,
     sharp_version,
     stochastic_operator,
-    validate_effect,
 )
 from .statistics import (
     EqualityDiagnosis,

@@ -18,10 +18,39 @@ from . import demos, fuzz, serialization as ser
 from .errors import ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
 from .linalg import TOL_LIN, TOL_PSD, TOL_STAT, require_hermitian
-from .observables import RealObservable, coarse_grain, conjugate, sharp_version
+from .observables import coarse_grain, conjugate, sharp_version
 from .sampling import random_bloch_vector
 from .statistics import uncertainty_report
 from .serialization import SCHEMA_VERSION
+
+
+# File inputs of the observable-valued subcommands: (flag, decoder, help).
+_OBS_FILE = ("obs", lambda raw, a: ser.decode_observable(
+    raw, "observable", tol_lin=a.tol_lin, tol_psd=a.tol_psd), None)
+_INSTRUMENT_FILE = ("instrument", lambda raw, a: ser.decode_instrument(
+    raw, "instrument", tol_lin=a.tol_lin, tol_psd=a.tol_psd), None)
+_MAP_FILE = ("map", lambda raw, a: ser.decode_function_map(raw, "map"),
+             "JSON object {label: value}")
+
+# Subcommands that decode their input files, make one library call and print
+# the resulting observable: name -> (help, inputs, call).
+_OBSERVABLE_COMMANDS = {
+    "sharp": ("sharp version of an observable", (_OBS_FILE,),
+              lambda a, A: sharp_version(A, a.cluster_tol, tol_lin=a.tol_lin)),
+    "conjugate": ("conjugate of an observable", (_OBS_FILE,),
+                  lambda a, A: conjugate(A, a.cluster_tol, tol_lin=a.tol_lin)),
+    "coarse-grain": ("relabel outcomes through a real-valued map",
+                     (_OBS_FILE, _MAP_FILE),
+                     lambda a, A, f: coarse_grain(A, f, tol_lin=a.tol_lin)),
+    "sequential": ("product observable of instrument then observable",
+                   (_INSTRUMENT_FILE, _OBS_FILE),
+                   lambda a, inst, B: sequential_product(inst, B,
+                                                         tol_lin=a.tol_lin)),
+    "conditioned": ("observable conditioned by a nonselective measurement",
+                    (_INSTRUMENT_FILE, _OBS_FILE),
+                    lambda a, inst, B: conditioned_observable(
+                        inst, B, tol_lin=a.tol_lin)),
+}
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -53,8 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, metavar="FILE")
     p.add_argument("--obs-a", required=True, metavar="FILE")
     p.add_argument("--obs-b", required=True, metavar="FILE")
-    p.add_argument("--tol", type=float, default=None,
-                   help="alias for --tol-stat")
 
     p = sub.add_parser("demo", parents=[common],
                        help="closed-form demonstration cases")
@@ -84,26 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="how many of the samples lie on the sphere")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    for name, help_text in [("sharp", "sharp version of an observable"),
-                            ("conjugate", "conjugate of an observable")]:
+    for name, (help_text, inputs, _) in _OBSERVABLE_COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--obs", required=True, metavar="FILE")
-
-    p = sub.add_parser("coarse-grain", parents=[common],
-                       help="relabel outcomes through a real-valued map")
-    p.add_argument("--obs", required=True, metavar="FILE")
-    p.add_argument("--map", required=True, metavar="FILE",
-                   help="JSON object {label: value}")
-
-    p = sub.add_parser("sequential", parents=[common],
-                       help="product observable of instrument then observable")
-    p.add_argument("--instrument", required=True, metavar="FILE")
-    p.add_argument("--obs", required=True, metavar="FILE")
-
-    p = sub.add_parser("conditioned", parents=[common],
-                       help="observable conditioned by a nonselective measurement")
-    p.add_argument("--instrument", required=True, metavar="FILE")
-    p.add_argument("--obs", required=True, metavar="FILE")
+        for flag, _, flag_help in inputs:
+            p.add_argument(f"--{flag}", required=True, metavar="FILE",
+                           help=flag_help)
 
     p = sub.add_parser("validate", parents=[common],
                        help="validate any toolkit JSON file")
@@ -156,14 +168,24 @@ def _decode_operand(obj, field: str, tol_lin: float, tol_psd: float):
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"--dims: expected A..B or a comma list of integers, got {text!r}",
+            invariant="integer-list", field="--dims") from None
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ValidationError(
+            f"{flag}: expected comma-separated reals, got {text!r}",
+            invariant="real-list", field=flag) from None
 
 
 def _cmd_uncertainty(args, ctx: _FileContext) -> int:
@@ -171,11 +193,10 @@ def _cmd_uncertainty(args, ctx: _FileContext) -> int:
                    tol_lin=args.tol_lin, tol_psd=args.tol_psd)
     A = ctx.load(args.obs_a, _decode_operand, "obs-a", args.tol_lin, args.tol_psd)
     B = ctx.load(args.obs_b, _decode_operand, "obs-b", args.tol_lin, args.tol_psd)
-    tol = args.tol if args.tol is not None else args.tol_stat
-    rep = uncertainty_report(rho, A, B, tol=tol)
+    rep = uncertainty_report(rho, A, B, tol=args.tol_stat)
     out = ser.encode_report(rep)
     out["equality"] = bool(rep.inequality_slack
-                           <= tol * max(1.0, rep.correlation_sq))
+                           <= args.tol_stat * max(1.0, rep.correlation_sq))
     _emit(out, args)
     return 0
 
@@ -183,7 +204,7 @@ def _cmd_uncertainty(args, ctx: _FileContext) -> int:
 def _cmd_demo(args, ctx: _FileContext) -> int:
     params = {}
     if args.name == "example4":
-        bloch = _parse_floats(args.bloch)
+        bloch = _parse_floats(args.bloch, "--bloch")
         if len(bloch) != 3:
             raise ValidationError("--bloch needs three comma-separated reals",
                                   invariant="bloch-shape", field="--bloch")
@@ -221,7 +242,7 @@ def _cmd_fuzz(args, ctx: _FileContext) -> int:
 
 
 def _cmd_sweep(args, ctx: _FileContext) -> int:
-    mu_grid = _parse_floats(args.mu_grid)
+    mu_grid = _parse_floats(args.mu_grid, "--mu-grid")
     if not mu_grid:
         raise ValidationError("--mu-grid must be nonempty",
                               invariant="nonempty-grid", field="--mu-grid")
@@ -244,89 +265,38 @@ def _cmd_sweep(args, ctx: _FileContext) -> int:
     return 0
 
 
-def _cmd_sharp(args, ctx: _FileContext) -> int:
-    A = ctx.load(args.obs, ser.decode_observable, "observable",
-                 tol_lin=args.tol_lin, tol_psd=args.tol_psd)
-    if not isinstance(A, RealObservable):
-        raise ValidationError("sharp version needs a real-valued observable",
-                              invariant="real-outcomes", field="observable")
-    out = ser.encode_observable(
-        sharp_version(A, args.cluster_tol, tol_lin=args.tol_lin))
+def _cmd_observable(args, ctx: _FileContext) -> int:
+    _, inputs, op = _OBSERVABLE_COMMANDS[args.command]
+    operands = [ctx.load(getattr(args, flag), load, args)
+                for flag, load, _ in inputs]
+    out = ser.encode_observable(op(args, *operands))
     out["schema"] = SCHEMA_VERSION
     _emit(out, args)
     return 0
 
 
-def _cmd_conjugate(args, ctx: _FileContext) -> int:
-    A = ctx.load(args.obs, ser.decode_observable, "observable",
-                 tol_lin=args.tol_lin, tol_psd=args.tol_psd)
-    if not isinstance(A, RealObservable):
-        raise ValidationError("conjugation needs a real-valued observable",
-                              invariant="real-outcomes", field="observable")
-    out = ser.encode_observable(
-        conjugate(A, args.cluster_tol, tol_lin=args.tol_lin))
-    out["schema"] = SCHEMA_VERSION
-    _emit(out, args)
-    return 0
-
-
-def _cmd_coarse_grain(args, ctx: _FileContext) -> int:
-    A = ctx.load(args.obs, ser.decode_observable, "observable",
-                 tol_lin=args.tol_lin, tol_psd=args.tol_psd)
-    fmap = ctx.load(args.map, ser.decode_function_map, "map")
-    out = ser.encode_observable(coarse_grain(A, fmap, tol_lin=args.tol_lin))
-    out["schema"] = SCHEMA_VERSION
-    _emit(out, args)
-    return 0
-
-
-def _cmd_sequential(args, ctx: _FileContext) -> int:
-    inst = ctx.load(args.instrument, ser.decode_instrument, "instrument",
-                    tol_lin=args.tol_lin, tol_psd=args.tol_psd)
-    B = ctx.load(args.obs, ser.decode_observable, "observable",
-                 tol_lin=args.tol_lin, tol_psd=args.tol_psd)
-    out = ser.encode_observable(sequential_product(inst, B,
-                                                   tol_lin=args.tol_lin))
-    out["schema"] = SCHEMA_VERSION
-    _emit(out, args)
-    return 0
-
-
-def _cmd_conditioned(args, ctx: _FileContext) -> int:
-    inst = ctx.load(args.instrument, ser.decode_instrument, "instrument",
-                    tol_lin=args.tol_lin, tol_psd=args.tol_psd)
-    B = ctx.load(args.obs, ser.decode_observable, "observable",
-                 tol_lin=args.tol_lin, tol_psd=args.tol_psd)
-    out = ser.encode_observable(conditioned_observable(inst, B,
-                                                       tol_lin=args.tol_lin))
-    out["schema"] = SCHEMA_VERSION
-    _emit(out, args)
-    return 0
+def _describe(raw, args) -> tuple[str, dict]:
+    """The kind of a toolkit JSON payload and a summary of it, validating it
+    on the way."""
+    tols = {"tol_lin": args.tol_lin, "tol_psd": args.tol_psd}
+    kind = raw.get("type") if isinstance(raw, dict) else None
+    if kind in ("density", "bloch"):
+        rho = ser.decode_state(raw, "state", **tols)
+        return kind, {"dim": rho.dim, "min_eigenvalue": rho.eigenvalues[0]}
+    if kind == "observable":
+        A = ser.decode_observable(raw, "observable", **tols)
+        return kind, {"dim": A.dim, "outcomes": len(A)}
+    if kind == "instrument":
+        inst = ser.decode_instrument(raw, "instrument", **tols)
+        return kind, {"dim": inst.dim, "outcomes": len(inst)}
+    if isinstance(raw, dict) and "re" in raw:
+        M = ser.decode_matrix(raw, "matrix")
+        return "matrix", {"dim": int(M.shape[0])}
+    raise ParseError("file has no recognizable 'type' field", field="type")
 
 
 def _cmd_validate(args, ctx: _FileContext) -> int:
-    raw = ser.load_json_file(args.file)
-    ctx.path = args.file
-    kind = raw.get("type") if isinstance(raw, dict) else None
-    if kind in ("density", "bloch"):
-        rho = ser.decode_state(raw, "state", tol_lin=args.tol_lin,
-                               tol_psd=args.tol_psd)
-        summary = {"dim": rho.dim, "min_eigenvalue": rho.eigenvalues[0]}
-    elif kind == "observable":
-        A = ser.decode_observable(raw, "observable", tol_lin=args.tol_lin,
-                                  tol_psd=args.tol_psd)
-        summary = {"dim": A.dim, "outcomes": len(A)}
-    elif kind == "instrument":
-        inst = ser.decode_instrument(raw, "instrument", tol_lin=args.tol_lin,
-                                     tol_psd=args.tol_psd)
-        summary = {"dim": inst.dim, "outcomes": len(inst)}
-    elif isinstance(raw, dict) and "re" in raw:
-        M = ser.decode_matrix(raw, "matrix")
-        summary = {"dim": int(M.shape[0])}
-        kind = "matrix"
-    else:
-        raise ParseError("file has no recognizable 'type' field", field="type")
-    ctx.path = None
+    kind, summary = ctx.load(args.file, _describe, args)
     _emit({"schema": SCHEMA_VERSION, "valid": True, "kind": kind,
            "summary": summary}, args)
     return 0
@@ -337,12 +307,8 @@ _HANDLERS = {
     "demo": _cmd_demo,
     "fuzz": _cmd_fuzz,
     "sweep-example4": _cmd_sweep,
-    "sharp": _cmd_sharp,
-    "conjugate": _cmd_conjugate,
-    "coarse-grain": _cmd_coarse_grain,
-    "sequential": _cmd_sequential,
-    "conditioned": _cmd_conditioned,
     "validate": _cmd_validate,
+    **{name: _cmd_observable for name in _OBSERVABLE_COMMANDS},
 }
 
 
@@ -352,9 +318,6 @@ def main(argv=None) -> int:
     ctx = _FileContext()
     try:
         return _HANDLERS[args.command](args, ctx)
-    except (ParseError, ValidationError) as exc:
-        _emit(_diagnostic(exc, ctx.path), args)
-        return 2
     except QobsError as exc:
         _emit(_diagnostic(exc, ctx.path), args)
         return 2

@@ -27,7 +27,7 @@ from .instruments import (
     trivial_instrument,
 )
 from .linalg import commutator, max_abs
-from .observables import RealObservable, coarse_grain, stochastic_operator
+from .observables import Observable, coarse_grain, stochastic_operator
 from .qubit import SIGMA_Z, noisy_spin, noisy_spin_closed_forms
 from .sampling import (
     random_density,
@@ -116,11 +116,11 @@ def demo_example2(dim: int = 3, seed: int = 7) -> dict:
     return ch.result("example2", {"dim": dim, "seed": seed}, 1e-10)
 
 
-def _random_dichotomic(rng, dim: int) -> RealObservable:
+def _random_dichotomic(rng, dim: int) -> Observable:
     return random_observable(rng, dim, 2, outcomes=[1.0, -1.0])
 
 
-def _effect_at(A: RealObservable, outcome: float) -> np.ndarray:
+def _effect_at(A: Observable, outcome: float) -> np.ndarray:
     return A.effects[A.outcomes.index(outcome)]
 
 
@@ -279,9 +279,9 @@ def demo_example7(dim: int = 2, seed: int = 7, outcomes: int = 2) -> dict:
         expected = sum(S @ _effect_at(B, y) @ S for S in roots)
         ch.matrix(f"conditioned_effect[{y}]", E, expected)
     # Sharp special case: measuring along z dephases a Bloch state.
-    sharp = RealObservable([1.0, -1.0],
-                           [(np.eye(2) + SIGMA_Z) / 2.0,
-                            (np.eye(2) - SIGMA_Z) / 2.0])
+    sharp = Observable([1.0, -1.0],
+                       [(np.eye(2) + SIGMA_Z) / 2.0,
+                        (np.eye(2) - SIGMA_Z) / 2.0])
     rho2 = bloch_state((0.3, -0.5, 0.4))
     dephased = lueders_instrument(sharp).channel(rho2)
     ch.matrix("sharp_dephasing", dephased.matrix,

@@ -36,7 +36,7 @@ from .linalg import (
     scale_of,
 )
 from .observables import (
-    RealObservable,
+    Observable,
     coarse_grain,
     conjugate,
     is_commutative,
@@ -135,7 +135,7 @@ def build_instance(rng: np.random.Generator, dim: int, family: str) -> dict:
     }
 
 
-def _matched_observable_delta(A: RealObservable, B: RealObservable) -> float:
+def _matched_observable_delta(A: Observable, B: Observable) -> float:
     """Max deviation between two observables compared entry-by-entry after
     matching their (sorted) outcome lists; infinite when sizes differ."""
     if len(A) != len(B):

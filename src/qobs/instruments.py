@@ -4,7 +4,9 @@ An instrument assigns to each outcome a completely positive trace-
 nonincreasing map; the maps must sum to a channel.  Representing every map
 by its Kraus operators makes complete positivity true by construction, and
 covers the three named families: trivial (scaled identity), Holevo
-(measure-and-reprepare), and Lueders (square-root pinching).
+(measure-and-reprepare), and Lueders (square-root pinching).  Each map
+stores its Kraus operators stacked in one read-only ``(k, d, d)`` array, so
+applying a map is one batched product and a sum.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import TOL_LIN, TOL_PSD, as_matrix, max_abs, psd_sqrt
-from .observables import (
-    GeneralObservable,
-    Observable,
-    RealObservable,
-    canonical_outcome,
-    coarse_grain,
-)
+from .observables import Observable, coarse_grain, fibers, is_real
 from .states import DensityOperator
 
 
@@ -39,49 +35,40 @@ class OperationMap:
 
     __slots__ = ("kraus", "dim")
 
-    def __init__(self, kraus: Sequence, *, tol_psd: float = TOL_PSD):
-        mats = [as_matrix(K, name=f"kraus[{j}]") for j, K in enumerate(kraus)]
-        if not mats:
+    def __init__(self, kraus, *, tol_psd: float = TOL_PSD):
+        if len(kraus) == 0:
             raise ValidationError("operation needs at least one Kraus operator",
                                   invariant="nonempty-kraus")
-        dim = mats[0].shape[0]
-        for j, K in enumerate(mats):
-            if K.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"kraus[{j}] has dim {K.shape[0]}, expected {dim}",
-                    invariant="matching-dims")
-        top = float(np.max(np.linalg.eigvalsh(self._gram(mats))))
+        K = linalg.as_stack(kraus, name="kraus")
+        gram = (K.conj().swapaxes(-1, -2) @ K).sum(0)
+        top = float(np.max(linalg.hermitian_eigenvalues(gram)))
         if top > 1.0 + tol_psd:
             raise ValidationError(
                 f"operation increases trace: sum K*K has eigenvalue {top:.6g}",
                 invariant="trace-nonincreasing", violation=top - 1.0)
-        object.__setattr__(self, "kraus", tuple(linalg.frozen(K) for K in mats))
-        object.__setattr__(self, "dim", dim)
-
-    @staticmethod
-    def _gram(mats) -> np.ndarray:
-        total = np.zeros_like(mats[0])
-        for K in mats:
-            total = total + K.conj().T @ K
-        return (total + total.conj().T) / 2.0
+        K.setflags(write=False)
+        object.__setattr__(self, "kraus", K)
+        object.__setattr__(self, "dim", K.shape[1])
 
     def __setattr__(self, name, value):
         raise AttributeError("OperationMap is immutable")
 
+    def _against(self, M: np.ndarray) -> np.ndarray:
+        """The Kraus stack shaped to broadcast against M, which is one
+        matrix or a stack of them."""
+        lead = (len(self.kraus),) + (1,) * (np.ndim(M) - 2)
+        return self.kraus.reshape(lead + (self.dim, self.dim))
+
     def __call__(self, M: np.ndarray) -> np.ndarray:
         """Schroedinger picture: sum_j K_j M K_j*."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for K in self.kraus:
-            out = out + K @ M @ K.conj().T
-        return out
+        K = self._against(M)
+        return (K @ M @ K.conj().swapaxes(-1, -2)).sum(0)
 
     def dual(self, C: np.ndarray) -> np.ndarray:
         """Heisenberg picture: sum_j K_j* C K_j, the adjoint under the trace
-        pairing tr(rho dual(C)) = tr(map(rho) C)."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for K in self.kraus:
-            out = out + K.conj().T @ C @ K
-        return out
+        pairing tr(rho dual(C)) = tr(map(rho) C).  C may be a stack."""
+        K = self._against(C)
+        return (K.conj().swapaxes(-1, -2) @ C @ K).sum(0)
 
 
 class Instrument:
@@ -104,9 +91,7 @@ class Instrument:
             if m.dim != dim:
                 raise DimensionMismatchError("operation maps have mixed dims",
                                              invariant="matching-dims")
-        total = np.zeros((dim, dim), dtype=complex)
-        for m in maps:
-            total = total + m.dual(np.eye(dim))
+        total = sum(m.dual(np.eye(dim)) for m in maps)
         residual = max_abs(total - np.eye(dim))
         if residual > tol_lin:
             raise CompletenessViolationError(
@@ -121,10 +106,6 @@ class Instrument:
 
     def __len__(self):
         return len(self.outcomes)
-
-    def is_real_valued(self) -> bool:
-        return all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   for x in self.outcomes)
 
     def _index(self, x) -> int:
         try:
@@ -151,48 +132,31 @@ class Instrument:
     def measured_observable(self) -> Observable:
         """The unique observable whose probabilities the instrument
         reproduces: effects are the dual images of the identity."""
-        effects = [m.dual(np.eye(self.dim)) for m in self.maps]
-        effects = [(E + E.conj().T) / 2.0 for E in effects]
-        if self.is_real_valued():
-            return RealObservable(self.outcomes, effects)
-        return GeneralObservable(self.outcomes, effects)
+        effects = np.array([m.dual(np.eye(self.dim)) for m in self.maps])
+        return Observable(self.outcomes,
+                          (effects + effects.conj().swapaxes(-1, -2)) / 2.0)
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
         """Total state change when the outcome is ignored."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for m in self.maps:
-            out = out + m(rho.matrix)
+        out = sum(m(rho.matrix) for m in self.maps)
         return DensityOperator((out + out.conj().T) / 2.0)
 
     def coarse_grain(self, f: Mapping | Callable) -> "Instrument":
         """Merge outcomes through a real-valued function by concatenating the
-        Kraus lists over each fiber."""
-        grouped: dict[float, list[np.ndarray]] = {}
-        for x, m in zip(self.outcomes, self.maps):
-            z = _apply_function(f, x)
-            grouped.setdefault(z, []).extend(m.kraus)
-        zs = sorted(grouped)
-        return Instrument(zs, [OperationMap(grouped[z]) for z in zs])
+        Kraus stacks over each fiber."""
+        zs, index = fibers(f, self.outcomes)
+        return Instrument(zs, [OperationMap(np.concatenate(
+            [m.kraus for m, k in zip(self.maps, index) if k == z]))
+            for z in range(len(zs))])
 
     def mean(self, rho: DensityOperator) -> float:
         """Outcome-weighted total trace, available for real outcomes only;
         equals the average of the measured observable."""
-        if not self.is_real_valued():
+        if not all(is_real(x) for x in self.outcomes):
             raise ValidationError("mean requires real-valued outcomes",
                                   invariant="real-outcomes")
         return float(sum(x * np.trace(self.apply(x, rho)).real
                          for x in self.outcomes))
-
-
-def _apply_function(f, key) -> float:
-    if callable(f) and not isinstance(f, Mapping):
-        return canonical_outcome(f(key))
-    try:
-        return canonical_outcome(f[key])
-    except KeyError:
-        raise MissingLabelError(
-            f"function has no value for outcome {key!r}",
-            invariant="total-function", field=str(key)) from None
 
 
 def trivial_instrument(omega: Mapping, dim: int, *,
@@ -227,83 +191,69 @@ def holevo_instrument(A: Observable,
     K_(j,k) = sqrt(lam_j) |v_j><e_k| A_x^{1/2} reproduces
     tr(rho A_x) alpha_x exactly.
     """
-    keys = A.outcomes if isinstance(A, RealObservable) else A.labels
     if isinstance(alphas, Mapping):
-        missing = [x for x in keys if x not in alphas]
+        missing = [x for x in A.keys if x not in alphas]
         if missing:
             raise MissingLabelError(
                 f"no reprepared state for outcome {missing[0]!r}",
                 invariant="total-function", field=str(missing[0]))
-        alphas = [alphas[x] for x in keys]
-    if len(alphas) != len(keys):
+        alphas = [alphas[x] for x in A.keys]
+    if len(alphas) != len(A):
         raise ValidationError("need one reprepared state per outcome",
                               invariant="parallel-lists")
+    d = A.dim
     maps = []
     for E, alpha in zip(A.effects, alphas):
-        if alpha.dim != A.dim:
+        if alpha.dim != d:
             raise DimensionMismatchError(
                 "reprepared state dim does not match observable dim",
                 invariant="matching-dims")
         root = psd_sqrt(E)
         lam, vecs = np.linalg.eigh(alpha.matrix)
-        kraus = []
-        for j in range(alpha.dim):
-            if lam[j] <= 0.0:
-                continue
-            weight = np.sqrt(lam[j])
-            for k in range(A.dim):
-                kraus.append(weight * np.outer(vecs[:, j], root[k, :]))
-        if not kraus:  # alpha numerically zero cannot happen for a state
-            kraus = [np.zeros((A.dim, A.dim), dtype=complex)]
-        maps.append(OperationMap(kraus))
-    return Instrument(keys, maps, tol_lin=tol_lin)
+        keep = lam > 0.0
+        if not keep.any():  # alpha numerically zero cannot happen for a state
+            maps.append(OperationMap(np.zeros((1, d, d), dtype=complex)))
+            continue
+        # kraus[j, k] = sqrt(lam_j) * outer(v_j, root[k, :])
+        kraus = np.sqrt(lam[keep])[:, None, None, None] * (
+            vecs.T[keep][:, None, :, None] * root[None, :, None, :])
+        maps.append(OperationMap(kraus.reshape(-1, d, d)))
+    return Instrument(A.keys, maps, tol_lin=tol_lin)
 
 
 def lueders_instrument(A: Observable, *, tol_lin: float = TOL_LIN) -> Instrument:
     """Square-root instrument rho -> A_x^{1/2} rho A_x^{1/2}; measures A."""
-    keys = A.outcomes if isinstance(A, RealObservable) else A.labels
-    maps = [OperationMap([psd_sqrt(E)]) for E in A.effects]
-    return Instrument(keys, maps, tol_lin=tol_lin)
+    maps = [OperationMap(psd_sqrt(E)[None]) for E in A.effects]
+    return Instrument(A.keys, maps, tol_lin=tol_lin)
 
 
-def sequential_product(inst: Instrument, B: Observable,
-                       *, tol_lin: float = TOL_LIN) -> GeneralObservable:
-    """Observable of the two-step experiment: run the instrument, then
-    measure B.  Effects are the dual images of B's effects; labels are
-    (x, y) pairs.  The y-marginal reproduces the measured observable."""
+def _require_same_dim(inst: Instrument, B: Observable) -> None:
     if inst.dim != B.dim:
         raise DimensionMismatchError(
             f"instrument dim {inst.dim} does not match observable dim {B.dim}",
             invariant="matching-dims")
-    b_keys = B.outcomes if isinstance(B, RealObservable) else B.labels
-    labels = []
-    effects = []
-    for x in inst.outcomes:
-        for y, Ey in zip(b_keys, B.effects):
-            C = inst.dual_apply(x, Ey)
-            labels.append((x, y))
-            effects.append((C + C.conj().T) / 2.0)
-    return GeneralObservable(labels, effects, tol_lin=tol_lin)
+
+
+def sequential_product(inst: Instrument, B: Observable,
+                       *, tol_lin: float = TOL_LIN) -> Observable:
+    """Observable of the two-step experiment: run the instrument, then
+    measure B.  Effects are the dual images of B's effects; keys are
+    (x, y) pairs.  The y-marginal reproduces the measured observable."""
+    _require_same_dim(inst, B)
+    effects = np.concatenate([m.dual(B.effects) for m in inst.maps])
+    keys = [(x, y) for x in inst.outcomes for y in B.keys]
+    return Observable(keys, (effects + effects.conj().swapaxes(-1, -2)) / 2.0,
+                      tol_lin=tol_lin)
 
 
 def conditioned_observable(inst: Instrument, B: Observable,
                            *, tol_lin: float = TOL_LIN) -> Observable:
     """Observable of: run the instrument ignoring its outcome, then measure
     B.  Effects are sum_x dual_x(B_y) on B's outcome space."""
-    if inst.dim != B.dim:
-        raise DimensionMismatchError(
-            f"instrument dim {inst.dim} does not match observable dim {B.dim}",
-            invariant="matching-dims")
-    b_keys = B.outcomes if isinstance(B, RealObservable) else B.labels
-    effects = []
-    for Ey in B.effects:
-        total = np.zeros((inst.dim, inst.dim), dtype=complex)
-        for x in inst.outcomes:
-            total = total + inst.dual_apply(x, Ey)
-        effects.append((total + total.conj().T) / 2.0)
-    if isinstance(B, RealObservable):
-        return RealObservable(b_keys, effects, tol_lin=tol_lin)
-    return GeneralObservable(b_keys, effects, tol_lin=tol_lin)
+    _require_same_dim(inst, B)
+    total = sum(m.dual(B.effects) for m in inst.maps)
+    return Observable(B.keys, (total + total.conj().swapaxes(-1, -2)) / 2.0,
+                      tol_lin=tol_lin)
 
 
 def product_statistics(inst: Instrument, B: Observable, f: Mapping | Callable,

@@ -42,8 +42,29 @@ def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
+def as_stack(mats, *, name: str) -> np.ndarray:
+    """Coerce a nonempty sequence of square matrices of one dimension to a
+    fresh ``(n, d, d)`` complex array.
+
+    A sequence that does not stack cleanly is checked matrix by matrix, so
+    the error names the first bad entry, e.g. ``effect[2]``.
+    """
+    try:
+        stack = np.array(mats, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if (stack is not None and stack.ndim == 3
+            and 0 < stack.shape[1] == stack.shape[2]
+            and np.all(np.isfinite(stack))):
+        return stack
+    items = [as_matrix(M, name=f"{name}[{i}]") for i, M in enumerate(mats)]
+    dim = items[0].shape[0]
+    for i, M in enumerate(items):
+        if M.shape[0] != dim:
+            raise DimensionMismatchError(
+                f"{name}[{i}] has dim {M.shape[0]}, expected {dim}",
+                invariant="matching-dims")
+    return np.stack(items)
 
 
 def max_abs(M: np.ndarray) -> float:
@@ -56,48 +77,13 @@ def scale_of(M: np.ndarray) -> float:
     return max(1.0, max_abs(M))
 
 
-def _require_same_dim(A: np.ndarray, B: np.ndarray) -> None:
+def commutator(A, B) -> np.ndarray:
+    """AB - BA."""
+    A, B = as_matrix(A, name="A"), as_matrix(B, name="B")
     if A.shape != B.shape:
         raise DimensionMismatchError(
             f"dimension mismatch: {A.shape[0]} vs {B.shape[0]}",
             invariant="matching-dims")
-
-
-def adjoint(M) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(M).conj().T.copy()
-
-
-def mul(A, B) -> np.ndarray:
-    A, B = as_matrix(A, name="A"), as_matrix(B, name="B")
-    _require_same_dim(A, B)
-    return A @ B
-
-
-def add(A, B) -> np.ndarray:
-    A, B = as_matrix(A, name="A"), as_matrix(B, name="B")
-    _require_same_dim(A, B)
-    return A + B
-
-
-def sub(A, B) -> np.ndarray:
-    A, B = as_matrix(A, name="A"), as_matrix(B, name="B")
-    _require_same_dim(A, B)
-    return A - B
-
-
-def scale(alpha: complex, M) -> np.ndarray:
-    return complex(alpha) * as_matrix(M)
-
-
-def trace(M) -> complex:
-    return complex(np.trace(as_matrix(M)))
-
-
-def commutator(A, B) -> np.ndarray:
-    """AB - BA."""
-    A, B = as_matrix(A, name="A"), as_matrix(B, name="B")
-    _require_same_dim(A, B)
     return A @ B - B @ A
 
 
@@ -121,9 +107,10 @@ def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.nd
 
 
 def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (validated) Hermitian matrix."""
+    """Ascending eigenvalues of a (validated) Hermitian matrix, or of each
+    matrix in an ``(n, d, d)`` stack."""
     try:
-        return np.linalg.eigvalsh((M + M.conj().T) / 2.0)
+        return np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - d<=64 converges
         raise ConvergenceFailureError(str(exc)) from exc
 

@@ -1,16 +1,14 @@
-"""Effects and finite observables (POVMs).
+"""Finite observables (POVMs): effects indexed by distinct outcome keys.
 
-A real-valued observable is a finite set of effects indexed by distinct real
-outcomes, summing to the identity.  The stochastic operator sum_x x A_x
-carries all first- and second-moment statistics of the observable; its
-spectral decomposition defines the sharp version, and pinching by the sharp
-version's projections defines the conjugate.
+A real-valued observable is the case where every key is a real number.  Its
+stochastic operator sum_x x A_x carries all first- and second-moment
+statistics; its spectral decomposition defines the sharp version, and
+pinching by the sharp version's projections defines the conjugate.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Mapping, Sequence
-from typing import Union
 
 import numpy as np
 
@@ -24,7 +22,12 @@ from .errors import (
     NotCommutingError,
     ValidationError,
 )
-from .linalg import TOL_LIN, TOL_PSD, as_matrix, max_abs, scale_of
+from .linalg import TOL_LIN, TOL_PSD, max_abs
+
+
+def is_real(key) -> bool:
+    """The outcome-space rule: ints and floats (not bools) are real."""
+    return isinstance(key, (int, float)) and not isinstance(key, bool)
 
 
 def canonical_outcome(x) -> float:
@@ -36,164 +39,131 @@ def canonical_outcome(x) -> float:
     return v + 0.0 if v != 0.0 else 0.0
 
 
-def validate_effect(M, *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD,
-                    index: int | None = None, name: str = "effect") -> np.ndarray:
-    """Check 0 <= M <= I (Hermitian, spectrum within slack) and return M."""
-    where = name if index is None else f"{name}[{index}]"
-    M = as_matrix(M, name=where)
-    defect = linalg.hermiticity_defect(M)
-    if defect > tol_lin * scale_of(M):
-        raise NotAnEffectError(f"{where} is not Hermitian (defect {defect:.3e})",
-                               invariant="hermitian", violation=defect,
-                               field=where, index=index)
-    eigs = linalg.hermitian_eigenvalues(M)
-    if eigs[0] < -tol_psd:
-        raise NotAnEffectError(
-            f"{where} has eigenvalue {eigs[0]:.3e} < 0",
-            invariant="effect-lower-bound", violation=float(-eigs[0]),
-            field=where, index=index)
-    if eigs[-1] > 1.0 + tol_psd:
-        raise NotAnEffectError(
-            f"{where} has eigenvalue {eigs[-1]:.6g} > 1",
-            invariant="effect-upper-bound", violation=float(eigs[-1] - 1.0),
-            field=where, index=index)
-    return M
+def _entry_norms(E: np.ndarray) -> np.ndarray:
+    """Entrywise max-abs norm of each matrix in a stack."""
+    return np.max(np.abs(E), axis=(-2, -1))
 
 
-def _check_completeness(effects: Sequence[np.ndarray], dim: int,
-                        tol_lin: float) -> None:
-    total = np.zeros((dim, dim), dtype=complex)
-    for E in effects:
-        total = total + E
-    residual = max_abs(total - np.eye(dim))
+def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
+    """Check 0 <= E_i <= I for every effect in the stack, reporting the
+    first bad index, then check that the effects sum to the identity."""
+    defect = _entry_norms(E - E.conj().swapaxes(-1, -2))
+    eigs = linalg.hermitian_eigenvalues(E)
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    bad_herm = defect > tol_lin * np.maximum(1.0, _entry_norms(E))
+    bad_lo, bad_hi = lo < -tol_psd, hi > 1.0 + tol_psd
+    bad = np.flatnonzero(bad_herm | bad_lo | bad_hi)
+    if bad.size:
+        i = int(bad[0])
+        where = f"effect[{i}]"
+        if bad_herm[i]:
+            raise NotAnEffectError(
+                f"{where} is not Hermitian (defect {defect[i]:.3e})",
+                invariant="hermitian", violation=float(defect[i]),
+                field=where, index=i)
+        if bad_lo[i]:
+            raise NotAnEffectError(
+                f"{where} has eigenvalue {lo[i]:.3e} < 0",
+                invariant="effect-lower-bound", violation=float(-lo[i]),
+                field=where, index=i)
+        raise NotAnEffectError(
+            f"{where} has eigenvalue {hi[i]:.6g} > 1",
+            invariant="effect-upper-bound", violation=float(hi[i] - 1.0),
+            field=where, index=i)
+    residual = max_abs(E.sum(0) - np.eye(E.shape[1]))
     if residual > tol_lin:
         raise CompletenessViolationError(
             f"effects sum to identity with residual {residual:.3e}",
             invariant="completeness", residual=residual)
 
 
-class RealObservable:
-    """Finite POVM with real outcomes, stored outcome-sorted ascending."""
+class Observable:
+    """Finite POVM: distinct outcome keys, one effect per key.
 
-    __slots__ = ("outcomes", "effects", "dim")
+    ``effects`` is one read-only ``(n, d, d)`` complex array.  When every key
+    is a real number (``is_real``), the keys are canonicalised and sorted
+    ascending and ``outcomes`` is that tuple; otherwise the keys keep their
+    given order and ``outcomes`` is None.
+    """
 
-    def __init__(self, outcomes: Sequence[float], effects: Sequence,
+    __slots__ = ("keys", "outcomes", "effects", "dim")
+
+    def __init__(self, keys: Sequence[Hashable], effects,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
-        if len(outcomes) != len(effects) or len(outcomes) == 0:
+        keys = tuple(keys)
+        if len(keys) != len(effects) or not keys:
             raise ValidationError(
-                "outcomes and effects must be parallel nonempty lists",
+                "keys and effects must be parallel nonempty lists",
                 invariant="parallel-lists")
-        xs = [canonical_outcome(x) for x in outcomes]
-        if len(set(xs)) != len(xs):
-            raise DuplicateOutcomeError("outcomes are not pairwise distinct",
-                                        invariant="distinct-outcomes")
-        mats = [validate_effect(E, tol_lin=tol_lin, tol_psd=tol_psd, index=i)
-                for i, E in enumerate(effects)]
-        dim = mats[0].shape[0]
-        for i, E in enumerate(mats):
-            if E.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"effect[{i}] has dim {E.shape[0]}, expected {dim}",
-                    invariant="matching-dims")
-        _check_completeness(mats, dim, tol_lin)
-        order = np.argsort(xs, kind="stable")
-        object.__setattr__(self, "outcomes",
-                           tuple(xs[i] for i in order))
-        object.__setattr__(self, "effects",
-                           tuple(linalg.frozen(mats[i]) for i in order))
-        object.__setattr__(self, "dim", dim)
+        real = all(is_real(x) for x in keys)
+        if real:
+            keys = tuple(canonical_outcome(x) for x in keys)
+        if len(set(keys)) != len(keys):
+            raise DuplicateOutcomeError(
+                "outcomes are not pairwise distinct",
+                invariant="distinct-outcomes" if real else "distinct-labels")
+        E = linalg.as_stack(effects, name="effect")
+        _check_effects(E, tol_lin, tol_psd)
+        if real:
+            order = np.argsort(keys, kind="stable")
+            keys = tuple(keys[i] for i in order)
+            E = E[order]
+        E.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "outcomes", keys if real else None)
+        object.__setattr__(self, "effects", E)
+        object.__setattr__(self, "dim", E.shape[1])
 
     def __setattr__(self, name, value):
-        raise AttributeError("RealObservable is immutable")
+        raise AttributeError("Observable is immutable")
 
     def __len__(self):
-        return len(self.outcomes)
+        return len(self.keys)
 
     def pairs(self):
-        return zip(self.outcomes, self.effects)
+        return zip(self.keys, self.effects)
 
     def __repr__(self):
-        return f"RealObservable(dim={self.dim}, outcomes={self.outcomes})"
+        return f"Observable(dim={self.dim}, keys={self.keys})"
 
 
-class GeneralObservable:
-    """Finite POVM with opaque (hashable) outcome labels."""
-
-    __slots__ = ("labels", "effects", "dim")
-
-    def __init__(self, labels: Sequence[Hashable], effects: Sequence,
-                 *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
-        if len(labels) != len(effects) or len(labels) == 0:
-            raise ValidationError(
-                "labels and effects must be parallel nonempty lists",
-                invariant="parallel-lists")
-        labs = tuple(labels)
-        if len(set(labs)) != len(labs):
-            raise DuplicateOutcomeError("labels are not pairwise distinct",
-                                        invariant="distinct-labels")
-        mats = [validate_effect(E, tol_lin=tol_lin, tol_psd=tol_psd, index=i)
-                for i, E in enumerate(effects)]
-        dim = mats[0].shape[0]
-        for i, E in enumerate(mats):
-            if E.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"effect[{i}] has dim {E.shape[0]}, expected {dim}",
-                    invariant="matching-dims")
-        _check_completeness(mats, dim, tol_lin)
-        object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "effects", tuple(linalg.frozen(E) for E in mats))
-        object.__setattr__(self, "dim", dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeneralObservable is immutable")
-
-    def __len__(self):
-        return len(self.labels)
-
-    def pairs(self):
-        return zip(self.labels, self.effects)
-
-    def __repr__(self):
-        return f"GeneralObservable(dim={self.dim}, labels={self.labels})"
+def _outcomes(A: Observable, what: str) -> tuple[float, ...]:
+    if A.outcomes is None:
+        raise ValidationError(f"{what} needs a real-valued observable",
+                              invariant="real-outcomes", field="observable")
+    return A.outcomes
 
 
-Observable = Union[RealObservable, GeneralObservable]
-
-
-def new_real_observable(pairs, *, tol_lin: float = TOL_LIN,
-                        tol_psd: float = TOL_PSD) -> RealObservable:
-    """Build a validated real-valued observable from (outcome, matrix) pairs."""
-    pairs = list(pairs)
-    return RealObservable([x for x, _ in pairs], [E for _, E in pairs],
-                          tol_lin=tol_lin, tol_psd=tol_psd)
-
-
-def stochastic_operator(A: RealObservable) -> np.ndarray:
+def stochastic_operator(A: Observable) -> np.ndarray:
     """The Hermitian operator sum_x x A_x."""
-    out = np.zeros((A.dim, A.dim), dtype=complex)
-    for x, E in A.pairs():
-        out = out + x * E
-    return out
+    xs = np.array(_outcomes(A, "the stochastic operator"))
+    return (xs @ A.effects.reshape(len(xs), -1)).reshape(A.dim, A.dim)
 
 
 def is_sharp(A: Observable, tol: float = TOL_LIN) -> bool:
     """True when every effect is a projection (P^2 = P within tolerance)."""
-    return all(max_abs(E @ E - E) <= tol * scale_of(E) for E in A.effects)
+    E = A.effects
+    return bool(np.all(_entry_norms(E @ E - E)
+                       <= tol * np.maximum(1.0, _entry_norms(E))))
 
 
 def is_commutative(A: Observable, tol: float = TOL_LIN) -> bool:
     """True when all pairs of effects commute within tolerance."""
-    effs = A.effects
-    for i in range(len(effs)):
-        for j in range(i + 1, len(effs)):
-            bound = tol * max(1.0, max_abs(effs[i]) * max_abs(effs[j]))
-            if max_abs(effs[i] @ effs[j] - effs[j] @ effs[i]) > bound:
-                return False
-    return True
+    E = A.effects
+    left, right = E[:, None], E[None, :]
+    norms = _entry_norms(E)
+    bound = tol * np.maximum(1.0, np.multiply.outer(norms, norms))
+    return bool(np.all(_entry_norms(left @ right - right @ left) <= bound))
 
 
-def sharp_version(A: RealObservable, cluster_tol: float | None = None,
-                  *, tol_lin: float = TOL_LIN) -> RealObservable:
+def _spectral_projections(A: Observable, cluster_tol: float | None,
+                          tol_lin: float) -> linalg.EigenDecomposition:
+    return linalg.hermitian_eigendecomposition(stochastic_operator(A),
+                                               cluster_tol, tol=tol_lin)
+
+
+def sharp_version(A: Observable, cluster_tol: float | None = None,
+                  *, tol_lin: float = TOL_LIN) -> Observable:
     """The projection-valued observable given by the spectral decomposition
     of the stochastic operator.
 
@@ -201,31 +171,31 @@ def sharp_version(A: RealObservable, cluster_tol: float | None = None,
     operator as the input.  Outcomes carried only by zero effects do not
     appear, since the stochastic operator cannot see them.
     """
-    sto = stochastic_operator(A)
-    decomp = linalg.hermitian_eigendecomposition(sto, cluster_tol, tol=tol_lin)
-    return RealObservable(decomp.eigenvalues, decomp.projections, tol_lin=tol_lin)
+    decomp = _spectral_projections(A, cluster_tol, tol_lin)
+    return Observable(decomp.eigenvalues, decomp.projections, tol_lin=tol_lin)
 
 
-def conjugate(A: RealObservable, cluster_tol: float | None = None,
-              *, tol_lin: float = TOL_LIN) -> RealObservable:
+def _pinched(A: Observable, cluster_tol: float | None,
+             tol_lin: float) -> np.ndarray:
+    """The stack P_i A_x P_i, indexed [i, x], for the sharp version's
+    projections P_i."""
+    P = np.array(_spectral_projections(A, cluster_tol, tol_lin).projections)
+    return P[:, None] @ A.effects @ P[:, None]
+
+
+def conjugate(A: Observable, cluster_tol: float | None = None,
+              *, tol_lin: float = TOL_LIN) -> Observable:
     """The observable with effects sum_i P_i A_x P_i, pinched by the sharp
     version's eigenprojections.
 
     Shares the input's outcome space and stochastic operator, hence also its
     sharp version.  Equals the input exactly when the input is commutative.
     """
-    sto = stochastic_operator(A)
-    decomp = linalg.hermitian_eigendecomposition(sto, cluster_tol, tol=tol_lin)
-    effects = []
-    for _, E in A.pairs():
-        B = np.zeros_like(E)
-        for P in decomp.projections:
-            B = B + P @ E @ P
-        effects.append(B)
-    return RealObservable(A.outcomes, effects, tol_lin=tol_lin)
+    return Observable(A.outcomes, _pinched(A, cluster_tol, tol_lin).sum(0),
+                      tol_lin=tol_lin)
 
 
-def conjugate_joint(A: RealObservable, cluster_tol: float | None = None,
+def conjugate_joint(A: Observable, cluster_tol: float | None = None,
                     *, tol_lin: float = TOL_LIN):
     """Joint observable C_(i,x) = P_i A_x P_i for the conjugate and the sharp
     version.
@@ -234,61 +204,66 @@ def conjugate_joint(A: RealObservable, cluster_tol: float | None = None,
     version's outcomes: summing over i at fixed x gives the conjugate's
     effect at x, summing over x at fixed i gives P_i.
     """
-    sto = stochastic_operator(A)
-    decomp = linalg.hermitian_eigendecomposition(sto, cluster_tol, tol=tol_lin)
-    joint = []
-    for i, P in enumerate(decomp.projections):
-        for x, E in A.pairs():
-            C = P @ E @ P
-            joint.append(((i, x), (C + C.conj().T) / 2.0))
-    return joint
+    C = _pinched(A, cluster_tol, tol_lin)
+    C = (C + C.conj().swapaxes(-1, -2)) / 2.0
+    return [((i, x), C[i, j]) for i in range(len(C))
+            for j, x in enumerate(A.outcomes)]
 
 
-def commuting_joint(A: RealObservable, B: RealObservable,
-                    tol: float = TOL_LIN):
+def commuting_joint(A: Observable, B: Observable, tol: float = TOL_LIN):
     """Joint observable C_(x,y) = A_x B_y for pairwise commuting effects.
 
     Raises ``NotCommutingError`` on the first pair whose commutator exceeds
     tolerance; marginals of the result reproduce A and B.
     """
+    xs = _outcomes(A, "a commuting joint")
+    ys = _outcomes(B, "a commuting joint")
     if A.dim != B.dim:
         raise DimensionMismatchError(
             f"observables have dims {A.dim} and {B.dim}",
             invariant="matching-dims")
-    for x, Ax in A.pairs():
-        for y, By in B.pairs():
-            norm = max_abs(Ax @ By - By @ Ax)
-            if norm > tol * max(1.0, max_abs(Ax) * max_abs(By)):
-                raise NotCommutingError(
-                    f"effects at outcomes ({x}, {y}) do not commute "
-                    f"(norm {norm:.3e})", x=x, y=y, norm=norm)
-    return [((x, y), A.effects[i] @ B.effects[j])
-            for i, x in enumerate(A.outcomes)
-            for j, y in enumerate(B.outcomes)]
+    left, right = A.effects[:, None], B.effects[None, :]
+    AB = left @ right
+    norm = _entry_norms(AB - right @ left)
+    bound = tol * np.maximum(1.0, np.multiply.outer(_entry_norms(A.effects),
+                                                    _entry_norms(B.effects)))
+    bad = np.argwhere(norm > bound)
+    if bad.size:
+        i, j = bad[0]
+        raise NotCommutingError(
+            f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute "
+            f"(norm {norm[i, j]:.3e})", x=xs[i], y=ys[j],
+            norm=float(norm[i, j]))
+    return [((x, y), AB[i, j]) for i, x in enumerate(xs)
+            for j, y in enumerate(ys)]
 
 
-def _lookup(f, key, kind: str) -> float:
-    if callable(f) and not isinstance(f, Mapping):
-        return canonical_outcome(f(key))
-    try:
-        return canonical_outcome(f[key])
-    except KeyError:
-        raise MissingLabelError(
-            f"coarse-graining function has no value for {kind} {key!r}",
-            invariant="total-function", field=str(key)) from None
+def fibers(f: Mapping | Callable, keys: Sequence[Hashable]):
+    """Group keys by their real value under f.
+
+    Returns the sorted distinct values z and, for each key, the index of its
+    z.  ``f`` is a mapping or a callable and must be total on ``keys``.
+    """
+    values = []
+    for key in keys:
+        if callable(f) and not isinstance(f, Mapping):
+            z = f(key)
+        elif key in f:
+            z = f[key]
+        else:
+            raise MissingLabelError(
+                f"coarse-graining function has no value for outcome {key!r}",
+                invariant="total-function", field=str(key))
+        values.append(canonical_outcome(z))
+    zs, index = np.unique(values, return_inverse=True)
+    return zs.tolist(), index
 
 
 def coarse_grain(A: Observable, f: Mapping | Callable,
-                 *, tol_lin: float = TOL_LIN) -> RealObservable:
+                 *, tol_lin: float = TOL_LIN) -> Observable:
     """Real-valued coarse graining: relabel outcomes through f and sum the
     effects over each fiber f^{-1}(z)."""
-    keys = A.outcomes if isinstance(A, RealObservable) else A.labels
-    grouped: dict[float, np.ndarray] = {}
-    for key, E in zip(keys, A.effects):
-        z = _lookup(f, key, "outcome" if isinstance(A, RealObservable) else "label")
-        if z in grouped:
-            grouped[z] = grouped[z] + E
-        else:
-            grouped[z] = E.copy()
-    zs = sorted(grouped)
-    return RealObservable(zs, [grouped[z] for z in zs], tol_lin=tol_lin)
+    zs, index = fibers(f, A.keys)
+    grouped = np.zeros((len(zs), A.dim, A.dim), dtype=complex)
+    np.add.at(grouped, index, A.effects)
+    return Observable(zs, grouped, tol_lin=tol_lin)

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .observables import RealObservable
+from .observables import Observable
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -22,7 +22,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _AXES = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def noisy_spin(mu: float, axis: str = "x") -> RealObservable:
+def noisy_spin(mu: float, axis: str = "x") -> Observable:
     """Dichotomic qubit observable with effects (I +- mu sigma_axis)/2 at
     outcomes +-1; mu = 1 is the sharp spin observable, mu = 0 is pure noise."""
     if not 0.0 <= mu <= 1.0:
@@ -34,8 +34,8 @@ def noisy_spin(mu: float, axis: str = "x") -> RealObservable:
         raise ValidationError(f"axis must be one of {sorted(_AXES)}",
                               invariant="axis") from None
     eye = np.eye(2, dtype=complex)
-    return RealObservable([1.0, -1.0],
-                          [(eye + mu * sigma) / 2.0, (eye - mu * sigma) / 2.0])
+    return Observable([1.0, -1.0],
+                      [(eye + mu * sigma) / 2.0, (eye - mu * sigma) / 2.0])
 
 
 def noisy_spin_closed_forms(mu: float, r: Sequence[float]) -> dict:

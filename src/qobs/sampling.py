@@ -15,7 +15,7 @@ from .instruments import (
     lueders_instrument,
     trivial_instrument,
 )
-from .observables import RealObservable
+from .observables import Observable
 from .states import DensityOperator
 
 
@@ -71,7 +71,7 @@ def random_probability_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_observable(rng: np.random.Generator, dim: int, n_outcomes: int,
-                      outcomes=None) -> RealObservable:
+                      outcomes=None) -> Observable:
     """POVM from random PSD pieces E_x, normalized to S^{-1/2} E_x S^{-1/2}
     with S the sum, which makes completeness exact."""
     pieces = []
@@ -87,11 +87,11 @@ def random_observable(rng: np.random.Generator, dim: int, n_outcomes: int,
     effects = [(E + E.conj().T) / 2.0 for E in effects]
     if outcomes is None:
         outcomes = random_outcomes(rng, n_outcomes)
-    return RealObservable(outcomes, effects)
+    return Observable(outcomes, effects)
 
 
 def random_sharp_observable(rng: np.random.Generator, dim: int,
-                            n_outcomes: int) -> RealObservable:
+                            n_outcomes: int) -> Observable:
     """Projection-valued observable from a random eigenbasis partition."""
     if not 1 <= n_outcomes <= dim:
         raise ValueError("need 1 <= n_outcomes <= dim")
@@ -106,11 +106,11 @@ def random_sharp_observable(rng: np.random.Generator, dim: int,
         cols = U[:, assign == g]
         P = cols @ cols.conj().T
         effects.append((P + P.conj().T) / 2.0)
-    return RealObservable(random_outcomes(rng, n_outcomes), effects)
+    return Observable(random_outcomes(rng, n_outcomes), effects)
 
 
 def random_commutative_observable(rng: np.random.Generator, dim: int,
-                                  n_outcomes: int) -> RealObservable:
+                                  n_outcomes: int) -> Observable:
     """Effects diagonal in a common random eigenbasis: for each basis index
     the weights over outcomes form a probability vector."""
     U = haar_unitary(rng, dim)
@@ -120,7 +120,7 @@ def random_commutative_observable(rng: np.random.Generator, dim: int,
     for x in range(n_outcomes):
         E = (U * table[:, x]) @ U.conj().T
         effects.append((E + E.conj().T) / 2.0)
-    return RealObservable(random_outcomes(rng, n_outcomes), effects)
+    return Observable(random_outcomes(rng, n_outcomes), effects)
 
 
 def random_bloch_vector(rng: np.random.Generator, surface: bool = False) -> np.ndarray:

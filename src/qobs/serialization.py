@@ -22,7 +22,7 @@ from .instruments import (
     trivial_instrument,
 )
 from .linalg import TOL_LIN, TOL_PSD
-from .observables import GeneralObservable, Observable, RealObservable
+from .observables import Observable
 from .states import DensityOperator, bloch_state
 from .statistics import UncertaintyReport
 
@@ -44,6 +44,13 @@ def _real_grid(raw, d: int, field: str) -> np.ndarray:
         raise ParseError(f"{field}: expected a {d}x{d} array of finite numbers",
                          field=field)
     return arr
+
+
+def _real(x, field: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        raise ParseError(f"{field}: expected a number", field=field) from None
 
 
 def _is_grid(raw) -> bool:
@@ -91,7 +98,8 @@ def decode_state(obj, field: str = "state", *, tol_lin: float = TOL_LIN,
         if not isinstance(r, list) or len(r) != 3:
             raise ParseError(f"{field}.r: expected a list of three numbers",
                              field=f"{field}.r")
-        return bloch_state([float(v) for v in r], tol_lin=tol_lin)
+        return bloch_state([_real(v, f"{field}.r[{i}]")
+                            for i, v in enumerate(r)], tol_lin=tol_lin)
     raise ParseError(f"{field}.type: unknown state type {kind!r}",
                      field=f"{field}.type")
 
@@ -108,10 +116,10 @@ def label_to_str(label) -> str:
 def encode_observable(A: Observable) -> dict:
     out = {"type": "observable",
            "effects": [encode_matrix(E) for E in A.effects]}
-    if isinstance(A, RealObservable):
+    if A.outcomes is not None:
         out["outcomes"] = list(A.outcomes)
     else:
-        out["labels"] = [label_to_str(lab) for lab in A.labels]
+        out["labels"] = [label_to_str(key) for key in A.keys]
     return out
 
 
@@ -128,20 +136,15 @@ def decode_observable(obj, field: str = "observable", *,
                          field=f"{field}.effects")
     effects = [decode_matrix(E, f"{field}.effects[{i}]")
                for i, E in enumerate(raw_effects)]
-    if "outcomes" in obj:
-        outcomes = obj["outcomes"]
-        if not isinstance(outcomes, list):
-            raise ParseError(f"{field}.outcomes: expected a list",
-                             field=f"{field}.outcomes")
-        return RealObservable([float(x) for x in outcomes], effects,
+    # Real outcomes are numbers; labels are read as strings.
+    for key, read in (("outcomes", _real), ("labels", lambda s, _: str(s))):
+        if key in obj:
+            where = f"{field}.{key}"
+            if not isinstance(obj[key], list):
+                raise ParseError(f"{where}: expected a list", field=where)
+            return Observable([read(x, f"{where}[{i}]")
+                               for i, x in enumerate(obj[key])], effects,
                               tol_lin=tol_lin, tol_psd=tol_psd)
-    if "labels" in obj:
-        labels = obj["labels"]
-        if not isinstance(labels, list):
-            raise ParseError(f"{field}.labels: expected a list",
-                             field=f"{field}.labels")
-        return GeneralObservable([str(s) for s in labels], effects,
-                                 tol_lin=tol_lin, tol_psd=tol_psd)
     raise ParseError(f"{field}: needs either 'outcomes' or 'labels'",
                      field=field)
 
@@ -158,14 +161,8 @@ def decode_function_map(obj, field: str = "map") -> dict:
     """Coarse-graining map {label: real} with numeric keys recovered."""
     if not isinstance(obj, Mapping) or not obj:
         raise ParseError(f"{field}: expected a nonempty JSON object", field=field)
-    out = {}
-    for key, val in obj.items():
-        try:
-            out[_parse_outcome_key(key)] = float(val)
-        except (TypeError, ValueError):
-            raise ParseError(f"{field}.{key}: expected a number",
-                             field=f"{field}.{key}") from None
-    return out
+    return {_parse_outcome_key(key): _real(val, f"{field}.{key}")
+            for key, val in obj.items()}
 
 
 def encode_instrument(inst: Instrument) -> dict:
@@ -220,8 +217,9 @@ def decode_instrument(obj, field: str = "instrument", *,
         maps = [OperationMap([decode_matrix(K, f"{field}.kraus[{i}][{j}]")
                               for j, K in enumerate(ops)], tol_psd=tol_psd)
                 for i, ops in enumerate(raw_kraus)]
-        outcomes = [_parse_outcome_key(x) if isinstance(x, str) else float(x)
-                    for x in raw_outcomes]
+        outcomes = [_parse_outcome_key(x) if isinstance(x, str)
+                    else _real(x, f"{field}.outcomes[{i}]")
+                    for i, x in enumerate(raw_outcomes)]
         return Instrument(outcomes, maps, tol_lin=tol_lin)
     raise ParseError(f"{field}.family: unknown family {family!r}",
                      field=f"{field}.family")

@@ -51,11 +51,6 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim}, eigenvalues={self.eigenvalues})"
 
 
-def new_density(M, *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD) -> DensityOperator:
-    """Validate a matrix as a state; rejects Hermiticity/PSD/trace violations."""
-    return DensityOperator(M, tol_lin=tol_lin, tol_psd=tol_psd)
-
-
 def maximally_mixed(d: int) -> DensityOperator:
     """The state I/d, the simplest faithful state in dimension d."""
     if d < 1:

@@ -6,9 +6,9 @@ The central identity: for Hermitian A, B and a state rho,
     |Cor|^2 <= Var(A) Var(B)                            (Schwarz inequality)
 
 with Cor = tr(rho A B) - <A><B>.  Every function below accepts either a
-Hermitian matrix or a ``RealObservable``; observables are replaced by their
-stochastic operator, so observable statistics and operator statistics share
-one code path.
+Hermitian matrix or a real-valued ``Observable``; observables are replaced
+by their stochastic operator, so observable statistics and operator
+statistics share one code path.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian
-from .observables import RealObservable, stochastic_operator
+from .observables import Observable, stochastic_operator
 from .states import DensityOperator
 
 
 def _as_operator(x, rho: DensityOperator, name: str) -> np.ndarray:
-    if isinstance(x, RealObservable):
+    if isinstance(x, Observable):
         op = stochastic_operator(x)
     else:
         op = require_hermitian(x, name=name)

@@ -269,6 +269,42 @@ class TestValidate:
         code, out = run_cli(capsys, "validate", str(f))
         assert code == 2
 
+    def test_invalid_json_names_the_file(self, capsys, tmp_path):
+        f = tmp_path / "broken.json"
+        f.write_text('{"type": ')
+        code, out = run_cli(capsys, "validate", str(f))
+        assert code == 2
+        assert out["error"]["file"] == str(f)
+
+
+_MALFORMED_FILES = {
+    "observable-outcomes": {"type": "observable", "outcomes": ["a", "b"],
+                            "effects": [{"dim": 1, "re": [[0.5]]},
+                                        {"dim": 1, "re": [[0.5]]}]},
+    "bloch-r": {"type": "bloch", "r": ["x", 0, 0]},
+    "kraus-outcomes": {"type": "instrument", "family": "kraus",
+                       "outcomes": [None],
+                       "kraus": [[{"dim": 1, "re": [[1.0]]}]]},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "observable-outcomes"],
+    ["validate", "bloch-r"],
+    ["validate", "kraus-outcomes"],
+    ["fuzz", "--dims", "2..x"],
+    ["demo", "example4", "--bloch", "a,b,c"],
+    ["sweep-example4", "--mu-grid", "x"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_malformed_input_exits_2_with_diagnostic(capsys, tmp_path, argv):
+    if argv[0] == "validate":
+        path = tmp_path / f"{argv[1]}.json"
+        path.write_text(json.dumps(_MALFORMED_FILES[argv[1]]))
+        argv = ["validate", str(path)]
+    code, out = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    assert isinstance(out["error"], dict)
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "qobs.cli", "demo",

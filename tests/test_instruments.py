@@ -24,7 +24,7 @@ from qobs.instruments import (
 )
 from qobs.linalg import psd_sqrt
 from qobs.observables import (
-    RealObservable,
+    Observable,
     coarse_grain,
     stochastic_operator,
 )
@@ -184,8 +184,8 @@ class TestLueders:
             assert max_abs_diff(E, F) < 1e-10
 
     def test_sharp_z_measurement_dephases(self):
-        A = RealObservable([1.0, -1.0], [(np.eye(2) + SIGMA_Z) / 2,
-                                         (np.eye(2) - SIGMA_Z) / 2])
+        A = Observable([1.0, -1.0], [(np.eye(2) + SIGMA_Z) / 2,
+                                     (np.eye(2) - SIGMA_Z) / 2])
         rho = bloch_state((0.4, 0.3, -0.2))
         out = lueders_instrument(A).channel(rho)
         assert max_abs_diff(out.matrix, np.diag(np.diag(rho.matrix))) < 1e-14
@@ -196,7 +196,7 @@ class TestLueders:
         assert inst.mean(bloch_state(r)) == pytest.approx(r[0] * mu, abs=1e-13)
 
     def test_single_outcome_mean(self, rng):
-        inst = lueders_instrument(RealObservable([2.5], [np.eye(3)]))
+        inst = lueders_instrument(Observable([2.5], [np.eye(3)]))
         assert inst.mean(random_density(rng, 3)) == pytest.approx(2.5, abs=1e-12)
 
 
@@ -405,11 +405,11 @@ class TestProductStatistics:
         from qobs.sampling import haar_unitary
         U = haar_unitary(rng, 3)
         diag_a = [np.diag(col) for col in ([1.0, 1.0, 0.0], [0.0, 0.0, 1.0])]
-        A = RealObservable([1.0, -1.0],
-                           [U @ D @ U.conj().T for D in diag_a])
+        A = Observable([1.0, -1.0],
+                       [U @ D @ U.conj().T for D in diag_a])
         tables = np.array([[0.3, 0.5, 0.1], [0.7, 0.5, 0.9]])
-        B = RealObservable([2.0, -2.0],
-                           [U @ np.diag(t) @ U.conj().T for t in tables])
+        B = Observable([2.0, -2.0],
+                       [U @ np.diag(t) @ U.conj().T for t in tables])
         inst = lueders_instrument(A)
         rho = random_density(rng, 3)
         f = {(x, y): x * y for x in inst.outcomes for y in B.outcomes}

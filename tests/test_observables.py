@@ -21,61 +21,56 @@ from qobs.sampling import (
 from conftest import max_abs_diff
 
 
-def trine_povm() -> obs.RealObservable:
+def trine_povm() -> obs.Observable:
     """Three-outcome qubit POVM with effects (I + cos t sx + sin t sy)/3."""
     effects = []
     for k in range(3):
         theta = 2 * np.pi * k / 3
         effects.append((np.eye(2) + np.cos(theta) * SIGMA_X
                         + np.sin(theta) * SIGMA_Y) / 3)
-    return obs.RealObservable([0.0, 1.0, 2.0], effects)
+    return obs.Observable([0.0, 1.0, 2.0], effects)
 
 
 class TestConstruction:
     def test_dichotomic(self):
         A1 = 0.5 * (np.eye(2) + 0.5 * SIGMA_X)
-        A = obs.new_real_observable([(1.0, A1), (-1.0, np.eye(2) - A1)])
+        A = obs.Observable([1.0, -1.0], [A1, np.eye(2) - A1])
         assert A.outcomes == (-1.0, 1.0)  # sorted ascending
         assert A.dim == 2
 
     def test_one_outcome(self):
-        A = obs.new_real_observable([(5.0, np.eye(3))])
+        A = obs.Observable([5.0], [np.eye(3)])
         assert A.outcomes == (5.0,)
 
     def test_zero_effects_admitted(self):
-        A = obs.new_real_observable([(0.0, np.zeros((2, 2))),
-                                     (1.0, np.eye(2))])
+        A = obs.Observable([0.0, 1.0], [np.zeros((2, 2)), np.eye(2)])
         assert len(A) == 2
 
     def test_rejects_non_effect(self):
         with pytest.raises(NotAnEffectError) as err:
-            obs.new_real_observable([(1.0, 2 * np.eye(2)),
-                                     (-1.0, -np.eye(2))])
+            obs.Observable([1.0, -1.0], [2 * np.eye(2), -np.eye(2)])
         assert err.value.index == 0
 
     def test_rejects_incomplete(self):
         with pytest.raises(CompletenessViolationError) as err:
-            obs.new_real_observable([(0.0, 0.5 * np.eye(2)),
-                                     (1.0, 0.4 * np.eye(2))])
+            obs.Observable([0.0, 1.0], [0.5 * np.eye(2), 0.4 * np.eye(2)])
         assert err.value.residual == pytest.approx(0.1)
 
     def test_rejects_duplicate_outcomes(self):
         with pytest.raises(DuplicateOutcomeError):
-            obs.new_real_observable([(1.0, 0.5 * np.eye(2)),
-                                     (1.0, 0.5 * np.eye(2))])
+            obs.Observable([1.0, 1.0], [0.5 * np.eye(2), 0.5 * np.eye(2)])
 
     def test_negative_zero_outcome_is_duplicate_of_zero(self):
         with pytest.raises(DuplicateOutcomeError):
-            obs.new_real_observable([(0.0, 0.5 * np.eye(2)),
-                                     (-0.0, 0.5 * np.eye(2))])
+            obs.Observable([0.0, -0.0], [0.5 * np.eye(2), 0.5 * np.eye(2)])
 
     def test_general_observable_labels(self):
-        G = obs.GeneralObservable(["up", "down"],
-                                  [0.5 * np.eye(2), 0.5 * np.eye(2)])
-        assert G.labels == ("up", "down")
+        G = obs.Observable(["up", "down"],
+                           [0.5 * np.eye(2), 0.5 * np.eye(2)])
+        assert G.keys == ("up", "down")
         with pytest.raises(DuplicateOutcomeError):
-            obs.GeneralObservable(["a", "a"],
-                                  [0.5 * np.eye(2), 0.5 * np.eye(2)])
+            obs.Observable(["a", "a"],
+                           [0.5 * np.eye(2), 0.5 * np.eye(2)])
 
 
 class TestStochasticOperator:
@@ -90,7 +85,7 @@ class TestStochasticOperator:
         assert max_abs_diff(obs.stochastic_operator(A), 0.7 * SIGMA_X) < 1e-15
 
     def test_one_outcome(self):
-        A = obs.new_real_observable([(2.5, np.eye(3))])
+        A = obs.Observable([2.5], [np.eye(3)])
         assert max_abs_diff(obs.stochastic_operator(A), 2.5 * np.eye(3)) == 0.0
 
 
@@ -117,8 +112,8 @@ class TestSharpVersion:
     def test_diagonal_dichotomic_by_hand(self):
         # A1 = diag(0.7, 0.3) with outcomes {1, -1}: stochastic operator is
         # diag(0.4, -0.4), so outcomes {-0.4, 0.4} with basis projections.
-        A = obs.new_real_observable([(1.0, np.diag([0.7, 0.3])),
-                                     (-1.0, np.diag([0.3, 0.7]))])
+        A = obs.Observable([1.0, -1.0],
+                           [np.diag([0.7, 0.3]), np.diag([0.3, 0.7])])
         sharp = obs.sharp_version(A)
         assert sharp.outcomes == pytest.approx((-0.4, 0.4))
         assert max_abs_diff(sharp.effects[0], np.diag([0.0, 1.0])) < 1e-14
@@ -153,8 +148,7 @@ class TestSharpVersion:
                                 obs.stochastic_operator(A)) < 1e-9
 
     def test_outcomes_carried_by_zero_effects_vanish(self):
-        A = obs.new_real_observable([(3.0, np.zeros((2, 2))),
-                                     (1.0, np.eye(2))])
+        A = obs.Observable([3.0, 1.0], [np.zeros((2, 2)), np.eye(2)])
         sharp = obs.sharp_version(A)
         assert sharp.outcomes == (1.0,)
 
@@ -228,7 +222,7 @@ class TestConjugateJoint:
             assert np.linalg.eigvalsh(C)[0] >= -1e-8
 
     def test_one_outcome(self):
-        A = obs.new_real_observable([(4.0, np.eye(2))])
+        A = obs.Observable([4.0], [np.eye(2)])
         joint = obs.conjugate_joint(A)
         assert len(joint) == 1
         assert max_abs_diff(joint[0][1], np.eye(2)) < 1e-14
@@ -236,10 +230,10 @@ class TestConjugateJoint:
 
 class TestCommutingJoint:
     def test_diagonal_pair(self):
-        A = obs.new_real_observable([(0.0, np.diag([1.0, 0.0, 0.0])),
-                                     (1.0, np.diag([0.0, 1.0, 1.0]))])
-        B = obs.new_real_observable([(0.0, np.diag([0.3, 0.6, 1.0])),
-                                     (1.0, np.diag([0.7, 0.4, 0.0]))])
+        A = obs.Observable([0.0, 1.0], [np.diag([1.0, 0.0, 0.0]),
+                                        np.diag([0.0, 1.0, 1.0])])
+        B = obs.Observable([0.0, 1.0], [np.diag([0.3, 0.6, 1.0]),
+                                        np.diag([0.7, 0.4, 0.0])])
         joint = obs.commuting_joint(A, B)
         for x, Ax in A.pairs():
             marg = sum(C for (xx, _), C in joint if xx == x)
@@ -291,8 +285,8 @@ class TestCoarseGrain:
         assert max_abs_diff(obs.stochastic_operator(fA), direct) < 1e-12
 
     def test_general_observable_label_map(self):
-        G = obs.GeneralObservable(["heads", "tails"],
-                                  [0.25 * np.eye(2), 0.75 * np.eye(2)])
+        G = obs.Observable(["heads", "tails"],
+                           [0.25 * np.eye(2), 0.75 * np.eye(2)])
         fG = obs.coarse_grain(G, {"heads": 1.0, "tails": -1.0})
         assert fG.outcomes == (-1.0, 1.0)
 

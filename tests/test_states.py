@@ -24,26 +24,26 @@ from conftest import max_abs_diff
 
 class TestConstruction:
     def test_maximally_mixed_qubit(self):
-        rho = states.new_density(np.eye(2) / 2)
+        rho = states.DensityOperator(np.eye(2) / 2)
         assert rho.dim == 2
         assert rho.eigenvalues == (0.5, 0.5)
 
     def test_pure_state(self):
-        rho = states.new_density(np.diag([1.0, 0.0]))
+        rho = states.DensityOperator(np.diag([1.0, 0.0]))
         assert rho.eigenvalues == (0.0, 1.0)
 
     def test_trace_not_one(self):
         with pytest.raises(TraceNotOneError) as err:
-            states.new_density(np.diag([0.6, 0.6]))
+            states.DensityOperator(np.diag([0.6, 0.6]))
         assert err.value.violation == pytest.approx(0.2)
 
     def test_not_hermitian(self):
         with pytest.raises(NotHermitianError):
-            states.new_density(np.array([[1.0, 1.0], [0.0, 0.0]]))
+            states.DensityOperator(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_not_psd(self):
         with pytest.raises(NotPSDError):
-            states.new_density(np.diag([1.5, -0.5]))
+            states.DensityOperator(np.diag([1.5, -0.5]))
 
     def test_matrix_is_read_only(self):
         rho = states.maximally_mixed(2)
@@ -105,14 +105,14 @@ class TestFaithfulness:
             assert states.is_faithful(states.maximally_mixed(d))
 
     def test_pure_state_is_not(self):
-        assert not states.is_faithful(states.new_density(np.diag([1.0, 0.0])))
+        assert not states.is_faithful(states.DensityOperator(np.diag([1.0, 0.0])))
 
     def test_strictly_positive_spectrum_is(self):
-        rho = states.new_density(np.diag([0.999, 0.001]))
+        rho = states.DensityOperator(np.diag([0.999, 0.001]))
         assert states.is_faithful(rho)
 
     def test_threshold_parameter(self):
-        rho = states.new_density(np.diag([0.999, 0.001]))
+        rho = states.DensityOperator(np.diag([0.999, 0.001]))
         assert not states.is_faithful(rho, tol=0.01)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from qobs import statistics as stats
 from qobs.errors import DimensionMismatchError, NotHermitianError
-from qobs.observables import new_real_observable, sharp_version, stochastic_operator
+from qobs.observables import sharp_version, stochastic_operator
 from qobs.qubit import SIGMA_X, SIGMA_Y, noisy_spin
 from qobs.sampling import (
     ginibre,
