@@ -10,6 +10,7 @@ readable diagnostic on stdout).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -53,7 +54,8 @@ _OBSERVABLE_COMMANDS = {
 }
 
 
-def _common_flags() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-lin", type=float, default=TOL_LIN,
                         help="tolerance for structural identities")
@@ -67,11 +69,6 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="PRNG seed for randomized commands")
     common.add_argument("--json", action="store_true",
                         help="compact single-line JSON output")
-    return common
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="qobs",
         description="Finite-dimensional quantum measurement toolkit")
@@ -313,8 +310,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     ctx = _FileContext()
     try:
         return _HANDLERS[args.command](args, ctx)

@@ -86,7 +86,7 @@ class Observable:
     given order and ``outcomes`` is None.
     """
 
-    __slots__ = ("keys", "outcomes", "effects", "dim")
+    __slots__ = ("keys", "outcomes", "effects", "dim", "_stochastic")
 
     def __init__(self, keys: Sequence[Hashable], effects,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
@@ -104,15 +104,18 @@ class Observable:
                 invariant="distinct-outcomes" if real else "distinct-labels")
         E = linalg.as_stack(effects, name="effect")
         _check_effects(E, tol_lin, tol_psd)
+        stochastic = None
         if real:
             order = np.argsort(keys, kind="stable")
             keys = tuple(keys[i] for i in order)
             E = E[order]
+            stochastic = linalg.frozen(np.einsum("x,xab->ab", keys, E))
         E.setflags(write=False)
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "outcomes", keys if real else None)
         object.__setattr__(self, "effects", E)
         object.__setattr__(self, "dim", E.shape[1])
+        object.__setattr__(self, "_stochastic", stochastic)
 
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")
@@ -135,9 +138,9 @@ def _outcomes(A: Observable, what: str) -> tuple[float, ...]:
 
 
 def stochastic_operator(A: Observable) -> np.ndarray:
-    """The Hermitian operator sum_x x A_x."""
-    xs = np.array(_outcomes(A, "the stochastic operator"))
-    return (xs @ A.effects.reshape(len(xs), -1)).reshape(A.dim, A.dim)
+    """The Hermitian operator sum_x x A_x, as a read-only array."""
+    _outcomes(A, "the stochastic operator")
+    return A._stochastic
 
 
 def is_sharp(A: Observable, tol: float = TOL_LIN) -> bool:

@@ -46,6 +46,12 @@ def _real_grid(raw, d: int, field: str) -> np.ndarray:
     return arr
 
 
+def _list(raw, field: str) -> list:
+    if not isinstance(raw, list):
+        raise ParseError(f"{field}: expected a list", field=field)
+    return raw
+
+
 def _real(x, field: str) -> float:
     try:
         return float(x)
@@ -140,11 +146,9 @@ def decode_observable(obj, field: str = "observable", *,
     for key, read in (("outcomes", _real), ("labels", lambda s, _: str(s))):
         if key in obj:
             where = f"{field}.{key}"
-            if not isinstance(obj[key], list):
-                raise ParseError(f"{where}: expected a list", field=where)
             return Observable([read(x, f"{where}[{i}]")
-                               for i, x in enumerate(obj[key])], effects,
-                              tol_lin=tol_lin, tol_psd=tol_psd)
+                               for i, x in enumerate(_list(obj[key], where))],
+                              effects, tol_lin=tol_lin, tol_psd=tol_psd)
     raise ParseError(f"{field}: needs either 'outcomes' or 'labels'",
                      field=field)
 
@@ -195,10 +199,7 @@ def decode_instrument(obj, field: str = "instrument", *,
         A = decode_observable(_expect(obj, "observable", field),
                               f"{field}.observable",
                               tol_lin=tol_lin, tol_psd=tol_psd)
-        raw_states = _expect(obj, "states", field)
-        if not isinstance(raw_states, list):
-            raise ParseError(f"{field}.states: expected a list",
-                             field=f"{field}.states")
+        raw_states = _list(_expect(obj, "states", field), f"{field}.states")
         alphas = [decode_state(s, f"{field}.states[{i}]",
                                tol_lin=tol_lin, tol_psd=tol_psd)
                   for i, s in enumerate(raw_states)]
@@ -209,17 +210,16 @@ def decode_instrument(obj, field: str = "instrument", *,
                               tol_lin=tol_lin, tol_psd=tol_psd)
         return lueders_instrument(A, tol_lin=tol_lin)
     if family == "kraus":
-        raw_outcomes = _expect(obj, "outcomes", field)
-        raw_kraus = _expect(obj, "kraus", field)
-        if not isinstance(raw_outcomes, list) or not isinstance(raw_kraus, list):
-            raise ParseError(f"{field}: 'outcomes' and 'kraus' must be lists",
-                             field=field)
+        raw_outs = _list(_expect(obj, "outcomes", field), f"{field}.outcomes")
+        raw_kraus = _list(_expect(obj, "kraus", field), f"{field}.kraus")
         maps = [OperationMap([decode_matrix(K, f"{field}.kraus[{i}][{j}]")
-                              for j, K in enumerate(ops)], tol_psd=tol_psd)
+                              for j, K in enumerate(
+                                  _list(ops, f"{field}.kraus[{i}]"))],
+                             tol_psd=tol_psd)
                 for i, ops in enumerate(raw_kraus)]
         outcomes = [_parse_outcome_key(x) if isinstance(x, str)
                     else _real(x, f"{field}.outcomes[{i}]")
-                    for i, x in enumerate(raw_outcomes)]
+                    for i, x in enumerate(raw_outs)]
         return Instrument(outcomes, maps, tol_lin=tol_lin)
     raise ParseError(f"{field}.family: unknown family {family!r}",
                      field=f"{field}.family")

@@ -6,9 +6,9 @@ The central identity: for Hermitian A, B and a state rho,
     |Cor|^2 <= Var(A) Var(B)                            (Schwarz inequality)
 
 with Cor = tr(rho A B) - <A><B>.  Every function below accepts either a
-Hermitian matrix or a real-valued ``Observable``; observables are replaced
-by their stochastic operator, so observable statistics and operator
-statistics share one code path.
+Hermitian matrix or a real-valued ``Observable``, replaced by the stochastic
+operator it stores, and reads one moment kernel, so observable statistics
+and operator statistics share one code path.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian
 from .observables import Observable, stochastic_operator
-from .states import DensityOperator
+from .states import DensityOperator, is_faithful
 
 
 def _as_operator(x, rho: DensityOperator, name: str) -> np.ndarray:
-    if isinstance(x, Observable):
-        op = stochastic_operator(x)
-    else:
-        op = require_hermitian(x, name=name)
+    op = (stochastic_operator(x) if isinstance(x, Observable)
+          else require_hermitian(x, name=name))
     if op.shape[0] != rho.dim:
         raise DimensionMismatchError(
             f"{name} has dim {op.shape[0]}, state has dim {rho.dim}",
@@ -35,17 +33,27 @@ def _as_operator(x, rho: DensityOperator, name: str) -> np.ndarray:
     return op
 
 
+def _moments(rho: DensityOperator, *operands):
+    """Resolve each operand once to X_i; return X, the means tr(rho X_i) and
+    M[i, j] = tr(rho X_i X_j), all from one product rho X.  M[0, 1] and
+    M[1, 0] are separate sums: the commutator term is not Im Cor restated."""
+    X = np.array([_as_operator(x, rho, n) for x, n in zip(operands, "AB")])
+    rho_x = rho.matrix @ X
+    means = rho_x.trace(axis1=1, axis2=2).real
+    return X, means, np.einsum("iab,jba->ij", rho_x, X)
+
+
 def average(rho: DensityOperator, A) -> float:
     """Expectation tr(rho A~): the sum of outcomes weighted by their
     probabilities."""
-    op = _as_operator(A, rho, "A")
-    return float(np.trace(rho.matrix @ op).real)
+    _, means, _ = _moments(rho, A)
+    return float(means[0])
 
 
 def deviation(rho: DensityOperator, A) -> np.ndarray:
     """A~ - <A> I; traceless against rho."""
-    op = _as_operator(A, rho, "A")
-    return op - average(rho, A) * np.eye(rho.dim)
+    X, means, _ = _moments(rho, A)
+    return X[0] - means[0] * np.eye(rho.dim)
 
 
 def correlation(rho: DensityOperator, A, B) -> complex:
@@ -54,28 +62,25 @@ def correlation(rho: DensityOperator, A, B) -> complex:
     Generally complex; conjugate-symmetric under swapping A and B, and equal
     to tr(rho D(A) D(B)) for the deviations D.
     """
-    opA = _as_operator(A, rho, "A")
-    opB = _as_operator(B, rho, "B")
-    mean_a = float(np.trace(rho.matrix @ opA).real)
-    mean_b = float(np.trace(rho.matrix @ opB).real)
-    return complex(np.trace(rho.matrix @ opA @ opB)) - mean_a * mean_b
+    _, means, M = _moments(rho, A, B)
+    return complex(M[0, 1] - means[0] * means[1])
 
 
 def covariance(rho: DensityOperator, A, B) -> float:
     """Real part of the correlation."""
-    return float(correlation(rho, A, B).real)
+    return correlation(rho, A, B).real
 
 
 def variance(rho: DensityOperator, A) -> float:
     """<A^2> - <A>^2, the diagonal covariance."""
-    return covariance(rho, A, A)
+    _, means, M = _moments(rho, A)
+    return float(M[0, 0].real - means[0] ** 2)
 
 
 def commutator_expectation(rho: DensityOperator, A, B) -> complex:
     """tr(rho [A~, B~]); purely imaginary, equal to 2i Im tr(rho A~ B~)."""
-    opA = _as_operator(A, rho, "A")
-    opB = _as_operator(B, rho, "B")
-    return complex(np.trace(rho.matrix @ (opA @ opB - opB @ opA)))
+    _, _, M = _moments(rho, A, B)
+    return complex(M[0, 1] - M[1, 0])
 
 
 @dataclass(frozen=True)
@@ -103,12 +108,12 @@ def uncertainty_report(rho: DensityOperator, A, B,
     A residual beyond tolerance means a broken internal identity, not bad
     input, so it raises ``InternalConsistencyError`` rather than returning.
     """
-    cor = correlation(rho, A, B)
-    comm = commutator_expectation(rho, A, B)
-    commutator_term = 0.25 * abs(comm) ** 2
+    _, means, M = _moments(rho, A, B)
+    cor = complex(M[0, 1] - means[0] * means[1])
+    commutator_term = 0.25 * abs(complex(M[0, 1] - M[1, 0])) ** 2
     covariance_sq = cor.real ** 2
     correlation_sq = abs(cor) ** 2
-    variance_product = variance(rho, A) * variance(rho, B)
+    variance_product = float(np.prod(M.diagonal().real - means ** 2))
     equation_residual = commutator_term + covariance_sq - correlation_sq
     inequality_slack = variance_product - correlation_sq
     scale = max(1.0, correlation_sq)
@@ -188,8 +193,6 @@ def equality_diagnosis(rho: DensityOperator, A, B,
                        tol: float = TOL_STAT) -> EqualityDiagnosis:
     """Report faithfulness, the affine fit, and whether the chain
     covariance^2 = |Cor|^2 = Var(A) Var(B) holds within tolerance."""
-    from .states import is_faithful
-
     opA = _as_operator(A, rho, "A")
     opB = _as_operator(B, rho, "B")
     rep = uncertainty_report(rho, opA, opB, tol)

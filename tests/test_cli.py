@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qobs import serialization as ser
-from qobs.cli import main
+from qobs.cli import _build_parser, main
 from qobs.qubit import noisy_spin
 from qobs.sampling import random_density, random_instrument, random_observable
 
@@ -285,6 +285,8 @@ _MALFORMED_FILES = {
     "kraus-outcomes": {"type": "instrument", "family": "kraus",
                        "outcomes": [None],
                        "kraus": [[{"dim": 1, "re": [[1.0]]}]]},
+    "kraus-entry": {"type": "instrument", "family": "kraus",
+                    "outcomes": [1], "kraus": [5]},
 }
 
 
@@ -292,6 +294,7 @@ _MALFORMED_FILES = {
     ["validate", "observable-outcomes"],
     ["validate", "bloch-r"],
     ["validate", "kraus-outcomes"],
+    ["validate", "kraus-entry"],
     ["fuzz", "--dims", "2..x"],
     ["demo", "example4", "--bloch", "a,b,c"],
     ["sweep-example4", "--mu-grid", "x"],
@@ -304,6 +307,20 @@ def test_malformed_input_exits_2_with_diagnostic(capsys, tmp_path, argv):
     code, out = run_cli(capsys, *argv, "--json")
     assert code == 2
     assert isinstance(out["error"], dict)
+
+
+def test_cached_parser_keeps_no_flags_between_calls(capsys, files):
+    argv = ["sharp", "--obs", files["obs_rand.json"], "--json"]
+    assert main([*argv, "--tol-lin", "1e-6", "--cluster-tol", "100"]) == 0
+    custom = capsys.readouterr().out
+    assert main(argv) == 0
+    cached = capsys.readouterr().out
+    assert _build_parser() is _build_parser()
+    _build_parser.cache_clear()
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert cached == fresh
+    assert custom != fresh
 
 
 def test_console_entry_point_runs():

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from qobs import statistics as stats
-from qobs.errors import DimensionMismatchError, NotHermitianError
-from qobs.observables import sharp_version, stochastic_operator
+from qobs.errors import (
+    DimensionMismatchError,
+    NotHermitianError,
+    ValidationError,
+)
+from qobs.observables import Observable, sharp_version, stochastic_operator
 from qobs.qubit import SIGMA_X, SIGMA_Y, noisy_spin
 from qobs.sampling import (
     ginibre,
@@ -372,3 +376,75 @@ class TestNoisySpinClosedForms:
             rho = bloch_state((r[0], r[1], 0.0))
             rep = stats.uncertainty_report(rho, A, B)
             assert rep.commutator_term == pytest.approx(0.0, abs=1e-13)
+
+
+def _direct_terms(rho, A, B) -> dict:
+    """Every statistic from np.trace of explicit products, one at a time."""
+    R = rho.matrix
+    mean_a = np.trace(R @ A).real
+    mean_b = np.trace(R @ B).real
+    cor = complex(np.trace(R @ A @ B)) - mean_a * mean_b
+    comm = complex(np.trace(R @ (A @ B - B @ A)))
+    var_a = np.trace(R @ A @ A).real - mean_a ** 2
+    var_b = np.trace(R @ B @ B).real - mean_b ** 2
+    out = {"mean_a": mean_a, "cor": cor, "comm": comm, "var_a": var_a,
+           "commutator_term": 0.25 * abs(comm) ** 2,
+           "covariance_sq": cor.real ** 2, "correlation_sq": abs(cor) ** 2,
+           "variance_product": var_a * var_b}
+    out["equation_residual"] = (out["commutator_term"] + out["covariance_sq"]
+                                - out["correlation_sq"])
+    out["inequality_slack"] = out["variance_product"] - out["correlation_sq"]
+    return out
+
+
+def _direct_stochastic(A) -> np.ndarray:
+    return sum(x * E for x, E in A.pairs())
+
+
+class TestMomentKernel:
+    """The shared moment kernel against an independent reference, over
+    observables and bare matrices, full-rank and pure states."""
+
+    REPORT_FIELDS = ("commutator_term", "covariance_sq", "correlation_sq",
+                     "variance_product", "equation_residual",
+                     "inequality_slack")
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 16])
+    def test_every_statistic_matches_explicit_traces(self, rng, d):
+        def close(got, want):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+        for rho in (random_density(rng, d), random_density(rng, d, rank=1)):
+            A, B = random_observable(rng, d, 3), random_observable(rng, d, 2)
+            H, K = random_hermitian(rng, d), random_hermitian(rng, d)
+            for a, b, opa, opb in ((A, B, _direct_stochastic(A),
+                                    _direct_stochastic(B)), (H, K, H, K)):
+                ref = _direct_terms(rho, opa, opb)
+                rep = stats.uncertainty_report(rho, a, b)
+                for field in self.REPORT_FIELDS:
+                    close(getattr(rep, field), ref[field])
+                close(stats.correlation(rho, a, b), ref["cor"])
+                close(stats.commutator_expectation(rho, a, b), ref["comm"])
+                close(stats.variance(rho, a), ref["var_a"])
+                close(stats.average(rho, a), ref["mean_a"])
+
+    def test_stochastic_operator_is_stored_read_only(self, rng):
+        for d in (1, 2, 5):
+            A = random_observable(rng, d, 3)
+            S = stochastic_operator(A)
+            assert S is stochastic_operator(A)
+            assert not S.flags.writeable
+            with pytest.raises(ValueError):
+                S[0, 0] = 0.0
+            direct = _direct_stochastic(A)
+            assert max_abs_diff(S, direct) <= 1e-15 * max(
+                1.0, float(np.max(np.abs(direct))))
+
+    def test_string_keys_have_no_stochastic_operator(self):
+        A = Observable(["up", "down"], [np.diag([1.0, 0.0]),
+                                        np.diag([0.0, 1.0])])
+        with pytest.raises(ValidationError) as exc:
+            stochastic_operator(A)
+        assert exc.value.invariant == "real-outcomes"
+        with pytest.raises(ValidationError):
+            stats.average(maximally_mixed(2), A)
