@@ -307,21 +307,20 @@ def _chk_uncertainty_inequality(inst, cfg):
 
 def _chk_correlation_symmetry(inst, cfg):
     rho, A, B = inst["rho"], inst["A"], inst["B"]
-    res = abs(stats.correlation(rho, A, B)
-              - np.conj(stats.correlation(rho, B, A)))
-    return res, cfg.tol_lin * max(1.0, abs(stats.correlation(rho, A, B)))
+    cor = stats.correlation(rho, A, B)
+    res = abs(cor - np.conj(stats.correlation(rho, B, A)))
+    return res, cfg.tol_lin * max(1.0, abs(cor))
 
 
 def _chk_statistics_sharp_consistency(inst, cfg):
     rho, A, B = inst["rho"], inst["A"], inst["B"]
     sharp_a = sharp_version(A, cfg.cluster_tol, tol_lin=cfg.tol_lin)
     sharp_b = sharp_version(B, cfg.cluster_tol, tol_lin=cfg.tol_lin)
-    res = abs(stats.correlation(rho, A, B)
-              - stats.correlation(rho, sharp_a, sharp_b))
+    cor = stats.correlation(rho, A, B)
+    res = abs(cor - stats.correlation(rho, sharp_a, sharp_b))
     res = max(res, abs(stats.average(rho, A) - stats.average(rho, sharp_a)))
     res = max(res, abs(stats.variance(rho, A) - stats.variance(rho, sharp_a)))
-    scale = max(1.0, abs(stats.correlation(rho, A, B)))
-    return res, cfg.tol_lin * scale
+    return res, cfg.tol_lin * max(1.0, abs(cor))
 
 
 def _chk_maximally_mixed_closed_form(inst, cfg):
@@ -387,9 +386,9 @@ def _chk_instrument_coarse_grain(inst, cfg):
 
 def _chk_instrument_mean(inst, cfg):
     instr, rho = inst["inst"], inst["rho"]
-    measured = instr.measured_observable()
-    res = abs(instr.mean(rho) - stats.average(rho, measured))
-    return res, cfg.tol_lin * max(1.0, abs(instr.mean(rho)))
+    mean = instr.mean(rho)
+    res = abs(mean - stats.average(rho, instr.measured_observable()))
+    return res, cfg.tol_lin * max(1.0, abs(mean))
 
 
 def _chk_sequential_completeness(inst, cfg):

@@ -28,6 +28,7 @@ from .errors import (
 from .linalg import TOL_LIN, TOL_PSD, as_matrix, max_abs, psd_sqrt
 from .observables import Observable, coarse_grain, fibers, is_real
 from .states import DensityOperator
+from .statistics import average, variance as obs_variance
 
 
 class OperationMap:
@@ -72,9 +73,15 @@ class OperationMap:
 
 
 class Instrument:
-    """Parallel lists of outcomes and operation maps summing to a channel."""
+    """Parallel lists of outcomes and operation maps summing to a channel.
 
-    __slots__ = ("outcomes", "maps", "dim")
+    The measured observable is stored in a private slot the first time it
+    is asked for; it depends on nothing but the maps, so it has no key.  The
+    object stays immutable in value; two threads that fill the slot compute
+    identical observables.
+    """
+
+    __slots__ = ("outcomes", "maps", "dim", "_measured")
 
     def __init__(self, outcomes: Sequence[Hashable], maps: Sequence[OperationMap],
                  *, tol_lin: float = TOL_LIN):
@@ -100,6 +107,7 @@ class Instrument:
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "maps", tuple(maps))
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_measured", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Instrument is immutable")
@@ -131,10 +139,13 @@ class Instrument:
 
     def measured_observable(self) -> Observable:
         """The unique observable whose probabilities the instrument
-        reproduces: effects are the dual images of the identity."""
-        effects = np.array([m.dual(np.eye(self.dim)) for m in self.maps])
-        return Observable(self.outcomes,
-                          (effects + effects.conj().swapaxes(-1, -2)) / 2.0)
+        reproduces: effects are the dual images of the identity.  Repeated
+        calls return the same object."""
+        if self._measured is None:
+            effects = np.array([m.dual(np.eye(self.dim)) for m in self.maps])
+            object.__setattr__(self, "_measured", Observable(
+                self.outcomes, (effects + effects.conj().swapaxes(-1, -2)) / 2.0))
+        return self._measured
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
         """Total state change when the outcome is ignored."""
@@ -264,8 +275,6 @@ def product_statistics(inst: Instrument, B: Observable, f: Mapping | Callable,
     Returns (mean, variance, observable) where the observable is the coarse
     graining of the two-step product observable by f.
     """
-    from .statistics import average, variance as obs_variance
-
     product = sequential_product(inst, B, tol_lin=tol_lin)
     obs = coarse_grain(product, f, tol_lin=tol_lin)
     mean = average(rho, obs)

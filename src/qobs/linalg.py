@@ -69,7 +69,7 @@ def as_stack(mats, *, name: str) -> np.ndarray:
 
 def max_abs(M: np.ndarray) -> float:
     """Entrywise infinity norm, used for all relative tolerances."""
-    return float(np.max(np.abs(M)))
+    return float(np.abs(M).max())
 
 
 def scale_of(M: np.ndarray) -> float:
@@ -172,7 +172,7 @@ def hermitian_eigendecomposition(M, cluster_tol: float | None = None,
         P = block @ block.conj().T
         P = (P + P.conj().T) / 2.0
         P.setflags(write=False)
-        eigenvalues.append(float(np.mean(w[lo:hi])))
+        eigenvalues.append(float(w[lo:hi].mean()))
         projections.append(P)
         multiplicities.append(hi - lo)
 

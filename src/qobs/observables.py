@@ -41,7 +41,7 @@ def canonical_outcome(x) -> float:
 
 def _entry_norms(E: np.ndarray) -> np.ndarray:
     """Entrywise max-abs norm of each matrix in a stack."""
-    return np.max(np.abs(E), axis=(-2, -1))
+    return np.abs(E).max(axis=(-2, -1))
 
 
 def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
@@ -84,9 +84,17 @@ class Observable:
     is a real number (``is_real``), the keys are canonicalised and sorted
     ascending and ``outcomes`` is that tuple; otherwise the keys keep their
     given order and ``outcomes`` is None.
+
+    Values derived from the effects are stored on the object the first time
+    they are asked for: the stochastic operator at construction, and the
+    spectral decomposition and the sharp version in one private dict, keyed
+    by what was derived and the ``(cluster_tol, tol_lin)`` it was derived
+    with.  The object stays immutable in value; two threads that fill the
+    same entry compute identical values.
     """
 
-    __slots__ = ("keys", "outcomes", "effects", "dim", "_stochastic")
+    __slots__ = ("keys", "outcomes", "effects", "dim", "_stochastic",
+                 "_derived")
 
     def __init__(self, keys: Sequence[Hashable], effects,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
@@ -116,6 +124,7 @@ class Observable:
         object.__setattr__(self, "effects", E)
         object.__setattr__(self, "dim", E.shape[1])
         object.__setattr__(self, "_stochastic", stochastic)
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")
@@ -159,10 +168,21 @@ def is_commutative(A: Observable, tol: float = TOL_LIN) -> bool:
     return bool(np.all(_entry_norms(left @ right - right @ left) <= bound))
 
 
+def _stored(A: Observable, key: tuple, build: Callable):
+    """build(), computed once per key and kept on A.  A failed build stores
+    nothing, so a repeat raises the same error; of two racing builds the
+    first stored is the one every caller gets."""
+    try:
+        return A._derived[key]
+    except KeyError:
+        return A._derived.setdefault(key, build())
+
+
 def _spectral_projections(A: Observable, cluster_tol: float | None,
                           tol_lin: float) -> linalg.EigenDecomposition:
-    return linalg.hermitian_eigendecomposition(stochastic_operator(A),
-                                               cluster_tol, tol=tol_lin)
+    return _stored(A, ("spectral", cluster_tol, tol_lin),
+                   lambda: linalg.hermitian_eigendecomposition(
+                       stochastic_operator(A), cluster_tol, tol=tol_lin))
 
 
 def sharp_version(A: Observable, cluster_tol: float | None = None,
@@ -172,10 +192,15 @@ def sharp_version(A: Observable, cluster_tol: float | None = None,
 
     Outcomes are the distinct eigenvalues; the result has the same stochastic
     operator as the input.  Outcomes carried only by zero effects do not
-    appear, since the stochastic operator cannot see them.
+    appear, since the stochastic operator cannot see them.  Repeated calls
+    with the same tolerances return the same object.
     """
-    decomp = _spectral_projections(A, cluster_tol, tol_lin)
-    return Observable(decomp.eigenvalues, decomp.projections, tol_lin=tol_lin)
+    def build():
+        decomp = _spectral_projections(A, cluster_tol, tol_lin)
+        return Observable(decomp.eigenvalues, decomp.projections,
+                          tol_lin=tol_lin)
+
+    return _stored(A, ("sharp", cluster_tol, tol_lin), build)
 
 
 def _pinched(A: Observable, cluster_tol: float | None,

@@ -109,6 +109,10 @@ def uncertainty_report(rho: DensityOperator, A, B,
     input, so it raises ``InternalConsistencyError`` rather than returning.
     """
     _, means, M = _moments(rho, A, B)
+    return _report(means, M, tol)
+
+
+def _report(means: np.ndarray, M: np.ndarray, tol: float) -> UncertaintyReport:
     cor = complex(M[0, 1] - means[0] * means[1])
     commutator_term = 0.25 * abs(complex(M[0, 1] - M[1, 0])) ** 2
     covariance_sq = cor.real ** 2
@@ -157,6 +161,11 @@ def linear_relation(A, B, *, tol_lin: float = TOL_LIN,
     if A.shape != B.shape:
         raise DimensionMismatchError("A and B must have equal dims",
                                      invariant="matching-dims")
+    return _fit(A, B, tol_lin, tol_rel)
+
+
+def _fit(A: np.ndarray, B: np.ndarray, tol_lin: float,
+         tol_rel: float) -> LinearRelation:
     d = A.shape[0]
     eye = np.eye(d)
     A0 = A - (np.trace(A) / d) * eye
@@ -193,16 +202,15 @@ def equality_diagnosis(rho: DensityOperator, A, B,
                        tol: float = TOL_STAT) -> EqualityDiagnosis:
     """Report faithfulness, the affine fit, and whether the chain
     covariance^2 = |Cor|^2 = Var(A) Var(B) holds within tolerance."""
-    opA = _as_operator(A, rho, "A")
-    opB = _as_operator(B, rho, "B")
-    rep = uncertainty_report(rho, opA, opB, tol)
+    X, means, M = _moments(rho, A, B)
+    rep = _report(means, M, tol)
     scale = max(1.0, rep.correlation_sq)
     eq_ineq = abs(rep.variance_product - rep.correlation_sq) <= tol * scale
     three_way = eq_ineq and abs(rep.covariance_sq - rep.correlation_sq) <= tol * scale
     return EqualityDiagnosis(
         faithful=is_faithful(rho),
         min_eigenvalue=rho.eigenvalues[0],
-        relation=linear_relation(opA, opB),
+        relation=_fit(X[0], X[1], TOL_LIN, TOL_REL),
         inequality_is_equality=eq_ineq,
         three_way_equality=three_way,
         report=rep,

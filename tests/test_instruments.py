@@ -246,6 +246,24 @@ class TestSharedContracts:
             stats.average(rho, inst.measured_observable()), abs=1e-10)
 
 
+class TestStoredMeasuredObservable:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_repeat_is_same_object_and_equals_fresh(self, family, rng):
+        inst = random_instrument(rng, 3, family)
+        measured = inst.measured_observable()
+        assert inst.measured_observable() is measured
+        fresh = Instrument(inst.outcomes, inst.maps).measured_observable()
+        assert measured.keys == fresh.keys
+        assert np.array_equal(measured.effects, fresh.effects)
+
+    def test_setting_an_attribute_still_raises(self, rng):
+        inst = random_instrument(rng, 2, "lueders")
+        inst.measured_observable()
+        for name in ("outcomes", "maps", "_measured", "new"):
+            with pytest.raises(AttributeError):
+                setattr(inst, name, None)
+
+
 class TestCoarseGrainInstrument:
     def test_identity_function_preserves_instrument(self, rng):
         inst = random_instrument(rng, 2, "lueders")

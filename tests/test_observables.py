@@ -1,5 +1,8 @@
 """Observable construction, sharp versions, conjugates, joints, coarse graining."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from qobs.errors import (
     MissingLabelError,
     NotAnEffectError,
     NotCommutingError,
+    ValidationError,
 )
 from qobs.qubit import SIGMA_X, SIGMA_Y, noisy_spin
 from qobs.sampling import (
@@ -192,6 +196,93 @@ class TestConjugate:
             B = obs.conjugate(A)
             assert max_abs_diff(obs.stochastic_operator(B),
                                 obs.stochastic_operator(A)) < 1e-9
+
+
+def _rebuilt(A: obs.Observable) -> obs.Observable:
+    """An equal observable that shares nothing stored with A."""
+    return obs.Observable(A.keys, A.effects.copy())
+
+
+def _assert_same_values(A: obs.Observable, B: obs.Observable) -> None:
+    assert A.keys == B.keys
+    assert np.array_equal(A.effects, B.effects)
+
+
+class TestStoredDerivations:
+    """Sharp versions and spectral data are derived once per object and
+    tolerance pair; a stored value is bit-identical to a fresh one."""
+
+    def test_repeated_sharp_version_is_same_object(self, rng):
+        A = random_observable(rng, 4, 3)
+        assert obs.sharp_version(A) is obs.sharp_version(A)
+        assert obs.sharp_version(A, 1e-6) is obs.sharp_version(A, 1e-6)
+
+    def test_stored_sharp_version_equals_fresh_exactly(self, rng):
+        for dim in (1, 2, 5):
+            A = random_observable(rng, dim, 3)
+            first = obs.sharp_version(A)
+            _assert_same_values(obs.sharp_version(A), first)
+            _assert_same_values(first, obs.sharp_version(_rebuilt(A)))
+
+    def test_other_tolerances_are_not_served_from_store(self, rng):
+        U = np.linalg.qr(rng.normal(size=(3, 3))
+                         + 1j * rng.normal(size=(3, 3)))[0]
+        effects = [U @ np.diag(e).astype(complex) @ U.conj().T
+                   for e in np.eye(3)]
+        A = obs.Observable([0.0, 1e-4, 1.0], effects)
+        fine = obs.sharp_version(A)
+        assert len(fine) == 3
+        coarse = obs.sharp_version(A, 1e-3)
+        assert coarse is not fine and len(coarse) == 2
+        loose = obs.sharp_version(A, tol_lin=1e-8)
+        assert loose is not fine
+        _assert_same_values(loose, obs.sharp_version(_rebuilt(A),
+                                                     tol_lin=1e-8))
+        assert obs.sharp_version(A) is fine
+
+    def test_conjugate_after_sharp_version_equals_fresh_exactly(self, rng):
+        for A in (trine_povm(), random_observable(rng, 4, 3)):
+            obs.sharp_version(A)
+            _assert_same_values(obs.conjugate(A), obs.conjugate(_rebuilt(A)))
+            joint = obs.conjugate_joint(A)
+            fresh = obs.conjugate_joint(_rebuilt(A))
+            assert [k for k, _ in joint] == [k for k, _ in fresh]
+            assert all(np.array_equal(C, F)
+                       for (_, C), (_, F) in zip(joint, fresh))
+
+    def test_label_keys_store_nothing_and_keep_raising(self):
+        A = obs.Observable(["up", "down"], [np.diag([1.0, 0.0]),
+                                            np.diag([0.0, 1.0])])
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                obs.sharp_version(A)
+
+    def test_threads_filling_one_store_get_one_object(self, rng):
+        A = random_observable(rng, 4, 3)
+        results = []
+        threads = [threading.Thread(
+            target=lambda: results.append(obs.sharp_version(A)))
+            for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(r is obs.sharp_version(A) for r in results)
+        _assert_same_values(results[0], obs.sharp_version(_rebuilt(A)))
+
+    def test_setting_an_attribute_still_raises(self, rng):
+        A = random_observable(rng, 2, 2)
+        obs.sharp_version(A)
+        for name in ("keys", "effects", "_derived", "new"):
+            with pytest.raises(AttributeError):
+                setattr(A, name, None)
 
 
 class TestConjugateJoint:

@@ -9,6 +9,7 @@ from qobs.errors import (
     NotHermitianError,
     ValidationError,
 )
+from qobs.linalg import require_hermitian
 from qobs.observables import Observable, sharp_version, stochastic_operator
 from qobs.qubit import SIGMA_X, SIGMA_Y, noisy_spin
 from qobs.sampling import (
@@ -328,6 +329,18 @@ class TestEqualityDiagnosis:
         assert not diag.faithful
         assert diag.inequality_is_equality
         assert not diag.relation.related
+
+    def test_validates_each_operand_once(self, monkeypatch):
+        calls = []
+
+        def counting(M, *args, **kwargs):
+            calls.append(kwargs.get("name"))
+            return require_hermitian(M, *args, **kwargs)
+
+        monkeypatch.setattr(stats, "require_hermitian", counting)
+        B = np.array([[0.0, 1.0], [1.0, 5.0]], dtype=complex)
+        stats.equality_diagnosis(maximally_mixed(2), SIGMA_X, B)
+        assert calls == ["A", "B"]
 
     def test_faithful_equality_matches_relation_on_random_pairs(self, rng):
         for _ in range(25):
