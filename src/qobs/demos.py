@@ -26,7 +26,7 @@ from .instruments import (
     sequential_product,
     trivial_instrument,
 )
-from .linalg import commutator, max_abs
+from .linalg import TOL_STAT, commutator, max_abs
 from .observables import Observable, coarse_grain, stochastic_operator
 from .qubit import SIGMA_Z, noisy_spin, noisy_spin_closed_forms
 from .sampling import (
@@ -313,15 +313,21 @@ def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:
     Each row carries the computed effect-level terms, their deltas against
     the closed forms, and the slack identity slack = (1 - |r|^2) mu^4 / 16,
     which is asserted to hold within ``tol``.
+
+    All Bloch vectors are validated up front, each built into its state
+    once, so a vector outside the ball raises ``OutsideBlochBallError``
+    before any row is computed.  Each mu then takes one pass of the moment
+    kernel over the stack of all states.
     """
+    vectors = [[float(v) for v in r] for r in bloch_vectors]
+    # reshape keeps an empty vector list a (0, 2, 2) stack
+    states = np.array([bloch_state(r).matrix for r in vectors]).reshape(-1, 2, 2)
     rows = []
     for mu in mu_grid:
         A = noisy_spin(float(mu), "x")
         B = noisy_spin(float(mu), "y")
-        for r in bloch_vectors:
-            r = [float(v) for v in r]
-            rho = bloch_state(r)
-            rep = stats.uncertainty_report(rho, A, B)
+        _, means, M = stats._moments(states, A, B)
+        for r, rep in zip(vectors, stats._report(means, M, TOL_STAT)):
             ref = noisy_spin_closed_forms(mu, r)
             computed = {
                 "commutator_term": rep.commutator_term / 16.0,

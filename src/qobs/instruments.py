@@ -75,13 +75,14 @@ class OperationMap:
 class Instrument:
     """Parallel lists of outcomes and operation maps summing to a channel.
 
-    The measured observable is stored in a private slot the first time it
-    is asked for; it depends on nothing but the maps, so it has no key.  The
-    object stays immutable in value; two threads that fill the slot compute
-    identical observables.
+    The dual images of the identity, formed once for the channel check, are
+    kept for the measured observable.  That observable is stored in a
+    private slot the first time it is asked for; it depends on nothing but
+    the maps, so it has no key.  The object stays immutable in value; two
+    threads that fill the slot compute identical observables.
     """
 
-    __slots__ = ("outcomes", "maps", "dim", "_measured")
+    __slots__ = ("outcomes", "maps", "dim", "_duals", "_measured")
 
     def __init__(self, outcomes: Sequence[Hashable], maps: Sequence[OperationMap],
                  *, tol_lin: float = TOL_LIN):
@@ -98,8 +99,8 @@ class Instrument:
             if m.dim != dim:
                 raise DimensionMismatchError("operation maps have mixed dims",
                                              invariant="matching-dims")
-        total = sum(m.dual(np.eye(dim)) for m in maps)
-        residual = max_abs(total - np.eye(dim))
+        duals = np.array([m.dual(np.eye(dim)) for m in maps])
+        residual = max_abs(duals.sum(0) - np.eye(dim))
         if residual > tol_lin:
             raise CompletenessViolationError(
                 f"total map is not a channel (residual {residual:.3e})",
@@ -107,6 +108,7 @@ class Instrument:
         object.__setattr__(self, "outcomes", outs)
         object.__setattr__(self, "maps", tuple(maps))
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_duals", duals)
         object.__setattr__(self, "_measured", None)
 
     def __setattr__(self, name, value):
@@ -142,9 +144,9 @@ class Instrument:
         reproduces: effects are the dual images of the identity.  Repeated
         calls return the same object."""
         if self._measured is None:
-            effects = np.array([m.dual(np.eye(self.dim)) for m in self.maps])
+            E = self._duals
             object.__setattr__(self, "_measured", Observable(
-                self.outcomes, (effects + effects.conj().swapaxes(-1, -2)) / 2.0))
+                self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0))
         return self._measured
 
     def channel(self, rho: DensityOperator) -> DensityOperator:

@@ -23,36 +23,39 @@ from .observables import Observable, stochastic_operator
 from .states import DensityOperator, is_faithful
 
 
-def _as_operator(x, rho: DensityOperator, name: str) -> np.ndarray:
+def _as_operator(x, dim: int, name: str) -> np.ndarray:
     op = (stochastic_operator(x) if isinstance(x, Observable)
           else require_hermitian(x, name=name))
-    if op.shape[0] != rho.dim:
+    if op.shape[0] != dim:
         raise DimensionMismatchError(
-            f"{name} has dim {op.shape[0]}, state has dim {rho.dim}",
+            f"{name} has dim {op.shape[0]}, state has dim {dim}",
             invariant="matching-dims", field=name)
     return op
 
 
-def _moments(rho: DensityOperator, *operands):
+def _moments(rho: np.ndarray, *operands):
     """Resolve each operand once to X_i; return X, the means tr(rho X_i) and
-    M[i, j] = tr(rho X_i X_j), all from one product rho X.  M[0, 1] and
-    M[1, 0] are separate sums: the commutator term is not Im Cor restated."""
-    X = np.array([_as_operator(x, rho, n) for x, n in zip(operands, "AB")])
-    rho_x = rho.matrix @ X
-    means = rho_x.trace(axis1=1, axis2=2).real
-    return X, means, np.einsum("iab,jba->ij", rho_x, X)
+    M[..., i, j] = tr(rho X_i X_j), all from one product rho X.  ``rho`` is
+    one state matrix or a stack of them, whose leading axes lead the means
+    and M.  M[..., 0, 1] and M[..., 1, 0] are separate sums: the commutator
+    term is not Im Cor restated."""
+    X = np.array([_as_operator(x, rho.shape[-1], n)
+                  for x, n in zip(operands, "AB")])
+    rho_x = rho[..., None, :, :] @ X
+    means = rho_x.trace(axis1=-2, axis2=-1).real
+    return X, means, np.einsum("...iab,jba->...ij", rho_x, X)
 
 
 def average(rho: DensityOperator, A) -> float:
     """Expectation tr(rho A~): the sum of outcomes weighted by their
     probabilities."""
-    _, means, _ = _moments(rho, A)
+    _, means, _ = _moments(rho.matrix, A)
     return float(means[0])
 
 
 def deviation(rho: DensityOperator, A) -> np.ndarray:
     """A~ - <A> I; traceless against rho."""
-    X, means, _ = _moments(rho, A)
+    X, means, _ = _moments(rho.matrix, A)
     return X[0] - means[0] * np.eye(rho.dim)
 
 
@@ -62,7 +65,7 @@ def correlation(rho: DensityOperator, A, B) -> complex:
     Generally complex; conjugate-symmetric under swapping A and B, and equal
     to tr(rho D(A) D(B)) for the deviations D.
     """
-    _, means, M = _moments(rho, A, B)
+    _, means, M = _moments(rho.matrix, A, B)
     return complex(M[0, 1] - means[0] * means[1])
 
 
@@ -73,13 +76,13 @@ def covariance(rho: DensityOperator, A, B) -> float:
 
 def variance(rho: DensityOperator, A) -> float:
     """<A^2> - <A>^2, the diagonal covariance."""
-    _, means, M = _moments(rho, A)
+    _, means, M = _moments(rho.matrix, A)
     return float(M[0, 0].real - means[0] ** 2)
 
 
 def commutator_expectation(rho: DensityOperator, A, B) -> complex:
     """tr(rho [A~, B~]); purely imaginary, equal to 2i Im tr(rho A~ B~)."""
-    _, _, M = _moments(rho, A, B)
+    _, _, M = _moments(rho.matrix, A, B)
     return complex(M[0, 1] - M[1, 0])
 
 
@@ -108,29 +111,42 @@ def uncertainty_report(rho: DensityOperator, A, B,
     A residual beyond tolerance means a broken internal identity, not bad
     input, so it raises ``InternalConsistencyError`` rather than returning.
     """
-    _, means, M = _moments(rho, A, B)
-    return _report(means, M, tol)
+    _, means, M = _moments(rho.matrix, A, B)
+    return _report(means, M, tol)[0]
 
 
-def _report(means: np.ndarray, M: np.ndarray, tol: float) -> UncertaintyReport:
-    cor = complex(M[0, 1] - means[0] * means[1])
-    commutator_term = 0.25 * abs(complex(M[0, 1] - M[1, 0])) ** 2
-    covariance_sq = cor.real ** 2
-    correlation_sq = abs(cor) ** 2
-    variance_product = float(np.prod(M.diagonal().real - means ** 2))
+def _report(means: np.ndarray, M: np.ndarray,
+            tol: float) -> list[UncertaintyReport]:
+    """One report per state along the leading axes of the kernel's means
+    and M, in row-major order; one state gives a list of one.  Raises for
+    the first state whose residuals exceed ``tol``."""
+    means, M = means.reshape(-1, 2), M.reshape(-1, 2, 2)
+    cor = M[:, 0, 1] - means[:, 0] * means[:, 1]
+    comm = M[:, 0, 1] - M[:, 1, 0]
+    # np.hypot rounds as abs(complex) does and np.float_power(x, 2) as
+    # float ** 2 does; np.abs and ndarray ** 2 differ in the last bit.
+    commutator_term = 0.25 * np.float_power(np.hypot(comm.real, comm.imag), 2)
+    covariance_sq = np.float_power(cor.real, 2)
+    correlation_sq = np.float_power(np.hypot(cor.real, cor.imag), 2)
+    var = M.diagonal(axis1=1, axis2=2).real - means ** 2
+    variance_product = var[:, 0] * var[:, 1]
     equation_residual = commutator_term + covariance_sq - correlation_sq
     inequality_slack = variance_product - correlation_sq
-    scale = max(1.0, correlation_sq)
-    if abs(equation_residual) > tol * scale:
+    scale = np.maximum(1.0, correlation_sq)
+    failed = ((np.abs(equation_residual) > tol * scale)
+              | (inequality_slack < -tol * scale))
+    if failed.any():
+        i = failed.argmax()  # the first failing state
+        if abs(equation_residual[i]) > tol * scale[i]:
+            raise InternalConsistencyError(
+                f"uncertainty equation residual {equation_residual[i]:.3e} "
+                f"exceeds {tol:.1e} x {scale[i]:.3g}")
         raise InternalConsistencyError(
-            f"uncertainty equation residual {equation_residual:.3e} exceeds "
-            f"{tol:.1e} x {scale:.3g}")
-    if inequality_slack < -tol * scale:
-        raise InternalConsistencyError(
-            f"uncertainty inequality violated by {-inequality_slack:.3e}")
-    return UncertaintyReport(commutator_term, covariance_sq, correlation_sq,
-                             variance_product, equation_residual,
-                             inequality_slack, tol)
+            f"uncertainty inequality violated by {-inequality_slack[i]:.3e}")
+    return [UncertaintyReport(*terms, tol) for terms in zip(
+        commutator_term.tolist(), covariance_sq.tolist(),
+        correlation_sq.tolist(), variance_product.tolist(),
+        equation_residual.tolist(), inequality_slack.tolist())]
 
 
 @dataclass(frozen=True)
@@ -202,8 +218,8 @@ def equality_diagnosis(rho: DensityOperator, A, B,
                        tol: float = TOL_STAT) -> EqualityDiagnosis:
     """Report faithfulness, the affine fit, and whether the chain
     covariance^2 = |Cor|^2 = Var(A) Var(B) holds within tolerance."""
-    X, means, M = _moments(rho, A, B)
-    rep = _report(means, M, tol)
+    X, means, M = _moments(rho.matrix, A, B)
+    rep = _report(means, M, tol)[0]
     scale = max(1.0, rep.correlation_sq)
     eq_ineq = abs(rep.variance_product - rep.correlation_sq) <= tol * scale
     three_way = eq_ineq and abs(rep.covariance_sq - rep.correlation_sq) <= tol * scale

@@ -1,11 +1,20 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""The narrative scripts in demos/ run to completion, and the batched
+noisy-spin sweep agrees with the single-state uncertainty report."""
 
 import contextlib
 import io
 import pathlib
 import runpy
 
+import numpy as np
 import pytest
+
+from qobs import statistics as stats
+from qobs.demos import sweep_noisy_spin
+from qobs.errors import OutsideBlochBallError
+from qobs.qubit import noisy_spin
+from qobs.sampling import random_bloch_vector
+from qobs.states import DensityOperator, bloch_state
 
 DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
 
@@ -16,3 +25,76 @@ def test_demo_script_runs(script):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(script), run_name="__main__")
     assert out.getvalue().strip()
+
+
+class TestSweepNoisySpin:
+    TERMS = {"commutator_term": "commutator_term",
+             "covariance_term": "covariance_sq",
+             "correlation_term": "correlation_sq",
+             "variance_term": "variance_product",
+             "slack": "inequality_slack"}
+
+    @staticmethod
+    def _vectors(rng, n):
+        """Surface, interior, equatorial and zero Bloch vectors."""
+        vectors = [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
+        for _ in range(n):
+            vectors.append(random_bloch_vector(rng, surface=True))
+            vectors.append(random_bloch_vector(rng))
+            r = random_bloch_vector(rng)
+            vectors.append((r[0], r[1], 0.0))
+        return vectors
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        built, passes = [], []
+        init, kernel = DensityOperator.__init__, stats._moments
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_kernel(*args):
+            passes.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(DensityOperator, "__init__", counting_init)
+        monkeypatch.setattr(stats, "_moments", counting_kernel)
+        return built, passes
+
+    def test_rows_equal_single_state_reports(self, rng):
+        mu_grid = [0.0, 0.25, 1.0]
+        vectors = self._vectors(rng, 4)
+        out = sweep_noisy_spin(mu_grid, vectors)
+        assert out["pass"] is True
+        assert len(out["rows"]) == len(mu_grid) * len(vectors)
+        rows = iter(out["rows"])
+        for mu in mu_grid:
+            A, B = noisy_spin(mu, "x"), noisy_spin(mu, "y")
+            for r in vectors:
+                row = next(rows)
+                assert (row["mu"], row["r1"], row["r2"], row["r3"]) == (
+                    mu, *(float(v) for v in r))
+                rep = stats.uncertainty_report(bloch_state(r), A, B)
+                for key, field in self.TERMS.items():
+                    assert abs(row[key] - getattr(rep, field) / 16.0) <= 1e-15
+
+    def test_builds_each_state_once_and_one_kernel_pass_per_mu(
+            self, rng, monkeypatch):
+        vectors = [random_bloch_vector(rng, surface=k < 8) for k in range(40)]
+        built, passes = self._count_calls(monkeypatch)
+        out = sweep_noisy_spin([0.0, 0.25, 0.5, 0.75, 1.0], vectors)
+        assert len(out["rows"]) == 200
+        assert len(built) == 40
+        assert len(passes) == 5
+
+    def test_vector_outside_the_ball_fails_before_any_row(self, monkeypatch):
+        _, passes = self._count_calls(monkeypatch)
+        with pytest.raises(OutsideBlochBallError):
+            sweep_noisy_spin([0.5], [(0.0, 0.0, 0.5), (1.0, 1.0, 0.0)])
+        assert passes == []
+
+    def test_empty_grids_give_no_rows(self):
+        for mu_grid, vectors in (([], [(0.0, 0.0, 1.0)]), ([0.5], [])):
+            out = sweep_noisy_spin(mu_grid, vectors)
+            assert out["rows"] == [] and out["pass"] is True

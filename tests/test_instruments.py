@@ -256,10 +256,28 @@ class TestStoredMeasuredObservable:
         assert measured.keys == fresh.keys
         assert np.array_equal(measured.effects, fresh.effects)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_identity_duals_are_formed_once(self, family, rng, monkeypatch):
+        inst = random_instrument(rng, 3, family)
+        calls = []
+        dual = OperationMap.dual
+
+        def counting(self, C):
+            calls.append(1)
+            return dual(self, C)
+
+        monkeypatch.setattr(OperationMap, "dual", counting)
+        fresh = Instrument(inst.outcomes, inst.maps)
+        assert len(calls) == len(inst.maps)
+        measured = fresh.measured_observable()
+        assert len(calls) == len(inst.maps)
+        assert np.array_equal(measured.effects,
+                              inst.measured_observable().effects)
+
     def test_setting_an_attribute_still_raises(self, rng):
         inst = random_instrument(rng, 2, "lueders")
         inst.measured_observable()
-        for name in ("outcomes", "maps", "_measured", "new"):
+        for name in ("outcomes", "maps", "_duals", "_measured", "new"):
             with pytest.raises(AttributeError):
                 setattr(inst, name, None)
 

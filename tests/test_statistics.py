@@ -6,6 +6,7 @@ import pytest
 from qobs import statistics as stats
 from qobs.errors import (
     DimensionMismatchError,
+    InternalConsistencyError,
     NotHermitianError,
     ValidationError,
 )
@@ -452,6 +453,54 @@ class TestMomentKernel:
             direct = _direct_stochastic(A)
             assert max_abs_diff(S, direct) <= 1e-15 * max(
                 1.0, float(np.max(np.abs(direct))))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_batched_reports_match_single_state_reports(self, rng, d):
+        states = [random_density(rng, d, rank=1 + k % d) for k in range(6)]
+        stack = np.array([rho.matrix for rho in states])
+        A, H = random_observable(rng, d, 3), random_hermitian(rng, d)
+        for a, b in ((A, H), (H, A), (A, A)):
+            _, means, M = stats._moments(stack, a, b)
+            reports = stats._report(means, M, stats.TOL_STAT)
+            assert len(reports) == len(states)
+            for rho, rep in zip(states, reports):
+                want = stats.uncertainty_report(rho, a, b)
+                for field in self.REPORT_FIELDS:
+                    got, ref = getattr(rep, field), getattr(want, field)
+                    assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
+            # Further leading axes flatten in row-major order.
+            _, means2, M2 = stats._moments(stack.reshape(2, 3, d, d), a, b)
+            assert stats._report(means2, M2, stats.TOL_STAT) == reports
+
+    def test_guard_fires_on_both_paths(self, rng):
+        states = [random_density(rng, 3) for _ in range(3)]
+        A, B = random_observable(rng, 3, 3), random_hermitian(rng, 3)
+        with pytest.raises(InternalConsistencyError) as single:
+            stats.uncertainty_report(states[0], A, B, tol=-1.0)
+        _, means, M = stats._moments(np.array([r.matrix for r in states]), A, B)
+        with pytest.raises(InternalConsistencyError) as batched:
+            stats._report(means, M, -1.0)
+        assert str(batched.value) == str(single.value)
+        assert "uncertainty equation residual" in str(single.value)
+
+    def test_guard_names_the_first_failing_state(self, rng):
+        states = [random_density(rng, 4) for _ in range(8)]
+        A, B = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        ratios = [abs(r.equation_residual) / max(1.0, r.correlation_sq)
+                  for r in (stats.uncertainty_report(rho, A, B, tol=np.inf)
+                            for rho in states)]
+        # The median ratio as tolerance fails several states; the guard must
+        # name the first of them in stack order.
+        tol = float(np.median(ratios))
+        failing = [k for k, ratio in enumerate(ratios) if ratio > tol]
+        assert len(failing) > 1
+        first = failing[0]
+        _, means, M = stats._moments(np.array([r.matrix for r in states]), A, B)
+        with pytest.raises(InternalConsistencyError) as batched:
+            stats._report(means, M, tol)
+        with pytest.raises(InternalConsistencyError) as single:
+            stats.uncertainty_report(states[first], A, B, tol=tol)
+        assert str(batched.value) == str(single.value)
 
     def test_string_keys_have_no_stochastic_operator(self):
         A = Observable(["up", "down"], [np.diag([1.0, 0.0]),
