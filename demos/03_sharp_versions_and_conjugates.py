@@ -15,6 +15,7 @@ import numpy as np
 
 from qobs import (
     Observable,
+    coarse_grain,
     conjugate,
     conjugate_joint,
     is_commutative,
@@ -48,13 +49,13 @@ print("  same stochastic operator:",
 print("  same sharp version:",
       f"{max(max_abs(E - F) for E, F in zip(sharp_version(B).effects, sharp.effects)):.1e}")
 
-# The joint observable C_(i,x) = P_i A_x P_i has the conjugate and the sharp
-# version as its two marginals, exhibiting their compatibility.
+# The joint observable C_(lam,x) = P_lam A_x P_lam has the sharp version and
+# the conjugate as its two marginals, exhibiting their compatibility.
 joint = conjugate_joint(A)
-row = sum(C for (i, x), C in joint if x == 0.0)
-col = sum(C for (i, x), C in joint if i == 0)
+by_lam = coarse_grain(joint, lambda key: key[0])
+by_x = coarse_grain(joint, lambda key: key[1])
 print("\nJoint marginals reproduce both observables:")
-print("  sum_i C_(i,0) vs conjugate effect at 0:",
-      f"{max_abs(row - B.effects[B.outcomes.index(0.0)]):.1e}")
-print("  sum_x C_(0,x) vs first sharp projection:",
-      f"{max_abs(col - sharp.effects[0]):.1e}")
+print("  coarse graining by lam vs sharp version:",
+      f"{max_abs(by_lam.effects - sharp.effects):.1e}")
+print("  coarse graining by x vs conjugate:",
+      f"{max_abs(by_x.effects - B.effects):.1e}")

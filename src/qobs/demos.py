@@ -26,7 +26,7 @@ from .instruments import (
     sequential_product,
     trivial_instrument,
 )
-from .linalg import TOL_STAT, commutator, max_abs
+from .linalg import TOL_STAT, commutator, max_abs, psd_sqrt
 from .observables import Observable, coarse_grain, stochastic_operator
 from .qubit import SIGMA_Z, noisy_spin, noisy_spin_closed_forms
 from .sampling import (
@@ -182,6 +182,24 @@ def demo_example4(mu: float = 0.5, bloch=(0.3, 0.4, 0.2)) -> dict:
     return out
 
 
+def _instrument_checks(ch: _Checks, inst, B: Observable, measured,
+                       product, conditioned) -> Observable:
+    """Rows for the instrument's measured observable, its sequential product
+    with B, and B conditioned on it, against the expected effects
+    measured(i), product(i, B_y) and conditioned(B_y), where i indexes
+    ``inst.outcomes``.  Returns the sequential product."""
+    for x, E in inst.measured_observable().pairs():
+        ch.matrix(f"measured_effect[{x}]", E,
+                  measured(inst.outcomes.index(x)))
+    joint = sequential_product(inst, B)
+    for (x, y), E in joint.pairs():
+        ch.matrix(f"product_effect[{x},{y}]", E,
+                  product(inst.outcomes.index(x), _effect_at(B, y)))
+    for y, E in conditioned_observable(inst, B).pairs():
+        ch.matrix(f"conditioned_effect[{y}]", E, conditioned(_effect_at(B, y)))
+    return joint
+
+
 def demo_example5(dim: int = 3, seed: int = 7, outcomes: int = 2) -> dict:
     """Trivial instrument: outcome drawn from a fixed law, state untouched;
     conditioning on it changes nothing."""
@@ -192,18 +210,12 @@ def demo_example5(dim: int = 3, seed: int = 7, outcomes: int = 2) -> dict:
     inst = trivial_instrument(omega, dim)
     B = random_observable(rng, dim, 2)
     eye = np.eye(dim)
+    weights = [omega[x] for x in inst.outcomes]
 
     ch = _Checks()
-    measured = inst.measured_observable()
-    for x, E in measured.pairs():
-        ch.matrix(f"measured_effect[{x}]", E, omega[x] * eye)
-    product = sequential_product(inst, B)
-    for (x, y), E in product.pairs():
-        ch.matrix(f"product_effect[{x},{y}]", E,
-                  omega[x] * _effect_at(B, y))
-    cond = conditioned_observable(inst, B)
-    for y, E in cond.pairs():
-        ch.matrix(f"conditioned_effect[{y}]", E, _effect_at(B, y))
+    product = _instrument_checks(ch, inst, B, lambda i: weights[i] * eye,
+                                 lambda i, By: weights[i] * By,
+                                 lambda By: By)
     f = {(x, y): float((i + 1) * (j - 1))
          for i, x in enumerate(inst.outcomes)
          for j, y in enumerate(B.outcomes)}
@@ -232,20 +244,13 @@ def demo_example6(dim: int = 3, seed: int = 7, outcomes: int = 2) -> dict:
                   np.trace(rho.matrix @ A.effects[i]).real * alphas[i].matrix)
         ch.matrix(f"dual[{x}]", inst.dual_apply(x, C),
                   complex(np.trace(alphas[i].matrix @ C)) * A.effects[i])
-    measured = inst.measured_observable()
-    for i, (x, E) in enumerate(measured.pairs()):
-        ch.matrix(f"measured_effect[{x}]", E, A.effects[i])
-    product = sequential_product(inst, B)
-    for (x, y), E in product.pairs():
-        i = inst.outcomes.index(x)
-        ch.matrix(f"product_effect[{x},{y}]", E,
-                  np.trace(alphas[i].matrix @ _effect_at(B, y)).real
-                  * A.effects[i])
-    cond = conditioned_observable(inst, B)
-    for y, E in cond.pairs():
-        expected = sum(np.trace(alphas[i].matrix @ _effect_at(B, y)).real
-                       * A.effects[i] for i in range(outcomes))
-        ch.matrix(f"conditioned_effect[{y}]", E, expected)
+
+    def reprepared(i, By):
+        return np.trace(alphas[i].matrix @ By).real * A.effects[i]
+
+    _instrument_checks(ch, inst, B, lambda i: A.effects[i], reprepared,
+                       lambda By: sum(reprepared(i, By)
+                                      for i in range(outcomes)))
     return ch.result("example6", {"dim": dim, "seed": seed,
                                   "outcomes": outcomes}, 1e-10)
 
@@ -253,8 +258,6 @@ def demo_example6(dim: int = 3, seed: int = 7, outcomes: int = 2) -> dict:
 def demo_example7(dim: int = 2, seed: int = 7, outcomes: int = 2) -> dict:
     """Lueders instrument: square-root pinching; measures its own observable
     and dephases in the sharp case."""
-    from .linalg import psd_sqrt
-
     rng = np.random.default_rng(seed)
     A = random_observable(rng, dim, outcomes)
     inst = lueders_instrument(A)
@@ -266,18 +269,9 @@ def demo_example7(dim: int = 2, seed: int = 7, outcomes: int = 2) -> dict:
     for i, x in enumerate(inst.outcomes):
         ch.scalar(f"probability[{x}]", np.trace(inst.apply(x, rho)).real,
                   np.trace(rho.matrix @ A.effects[i]).real)
-    measured = inst.measured_observable()
-    for i, (x, E) in enumerate(measured.pairs()):
-        ch.matrix(f"measured_effect[{x}]", E, A.effects[i])
-    product = sequential_product(inst, B)
-    for (x, y), E in product.pairs():
-        i = inst.outcomes.index(x)
-        ch.matrix(f"product_effect[{x},{y}]", E,
-                  roots[i] @ _effect_at(B, y) @ roots[i])
-    cond = conditioned_observable(inst, B)
-    for y, E in cond.pairs():
-        expected = sum(S @ _effect_at(B, y) @ S for S in roots)
-        ch.matrix(f"conditioned_effect[{y}]", E, expected)
+    _instrument_checks(ch, inst, B, lambda i: A.effects[i],
+                       lambda i, By: roots[i] @ By @ roots[i],
+                       lambda By: sum(S @ By @ S for S in roots))
     # Sharp special case: measuring along z dephases a Bloch state.
     sharp = Observable([1.0, -1.0],
                        [(np.eye(2) + SIGMA_Z) / 2.0,
@@ -323,6 +317,7 @@ def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:
     # reshape keeps an empty vector list a (0, 2, 2) stack
     states = np.array([bloch_state(r).matrix for r in vectors]).reshape(-1, 2, 2)
     rows = []
+    max_delta = 0.0
     for mu in mu_grid:
         A = noisy_spin(float(mu), "x")
         B = noisy_spin(float(mu), "y")
@@ -334,23 +329,19 @@ def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:
                 "covariance_term": rep.covariance_sq / 16.0,
                 "correlation_term": rep.correlation_sq / 16.0,
                 "variance_term": rep.variance_product / 16.0,
+                "slack": rep.inequality_slack / 16.0,
             }
-            slack = rep.inequality_slack / 16.0
-            slack_delta = abs(slack - ref["slack"])
-            if slack_delta > tol:
-                raise ValidationError(
-                    f"slack identity violated by {slack_delta:.3e} at "
-                    f"mu={mu}, r={r}", invariant="slack-identity",
-                    violation=slack_delta)
             row = {"mu": float(mu), "r1": r[0], "r2": r[1], "r3": r[2]}
             for key, val in computed.items():
-                row[key] = val
-                row[f"{key}_delta"] = abs(val - ref[key])
-            row["slack"] = slack
-            row["slack_delta"] = slack_delta
-            row["equality"] = bool(abs(slack) <= tol)
+                delta = abs(val - ref[key])
+                row[key], row[f"{key}_delta"] = val, delta
+                max_delta = max(max_delta, delta)
+            if row["slack_delta"] > tol:
+                raise ValidationError(
+                    f"slack identity violated by {row['slack_delta']:.3e} at "
+                    f"mu={mu}, r={r}", invariant="slack-identity",
+                    violation=row["slack_delta"])
+            row["equality"] = bool(abs(row["slack"]) <= tol)
             rows.append(row)
-    max_delta = max((row[k] for row in rows for k in row
-                     if k.endswith("_delta")), default=0.0)
     return {"schema": SCHEMA_VERSION, "rows": rows, "max_delta": max_delta,
             "tol": tol, "pass": bool(max_delta <= tol)}

@@ -90,6 +90,15 @@ class RunConfig:
                                   invariant="positive-dims", field="dims")
 
 
+def _family_instrument(family: str, A: Observable, dim: int, payload: dict):
+    """The trial's instrument, built from A and the family's payload."""
+    if family == "trivial":
+        return trivial_instrument(payload["omega"], dim)
+    if family == "holevo":
+        return holevo_instrument(A, payload["alphas"])
+    return lueders_instrument(A)
+
+
 def build_instance(rng: np.random.Generator, dim: int, family: str) -> dict:
     """One bundle of random objects; everything later checks against it."""
     n_a = int(rng.integers(2, 4))
@@ -100,14 +109,11 @@ def build_instance(rng: np.random.Generator, dim: int, family: str) -> dict:
     if family == "trivial":
         probs = random_probability_vector(rng, len(A))
         omega = {x: float(p) for x, p in zip(random_outcomes(rng, len(A)), probs)}
-        inst = trivial_instrument(omega, dim)
         inst_payload = {"omega": omega}
     elif family == "holevo":
-        alphas = [random_density(rng, dim) for _ in range(len(A))]
-        inst = holevo_instrument(A, alphas)
-        inst_payload = {"alphas": alphas}
-    else:
-        inst = lueders_instrument(A)
+        inst_payload = {"alphas": [random_density(rng, dim)
+                                   for _ in range(len(A))]}
+    inst = _family_instrument(family, A, dim, inst_payload)
     G = ginibre(rng, dim, dim)
     return {
         "dim": dim,
@@ -140,10 +146,8 @@ def _matched_observable_delta(A: Observable, B: Observable) -> float:
     matching their (sorted) outcome lists; infinite when sizes differ."""
     if len(A) != len(B):
         return math.inf
-    delta = max(abs(x - y) for x, y in zip(A.outcomes, B.outcomes))
-    for Ea, Eb in zip(A.effects, B.effects):
-        delta = max(delta, max_abs(Ea - Eb))
-    return delta
+    return max(max(abs(x - y) for x, y in zip(A.outcomes, B.outcomes)),
+               max_abs(A.effects - B.effects))
 
 
 # Property registry: name -> fn(instance, config) -> (residual, bound).
@@ -156,14 +160,12 @@ def _chk_eigen_reconstruction(inst, cfg):
 
 def _chk_eigen_projections(inst, cfg):
     H = inst["H"]
-    decomp = hermitian_eigendecomposition(H, cfg.cluster_tol, tol=cfg.tol_lin)
-    projections = decomp.projections
-    eye = np.eye(H.shape[0])
-    res = max_abs(sum(projections) - eye)
-    for i, P in enumerate(projections):
-        res = max(res, max_abs(P @ P - P), max_abs(P - P.conj().T))
-        for Q in projections[i + 1:]:
-            res = max(res, max_abs(P @ Q))
+    P = hermitian_eigendecomposition(H, cfg.cluster_tol,
+                                     tol=cfg.tol_lin).projections
+    i, j = np.triu_indices(len(P), 1)  # each pair of distinct projections
+    res = max(max_abs(P.sum(0) - np.eye(H.shape[0])), max_abs(P @ P - P),
+              max_abs(P - P.conj().swapaxes(-1, -2)),
+              float(np.abs(P[i] @ P[j]).max(initial=0.0)))
     return res, cfg.tol_lin
 
 
@@ -224,11 +226,8 @@ def _chk_observable_completeness(inst, cfg):
 
 
 def _chk_observable_spectrum(inst, cfg):
-    A = inst["A"]
-    res = 0.0
-    for E in A.effects:
-        w = np.linalg.eigvalsh(E)
-        res = max(res, max(0.0, -float(w[0])), max(0.0, float(w[-1]) - 1.0))
+    w = np.linalg.eigvalsh(inst["A"].effects)
+    res = max(0.0, -float(w[:, 0].min()), float(w[:, -1].max()) - 1.0)
     return res, cfg.tol_psd
 
 
@@ -464,29 +463,34 @@ CHECKS = {
 }
 
 
+def _encode_map(f: dict) -> dict:
+    return {repr(k): v for k, v in f.items()}
+
+
+def _decode_map(obj: dict, field: str) -> dict:
+    return {float(k): float(v) for k, v in obj.items()}
+
+
+# Replay codec for the fields every trial bundle has:
+# (names, encode(value), decode(json, field name)).
+_FIELDS = (
+    (("dim", "family"), lambda v: v, lambda obj, field: obj),
+    (("H", "P", "C", "D"), encode_matrix, decode_matrix),
+    (("rho", "rho_low"), encode_state, decode_state),
+    (("A", "B", "A_comm"), encode_observable, decode_observable),
+    (("bloch",), lambda r: [float(v) for v in r],
+     lambda obj, field: np.asarray(obj, dtype=float)),
+    (("f_obs", "f_inst", "g", "h"), _encode_map, _decode_map),
+)
+
+
 def encode_instance(inst: dict) -> dict:
     """Lossless serialization of a trial bundle for replay."""
-    out = {
-        "dim": inst["dim"],
-        "family": inst["family"],
-        "H": encode_matrix(inst["H"]),
-        "P": encode_matrix(inst["P"]),
-        "C": encode_matrix(inst["C"]),
-        "D": encode_matrix(inst["D"]),
-        "rho": encode_state(inst["rho"]),
-        "rho_low": encode_state(inst["rho_low"]),
-        "A": encode_observable(inst["A"]),
-        "B": encode_observable(inst["B"]),
-        "A_comm": encode_observable(inst["A_comm"]),
-        "bloch": [float(v) for v in inst["bloch"]],
-        "f_obs": {repr(k): v for k, v in inst["f_obs"].items()},
-        "f_inst": {repr(k): v for k, v in inst["f_inst"].items()},
-        "g": {repr(k): v for k, v in inst["g"].items()},
-        "h": {repr(k): v for k, v in inst["h"].items()},
-    }
+    out = {name: encode(inst[name])
+           for names, encode, _ in _FIELDS for name in names}
     payload = inst["inst_payload"]
     if inst["family"] == "trivial":
-        out["omega"] = {repr(k): v for k, v in payload["omega"].items()}
+        out["omega"] = _encode_map(payload["omega"])
     elif inst["family"] == "holevo":
         out["alphas"] = [encode_state(a) for a in payload["alphas"]]
     return out
@@ -495,40 +499,17 @@ def encode_instance(inst: dict) -> dict:
 def decode_instance(obj: dict) -> dict:
     """Rebuild a trial bundle; instruments are reconstructed from their
     family payload so the arithmetic path matches the original run."""
-    family = obj["family"]
-    A = decode_observable(obj["A"], "A")
-    if family == "trivial":
-        omega = {float(k): float(v) for k, v in obj["omega"].items()}
-        instr = trivial_instrument(omega, obj["dim"])
-        payload = {"omega": omega}
-    elif family == "holevo":
-        alphas = [decode_state(s, f"alphas[{i}]")
-                  for i, s in enumerate(obj["alphas"])]
-        instr = holevo_instrument(A, alphas)
-        payload = {"alphas": alphas}
-    else:
-        instr = lueders_instrument(A)
-        payload = {}
-    return {
-        "dim": obj["dim"],
-        "family": family,
-        "H": decode_matrix(obj["H"], "H"),
-        "P": decode_matrix(obj["P"], "P"),
-        "C": decode_matrix(obj["C"], "C"),
-        "D": decode_matrix(obj["D"], "D"),
-        "rho": decode_state(obj["rho"], "rho"),
-        "rho_low": decode_state(obj["rho_low"], "rho_low"),
-        "A": A,
-        "B": decode_observable(obj["B"], "B"),
-        "A_comm": decode_observable(obj["A_comm"], "A_comm"),
-        "bloch": np.asarray(obj["bloch"], dtype=float),
-        "inst": instr,
-        "inst_payload": payload,
-        "f_obs": {float(k): float(v) for k, v in obj["f_obs"].items()},
-        "f_inst": {float(k): float(v) for k, v in obj["f_inst"].items()},
-        "g": {float(k): float(v) for k, v in obj["g"].items()},
-        "h": {float(k): float(v) for k, v in obj["h"].items()},
-    }
+    out = {name: decode(obj[name], name)
+           for names, _, decode in _FIELDS for name in names}
+    payload = out["inst_payload"] = {}
+    if out["family"] == "trivial":
+        payload["omega"] = _decode_map(obj["omega"], "omega")
+    elif out["family"] == "holevo":
+        payload["alphas"] = [decode_state(s, f"alphas[{i}]")
+                             for i, s in enumerate(obj["alphas"])]
+    out["inst"] = _family_instrument(out["family"], out["A"], out["dim"],
+                                     payload)
+    return out
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import TOL_LIN, TOL_PSD, as_matrix, max_abs, psd_sqrt
-from .observables import Observable, coarse_grain, fibers, is_real
+from .observables import Observable, _pair_keyed, coarse_grain, fibers, is_real
 from .states import DensityOperator
 from .statistics import average, variance as obs_variance
 
@@ -253,10 +253,9 @@ def sequential_product(inst: Instrument, B: Observable,
     measure B.  Effects are the dual images of B's effects; keys are
     (x, y) pairs.  The y-marginal reproduces the measured observable."""
     _require_same_dim(inst, B)
-    effects = np.concatenate([m.dual(B.effects) for m in inst.maps])
-    keys = [(x, y) for x in inst.outcomes for y in B.keys]
-    return Observable(keys, (effects + effects.conj().swapaxes(-1, -2)) / 2.0,
-                      tol_lin=tol_lin)
+    return _pair_keyed(inst.outcomes, B.keys,
+                       np.array([m.dual(B.effects) for m in inst.maps]),
+                       tol_lin)
 
 
 def conditioned_observable(inst: Instrument, B: Observable,

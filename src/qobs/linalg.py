@@ -120,19 +120,17 @@ class EigenDecomposition:
     """Spectral decomposition M = sum_i lambda_i P_i over distinct eigenvalues.
 
     ``eigenvalues`` are strictly increasing after clustering, ``projections``
-    are the orthogonal projections onto the corresponding eigenspaces, and
-    ``multiplicities`` their ranks.
+    is one read-only ``(k, d, d)`` stack of the orthogonal projections onto
+    the corresponding eigenspaces, and ``multiplicities`` their ranks.
     """
 
     eigenvalues: tuple[float, ...]
-    projections: tuple[np.ndarray, ...]
+    projections: np.ndarray
     multiplicities: tuple[int, ...]
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.projections[0])
-        for lam, proj in zip(self.eigenvalues, self.projections):
-            out = out + lam * proj
-        return out
+        lam = np.array(self.eigenvalues)
+        return (lam[:, None, None] * self.projections).sum(0)
 
 
 def default_cluster_tol(M: np.ndarray) -> float:
@@ -156,28 +154,13 @@ def hermitian_eigendecomposition(M, cluster_tol: float | None = None,
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailureError(str(exc)) from exc
 
-    # Group consecutive eigenvalues with gap <= cluster_tol.
-    d = w.shape[0]
-    boundaries = [0]
-    for i in range(1, d):
-        if w[i] - w[i - 1] > cluster_tol:
-            boundaries.append(i)
-    boundaries.append(d)
-
-    eigenvalues: list[float] = []
-    projections: list[np.ndarray] = []
-    multiplicities: list[int] = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        block = V[:, lo:hi]
-        P = block @ block.conj().T
-        P = (P + P.conj().T) / 2.0
-        P.setflags(write=False)
-        eigenvalues.append(float(w[lo:hi].mean()))
-        projections.append(P)
-        multiplicities.append(hi - lo)
-
-    return EigenDecomposition(tuple(eigenvalues), tuple(projections),
-                              tuple(multiplicities))
+    cuts = [0, *(np.flatnonzero(np.diff(w) > cluster_tol) + 1).tolist(), len(w)]
+    bounds = list(zip(cuts[:-1], cuts[1:]))
+    P = np.array([V[:, lo:hi] @ V[:, lo:hi].conj().T for lo, hi in bounds])
+    return EigenDecomposition(
+        tuple(float(w[lo:hi].mean()) for lo, hi in bounds),
+        frozen((P + P.conj().swapaxes(-1, -2)) / 2.0),
+        tuple(hi - lo for lo, hi in bounds))
 
 
 def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:

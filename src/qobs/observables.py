@@ -207,8 +207,8 @@ def _pinched(A: Observable, cluster_tol: float | None,
              tol_lin: float) -> np.ndarray:
     """The stack P_i A_x P_i, indexed [i, x], for the sharp version's
     projections P_i."""
-    P = np.array(_spectral_projections(A, cluster_tol, tol_lin).projections)
-    return P[:, None] @ A.effects @ P[:, None]
+    P = _spectral_projections(A, cluster_tol, tol_lin).projections[:, None]
+    return P @ A.effects @ P
 
 
 def conjugate(A: Observable, cluster_tol: float | None = None,
@@ -223,26 +223,35 @@ def conjugate(A: Observable, cluster_tol: float | None = None,
                       tol_lin=tol_lin)
 
 
+def _pair_keyed(xs, ys, C: np.ndarray, tol_lin: float) -> Observable:
+    """Observable with keys (x, y), x-major, and the Hermitian parts of the
+    matching effects of the ``(len(xs), len(ys), d, d)`` stack C."""
+    C = C.reshape(-1, *C.shape[-2:])
+    return Observable([(x, y) for x in xs for y in ys],
+                      (C + C.conj().swapaxes(-1, -2)) / 2.0, tol_lin=tol_lin)
+
+
 def conjugate_joint(A: Observable, cluster_tol: float | None = None,
-                    *, tol_lin: float = TOL_LIN):
-    """Joint observable C_(i,x) = P_i A_x P_i for the conjugate and the sharp
-    version.
+                    *, tol_lin: float = TOL_LIN) -> Observable:
+    """Joint observable C_(lam,x) = P_lam A_x P_lam for the sharp version
+    and the conjugate.
 
-    Returns a list of ((i, x), matrix) entries where i indexes the sharp
-    version's outcomes: summing over i at fixed x gives the conjugate's
-    effect at x, summing over x at fixed i gives P_i.
+    Keys are (lam, x) pairs, lam a sharp-version outcome and x an outcome of
+    A.  Coarse graining by ``key[0]`` gives the sharp version, by ``key[1]``
+    the conjugate.
     """
-    C = _pinched(A, cluster_tol, tol_lin)
-    C = (C + C.conj().swapaxes(-1, -2)) / 2.0
-    return [((i, x), C[i, j]) for i in range(len(C))
-            for j, x in enumerate(A.outcomes)]
+    sharp = sharp_version(A, cluster_tol, tol_lin=tol_lin)
+    return _pair_keyed(sharp.outcomes, A.outcomes,
+                       _pinched(A, cluster_tol, tol_lin), tol_lin)
 
 
-def commuting_joint(A: Observable, B: Observable, tol: float = TOL_LIN):
+def commuting_joint(A: Observable, B: Observable,
+                    tol: float = TOL_LIN) -> Observable:
     """Joint observable C_(x,y) = A_x B_y for pairwise commuting effects.
 
     Raises ``NotCommutingError`` on the first pair whose commutator exceeds
-    tolerance; marginals of the result reproduce A and B.
+    ``tol``, which also validates the result.  Keys are (x, y) pairs;
+    coarse graining by ``key[0]`` gives A, by ``key[1]`` gives B.
     """
     xs = _outcomes(A, "a commuting joint")
     ys = _outcomes(B, "a commuting joint")
@@ -262,8 +271,7 @@ def commuting_joint(A: Observable, B: Observable, tol: float = TOL_LIN):
             f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute "
             f"(norm {norm[i, j]:.3e})", x=xs[i], y=ys[j],
             norm=float(norm[i, j]))
-    return [((x, y), AB[i, j]) for i, x in enumerate(xs)
-            for j, y in enumerate(ys)]
+    return _pair_keyed(xs, ys, AB, tol)
 
 
 def fibers(f: Mapping | Callable, keys: Sequence[Hashable]):

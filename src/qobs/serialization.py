@@ -226,16 +226,8 @@ def decode_instrument(obj, field: str = "instrument", *,
 
 
 def encode_report(rep: UncertaintyReport) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "commutator_term": rep.commutator_term,
-        "covariance_sq": rep.covariance_sq,
-        "correlation_sq": rep.correlation_sq,
-        "variance_product": rep.variance_product,
-        "equation_residual": rep.equation_residual,
-        "inequality_slack": rep.inequality_slack,
-        "tol": rep.tol,
-    }
+    """Every field of the report, plus the schema version."""
+    return {"schema": SCHEMA_VERSION, **vars(rep)}
 
 
 def canonical_json(obj, compact: bool = False) -> str:

@@ -86,6 +86,9 @@ class TestEigendecomposition:
         assert len(decomp.eigenvalues) == 2
         assert decomp.multiplicities == (2, 1)
         assert abs(decomp.eigenvalues[0] - (1.0 + 5e-13)) < 1e-13
+        M = np.diag([1.0, 1.0 + 1e-12, 2.0, 2.0 + 1e-12, 3.0]).astype(complex)
+        decomp = linalg.hermitian_eigendecomposition(M, cluster_tol=1e-8)
+        assert decomp.multiplicities == (2, 2, 1)
 
     def test_reconstruction_oracle_d6(self, rng):
         M = random_hermitian(rng, 6)
@@ -98,6 +101,9 @@ class TestEigendecomposition:
             M = random_hermitian(rng, dim)
             decomp = linalg.hermitian_eigendecomposition(M)
             projections = decomp.projections
+            k = len(decomp.eigenvalues)
+            assert projections.shape == (k, dim, dim)
+            assert not projections.flags.writeable
             assert all(x < y for x, y in zip(decomp.eigenvalues,
                                              decomp.eigenvalues[1:]))
             assert max_abs_diff(sum(projections), np.eye(dim)) < 1e-9

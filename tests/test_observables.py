@@ -208,6 +208,15 @@ def _assert_same_values(A: obs.Observable, B: obs.Observable) -> None:
     assert np.array_equal(A.effects, B.effects)
 
 
+def _assert_marginal(joint: obs.Observable, axis: int,
+                     expected: obs.Observable, tol: float) -> None:
+    """The coarse graining of a pair-keyed joint by key[axis] has the keys
+    of ``expected`` and its effects to ``tol``."""
+    marginal = obs.coarse_grain(joint, lambda k: k[axis])
+    assert marginal.keys == expected.keys
+    assert max_abs_diff(marginal.effects, expected.effects) < tol
+
+
 class TestStoredDerivations:
     """Sharp versions and spectral data are derived once per object and
     tolerance pair; a stored value is bit-identical to a fresh one."""
@@ -244,18 +253,15 @@ class TestStoredDerivations:
         for A in (trine_povm(), random_observable(rng, 4, 3)):
             obs.sharp_version(A)
             _assert_same_values(obs.conjugate(A), obs.conjugate(_rebuilt(A)))
-            joint = obs.conjugate_joint(A)
-            fresh = obs.conjugate_joint(_rebuilt(A))
-            assert [k for k, _ in joint] == [k for k, _ in fresh]
-            assert all(np.array_equal(C, F)
-                       for (_, C), (_, F) in zip(joint, fresh))
+            _assert_same_values(obs.conjugate_joint(A),
+                                obs.conjugate_joint(_rebuilt(A)))
 
     def test_label_keys_store_nothing_and_keep_raising(self):
         A = obs.Observable(["up", "down"], [np.diag([1.0, 0.0]),
                                             np.diag([0.0, 1.0])])
-        for _ in range(2):
+        for derive in (obs.sharp_version, obs.conjugate_joint) * 2:
             with pytest.raises(ValidationError):
-                obs.sharp_version(A)
+                derive(A)
 
     def test_threads_filling_one_store_get_one_object(self, rng):
         A = random_observable(rng, 4, 3)
@@ -290,33 +296,27 @@ class TestConjugateJoint:
         A = random_sharp_observable(rng, 4, 3)
         joint = obs.conjugate_joint(A)
         sharp = obs.sharp_version(A)
-        for (i, x), C in joint:
-            if sharp.outcomes[i] == pytest.approx(x, abs=1e-9):
-                assert max_abs_diff(C, sharp.effects[i]) < 1e-9
+        for (lam, x), C in joint.pairs():
+            if lam == pytest.approx(x, abs=1e-9):
+                P = sharp.effects[sharp.outcomes.index(lam)]
+                assert max_abs_diff(C, P) < 1e-9
             else:
                 assert np.max(np.abs(C)) < 1e-9
 
     def test_marginals(self):
         A = trine_povm()
         joint = obs.conjugate_joint(A)
-        conj = obs.conjugate(A)
-        sharp = obs.sharp_version(A)
-        for x, Bx in conj.pairs():
-            row = sum(C for (i, xx), C in joint if xx == x)
-            assert max_abs_diff(row, Bx) < 1e-12
-        for i, P in enumerate(sharp.effects):
-            col = sum(C for (ii, x), C in joint if ii == i)
-            assert max_abs_diff(col, P) < 1e-12
-        total = sum(C for _, C in joint)
-        assert max_abs_diff(total, np.eye(2)) < 1e-12
-        for _, C in joint:
+        _assert_marginal(joint, 0, obs.sharp_version(A), 1e-12)
+        _assert_marginal(joint, 1, obs.conjugate(A), 1e-12)
+        assert max_abs_diff(joint.effects.sum(0), np.eye(2)) < 1e-12
+        for C in joint.effects:
             assert np.linalg.eigvalsh(C)[0] >= -1e-8
 
     def test_one_outcome(self):
         A = obs.Observable([4.0], [np.eye(2)])
         joint = obs.conjugate_joint(A)
-        assert len(joint) == 1
-        assert max_abs_diff(joint[0][1], np.eye(2)) < 1e-14
+        assert joint.keys == ((4.0, 4.0),)
+        assert max_abs_diff(joint.effects[0], np.eye(2)) < 1e-14
 
 
 class TestCommutingJoint:
@@ -326,19 +326,14 @@ class TestCommutingJoint:
         B = obs.Observable([0.0, 1.0], [np.diag([0.3, 0.6, 1.0]),
                                         np.diag([0.7, 0.4, 0.0])])
         joint = obs.commuting_joint(A, B)
-        for x, Ax in A.pairs():
-            marg = sum(C for (xx, _), C in joint if xx == x)
-            assert max_abs_diff(marg, Ax) < 1e-14
-        for y, By in B.pairs():
-            marg = sum(C for (_, yy), C in joint if yy == y)
-            assert max_abs_diff(marg, By) < 1e-14
+        _assert_marginal(joint, 0, A, 1e-14)
+        _assert_marginal(joint, 1, B, 1e-14)
 
     def test_self_joint(self, rng):
         A = random_commutative_observable(rng, 3, 2)
         joint = obs.commuting_joint(A, A)
-        for x, Ax in A.pairs():
-            marg = sum(C for (xx, _), C in joint if xx == x)
-            assert max_abs_diff(marg, Ax) < 1e-12
+        _assert_marginal(joint, 0, A, 1e-12)
+        _assert_marginal(joint, 1, A, 1e-12)
 
     def test_noncommuting_pair_rejected(self):
         A = noisy_spin(1.0, "x")
