@@ -10,7 +10,9 @@ readable diagnostic on stdout).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import math
 import sys
 
 import numpy as np
@@ -52,6 +54,13 @@ _OBSERVABLE_COMMANDS = {
                     lambda a, inst, B: conditioned_observable(
                         inst, B, tol_lin=a.tol_lin)),
 }
+
+
+# Numeric flags checked before any command runs: flag -> smallest allowed
+# value.  Values must also be finite; an unset flag (None) is skipped.
+_FLAG_FLOORS = {"tol-lin": 0.0, "tol-psd": 0.0, "tol-stat": 0.0,
+                "cluster-tol": 0.0, "seed": 0, "dim": 1, "outcomes": 1,
+                "samples": 1, "surface": 0}
 
 
 @functools.cache
@@ -229,12 +238,11 @@ def _cmd_fuzz(args, ctx: _FileContext) -> int:
         _emit(result, args)
         return 0
     summary = fuzz.run_fuzz(config)
-    text = ser.canonical_json(summary, compact=args.json) + "\n"
     if args.output == "-":
-        sys.stdout.write(text)
+        _emit(summary, args)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _emit(summary, args, fh)
     return 0 if summary["violations"] == 0 else 1
 
 
@@ -250,13 +258,10 @@ def _cmd_sweep(args, ctx: _FileContext) -> int:
                 for _ in range(args.samples - n_surface)]
     result = demos.sweep_noisy_spin(mu_grid, vectors)
     if args.format == "csv":
-        rows = result["rows"]
-        cols = list(rows[0].keys())
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                                  else str(row[c]) for c in cols))
-        sys.stdout.write("\n".join(lines) + "\n")
+        writer = csv.DictWriter(sys.stdout, list(result["rows"][0]),
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(result["rows"])
     else:
         _emit(result, args)
     return 0
@@ -313,6 +318,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     ctx = _FileContext()
     try:
+        for flag, floor in _FLAG_FLOORS.items():
+            value = getattr(args, flag.replace("-", "_"), None)
+            if value is not None and not floor <= value < math.inf:
+                raise ValidationError(
+                    f"--{flag}: expected a finite number >= {floor}, "
+                    f"got {value}", invariant="flag-range", field=f"--{flag}")
         return _HANDLERS[args.command](args, ctx)
     except QobsError as exc:
         _emit(_diagnostic(exc, ctx.path), args)

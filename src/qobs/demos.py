@@ -285,20 +285,11 @@ def demo_example7(dim: int = 2, seed: int = 7, outcomes: int = 2) -> dict:
 
 
 def run_demo(name: str, **params) -> dict:
-    """Dispatch a demo by CLI name."""
-    table = {
-        "example1": demo_example1,
-        "example2": demo_example2,
-        "example3": demo_example3,
-        "example4": demo_example4,
-        "example5": demo_example5,
-        "example6": demo_example6,
-        "example7": demo_example7,
-    }
-    if name not in table:
+    """Dispatch a demo by CLI name to the function ``demo_<name>``."""
+    if name not in DEMO_NAMES:
         raise ValidationError(f"unknown demo {name!r}; choose from {DEMO_NAMES}",
                               invariant="known-demo", field="name")
-    return table[name](**params)
+    return globals()[f"demo_{name}"](**params)
 
 
 def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:

@@ -30,8 +30,10 @@ from .linalg import (
     TOL_LIN,
     TOL_PSD,
     TOL_STAT,
+    default_cluster_tol,
     hermitian_eigendecomposition,
     max_abs,
+    pair_scale,
     psd_sqrt,
     scale_of,
 )
@@ -90,46 +92,40 @@ class RunConfig:
                                   invariant="positive-dims", field="dims")
 
 
-def _family_instrument(family: str, A: Observable, dim: int, payload: dict):
-    """The trial's instrument, built from A and the family's payload."""
+def _family_instrument(bundle: dict):
+    """The trial's instrument, built from the bundle's A, omega or alphas."""
+    family = bundle["family"]
     if family == "trivial":
-        return trivial_instrument(payload["omega"], dim)
+        return trivial_instrument(bundle["omega"], bundle["dim"])
     if family == "holevo":
-        return holevo_instrument(A, payload["alphas"])
-    return lueders_instrument(A)
+        return holevo_instrument(bundle["A"], bundle["alphas"])
+    return lueders_instrument(bundle["A"])
 
 
 def build_instance(rng: np.random.Generator, dim: int, family: str) -> dict:
     """One bundle of random objects; everything later checks against it."""
     n_a = int(rng.integers(2, 4))
     n_b = int(rng.integers(2, 4))
-    inst_payload: dict = {}
     A = random_observable(rng, dim, n_a)
     B = random_observable(rng, dim, n_b)
+    bundle = {"dim": dim, "family": family, "A": A, "B": B}
     if family == "trivial":
         probs = random_probability_vector(rng, len(A))
-        omega = {x: float(p) for x, p in zip(random_outcomes(rng, len(A)), probs)}
-        inst_payload = {"omega": omega}
+        bundle["omega"] = {x: float(p) for x, p in
+                           zip(random_outcomes(rng, len(A)), probs)}
     elif family == "holevo":
-        inst_payload = {"alphas": [random_density(rng, dim)
-                                   for _ in range(len(A))]}
-    inst = _family_instrument(family, A, dim, inst_payload)
+        bundle["alphas"] = [random_density(rng, dim) for _ in range(len(A))]
+    inst = bundle["inst"] = _family_instrument(bundle)
     G = ginibre(rng, dim, dim)
-    return {
-        "dim": dim,
-        "family": family,
+    bundle.update({
         "H": random_hermitian(rng, dim),
         "P": G @ G.conj().T,
         "C": random_hermitian(rng, dim),
         "D": random_hermitian(rng, dim),
         "rho": random_density(rng, dim),
         "rho_low": random_density(rng, dim, rank=max(1, dim - 1)),
-        "A": A,
-        "B": B,
         "A_comm": random_commutative_observable(rng, dim, 2 if dim == 1 else n_a),
         "bloch": random_bloch_vector(rng),
-        "inst": inst,
-        "inst_payload": inst_payload,
         "f_obs": {x: float(v) for x, v in
                   zip(A.outcomes, rng.integers(-2, 3, size=len(A)))},
         "f_inst": {x: float(v) for x, v in
@@ -138,7 +134,8 @@ def build_instance(rng: np.random.Generator, dim: int, family: str) -> dict:
               zip(inst.outcomes, rng.integers(-2, 3, size=len(inst)))},
         "h": {y: float(v) for y, v in
               zip(B.outcomes, rng.integers(-2, 3, size=len(B)))},
-    }
+    })
+    return bundle
 
 
 def _matched_observable_delta(A: Observable, B: Observable) -> float:
@@ -186,7 +183,7 @@ def _chk_form_psd(inst, cfg):
     rho, C = inst["rho"], inst["C"]
     val = state_form(rho, C, C)
     res = max(abs(val.imag), max(0.0, -val.real))
-    return res, cfg.tol_lin * max(1.0, max_abs(C) ** 2)
+    return res, cfg.tol_lin * pair_scale(C, C)
 
 
 def _chk_form_cauchy_schwarz(inst, cfg):
@@ -199,7 +196,7 @@ def _chk_form_cauchy_schwarz(inst, cfg):
 def _chk_form_conjugate_symmetry(inst, cfg):
     rho, C, D = inst["rho"], inst["C"], inst["D"]
     res = abs(state_form(rho, C, D) - np.conj(state_form(rho, D, C)))
-    return res, cfg.tol_lin * max(1.0, max_abs(C) * max_abs(D))
+    return res, cfg.tol_lin * pair_scale(C, D)
 
 
 def _chk_faithful_witness(inst, cfg):
@@ -246,7 +243,7 @@ def _chk_sharp_idempotent(inst, cfg):
     sto = stochastic_operator(A)
     bound = max(cfg.tol_lin,
                 cfg.cluster_tol if cfg.cluster_tol is not None
-                else 1e-8 * scale_of(sto))
+                else default_cluster_tol(sto))
     return _matched_observable_delta(once, twice), bound
 
 
@@ -260,7 +257,7 @@ def _chk_conjugate_same_sharp(inst, cfg):
     sto = stochastic_operator(A)
     bound = max(cfg.tol_lin * scale_of(sto),
                 cfg.cluster_tol if cfg.cluster_tol is not None
-                else 1e-8 * scale_of(sto))
+                else default_cluster_tol(sto))
     return res, bound
 
 
@@ -471,7 +468,8 @@ def _decode_map(obj: dict, field: str) -> dict:
     return {float(k): float(v) for k, v in obj.items()}
 
 
-# Replay codec for the fields every trial bundle has:
+# Replay codec for the fields of a trial bundle; ``omega`` and ``alphas``
+# are present only in their family's bundles.
 # (names, encode(value), decode(json, field name)).
 _FIELDS = (
     (("dim", "family"), lambda v: v, lambda obj, field: obj),
@@ -480,35 +478,25 @@ _FIELDS = (
     (("A", "B", "A_comm"), encode_observable, decode_observable),
     (("bloch",), lambda r: [float(v) for v in r],
      lambda obj, field: np.asarray(obj, dtype=float)),
-    (("f_obs", "f_inst", "g", "h"), _encode_map, _decode_map),
+    (("f_obs", "f_inst", "g", "h", "omega"), _encode_map, _decode_map),
+    (("alphas",), lambda alphas: [encode_state(a) for a in alphas],
+     lambda obj, field: [decode_state(s, f"{field}[{i}]")
+                         for i, s in enumerate(obj)]),
 )
 
 
 def encode_instance(inst: dict) -> dict:
     """Lossless serialization of a trial bundle for replay."""
-    out = {name: encode(inst[name])
-           for names, encode, _ in _FIELDS for name in names}
-    payload = inst["inst_payload"]
-    if inst["family"] == "trivial":
-        out["omega"] = _encode_map(payload["omega"])
-    elif inst["family"] == "holevo":
-        out["alphas"] = [encode_state(a) for a in payload["alphas"]]
-    return out
+    return {name: encode(inst[name])
+            for names, encode, _ in _FIELDS for name in names if name in inst}
 
 
 def decode_instance(obj: dict) -> dict:
-    """Rebuild a trial bundle; instruments are reconstructed from their
-    family payload so the arithmetic path matches the original run."""
+    """Rebuild a trial bundle; the instrument is rebuilt from the family's
+    fields so the arithmetic path matches the original run."""
     out = {name: decode(obj[name], name)
-           for names, _, decode in _FIELDS for name in names}
-    payload = out["inst_payload"] = {}
-    if out["family"] == "trivial":
-        payload["omega"] = _decode_map(obj["omega"], "omega")
-    elif out["family"] == "holevo":
-        payload["alphas"] = [decode_state(s, f"alphas[{i}]")
-                             for i, s in enumerate(obj["alphas"])]
-    out["inst"] = _family_instrument(out["family"], out["A"], out["dim"],
-                                     payload)
+           for names, _, decode in _FIELDS for name in names if name in obj}
+    out["inst"] = _family_instrument(out)
     return out
 
 

@@ -25,16 +25,18 @@ from .errors import (
     UnknownOutcomeError,
     ValidationError,
 )
-from .linalg import TOL_LIN, TOL_PSD, as_matrix, max_abs, psd_sqrt
-from .observables import Observable, _pair_keyed, coarse_grain, fibers, is_real
+from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix, max_abs, psd_sqrt
+from .observables import (Observable, _pair_keyed, _stored, coarse_grain,
+                          fibers, is_real)
 from .states import DensityOperator
 from .statistics import average, variance as obs_variance
 
 
-class OperationMap:
-    """A trace-nonincreasing completely positive map sum_j K_j . K_j*."""
+class OperationMap(_Immutable):
+    """A trace-nonincreasing completely positive map sum_j K_j . K_j*.  Its
+    dual image of the identity, sum_j K_j* K_j, is formed once and kept."""
 
-    __slots__ = ("kraus", "dim")
+    __slots__ = ("kraus", "dim", "_gram")
 
     def __init__(self, kraus, *, tol_psd: float = TOL_PSD):
         if len(kraus) == 0:
@@ -48,11 +50,8 @@ class OperationMap:
                 f"operation increases trace: sum K*K has eigenvalue {top:.6g}",
                 invariant="trace-nonincreasing", violation=top - 1.0)
         K.setflags(write=False)
-        object.__setattr__(self, "kraus", K)
-        object.__setattr__(self, "dim", K.shape[1])
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperationMap is immutable")
+        gram.setflags(write=False)
+        self._set(kraus=K, dim=K.shape[1], _gram=gram)
 
     def _against(self, M: np.ndarray) -> np.ndarray:
         """The Kraus stack shaped to broadcast against M, which is one
@@ -72,17 +71,17 @@ class OperationMap:
         return (K.conj().swapaxes(-1, -2) @ C @ K).sum(0)
 
 
-class Instrument:
+class Instrument(_Immutable):
     """Parallel lists of outcomes and operation maps summing to a channel.
 
-    The dual images of the identity, formed once for the channel check, are
-    kept for the measured observable.  That observable is stored in a
-    private slot the first time it is asked for; it depends on nothing but
-    the maps, so it has no key.  The object stays immutable in value; two
-    threads that fill the slot compute identical observables.
+    The maps' dual images of the identity, stacked once for the channel
+    check, are kept for the measured observable.  That observable is stored
+    in the private ``_derived`` dict the first time it is asked for, as for
+    the values an ``Observable`` derives.  The object stays immutable in
+    value; two threads that fill the entry compute identical observables.
     """
 
-    __slots__ = ("outcomes", "maps", "dim", "_duals", "_measured")
+    __slots__ = ("outcomes", "maps", "dim", "_duals", "_derived")
 
     def __init__(self, outcomes: Sequence[Hashable], maps: Sequence[OperationMap],
                  *, tol_lin: float = TOL_LIN):
@@ -95,24 +94,17 @@ class Instrument:
             raise DuplicateOutcomeError("instrument outcomes are not distinct",
                                         invariant="distinct-outcomes")
         dim = maps[0].dim
-        for m in maps:
-            if m.dim != dim:
-                raise DimensionMismatchError("operation maps have mixed dims",
-                                             invariant="matching-dims")
-        duals = np.array([m.dual(np.eye(dim)) for m in maps])
+        if any(m.dim != dim for m in maps):
+            raise DimensionMismatchError("operation maps have mixed dims",
+                                         invariant="matching-dims")
+        duals = np.array([m._gram for m in maps])
         residual = max_abs(duals.sum(0) - np.eye(dim))
         if residual > tol_lin:
             raise CompletenessViolationError(
                 f"total map is not a channel (residual {residual:.3e})",
                 invariant="channel", residual=residual)
-        object.__setattr__(self, "outcomes", outs)
-        object.__setattr__(self, "maps", tuple(maps))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_duals", duals)
-        object.__setattr__(self, "_measured", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Instrument is immutable")
+        self._set(outcomes=outs, maps=tuple(maps), dim=dim, _duals=duals,
+                  _derived={})
 
     def __len__(self):
         return len(self.outcomes)
@@ -143,11 +135,9 @@ class Instrument:
         """The unique observable whose probabilities the instrument
         reproduces: effects are the dual images of the identity.  Repeated
         calls return the same object."""
-        if self._measured is None:
-            E = self._duals
-            object.__setattr__(self, "_measured", Observable(
-                self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0))
-        return self._measured
+        E = self._duals
+        return _stored(self, "measured", lambda: Observable(
+            self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0))
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
         """Total state change when the outcome is ignored."""
@@ -223,10 +213,7 @@ def holevo_instrument(A: Observable,
                 invariant="matching-dims")
         root = psd_sqrt(E)
         lam, vecs = np.linalg.eigh(alpha.matrix)
-        keep = lam > 0.0
-        if not keep.any():  # alpha numerically zero cannot happen for a state
-            maps.append(OperationMap(np.zeros((1, d, d), dtype=complex)))
-            continue
+        keep = lam > 0.0  # not empty: a state has trace 1
         # kraus[j, k] = sqrt(lam_j) * outer(v_j, root[k, :])
         kraus = np.sqrt(lam[keep])[:, None, None, None] * (
             vecs.T[keep][:, None, :, None] * root[None, :, None, :])

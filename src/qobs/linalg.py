@@ -72,9 +72,19 @@ def max_abs(M: np.ndarray) -> float:
     return float(np.abs(M).max())
 
 
-def scale_of(M: np.ndarray) -> float:
-    """max(1, ||M||) so tolerances stay meaningful near zero."""
-    return max(1.0, max_abs(M))
+def entry_norms(M: np.ndarray) -> np.ndarray:
+    """``max_abs`` of one matrix, or of each matrix in a stack."""
+    return np.abs(M).max(axis=(-2, -1))
+
+
+def scale_of(M: np.ndarray):
+    """max(1, ||M||) per matrix: every relative bound is ``tol * scale_of``."""
+    return np.maximum(1.0, entry_norms(M))
+
+
+def pair_scale(M: np.ndarray, N: np.ndarray):
+    """max(1, ||M[i]|| ||N[j]||) per pair: the scale of a product's bound."""
+    return np.maximum(1.0, np.multiply.outer(entry_norms(M), entry_norms(N)))
 
 
 def commutator(A, B) -> np.ndarray:
@@ -87,13 +97,13 @@ def commutator(A, B) -> np.ndarray:
     return A @ B - B @ A
 
 
-def hermiticity_defect(M: np.ndarray) -> float:
-    return max_abs(M - M.conj().T)
+def hermiticity_defect(M: np.ndarray):
+    return entry_norms(M - M.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(M, tol: float = TOL_LIN) -> bool:
     M = as_matrix(M)
-    return hermiticity_defect(M) <= tol * scale_of(M)
+    return bool(hermiticity_defect(M) <= tol * scale_of(M))
 
 
 def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.ndarray:
@@ -102,7 +112,7 @@ def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.nd
     if defect > tol * scale_of(M):
         raise NotHermitianError(
             f"{name} is not Hermitian (defect {defect:.3e})",
-            invariant="hermitian", violation=defect, field=name)
+            invariant="hermitian", violation=float(defect), field=name)
     return M
 
 
@@ -112,6 +122,15 @@ def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - d<=64 converges
+        raise ConvergenceFailureError(str(exc)) from exc
+
+
+def _validated_eigh(M, tol: float):
+    """(M, w, V): M validated as Hermitian, then ``eigh`` of its Hermitian part."""
+    M = require_hermitian(M, tol)
+    try:
+        return (M, *np.linalg.eigh((M + M.conj().T) / 2.0))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailureError(str(exc)) from exc
 
 
@@ -146,19 +165,14 @@ def hermitian_eigendecomposition(M, cluster_tol: float | None = None,
     the merged values.  Projections are sums of eigenvector outer products,
     so they are basis-independent within each cluster.
     """
-    M = require_hermitian(M, tol)
+    M, w, V = _validated_eigh(M, tol)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(M)
-    try:
-        w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailureError(str(exc)) from exc
-
     cuts = [0, *(np.flatnonzero(np.diff(w) > cluster_tol) + 1).tolist(), len(w)]
     bounds = list(zip(cuts[:-1], cuts[1:]))
     P = np.array([V[:, lo:hi] @ V[:, lo:hi].conj().T for lo, hi in bounds])
     return EigenDecomposition(
-        tuple(float(w[lo:hi].mean()) for lo, hi in bounds),
+        tuple(float(w[lo:hi].sum() / (hi - lo)) for lo, hi in bounds),
         frozen((P + P.conj().swapaxes(-1, -2)) / 2.0),
         tuple(hi - lo for lo, hi in bounds))
 
@@ -169,11 +183,7 @@ def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
     Eigenvalues in [-tol_psd, 0) are treated as rounding noise and clipped
     to zero; anything lower raises ``NotPSDError``.
     """
-    M = require_hermitian(M, tol)
-    try:
-        w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailureError(str(exc)) from exc
+    _, w, V = _validated_eigh(M, tol)
     if w[0] < -tol_psd:
         raise NotPSDError(
             f"matrix has eigenvalue {w[0]:.3e} below -{tol_psd:.1e}",
@@ -187,3 +197,17 @@ def frozen(M: np.ndarray) -> np.ndarray:
     out = np.array(M, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+class _Immutable:
+    """Base of the domain objects: ``__init__`` sets each slot once, through
+    ``_set``, and nothing can be rebound afterwards."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")

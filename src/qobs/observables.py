@@ -22,7 +22,7 @@ from .errors import (
     NotCommutingError,
     ValidationError,
 )
-from .linalg import TOL_LIN, TOL_PSD, max_abs
+from .linalg import TOL_LIN, TOL_PSD, _Immutable, entry_norms, max_abs, scale_of
 
 
 def is_real(key) -> bool:
@@ -39,18 +39,13 @@ def canonical_outcome(x) -> float:
     return v + 0.0 if v != 0.0 else 0.0
 
 
-def _entry_norms(E: np.ndarray) -> np.ndarray:
-    """Entrywise max-abs norm of each matrix in a stack."""
-    return np.abs(E).max(axis=(-2, -1))
-
-
 def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
     """Check 0 <= E_i <= I for every effect in the stack, reporting the
     first bad index, then check that the effects sum to the identity."""
-    defect = _entry_norms(E - E.conj().swapaxes(-1, -2))
+    defect = linalg.hermiticity_defect(E)
     eigs = linalg.hermitian_eigenvalues(E)
     lo, hi = eigs[:, 0], eigs[:, -1]
-    bad_herm = defect > tol_lin * np.maximum(1.0, _entry_norms(E))
+    bad_herm = defect > tol_lin * scale_of(E)
     bad_lo, bad_hi = lo < -tol_psd, hi > 1.0 + tol_psd
     bad = np.flatnonzero(bad_herm | bad_lo | bad_hi)
     if bad.size:
@@ -77,7 +72,7 @@ def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
             invariant="completeness", residual=residual)
 
 
-class Observable:
+class Observable(_Immutable):
     """Finite POVM: distinct outcome keys, one effect per key.
 
     ``effects`` is one read-only ``(n, d, d)`` complex array.  When every key
@@ -119,15 +114,8 @@ class Observable:
             E = E[order]
             stochastic = linalg.frozen(np.einsum("x,xab->ab", keys, E))
         E.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "outcomes", keys if real else None)
-        object.__setattr__(self, "effects", E)
-        object.__setattr__(self, "dim", E.shape[1])
-        object.__setattr__(self, "_stochastic", stochastic)
-        object.__setattr__(self, "_derived", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Observable is immutable")
+        self._set(keys=keys, outcomes=keys if real else None, effects=E,
+                  dim=E.shape[1], _stochastic=stochastic, _derived={})
 
     def __len__(self):
         return len(self.keys)
@@ -155,27 +143,31 @@ def stochastic_operator(A: Observable) -> np.ndarray:
 def is_sharp(A: Observable, tol: float = TOL_LIN) -> bool:
     """True when every effect is a projection (P^2 = P within tolerance)."""
     E = A.effects
-    return bool(np.all(_entry_norms(E @ E - E)
-                       <= tol * np.maximum(1.0, _entry_norms(E))))
+    return bool(np.all(entry_norms(E @ E - E) <= tol * scale_of(E)))
+
+
+def _commutators(A: Observable, B: Observable, tol: float):
+    """The products A_x B_y, indexed [x, y], and the mask of the pairs whose
+    commutator norm exceeds ``tol * pair_scale(A_x, B_y)``, with those norms."""
+    left, right = A.effects[:, None], B.effects[None, :]
+    AB = left @ right
+    norm = entry_norms(AB - right @ left)
+    return AB, norm > tol * linalg.pair_scale(A.effects, B.effects), norm
 
 
 def is_commutative(A: Observable, tol: float = TOL_LIN) -> bool:
     """True when all pairs of effects commute within tolerance."""
-    E = A.effects
-    left, right = E[:, None], E[None, :]
-    norms = _entry_norms(E)
-    bound = tol * np.maximum(1.0, np.multiply.outer(norms, norms))
-    return bool(np.all(_entry_norms(left @ right - right @ left) <= bound))
+    return not _commutators(A, A, tol)[1].any()
 
 
-def _stored(A: Observable, key: tuple, build: Callable):
-    """build(), computed once per key and kept on A.  A failed build stores
-    nothing, so a repeat raises the same error; of two racing builds the
-    first stored is the one every caller gets."""
+def _stored(obj, key, build: Callable):
+    """build(), computed once per key and kept in obj's ``_derived`` dict.
+    A failed build stores nothing, so a repeat raises the same error; of two
+    racing builds the first stored is the one every caller gets."""
     try:
-        return A._derived[key]
+        return obj._derived[key]
     except KeyError:
-        return A._derived.setdefault(key, build())
+        return obj._derived.setdefault(key, build())
 
 
 def _spectral_projections(A: Observable, cluster_tol: float | None,
@@ -259,12 +251,8 @@ def commuting_joint(A: Observable, B: Observable,
         raise DimensionMismatchError(
             f"observables have dims {A.dim} and {B.dim}",
             invariant="matching-dims")
-    left, right = A.effects[:, None], B.effects[None, :]
-    AB = left @ right
-    norm = _entry_norms(AB - right @ left)
-    bound = tol * np.maximum(1.0, np.multiply.outer(_entry_norms(A.effects),
-                                                    _entry_norms(B.effects)))
-    bad = np.argwhere(norm > bound)
+    AB, over, norm = _commutators(A, B, tol)
+    bad = np.argwhere(over)
     if bad.size:
         i, j = bad[0]
         raise NotCommutingError(

@@ -39,7 +39,10 @@ def _expect(obj, key: str, field: str):
 
 
 def _real_grid(raw, d: int, field: str) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float) if _is_grid(raw) else None
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
     if arr is None or arr.shape != (d, d) or not np.all(np.isfinite(arr)):
         raise ParseError(f"{field}: expected a {d}x{d} array of finite numbers",
                          field=field)
@@ -55,16 +58,8 @@ def _list(raw, field: str) -> list:
 def _real(x, field: str) -> float:
     try:
         return float(x)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"{field}: expected a number", field=field) from None
-
-
-def _is_grid(raw) -> bool:
-    try:
-        np.asarray(raw, dtype=float)
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 def encode_matrix(M: np.ndarray) -> dict:
@@ -75,11 +70,16 @@ def encode_matrix(M: np.ndarray) -> dict:
     return out
 
 
-def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
+def _dim(obj, field: str) -> int:
     d = _expect(obj, "dim", field)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ParseError(f"{field}.dim: expected a positive integer",
                          field=f"{field}.dim")
+    return d
+
+
+def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
+    d = _dim(obj, field)
     re = _real_grid(_expect(obj, "re", field), d, f"{field}.re")
     if "im" in obj:
         im = _real_grid(obj["im"], d, f"{field}.im")
@@ -188,27 +188,21 @@ def decode_instrument(obj, field: str = "instrument", *,
                          field=f"{field}.type")
     family = _expect(obj, "family", field)
     if family == "trivial":
-        dim = _expect(obj, "dim", field)
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ParseError(f"{field}.dim: expected a positive integer",
-                             field=f"{field}.dim")
-        omega_raw = _expect(obj, "omega", field)
-        omega = decode_function_map(omega_raw, f"{field}.omega")
+        dim = _dim(obj, field)
+        omega = decode_function_map(_expect(obj, "omega", field),
+                                    f"{field}.omega")
         return trivial_instrument(omega, dim, tol_lin=tol_lin)
-    if family == "holevo":
+    if family in ("holevo", "lueders"):
         A = decode_observable(_expect(obj, "observable", field),
                               f"{field}.observable",
                               tol_lin=tol_lin, tol_psd=tol_psd)
+        if family == "lueders":
+            return lueders_instrument(A, tol_lin=tol_lin)
         raw_states = _list(_expect(obj, "states", field), f"{field}.states")
         alphas = [decode_state(s, f"{field}.states[{i}]",
                                tol_lin=tol_lin, tol_psd=tol_psd)
                   for i, s in enumerate(raw_states)]
         return holevo_instrument(A, alphas, tol_lin=tol_lin)
-    if family == "lueders":
-        A = decode_observable(_expect(obj, "observable", field),
-                              f"{field}.observable",
-                              tol_lin=tol_lin, tol_psd=tol_psd)
-        return lueders_instrument(A, tol_lin=tol_lin)
     if family == "kraus":
         raw_outs = _list(_expect(obj, "outcomes", field), f"{field}.outcomes")
         raw_kraus = _list(_expect(obj, "kraus", field), f"{field}.kraus")

@@ -14,10 +14,10 @@ from .errors import (
     TraceNotOneError,
     ValidationError,
 )
-from .linalg import TOL_LIN, TOL_PSD, as_matrix, require_hermitian
+from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix, require_hermitian
 
 
-class DensityOperator:
+class DensityOperator(_Immutable):
     """A state: positive-semidefinite matrix with unit trace.
 
     The ascending eigenvalue list is computed once at construction and
@@ -40,12 +40,8 @@ class DensityOperator:
             raise TraceNotOneError(
                 f"state has trace {tr:.6g}, expected 1",
                 invariant="unit-trace", violation=float(defect), field="state")
-        object.__setattr__(self, "matrix", linalg.frozen(M))
-        object.__setattr__(self, "eigenvalues", tuple(float(x) for x in eigs))
-        object.__setattr__(self, "dim", M.shape[0])
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("DensityOperator is immutable")
+        self._set(matrix=linalg.frozen(M),
+                  eigenvalues=tuple(float(x) for x in eigs), dim=M.shape[0])
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim}, eigenvalues={self.eigenvalues})"

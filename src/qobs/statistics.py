@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError
-from .linalg import TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian
+from .linalg import TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian, scale_of
 from .observables import Observable, stochastic_operator
 from .states import DensityOperator, is_faithful
 
@@ -193,7 +193,7 @@ def _fit(A: np.ndarray, B: np.ndarray, tol_lin: float,
     alpha = float((np.trace(A0 @ B0) / np.trace(A0 @ A0)).real)
     beta = float((np.trace(B).real - alpha * np.trace(A).real) / d)
     residual = max_abs(B - alpha * A - beta * eye)
-    related = residual <= tol_rel * max(1.0, max_abs(B))
+    related = bool(residual <= tol_rel * scale_of(B))
     return LinearRelation(alpha, beta, residual, related)
 
 

@@ -9,8 +9,10 @@ import pytest
 
 from qobs import serialization as ser
 from qobs.cli import _build_parser, main
+from qobs.instruments import lueders_instrument
 from qobs.qubit import noisy_spin
 from qobs.sampling import random_density, random_instrument, random_observable
+from qobs.states import DensityOperator
 
 
 def run_cli(capsys, *argv) -> tuple[int, dict | list | None]:
@@ -287,6 +289,11 @@ _MALFORMED_FILES = {
                        "kraus": [[{"dim": 1, "re": [[1.0]]}]]},
     "kraus-entry": {"type": "instrument", "family": "kraus",
                     "outcomes": [1], "kraus": [5]},
+    "density-nonhermitian": {"type": "density", "matrix": {
+        "dim": 2, "re": [[1.5, 0.9], [0.0, 0.5]]}},
+    "density-negative": {"type": "density", "matrix": {
+        "dim": 2, "re": [[1.5, 0.0], [0.0, -0.5]]}},
+    "noisy-spin": ser.encode_observable(noisy_spin(0.8, "x")),
 }
 
 
@@ -298,12 +305,36 @@ _MALFORMED_FILES = {
     ["fuzz", "--dims", "2..x"],
     ["demo", "example4", "--bloch", "a,b,c"],
     ["sweep-example4", "--mu-grid", "x"],
+    pytest.param(["validate", "density-nonhermitian", "--tol-lin", "nan"],
+                 id="validate-tol-lin-nan"),
+    pytest.param(["validate", "density-negative", "--tol-psd", "nan"],
+                 id="validate-tol-psd-nan"),
+    pytest.param(["sharp", "--obs", "noisy-spin", "--cluster-tol", "nan"],
+                 id="sharp-cluster-tol-nan"),
+    pytest.param(["sharp", "--obs", "noisy-spin", "--cluster-tol", "-1"],
+                 id="sharp-cluster-tol-negative"),
+    pytest.param(["demo", "example1", "--tol-stat", "inf"],
+                 id="demo-tol-stat-inf"),
+    *[pytest.param(["demo", name, "--dim", "-1"], id=f"demo-{name}-dim-negative")
+      for name in ("example2", "example3", "example6", "example7")],
+    pytest.param(["demo", "example6", "--outcomes", "-1"],
+                 id="demo-outcomes-negative"),
+    pytest.param(["demo", "example2", "--seed", "-1"], id="demo-seed-negative"),
+    pytest.param(["sweep-example4", "--samples", "0", "--format", "csv"],
+                 id="sweep-samples-zero-csv"),
+    pytest.param(["sweep-example4", "--samples", "-3", "--format", "csv"],
+                 id="sweep-samples-negative-csv"),
+    pytest.param(["sweep-example4", "--samples", "0"], id="sweep-samples-zero"),
+    pytest.param(["sweep-example4", "--surface", "-1"],
+                 id="sweep-surface-negative"),
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_malformed_input_exits_2_with_diagnostic(capsys, tmp_path, argv):
-    if argv[0] == "validate":
-        path = tmp_path / f"{argv[1]}.json"
-        path.write_text(json.dumps(_MALFORMED_FILES[argv[1]]))
-        argv = ["validate", str(path)]
+    def path_of(name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_MALFORMED_FILES[name]))
+        return str(path)
+
+    argv = [path_of(a) if a in _MALFORMED_FILES else a for a in argv]
     code, out = run_cli(capsys, *argv, "--json")
     assert code == 2
     assert isinstance(out["error"], dict)
@@ -329,3 +360,74 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def _leaf_paths(doc, path=()):
+    """Key paths to every scalar of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _leaf_paths(value, (*path, key))
+    else:
+        yield path
+
+
+def _with_leaf(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e308 overflows
+def test_single_leaf_mutants_exit_0_or_2_with_json(capsys, tmp_path):
+    """Every scalar of a few valid documents, replaced in turn by each bad
+    value, gives exit 0 or 2 and JSON on stdout from every command that
+    reads the document: never a traceback."""
+    state = ser.encode_state(DensityOperator(
+        [[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))
+    obs = ser.encode_observable(noisy_spin(0.5, "y"))
+    instruments = [
+        {"type": "instrument", "family": "trivial", "dim": 2,
+         "omega": {"1": 0.25, "-1": 0.75}},
+        {"type": "instrument", "family": "holevo", "observable": obs,
+         "states": [state, {"type": "bloch", "r": [0.0, 0.6, 0.8]}]},
+        {"type": "instrument", "family": "lueders", "observable": obs},
+        ser.encode_instrument(lueders_instrument(noisy_spin(0.5, "x"))),
+    ]
+    valid = {"state": state, "obs": obs, "inst": instruments[2],
+             "fmap": {"1": 2.0, "-1": 3.0}}
+    for name, doc in valid.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    path = {name: str(tmp_path / f"{name}.json") for name in valid}
+    mutant = str(tmp_path / "mutant.json")
+
+    def commands(role):
+        yield ["validate", mutant]
+        if role == "state":
+            yield ["uncertainty", "--state", mutant,
+                   "--obs-a", path["obs"], "--obs-b", path["obs"]]
+        elif role == "obs":
+            yield ["uncertainty", "--state", path["state"],
+                   "--obs-a", mutant, "--obs-b", path["obs"]]
+            yield ["coarse-grain", "--obs", mutant, "--map", path["fmap"]]
+            yield ["sequential", "--instrument", path["inst"], "--obs", mutant]
+        else:
+            yield ["sequential", "--instrument", mutant, "--obs", path["obs"]]
+
+    runs = 0
+    for role, doc in [("state", state), ("obs", obs),
+                      *[("instrument", inst) for inst in instruments]]:
+        for leaf in _leaf_paths(doc):
+            for bad in (None, "x", [], -1, float("nan"), 1e308):
+                with open(mutant, "w") as fh:
+                    json.dump(_with_leaf(doc, leaf, bad), fh)
+                for argv in commands(role):
+                    code = main([*argv, "--json"])
+                    out = capsys.readouterr().out
+                    assert code in (0, 2), (argv[0], leaf, bad)
+                    json.loads(out)
+                    runs += 1
+    assert runs > 1000

@@ -268,9 +268,9 @@ class TestStoredMeasuredObservable:
 
         monkeypatch.setattr(OperationMap, "dual", counting)
         fresh = Instrument(inst.outcomes, inst.maps)
-        assert len(calls) == len(inst.maps)
+        assert len(calls) == 0
         measured = fresh.measured_observable()
-        assert len(calls) == len(inst.maps)
+        assert len(calls) == 0
         assert np.array_equal(measured.effects,
                               inst.measured_observable().effects)
 

@@ -46,6 +46,14 @@ class TestMatrix:
         with pytest.raises(ParseError):
             ser.decode_matrix({"dim": 1, "re": [[float("nan")]]})
 
+    def test_integer_beyond_float_range_is_a_parse_error(self):
+        # json.loads keeps a 400-digit integer exact; float() of it overflows.
+        huge = json.loads("1" + "0" * 400)
+        with pytest.raises(ParseError):
+            ser.decode_matrix({"dim": 1, "re": [[huge]]})
+        with pytest.raises(ParseError):
+            ser.decode_function_map({"1": huge})
+
 
 class TestState:
     def test_density_round_trip(self, rng):
