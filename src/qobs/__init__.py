@@ -73,7 +73,6 @@ from .statistics import (
 )
 from .instruments import (
     Instrument,
-    OperationMap,
     conditioned_observable,
     holevo_instrument,
     lueders_instrument,

@@ -20,7 +20,7 @@ import numpy as np
 from . import demos, fuzz, serialization as ser
 from .errors import ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
-from .linalg import TOL_LIN, TOL_PSD, TOL_STAT, require_hermitian
+from .linalg import TOL_LIN, TOL_PSD, TOL_STAT, require_dim, require_hermitian
 from .observables import coarse_grain, conjugate, sharp_version
 from .sampling import random_bloch_vector
 from .statistics import uncertainty_report
@@ -175,14 +175,15 @@ def _decode_operand(obj, field: str, tol_lin: float, tol_psd: float):
 def _parse_dims(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(part) for part in text.split(","))
+        if ".." not in text:
+            return tuple(int(part) for part in text.split(","))
+        lo, hi = (int(part) for part in text.split("..", 1))
     except ValueError:
         raise ValidationError(
             f"--dims: expected A..B or a comma list of integers, got {text!r}",
             invariant="integer-list", field="--dims") from None
+    # An end below 1 leaves a 0 in the range, for RunConfig to reject.
+    return tuple(range(max(lo, 0), require_dim(hi, "--dims") + 1))
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -220,7 +221,7 @@ def _cmd_demo(args, ctx: _FileContext) -> int:
         if args.name in ("example5", "example6", "example7"):
             params["outcomes"] = args.outcomes
         if args.dim is not None:
-            params["dim"] = args.dim
+            params["dim"] = require_dim(args.dim, "--dim")
     result = demos.run_demo(args.name, **params)
     _emit(result, args)
     return 0

@@ -35,10 +35,12 @@ from .linalg import (
     max_abs,
     pair_scale,
     psd_sqrt,
+    require_dim,
     scale_of,
 )
 from .observables import (
     Observable,
+    _stored,
     coarse_grain,
     conjugate,
     is_commutative,
@@ -90,6 +92,7 @@ class RunConfig:
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValidationError("dims must be nonempty positive integers",
                                   invariant="positive-dims", field="dims")
+        require_dim(max(self.dims), "dims")
 
 
 def _family_instrument(bundle: dict):
@@ -145,6 +148,13 @@ def _matched_observable_delta(A: Observable, B: Observable) -> float:
         return math.inf
     return max(max(abs(x - y) for x, y in zip(A.outcomes, B.outcomes)),
                max_abs(A.effects - B.effects))
+
+
+def _shared(inst: dict, build, *names, **kw):
+    """build(*inst[names], **kw), kept on the trial bundle under a tuple key
+    that ``_FIELDS`` never encodes, so replay does not see it."""
+    return _stored(inst, (build.__name__, *names, *kw.items()),
+                   lambda: build(*(inst[name] for name in names), **kw))
 
 
 # Property registry: name -> fn(instance, config) -> (residual, bound).
@@ -278,7 +288,7 @@ def _chk_coarse_grain_valid(inst, cfg):
     return res, cfg.tol_lin * scale_of(direct)
 
 
-def _uncertainty_residuals(rho, A, B, cfg):
+def _uncertainty_residuals(rho, A, B):
     # Measure the residuals here; an infinite tolerance disarms the report's
     # own internal-consistency guard so violations are counted, not raised.
     rep = stats.uncertainty_report(rho, A, B, tol=math.inf)
@@ -290,14 +300,14 @@ def _uncertainty_residuals(rho, A, B, cfg):
 
 
 def _chk_uncertainty_equation(inst, cfg):
-    eq1, _, _ = _uncertainty_residuals(inst["rho"], inst["A"], inst["B"], cfg)
-    eq2, _, _ = _uncertainty_residuals(inst["rho_low"], inst["C"], inst["D"], cfg)
+    eq1, _, _ = _shared(inst, _uncertainty_residuals, "rho", "A", "B")
+    eq2, _, _ = _shared(inst, _uncertainty_residuals, "rho_low", "C", "D")
     return max(eq1, eq2), cfg.tol_stat
 
 
 def _chk_uncertainty_inequality(inst, cfg):
-    _, in1, rh1 = _uncertainty_residuals(inst["rho"], inst["A"], inst["B"], cfg)
-    _, in2, rh2 = _uncertainty_residuals(inst["rho_low"], inst["C"], inst["D"], cfg)
+    _, in1, rh1 = _shared(inst, _uncertainty_residuals, "rho", "A", "B")
+    _, in2, rh2 = _shared(inst, _uncertainty_residuals, "rho_low", "C", "D")
     return max(in1, in2, rh1, rh2), cfg.tol_stat
 
 
@@ -388,14 +398,13 @@ def _chk_instrument_mean(inst, cfg):
 
 
 def _chk_sequential_completeness(inst, cfg):
-    instr, B = inst["inst"], inst["B"]
-    product = sequential_product(instr, B, tol_lin=cfg.tol_lin)
-    return max_abs(sum(product.effects) - np.eye(B.dim)), cfg.tol_lin
+    product = _shared(inst, sequential_product, "inst", "B", tol_lin=cfg.tol_lin)
+    return max_abs(sum(product.effects) - np.eye(product.dim)), cfg.tol_lin
 
 
 def _chk_sequential_marginal(inst, cfg):
-    instr, B = inst["inst"], inst["B"]
-    product = sequential_product(instr, B, tol_lin=cfg.tol_lin)
+    instr = inst["inst"]
+    product = _shared(inst, sequential_product, "inst", "B", tol_lin=cfg.tol_lin)
     measured = instr.measured_observable()
     res = 0.0
     for x, E in measured.pairs():
@@ -416,7 +425,7 @@ def _chk_conditioned_mean(inst, cfg):
 
 def _chk_product_split_function(inst, cfg):
     instr, B, g, h = inst["inst"], inst["B"], inst["g"], inst["h"]
-    product = sequential_product(instr, B, tol_lin=cfg.tol_lin)
+    product = _shared(inst, sequential_product, "inst", "B", tol_lin=cfg.tol_lin)
     f = {(x, y): g[x] * h[y] for x in instr.outcomes for y in B.outcomes}
     lhs = stochastic_operator(coarse_grain(product, f, tol_lin=cfg.tol_lin))
     hB = sum(h[y] * E for y, E in B.pairs())
@@ -535,24 +544,19 @@ def run_fuzz(config: RunConfig) -> dict:
             except Exception as exc:
                 entry.errors += 1
                 entry.violations += 1
-                if encoded is None:
-                    encoded = encode_instance(instance)
-                worst = {"ratio": None, "property": name,
-                         "residual": None, "bound": None,
-                         "error": f"{type(exc).__name__}: {exc}",
-                         "trial": i, "instance": encoded}
-                continue
-            entry.max_residual = max(entry.max_residual, residual)
-            ratio = residual / bound if bound > 0 else math.inf
-            entry.max_ratio = max(entry.max_ratio, ratio)
-            if residual > bound:
-                entry.violations += 1
-            if worst["ratio"] is not None and ratio > worst["ratio"]:
-                if encoded is None:
-                    encoded = encode_instance(instance)
-                worst = {"ratio": ratio, "property": name,
-                         "residual": residual, "bound": bound,
-                         "trial": i, "instance": encoded}
+                found = {"ratio": None, "residual": None, "bound": None,
+                         "error": f"{type(exc).__name__}: {exc}"}
+            else:
+                entry.max_residual = max(entry.max_residual, residual)
+                ratio = residual / bound if bound > 0 else math.inf
+                entry.max_ratio = max(entry.max_ratio, ratio)
+                if residual > bound:
+                    entry.violations += 1
+                if worst["ratio"] is None or not ratio > worst["ratio"]:
+                    continue
+                found = {"ratio": ratio, "residual": residual, "bound": bound}
+            encoded = encoded or encode_instance(instance)
+            worst = {**found, "property": name, "trial": i, "instance": encoded}
     total = sum(p.violations for p in props.values())
     return {
         "schema": SCHEMA_VERSION,

@@ -4,9 +4,9 @@ An instrument assigns to each outcome a completely positive trace-
 nonincreasing map; the maps must sum to a channel.  Representing every map
 by its Kraus operators makes complete positivity true by construction, and
 covers the three named families: trivial (scaled identity), Holevo
-(measure-and-reprepare), and Lueders (square-root pinching).  Each map
-stores its Kraus operators stacked in one read-only ``(k, d, d)`` array, so
-applying a map is one batched product and a sum.
+(measure-and-reprepare), and Lueders (square-root pinching).  All Kraus
+operators sit in one read-only stack grouped by outcome: a map is one
+contiguous slice of it, and coarse graining regroups it.
 """
 
 from __future__ import annotations
@@ -32,79 +32,69 @@ from .states import DensityOperator
 from .statistics import average, variance as obs_variance
 
 
-class OperationMap(_Immutable):
-    """A trace-nonincreasing completely positive map sum_j K_j . K_j*.  Its
-    dual image of the identity, sum_j K_j* K_j, is formed once and kept."""
-
-    __slots__ = ("kraus", "dim", "_gram")
-
-    def __init__(self, kraus, *, tol_psd: float = TOL_PSD):
-        if len(kraus) == 0:
-            raise ValidationError("operation needs at least one Kraus operator",
-                                  invariant="nonempty-kraus")
-        K = linalg.as_stack(kraus, name="kraus")
-        gram = (K.conj().swapaxes(-1, -2) @ K).sum(0)
-        top = float(np.max(linalg.hermitian_eigenvalues(gram)))
-        if top > 1.0 + tol_psd:
-            raise ValidationError(
-                f"operation increases trace: sum K*K has eigenvalue {top:.6g}",
-                invariant="trace-nonincreasing", violation=top - 1.0)
-        K.setflags(write=False)
-        gram.setflags(write=False)
-        self._set(kraus=K, dim=K.shape[1], _gram=gram)
-
-    def _against(self, M: np.ndarray) -> np.ndarray:
-        """The Kraus stack shaped to broadcast against M, which is one
-        matrix or a stack of them."""
-        lead = (len(self.kraus),) + (1,) * (np.ndim(M) - 2)
-        return self.kraus.reshape(lead + (self.dim, self.dim))
-
-    def __call__(self, M: np.ndarray) -> np.ndarray:
-        """Schroedinger picture: sum_j K_j M K_j*."""
-        K = self._against(M)
-        return (K @ M @ K.conj().swapaxes(-1, -2)).sum(0)
-
-    def dual(self, C: np.ndarray) -> np.ndarray:
-        """Heisenberg picture: sum_j K_j* C K_j, the adjoint under the trace
-        pairing tr(rho dual(C)) = tr(map(rho) C).  C may be a stack."""
-        K = self._against(C)
-        return (K.conj().swapaxes(-1, -2) @ C @ K).sum(0)
+def _sandwich(K: np.ndarray, M: np.ndarray, dual: bool = False) -> np.ndarray:
+    """sum_j K_j M K_j* over one outcome's Kraus slice K, or with ``dual``
+    the same sandwich by K*, sum_j K_j* M K_j.  M may be a stack."""
+    K = K.reshape((len(K),) + (1,) * (np.ndim(M) - 2) + K.shape[1:])
+    Kh = K.conj().swapaxes(-1, -2)
+    return (Kh @ M @ K if dual else K @ M @ Kh).sum(0)
 
 
 class Instrument(_Immutable):
-    """Parallel lists of outcomes and operation maps summing to a channel.
+    """Outcomes, each with its Kraus operators, summing to a channel.
 
-    The maps' dual images of the identity, stacked once for the channel
-    check, are kept for the measured observable.  That observable is stored
-    in the private ``_derived`` dict the first time it is asked for, as for
-    the values an ``Observable`` derives.  The object stays immutable in
-    value; two threads that fill the entry compute identical observables.
+    ``kraus`` is one read-only ``(m, d, d)`` stack grouped by outcome in
+    order, and ``owner`` the read-only index of each operator's outcome.
+    The dual images of the identity, sum K*K per outcome, are formed once
+    for the checks and kept; the measured observable built from them is
+    stored in ``_derived`` when first asked for, as an ``Observable`` does.
     """
 
-    __slots__ = ("outcomes", "maps", "dim", "_duals", "_derived")
+    __slots__ = ("outcomes", "kraus", "owner", "dim", "_slices", "_duals",
+                 "_derived")
 
-    def __init__(self, outcomes: Sequence[Hashable], maps: Sequence[OperationMap],
-                 *, tol_lin: float = TOL_LIN):
-        if len(outcomes) != len(maps) or len(outcomes) == 0:
+    def __init__(self, outcomes: Sequence[Hashable], kraus: Sequence,
+                 *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
+        if len(outcomes) != len(kraus) or len(outcomes) == 0:
             raise ValidationError(
-                "outcomes and maps must be parallel nonempty lists",
+                "outcomes and Kraus lists must be parallel nonempty lists",
                 invariant="parallel-lists")
+        if any(len(ops) == 0 for ops in kraus):
+            raise ValidationError("each outcome needs a Kraus operator",
+                                  invariant="nonempty-kraus")
         outs = tuple(outcomes)
         if len(set(outs)) != len(outs):
             raise DuplicateOutcomeError("instrument outcomes are not distinct",
                                         invariant="distinct-outcomes")
-        dim = maps[0].dim
-        if any(m.dim != dim for m in maps):
-            raise DimensionMismatchError("operation maps have mixed dims",
+        try:
+            stack = np.concatenate(kraus, dtype=complex)
+        except (TypeError, ValueError):
+            stack = np.empty(0)
+        if not linalg._is_stack(stack):
+            for i, ops in enumerate(kraus):  # names the first bad operator
+                linalg.as_stack(ops, name=f"kraus[{i}]")
+            raise DimensionMismatchError("Kraus operators have mixed dims",
                                          invariant="matching-dims")
-        duals = np.array([m._gram for m in maps])
-        residual = max_abs(duals.sum(0) - np.eye(dim))
+        counts = [len(ops) for ops in kraus]
+        slices = tuple(np.split(stack, np.cumsum(counts)[:-1]))
+        duals = np.array([(K.conj().swapaxes(-1, -2) @ K).sum(0) for K in slices])
+        top = linalg.hermitian_eigenvalues(duals)[:, -1]
+        i = int(np.argmax(top > 1.0 + tol_psd))  # the first bad outcome, if any
+        if top[i] > 1.0 + tol_psd:
+            raise ValidationError(
+                f"outcome {i} increases trace: sum K*K has eigenvalue "
+                f"{top[i]:.6g}", invariant="trace-nonincreasing",
+                violation=float(top[i]) - 1.0, field=f"kraus[{i}]")
+        residual = max_abs(duals.sum(0) - np.eye(stack.shape[1]))
         if residual > tol_lin:
             raise CompletenessViolationError(
                 f"total map is not a channel (residual {residual:.3e})",
                 invariant="channel", residual=residual)
-        self._set(outcomes=outs, maps=tuple(maps), dim=dim, _duals=duals,
-                  _derived={})
+        owner = np.repeat(np.arange(len(outs)), counts)
+        for arr in (stack, owner):
+            arr.setflags(write=False)
+        self._set(outcomes=outs, kraus=stack, owner=owner, dim=stack.shape[1],
+                  _slices=slices, _duals=duals, _derived={})
 
     def __len__(self):
         return len(self.outcomes)
@@ -120,7 +110,7 @@ class Instrument(_Immutable):
     def apply(self, x, rho: DensityOperator) -> np.ndarray:
         """Subnormalized post-measurement matrix for outcome x; its trace is
         the outcome probability, so the result is not itself a state."""
-        return self.maps[self._index(x)](rho.matrix)
+        return _sandwich(self._slices[self._index(x)], rho.matrix)
 
     def dual_apply(self, x, C) -> np.ndarray:
         """Heisenberg-picture action on an operator for outcome x."""
@@ -129,28 +119,27 @@ class Instrument(_Immutable):
             raise DimensionMismatchError(
                 f"operator dim {C.shape[0]} does not match instrument dim {self.dim}",
                 invariant="matching-dims")
-        return self.maps[self._index(x)].dual(C)
+        return _sandwich(self._slices[self._index(x)], C, dual=True)
 
     def measured_observable(self) -> Observable:
         """The unique observable whose probabilities the instrument
         reproduces: effects are the dual images of the identity.  Repeated
         calls return the same object."""
         E = self._duals
-        return _stored(self, "measured", lambda: Observable(
+        return _stored(self._derived, "measured", lambda: Observable(
             self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0))
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
         """Total state change when the outcome is ignored."""
-        out = sum(m(rho.matrix) for m in self.maps)
+        out = sum(_sandwich(K, rho.matrix) for K in self._slices)
         return DensityOperator((out + out.conj().T) / 2.0)
 
     def coarse_grain(self, f: Mapping | Callable) -> "Instrument":
-        """Merge outcomes through a real-valued function by concatenating the
-        Kraus stacks over each fiber."""
+        """Merge outcomes through a real-valued function: the same Kraus
+        stack, regrouped by the fiber of each operator's outcome."""
         zs, index = fibers(f, self.outcomes)
-        return Instrument(zs, [OperationMap(np.concatenate(
-            [m.kraus for m, k in zip(self.maps, index) if k == z]))
-            for z in range(len(zs))])
+        fiber = index[self.owner]
+        return Instrument(zs, [self.kraus[fiber == z] for z in range(len(zs))])
 
     def mean(self, rho: DensityOperator) -> float:
         """Outcome-weighted total trace, available for real outcomes only;
@@ -178,8 +167,8 @@ def trivial_instrument(omega: Mapping, dim: int, *,
             f"weights sum to {total:.6g}, expected 1",
             invariant="unit-total", violation=abs(total - 1.0))
     eye = np.eye(dim, dtype=complex)
-    maps = [OperationMap([np.sqrt(max(p, 0.0)) * eye]) for p in probs]
-    return Instrument(outcomes, maps, tol_lin=tol_lin)
+    return Instrument(outcomes, [[np.sqrt(max(p, 0.0)) * eye] for p in probs],
+                      tol_lin=tol_lin)
 
 
 def holevo_instrument(A: Observable,
@@ -205,7 +194,7 @@ def holevo_instrument(A: Observable,
         raise ValidationError("need one reprepared state per outcome",
                               invariant="parallel-lists")
     d = A.dim
-    maps = []
+    kraus = []
     for E, alpha in zip(A.effects, alphas):
         if alpha.dim != d:
             raise DimensionMismatchError(
@@ -214,24 +203,25 @@ def holevo_instrument(A: Observable,
         root = psd_sqrt(E)
         lam, vecs = np.linalg.eigh(alpha.matrix)
         keep = lam > 0.0  # not empty: a state has trace 1
-        # kraus[j, k] = sqrt(lam_j) * outer(v_j, root[k, :])
-        kraus = np.sqrt(lam[keep])[:, None, None, None] * (
+        # K[j, k] = sqrt(lam_j) * outer(v_j, root[k, :])
+        K = np.sqrt(lam[keep])[:, None, None, None] * (
             vecs.T[keep][:, None, :, None] * root[None, :, None, :])
-        maps.append(OperationMap(kraus.reshape(-1, d, d)))
-    return Instrument(A.keys, maps, tol_lin=tol_lin)
+        kraus.append(K.reshape(-1, d, d))
+    return Instrument(A.keys, kraus, tol_lin=tol_lin)
 
 
 def lueders_instrument(A: Observable, *, tol_lin: float = TOL_LIN) -> Instrument:
     """Square-root instrument rho -> A_x^{1/2} rho A_x^{1/2}; measures A."""
-    maps = [OperationMap(psd_sqrt(E)[None]) for E in A.effects]
-    return Instrument(A.keys, maps, tol_lin=tol_lin)
+    return Instrument(A.keys, [psd_sqrt(E)[None] for E in A.effects], tol_lin=tol_lin)
 
 
-def _require_same_dim(inst: Instrument, B: Observable) -> None:
+def _dual_images(inst: Instrument, B: Observable) -> list[np.ndarray]:
+    """For each outcome x, the stack of dual_x(B_y) over B's outcomes."""
     if inst.dim != B.dim:
         raise DimensionMismatchError(
             f"instrument dim {inst.dim} does not match observable dim {B.dim}",
             invariant="matching-dims")
+    return [_sandwich(K, B.effects, dual=True) for K in inst._slices]
 
 
 def sequential_product(inst: Instrument, B: Observable,
@@ -239,9 +229,7 @@ def sequential_product(inst: Instrument, B: Observable,
     """Observable of the two-step experiment: run the instrument, then
     measure B.  Effects are the dual images of B's effects; keys are
     (x, y) pairs.  The y-marginal reproduces the measured observable."""
-    _require_same_dim(inst, B)
-    return _pair_keyed(inst.outcomes, B.keys,
-                       np.array([m.dual(B.effects) for m in inst.maps]),
+    return _pair_keyed(inst.outcomes, B.keys, np.array(_dual_images(inst, B)),
                        tol_lin)
 
 
@@ -249,8 +237,7 @@ def conditioned_observable(inst: Instrument, B: Observable,
                            *, tol_lin: float = TOL_LIN) -> Observable:
     """Observable of: run the instrument ignoring its outcome, then measure
     B.  Effects are sum_x dual_x(B_y) on B's outcome space."""
-    _require_same_dim(inst, B)
-    total = sum(m.dual(B.effects) for m in inst.maps)
+    total = sum(_dual_images(inst, B))
     return Observable(B.keys, (total + total.conj().swapaxes(-1, -2)) / 2.0,
                       tol_lin=tol_lin)
 
@@ -263,8 +250,6 @@ def product_statistics(inst: Instrument, B: Observable, f: Mapping | Callable,
     Returns (mean, variance, observable) where the observable is the coarse
     graining of the two-step product observable by f.
     """
-    product = sequential_product(inst, B, tol_lin=tol_lin)
-    obs = coarse_grain(product, f, tol_lin=tol_lin)
-    mean = average(rho, obs)
-    var = obs_variance(rho, obs)
-    return mean, var, obs
+    obs = coarse_grain(sequential_product(inst, B, tol_lin=tol_lin), f,
+                       tol_lin=tol_lin)
+    return average(rho, obs), obs_variance(rho, obs), obs

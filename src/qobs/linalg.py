@@ -27,6 +27,7 @@ TOL_LIN = 1e-9    # structural identities: Hermiticity, completeness, reconstruc
 TOL_PSD = 1e-8    # slack allowed below zero in positive-semidefinite spectra
 TOL_STAT = 1e-9   # statistical identities built from products of traces
 TOL_REL = 1e-8    # acceptance threshold for affine operator relations
+MAX_DIM = 64      # the documented range of dimensions, d <= MAX_DIM
 
 
 def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
@@ -42,6 +43,12 @@ def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _is_stack(arr: np.ndarray) -> bool:
+    """Whether arr is an ``(n, d, d)`` stack of finite entries, d >= 1."""
+    return bool(arr.ndim == 3 and 0 < arr.shape[1] == arr.shape[2]
+                and np.all(np.isfinite(arr)))
+
+
 def as_stack(mats, *, name: str) -> np.ndarray:
     """Coerce a nonempty sequence of square matrices of one dimension to a
     fresh ``(n, d, d)`` complex array.
@@ -53,9 +60,7 @@ def as_stack(mats, *, name: str) -> np.ndarray:
         stack = np.array(mats, dtype=complex)
     except (TypeError, ValueError):
         stack = None
-    if (stack is not None and stack.ndim == 3
-            and 0 < stack.shape[1] == stack.shape[2]
-            and np.all(np.isfinite(stack))):
+    if stack is not None and _is_stack(stack):
         return stack
     items = [as_matrix(M, name=f"{name}[{i}]") for i, M in enumerate(mats)]
     dim = items[0].shape[0]
@@ -65,6 +70,14 @@ def as_stack(mats, *, name: str) -> np.ndarray:
                 f"{name}[{i}] has dim {M.shape[0]}, expected {dim}",
                 invariant="matching-dims")
     return np.stack(items)
+
+
+def require_dim(d: int, field: str) -> int:
+    """d, if at most MAX_DIM: for sizes that no input array backs."""
+    if d > MAX_DIM:
+        raise ValidationError(f"{field}: dimension {d} is above {MAX_DIM}",
+                              invariant="dim-range", field=field)
+    return d
 
 
 def max_abs(M: np.ndarray) -> float:

@@ -160,19 +160,19 @@ def is_commutative(A: Observable, tol: float = TOL_LIN) -> bool:
     return not _commutators(A, A, tol)[1].any()
 
 
-def _stored(obj, key, build: Callable):
-    """build(), computed once per key and kept in obj's ``_derived`` dict.
-    A failed build stores nothing, so a repeat raises the same error; of two
-    racing builds the first stored is the one every caller gets."""
+def _stored(cache: dict, key, build: Callable):
+    """build(), computed once per key and kept in ``cache``.  A failed build
+    stores nothing, so a repeat raises the same error; of two racing builds
+    the first stored is the one every caller gets."""
     try:
-        return obj._derived[key]
+        return cache[key]
     except KeyError:
-        return obj._derived.setdefault(key, build())
+        return cache.setdefault(key, build())
 
 
 def _spectral_projections(A: Observable, cluster_tol: float | None,
                           tol_lin: float) -> linalg.EigenDecomposition:
-    return _stored(A, ("spectral", cluster_tol, tol_lin),
+    return _stored(A._derived, ("spectral", cluster_tol, tol_lin),
                    lambda: linalg.hermitian_eigendecomposition(
                        stochastic_operator(A), cluster_tol, tol=tol_lin))
 
@@ -192,7 +192,7 @@ def sharp_version(A: Observable, cluster_tol: float | None = None,
         return Observable(decomp.eigenvalues, decomp.projections,
                           tol_lin=tol_lin)
 
-    return _stored(A, ("sharp", cluster_tol, tol_lin), build)
+    return _stored(A._derived, ("sharp", cluster_tol, tol_lin), build)
 
 
 def _pinched(A: Observable, cluster_tol: float | None,

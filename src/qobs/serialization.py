@@ -16,12 +16,11 @@ import numpy as np
 from .errors import ParseError
 from .instruments import (
     Instrument,
-    OperationMap,
     holevo_instrument,
     lueders_instrument,
     trivial_instrument,
 )
-from .linalg import TOL_LIN, TOL_PSD
+from .linalg import TOL_LIN, TOL_PSD, require_dim
 from .observables import Observable
 from .states import DensityOperator, bloch_state
 from .statistics import UncertaintyReport
@@ -175,7 +174,8 @@ def encode_instrument(inst: Instrument) -> dict:
         "family": "kraus",
         "outcomes": [label_to_str(x) if not isinstance(x, (int, float)) else x
                      for x in inst.outcomes],
-        "kraus": [[encode_matrix(K) for K in m.kraus] for m in inst.maps],
+        "kraus": [[encode_matrix(K) for K in inst.kraus[inst.owner == i]]
+                  for i in range(len(inst))],
     }
 
 
@@ -188,7 +188,7 @@ def decode_instrument(obj, field: str = "instrument", *,
                          field=f"{field}.type")
     family = _expect(obj, "family", field)
     if family == "trivial":
-        dim = _dim(obj, field)
+        dim = require_dim(_dim(obj, field), f"{field}.dim")
         omega = decode_function_map(_expect(obj, "omega", field),
                                     f"{field}.omega")
         return trivial_instrument(omega, dim, tol_lin=tol_lin)
@@ -206,15 +206,13 @@ def decode_instrument(obj, field: str = "instrument", *,
     if family == "kraus":
         raw_outs = _list(_expect(obj, "outcomes", field), f"{field}.outcomes")
         raw_kraus = _list(_expect(obj, "kraus", field), f"{field}.kraus")
-        maps = [OperationMap([decode_matrix(K, f"{field}.kraus[{i}][{j}]")
-                              for j, K in enumerate(
-                                  _list(ops, f"{field}.kraus[{i}]"))],
-                             tol_psd=tol_psd)
-                for i, ops in enumerate(raw_kraus)]
+        kraus = [[decode_matrix(K, f"{field}.kraus[{i}][{j}]")
+                  for j, K in enumerate(_list(ops, f"{field}.kraus[{i}]"))]
+                 for i, ops in enumerate(raw_kraus)]
         outcomes = [_parse_outcome_key(x) if isinstance(x, str)
                     else _real(x, f"{field}.outcomes[{i}]")
                     for i, x in enumerate(raw_outs)]
-        return Instrument(outcomes, maps, tol_lin=tol_lin)
+        return Instrument(outcomes, kraus, tol_lin=tol_lin, tol_psd=tol_psd)
     raise ParseError(f"{field}.family: unknown family {family!r}",
                      field=f"{field}.family")
 

@@ -294,7 +294,19 @@ _MALFORMED_FILES = {
     "density-negative": {"type": "density", "matrix": {
         "dim": 2, "re": [[1.5, 0.0], [0.0, -0.5]]}},
     "noisy-spin": ser.encode_observable(noisy_spin(0.8, "x")),
+    "trivial-huge-dim": {"type": "instrument", "family": "trivial",
+                         "dim": 10 ** 50, "omega": {"1": 1.0}},
 }
+
+# Sizes that no input array backs, each above the documented d <= 64.
+_ABOVE_MAX_DIM = [
+    pytest.param(["validate", "trivial-huge-dim"], id="validate-trivial-dim"),
+    pytest.param(["fuzz", "--trials", "1", "--dims", "1000000"],
+                 id="fuzz-dims-huge"),
+    pytest.param(["fuzz", "--trials", "1", "--dims", "2..1000000000000"],
+                 id="fuzz-dims-range-huge"),
+    pytest.param(["demo", "example2", "--dim", "1000000"], id="demo-dim-huge"),
+]
 
 
 @pytest.mark.parametrize("argv", [
@@ -327,8 +339,16 @@ _MALFORMED_FILES = {
     pytest.param(["sweep-example4", "--samples", "0"], id="sweep-samples-zero"),
     pytest.param(["sweep-example4", "--surface", "-1"],
                  id="sweep-surface-negative"),
+    *_ABOVE_MAX_DIM,
+    pytest.param(["fuzz", "--trials", "1", "--dims=-1000000000000..3"],
+                 id="fuzz-dims-range-huge-negative"),
 ], ids=lambda argv: "-".join(argv[:2]))
 def test_malformed_input_exits_2_with_diagnostic(capsys, tmp_path, argv):
+    out = _run_malformed(capsys, tmp_path, argv)
+    assert isinstance(out["error"], dict)
+
+
+def _run_malformed(capsys, tmp_path, argv) -> dict:
     def path_of(name):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(_MALFORMED_FILES[name]))
@@ -337,7 +357,13 @@ def test_malformed_input_exits_2_with_diagnostic(capsys, tmp_path, argv):
     argv = [path_of(a) if a in _MALFORMED_FILES else a for a in argv]
     code, out = run_cli(capsys, *argv, "--json")
     assert code == 2
-    assert isinstance(out["error"], dict)
+    return out
+
+
+@pytest.mark.parametrize("argv", _ABOVE_MAX_DIM)
+def test_dimension_above_max_dim_is_dim_range(capsys, tmp_path, argv):
+    assert _run_malformed(capsys, tmp_path, argv)["error"]["invariant"] == \
+        "dim-range"
 
 
 def test_cached_parser_keeps_no_flags_between_calls(capsys, files):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from qobs import statistics as stats
+from qobs import instruments
 from qobs.errors import (
     CompletenessViolationError,
+    DimensionMismatchError,
     DuplicateOutcomeError,
     MissingLabelError,
     NotAProbabilityError,
@@ -14,7 +16,6 @@ from qobs.errors import (
 )
 from qobs.instruments import (
     Instrument,
-    OperationMap,
     conditioned_observable,
     holevo_instrument,
     lueders_instrument,
@@ -44,22 +45,41 @@ from conftest import max_abs_diff
 FAMILIES = ("trivial", "holevo", "lueders")
 
 
-class TestValidation:
-    def test_operation_map_rejects_trace_increase(self):
-        with pytest.raises(ValidationError):
-            OperationMap([2.0 * np.eye(2)])
+def per_outcome(inst):
+    """The instrument's Kraus stack split back into one array per outcome."""
+    return [inst.kraus[inst.owner == i] for i in range(len(inst))]
 
-    def test_operation_map_needs_kraus(self):
-        with pytest.raises(ValidationError):
-            OperationMap([])
+
+class TestValidation:
+    def test_trace_increasing_outcome_is_named(self):
+        half = np.eye(2) / np.sqrt(2)
+        with pytest.raises(ValidationError) as info:
+            Instrument([0.0, 1.0, 2.0], [[half], [2.0 * np.eye(2)], [half]])
+        assert type(info.value) is ValidationError
+        assert info.value.invariant == "trace-nonincreasing"
+        assert info.value.violation == pytest.approx(3.0)
+        assert info.value.field == "kraus[1]"
+
+    def test_outcome_needs_kraus(self):
+        with pytest.raises(ValidationError) as info:
+            Instrument([0.0, 1.0], [[np.eye(2)], []])
+        assert info.value.invariant == "nonempty-kraus"
+
+    def test_malformed_kraus_names_the_operator(self):
+        with pytest.raises(ValidationError) as info:
+            Instrument([0.0, 1.0], [[np.eye(2)], [np.eye(2), [[np.nan]]]])
+        assert info.value.field == "kraus[1][1]"
+        with pytest.raises(DimensionMismatchError) as info:
+            Instrument([0.0, 1.0], [[np.eye(2) / 2], [np.eye(3) / 2]])
+        assert info.value.invariant == "matching-dims"
 
     def test_instrument_total_must_be_channel(self):
-        half = OperationMap([np.eye(2) / 2.0])  # K*K = I/4
+        half = [np.eye(2) / 2.0]  # K*K = I/4
         with pytest.raises(CompletenessViolationError):
             Instrument([0.0, 1.0], [half, half])
 
     def test_duplicate_outcomes(self):
-        m = OperationMap([np.eye(2) / np.sqrt(2)])
+        m = [np.eye(2) / np.sqrt(2)]
         with pytest.raises(DuplicateOutcomeError):
             Instrument([1.0, 1.0], [m, m])
 
@@ -172,9 +192,9 @@ class TestLueders:
         # null eigenvalues, so the comparison is loose relative to eps.
         A = random_sharp_observable(rng, 3, 2)
         inst = lueders_instrument(A)
-        for m, P in zip(inst.maps, A.effects):
-            assert len(m.kraus) == 1
-            assert max_abs_diff(m.kraus[0], P) < 1e-7
+        assert inst.owner.tolist() == list(range(len(A)))
+        for K, P in zip(inst.kraus, A.effects):
+            assert max_abs_diff(K, P) < 1e-7
 
     def test_measures_its_observable(self, rng):
         A = random_observable(rng, 4, 3)
@@ -246,13 +266,48 @@ class TestSharedContracts:
             stats.average(rho, inst.measured_observable()), abs=1e-10)
 
 
+class TestStackedLayout:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_ragged_kraus_lists_rebuild_each_family(self, family, rng):
+        inst = random_instrument(rng, 3, family, n_outcomes=3)
+        ragged = [[np.array(K) for K in ops] for ops in per_outcome(inst)]
+        rebuilt = Instrument(inst.outcomes, ragged)
+        assert rebuilt.outcomes == inst.outcomes
+        assert np.array_equal(rebuilt.kraus, inst.kraus)
+        assert np.array_equal(rebuilt.owner, inst.owner)
+        assert np.array_equal(rebuilt.measured_observable().effects,
+                              inst.measured_observable().effects)
+        assert not inst.kraus.flags.writeable
+        assert not inst.owner.flags.writeable
+
+    def test_stack_is_grouped_by_outcome(self, rng):
+        A = random_observable(rng, 2, 3)
+        alphas = [bloch_state(r) for r in ((0, 0, 1), (0, 0, 0), (0, 0, -1))]
+        inst = holevo_instrument(A, alphas)  # d * rank(alpha) per outcome
+        assert inst.kraus.shape == (8, 2, 2)
+        assert inst.owner.tolist() == [0, 0, 1, 1, 1, 1, 2, 2]
+
+    def test_identity_coarse_graining_keeps_the_stack(self, rng):
+        inst = random_instrument(rng, 3, "holevo", n_outcomes=3)
+        same = inst.coarse_grain({x: x for x in inst.outcomes})
+        assert np.array_equal(same.kraus, inst.kraus)
+        assert np.array_equal(same.owner, inst.owner)
+
+    def test_constant_coarse_graining_keeps_operator_order(self, rng):
+        inst = random_instrument(rng, 3, "holevo", n_outcomes=3)
+        merged = inst.coarse_grain(lambda x: 1.0)
+        assert np.array_equal(merged.kraus, inst.kraus)
+        assert merged.owner.tolist() == [0] * len(inst.kraus)
+
+
 class TestStoredMeasuredObservable:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_repeat_is_same_object_and_equals_fresh(self, family, rng):
         inst = random_instrument(rng, 3, family)
         measured = inst.measured_observable()
         assert inst.measured_observable() is measured
-        fresh = Instrument(inst.outcomes, inst.maps).measured_observable()
+        fresh = Instrument(inst.outcomes,
+                           per_outcome(inst)).measured_observable()
         assert measured.keys == fresh.keys
         assert np.array_equal(measured.effects, fresh.effects)
 
@@ -260,14 +315,14 @@ class TestStoredMeasuredObservable:
     def test_identity_duals_are_formed_once(self, family, rng, monkeypatch):
         inst = random_instrument(rng, 3, family)
         calls = []
-        dual = OperationMap.dual
+        sandwich = instruments._sandwich
 
-        def counting(self, C):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return dual(self, C)
+            return sandwich(*args, **kwargs)
 
-        monkeypatch.setattr(OperationMap, "dual", counting)
-        fresh = Instrument(inst.outcomes, inst.maps)
+        monkeypatch.setattr(instruments, "_sandwich", counting)
+        fresh = Instrument(inst.outcomes, per_outcome(inst))
         assert len(calls) == 0
         measured = fresh.measured_observable()
         assert len(calls) == 0
@@ -277,7 +332,8 @@ class TestStoredMeasuredObservable:
     def test_setting_an_attribute_still_raises(self, rng):
         inst = random_instrument(rng, 2, "lueders")
         inst.measured_observable()
-        for name in ("outcomes", "maps", "_duals", "_measured", "new"):
+        for name in ("outcomes", "kraus", "owner", "_slices", "_duals",
+                     "_measured", "new"):
             with pytest.raises(AttributeError):
                 setattr(inst, name, None)
 
@@ -287,8 +343,7 @@ class TestCoarseGrainInstrument:
         inst = random_instrument(rng, 2, "lueders")
         same = inst.coarse_grain({x: x for x in inst.outcomes})
         assert same.outcomes == inst.outcomes
-        assert sum(len(m.kraus) for m in same.maps) == \
-            sum(len(m.kraus) for m in inst.maps)
+        assert len(same.kraus) == len(inst.kraus)
         measured, measured2 = inst.measured_observable(), same.measured_observable()
         for E, F in zip(measured.effects, measured2.effects):
             assert max_abs_diff(E, F) < 1e-12

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qobs import serialization as ser
-from qobs.errors import ParseError, TraceNotOneError
+from qobs.errors import ParseError, TraceNotOneError, ValidationError
 from qobs.instruments import lueders_instrument
 from qobs.observables import Observable
 from qobs.qubit import noisy_spin
@@ -137,6 +137,22 @@ class TestInstrument:
         rho = random_density(rng, 2)
         for x in inst.outcomes:
             assert max_abs_diff(out.apply(x, rho), inst.apply(x, rho)) == 0.0
+
+    def test_kraus_family_reads_and_writes_the_stack(self, rng):
+        inst = random_instrument(rng, 2, "holevo", n_outcomes=3)
+        enc = ser.encode_instrument(inst)
+        assert [len(ops) for ops in enc["kraus"]] == \
+            np.bincount(inst.owner).tolist()
+        out = ser.decode_instrument(json.loads(ser.canonical_json(enc)))
+        assert np.array_equal(out.kraus, inst.kraus)
+        assert np.array_equal(out.owner, inst.owner)
+
+    def test_trivial_dim_above_max_dim(self):
+        with pytest.raises(ValidationError) as info:
+            ser.decode_instrument({"type": "instrument", "family": "trivial",
+                                   "dim": 65, "omega": {"1": 1.0}})
+        assert info.value.invariant == "dim-range"
+        assert info.value.field == "instrument.dim"
 
     def test_unknown_family(self):
         with pytest.raises(ParseError):
