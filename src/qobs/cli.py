@@ -20,7 +20,8 @@ import numpy as np
 from . import demos, fuzz, serialization as ser
 from .errors import ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
-from .linalg import TOL_LIN, TOL_PSD, TOL_STAT, require_dim, require_hermitian
+from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, require_dim,
+                     require_hermitian)
 from .observables import coarse_grain, conjugate, sharp_version
 from .sampling import random_bloch_vector
 from .statistics import uncertainty_report
@@ -219,6 +220,10 @@ def _cmd_demo(args, ctx: _FileContext) -> int:
     elif args.name != "example1":
         params = {"seed": args.seed}
         if args.name in ("example5", "example6", "example7"):
+            if args.outcomes > MAX_OUTCOMES:
+                raise ValidationError(
+                    f"--outcomes: {args.outcomes} is above {MAX_OUTCOMES}",
+                    invariant="outcomes-range", field="--outcomes")
             params["outcomes"] = args.outcomes
         if args.dim is not None:
             params["dim"] = require_dim(args.dim, "--dim")

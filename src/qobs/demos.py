@@ -26,7 +26,7 @@ from .instruments import (
     sequential_product,
     trivial_instrument,
 )
-from .linalg import TOL_STAT, commutator, max_abs, psd_sqrt
+from .linalg import TOL_LIN, TOL_PSD, TOL_STAT, commutator, max_abs, psd_sqrt
 from .observables import Observable, coarse_grain, stochastic_operator
 from .qubit import SIGMA_Z, noisy_spin, noisy_spin_closed_forms
 from .sampling import (
@@ -36,7 +36,7 @@ from .sampling import (
     random_probability_vector,
 )
 from .serialization import SCHEMA_VERSION
-from .states import DensityOperator, bloch_state
+from .states import DensityOperator, _bloch_matrices, _check_density, bloch_state
 
 DEMO_NAMES = tuple(f"example{i}" for i in range(1, 8))
 
@@ -292,6 +292,13 @@ def run_demo(name: str, **params) -> dict:
     return globals()[f"demo_{name}"](**params)
 
 
+_TERMS = ("commutator_term", "covariance_term", "correlation_term",
+          "variance_term", "slack")
+_ROW_KEYS = ("mu", "r1", "r2", "r3", *(key for term in _TERMS
+                                      for key in (term, f"{term}_delta")),
+             "equality")
+
+
 def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:
     """Evaluate the noisy-spin uncertainty terms over a grid of (mu, r).
 
@@ -299,40 +306,33 @@ def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:
     the closed forms, and the slack identity slack = (1 - |r|^2) mu^4 / 16,
     which is asserted to hold within ``tol``.
 
-    All Bloch vectors are validated up front, each built into its state
-    once, so a vector outside the ball raises ``OutsideBlochBallError``
+    All Bloch vectors are validated up front as one stack, as ``bloch_state``
+    checks one, so a vector outside the ball raises ``OutsideBlochBallError``
     before any row is computed.  Each mu then takes one pass of the moment
-    kernel over the stack of all states.
+    kernel and reads the terms, closed forms and deltas as arrays.
     """
-    vectors = [[float(v) for v in r] for r in bloch_vectors]
-    # reshape keeps an empty vector list a (0, 2, 2) stack
-    states = np.array([bloch_state(r).matrix for r in vectors]).reshape(-1, 2, 2)
-    rows = []
-    max_delta = 0.0
+    vectors, states = _bloch_matrices(bloch_vectors, TOL_LIN)
+    _check_density(states, TOL_LIN, max(TOL_PSD, TOL_LIN))  # as bloch_state
+    r_columns = vectors.T.tolist()
+    rows, max_delta = [], 0.0
     for mu in mu_grid:
-        A = noisy_spin(float(mu), "x")
-        B = noisy_spin(float(mu), "y")
-        _, means, M = stats._moments(states, A, B)
-        for r, rep in zip(vectors, stats._report(means, M, TOL_STAT)):
-            ref = noisy_spin_closed_forms(mu, r)
-            computed = {
-                "commutator_term": rep.commutator_term / 16.0,
-                "covariance_term": rep.covariance_sq / 16.0,
-                "correlation_term": rep.correlation_sq / 16.0,
-                "variance_term": rep.variance_product / 16.0,
-                "slack": rep.inequality_slack / 16.0,
-            }
-            row = {"mu": float(mu), "r1": r[0], "r2": r[1], "r3": r[2]}
-            for key, val in computed.items():
-                delta = abs(val - ref[key])
-                row[key], row[f"{key}_delta"] = val, delta
-                max_delta = max(max_delta, delta)
-            if row["slack_delta"] > tol:
-                raise ValidationError(
-                    f"slack identity violated by {row['slack_delta']:.3e} at "
-                    f"mu={mu}, r={r}", invariant="slack-identity",
-                    violation=row["slack_delta"])
-            row["equality"] = bool(abs(row["slack"]) <= tol)
-            rows.append(row)
+        A, B = noisy_spin(float(mu), "x"), noisy_spin(float(mu), "y")
+        terms = stats._terms(*stats._moments(states, A, B)[1:], TOL_STAT)
+        ref = noisy_spin_closed_forms(mu, vectors)
+        columns = [[float(mu)] * len(vectors), *r_columns]
+        # Report fields 0-3 and inequality_slack, at the effect level.
+        for key, i in zip(_TERMS, (0, 1, 2, 3, 5)):
+            val = terms[i] / 16.0
+            delta = abs(val - ref[key])
+            columns += [val.tolist(), delta.tolist()]
+            max_delta = max(max_delta, delta.max(initial=0.0).item())
+        if (delta > tol).any():  # the slack identity, first failing row
+            k = int((delta > tol).argmax())
+            raise ValidationError(
+                f"slack identity violated by {delta[k]:.3e} at mu={mu}, "
+                f"r={vectors[k].tolist()}", invariant="slack-identity",
+                violation=float(delta[k]))
+        columns.append((np.abs(val) <= tol).tolist())
+        rows.extend(dict(zip(_ROW_KEYS, row)) for row in zip(*columns))
     return {"schema": SCHEMA_VERSION, "rows": rows, "max_delta": max_delta,
             "tol": tol, "pass": bool(max_delta <= tol)}

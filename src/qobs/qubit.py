@@ -8,8 +8,6 @@ values the demo and sweep commands compare against.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from .errors import ValidationError
@@ -38,30 +36,34 @@ def noisy_spin(mu: float, axis: str = "x") -> Observable:
                       [(eye + mu * sigma) / 2.0, (eye - mu * sigma) / 2.0])
 
 
-def noisy_spin_closed_forms(mu: float, r: Sequence[float]) -> dict:
+def noisy_spin_closed_forms(mu: float, r) -> dict:
     """Closed-form statistics of the noisy spin-x/spin-y pair on the Bloch
     state with vector r.
 
-    ``*_term`` entries use the effect-level normalization (the observable-
-    level uncertainty terms divided by 16, since the stochastic operators
-    are 2 A_1 - I).  ``slack`` is variance_term - correlation_term, which
-    simplifies to (1 - |r|^2) mu^4 / 16.
+    ``r`` is one vector, giving Python scalars, or an ``(n, 3)`` array,
+    giving an array of n values per key.  ``*_term`` entries use the effect-
+    level normalization (the observable-level uncertainty terms divided by
+    16, since the stochastic operators are 2 A_1 - I).  ``slack`` is
+    variance_term - correlation_term, which simplifies to (1 - |r|^2) mu^4 /
+    16.  Powers use ``np.float_power``, which rounds as ``float ** n`` does.
     """
-    r1, r2, r3 = (float(v) for v in r)
+    r = np.asarray(r, dtype=float)
+    r1, r2, r3 = np.moveaxis(r, -1, 0)
     mu = float(mu)
-    mu2, mu4 = mu ** 2, mu ** 4
+    mu2, mu4 = np.float_power(mu, [2, 4])
+    s1, s2, s3, s12 = np.float_power([r1, r2, r3, r1 * r2], 2)
     out = {
         "mean_a": r1 * mu,
         "mean_b": r2 * mu,
-        "var_a": mu2 * (1.0 - r1 ** 2),
-        "var_b": mu2 * (1.0 - r2 ** 2),
-        "cor": complex(-r1 * r2 * mu2, r3 * mu2),
+        "var_a": mu2 * (1.0 - s1),
+        "var_b": mu2 * (1.0 - s2),
+        # complex(re, im) per vector; re + 1j * im can flip the sign of a zero
+        "cor": np.stack([-r1 * r2 * mu2, r3 * mu2], -1).view(complex)[..., 0],
         "second_moment_a1": 0.25 * (1.0 + mu2) + 0.5 * mu * r1,
-        "commutator_term": r3 ** 2 * mu4 / 16.0,
-        "covariance_term": (r1 * r2) ** 2 * mu4 / 16.0,
-        "correlation_term": (r3 ** 2 + (r1 * r2) ** 2) * mu4 / 16.0,
-        "variance_term": (1.0 - r1 ** 2) * (1.0 - r2 ** 2) * mu4 / 16.0,
+        "commutator_term": s3 * mu4 / 16.0,
+        "covariance_term": s12 * mu4 / 16.0,
+        "correlation_term": (s3 + s12) * mu4 / 16.0,
+        "variance_term": (1.0 - s1) * (1.0 - s2) * mu4 / 16.0,
+        "slack": ((1.0 - s1) * (1.0 - s2) - s3 - s12) * mu4 / 16.0,
     }
-    out["slack"] = ((1.0 - r1 ** 2) * (1.0 - r2 ** 2)
-                    - r3 ** 2 - (r1 * r2) ** 2) * mu4 / 16.0
-    return out
+    return {key: v.item() for key, v in out.items()} if r.ndim == 1 else out

@@ -14,7 +14,7 @@ from .errors import (
     TraceNotOneError,
     ValidationError,
 )
-from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix, require_hermitian
+from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix
 
 
 class DensityOperator(_Immutable):
@@ -28,20 +28,10 @@ class DensityOperator(_Immutable):
     __slots__ = ("matrix", "eigenvalues", "dim")
 
     def __init__(self, M, *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
-        M = require_hermitian(M, tol_lin, name="state")
-        eigs = linalg.hermitian_eigenvalues(M)
-        if eigs[0] < -tol_psd:
-            raise NotPSDError(
-                f"state has eigenvalue {eigs[0]:.3e} below -{tol_psd:.1e}",
-                invariant="psd", violation=float(-eigs[0]), field="state")
-        tr = np.trace(M)
-        defect = abs(tr - 1.0)
-        if defect > tol_lin:
-            raise TraceNotOneError(
-                f"state has trace {tr:.6g}, expected 1",
-                invariant="unit-trace", violation=float(defect), field="state")
+        M = as_matrix(M, name="state")
+        eigs = _check_density(M, tol_lin, tol_psd)
         self._set(matrix=linalg.frozen(M),
-                  eigenvalues=tuple(float(x) for x in eigs), dim=M.shape[0])
+                  eigenvalues=tuple(eigs.tolist()), dim=M.shape[0])
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim}, eigenvalues={self.eigenvalues})"
@@ -54,23 +44,61 @@ def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator(np.eye(d, dtype=complex) / d)
 
 
+def _check_density(M: np.ndarray, tol_lin: float, tol_psd: float):
+    """Ascending eigenvalues of one finite state matrix, or of each in an
+    ``(n, d, d)`` stack, after the checks Hermitian, PSD (one ``eigvalsh``)
+    and unit trace; each raises for its first failing state (``state[k]``)."""
+    linalg._check_hermitian(M, tol_lin, "state")
+    eigs = linalg.hermitian_eigenvalues(M)
+    low = eigs.T[0]  # each state's least eigenvalue; a scalar for one state
+    linalg._raise_first(low < -tol_psd, "state", lambda at, v: NotPSDError(
+        f"{at} has eigenvalue {v:.3e} below -{tol_psd:.1e}",
+        invariant="psd", violation=float(-v), field=at), low)
+    tr = M.trace(axis1=-2, axis2=-1)
+    defect = abs(tr - 1.0)
+    linalg._raise_first(defect > tol_lin, "state", lambda at, t, v:
+                        TraceNotOneError(f"{at} has trace {t:.6g}, expected 1",
+                                         invariant="unit-trace",
+                                         violation=float(v), field=at),
+                        tr, defect)
+    return eigs
+
+
+def _bloch_matrices(vectors, tol_lin: float):
+    """(r, M): n Bloch vectors as an ``(n, 3)`` array r and their states
+    (I + r . sigma)/2 as an ``(n, 2, 2)`` stack M.  Raises unless every vector
+    is three finite reals, then for the first with norm above 1 + tol_lin."""
+    try:
+        r = np.asarray(vectors, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        r = np.empty(1)
+    r = r.reshape(0, 3) if r.shape == (0,) else r
+    if r.ndim != 2 or r.shape[1] != 3 or not np.isfinite(r).all():
+        raise ValidationError("Bloch vector must be three finite reals",
+                              invariant="bloch-shape", field="r")
+    # Row-by-row dot products, rounded as np.linalg.norm of one vector is.
+    norm = np.sqrt((r[:, None] @ r[:, :, None]).ravel())
+    linalg._raise_first(norm > 1.0 + tol_lin, "r", lambda _, n: (
+        OutsideBlochBallError(f"Bloch vector has norm {n:.6g} > 1",
+                              invariant="bloch-ball",
+                              violation=float(n) - 1.0, field="r")), norm)
+    r1, r2, r3 = r.T
+    # The operations of the complex literals (1 +- r3) and r1 -+ 1j r2, so
+    # every entry, signed zeros included, is the one Python arithmetic gives.
+    z = 1j * r2
+    M = np.empty((len(r), 2, 2), dtype=complex)
+    M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1] = (1.0 + r3, r1 - z,
+                                                      r1 + z, 1.0 - r3)
+    M *= 0.5
+    return r, M
+
+
 def bloch_state(r: Sequence[float], *, tol_lin: float = TOL_LIN) -> DensityOperator:
     """Qubit state (I + r . sigma)/2 for a Bloch vector r = (r1, r2, r3).
 
     Eigenvalues are (1 +- |r|)/2; |r| = 1 gives exactly the pure states.
     """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3,) or not np.all(np.isfinite(r)):
-        raise ValidationError("Bloch vector must be three finite reals",
-                              invariant="bloch-shape", field="r")
-    norm = float(np.linalg.norm(r))
-    if norm > 1.0 + tol_lin:
-        raise OutsideBlochBallError(
-            f"Bloch vector has norm {norm:.6g} > 1", invariant="bloch-ball",
-            violation=norm - 1.0, field="r")
-    r1, r2, r3 = (float(x) for x in r)
-    M = 0.5 * np.array([[1.0 + r3, r1 - 1j * r2],
-                        [r1 + 1j * r2, 1.0 - r3]], dtype=complex)
+    M = _bloch_matrices([r], tol_lin)[1][0]
     # Validation tolerance is widened by the allowed overshoot of |r|.
     return DensityOperator(M, tol_lin=tol_lin, tol_psd=max(TOL_PSD, tol_lin))
 

@@ -117,9 +117,15 @@ def uncertainty_report(rho: DensityOperator, A, B,
 
 def _report(means: np.ndarray, M: np.ndarray,
             tol: float) -> list[UncertaintyReport]:
-    """One report per state along the leading axes of the kernel's means
-    and M, in row-major order; one state gives a list of one.  Raises for
-    the first state whose residuals exceed ``tol``."""
+    """``_terms`` as one report per state; one state gives a list of one."""
+    return [UncertaintyReport(*terms, tol) for terms in zip(
+        *(t.tolist() for t in _terms(means, M, tol)))]
+
+
+def _terms(means: np.ndarray, M: np.ndarray, tol: float):
+    """The six ``UncertaintyReport`` terms in field order, as arrays over the
+    states along the leading axes of the kernel's means and M, in row-major
+    order.  Raises for the first state whose residuals exceed ``tol``."""
     means, M = means.reshape(-1, 2), M.reshape(-1, 2, 2)
     cor = M[:, 0, 1] - means[:, 0] * means[:, 1]
     comm = M[:, 0, 1] - M[:, 1, 0]
@@ -143,10 +149,8 @@ def _report(means: np.ndarray, M: np.ndarray,
                 f"exceeds {tol:.1e} x {scale[i]:.3g}")
         raise InternalConsistencyError(
             f"uncertainty inequality violated by {-inequality_slack[i]:.3e}")
-    return [UncertaintyReport(*terms, tol) for terms in zip(
-        commutator_term.tolist(), covariance_sq.tolist(),
-        correlation_sq.tolist(), variance_product.tolist(),
-        equation_residual.tolist(), inequality_slack.tolist())]
+    return (commutator_term, covariance_sq, correlation_sq, variance_product,
+            equation_residual, inequality_slack)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import pytest
 from qobs import serialization as ser
 from qobs.cli import _build_parser, main
 from qobs.instruments import lueders_instrument
+from qobs.linalg import MAX_OUTCOMES
 from qobs.qubit import noisy_spin
 from qobs.sampling import random_density, random_instrument, random_observable
 from qobs.states import DensityOperator
@@ -191,6 +192,27 @@ class TestSweep:
         assert header[:4] == ["mu", "r1", "r2", "r3"]
         assert len(out.splitlines()) == 3
 
+    def test_csv_cells_equal_json_values(self, capsys):
+        argv = ["sweep-example4", "--mu-grid", "0,0.3,0.9,1", "--samples", "6",
+                "--surface", "2", "--seed", "7"]
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        assert main([*argv, "--format", "csv"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        header = header.split(",")
+        terms = ("commutator_term", "covariance_term", "correlation_term",
+                 "variance_term", "slack")
+        assert header == ["mu", "r1", "r2", "r3",
+                          *(k for t in terms for k in (t, f"{t}_delta")),
+                          "equality"]
+        assert len(lines) == len(out["rows"]) == 24
+        for line, row in zip(lines, out["rows"]):
+            assert sorted(header) == list(row)  # canonical JSON sorts keys
+            cells = [{"True": True, "False": False}.get(c, c)
+                     for c in line.split(",")]
+            cells = [c if isinstance(c, bool) else float(c) for c in cells]
+            assert repr(cells) == repr([row[key] for key in header])
+
     def test_equatorial_vectors_zero_the_commutator_column(self, rng):
         from qobs.demos import sweep_noisy_spin
         from qobs.sampling import random_bloch_vector
@@ -308,6 +330,15 @@ _ABOVE_MAX_DIM = [
     pytest.param(["demo", "example2", "--dim", "1000000"], id="demo-dim-huge"),
 ]
 
+# Outcome counts above MAX_OUTCOMES, checked before any array is allocated.
+_ABOVE_MAX_OUTCOMES = [
+    pytest.param(["demo", "example5", "--outcomes", "1000000000000"],
+                 id="demo-example5-outcomes-huge"),
+    *[pytest.param(["demo", name, "--outcomes", str(MAX_OUTCOMES + 1),
+                    "--dim", "1"], id=f"demo-{name}-outcomes-above-cap")
+      for name in ("example6", "example7")],
+]
+
 
 @pytest.mark.parametrize("argv", [
     ["validate", "observable-outcomes"],
@@ -340,6 +371,7 @@ _ABOVE_MAX_DIM = [
     pytest.param(["sweep-example4", "--surface", "-1"],
                  id="sweep-surface-negative"),
     *_ABOVE_MAX_DIM,
+    *_ABOVE_MAX_OUTCOMES,
     pytest.param(["fuzz", "--trials", "1", "--dims=-1000000000000..3"],
                  id="fuzz-dims-range-huge-negative"),
 ], ids=lambda argv: "-".join(argv[:2]))
@@ -364,6 +396,19 @@ def _run_malformed(capsys, tmp_path, argv) -> dict:
 def test_dimension_above_max_dim_is_dim_range(capsys, tmp_path, argv):
     assert _run_malformed(capsys, tmp_path, argv)["error"]["invariant"] == \
         "dim-range"
+
+
+@pytest.mark.parametrize("argv", _ABOVE_MAX_OUTCOMES)
+def test_outcomes_above_max_outcomes_is_outcomes_range(capsys, tmp_path, argv):
+    error = _run_malformed(capsys, tmp_path, argv)["error"]
+    assert (error["invariant"], error["field"]) == ("outcomes-range",
+                                                    "--outcomes")
+
+
+def test_outcomes_at_max_outcomes_is_accepted(capsys):
+    code, out = run_cli(capsys, "demo", "example5", "--outcomes",
+                        str(MAX_OUTCOMES), "--dim", "1", "--json")
+    assert code == 0 and out["pass"] is True
 
 
 def test_cached_parser_keeps_no_flags_between_calls(capsys, files):

@@ -9,10 +9,10 @@ import runpy
 import numpy as np
 import pytest
 
-from qobs import statistics as stats
+from qobs import demos, statistics as stats
 from qobs.demos import sweep_noisy_spin
-from qobs.errors import OutsideBlochBallError
-from qobs.qubit import noisy_spin
+from qobs.errors import OutsideBlochBallError, ValidationError
+from qobs.qubit import noisy_spin, noisy_spin_closed_forms
 from qobs.sampling import random_bloch_vector
 from qobs.states import DensityOperator, bloch_state
 
@@ -47,8 +47,9 @@ class TestSweepNoisySpin:
 
     @staticmethod
     def _count_calls(monkeypatch):
-        built, passes = [], []
+        built, passes, checked = [], [], []
         init, kernel = DensityOperator.__init__, stats._moments
+        check = demos._check_density
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
@@ -58,9 +59,14 @@ class TestSweepNoisySpin:
             passes.append(1)
             return kernel(*args)
 
+        def counting_check(M, *args):
+            checked.append(M.shape)
+            return check(M, *args)
+
         monkeypatch.setattr(DensityOperator, "__init__", counting_init)
         monkeypatch.setattr(stats, "_moments", counting_kernel)
-        return built, passes
+        monkeypatch.setattr(demos, "_check_density", counting_check)
+        return built, passes, checked
 
     def test_rows_equal_single_state_reports(self, rng):
         mu_grid = [0.0, 0.25, 1.0]
@@ -82,17 +88,60 @@ class TestSweepNoisySpin:
     def test_builds_each_state_once_and_one_kernel_pass_per_mu(
             self, rng, monkeypatch):
         vectors = [random_bloch_vector(rng, surface=k < 8) for k in range(40)]
-        built, passes = self._count_calls(monkeypatch)
+        built, passes, checked = self._count_calls(monkeypatch)
         out = sweep_noisy_spin([0.0, 0.25, 0.5, 0.75, 1.0], vectors)
         assert len(out["rows"]) == 200
-        assert len(built) == 40
+        assert built == []  # validated as one stack, no DensityOperator
+        assert checked == [(40, 2, 2)]
         assert len(passes) == 5
 
     def test_vector_outside_the_ball_fails_before_any_row(self, monkeypatch):
-        _, passes = self._count_calls(monkeypatch)
+        _, passes, _ = self._count_calls(monkeypatch)
         with pytest.raises(OutsideBlochBallError):
             sweep_noisy_spin([0.5], [(0.0, 0.0, 0.5), (1.0, 1.0, 0.0)])
         assert passes == []
+
+    @pytest.mark.parametrize("vectors", [
+        [(0.0, 0.0, 1.0), (0.1, 0.2)],
+        [(0.0, 0.0, 1.0), (0.1, 0.2, 0.3, 0.4)],
+        [(0.1, 0.2)],
+        (0.0, 0.0, 1.0),
+    ], ids=["two-reals", "four-reals", "only-two-reals", "bare-vector"])
+    def test_malformed_vector_is_bloch_shape(self, monkeypatch, vectors):
+        _, passes, _ = self._count_calls(monkeypatch)
+        with pytest.raises(ValidationError) as err:
+            sweep_noisy_spin([0.5], vectors)
+        assert err.value.invariant == "bloch-shape"
+        assert passes == []
+
+    @staticmethod
+    def _reference_row(mu, r, tol):
+        """One row the way a row-by-row sweep builds it: a state, a report
+        and the scalar closed forms per vector."""
+        rep = stats.uncertainty_report(bloch_state(r), noisy_spin(mu, "x"),
+                                       noisy_spin(mu, "y"))
+        ref = noisy_spin_closed_forms(mu, r)
+        row = {"mu": float(mu), **dict(zip(("r1", "r2", "r3"),
+                                           (float(v) for v in r)))}
+        for key, field in TestSweepNoisySpin.TERMS.items():
+            val = getattr(rep, field) / 16.0
+            row[key], row[f"{key}_delta"] = val, abs(val - ref[key])
+        row["equality"] = bool(abs(row["slack"]) <= tol)
+        return row
+
+    def test_rows_equal_row_by_row_reference_exactly(self, rng):
+        """Every value, signed zeros included, compared by repr."""
+        axes = [tuple(s * float(i == j) for j in range(3))
+                for i in range(3) for s in (1.0, -1.0)]
+        vectors = [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.5, -0.0, 0.0),
+                   *axes, *self._vectors(rng, 6)]
+        mu_grid = [0.3, 0.9, 0.0, 1.0]
+        out = sweep_noisy_spin(mu_grid, vectors)
+        expected = [self._reference_row(mu, r, out["tol"])
+                    for mu in mu_grid for r in vectors]
+        assert repr(out["rows"]) == repr(expected)
+        assert out["max_delta"] == max(
+            row[f"{key}_delta"] for row in expected for key in self.TERMS)
 
     def test_empty_grids_give_no_rows(self):
         for mu_grid, vectors in (([], [(0.0, 0.0, 1.0)]), ([0.5], [])):

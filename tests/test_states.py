@@ -12,6 +12,7 @@ from qobs.errors import (
     TraceNotOneError,
     ValidationError,
 )
+from qobs.linalg import TOL_LIN, TOL_PSD
 from qobs.sampling import (
     ginibre,
     random_bloch_vector,
@@ -53,6 +54,48 @@ class TestConstruction:
             rho.dim = 3
 
 
+class TestStackCheck:
+    """``_check_density`` on a stack applies the rules ``DensityOperator``
+    applies to one matrix, and names the first failing state."""
+
+    FAULTS = {
+        "not-hermitian": np.array([[1.0, 1.0], [0.0, 0.0]]),
+        "negative-eigenvalue": np.diag([1.5, -0.5]),
+        "trace-not-one": np.diag([0.6, 0.6]),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_fault_at_k_is_named(self, rng, fault, k):
+        bad = self.FAULTS[fault].astype(complex)
+        with pytest.raises(ValidationError) as single:
+            states.DensityOperator(bad)
+        stack = np.array([random_density(rng, 2).matrix for _ in range(6)])
+        stack[k] = bad
+        with pytest.raises(ValidationError) as err:
+            states._check_density(stack, TOL_LIN, TOL_PSD)
+        assert type(err.value) is type(single.value)
+        assert err.value.invariant == single.value.invariant
+        assert err.value.violation == single.value.violation
+        assert err.value.field == f"state[{k}]"
+        assert str(err.value) == str(single.value).replace(
+            "state", f"state[{k}]", 1)
+
+    def test_valid_stack_gives_each_states_eigenvalues(self, rng):
+        rhos = [random_density(rng, 3) for _ in range(4)]
+        eigs = states._check_density(np.array([r.matrix for r in rhos]),
+                                     TOL_LIN, TOL_PSD)
+        assert eigs.shape == (4, 3)
+        for row, rho in zip(eigs, rhos):
+            assert np.allclose(row, rho.eigenvalues, atol=1e-14)
+
+    def test_one_matrix_keeps_the_field_state(self):
+        with pytest.raises(NotPSDError) as err:
+            states.DensityOperator(np.diag([1.5, -0.5]))
+        assert err.value.field == "state"
+        assert str(err.value) == "state has eigenvalue -5.000e-01 below -1.0e-08"
+
+
 class TestMaximallyMixed:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_is_identity_over_d(self, d):
@@ -89,6 +132,23 @@ class TestBloch:
     def test_outside_ball_rejected(self):
         with pytest.raises(OutsideBlochBallError):
             states.bloch_state((1.0, 0.5, 0.0))
+
+    @pytest.mark.parametrize("r", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4),
+                                   ((0.1, 0.2, 0.3),), (0.1, np.nan, 0.0)])
+    def test_malformed_vector_is_bloch_shape(self, r):
+        with pytest.raises(ValidationError) as err:
+            states.bloch_state(r)
+        assert err.value.invariant == "bloch-shape"
+        assert err.value.field == "r"
+
+    def test_stack_matrices_equal_bloch_state(self, rng):
+        vectors = [random_bloch_vector(rng, surface=k % 2 == 0)
+                   for k in range(10)] + [(-0.0, 0.0, -0.0), (0.0, -1.0, 0.0)]
+        r, M = states._bloch_matrices(vectors, TOL_LIN)
+        assert r.shape == (12, 3) and M.shape == (12, 2, 2)
+        for v, m in zip(vectors, M):
+            assert repr(m.tolist()) == repr(
+                states.bloch_state(v).matrix.tolist())
 
     def test_eigenvalue_closed_form_on_grid(self, rng):
         for _ in range(100):
