@@ -3,8 +3,9 @@
 Any function f from outcomes to reals turns an observable A into f(A) by
 summing the effects over each fiber f^{-1}(z).  The stochastic operator
 pushes forward: f(A)~ = sum_x f(x) A_x.  The same recipe applies to
-instruments by regrouping their Kraus stack by fiber, and it commutes with
-taking the measured observable.
+instruments by regrouping each fiber's Kraus operators (or, for a Holevo
+instrument, its measure-and-prepare pairs), and it commutes with taking the
+measured observable.
 """
 
 import numpy as np

@@ -1,12 +1,11 @@
-"""Finite quantum instruments in operator-sum form.
+"""Finite quantum instruments: Kraus slices or measure-and-prepare pairs.
 
 An instrument assigns to each outcome a completely positive trace-
-nonincreasing map; the maps must sum to a channel.  Representing every map
-by its Kraus operators makes complete positivity true by construction, and
-covers the three named families: trivial (scaled identity), Holevo
-(measure-and-reprepare), and Lueders (square-root pinching).  All Kraus
-operators sit in one read-only stack grouped by outcome: a map is one
-contiguous slice of it, and coarse graining regroups it.
+nonincreasing map; the maps must sum to a channel.  A map is a Kraus slice
+``(K,)``, rho -> sum_j K_j rho K_j*, checked by the constructor (trivial and
+Lueders families), or Holevo pairs ``(A, alpha)``, rho -> sum_i tr(rho A_i)
+alpha_i, valid as A and each alpha_i were checked when built: O(d^2) per
+pair, where its Kraus form has d * rank(alpha_i) operators.
 """
 
 from __future__ import annotations
@@ -32,26 +31,40 @@ from .states import DensityOperator
 from .statistics import average, variance as obs_variance
 
 
-def _sandwich(K: np.ndarray, M: np.ndarray, dual: bool = False) -> np.ndarray:
-    """sum_j K_j M K_j* over one outcome's Kraus slice K, or with ``dual``
-    the same sandwich by K*, sum_j K_j* M K_j.  M may be a stack."""
+def _sandwich(part: tuple, M: np.ndarray, dual: bool = False) -> np.ndarray:
+    """One outcome's map on M, sum_j K_j M K_j* or sum_i tr(M A_i) alpha_i,
+    or with ``dual`` its dual, sum_j K_j* M K_j or sum_i tr(M alpha_i) A_i.
+    M may be a stack.  Every action of a map goes through here."""
+    if len(part) == 2:
+        A, alpha = part[::-1] if dual else part
+        return np.einsum("...i,iab->...ab",
+                         np.einsum("iab,...ba->...i", A, M), alpha)
+    K, = part
     K = K.reshape((len(K),) + (1,) * (np.ndim(M) - 2) + K.shape[1:])
     Kh = K.conj().swapaxes(-1, -2)
     return (Kh @ M @ K if dual else K @ M @ Kh).sum(0)
 
 
-class Instrument(_Immutable):
-    """Outcomes, each with its Kraus operators, summing to a channel.
+def _holevo_kraus(A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Exact Kraus operators of pairs: for rho -> tr(rho E) alpha with
+    alpha = sum_j lam_j |v_j><v_j| and {e_k} the standard basis,
+    K_(j,k) = sqrt(lam_j) |v_j><e_k| E^{1/2}, so d * rank(alpha) of them."""
+    lam, vecs = np.linalg.eigh(alphas)
+    blocks = [np.sqrt(w[w > 0.0])[:, None, None, None] * (  # rank(alpha) > 0
+        v.T[w > 0.0][:, None, :, None] * psd_sqrt(E)[None, :, None, :])
+        for E, w, v in zip(A, lam, vecs)]
+    return np.concatenate(blocks).reshape((-1,) + A.shape[1:])
 
-    ``kraus`` is one read-only ``(m, d, d)`` stack grouped by outcome in
-    order, and ``owner`` the read-only index of each operator's outcome.
-    The dual images of the identity, sum K*K per outcome, are formed once
-    for the checks and kept; the measured observable built from them is
-    stored in ``_derived`` when first asked for, as an ``Observable`` does.
+
+class Instrument(_Immutable):
+    """Outcomes, each with its map (a Kraus slice or Holevo pairs), summing
+    to a channel.  ``kraus`` is one read-only ``(m, d, d)`` stack grouped by
+    outcome in order, and ``owner`` the read-only index of each operator's
+    outcome; both are built on first read (factoring each Holevo pair into
+    d * rank(alpha_i) operators) and kept, as is the measured observable.
     """
 
-    __slots__ = ("outcomes", "kraus", "owner", "dim", "_slices", "_duals",
-                 "_derived")
+    __slots__ = ("outcomes", "dim", "_parts", "_duals", "_derived")
 
     def __init__(self, outcomes: Sequence[Hashable], kraus: Sequence,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
@@ -75,26 +88,42 @@ class Instrument(_Immutable):
                 linalg.as_stack(ops, name=f"kraus[{i}]")
             raise DimensionMismatchError("Kraus operators have mixed dims",
                                          invariant="matching-dims")
-        counts = [len(ops) for ops in kraus]
-        slices = tuple(np.split(stack, np.cumsum(counts)[:-1]))
-        duals = np.array([(K.conj().swapaxes(-1, -2) @ K).sum(0) for K in slices])
-        top = linalg.hermitian_eigenvalues(duals)[:, -1]
+        ends = np.cumsum([len(ops) for ops in kraus])[:-1]
+        self._fill(outs, [(K,) for K in np.split(stack, ends)])
+        top = linalg.hermitian_eigenvalues(self._duals)[:, -1]
         i = int(np.argmax(top > 1.0 + tol_psd))  # the first bad outcome, if any
         if top[i] > 1.0 + tol_psd:
             raise ValidationError(
                 f"outcome {i} increases trace: sum K*K has eigenvalue "
                 f"{top[i]:.6g}", invariant="trace-nonincreasing",
                 violation=float(top[i]) - 1.0, field=f"kraus[{i}]")
-        residual = max_abs(duals.sum(0) - np.eye(stack.shape[1]))
+        residual = max_abs(self._duals.sum(0) - np.eye(self.dim))
         if residual > tol_lin:
             raise CompletenessViolationError(
                 f"total map is not a channel (residual {residual:.3e})",
                 invariant="channel", residual=residual)
-        owner = np.repeat(np.arange(len(outs)), counts)
+
+    def _fill(self, outcomes: Sequence[Hashable], parts: list) -> "Instrument":
+        """Set the parts and their duals of I, with no check: sum K*K over
+        a slice, or sum A_i over pairs since tr alpha_i = 1."""
+        duals = np.array([p[0].sum(0) if len(p) == 2 else
+                          (p[0].conj().swapaxes(-1, -2) @ p[0]).sum(0)
+                          for p in parts])
+        self._set(outcomes=tuple(outcomes), dim=duals.shape[1],
+                  _parts=tuple(parts), _duals=duals, _derived={})
+        return self
+
+    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
+        blocks = [p[0] if len(p) == 1 else _holevo_kraus(*p)
+                  for p in self._parts]
+        stack = np.concatenate(blocks)
+        owner = np.repeat(np.arange(len(blocks)), [len(K) for K in blocks])
         for arr in (stack, owner):
             arr.setflags(write=False)
-        self._set(outcomes=outs, kraus=stack, owner=owner, dim=stack.shape[1],
-                  _slices=slices, _duals=duals, _derived={})
+        return stack, owner
+
+    kraus = property(lambda self: _stored(self._derived, "kraus", self._factor)[0])
+    owner = property(lambda self: _stored(self._derived, "kraus", self._factor)[1])
 
     def __len__(self):
         return len(self.outcomes)
@@ -110,16 +139,17 @@ class Instrument(_Immutable):
     def apply(self, x, rho: DensityOperator) -> np.ndarray:
         """Subnormalized post-measurement matrix for outcome x; its trace is
         the outcome probability, so the result is not itself a state."""
-        return _sandwich(self._slices[self._index(x)], rho.matrix)
+        return _sandwich(self._parts[self._index(x)], rho.matrix)
 
     def dual_apply(self, x, C) -> np.ndarray:
-        """Heisenberg-picture action on an operator for outcome x."""
-        C = as_matrix(C, name="C")
-        if C.shape[0] != self.dim:
+        """Heisenberg-picture action for outcome x on an operator, or on
+        each of an ``(n, d, d)`` stack of them."""
+        C = (linalg.as_stack if np.ndim(C) == 3 else as_matrix)(C, name="C")
+        if C.shape[-1] != self.dim:
             raise DimensionMismatchError(
-                f"operator dim {C.shape[0]} does not match instrument dim {self.dim}",
+                f"operator dim {C.shape[-1]} does not match instrument dim {self.dim}",
                 invariant="matching-dims")
-        return _sandwich(self._slices[self._index(x)], C, dual=True)
+        return _sandwich(self._parts[self._index(x)], C, dual=True)
 
     def measured_observable(self) -> Observable:
         """The unique observable whose probabilities the instrument
@@ -131,15 +161,17 @@ class Instrument(_Immutable):
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
         """Total state change when the outcome is ignored."""
-        out = sum(_sandwich(K, rho.matrix) for K in self._slices)
+        out = sum(_sandwich(part, rho.matrix) for part in self._parts)
         return DensityOperator((out + out.conj().T) / 2.0)
 
     def coarse_grain(self, f: Mapping | Callable) -> "Instrument":
-        """Merge outcomes through a real-valued function: the same Kraus
-        stack, regrouped by the fiber of each operator's outcome."""
+        """Merge outcomes through a real-valued function: each fiber's Kraus
+        slices, or pairs, concatenated in outcome order, with no new check."""
         zs, index = fibers(f, self.outcomes)
-        fiber = index[self.owner]
-        return Instrument(zs, [self.kraus[fiber == z] for z in range(len(zs))])
+        fibered = [zip(*(p for p, z in zip(self._parts, index) if z == k))
+                   for k in range(len(zs))]
+        return Instrument.__new__(Instrument)._fill(
+            zs, [tuple(map(np.concatenate, arrs)) for arrs in fibered])
 
     def mean(self, rho: DensityOperator) -> float:
         """Outcome-weighted total trace, available for real outcomes only;
@@ -172,16 +204,13 @@ def trivial_instrument(omega: Mapping, dim: int, *,
 
 
 def holevo_instrument(A: Observable,
-                      alphas: Sequence[DensityOperator] | Mapping,
-                      *, tol_lin: float = TOL_LIN) -> Instrument:
+                      alphas: Sequence[DensityOperator] | Mapping) -> Instrument:
     """Measure-and-reprepare instrument: outcome x occurs with probability
     tr(rho A_x) and the state is replaced by the fixed state alpha_x.
 
     ``alphas`` is either a list parallel to the outcomes or a mapping keyed
-    by them; it must cover every outcome.  Kraus factorization: with
-    alpha_x = sum_j lam_j |v_j><v_j| and {e_k} the standard basis,
-    K_(j,k) = sqrt(lam_j) |v_j><e_k| A_x^{1/2} reproduces
-    tr(rho A_x) alpha_x exactly.
+    by them; it must cover every outcome.  The pairs (A_x, alpha_x) are kept
+    with no new check; their Kraus operators are formed only if read.
     """
     if isinstance(alphas, Mapping):
         missing = [x for x in A.keys if x not in alphas]
@@ -193,21 +222,12 @@ def holevo_instrument(A: Observable,
     if len(alphas) != len(A):
         raise ValidationError("need one reprepared state per outcome",
                               invariant="parallel-lists")
-    d = A.dim
-    kraus = []
-    for E, alpha in zip(A.effects, alphas):
-        if alpha.dim != d:
-            raise DimensionMismatchError(
-                "reprepared state dim does not match observable dim",
-                invariant="matching-dims")
-        root = psd_sqrt(E)
-        lam, vecs = np.linalg.eigh(alpha.matrix)
-        keep = lam > 0.0  # not empty: a state has trace 1
-        # K[j, k] = sqrt(lam_j) * outer(v_j, root[k, :])
-        K = np.sqrt(lam[keep])[:, None, None, None] * (
-            vecs.T[keep][:, None, :, None] * root[None, :, None, :])
-        kraus.append(K.reshape(-1, d, d))
-    return Instrument(A.keys, kraus, tol_lin=tol_lin)
+    if any(alpha.dim != A.dim for alpha in alphas):
+        raise DimensionMismatchError(
+            "reprepared state dim does not match observable dim",
+            invariant="matching-dims")
+    return Instrument.__new__(Instrument)._fill(A.keys, [
+        (E[None], alpha.matrix[None]) for E, alpha in zip(A.effects, alphas)])
 
 
 def lueders_instrument(A: Observable, *, tol_lin: float = TOL_LIN) -> Instrument:
@@ -221,7 +241,7 @@ def _dual_images(inst: Instrument, B: Observable) -> list[np.ndarray]:
         raise DimensionMismatchError(
             f"instrument dim {inst.dim} does not match observable dim {B.dim}",
             invariant="matching-dims")
-    return [_sandwich(K, B.effects, dual=True) for K in inst._slices]
+    return [_sandwich(part, B.effects, dual=True) for part in inst._parts]
 
 
 def sequential_product(inst: Instrument, B: Observable,

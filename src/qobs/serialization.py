@@ -202,7 +202,7 @@ def decode_instrument(obj, field: str = "instrument", *,
         alphas = [decode_state(s, f"{field}.states[{i}]",
                                tol_lin=tol_lin, tol_psd=tol_psd)
                   for i, s in enumerate(raw_states)]
-        return holevo_instrument(A, alphas, tol_lin=tol_lin)
+        return holevo_instrument(A, alphas)
     if family == "kraus":
         raw_outs = _list(_expect(obj, "outcomes", field), f"{field}.outcomes")
         raw_kraus = _list(_expect(obj, "kraus", field), f"{field}.kraus")

@@ -1,5 +1,7 @@
 """Instrument families, duals, measured observables, sequential products."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from qobs.instruments import (
     sequential_product,
     trivial_instrument,
 )
-from qobs.linalg import psd_sqrt
+from qobs.linalg import TOL_LIN, entry_norms, psd_sqrt, scale_of
 from qobs.observables import (
     Observable,
     coarse_grain,
@@ -43,11 +45,19 @@ from qobs.states import bloch_state
 from conftest import max_abs_diff
 
 FAMILIES = ("trivial", "holevo", "lueders")
+KRAUS_FORM = ("trivial", "lueders")  # the Holevo family keeps (A_x, alpha_x)
 
 
 def per_outcome(inst):
     """The instrument's Kraus stack split back into one array per outcome."""
     return [inst.kraus[inst.owner == i] for i in range(len(inst))]
+
+
+def twins(rng, dim, family, **kw):
+    """Two instruments built independently from the same random draws."""
+    other = copy.deepcopy(rng)
+    return (random_instrument(rng, dim, family, **kw),
+            random_instrument(other, dim, family, **kw))
 
 
 class TestValidation:
@@ -275,8 +285,9 @@ class TestStackedLayout:
         assert rebuilt.outcomes == inst.outcomes
         assert np.array_equal(rebuilt.kraus, inst.kraus)
         assert np.array_equal(rebuilt.owner, inst.owner)
-        assert np.array_equal(rebuilt.measured_observable().effects,
-                              inst.measured_observable().effects)
+        if family in KRAUS_FORM:  # Holevo pairs: see TestPairForm
+            assert np.array_equal(rebuilt.measured_observable().effects,
+                                  inst.measured_observable().effects)
         assert not inst.kraus.flags.writeable
         assert not inst.owner.flags.writeable
 
@@ -303,16 +314,20 @@ class TestStackedLayout:
 class TestStoredMeasuredObservable:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_repeat_is_same_object_and_equals_fresh(self, family, rng):
-        inst = random_instrument(rng, 3, family)
+        inst, twin = twins(rng, 3, family)
         measured = inst.measured_observable()
         assert inst.measured_observable() is measured
-        fresh = Instrument(inst.outcomes,
-                           per_outcome(inst)).measured_observable()
+        fresh = twin.measured_observable()
         assert measured.keys == fresh.keys
         assert np.array_equal(measured.effects, fresh.effects)
+        if family in KRAUS_FORM:  # Holevo pairs: see TestPairForm
+            rebuilt = Instrument(inst.outcomes,
+                                 per_outcome(inst)).measured_observable()
+            assert np.array_equal(measured.effects, rebuilt.effects)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_identity_duals_are_formed_once(self, family, rng, monkeypatch):
+        twin_rng = copy.deepcopy(rng)
         inst = random_instrument(rng, 3, family)
         calls = []
         sandwich = instruments._sandwich
@@ -322,23 +337,133 @@ class TestStoredMeasuredObservable:
             return sandwich(*args, **kwargs)
 
         monkeypatch.setattr(instruments, "_sandwich", counting)
-        fresh = Instrument(inst.outcomes, per_outcome(inst))
+        fresh = random_instrument(twin_rng, 3, family)
+        rebuilt = Instrument(inst.outcomes, per_outcome(inst))
         assert len(calls) == 0
         measured = fresh.measured_observable()
+        rebuilt.measured_observable()
         assert len(calls) == 0
         assert np.array_equal(measured.effects,
                               inst.measured_observable().effects)
+        if family in KRAUS_FORM:  # Holevo pairs: see TestPairForm
+            assert np.array_equal(rebuilt.measured_observable().effects,
+                                  measured.effects)
 
     def test_setting_an_attribute_still_raises(self, rng):
-        inst = random_instrument(rng, 2, "lueders")
-        inst.measured_observable()
-        for name in ("outcomes", "kraus", "owner", "_slices", "_duals",
-                     "_measured", "new"):
-            with pytest.raises(AttributeError):
-                setattr(inst, name, None)
+        for family in ("lueders", "holevo"):
+            inst = random_instrument(rng, 2, family)
+            inst.measured_observable()
+            for name in ("outcomes", "kraus", "owner", "dim", "_parts",
+                         "_duals", "_derived", "new"):
+                with pytest.raises(AttributeError):
+                    setattr(inst, name, None)
+
+
+def assert_close(got, want):
+    """Agreement within TOL_LIN * scale_of(want), matrix by matrix, or
+    within TOL_LIN * max(1, |want|) for a number."""
+    if np.ndim(want) < 2:
+        assert abs(got - want) <= TOL_LIN * max(1.0, abs(want))
+    else:
+        assert np.all(entry_norms(got - want) <= TOL_LIN * scale_of(want))
+
+
+def _projection_pair(rng, dim):
+    """Effects P and I - P for a random rank-one P: rank-deficient at
+    every dim > 1, and I - P = 0 at dim 1."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    P = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return Observable([-1.0, 1.0], [P, np.eye(dim) - P])
+
+
+class TestPairForm:
+    """A Holevo instrument keeps its (A_x, alpha_x) pairs; it must agree
+    with the Kraus-form instrument built from its own ``kraus`` stack."""
+
+    @pytest.mark.parametrize("dim", (1, 2, 5))
+    @pytest.mark.parametrize("effects", ("full", "deficient"))
+    @pytest.mark.parametrize("states", ("full", "deficient"))
+    def test_agrees_with_its_kraus_form(self, dim, effects, states, rng):
+        A = (random_observable(rng, dim, 3) if effects == "full"
+             else _projection_pair(rng, dim))
+        rank = dim if states == "full" else 1
+        inst = holevo_instrument(
+            A, [random_density(rng, dim, rank=rank) for _ in range(len(A))])
+        kraus = Instrument(inst.outcomes, per_outcome(inst))
+        rho = random_density(rng, dim)
+        C = random_hermitian(rng, dim)
+        stack = np.array([random_hermitian(rng, dim) for _ in range(3)])
+        B = random_observable(rng, dim, 2)
+        for x in inst.outcomes:
+            assert_close(inst.apply(x, rho), kraus.apply(x, rho))
+            assert_close(inst.dual_apply(x, C), kraus.dual_apply(x, C))
+            assert_close(inst.dual_apply(x, stack), kraus.dual_apply(x, stack))
+        assert_close(inst.channel(rho).matrix, kraus.channel(rho).matrix)
+        assert_close(inst.mean(rho), kraus.mean(rho))
+        assert_close(inst.measured_observable().effects,
+                     kraus.measured_observable().effects)
+        for build in (sequential_product, conditioned_observable):
+            pair_obs, kraus_obs = build(inst, B), build(kraus, B)
+            assert pair_obs.keys == kraus_obs.keys
+            assert_close(pair_obs.effects, kraus_obs.effects)
+        f = {x: float(i % 2) for i, x in enumerate(inst.outcomes)}
+        merged, kraus_merged = inst.coarse_grain(f), kraus.coarse_grain(f)
+        assert merged.outcomes == kraus_merged.outcomes
+        for z in merged.outcomes:
+            assert_close(merged.apply(z, rho), kraus_merged.apply(z, rho))
+        assert_close(merged.measured_observable().effects,
+                     kraus_merged.measured_observable().effects)
+        assert np.array_equal(merged.kraus, kraus_merged.kraus)
+
+    def test_dual_apply_of_a_stack_is_each_dual(self, rng):
+        for family in FAMILIES:
+            inst = random_instrument(rng, 3, family)
+            stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+            for x in inst.outcomes:
+                out = inst.dual_apply(x, stack)
+                for C, D in zip(stack, out):
+                    assert_close(D, inst.dual_apply(x, C))
+            with pytest.raises(DimensionMismatchError):
+                inst.dual_apply(inst.outcomes[0], np.zeros((2, 2, 2)))
+
+    def test_large_dim_never_forms_kraus_operators(self, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Kraus operators of a pair were formed")
+
+        monkeypatch.setattr(instruments, "_holevo_kraus", refuse)
+        dim = 64
+        A = random_observable(rng, dim, 3)
+        inst = holevo_instrument(A, [random_density(rng, dim) for _ in range(3)])
+        rho = random_density(rng, dim)
+        B = random_observable(rng, dim, 3)
+        x = inst.outcomes[0]
+        assert np.trace(inst.apply(x, rho)).real == pytest.approx(
+            np.trace(rho.matrix @ A.effects[0]).real, abs=1e-12)
+        assert inst.dual_apply(x, B.effects).shape == (3, dim, dim)
+        assert inst.channel(rho).dim == dim
+        inst.mean(rho)
+        assert_close(inst.measured_observable().effects, A.effects)
+        sequential_product(inst, B)
+        conditioned_observable(inst, B)
+        merged = inst.coarse_grain(lambda x: 0.0)
+        assert_close(merged.apply(0.0, rho), inst.channel(rho).matrix)
+        with pytest.raises(AssertionError, match="were formed"):
+            inst.kraus
 
 
 class TestCoarseGrainInstrument:
+    def test_regrouping_does_not_check_again(self):
+        # Accepted at tol_lin=1e-6 with a channel residual of 1e-7, which
+        # the default tolerance would reject: regrouping must keep it.
+        inst = Instrument([0.0, 1.0], [[np.sqrt(0.5) * np.eye(2)],
+                                       [np.sqrt(0.5 + 1e-7) * np.eye(2)]],
+                          tol_lin=1e-6)
+        same = inst.coarse_grain({0.0: 0.0, 1.0: 1.0})
+        assert same.outcomes == inst.outcomes
+        assert np.array_equal(same.kraus, inst.kraus)
+        merged = inst.coarse_grain(lambda x: 0.0)
+        assert np.array_equal(merged.kraus, inst.kraus)
+
     def test_identity_function_preserves_instrument(self, rng):
         inst = random_instrument(rng, 2, "lueders")
         same = inst.coarse_grain({x: x for x in inst.outcomes})
