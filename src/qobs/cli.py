@@ -239,9 +239,7 @@ def _cmd_fuzz(args, ctx: _FileContext) -> int:
                             tol_stat=args.tol_stat,
                             cluster_tol=args.cluster_tol)
     if args.replay is not None:
-        dump = ctx.load(args.replay, lambda raw: raw)
-        result = fuzz.replay_instance(dump, config)
-        _emit(result, args)
+        _emit(ctx.load(args.replay, fuzz.replay_instance, config), args)
         return 0
     summary = fuzz.run_fuzz(config)
     if args.output == "-":

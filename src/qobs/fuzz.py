@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statistics as stats
-from .errors import ValidationError
+from .errors import ParseError, QobsError, ValidationError
 from .instruments import (
+    Instrument,
     conditioned_observable,
     holevo_instrument,
     lueders_instrument,
@@ -32,6 +33,8 @@ from .linalg import (
     TOL_STAT,
     default_cluster_tol,
     hermitian_eigendecomposition,
+    hermitian_eigenvalues,
+    hermiticity_defect,
     max_abs,
     pair_scale,
     psd_sqrt,
@@ -59,6 +62,7 @@ from .sampling import (
 )
 from .serialization import (
     SCHEMA_VERSION,
+    _expect,
     decode_matrix,
     decode_observable,
     decode_state,
@@ -153,7 +157,7 @@ def _matched_observable_delta(A: Observable, B: Observable) -> float:
 def _shared(inst: dict, build, *names, **kw):
     """build(*inst[names], **kw), kept on the trial bundle under a tuple key
     that ``_FIELDS`` never encodes, so replay does not see it."""
-    return _stored(inst, (build.__name__, *names, *kw.items()),
+    return _stored(inst, (build.__qualname__, *names, *kw.items()),
                    lambda: build(*(inst[name] for name in names), **kw))
 
 
@@ -161,14 +165,15 @@ def _shared(inst: dict, build, *names, **kw):
 
 def _chk_eigen_reconstruction(inst, cfg):
     H = inst["H"]
-    decomp = hermitian_eigendecomposition(H, cfg.cluster_tol, tol=cfg.tol_lin)
+    decomp = _shared(inst, hermitian_eigendecomposition, "H",
+                     cluster_tol=cfg.cluster_tol, tol=cfg.tol_lin)
     return max_abs(decomp.reconstruct() - H), cfg.tol_lin * scale_of(H)
 
 
 def _chk_eigen_projections(inst, cfg):
     H = inst["H"]
-    P = hermitian_eigendecomposition(H, cfg.cluster_tol,
-                                     tol=cfg.tol_lin).projections
+    P = _shared(inst, hermitian_eigendecomposition, "H",
+                cluster_tol=cfg.cluster_tol, tol=cfg.tol_lin).projections
     i, j = np.triu_indices(len(P), 1)  # each pair of distinct projections
     res = max(max_abs(P.sum(0) - np.eye(H.shape[0])), max_abs(P @ P - P),
               max_abs(P - P.conj().swapaxes(-1, -2)),
@@ -257,9 +262,14 @@ def _chk_sharp_idempotent(inst, cfg):
     return _matched_observable_delta(once, twice), bound
 
 
+def _conjugate(inst, cfg, name: str):
+    return _shared(inst, conjugate, name, cluster_tol=cfg.cluster_tol,
+                   tol_lin=cfg.tol_lin)
+
+
 def _chk_conjugate_same_sharp(inst, cfg):
     A = inst["A"]
-    conj = conjugate(A, cfg.cluster_tol, tol_lin=cfg.tol_lin)
+    conj = _conjugate(inst, cfg, "A")
     res = max_abs(stochastic_operator(conj) - stochastic_operator(A))
     sharp_a = sharp_version(A, cfg.cluster_tol, tol_lin=cfg.tol_lin)
     sharp_c = sharp_version(conj, cfg.cluster_tol, tol_lin=cfg.tol_lin)
@@ -275,13 +285,13 @@ def _chk_conjugate_commutative(inst, cfg):
     A = inst["A_comm"]
     if not is_commutative(A, cfg.tol_lin):  # pragma: no cover - by construction
         return math.inf, cfg.tol_lin
-    conj = conjugate(A, cfg.cluster_tol, tol_lin=cfg.tol_lin)
+    conj = _conjugate(inst, cfg, "A_comm")
     return _matched_observable_delta(A, conj), cfg.tol_lin
 
 
 def _chk_coarse_grain_valid(inst, cfg):
     A, f = inst["A"], inst["f_obs"]
-    fA = coarse_grain(A, f, tol_lin=cfg.tol_lin)
+    fA = _shared(inst, coarse_grain, "A", "f_obs", tol_lin=cfg.tol_lin)
     res = max_abs(sum(fA.effects) - np.eye(A.dim))
     direct = sum(f[x] * E for x, E in A.pairs())
     res = max(res, max_abs(stochastic_operator(fA) - direct))
@@ -375,8 +385,7 @@ def _chk_instrument_probability(inst, cfg):
 
 
 def _chk_instrument_channel(inst, cfg):
-    instr, rho = inst["inst"], inst["rho"]
-    out = instr.channel(rho)
+    out = _shared(inst, Instrument.channel, "inst", "rho")
     res = abs(sum(out.eigenvalues) - 1.0)
     res = max(res, max(0.0, -out.eigenvalues[0]))
     return res, cfg.tol_psd
@@ -384,7 +393,7 @@ def _chk_instrument_channel(inst, cfg):
 
 def _chk_instrument_coarse_grain(inst, cfg):
     instr, f = inst["inst"], inst["f_inst"]
-    merged = instr.coarse_grain(f)
+    merged = _shared(inst, Instrument.coarse_grain, "inst", "f_inst")
     lhs = merged.measured_observable()
     rhs = coarse_grain(instr.measured_observable(), f, tol_lin=cfg.tol_lin)
     return _matched_observable_delta(lhs, rhs), cfg.tol_lin
@@ -414,10 +423,10 @@ def _chk_sequential_marginal(inst, cfg):
 
 
 def _chk_conditioned_mean(inst, cfg):
-    instr, B, rho = inst["inst"], inst["B"], inst["rho"]
-    cond = conditioned_observable(instr, B, tol_lin=cfg.tol_lin)
-    res = abs(stats.average(rho, cond)
-              - stats.average(instr.channel(rho), B))
+    B, rho = inst["B"], inst["rho"]
+    cond = _shared(inst, conditioned_observable, "inst", "B", tol_lin=cfg.tol_lin)
+    res = abs(stats.average(rho, cond) - stats.average(
+        _shared(inst, Instrument.channel, "inst", "rho"), B))
     if inst["family"] == "trivial":
         res = max(res, _matched_observable_delta(cond, B))
     return res, cfg.tol_lin * max(1.0, abs(stats.average(rho, B)))
@@ -431,6 +440,29 @@ def _chk_product_split_function(inst, cfg):
     hB = sum(h[y] * E for y, E in B.pairs())
     rhs = sum(g[x] * instr.dual_apply(x, hB) for x in instr.outcomes)
     return max_abs(lhs - rhs), cfg.tol_lin * scale_of(rhs)
+
+
+def _chk_derived_spectrum(inst, cfg):
+    """The effect spectrum check the builders skip, on every value a trial
+    derives, in one eigensolve; returns the (residual, bound) of worst ratio."""
+    cut, tol, conj = cfg.cluster_tol, cfg.tol_lin, _conjugate(inst, cfg, "A")
+    sharp = [sharp_version(X, cut, tol_lin=tol)
+             for X in (inst["A"], inst["B"], conj)]
+    merged = _shared(inst, Instrument.coarse_grain, "inst", "f_inst")
+    E = np.concatenate([obs.effects for obs in (
+        *sharp, sharp_version(sharp[0], cut, tol_lin=tol), conj,
+        _conjugate(inst, cfg, "A_comm"),
+        _shared(inst, coarse_grain, "A", "f_obs", tol_lin=tol),
+        _shared(inst, sequential_product, "inst", "B", tol_lin=tol),
+        _shared(inst, conditioned_observable, "inst", "B", tol_lin=tol),
+        inst["inst"].measured_observable(), merged.measured_observable())])
+    w = hermitian_eigenvalues(E)
+    residual = np.concatenate([hermiticity_defect(E), -w[:, 0], w[:, -1] - 1.0])
+    bound = np.concatenate([tol * scale_of(E), np.full(2 * len(E), cfg.tol_psd)])
+    ratio = np.divide(residual, bound, where=bound > 0,
+                      out=np.where(residual > 0, math.inf, 0.0))
+    k = np.lexsort((residual, ratio))[-1]  # of equal ratios, the largest residual
+    return float(residual[k]), float(bound[k])
 
 
 CHECKS = {
@@ -466,6 +498,7 @@ CHECKS = {
     "sequential.marginal": _chk_sequential_marginal,
     "conditioned.mean": _chk_conditioned_mean,
     "product.split_function": _chk_product_split_function,
+    "derived.effect_spectrum": _chk_derived_spectrum,
 }
 
 
@@ -500,10 +533,14 @@ def encode_instance(inst: dict) -> dict:
             for names, encode, _ in _FIELDS for name in names if name in inst}
 
 
-def decode_instance(obj: dict) -> dict:
+def decode_instance(obj: dict, field: str = "instance") -> dict:
     """Rebuild a trial bundle; the instrument is rebuilt from the family's
     fields so the arithmetic path matches the original run."""
-    out = {name: decode(obj[name], name)
+    if _expect(obj, "family", field) not in FAMILIES:
+        raise ParseError(f"{field}.family: expected one of {FAMILIES}",
+                         field=f"{field}.family")
+    require_dim(_expect(obj, "dim", field), f"{field}.dim")  # trivial: np.eye(dim)
+    out = {name: decode(obj[name], f"{field}.{name}")
            for names, _, decode in _FIELDS for name in names if name in obj}
     out["inst"] = _family_instrument(out)
     return out
@@ -578,14 +615,25 @@ def run_fuzz(config: RunConfig) -> dict:
     }
 
 
-def replay_instance(dump: dict, config: RunConfig | None = None) -> dict:
-    """Re-evaluate a dumped worst instance; deterministic arithmetic makes
-    the residual reproduce bit-for-bit."""
+def replay_instance(dump, config: RunConfig | None = None) -> dict:
+    """Re-evaluate a dumped worst instance, or the ``worst`` member of a run
+    summary; deterministic arithmetic makes the residual reproduce
+    bit-for-bit.  A malformed dump raises ``ParseError`` naming the field."""
     config = config or RunConfig()
-    name = dump["property"]
-    if name not in CHECKS:
-        raise ValueError(f"unknown property {name!r}")
-    instance = decode_instance(dump["instance"])
+    if isinstance(dump, dict) and "worst" in dump:
+        dump = dump["worst"]
+    name = _expect(dump, "property", "dump")
+    if not isinstance(name, str) or name not in CHECKS:
+        raise ParseError(f"dump.property: unknown property {name!r}",
+                         field="dump.property")
+    try:
+        instance = decode_instance(_expect(dump, "instance", "dump"),
+                                   "dump.instance")
+    except QobsError:
+        raise
+    except Exception as exc:  # a field the codec cannot read
+        raise ParseError(f"dump.instance: cannot rebuild the trial ({exc!r})",
+                         field="dump.instance") from None
     try:
         residual, bound = CHECKS[name](instance, config)
     except Exception as exc:

@@ -153,11 +153,13 @@ class Instrument(_Immutable):
 
     def measured_observable(self) -> Observable:
         """The unique observable whose probabilities the instrument
-        reproduces: effects are the dual images of the identity.  Repeated
-        calls return the same object."""
-        E = self._duals
-        return _stored(self._derived, "measured", lambda: Observable(
-            self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0))
+        reproduces: effects are the dual images of the identity, checked
+        with the maps.  Repeated calls return the same object."""
+        def build():
+            E = self._duals
+            return Observable.__new__(Observable)._build(
+                self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0, None)
+        return _stored(self._derived, "measured", build)
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
         """Total state change when the outcome is ignored."""
@@ -258,8 +260,8 @@ def conditioned_observable(inst: Instrument, B: Observable,
     """Observable of: run the instrument ignoring its outcome, then measure
     B.  Effects are sum_x dual_x(B_y) on B's outcome space."""
     total = sum(_dual_images(inst, B))
-    return Observable(B.keys, (total + total.conj().swapaxes(-1, -2)) / 2.0,
-                      tol_lin=tol_lin)
+    return Observable.__new__(Observable)._build(
+        B.keys, (total + total.conj().swapaxes(-1, -2)) / 2.0, tol_lin)
 
 
 def product_statistics(inst: Instrument, B: Observable, f: Mapping | Callable,

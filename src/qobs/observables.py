@@ -41,7 +41,7 @@ def canonical_outcome(x) -> float:
 
 def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
     """Check 0 <= E_i <= I for every effect in the stack, reporting the
-    first bad index, then check that the effects sum to the identity."""
+    first bad index."""
     defect = linalg.hermiticity_defect(E)
     eigs = linalg.hermitian_eigenvalues(E)
     lo, hi = eigs[:, 0], eigs[:, -1]
@@ -65,11 +65,6 @@ def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
             f"{where} has eigenvalue {hi[i]:.6g} > 1",
             invariant="effect-upper-bound", violation=float(hi[i] - 1.0),
             field=where, index=i)
-    residual = max_abs(E.sum(0) - np.eye(E.shape[1]))
-    if residual > tol_lin:
-        raise CompletenessViolationError(
-            f"effects sum to identity with residual {residual:.3e}",
-            invariant="completeness", residual=residual)
 
 
 class Observable(_Immutable):
@@ -93,8 +88,15 @@ class Observable(_Immutable):
 
     def __init__(self, keys: Sequence[Hashable], effects,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
+        self._build(keys, effects, tol_lin, tol_psd)
+
+    def _build(self, keys, E, tol_lin, tol_psd=None) -> "Observable":
+        """The one construction path.  A builder that forms a fresh stack E
+        from checked objects by a unital positive map passes no ``tol_psd``:
+        fuzz property ``derived.effect_spectrum`` checks the effect spectrum
+        instead.  No ``tol_lin`` also skips completeness."""
         keys = tuple(keys)
-        if len(keys) != len(effects) or not keys:
+        if len(keys) != len(E) or not keys:
             raise ValidationError(
                 "keys and effects must be parallel nonempty lists",
                 invariant="parallel-lists")
@@ -105,8 +107,15 @@ class Observable(_Immutable):
             raise DuplicateOutcomeError(
                 "outcomes are not pairwise distinct",
                 invariant="distinct-outcomes" if real else "distinct-labels")
-        E = linalg.as_stack(effects, name="effect")
-        _check_effects(E, tol_lin, tol_psd)
+        if tol_psd is not None:
+            E = linalg.as_stack(E, name="effect")
+            _check_effects(E, tol_lin, tol_psd)
+        if tol_lin is not None:
+            residual = max_abs(E.sum(0) - np.eye(E.shape[1]))
+            if residual > tol_lin:
+                raise CompletenessViolationError(
+                    f"effects sum to identity with residual {residual:.3e}",
+                    invariant="completeness", residual=residual)
         stochastic = None
         if real:
             order = np.argsort(keys, kind="stable")
@@ -116,6 +125,7 @@ class Observable(_Immutable):
         E.setflags(write=False)
         self._set(keys=keys, outcomes=keys if real else None, effects=E,
                   dim=E.shape[1], _stochastic=stochastic, _derived={})
+        return self
 
     def __len__(self):
         return len(self.keys)
@@ -189,8 +199,8 @@ def sharp_version(A: Observable, cluster_tol: float | None = None,
     """
     def build():
         decomp = _spectral_projections(A, cluster_tol, tol_lin)
-        return Observable(decomp.eigenvalues, decomp.projections,
-                          tol_lin=tol_lin)
+        return Observable.__new__(Observable)._build(
+            decomp.eigenvalues, decomp.projections, tol_lin)
 
     return _stored(A._derived, ("sharp", cluster_tol, tol_lin), build)
 
@@ -211,16 +221,18 @@ def conjugate(A: Observable, cluster_tol: float | None = None,
     Shares the input's outcome space and stochastic operator, hence also its
     sharp version.  Equals the input exactly when the input is commutative.
     """
-    return Observable(A.outcomes, _pinched(A, cluster_tol, tol_lin).sum(0),
-                      tol_lin=tol_lin)
+    return Observable.__new__(Observable)._build(
+        A.outcomes, _pinched(A, cluster_tol, tol_lin).sum(0), tol_lin)
 
 
-def _pair_keyed(xs, ys, C: np.ndarray, tol_lin: float) -> Observable:
+def _pair_keyed(xs, ys, C: np.ndarray, tol_lin: float,
+                tol_psd: float | None = None) -> Observable:
     """Observable with keys (x, y), x-major, and the Hermitian parts of the
     matching effects of the ``(len(xs), len(ys), d, d)`` stack C."""
     C = C.reshape(-1, *C.shape[-2:])
-    return Observable([(x, y) for x in xs for y in ys],
-                      (C + C.conj().swapaxes(-1, -2)) / 2.0, tol_lin=tol_lin)
+    return Observable.__new__(Observable)._build(
+        [(x, y) for x in xs for y in ys], (C + C.conj().swapaxes(-1, -2)) / 2.0,
+        tol_lin, tol_psd)
 
 
 def conjugate_joint(A: Observable, cluster_tol: float | None = None,
@@ -233,8 +245,9 @@ def conjugate_joint(A: Observable, cluster_tol: float | None = None,
     the conjugate.
     """
     sharp = sharp_version(A, cluster_tol, tol_lin=tol_lin)
+    # Fully checked, as no fuzz property covers this builder.
     return _pair_keyed(sharp.outcomes, A.outcomes,
-                       _pinched(A, cluster_tol, tol_lin), tol_lin)
+                       _pinched(A, cluster_tol, tol_lin), tol_lin, TOL_PSD)
 
 
 def commuting_joint(A: Observable, B: Observable,
@@ -259,7 +272,7 @@ def commuting_joint(A: Observable, B: Observable,
             f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute "
             f"(norm {norm[i, j]:.3e})", x=xs[i], y=ys[j],
             norm=float(norm[i, j]))
-    return _pair_keyed(xs, ys, AB, tol)
+    return _pair_keyed(xs, ys, AB, tol, TOL_PSD)
 
 
 def fibers(f: Mapping | Callable, keys: Sequence[Hashable]):
@@ -290,4 +303,4 @@ def coarse_grain(A: Observable, f: Mapping | Callable,
     zs, index = fibers(f, A.keys)
     grouped = np.zeros((len(zs), A.dim, A.dim), dtype=complex)
     np.add.at(grouped, index, A.effects)
-    return Observable(zs, grouped, tol_lin=tol_lin)
+    return Observable.__new__(Observable)._build(zs, grouped, tol_lin)

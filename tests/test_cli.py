@@ -146,6 +146,43 @@ class TestFuzz:
         assert code == 0
         assert repr(out["residual"]) == repr(summary["worst"]["residual"])
 
+    def test_replay_of_a_summary_reproduces_its_worst(self, capsys, tmp_path):
+        summary_path = str(tmp_path / "s.json")
+        main(["fuzz", "--trials", "30", "--seed", "42", "--output", summary_path])
+        worst = json.loads((tmp_path / "s.json").read_text())["worst"]
+        code, out = run_cli(capsys, "fuzz", "--replay", summary_path, "--json")
+        assert code == 0
+        assert out["property"] == worst["property"]
+        assert repr(out["residual"]) == repr(worst["residual"])
+        assert repr(out["ratio"]) == repr(worst["ratio"])
+
+    @pytest.mark.parametrize("dump, field", [
+        ({"property": "nope", "instance": {}}, "dump.property"),
+        ([1, 2], "dump"),
+        ({"property": ["eigen.reconstruction"], "instance": {}}, "dump.property"),
+        ({"worst": {"property": "nope"}}, "dump.property"),
+        ({"property": "eigen.reconstruction"}, "dump.instance"),
+        ({"property": "eigen.reconstruction", "instance": [1]}, "dump.instance"),
+        ({"property": "eigen.reconstruction", "instance": {"dim": 2}},
+         "dump.instance.family"),
+        ({"property": "eigen.reconstruction",
+          "instance": {"dim": "x", "family": "trivial", "omega": {"1": 1.0}}},
+         "dump.instance"),
+        ({"property": "eigen.reconstruction",
+          "instance": {"dim": 2, "family": "bogus"}}, "dump.instance.family"),
+        ({"property": "eigen.reconstruction", "instance": {
+            "dim": 100000, "family": "trivial", "omega": {"1": 1.0}}},
+         "dump.instance.dim"),
+    ])
+    def test_malformed_replay_exits_2_naming_the_field(self, capsys, tmp_path,
+                                                        dump, field):
+        path = tmp_path / "dump.json"
+        path.write_text(json.dumps(dump))
+        code, out = run_cli(capsys, "fuzz", "--replay", str(path), "--json")
+        assert code == 2
+        assert out["error"]["field"] == field
+        assert out["error"]["file"] == str(path)
+
     def test_absurd_tolerance_forces_violation_exit(self, capsys):
         code = main(["fuzz", "--trials", "3", "--dims", "2", "--seed", "1",
                      "--tol-lin", "1e-30", "--tol-stat", "1e-30",

@@ -1,6 +1,7 @@
 """Replay codec of the property fuzzer: a trial bundle survives a round trip
 through canonical JSON with every property residual bit for bit."""
 
+import functools
 import json
 
 import numpy as np
@@ -26,22 +27,35 @@ def test_instance_round_trip_keeps_every_residual(family, dim):
 
 
 def test_each_trial_builds_its_shared_values_once(monkeypatch):
-    calls = {"product": 0, "report": 0}
+    calls = {}
 
     def counted(name, fn):
+        @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls.setdefault(name, []).append(args)  # keeps args alive
             return fn(*args, **kwargs)
-        wrapper.__name__ = fn.__name__
         return wrapper
 
-    monkeypatch.setattr(fuzz, "sequential_product",
-                        counted("product", fuzz.sequential_product))
-    monkeypatch.setattr(fuzz.stats, "uncertainty_report",
-                        counted("report", fuzz.stats.uncertainty_report))
+    for owner, attr in [(fuzz, "sequential_product"),
+                        (fuzz.stats, "uncertainty_report"),
+                        (fuzz, "hermitian_eigendecomposition"),
+                        (fuzz, "conjugate"), (fuzz, "coarse_grain"),
+                        (fuzz, "conditioned_observable"),
+                        (fuzz.Instrument, "channel"),
+                        (fuzz.Instrument, "coarse_grain")]:
+        name = attr if owner is not fuzz.Instrument else f"Instrument.{attr}"
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     summary = fuzz.run_fuzz(fuzz.RunConfig(seed=5, trials=6, dims=(2, 3)))
     assert summary["violations"] == 0
-    assert calls == {"product": 6, "report": 12}
+    # Per trial: two reports, conjugates of A and A_comm, and coarse
+    # grainings of A, the measured observable and the product.
+    assert {name: len(args) for name, args in calls.items()} == {
+        "sequential_product": 6, "uncertainty_report": 12,
+        "hermitian_eigendecomposition": 6, "conjugate": 12,
+        "coarse_grain": 18, "conditioned_observable": 6,
+        "Instrument.channel": 6, "Instrument.coarse_grain": 6}
+    for name, args in calls.items():  # never twice on the same operands
+        assert len({tuple(map(id, a)) for a in args}) == len(args), name
 
 
 def test_dims_above_max_dim_are_rejected():

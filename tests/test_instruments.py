@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qobs import statistics as stats
-from qobs import instruments
+from qobs import instruments, observables
 from qobs.errors import (
     CompletenessViolationError,
     DimensionMismatchError,
@@ -29,6 +29,10 @@ from qobs.linalg import TOL_LIN, entry_norms, psd_sqrt, scale_of
 from qobs.observables import (
     Observable,
     coarse_grain,
+    commuting_joint,
+    conjugate,
+    conjugate_joint,
+    sharp_version,
     stochastic_operator,
 )
 from qobs.qubit import SIGMA_Z, noisy_spin
@@ -42,7 +46,7 @@ from qobs.sampling import (
 )
 from qobs.states import bloch_state
 
-from conftest import max_abs_diff
+from conftest import assert_rebuilds_exactly, max_abs_diff
 
 FAMILIES = ("trivial", "holevo", "lueders")
 KRAUS_FORM = ("trivial", "lueders")  # the Holevo family keeps (A_x, alpha_x)
@@ -464,6 +468,16 @@ class TestCoarseGrainInstrument:
         merged = inst.coarse_grain(lambda x: 0.0)
         assert np.array_equal(merged.kraus, inst.kraus)
 
+    def test_measured_observable_keeps_the_instruments_tolerance(self):
+        # The channel residual of 1e-7 was accepted at tol_lin=1e-6; the
+        # measured observable must not recheck it at the default TOL_LIN.
+        inst = Instrument([0.0, 1.0], [[np.sqrt(0.5) * np.eye(2)],
+                                       [np.sqrt(0.5 + 1e-7) * np.eye(2)]],
+                          tol_lin=1e-6)
+        measured = inst.measured_observable()
+        assert measured.outcomes == (0.0, 1.0)
+        assert max_abs_diff(measured.effects[1], (0.5 + 1e-7) * np.eye(2)) < 1e-15
+
     def test_identity_function_preserves_instrument(self, rng):
         inst = random_instrument(rng, 2, "lueders")
         same = inst.coarse_grain({x: x for x in inst.outcomes})
@@ -667,3 +681,54 @@ class TestProductStatistics:
         rho = random_density(rng, 2)
         with pytest.raises(MissingLabelError):
             product_statistics(inst, B, {}, rho)
+
+
+class TestDerivedWithoutSecondCheck:
+    """Sequential products, conditioned and measured observables skip the
+    effect spectrum check, and the measured observable also completeness."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_public_constructor_rebuilds_the_same_values(self, family, dim, rng):
+        inst = random_instrument(rng, dim, family, n_outcomes=3)
+        B = random_observable(rng, dim, 3)
+        # For dim >= 2 rank-deficient effects; for dim >= 3 a repeated
+        # eigenvalue of the stochastic operator.
+        sharp = random_sharp_observable(rng, dim, min(dim, 2))
+        labels = Observable(["a", "b", "c"], B.effects)
+        assert_rebuilds_exactly(inst.measured_observable())
+        for C in (B, sharp, labels):
+            assert_rebuilds_exactly(sequential_product(inst, C))
+            assert_rebuilds_exactly(conditioned_observable(inst, C))
+        for labelled in (lueders_instrument(labels), holevo_instrument(
+                labels, [random_density(rng, dim) for _ in range(3)])):
+            assert_rebuilds_exactly(labelled.measured_observable())
+
+    def test_six_builders_never_reach_the_effect_spectrum_check(
+            self, rng, monkeypatch):
+        A = random_observable(rng, 4, 3)
+        B = random_observable(rng, 4, 2)
+        C = random_commutative_observable(rng, 4, 2)
+        insts = [random_instrument(rng, 4, family) for family in FAMILIES]
+        calls = []
+        check = observables._check_effects
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(observables, "_check_effects", counted)
+        sharp_version(A)
+        conjugate(A)
+        coarse_grain(A, {x: 0.0 for x in A.outcomes})
+        for inst in insts:
+            sequential_product(inst, B)
+            conditioned_observable(inst, B)
+            inst.measured_observable()
+        assert calls == []
+        Observable(A.keys, A.effects)
+        assert len(calls) == 1
+        commuting_joint(C, C)
+        assert len(calls) == 2
+        conjugate_joint(A)
+        assert len(calls) == 3

@@ -17,12 +17,13 @@ from qobs.errors import (
 )
 from qobs.qubit import SIGMA_X, SIGMA_Y, noisy_spin
 from qobs.sampling import (
+    haar_unitary,
     random_commutative_observable,
     random_observable,
     random_sharp_observable,
 )
 
-from conftest import max_abs_diff
+from conftest import assert_rebuilds_exactly, max_abs_diff
 
 
 def trine_povm() -> obs.Observable:
@@ -75,6 +76,17 @@ class TestConstruction:
         with pytest.raises(DuplicateOutcomeError):
             obs.Observable(["a", "a"],
                            [0.5 * np.eye(2), 0.5 * np.eye(2)])
+
+    def test_checks_run_in_their_order(self):
+        # Lists, then keys, then each effect, then completeness.
+        with pytest.raises(ValidationError) as err:
+            obs.Observable([1.0, 1.0], [np.eye(2)])
+        assert err.value.invariant == "parallel-lists"
+        with pytest.raises(DuplicateOutcomeError):
+            obs.Observable([1.0, 1.0], [2 * np.eye(2), [[1.0]]])
+        with pytest.raises(NotAnEffectError) as err:
+            obs.Observable([0.0, 1.0], [0.5 * np.eye(2), 2 * np.eye(2)])
+        assert err.value.invariant == "effect-upper-bound"
 
 
 class TestStochasticOperator:
@@ -380,3 +392,44 @@ class TestCoarseGrain:
         A = noisy_spin(0.5, "x")
         with pytest.raises(MissingLabelError):
             obs.coarse_grain(A, {1.0: 2.0})
+
+
+def _derived_inputs(rng, dim: int) -> list[obs.Observable]:
+    """A generic POVM, and a commutative one whose effects are rank-deficient
+    (for dim >= 2) with a repeated eigenvalue in its stochastic operator
+    (for dim >= 3)."""
+    U = haar_unitary(rng, dim)
+    a = np.resize([1.0, 0.5, 0.5, 0.0], dim)
+    effects = [(U * w) @ U.conj().T for w in (a, 1.0 - a)]
+    return [random_observable(rng, dim, 3),
+            obs.Observable([-1.0, 2.0], [(E + E.conj().T) / 2.0
+                                         for E in effects])]
+
+
+class TestDerivedWithoutSecondCheck:
+    """Sharp versions, conjugates and coarse grainings skip the effect
+    spectrum check: the public constructor, given what they build, accepts
+    it and gives the same values bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16])
+    def test_public_constructor_rebuilds_the_same_values(self, dim, rng):
+        for A in _derived_inputs(rng, dim):
+            f = {x: float(i % 2) for i, x in enumerate(A.outcomes)}
+            for out in (obs.sharp_version(A), obs.conjugate(A),
+                        obs.coarse_grain(A, f)):
+                assert_rebuilds_exactly(out)
+        labels = obs.Observable(["a", "b", "c"],
+                                random_observable(rng, dim, 3).effects)
+        assert_rebuilds_exactly(
+            obs.coarse_grain(labels, {"a": 1.0, "b": -1.0, "c": 1.0}))
+
+    def test_input_accepted_at_a_loose_tol_psd_is_derived_from(self):
+        # An effect eigenvalue of -1e-7 passes tol_psd=1e-6; derived
+        # observables inherit that acceptance instead of rechecking at
+        # the default TOL_PSD (1e-8), which rejects it.
+        E = np.diag([-1e-7, 0.5])
+        A = obs.Observable([0.0, 1.0], [E, np.eye(2) - E], tol_psd=1e-6)
+        with pytest.raises(NotAnEffectError):
+            obs.Observable(A.keys, A.effects)
+        for out in (obs.conjugate(A), obs.coarse_grain(A, {0.0: 0.0, 1.0: 2.0})):
+            assert max_abs_diff(out.effects, A.effects) < 1e-15
