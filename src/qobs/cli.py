@@ -62,6 +62,7 @@ _OBSERVABLE_COMMANDS = {
 _FLAG_FLOORS = {"tol-lin": 0.0, "tol-psd": 0.0, "tol-stat": 0.0,
                 "cluster-tol": 0.0, "seed": 0, "dim": 1, "outcomes": 1,
                 "samples": 1, "surface": 0}
+_MAX_SWEEP_ROWS = 100_000  # each row takes ~1 KB until the output is written
 
 
 @functools.cache
@@ -255,6 +256,11 @@ def _cmd_sweep(args, ctx: _FileContext) -> int:
     if not mu_grid:
         raise ValidationError("--mu-grid must be nonempty",
                               invariant="nonempty-grid", field="--mu-grid")
+    if args.samples * len(mu_grid) > _MAX_SWEEP_ROWS:
+        raise ValidationError(
+            f"--samples: {args.samples} x {len(mu_grid)} mu values is above "
+            f"{_MAX_SWEEP_ROWS} rows", invariant="samples-range",
+            field="--samples")
     rng = np.random.default_rng(args.seed)
     n_surface = min(args.surface, args.samples)
     vectors = [random_bloch_vector(rng, surface=True) for _ in range(n_surface)]

@@ -562,15 +562,16 @@ def run_fuzz(config: RunConfig) -> dict:
     A check that raises counts as a violated property (an instance its
     contract could not even be evaluated on) rather than aborting the run.
     """
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(config.trials)
+    root, n = np.random.SeedSequence(config.seed), len(config.dims)
     props: dict[str, _PropertyStats] = {name: _PropertyStats()
                                         for name in CHECKS}
     worst = {"ratio": -1.0}
     for i in range(config.trials):
-        rng = np.random.default_rng(children[i])
-        dim = config.dims[i % len(config.dims)]
-        family = FAMILIES[i % len(FAMILIES)]
+        rng = np.random.default_rng(root.spawn(1)[0])  # child i, spawned now
+        # i % 3 pairs every dim with every family unless 3 divides the
+        # number of dims; then each pass over the dims shifts the families.
+        family = FAMILIES[(i + (i // n if n % 3 == 0 else 0)) % 3]
+        dim = config.dims[i % n]
         instance = build_instance(rng, dim, family)
         encoded = None
         for name, check in CHECKS.items():
@@ -581,6 +582,8 @@ def run_fuzz(config: RunConfig) -> dict:
             except Exception as exc:
                 entry.errors += 1
                 entry.violations += 1
+                if worst["ratio"] is None:  # the first error stays the worst
+                    continue
                 found = {"ratio": None, "residual": None, "bound": None,
                          "error": f"{type(exc).__name__}: {exc}"}
             else:

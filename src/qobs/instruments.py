@@ -2,10 +2,10 @@
 
 An instrument assigns to each outcome a completely positive trace-
 nonincreasing map; the maps must sum to a channel.  A map is a Kraus slice
-``(K,)``, rho -> sum_j K_j rho K_j*, checked by the constructor (trivial and
-Lueders families), or Holevo pairs ``(A, alpha)``, rho -> sum_i tr(rho A_i)
-alpha_i, valid as A and each alpha_i were checked when built: O(d^2) per
-pair, where its Kraus form has d * rank(alpha_i) operators.
+``(K,)``, rho -> sum_j K_j rho K_j*, or Holevo pairs ``(A, alpha)``, rho ->
+sum_i tr(rho A_i) alpha_i, O(d^2) per pair where its Kraus form has
+d * rank(alpha_i) operators.  Every builder ends in ``Instrument._build``,
+which checks only what the builder's own inputs leave open.
 """
 
 from __future__ import annotations
@@ -79,36 +79,35 @@ class Instrument(_Immutable):
         if len(set(outs)) != len(outs):
             raise DuplicateOutcomeError("instrument outcomes are not distinct",
                                         invariant="distinct-outcomes")
-        try:
-            stack = np.concatenate(kraus, dtype=complex)
-        except (TypeError, ValueError):
-            stack = np.empty(0)
-        if not linalg._is_stack(stack):
-            for i, ops in enumerate(kraus):  # names the first bad operator
-                linalg.as_stack(ops, name=f"kraus[{i}]")
+        parts = [(linalg.as_stack(ops, name=f"kraus[{i}]"),)
+                 for i, ops in enumerate(kraus)]
+        if len({K.shape[1] for K, in parts}) > 1:
             raise DimensionMismatchError("Kraus operators have mixed dims",
                                          invariant="matching-dims")
-        ends = np.cumsum([len(ops) for ops in kraus])[:-1]
-        self._fill(outs, [(K,) for K in np.split(stack, ends)])
-        top = linalg.hermitian_eigenvalues(self._duals)[:, -1]
-        i = int(np.argmax(top > 1.0 + tol_psd))  # the first bad outcome, if any
-        if top[i] > 1.0 + tol_psd:
-            raise ValidationError(
-                f"outcome {i} increases trace: sum K*K has eigenvalue "
-                f"{top[i]:.6g}", invariant="trace-nonincreasing",
-                violation=float(top[i]) - 1.0, field=f"kraus[{i}]")
-        residual = max_abs(self._duals.sum(0) - np.eye(self.dim))
-        if residual > tol_lin:
-            raise CompletenessViolationError(
-                f"total map is not a channel (residual {residual:.3e})",
-                invariant="channel", residual=residual)
+        self._build(outs, parts, tol_lin, tol_psd)
 
-    def _fill(self, outcomes: Sequence[Hashable], parts: list) -> "Instrument":
-        """Set the parts and their duals of I, with no check: sum K*K over
-        a slice, or sum A_i over pairs since tr alpha_i = 1."""
+    def _build(self, outcomes, parts, tol_lin=None, tol_psd=None) -> "Instrument":
+        """The one construction path: set the parts and their duals, sum K*K
+        over a slice or sum A_i over pairs (tr alpha_i = 1).  Given
+        ``tol_psd``, check each dual is at most I; given ``tol_lin``, that
+        the duals sum to I.  Holevo pairs and coarse graining pass neither."""
         duals = np.array([p[0].sum(0) if len(p) == 2 else
                           (p[0].conj().swapaxes(-1, -2) @ p[0]).sum(0)
                           for p in parts])
+        if tol_psd is not None:
+            top = linalg.hermitian_eigenvalues(duals)[:, -1]
+            i = int(np.argmax(top > 1.0 + tol_psd))  # first bad one, if any
+            if top[i] > 1.0 + tol_psd:
+                raise ValidationError(
+                    f"outcome {i} increases trace: sum K*K has eigenvalue "
+                    f"{float(top[i])!r}", invariant="trace-nonincreasing",
+                    violation=float(top[i]) - 1.0, field=f"kraus[{i}]")
+        if tol_lin is not None:
+            residual = max_abs(duals.sum(0) - np.eye(duals.shape[1]))
+            if residual > tol_lin:
+                raise CompletenessViolationError(
+                    f"total map is not a channel (residual {residual:.3e})",
+                    invariant="channel", residual=residual)
         self._set(outcomes=tuple(outcomes), dim=duals.shape[1],
                   _parts=tuple(parts), _duals=duals, _derived={})
         return self
@@ -172,7 +171,7 @@ class Instrument(_Immutable):
         zs, index = fibers(f, self.outcomes)
         fibered = [zip(*(p for p, z in zip(self._parts, index) if z == k))
                    for k in range(len(zs))]
-        return Instrument.__new__(Instrument)._fill(
+        return Instrument.__new__(Instrument)._build(
             zs, [tuple(map(np.concatenate, arrs)) for arrs in fibered])
 
     def mean(self, rho: DensityOperator) -> float:
@@ -198,11 +197,11 @@ def trivial_instrument(omega: Mapping, dim: int, *,
     total = sum(probs)
     if abs(total - 1.0) > tol_lin:
         raise NotAProbabilityError(
-            f"weights sum to {total:.6g}, expected 1",
+            f"weights sum to {total!r}, expected 1",
             invariant="unit-total", violation=abs(total - 1.0))
-    eye = np.eye(dim, dtype=complex)
-    return Instrument(outcomes, [[np.sqrt(max(p, 0.0)) * eye] for p in probs],
-                      tol_lin=tol_lin)
+    eye = as_matrix(np.eye(dim, dtype=complex), name="kraus[0][0]")  # d < 1 raises
+    return Instrument.__new__(Instrument)._build(outcomes, [
+        (np.sqrt(max(p, 0.0)) * eye[None],) for p in probs], tol_lin, TOL_PSD)
 
 
 def holevo_instrument(A: Observable,
@@ -228,13 +227,16 @@ def holevo_instrument(A: Observable,
         raise DimensionMismatchError(
             "reprepared state dim does not match observable dim",
             invariant="matching-dims")
-    return Instrument.__new__(Instrument)._fill(A.keys, [
+    return Instrument.__new__(Instrument)._build(A.keys, [
         (E[None], alpha.matrix[None]) for E, alpha in zip(A.effects, alphas)])
 
 
 def lueders_instrument(A: Observable, *, tol_lin: float = TOL_LIN) -> Instrument:
-    """Square-root instrument rho -> A_x^{1/2} rho A_x^{1/2}; measures A."""
-    return Instrument(A.keys, [psd_sqrt(E)[None] for E in A.effects], tol_lin=tol_lin)
+    """Square-root instrument rho -> A_x^{1/2} rho A_x^{1/2}; measures A.
+    Its duals are A's checked effects, so only the channel is checked: fuzz
+    property ``derived.effect_spectrum`` bounds their spectra instead."""
+    return Instrument.__new__(Instrument)._build(
+        A.keys, [(psd_sqrt(E)[None],) for E in A.effects], tol_lin)
 
 
 def _dual_images(inst: Instrument, B: Observable) -> list[np.ndarray]:

@@ -44,12 +44,6 @@ def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _is_stack(arr: np.ndarray) -> bool:
-    """Whether arr is an ``(n, d, d)`` stack of finite entries, d >= 1."""
-    return bool(arr.ndim == 3 and 0 < arr.shape[1] == arr.shape[2]
-                and np.all(np.isfinite(arr)))
-
-
 def as_stack(mats, *, name: str) -> np.ndarray:
     """Coerce a nonempty sequence of square matrices of one dimension to a
     fresh ``(n, d, d)`` complex array.
@@ -60,8 +54,9 @@ def as_stack(mats, *, name: str) -> np.ndarray:
     try:
         stack = np.array(mats, dtype=complex)
     except (TypeError, ValueError):
-        stack = None
-    if stack is not None and _is_stack(stack):
+        stack = np.empty(0)
+    if (stack.ndim == 3 and 0 < stack.shape[1] == stack.shape[2]
+            and np.all(np.isfinite(stack))):
         return stack
     items = [as_matrix(M, name=f"{name}[{i}]") for i, M in enumerate(mats)]
     dim = items[0].shape[0]

@@ -62,7 +62,7 @@ def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
                 invariant="effect-lower-bound", violation=float(-lo[i]),
                 field=where, index=i)
         raise NotAnEffectError(
-            f"{where} has eigenvalue {hi[i]:.6g} > 1",
+            f"{where} has eigenvalue {float(hi[i])!r} > 1",
             invariant="effect-upper-bound", violation=float(hi[i] - 1.0),
             field=where, index=i)
 

@@ -20,20 +20,23 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _AXES = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def noisy_spin(mu: float, axis: str = "x") -> Observable:
-    """Dichotomic qubit observable with effects (I +- mu sigma_axis)/2 at
-    outcomes +-1; mu = 1 is the sharp spin observable, mu = 0 is pure noise."""
+def _spin_operator(mu: float, axis: str) -> np.ndarray:
+    """mu sigma_axis, the stochastic operator of ``noisy_spin(mu, axis)``."""
     if not 0.0 <= mu <= 1.0:
         raise ValidationError(f"noise strength mu={mu} must be in [0, 1]",
                               invariant="mu-range")
     try:
-        sigma = _AXES[axis]
+        return mu * _AXES[axis]
     except KeyError:
         raise ValidationError(f"axis must be one of {sorted(_AXES)}",
                               invariant="axis") from None
-    eye = np.eye(2, dtype=complex)
-    return Observable([1.0, -1.0],
-                      [(eye + mu * sigma) / 2.0, (eye - mu * sigma) / 2.0])
+
+
+def noisy_spin(mu: float, axis: str = "x") -> Observable:
+    """Dichotomic qubit observable with effects (I +- mu sigma_axis)/2 at
+    outcomes +-1; mu = 1 is the sharp spin observable, mu = 0 is pure noise."""
+    X, eye = _spin_operator(mu, axis), np.eye(2, dtype=complex)
+    return Observable([1.0, -1.0], [(eye + X) / 2.0, (eye - X) / 2.0])
 
 
 def noisy_spin_closed_forms(mu: float, r) -> dict:

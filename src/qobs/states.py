@@ -57,8 +57,8 @@ def _check_density(M: np.ndarray, tol_lin: float, tol_psd: float):
     tr = M.trace(axis1=-2, axis2=-1)
     defect = abs(tr - 1.0)
     linalg._raise_first(defect > tol_lin, "state", lambda at, t, v:
-                        TraceNotOneError(f"{at} has trace {t:.6g}, expected 1",
-                                         invariant="unit-trace",
+                        TraceNotOneError(f"{at} has trace {complex(t)!r}, "
+                                         "expected 1", invariant="unit-trace",
                                          violation=float(v), field=at),
                         tr, defect)
     return eigs
@@ -79,7 +79,7 @@ def _bloch_matrices(vectors, tol_lin: float):
     # Row-by-row dot products, rounded as np.linalg.norm of one vector is.
     norm = np.sqrt((r[:, None] @ r[:, :, None]).ravel())
     linalg._raise_first(norm > 1.0 + tol_lin, "r", lambda _, n: (
-        OutsideBlochBallError(f"Bloch vector has norm {n:.6g} > 1",
+        OutsideBlochBallError(f"Bloch vector has norm {float(n)!r} > 1",
                               invariant="bloch-ball",
                               violation=float(n) - 1.0, field="r")), norm)
     r1, r2, r3 = r.T

@@ -250,6 +250,25 @@ class TestSweep:
             cells = [c if isinstance(c, bool) else float(c) for c in cells]
             assert repr(cells) == repr([row[key] for key in header])
 
+    @pytest.mark.parametrize("argv", [
+        ["--samples", "1000000000000"],
+        ["--samples", "50001", "--mu-grid", "0,1"],  # 100,002 rows
+    ])
+    def test_row_count_above_the_cap_is_rejected_before_any_draw(
+            self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("qobs.cli.random_bloch_vector", None)  # no draw
+        code, out = run_cli(capsys, "sweep-example4", *argv, "--json")
+        assert code == 2
+        assert out["error"]["invariant"] == "samples-range"
+        assert out["error"]["field"] == "--samples"
+
+    @pytest.mark.parametrize("mu", ["1.5", "nan"])
+    def test_mu_outside_zero_one_is_mu_range(self, capsys, mu):
+        code, out = run_cli(capsys, "sweep-example4", "--mu-grid", mu,
+                            "--samples", "2", "--json")
+        assert code == 2
+        assert out["error"]["invariant"] == "mu-range"
+
     def test_equatorial_vectors_zero_the_commutator_column(self, rng):
         from qobs.demos import sweep_noisy_spin
         from qobs.sampling import random_bloch_vector

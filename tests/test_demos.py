@@ -3,6 +3,7 @@ noisy-spin sweep agrees with the single-state uncertainty report."""
 
 import contextlib
 import io
+import math
 import pathlib
 import runpy
 
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 from qobs import demos, statistics as stats
-from qobs.demos import sweep_noisy_spin
+from qobs.demos import demo_example4, sweep_noisy_spin
 from qobs.errors import OutsideBlochBallError, ValidationError
+from qobs.observables import Observable
 from qobs.qubit import noisy_spin, noisy_spin_closed_forms
 from qobs.sampling import random_bloch_vector
 from qobs.states import DensityOperator, bloch_state
@@ -89,11 +91,20 @@ class TestSweepNoisySpin:
             self, rng, monkeypatch):
         vectors = [random_bloch_vector(rng, surface=k < 8) for k in range(40)]
         built, passes, checked = self._count_calls(monkeypatch)
+        observables = []
+        build = Observable._build
+
+        def counting_build(self, *args):
+            observables.append(1)
+            return build(self, *args)
+
+        monkeypatch.setattr(Observable, "_build", counting_build)
         out = sweep_noisy_spin([0.0, 0.25, 0.5, 0.75, 1.0], vectors)
         assert len(out["rows"]) == 200
         assert built == []  # validated as one stack, no DensityOperator
         assert checked == [(40, 2, 2)]
         assert len(passes) == 5
+        assert observables == []  # the kernel reads mu sigma directly
 
     def test_vector_outside_the_ball_fails_before_any_row(self, monkeypatch):
         _, passes, _ = self._count_calls(monkeypatch)
@@ -147,3 +158,15 @@ class TestSweepNoisySpin:
         for mu_grid, vectors in (([], [(0.0, 0.0, 1.0)]), ([0.5], [])):
             out = sweep_noisy_spin(mu_grid, vectors)
             assert out["rows"] == [] and out["pass"] is True
+
+
+def test_demo_example4_decides_equality_as_the_sweep_does():
+    # Effect-level slack 5e-12 / 16 = 3.1e-13 is within 1e-12; the
+    # observable-level slack 5e-12 is not.
+    r = (0.0, 0.0, math.sqrt(1.0 - 5e-12))
+    out = demo_example4(1.0, r)
+    slack = next(c["computed"] for c in out["checks"] if c["name"] == "slack")
+    assert 1e-13 < slack < 1e-12
+    row, = sweep_noisy_spin([1.0], [r])["rows"]
+    assert row["slack"] == slack
+    assert out["equality"] is row["equality"] is True

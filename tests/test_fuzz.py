@@ -63,3 +63,38 @@ def test_dims_above_max_dim_are_rejected():
     with pytest.raises(ValidationError) as info:
         fuzz.RunConfig(dims=(2, 65))
     assert info.value.invariant == "dim-range"
+
+
+def test_worst_is_the_first_error_of_the_run():
+    config = fuzz.RunConfig(seed=42, trials=9, dims=(2, 3, 4), tol_lin=1e-17)
+    summary = fuzz.run_fuzz(config)
+    assert summary["properties"]["sharp.same_stochastic"]["errors"] == 9
+    worst = summary["worst"]
+    assert (worst["trial"], worst["ratio"]) == (0, None)
+    instance = fuzz.decode_instance(worst["instance"])
+    for name, check in fuzz.CHECKS.items():  # no earlier property raises
+        if name == worst["property"]:
+            break
+        check(instance, config)
+    assert fuzz.replay_instance(worst, config)["error"] == worst["error"]
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), tuple(range(1, 10)),
+                                  (2, 3, 4, 5, 6), (3, 5)])
+def test_each_dim_meets_each_family_within_three_passes(monkeypatch, dims):
+    cells = []
+    build = fuzz.build_instance
+
+    def counted(rng, dim, family):
+        cells.append((rng.bit_generator.seed_seq.spawn_key, dim, family))
+        return build(rng, dim, family)
+
+    monkeypatch.setattr(fuzz, "build_instance", counted)
+    trials = 3 * len(dims)
+    fuzz.run_fuzz(fuzz.RunConfig(seed=1, trials=trials, dims=dims))
+    assert [key for key, _, _ in cells] == [(i,) for i in range(trials)]
+    assert {cell[1:] for cell in cells} == {
+        (d, f) for d in dims for f in fuzz.FAMILIES}
+    if len(dims) % 3:  # the map every earlier run used
+        assert [cell[1:] for cell in cells] == [
+            (dims[i % len(dims)], fuzz.FAMILIES[i % 3]) for i in range(trials)]

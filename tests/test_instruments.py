@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qobs import statistics as stats
-from qobs import instruments, observables
+from qobs import instruments, linalg, observables
 from qobs.errors import (
     CompletenessViolationError,
     DimensionMismatchError,
@@ -42,8 +42,10 @@ from qobs.sampling import (
     random_hermitian,
     random_instrument,
     random_observable,
+    random_probability_vector,
     random_sharp_observable,
 )
+from qobs.serialization import decode_instrument, encode_instrument
 from qobs.states import bloch_state
 
 from conftest import assert_rebuilds_exactly, max_abs_diff
@@ -732,3 +734,59 @@ class TestDerivedWithoutSecondCheck:
         assert len(calls) == 2
         conjugate_joint(A)
         assert len(calls) == 3
+
+
+class TestFamiliesBuildFromCheckedArrays:
+    """The trivial and Lueders families skip re-coercing their own Kraus
+    arrays, and Lueders the trace-nonincreasing eigensolve too."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 16])
+    def test_equal_the_public_constructor_bit_for_bit(self, dim, rng):
+        A = random_observable(rng, dim, 3)
+        sharp = random_sharp_observable(rng, dim, min(dim, 2))  # rank < dim
+        labels = Observable(["a", "b", "c"], A.effects)
+        p = random_probability_vector(rng, 3)
+        insts = [lueders_instrument(X) for X in (A, sharp, labels)]
+        insts += [trivial_instrument({-1.0: p[0], 0.5: p[1], 2.0: p[2]}, dim),
+                  trivial_instrument({"a": 0.0, "b": 1.0}, dim)]  # a zero map
+        for inst in insts:
+            again = Instrument(inst.outcomes, per_outcome(inst))
+            assert again.outcomes == inst.outcomes
+            for name in ("_duals", "kraus", "owner"):
+                assert np.array_equal(getattr(again, name), getattr(inst, name))
+            m, n = again.measured_observable(), inst.measured_observable()
+            assert m.keys == n.keys
+            assert np.array_equal(m.effects, n.effects)
+
+    def test_only_lueders_skips_the_trace_eigensolve(self, rng, monkeypatch):
+        A = random_observable(rng, 3, 3)
+        doc = encode_instrument(lueders_instrument(A))
+        calls = []
+        eigenvalues = linalg.hermitian_eigenvalues
+
+        def counted(M):
+            calls.append(M.shape)
+            return eigenvalues(M)
+
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", counted)
+        inst = lueders_instrument(A)
+        assert calls == []
+        Instrument(inst.outcomes, per_outcome(inst))
+        assert len(calls) == 1
+        trivial_instrument({1.0: 0.25, -1.0: 0.75}, 3)
+        assert len(calls) == 2
+        decode_instrument(doc)
+        assert len(calls) == 3
+
+    def test_lueders_of_an_effect_above_the_default_bound(self):
+        # Accepted at tol_psd=1e-6 with an eigenvalue 1 + 5e-7: the Lueders
+        # duals are these effects, so only the constructor rejects them.
+        A = Observable([0.0, 1.0], [np.diag([1.0 + 5e-7, 0.5]),
+                                    np.diag([0.0, 0.5])],
+                       tol_lin=1e-6, tol_psd=1e-6)
+        inst = lueders_instrument(A, tol_lin=1e-6)
+        assert max_abs_diff(inst.measured_observable().effects, A.effects) < 1e-15
+        with pytest.raises(ValidationError) as info:
+            Instrument(inst.outcomes, per_outcome(inst), tol_lin=1e-6)
+        assert info.value.invariant == "trace-nonincreasing"
+        assert info.value.field == "kraus[0]"

@@ -6,13 +6,17 @@ import pytest
 from qobs import states
 from qobs.errors import (
     DimensionMismatchError,
+    NotAnEffectError,
+    NotAProbabilityError,
     NotHermitianError,
     NotPSDError,
     OutsideBlochBallError,
     TraceNotOneError,
     ValidationError,
 )
+from qobs.instruments import Instrument, trivial_instrument
 from qobs.linalg import TOL_LIN, TOL_PSD
+from qobs.observables import Observable
 from qobs.sampling import (
     ginibre,
     random_bloch_vector,
@@ -94,6 +98,28 @@ class TestStackCheck:
             states.DensityOperator(np.diag([1.5, -0.5]))
         assert err.value.field == "state"
         assert str(err.value) == "state has eigenvalue -5.000e-01 below -1.0e-08"
+
+
+OVER = 1.0 + 5e-7  # above 1 by more than every default tolerance
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: Observable([0.0, 1.0], [np.diag([OVER, 0.5]), np.diag([0.0, 0.5])],
+                        tol_lin=1e-6), NotAnEffectError),
+    (lambda: Instrument([0.0, 1.0], [[np.diag(np.sqrt([OVER, 0.5]))],
+                                     [np.diag([0.0, np.sqrt(0.5)])]],
+                        tol_lin=1e-6), ValidationError),
+    (lambda: states.DensityOperator(np.diag([OVER - 0.5, 0.5])),
+     TraceNotOneError),
+    (lambda: states.bloch_state((0.0, 0.0, OVER)), OutsideBlochBallError),
+    (lambda: trivial_instrument({1.0: OVER - 0.5, -1.0: 0.5}, 2),
+     NotAProbabilityError),
+], ids=["effect", "instrument", "trace", "bloch", "weights"])
+def test_bound_near_one_diagnostic_shows_the_excess(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert info.value.violation == pytest.approx(5e-7, rel=1e-6)
+    assert repr(1.0 + info.value.violation) in str(info.value)
 
 
 class TestMaximallyMixed:
