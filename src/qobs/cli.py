@@ -35,27 +35,36 @@ _INSTRUMENT_FILE = ("instrument", lambda raw, a: ser.decode_instrument(
     raw, "instrument", tol_lin=a.tol_lin, tol_psd=a.tol_psd), None)
 _MAP_FILE = ("map", lambda raw, a: ser.decode_function_map(raw, "map"),
              "JSON object {label: value}")
+_TOLS = ("tol-lin", "tol-psd")  # read by every decoder of an input file
 
 # Subcommands that decode their input files, make one library call and print
-# the resulting observable: name -> (help, inputs, call).
+# the resulting observable: name -> (help, flags besides _TOLS, inputs, call).
 _OBSERVABLE_COMMANDS = {
-    "sharp": ("sharp version of an observable", (_OBS_FILE,),
+    "sharp": ("sharp version of an observable", ("cluster-tol",), (_OBS_FILE,),
               lambda a, A: sharp_version(A, a.cluster_tol, tol_lin=a.tol_lin)),
-    "conjugate": ("conjugate of an observable", (_OBS_FILE,),
+    "conjugate": ("conjugate of an observable", ("cluster-tol",), (_OBS_FILE,),
                   lambda a, A: conjugate(A, a.cluster_tol, tol_lin=a.tol_lin)),
-    "coarse-grain": ("relabel outcomes through a real-valued map",
+    "coarse-grain": ("relabel outcomes through a real-valued map", (),
                      (_OBS_FILE, _MAP_FILE),
                      lambda a, A, f: coarse_grain(A, f, tol_lin=a.tol_lin)),
-    "sequential": ("product observable of instrument then observable",
+    "sequential": ("product observable of instrument then observable", (),
                    (_INSTRUMENT_FILE, _OBS_FILE),
                    lambda a, inst, B: sequential_product(inst, B,
                                                          tol_lin=a.tol_lin)),
     "conditioned": ("observable conditioned by a nonselective measurement",
-                    (_INSTRUMENT_FILE, _OBS_FILE),
+                    (), (_INSTRUMENT_FILE, _OBS_FILE),
                     lambda a, inst, B: conditioned_observable(
                         inst, B, tol_lin=a.tol_lin)),
 }
 
+
+_SHARED_FLAGS = {  # flags that several subcommands read: (type, default, help)
+    "tol-lin": (float, TOL_LIN, "tolerance for structural identities"),
+    "tol-psd": (float, TOL_PSD, "negative-eigenvalue slack for PSD checks"),
+    "tol-stat": (float, TOL_STAT, "tolerance for statistical identities"),
+    "cluster-tol": (float, None, "eigenvalue clustering width (default scale-aware)"),
+    "seed": (int, 42, "PRNG seed for randomized commands"),
+}
 
 # Numeric flags checked before any command runs: flag -> smallest allowed
 # value.  Values must also be finite; an unset flag (None) is skipped.
@@ -67,32 +76,29 @@ _MAX_SWEEP_ROWS = 100_000  # each row takes ~1 KB until the output is written
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-lin", type=float, default=TOL_LIN,
-                        help="tolerance for structural identities")
-    common.add_argument("--tol-psd", type=float, default=TOL_PSD,
-                        help="negative-eigenvalue slack for PSD checks")
-    common.add_argument("--tol-stat", type=float, default=TOL_STAT,
-                        help="tolerance for statistical identities")
-    common.add_argument("--cluster-tol", type=float, default=None,
-                        help="eigenvalue clustering width (default scale-aware)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="PRNG seed for randomized commands")
-    common.add_argument("--json", action="store_true",
-                        help="compact single-line JSON output")
-    parser = argparse.ArgumentParser(
-        prog="qobs",
-        description="Finite-dimensional quantum measurement toolkit")
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # a usage error becomes a JSON diagnostic
+            raise ParseError(message)
+
+    parser = Parser(prog="qobs",
+                    description="Finite-dimensional quantum measurement toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("uncertainty", parents=[common],
-                       help="uncertainty report for a state and two observables")
+    def add(name, help_text, flags):  # a subcommand with only these flags
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            kind, default, text = _SHARED_FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, default=default, help=text)
+        p.add_argument("--json", action="store_true", help="single-line JSON output")
+        return p
+
+    p = add("uncertainty", "uncertainty report for a state and two observables",
+            (*_TOLS, "tol-stat"))
     p.add_argument("--state", required=True, metavar="FILE")
     p.add_argument("--obs-a", required=True, metavar="FILE")
     p.add_argument("--obs-b", required=True, metavar="FILE")
 
-    p = sub.add_parser("demo", parents=[common],
-                       help="closed-form demonstration cases")
+    p = add("demo", "closed-form demonstration cases", ("seed",))
     p.add_argument("name", choices=list(demos.DEMO_NAMES))
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--bloch", type=str, default="0.3,0.4,0.2",
@@ -100,18 +106,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--outcomes", type=int, default=2)
 
-    p = sub.add_parser("fuzz", parents=[common],
-                       help="randomized property verification")
+    p = add("fuzz", "randomized property verification", _SHARED_FLAGS)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dims", type=str, default="2..6",
                    help="comma list or A..B range of dimensions")
     p.add_argument("--output", type=str, default="-",
-                   help="summary destination path, '-' for stdout")
+                   help="result destination path, '-' for stdout")
     p.add_argument("--replay", type=str, default=None, metavar="FILE",
                    help="re-evaluate a dumped worst instance instead")
 
-    p = sub.add_parser("sweep-example4", parents=[common],
-                       help="noisy-spin term sweep over mu and Bloch vectors")
+    p = add("sweep-example4", "noisy-spin term sweep over mu and Bloch vectors",
+            ("seed",))
     p.add_argument("--mu-grid", type=str, default="0,0.25,0.5,0.75,1")
     p.add_argument("--samples", type=int, default=50,
                    help="random Bloch vectors per mu")
@@ -119,14 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="how many of the samples lie on the sphere")
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
-    for name, (help_text, inputs, _) in _OBSERVABLE_COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
+    for name, (help_text, flags, inputs, _) in _OBSERVABLE_COMMANDS.items():
+        p = add(name, help_text, (*_TOLS, *flags))
         for flag, _, flag_help in inputs:
             p.add_argument(f"--{flag}", required=True, metavar="FILE",
                            help=flag_help)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="validate any toolkit JSON file")
+    p = add("validate", "validate any toolkit JSON file", _TOLS)
     p.add_argument("file", metavar="FILE")
     return parser
 
@@ -239,16 +243,14 @@ def _cmd_fuzz(args, ctx: _FileContext) -> int:
                             tol_lin=args.tol_lin, tol_psd=args.tol_psd,
                             tol_stat=args.tol_stat,
                             cluster_tol=args.cluster_tol)
-    if args.replay is not None:
-        _emit(ctx.load(args.replay, fuzz.replay_instance, config), args)
-        return 0
-    summary = fuzz.run_fuzz(config)
+    result = (ctx.load(args.replay, fuzz.replay_instance, config)
+              if args.replay is not None else fuzz.run_fuzz(config))
     if args.output == "-":
-        _emit(summary, args)
+        _emit(result, args)
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
-            _emit(summary, args, fh)
-    return 0 if summary["violations"] == 0 else 1
+            _emit(result, args, fh)
+    return 1 if result.get("violations") else 0
 
 
 def _cmd_sweep(args, ctx: _FileContext) -> int:
@@ -278,7 +280,7 @@ def _cmd_sweep(args, ctx: _FileContext) -> int:
 
 
 def _cmd_observable(args, ctx: _FileContext) -> int:
-    _, inputs, op = _OBSERVABLE_COMMANDS[args.command]
+    *_, inputs, op = _OBSERVABLE_COMMANDS[args.command]
     operands = [ctx.load(getattr(args, flag), load, args)
                 for flag, load, _ in inputs]
     out = ser.encode_observable(op(args, *operands))
@@ -325,9 +327,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = argparse.Namespace(json="--json" in (sys.argv if argv is None else argv))
     ctx = _FileContext()
     try:
+        _build_parser().parse_args(argv, args)  # a usage error keeps args.json
         for flag, floor in _FLAG_FLOORS.items():
             value = getattr(args, flag.replace("-", "_"), None)
             if value is not None and not floor <= value < math.inf:

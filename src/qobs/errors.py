@@ -92,6 +92,12 @@ class NotAProbabilityError(ValidationError):
 class InternalConsistencyError(QobsError):
     """A mathematical identity failed beyond tolerance; indicates a bug."""
 
+    def __init__(self, message: str, *, invariant: str | None = None,
+                 violation: float | None = None):
+        super().__init__(message)
+        self.invariant = invariant
+        self.violation = violation
+
 
 class ParseError(QobsError, ValueError):
     """JSON input does not match the expected schema."""

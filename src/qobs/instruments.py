@@ -72,6 +72,10 @@ class Instrument(_Immutable):
             raise ValidationError(
                 "outcomes and Kraus lists must be parallel nonempty lists",
                 invariant="parallel-lists")
+        for i, ops in enumerate(kraus):
+            if not isinstance(ops, Sequence) and np.ndim(ops) == 0:
+                raise ValidationError(f"kraus[{i}] is not a list of operators",
+                                      invariant="kraus-list", field=f"kraus[{i}]")
         if any(len(ops) == 0 for ops in kraus):
             raise ValidationError("each outcome needs a Kraus operator",
                                   invariant="nonempty-kraus")

@@ -33,7 +33,11 @@ MAX_OUTCOMES = MAX_DIM ** 2  # most outcomes of an extremal POVM at d <= 64
 
 def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
-    arr = np.asarray(M, dtype=complex)
+    try:
+        arr = np.asarray(M, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} is not a matrix of numbers",
+                              invariant="numeric-entries", field=name) from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatchError(
             f"{name} must be a square matrix, got shape {arr.shape}",

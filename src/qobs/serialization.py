@@ -21,7 +21,7 @@ from .instruments import (
     trivial_instrument,
 )
 from .linalg import TOL_LIN, TOL_PSD, require_dim
-from .observables import Observable
+from .observables import Observable, is_real
 from .states import DensityOperator, bloch_state
 from .statistics import UncertaintyReport
 
@@ -172,8 +172,7 @@ def encode_instrument(inst: Instrument) -> dict:
     return {
         "type": "instrument",
         "family": "kraus",
-        "outcomes": [label_to_str(x) if not isinstance(x, (int, float)) else x
-                     for x in inst.outcomes],
+        "outcomes": [x if is_real(x) else label_to_str(x) for x in inst.outcomes],
         "kraus": [[encode_matrix(K) for K in inst.kraus[inst.owner == i]]
                   for i in range(len(inst))],
     }

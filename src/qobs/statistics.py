@@ -146,9 +146,12 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
         if abs(equation_residual[i]) > tol * scale[i]:
             raise InternalConsistencyError(
                 f"uncertainty equation residual {equation_residual[i]:.3e} "
-                f"exceeds {tol:.1e} x {scale[i]:.3g}")
+                f"exceeds {tol:.1e} x {scale[i]:.3g}",
+                invariant="uncertainty-equation",
+                violation=float(abs(equation_residual[i])))
         raise InternalConsistencyError(
-            f"uncertainty inequality violated by {-inequality_slack[i]:.3e}")
+            f"uncertainty inequality violated by {-inequality_slack[i]:.3e}",
+            invariant="uncertainty-inequality", violation=float(-inequality_slack[i]))
     return (commutator_term, covariance_sq, correlation_sq, variance_product,
             equation_residual, inequality_slack)
 

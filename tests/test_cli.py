@@ -99,6 +99,27 @@ class TestUncertainty:
         assert err["violation"] == pytest.approx(0.2)
         assert err["field"] == "state"
 
+    @pytest.mark.parametrize("r, invariant", [
+        ([0.3, 0.4, 0.2], "uncertainty-equation"),
+        ([0.6, 0.0, 0.8], "uncertainty-inequality"),
+    ])
+    def test_rounding_residual_at_zero_tolerance_names_its_identity(
+            self, capsys, files, tmp_path, r, invariant):
+        """At --tol-stat 0 the last-bit residual of an identity is an
+        internal-consistency failure that carries its invariant and size."""
+        state = tmp_path / "r.json"
+        state.write_text(json.dumps({"type": "bloch", "r": r}))
+        code, out = run_cli(capsys, "uncertainty", "--state", str(state),
+                            "--obs-a", files["obs_a.json"],
+                            "--obs-b", files["obs_b.json"],
+                            "--tol-stat", "0", "--json")
+        assert code == 2
+        err = out["error"]
+        assert err["type"] == "InternalConsistencyError"
+        assert err["invariant"] == invariant
+        assert 0.0 < err["violation"] < 1e-12
+        assert f"{err['violation']:.3e}" in err["message"]
+
 
 class TestDemo:
     @pytest.mark.parametrize("name", [f"example{i}" for i in range(1, 8)])
@@ -115,9 +136,10 @@ class TestDemo:
         assert len([c for c in out["checks"]]) >= 8
 
     def test_unknown_demo_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["demo", "example9"])
-        assert exc.value.code == 2
+        code, out = run_cli(capsys, "demo", "example9")
+        assert code == 2
+        assert out["error"]["type"] == "ParseError"
+        assert "invalid choice: 'example9'" in out["error"]["message"]
 
 
 class TestFuzz:
@@ -155,6 +177,18 @@ class TestFuzz:
         assert out["property"] == worst["property"]
         assert repr(out["residual"]) == repr(worst["residual"])
         assert repr(out["ratio"]) == repr(worst["ratio"])
+
+    def test_replay_honours_output(self, capsys, tmp_path):
+        summary = str(tmp_path / "s.json")
+        main(["fuzz", "--trials", "6", "--dims", "2", "--seed", "3",
+              "--output", summary])
+        assert main(["fuzz", "--replay", summary, "--json"]) == 0
+        printed = capsys.readouterr().out
+        written = tmp_path / "replay.json"
+        assert main(["fuzz", "--replay", summary, "--output", str(written),
+                     "--json"]) == 0
+        assert capsys.readouterr().out == ""
+        assert written.read_text() == printed
 
     @pytest.mark.parametrize("dump, field", [
         ({"property": "nope", "instance": {}}, "dump.property"),
@@ -481,12 +515,106 @@ def test_cached_parser_keeps_no_flags_between_calls(capsys, files):
     assert custom != fresh
 
 
+# The shared flags each subcommand's handler and file decoders read.
+_TOLS = {"tol-lin", "tol-psd"}
+_SHARED_FLAGS_READ = {
+    "uncertainty": _TOLS | {"tol-stat"},
+    "demo": {"seed"},
+    "fuzz": _TOLS | {"tol-stat", "cluster-tol", "seed"},
+    "sweep-example4": {"seed"},
+    "sharp": _TOLS | {"cluster-tol"},
+    "conjugate": _TOLS | {"cluster-tol"},
+    "coarse-grain": _TOLS,
+    "sequential": _TOLS,
+    "conditioned": _TOLS,
+    "validate": _TOLS,
+}
+_SHARED_VALUES = {"tol-lin": "1e-9", "tol-psd": "1e-8", "tol-stat": "1e-9",
+                  "cluster-tol": "1e-6", "seed": "3"}
+
+
+def _valid_argv(command, files) -> list[str]:
+    return {
+        "uncertainty": ["--state", files["state.json"],
+                        "--obs-a", files["obs_a.json"],
+                        "--obs-b", files["obs_b.json"]],
+        "demo": ["example1"],
+        "fuzz": ["--trials", "1", "--dims", "2"],
+        "sweep-example4": ["--mu-grid", "0.5", "--samples", "2"],
+        "sharp": ["--obs", files["obs_rand.json"]],
+        "conjugate": ["--obs", files["obs_rand.json"]],
+        "coarse-grain": ["--obs", files["obs_a.json"], "--map", files["fmap.json"]],
+        "sequential": ["--instrument", files["inst_lueders.json"],
+                       "--obs", files["obs_b.json"]],
+        "conditioned": ["--instrument", files["inst_trivial.json"],
+                        "--obs", files["obs_b.json"]],
+        "validate": [files["obs_a.json"]],
+    }[command]
+
+
+def test_parser_gives_each_subcommand_only_the_shared_flags_it_reads():
+    sub, = [a for a in _build_parser()._actions if isinstance(a.choices, dict)]
+    options = {name: {o[2:] for a in p._actions for o in a.option_strings}
+               for name, p in sub.choices.items()}
+    assert {name: opts & set(_SHARED_VALUES) for name, opts in options.items()} \
+        == _SHARED_FLAGS_READ
+    assert all("json" in opts for opts in options.values())
+    assert sum(map(len, _SHARED_FLAGS_READ.values())) == 24  # of 10 x 5 slots
+
+
+@pytest.mark.parametrize("command", list(_SHARED_FLAGS_READ))
+def test_each_subcommand_takes_only_the_shared_flags_it_reads(capsys, files,
+                                                               command):
+    argv = [command, *_valid_argv(command, files)]
+    assert main([*argv, "--json"]) == 0
+    capsys.readouterr()
+    for flag, value in _SHARED_VALUES.items():
+        code, out = run_cli(capsys, *argv, f"--{flag}", value, "--json")
+        if flag in _SHARED_FLAGS_READ[command]:
+            assert code == 0, flag
+        else:
+            assert code == 2, flag
+            assert out["error"]["type"] == "ParseError"
+            assert out["error"]["message"] == \
+                f"unrecognized arguments: --{flag} {value}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fuzz", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    (["sharp"], "the following arguments are required: --obs"),
+    (["demo", "example9"], "argument name: invalid choice: 'example9' "),
+    (["validate", "f.json", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+])
+@pytest.mark.parametrize("compact", [False, True])
+def test_usage_error_is_one_json_diagnostic(capsys, argv, message, compact):
+    code = main([*argv, *["--json"] * compact])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert (captured.out.count("\n") == 1) == compact
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(message)
+    assert error["file"] is None
+
+
 def test_console_entry_point_runs():
-    proc = subprocess.run([sys.executable, "-m", "qobs.cli", "demo",
-                           "example1", "--json"],
-                          capture_output=True, text=True)
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "qobs.cli", *argv],
+                              capture_output=True, text=True)
+
+    proc = run("demo", "example1", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+    proc = run("sharp", "--obs", "F", "--seed", "1", "--json")
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert proc.stdout.count("\n") == 1
+    assert json.loads(proc.stdout)["error"]["message"] == \
+        "unrecognized arguments: --seed 1"
+    proc = run("sharp", "--help")
+    assert proc.returncode == 0
+    assert "--cluster-tol" in proc.stdout and "--seed" not in proc.stdout
 
 
 def _leaf_paths(doc, path=()):

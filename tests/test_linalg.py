@@ -10,8 +10,11 @@ from qobs.errors import (
     NotPSDError,
     ValidationError,
 )
+from qobs.instruments import Instrument
+from qobs.observables import Observable
 from qobs.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qobs.sampling import random_hermitian
+from qobs.states import DensityOperator
 
 from conftest import max_abs_diff
 
@@ -29,6 +32,23 @@ class TestArithmetic:
             linalg.as_matrix(np.ones((2, 3)))
         with pytest.raises(ValidationError):
             linalg.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Instrument([0, 1], [[np.eye(2) / np.sqrt(2)], [[[1, 2], [3]]]]),
+         "kraus[1][0]"),
+        (lambda: Observable([0, 1], [np.eye(2), [[1, 2], [3]]]), "effect[1]"),
+        (lambda: Instrument([0], [[[["ab"]]]]), "kraus[0][0]"),
+        (lambda: DensityOperator([["ab"]]), "state"),
+        (lambda: DensityOperator([[1, 0], [0]]), "state"),
+        (lambda: Instrument([0], [5]), "kraus[0]"),
+    ], ids=["ragged-kraus", "ragged-effect", "string-kraus", "string-state",
+            "ragged-state", "scalar-kraus-list"])
+    def test_constructors_name_the_entry_that_is_not_numeric(self, build, field):
+        """Entries numpy cannot read as complex matrices are a
+        ValidationError naming the field, never numpy's own exception."""
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert info.value.field == field
 
 
 class TestTrace:

@@ -7,7 +7,7 @@ import pytest
 
 from qobs import serialization as ser
 from qobs.errors import ParseError, TraceNotOneError, ValidationError
-from qobs.instruments import lueders_instrument
+from qobs.instruments import lueders_instrument, trivial_instrument
 from qobs.observables import Observable
 from qobs.qubit import noisy_spin
 from qobs.sampling import ginibre, random_density, random_instrument, random_observable
@@ -157,6 +157,16 @@ class TestInstrument:
     def test_unknown_family(self):
         with pytest.raises(ParseError):
             ser.decode_instrument({"type": "instrument", "family": "weird"})
+
+    def test_bool_outcomes_are_labels_as_for_observables(self):
+        """Bools are not real outcomes: the instrument encodes them as the
+        labels an observable with the same keys encodes."""
+        inst = trivial_instrument({True: 0.25, False: 0.75}, 2)
+        obs = Observable([True, False], [np.eye(2) / 4, 3 * np.eye(2) / 4])
+        enc = ser.encode_instrument(inst)
+        assert enc["outcomes"] == ser.encode_observable(obs)["labels"] == [
+            "True", "False"]
+        assert ser.decode_instrument(enc).outcomes == ("True", "False")
 
 
 class TestFunctionMapAndReport:
