@@ -10,6 +10,7 @@ readable diagnostic on stdout).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -80,12 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
         def error(self, message):  # a usage error becomes a JSON diagnostic
             raise ParseError(message)
 
-    parser = Parser(prog="qobs",
+    parser = Parser(prog="qobs", allow_abbrev=False,  # no prefixes of flags
                     description="Finite-dimensional quantum measurement toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, flags):  # a subcommand with only these flags
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             kind, default, text = _SHARED_FLAGS[flag]
             p.add_argument(f"--{flag}", type=kind, default=default, help=text)
@@ -243,13 +244,16 @@ def _cmd_fuzz(args, ctx: _FileContext) -> int:
                             tol_lin=args.tol_lin, tol_psd=args.tol_psd,
                             tol_stat=args.tol_stat,
                             cluster_tol=args.cluster_tol)
-    result = (ctx.load(args.replay, fuzz.replay_instance, config)
-              if args.replay is not None else fuzz.run_fuzz(config))
-    if args.output == "-":
-        _emit(result, args)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            _emit(result, args, fh)
+    try:  # before the run, so an unwritable path costs no fuzzing
+        out = (contextlib.nullcontext() if args.output == "-"
+               else open(args.output, "w", encoding="utf-8"))
+    except OSError as exc:
+        raise ValidationError(f"--output: cannot write {args.output}: {exc.strerror}",
+                              invariant="writable-output", field="--output") from None
+    with out as stream:
+        result = (ctx.load(args.replay, fuzz.replay_instance, config)
+                  if args.replay is not None else fuzz.run_fuzz(config))
+        _emit(result, args, stream)
     return 1 if result.get("violations") else 0
 
 

@@ -1,10 +1,10 @@
 """Finite quantum instruments: Kraus slices or measure-and-prepare pairs.
 
 An instrument assigns to each outcome a completely positive trace-
-nonincreasing map; the maps must sum to a channel.  A map is a Kraus slice
-``(K,)``, rho -> sum_j K_j rho K_j*, or Holevo pairs ``(A, alpha)``, rho ->
-sum_i tr(rho A_i) alpha_i, O(d^2) per pair where its Kraus form has
-d * rank(alpha_i) operators.  Every builder ends in ``Instrument._build``,
+nonincreasing map; the maps must sum to a channel.  Each map is held in
+one form only: a Kraus slice ``(K,)``, rho -> sum_j K_j rho K_j*, or Holevo
+pairs ``(A, alpha)``, rho -> sum_i tr(rho A_i) alpha_i at O(d^2) per pair,
+each a ``(k, d, d)`` stack.  Every builder ends in ``Instrument._build``,
 which checks only what the builder's own inputs leave open.
 """
 
@@ -45,23 +45,11 @@ def _sandwich(part: tuple, M: np.ndarray, dual: bool = False) -> np.ndarray:
     return (Kh @ M @ K if dual else K @ M @ Kh).sum(0)
 
 
-def _holevo_kraus(A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """Exact Kraus operators of pairs: for rho -> tr(rho E) alpha with
-    alpha = sum_j lam_j |v_j><v_j| and {e_k} the standard basis,
-    K_(j,k) = sqrt(lam_j) |v_j><e_k| E^{1/2}, so d * rank(alpha) of them."""
-    lam, vecs = np.linalg.eigh(alphas)
-    blocks = [np.sqrt(w[w > 0.0])[:, None, None, None] * (  # rank(alpha) > 0
-        v.T[w > 0.0][:, None, :, None] * psd_sqrt(E)[None, :, None, :])
-        for E, w, v in zip(A, lam, vecs)]
-    return np.concatenate(blocks).reshape((-1,) + A.shape[1:])
-
-
 class Instrument(_Immutable):
-    """Outcomes, each with its map (a Kraus slice or Holevo pairs), summing
-    to a channel.  ``kraus`` is one read-only ``(m, d, d)`` stack grouped by
-    outcome in order, and ``owner`` the read-only index of each operator's
-    outcome; both are built on first read (factoring each Holevo pair into
-    d * rank(alpha_i) operators) and kept, as is the measured observable.
+    """Outcomes, each with its map, summing to a channel.  ``_parts`` holds
+    one map per outcome in the form its builder made: a Kraus slice, or
+    Holevo pairs (several per outcome after coarse graining).  The measured
+    observable is built on first use and kept.
     """
 
     __slots__ = ("outcomes", "dim", "_parts", "_duals", "_derived")
@@ -85,9 +73,11 @@ class Instrument(_Immutable):
                                         invariant="distinct-outcomes")
         parts = [(linalg.as_stack(ops, name=f"kraus[{i}]"),)
                  for i, ops in enumerate(kraus)]
-        if len({K.shape[1] for K, in parts}) > 1:
+        dims = [K.shape[1] for K, in parts]
+        if len(set(dims)) > 1:  # name the first outcome off the first dim
+            i = next(i for i, d in enumerate(dims) if d != dims[0])
             raise DimensionMismatchError("Kraus operators have mixed dims",
-                                         invariant="matching-dims")
+                                         invariant="matching-dims", field=f"kraus[{i}]")
         self._build(outs, parts, tol_lin, tol_psd)
 
     def _build(self, outcomes, parts, tol_lin=None, tol_psd=None) -> "Instrument":
@@ -115,18 +105,6 @@ class Instrument(_Immutable):
         self._set(outcomes=tuple(outcomes), dim=duals.shape[1],
                   _parts=tuple(parts), _duals=duals, _derived={})
         return self
-
-    def _factor(self) -> tuple[np.ndarray, np.ndarray]:
-        blocks = [p[0] if len(p) == 1 else _holevo_kraus(*p)
-                  for p in self._parts]
-        stack = np.concatenate(blocks)
-        owner = np.repeat(np.arange(len(blocks)), [len(K) for K in blocks])
-        for arr in (stack, owner):
-            arr.setflags(write=False)
-        return stack, owner
-
-    kraus = property(lambda self: _stored(self._derived, "kraus", self._factor)[0])
-    owner = property(lambda self: _stored(self._derived, "kraus", self._factor)[1])
 
     def __len__(self):
         return len(self.outcomes)
@@ -215,7 +193,7 @@ def holevo_instrument(A: Observable,
 
     ``alphas`` is either a list parallel to the outcomes or a mapping keyed
     by them; it must cover every outcome.  The pairs (A_x, alpha_x) are kept
-    with no new check; their Kraus operators are formed only if read.
+    as they are, with no new check.
     """
     if isinstance(alphas, Mapping):
         missing = [x for x in A.keys if x not in alphas]

@@ -68,7 +68,7 @@ def as_stack(mats, *, name: str) -> np.ndarray:
         if M.shape[0] != dim:
             raise DimensionMismatchError(
                 f"{name}[{i}] has dim {M.shape[0]}, expected {dim}",
-                invariant="matching-dims")
+                invariant="matching-dims", field=f"{name}[{i}]")
     return np.stack(items)
 
 

@@ -169,13 +169,24 @@ def decode_function_map(obj, field: str = "map") -> dict:
 
 
 def encode_instrument(inst: Instrument) -> dict:
-    return {
-        "type": "instrument",
-        "family": "kraus",
-        "outcomes": [x if is_real(x) else label_to_str(x) for x in inst.outcomes],
-        "kraus": [[encode_matrix(K) for K in inst.kraus[inst.owner == i]]
-                  for i in range(len(inst))],
-    }
+    """The maps as held: Kraus slices, or Holevo pairs keyed by outcome, or by
+    pair index with a ``map`` to the outcomes where coarse graining merged them."""
+    if len(inst._parts[0]) == 1:
+        return {"type": "instrument", "family": "kraus",
+                "outcomes": [x if is_real(x) else label_to_str(x)
+                             for x in inst.outcomes],
+                "kraus": [[encode_matrix(K) for K in p[0]] for p in inst._parts]}
+    A, alphas = (np.concatenate(arrs) for arrs in zip(*inst._parts))
+    zs = [z for (E, _), z in zip(inst._parts, inst.outcomes) for _ in E]
+    merged = len(zs) > len(inst)  # only coarse graining merges, to real outcomes
+    pairs = Observable.__new__(Observable)._build(  # A was checked when built
+        range(len(zs)) if merged else inst.outcomes, A, None)
+    out = {"type": "instrument", "family": "holevo",
+           "observable": encode_observable(pairs),
+           "states": [{"type": "density", "matrix": encode_matrix(a)} for a in alphas]}
+    if merged:
+        out["map"] = {str(j): z for j, z in enumerate(zs)}
+    return out
 
 
 def decode_instrument(obj, field: str = "instrument", *,
@@ -201,7 +212,10 @@ def decode_instrument(obj, field: str = "instrument", *,
         alphas = [decode_state(s, f"{field}.states[{i}]",
                                tol_lin=tol_lin, tol_psd=tol_psd)
                   for i, s in enumerate(raw_states)]
-        return holevo_instrument(A, alphas)
+        inst = holevo_instrument(A, alphas)
+        if "map" in obj:  # pairs keyed by index, merged as the API merges them
+            inst = inst.coarse_grain(decode_function_map(obj["map"], f"{field}.map"))
+        return inst
     if family == "kraus":
         raw_outs = _list(_expect(obj, "outcomes", field), f"{field}.outcomes")
         raw_kraus = _list(_expect(obj, "kraus", field), f"{field}.kraus")

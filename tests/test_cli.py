@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qobs import serialization as ser
+from qobs import fuzz, serialization as ser
 from qobs.cli import _build_parser, main
 from qobs.instruments import lueders_instrument
 from qobs.linalg import MAX_OUTCOMES
@@ -189,6 +189,27 @@ class TestFuzz:
                      "--json"]) == 0
         assert capsys.readouterr().out == ""
         assert written.read_text() == printed
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_unwritable_output_exits_2_before_the_run(self, capsys, tmp_path,
+                                                       monkeypatch, replay):
+        summary = tmp_path / "s.json"
+        main(["fuzz", "--trials", "1", "--dims", "2", "--output", str(summary)])
+
+        def refuse(*args):
+            raise AssertionError("ran before the output was opened")
+
+        monkeypatch.setattr(fuzz, "run_fuzz", refuse)
+        monkeypatch.setattr(fuzz, "replay_instance", refuse)
+        source = ["--replay", str(summary)] if replay else ["--trials", "1"]
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            code = main(["fuzz", *source, "--output", str(target), "--json"])
+            captured = capsys.readouterr()
+            assert (code, captured.err, captured.out.count("\n")) == (2, "", 1)
+            error = json.loads(captured.out)["error"]
+            assert (error["type"], error["field"], error["invariant"]) == (
+                "ValidationError", "--output", "writable-output")
+            assert str(target) in error["message"]
 
     @pytest.mark.parametrize("dump, field", [
         ({"property": "nope", "instance": {}}, "dump.property"),
@@ -585,6 +606,9 @@ def test_each_subcommand_takes_only_the_shared_flags_it_reads(capsys, files,
     (["demo", "example9"], "argument name: invalid choice: 'example9' "),
     (["validate", "f.json", "--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: command"),
+    (["demo", "example1", "--js"], "unrecognized arguments: --js"),  # no prefixes
+    (["fuzz", "--trials", "1", "--dims", "2", "--clus", "0.1"],
+     "unrecognized arguments: --clus 0.1"),
 ])
 @pytest.mark.parametrize("compact", [False, True])
 def test_usage_error_is_one_json_diagnostic(capsys, argv, message, compact):

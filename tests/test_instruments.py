@@ -1,6 +1,7 @@
 """Instrument families, duals, measured observables, sequential products."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -45,18 +46,14 @@ from qobs.sampling import (
     random_probability_vector,
     random_sharp_observable,
 )
-from qobs.serialization import decode_instrument, encode_instrument
+from qobs.serialization import canonical_json, decode_instrument, encode_instrument
 from qobs.states import bloch_state
 
-from conftest import assert_rebuilds_exactly, max_abs_diff
+from conftest import (assert_rebuilds_exactly, assert_same_parts, max_abs_diff,
+                      per_outcome)
 
 FAMILIES = ("trivial", "holevo", "lueders")
 KRAUS_FORM = ("trivial", "lueders")  # the Holevo family keeps (A_x, alpha_x)
-
-
-def per_outcome(inst):
-    """The instrument's Kraus stack split back into one array per outcome."""
-    return [inst.kraus[inst.owner == i] for i in range(len(inst))]
 
 
 def twins(rng, dim, family, **kw):
@@ -208,9 +205,9 @@ class TestLueders:
         # null eigenvalues, so the comparison is loose relative to eps.
         A = random_sharp_observable(rng, 3, 2)
         inst = lueders_instrument(A)
-        assert inst.owner.tolist() == list(range(len(A)))
-        for K, P in zip(inst.kraus, A.effects):
-            assert max_abs_diff(K, P) < 1e-7
+        assert [len(K) for K in per_outcome(inst)] == [1] * len(A)
+        for K, P in zip(per_outcome(inst), A.effects):
+            assert max_abs_diff(K[0], P) < 1e-7
 
     def test_measures_its_observable(self, rng):
         A = random_observable(rng, 4, 3)
@@ -289,32 +286,32 @@ class TestStackedLayout:
         ragged = [[np.array(K) for K in ops] for ops in per_outcome(inst)]
         rebuilt = Instrument(inst.outcomes, ragged)
         assert rebuilt.outcomes == inst.outcomes
-        assert np.array_equal(rebuilt.kraus, inst.kraus)
-        assert np.array_equal(rebuilt.owner, inst.owner)
+        for K, L in zip(per_outcome(rebuilt), per_outcome(inst)):
+            assert np.array_equal(K, L)
         if family in KRAUS_FORM:  # Holevo pairs: see TestPairForm
             assert np.array_equal(rebuilt.measured_observable().effects,
                                   inst.measured_observable().effects)
-        assert not inst.kraus.flags.writeable
-        assert not inst.owner.flags.writeable
 
     def test_stack_is_grouped_by_outcome(self, rng):
         A = random_observable(rng, 2, 3)
         alphas = [bloch_state(r) for r in ((0, 0, 1), (0, 0, 0), (0, 0, -1))]
-        inst = holevo_instrument(A, alphas)  # d * rank(alpha) per outcome
-        assert inst.kraus.shape == (8, 2, 2)
-        assert inst.owner.tolist() == [0, 0, 1, 1, 1, 1, 2, 2]
+        inst = holevo_instrument(A, alphas)  # one pair per outcome
+        assert [(len(E), len(a)) for E, a in inst._parts] == [(1, 1)] * 3
+        # Its Kraus form has d * rank(alpha) operators per outcome.
+        assert [K.shape for K in per_outcome(inst)] == [
+            (2, 2, 2), (4, 2, 2), (2, 2, 2)]
 
     def test_identity_coarse_graining_keeps_the_stack(self, rng):
         inst = random_instrument(rng, 3, "holevo", n_outcomes=3)
         same = inst.coarse_grain({x: x for x in inst.outcomes})
-        assert np.array_equal(same.kraus, inst.kraus)
-        assert np.array_equal(same.owner, inst.owner)
+        assert_same_parts(same, inst)
 
     def test_constant_coarse_graining_keeps_operator_order(self, rng):
         inst = random_instrument(rng, 3, "holevo", n_outcomes=3)
         merged = inst.coarse_grain(lambda x: 1.0)
-        assert np.array_equal(merged.kraus, inst.kraus)
-        assert merged.owner.tolist() == [0] * len(inst.kraus)
+        assert len(merged._parts) == 1
+        for pairs, held in zip(merged._parts[0], zip(*inst._parts)):
+            assert np.array_equal(pairs, np.concatenate(held))
 
 
 class TestStoredMeasuredObservable:
@@ -384,7 +381,8 @@ def _projection_pair(rng, dim):
 
 class TestPairForm:
     """A Holevo instrument keeps its (A_x, alpha_x) pairs; it must agree
-    with the Kraus-form instrument built from its own ``kraus`` stack."""
+    with the Kraus-form instrument built from the exact Kraus operators of
+    those pairs (``conftest.holevo_kraus``)."""
 
     @pytest.mark.parametrize("dim", (1, 2, 5))
     @pytest.mark.parametrize("effects", ("full", "deficient"))
@@ -419,7 +417,8 @@ class TestPairForm:
             assert_close(merged.apply(z, rho), kraus_merged.apply(z, rho))
         assert_close(merged.measured_observable().effects,
                      kraus_merged.measured_observable().effects)
-        assert np.array_equal(merged.kraus, kraus_merged.kraus)
+        for K, L in zip(per_outcome(merged), per_outcome(kraus_merged)):
+            assert np.array_equal(K, L)
 
     def test_dual_apply_of_a_stack_is_each_dual(self, rng):
         for family in FAMILIES:
@@ -432,11 +431,9 @@ class TestPairForm:
             with pytest.raises(DimensionMismatchError):
                 inst.dual_apply(inst.outcomes[0], np.zeros((2, 2, 2)))
 
-    def test_large_dim_never_forms_kraus_operators(self, rng, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("Kraus operators of a pair were formed")
-
-        monkeypatch.setattr(instruments, "_holevo_kraus", refuse)
+    def test_large_dim_acts_and_encodes_as_pairs(self, rng):
+        """At d = 64 every action, and the JSON document, stays in the pair
+        form: 3 effects and 3 states, not 3 * d * rank(alpha) operators."""
         dim = 64
         A = random_observable(rng, dim, 3)
         inst = holevo_instrument(A, [random_density(rng, dim) for _ in range(3)])
@@ -453,8 +450,12 @@ class TestPairForm:
         conditioned_observable(inst, B)
         merged = inst.coarse_grain(lambda x: 0.0)
         assert_close(merged.apply(0.0, rho), inst.channel(rho).matrix)
-        with pytest.raises(AssertionError, match="were formed"):
-            inst.kraus
+        doc = json.loads(canonical_json(encode_instrument(inst), compact=True))
+        assert doc["family"] == "holevo"
+        assert len(doc["observable"]["effects"]) == len(doc["states"]) == 3
+        back = decode_instrument(doc)
+        assert back.outcomes == inst.outcomes
+        assert_same_parts(back, inst)
 
 
 class TestCoarseGrainInstrument:
@@ -466,9 +467,10 @@ class TestCoarseGrainInstrument:
                           tol_lin=1e-6)
         same = inst.coarse_grain({0.0: 0.0, 1.0: 1.0})
         assert same.outcomes == inst.outcomes
-        assert np.array_equal(same.kraus, inst.kraus)
+        assert_same_parts(same, inst)
         merged = inst.coarse_grain(lambda x: 0.0)
-        assert np.array_equal(merged.kraus, inst.kraus)
+        assert np.array_equal(merged._parts[0][0],
+                              np.concatenate([K for K, in inst._parts]))
 
     def test_measured_observable_keeps_the_instruments_tolerance(self):
         # The channel residual of 1e-7 was accepted at tol_lin=1e-6; the
@@ -484,7 +486,7 @@ class TestCoarseGrainInstrument:
         inst = random_instrument(rng, 2, "lueders")
         same = inst.coarse_grain({x: x for x in inst.outcomes})
         assert same.outcomes == inst.outcomes
-        assert len(same.kraus) == len(inst.kraus)
+        assert [len(K) for K, in same._parts] == [len(K) for K, in inst._parts]
         measured, measured2 = inst.measured_observable(), same.measured_observable()
         for E, F in zip(measured.effects, measured2.effects):
             assert max_abs_diff(E, F) < 1e-12
@@ -752,8 +754,8 @@ class TestFamiliesBuildFromCheckedArrays:
         for inst in insts:
             again = Instrument(inst.outcomes, per_outcome(inst))
             assert again.outcomes == inst.outcomes
-            for name in ("_duals", "kraus", "owner"):
-                assert np.array_equal(getattr(again, name), getattr(inst, name))
+            assert np.array_equal(again._duals, inst._duals)
+            assert_same_parts(again, inst)
             m, n = again.measured_observable(), inst.measured_observable()
             assert m.keys == n.keys
             assert np.array_equal(m.effects, n.effects)

@@ -41,11 +41,16 @@ class TestArithmetic:
         (lambda: DensityOperator([["ab"]]), "state"),
         (lambda: DensityOperator([[1, 0], [0]]), "state"),
         (lambda: Instrument([0], [5]), "kraus[0]"),
+        (lambda: Observable([0, 1], [np.eye(2), np.eye(3)]), "effect[1]"),
+        (lambda: Instrument([0, 1], [[np.eye(2) / np.sqrt(2)],
+                                     [np.eye(3) / np.sqrt(2)]]), "kraus[1]"),
     ], ids=["ragged-kraus", "ragged-effect", "string-kraus", "string-state",
-            "ragged-state", "scalar-kraus-list"])
+            "ragged-state", "scalar-kraus-list", "mixed-dim-effects",
+            "mixed-dim-outcomes"])
     def test_constructors_name_the_entry_that_is_not_numeric(self, build, field):
-        """Entries numpy cannot read as complex matrices are a
-        ValidationError naming the field, never numpy's own exception."""
+        """Entries numpy cannot read as complex matrices, or as matrices of
+        one dim, are a ValidationError naming the field, never numpy's own
+        exception."""
         with pytest.raises(ValidationError) as info:
             build()
         assert info.value.field == field

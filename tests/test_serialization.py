@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from qobs import serialization as ser
-from qobs.errors import ParseError, TraceNotOneError, ValidationError
-from qobs.instruments import lueders_instrument, trivial_instrument
-from qobs.observables import Observable
+from qobs.errors import (MissingLabelError, NotAnEffectError, ParseError,
+                         TraceNotOneError, ValidationError)
+from qobs.instruments import (Instrument, holevo_instrument, lueders_instrument,
+                              sequential_product, trivial_instrument)
+from qobs.observables import Observable, is_real
 from qobs.qubit import noisy_spin
-from qobs.sampling import ginibre, random_density, random_instrument, random_observable
+from qobs.sampling import (ginibre, haar_unitary, random_density, random_instrument,
+                           random_observable, random_probability_vector)
 from qobs.statistics import uncertainty_report
 
-from conftest import max_abs_diff
+from conftest import assert_same_parts, max_abs_diff, per_outcome
 
 
 class TestMatrix:
@@ -138,14 +141,71 @@ class TestInstrument:
         for x in inst.outcomes:
             assert max_abs_diff(out.apply(x, rho), inst.apply(x, rho)) == 0.0
 
-    def test_kraus_family_reads_and_writes_the_stack(self, rng):
+    def test_kraus_document_of_a_holevo_instrument_still_decodes(self, rng):
+        """Holevo instruments used to be written as the Kraus form of their
+        pairs; such a file still decodes, to a Kraus-slice instrument that
+        acts as the pairs do."""
         inst = random_instrument(rng, 2, "holevo", n_outcomes=3)
-        enc = ser.encode_instrument(inst)
-        assert [len(ops) for ops in enc["kraus"]] == \
-            np.bincount(inst.owner).tolist()
-        out = ser.decode_instrument(json.loads(ser.canonical_json(enc)))
-        assert np.array_equal(out.kraus, inst.kraus)
-        assert np.array_equal(out.owner, inst.owner)
+        doc = {"type": "instrument", "family": "kraus",
+               "outcomes": list(inst.outcomes),
+               "kraus": [[ser.encode_matrix(K) for K in ops]
+                         for ops in per_outcome(inst)]}
+        out = ser.decode_instrument(json.loads(ser.canonical_json(doc)))
+        assert out.outcomes == inst.outcomes
+        for (K,), L in zip(out._parts, per_outcome(inst)):
+            assert np.array_equal(K, L)
+        rho, C = random_density(rng, 2), ginibre(rng, 2, 2)
+        for x in inst.outcomes:
+            assert max_abs_diff(out.apply(x, rho), inst.apply(x, rho)) < 1e-12
+            assert max_abs_diff(out.dual_apply(x, C), inst.dual_apply(x, C)) < 1e-12
+        assert max_abs_diff(out.channel(rho).matrix,
+                            inst.channel(rho).matrix) < 1e-12
+
+    def test_kraus_documents_are_pinned(self):
+        """Kraus-slice instruments keep the ``kraus`` document, byte for
+        byte."""
+        trivial = trivial_instrument({1.0: 0.25, -1.0: 0.75}, 2)
+        assert ser.canonical_json(ser.encode_instrument(trivial), compact=True) == (
+            '{"family":"kraus","kraus":[[{"dim":2,"re":[[0.5,0.0],[0.0,0.5]]}],'
+            '[{"dim":2,"re":[[0.8660254037844386,0.0],[0.0,0.8660254037844386]]}]],'
+            '"outcomes":[1.0,-1.0],"type":"instrument"}')
+        A = Observable([-1.0, 1.0], [np.diag([0.36, 1.0]), np.diag([0.64, 0.0])])
+        assert ser.canonical_json(ser.encode_instrument(lueders_instrument(A)),
+                                  compact=True) == (
+            '{"family":"kraus","kraus":[[{"dim":2,"re":[[0.6,0.0],[0.0,1.0]]}],'
+            '[{"dim":2,"re":[[0.8,0.0],[0.0,0.0]]}]],"outcomes":[-1.0,1.0],'
+            '"type":"instrument"}')
+
+    def test_holevo_pairs_are_written_as_held(self, rng):
+        A = random_observable(rng, 2, 3)
+        alphas = [random_density(rng, 2) for _ in range(3)]
+        inst = holevo_instrument(A, alphas)
+        assert ser.encode_instrument(inst) == {
+            "type": "instrument", "family": "holevo",
+            "observable": ser.encode_observable(A),
+            "states": [ser.encode_state(a) for a in alphas]}
+        f = {x: float(i > 0) for i, x in enumerate(A.outcomes)}
+        enc = ser.encode_instrument(inst.coarse_grain(f))
+        assert enc["observable"]["outcomes"] == [0.0, 1.0, 2.0]
+        assert enc["observable"]["effects"] == ser.encode_observable(A)["effects"]
+        assert enc["map"] == {"0": 0.0, "1": 1.0, "2": 1.0}
+
+    def test_merged_pairs_are_checked_as_pairs(self, rng):
+        """A ``map`` document validates its pairs as a ``holevo`` one does,
+        and the map must cover every pair."""
+        inst = random_instrument(rng, 2, "holevo", n_outcomes=3)
+        enc = ser.encode_instrument(inst.coarse_grain(lambda x: 0.0))
+        missing = dict(enc, map={"0": 0.0, "1": 0.0})
+        with pytest.raises(MissingLabelError):
+            ser.decode_instrument(missing)
+        bad = json.loads(json.dumps(enc))
+        bad["observable"]["effects"][0]["re"][0][0] = 2.0
+        with pytest.raises(NotAnEffectError) as info:
+            ser.decode_instrument(bad)
+        assert info.value.field == "effect[0]"
+        with pytest.raises(ParseError) as info:
+            ser.decode_instrument(dict(enc, map={"0": "x", "1": 0, "2": 0}))
+        assert info.value.field == "instrument.map.0"
 
     def test_trivial_dim_above_max_dim(self):
         with pytest.raises(ValidationError) as info:
@@ -188,3 +248,49 @@ class TestFunctionMapAndReport:
         text = ser.canonical_json(obj, compact=True)
         assert text == '{"a":{"y":0.1,"z":[1,2]},"b":1.0}'
         assert json.loads(text) == obj
+
+
+def _keyed_observable(rng, keys: str, d: int) -> Observable:
+    if keys == "pair":
+        return sequential_product(lueders_instrument(random_observable(rng, d, 2)),
+                                  random_observable(rng, d, 2))
+    A = random_observable(rng, d, 3)
+    return A if keys == "real" else Observable(["a", "b", "c"], A.effects)
+
+
+def _build(rng, builder: str, A: Observable) -> Instrument:
+    d, n = A.dim, len(A)
+    if builder == "trivial":
+        omega = dict(zip(A.keys, random_probability_vector(rng, n)))
+        return trivial_instrument(omega, d)
+    if builder == "lueders":
+        return lueders_instrument(A)
+    if builder == "holevo":
+        return holevo_instrument(A, [random_density(rng, d) for _ in range(n)])
+    V = haar_unitary(rng, n * d)[:, :d]  # an isometry: its blocks sum to I
+    return Instrument(A.keys, [[V[i * d:(i + 1) * d]] for i in range(n)])
+
+
+_GRAINS = {  # coarse grainings: (index, outcome) -> real value
+    "identity": lambda i, x: x if is_real(x) else float(i),  # labels: injective
+    "two-valued": lambda i, x: float(i % 2),
+    "constant": lambda i, x: 1.0,
+}
+
+
+@pytest.mark.parametrize("keys", ["real", "string", "pair"])
+@pytest.mark.parametrize("grain", [None, *_GRAINS])
+@pytest.mark.parametrize("builder", ["trivial", "lueders", "holevo", "kraus"])
+def test_every_instrument_round_trips_exactly(rng, builder, grain, keys):
+    """Every instrument the API builds decodes from its JSON document with
+    the outcomes it was written with and every array of its maps equal."""
+    inst = _build(rng, builder, _keyed_observable(rng, keys, 3))
+    if grain is not None:
+        inst = inst.coarse_grain({x: _GRAINS[grain](i, x)
+                                  for i, x in enumerate(inst.outcomes)})
+    back = ser.decode_instrument(json.loads(ser.canonical_json(
+        ser.encode_instrument(inst))))
+    assert back.outcomes == tuple(x if is_real(x) else ser.label_to_str(x)
+                                  for x in inst.outcomes)
+    assert_same_parts(back, inst)
+    assert np.array_equal(back._duals, inst._duals)
