@@ -40,22 +40,18 @@ _TOLS = ("tol-lin", "tol-psd")  # read by every decoder of an input file
 
 # Subcommands that decode their input files, make one library call and print
 # the resulting observable: name -> (help, flags besides _TOLS, inputs, call).
+# The call takes the decoded inputs, and its flags as keywords.
 _OBSERVABLE_COMMANDS = {
     "sharp": ("sharp version of an observable", ("cluster-tol",), (_OBS_FILE,),
-              lambda a, A: sharp_version(A, a.cluster_tol, tol_lin=a.tol_lin)),
+              sharp_version),
     "conjugate": ("conjugate of an observable", ("cluster-tol",), (_OBS_FILE,),
-                  lambda a, A: conjugate(A, a.cluster_tol, tol_lin=a.tol_lin)),
+                  conjugate),
     "coarse-grain": ("relabel outcomes through a real-valued map", (),
-                     (_OBS_FILE, _MAP_FILE),
-                     lambda a, A, f: coarse_grain(A, f, tol_lin=a.tol_lin)),
+                     (_OBS_FILE, _MAP_FILE), coarse_grain),
     "sequential": ("product observable of instrument then observable", (),
-                   (_INSTRUMENT_FILE, _OBS_FILE),
-                   lambda a, inst, B: sequential_product(inst, B,
-                                                         tol_lin=a.tol_lin)),
+                   (_INSTRUMENT_FILE, _OBS_FILE), sequential_product),
     "conditioned": ("observable conditioned by a nonselective measurement",
-                    (), (_INSTRUMENT_FILE, _OBS_FILE),
-                    lambda a, inst, B: conditioned_observable(
-                        inst, B, tol_lin=a.tol_lin)),
+                    (), (_INSTRUMENT_FILE, _OBS_FILE), conditioned_observable),
 }
 
 
@@ -284,10 +280,12 @@ def _cmd_sweep(args, ctx: _FileContext) -> int:
 
 
 def _cmd_observable(args, ctx: _FileContext) -> int:
-    *_, inputs, op = _OBSERVABLE_COMMANDS[args.command]
+    _, flags, inputs, op = _OBSERVABLE_COMMANDS[args.command]
     operands = [ctx.load(getattr(args, flag), load, args)
                 for flag, load, _ in inputs]
-    out = ser.encode_observable(op(args, *operands))
+    kw = {name: getattr(args, name) for name in
+          (flag.replace("-", "_") for flag in flags)}
+    out = ser.encode_observable(op(*operands, **kw))
     out["schema"] = SCHEMA_VERSION
     _emit(out, args)
     return 0

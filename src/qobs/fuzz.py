@@ -46,6 +46,7 @@ from .observables import (
     _stored,
     coarse_grain,
     conjugate,
+    conjugate_joint,
     is_commutative,
     sharp_version,
     stochastic_operator,
@@ -245,7 +246,7 @@ def _chk_observable_spectrum(inst, cfg):
 
 def _chk_sharp_same_stochastic(inst, cfg):
     A = inst["A"]
-    sharp = sharp_version(A, cfg.cluster_tol, tol_lin=cfg.tol_lin)
+    sharp = sharp_version(A, cfg.cluster_tol)
     sto = stochastic_operator(A)
     return (max_abs(stochastic_operator(sharp) - sto),
             cfg.tol_lin * scale_of(sto))
@@ -253,8 +254,8 @@ def _chk_sharp_same_stochastic(inst, cfg):
 
 def _chk_sharp_idempotent(inst, cfg):
     A = inst["A"]
-    once = sharp_version(A, cfg.cluster_tol, tol_lin=cfg.tol_lin)
-    twice = sharp_version(once, cfg.cluster_tol, tol_lin=cfg.tol_lin)
+    once = sharp_version(A, cfg.cluster_tol)
+    twice = sharp_version(once, cfg.cluster_tol)
     sto = stochastic_operator(A)
     bound = max(cfg.tol_lin,
                 cfg.cluster_tol if cfg.cluster_tol is not None
@@ -262,17 +263,12 @@ def _chk_sharp_idempotent(inst, cfg):
     return _matched_observable_delta(once, twice), bound
 
 
-def _conjugate(inst, cfg, name: str):
-    return _shared(inst, conjugate, name, cluster_tol=cfg.cluster_tol,
-                   tol_lin=cfg.tol_lin)
-
-
 def _chk_conjugate_same_sharp(inst, cfg):
     A = inst["A"]
-    conj = _conjugate(inst, cfg, "A")
+    conj = _shared(inst, conjugate, "A", cluster_tol=cfg.cluster_tol)
     res = max_abs(stochastic_operator(conj) - stochastic_operator(A))
-    sharp_a = sharp_version(A, cfg.cluster_tol, tol_lin=cfg.tol_lin)
-    sharp_c = sharp_version(conj, cfg.cluster_tol, tol_lin=cfg.tol_lin)
+    sharp_a = sharp_version(A, cfg.cluster_tol)
+    sharp_c = sharp_version(conj, cfg.cluster_tol)
     res = max(res, _matched_observable_delta(sharp_a, sharp_c))
     sto = stochastic_operator(A)
     bound = max(cfg.tol_lin * scale_of(sto),
@@ -285,13 +281,13 @@ def _chk_conjugate_commutative(inst, cfg):
     A = inst["A_comm"]
     if not is_commutative(A, cfg.tol_lin):  # pragma: no cover - by construction
         return math.inf, cfg.tol_lin
-    conj = _conjugate(inst, cfg, "A_comm")
+    conj = _shared(inst, conjugate, "A_comm", cluster_tol=cfg.cluster_tol)
     return _matched_observable_delta(A, conj), cfg.tol_lin
 
 
 def _chk_coarse_grain_valid(inst, cfg):
     A, f = inst["A"], inst["f_obs"]
-    fA = _shared(inst, coarse_grain, "A", "f_obs", tol_lin=cfg.tol_lin)
+    fA = _shared(inst, coarse_grain, "A", "f_obs")
     res = max_abs(sum(fA.effects) - np.eye(A.dim))
     direct = sum(f[x] * E for x, E in A.pairs())
     res = max(res, max_abs(stochastic_operator(fA) - direct))
@@ -330,8 +326,8 @@ def _chk_correlation_symmetry(inst, cfg):
 
 def _chk_statistics_sharp_consistency(inst, cfg):
     rho, A, B = inst["rho"], inst["A"], inst["B"]
-    sharp_a = sharp_version(A, cfg.cluster_tol, tol_lin=cfg.tol_lin)
-    sharp_b = sharp_version(B, cfg.cluster_tol, tol_lin=cfg.tol_lin)
+    sharp_a = sharp_version(A, cfg.cluster_tol)
+    sharp_b = sharp_version(B, cfg.cluster_tol)
     cor = stats.correlation(rho, A, B)
     res = abs(cor - stats.correlation(rho, sharp_a, sharp_b))
     res = max(res, abs(stats.average(rho, A) - stats.average(rho, sharp_a)))
@@ -395,7 +391,7 @@ def _chk_instrument_coarse_grain(inst, cfg):
     instr, f = inst["inst"], inst["f_inst"]
     merged = _shared(inst, Instrument.coarse_grain, "inst", "f_inst")
     lhs = merged.measured_observable()
-    rhs = coarse_grain(instr.measured_observable(), f, tol_lin=cfg.tol_lin)
+    rhs = coarse_grain(instr.measured_observable(), f)
     return _matched_observable_delta(lhs, rhs), cfg.tol_lin
 
 
@@ -407,13 +403,13 @@ def _chk_instrument_mean(inst, cfg):
 
 
 def _chk_sequential_completeness(inst, cfg):
-    product = _shared(inst, sequential_product, "inst", "B", tol_lin=cfg.tol_lin)
+    product = _shared(inst, sequential_product, "inst", "B")
     return max_abs(sum(product.effects) - np.eye(product.dim)), cfg.tol_lin
 
 
 def _chk_sequential_marginal(inst, cfg):
     instr = inst["inst"]
-    product = _shared(inst, sequential_product, "inst", "B", tol_lin=cfg.tol_lin)
+    product = _shared(inst, sequential_product, "inst", "B")
     measured = instr.measured_observable()
     res = 0.0
     for x, E in measured.pairs():
@@ -424,7 +420,7 @@ def _chk_sequential_marginal(inst, cfg):
 
 def _chk_conditioned_mean(inst, cfg):
     B, rho = inst["B"], inst["rho"]
-    cond = _shared(inst, conditioned_observable, "inst", "B", tol_lin=cfg.tol_lin)
+    cond = _shared(inst, conditioned_observable, "inst", "B")
     res = abs(stats.average(rho, cond) - stats.average(
         _shared(inst, Instrument.channel, "inst", "rho"), B))
     if inst["family"] == "trivial":
@@ -434,31 +430,35 @@ def _chk_conditioned_mean(inst, cfg):
 
 def _chk_product_split_function(inst, cfg):
     instr, B, g, h = inst["inst"], inst["B"], inst["g"], inst["h"]
-    product = _shared(inst, sequential_product, "inst", "B", tol_lin=cfg.tol_lin)
+    product = _shared(inst, sequential_product, "inst", "B")
     f = {(x, y): g[x] * h[y] for x in instr.outcomes for y in B.outcomes}
-    lhs = stochastic_operator(coarse_grain(product, f, tol_lin=cfg.tol_lin))
+    lhs = stochastic_operator(coarse_grain(product, f))
     hB = sum(h[y] * E for y, E in B.pairs())
     rhs = sum(g[x] * instr.dual_apply(x, hB) for x in instr.outcomes)
     return max_abs(lhs - rhs), cfg.tol_lin * scale_of(rhs)
 
 
 def _chk_derived_spectrum(inst, cfg):
-    """The effect spectrum check the builders skip, on every value a trial
-    derives, in one eigensolve; returns the (residual, bound) of worst ratio."""
-    cut, tol, conj = cfg.cluster_tol, cfg.tol_lin, _conjugate(inst, cfg, "A")
-    sharp = [sharp_version(X, cut, tol_lin=tol)
-             for X in (inst["A"], inst["B"], conj)]
+    """The checks the builders skip, on every observable a trial derives:
+    the effect spectrum, in one eigensolve, and completeness; returns the
+    (residual, bound) of worst ratio."""
+    cut, tol = cfg.cluster_tol, cfg.tol_lin
+    A, conj = inst["A"], _shared(inst, conjugate, "A", cluster_tol=cut)
+    sharp = [sharp_version(X, cut) for X in (A, inst["B"], conj)]
     merged = _shared(inst, Instrument.coarse_grain, "inst", "f_inst")
-    E = np.concatenate([obs.effects for obs in (
-        *sharp, sharp_version(sharp[0], cut, tol_lin=tol), conj,
-        _conjugate(inst, cfg, "A_comm"),
-        _shared(inst, coarse_grain, "A", "f_obs", tol_lin=tol),
-        _shared(inst, sequential_product, "inst", "B", tol_lin=tol),
-        _shared(inst, conditioned_observable, "inst", "B", tol_lin=tol),
-        inst["inst"].measured_observable(), merged.measured_observable())])
+    derived = (*sharp, sharp_version(sharp[0], cut), conj, conjugate_joint(A, cut),
+               _shared(inst, conjugate, "A_comm", cluster_tol=cut),
+               _shared(inst, coarse_grain, "A", "f_obs"),
+               _shared(inst, sequential_product, "inst", "B"),
+               _shared(inst, conditioned_observable, "inst", "B"),
+               inst["inst"].measured_observable(), merged.measured_observable())
+    E = np.concatenate([obs.effects for obs in derived])
     w = hermitian_eigenvalues(E)
-    residual = np.concatenate([hermiticity_defect(E), -w[:, 0], w[:, -1] - 1.0])
-    bound = np.concatenate([tol * scale_of(E), np.full(2 * len(E), cfg.tol_psd)])
+    residual = np.concatenate([
+        hermiticity_defect(E), -w[:, 0], w[:, -1] - 1.0,
+        [max_abs(obs.effects.sum(0) - np.eye(obs.dim)) for obs in derived]])
+    bound = np.concatenate([tol * scale_of(E), np.full(2 * len(E), cfg.tol_psd),
+                            np.full(len(derived), tol)])
     ratio = np.divide(residual, bound, where=bound > 0,
                       out=np.where(residual > 0, math.inf, 0.0))
     k = np.lexsort((residual, ratio))[-1]  # of equal ratios, the largest residual

@@ -5,7 +5,7 @@ nonincreasing map; the maps must sum to a channel.  Each map is held in
 one form only: a Kraus slice ``(K,)``, rho -> sum_j K_j rho K_j*, or Holevo
 pairs ``(A, alpha)``, rho -> sum_i tr(rho A_i) alpha_i at O(d^2) per pair,
 each a ``(k, d, d)`` stack.  Every builder ends in ``Instrument._build``,
-which checks only what the builder's own inputs leave open.
+which checks nothing; the public constructor checks its maps after it.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from .errors import (
     CompletenessViolationError,
     DimensionMismatchError,
     DuplicateOutcomeError,
-    MissingLabelError,
     NotAProbabilityError,
     UnknownOutcomeError,
     ValidationError,
 )
-from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix, max_abs, psd_sqrt
-from .observables import (Observable, _pair_keyed, _stored, coarse_grain,
-                          fibers, is_real)
+from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix, max_abs
+from .observables import (Observable, _on_keys, _pair_keyed, _stored,
+                          coarse_grain, fibers, is_real)
 from .states import DensityOperator
 from .statistics import average, variance as obs_variance
 
@@ -78,30 +77,27 @@ class Instrument(_Immutable):
             i = next(i for i, d in enumerate(dims) if d != dims[0])
             raise DimensionMismatchError("Kraus operators have mixed dims",
                                          invariant="matching-dims", field=f"kraus[{i}]")
-        self._build(outs, parts, tol_lin, tol_psd)
+        self._build(outs, parts)
+        top = linalg.hermitian_eigenvalues(self._duals)[:, -1]
+        i = int(np.argmax(top > 1.0 + tol_psd))  # first bad one, if any
+        if top[i] > 1.0 + tol_psd:
+            raise ValidationError(
+                f"outcome {i} increases trace: sum K*K has eigenvalue "
+                f"{float(top[i])!r}", invariant="trace-nonincreasing",
+                violation=float(top[i]) - 1.0, field=f"kraus[{i}]")
+        residual = max_abs(self._duals.sum(0) - np.eye(self.dim))
+        if residual > tol_lin:
+            raise CompletenessViolationError(
+                f"total map is not a channel (residual {residual:.3e})",
+                invariant="channel", residual=residual)
 
-    def _build(self, outcomes, parts, tol_lin=None, tol_psd=None) -> "Instrument":
-        """The one construction path: set the parts and their duals, sum K*K
-        over a slice or sum A_i over pairs (tr alpha_i = 1).  Given
-        ``tol_psd``, check each dual is at most I; given ``tol_lin``, that
-        the duals sum to I.  Holevo pairs and coarse graining pass neither."""
+    def _build(self, outcomes, parts) -> "Instrument":
+        """The one construction path, which checks nothing: set the parts
+        and their duals, sum K*K over a slice or sum A_i over pairs
+        (tr alpha_i = 1).  The constructor checks the duals afterwards."""
         duals = np.array([p[0].sum(0) if len(p) == 2 else
                           (p[0].conj().swapaxes(-1, -2) @ p[0]).sum(0)
                           for p in parts])
-        if tol_psd is not None:
-            top = linalg.hermitian_eigenvalues(duals)[:, -1]
-            i = int(np.argmax(top > 1.0 + tol_psd))  # first bad one, if any
-            if top[i] > 1.0 + tol_psd:
-                raise ValidationError(
-                    f"outcome {i} increases trace: sum K*K has eigenvalue "
-                    f"{float(top[i])!r}", invariant="trace-nonincreasing",
-                    violation=float(top[i]) - 1.0, field=f"kraus[{i}]")
-        if tol_lin is not None:
-            residual = max_abs(duals.sum(0) - np.eye(duals.shape[1]))
-            if residual > tol_lin:
-                raise CompletenessViolationError(
-                    f"total map is not a channel (residual {residual:.3e})",
-                    invariant="channel", residual=residual)
         self._set(outcomes=tuple(outcomes), dim=duals.shape[1],
                   _parts=tuple(parts), _duals=duals, _derived={})
         return self
@@ -139,13 +135,15 @@ class Instrument(_Immutable):
         def build():
             E = self._duals
             return Observable.__new__(Observable)._build(
-                self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0, None)
+                self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0)
         return _stored(self._derived, "measured", build)
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
-        """Total state change when the outcome is ignored."""
+        """Total state change when the outcome is ignored, not checked again."""
         out = sum(_sandwich(part, rho.matrix) for part in self._parts)
-        return DensityOperator((out + out.conj().T) / 2.0)
+        out = (out + out.conj().T) / 2.0
+        return DensityOperator.__new__(DensityOperator)._build(
+            out, linalg.hermitian_eigenvalues(out))
 
     def coarse_grain(self, f: Mapping | Callable) -> "Instrument":
         """Merge outcomes through a real-valued function: each fiber's Kraus
@@ -169,7 +167,8 @@ class Instrument(_Immutable):
 def trivial_instrument(omega: Mapping, dim: int, *,
                        tol_lin: float = TOL_LIN) -> Instrument:
     """Instrument that leaves the state alone and draws the outcome from the
-    fixed distribution omega; measures the trivial observable omega(x) I."""
+    fixed distribution omega, checked at ``tol_lin``; measures the trivial
+    observable omega(x) I."""
     outcomes = list(omega)
     probs = [float(omega[x]) for x in outcomes]
     if any(p < -tol_lin for p in probs):
@@ -183,7 +182,7 @@ def trivial_instrument(omega: Mapping, dim: int, *,
             invariant="unit-total", violation=abs(total - 1.0))
     eye = as_matrix(np.eye(dim, dtype=complex), name="kraus[0][0]")  # d < 1 raises
     return Instrument.__new__(Instrument)._build(outcomes, [
-        (np.sqrt(max(p, 0.0)) * eye[None],) for p in probs], tol_lin, TOL_PSD)
+        (np.sqrt(max(p, 0.0)) * eye[None],) for p in probs])
 
 
 def holevo_instrument(A: Observable,
@@ -192,16 +191,11 @@ def holevo_instrument(A: Observable,
     tr(rho A_x) and the state is replaced by the fixed state alpha_x.
 
     ``alphas`` is either a list parallel to the outcomes or a mapping keyed
-    by them; it must cover every outcome.  The pairs (A_x, alpha_x) are kept
-    as they are, with no new check.
+    by exactly them.  The pairs (A_x, alpha_x) are kept as they are, with
+    no new check.
     """
     if isinstance(alphas, Mapping):
-        missing = [x for x in A.keys if x not in alphas]
-        if missing:
-            raise MissingLabelError(
-                f"no reprepared state for outcome {missing[0]!r}",
-                invariant="total-function", field=str(missing[0]))
-        alphas = [alphas[x] for x in A.keys]
+        alphas = _on_keys(alphas, A.keys, "reprepared state")
     if len(alphas) != len(A):
         raise ValidationError("need one reprepared state per outcome",
                               invariant="parallel-lists")
@@ -213,12 +207,12 @@ def holevo_instrument(A: Observable,
         (E[None], alpha.matrix[None]) for E, alpha in zip(A.effects, alphas)])
 
 
-def lueders_instrument(A: Observable, *, tol_lin: float = TOL_LIN) -> Instrument:
+def lueders_instrument(A: Observable) -> Instrument:
     """Square-root instrument rho -> A_x^{1/2} rho A_x^{1/2}; measures A.
-    Its duals are A's checked effects, so only the channel is checked: fuzz
-    property ``derived.effect_spectrum`` bounds their spectra instead."""
+    Its duals are A's checked effects, so the roots skip ``psd_sqrt``'s
+    checks: eigenvalues of an effect below zero are clipped."""
     return Instrument.__new__(Instrument)._build(
-        A.keys, [(psd_sqrt(E)[None],) for E in A.effects], tol_lin)
+        A.keys, [(linalg._root(*linalg._eigh(E))[None],) for E in A.effects])
 
 
 def _dual_images(inst: Instrument, B: Observable) -> list[np.ndarray]:
@@ -230,32 +224,27 @@ def _dual_images(inst: Instrument, B: Observable) -> list[np.ndarray]:
     return [_sandwich(part, B.effects, dual=True) for part in inst._parts]
 
 
-def sequential_product(inst: Instrument, B: Observable,
-                       *, tol_lin: float = TOL_LIN) -> Observable:
+def sequential_product(inst: Instrument, B: Observable) -> Observable:
     """Observable of the two-step experiment: run the instrument, then
     measure B.  Effects are the dual images of B's effects; keys are
     (x, y) pairs.  The y-marginal reproduces the measured observable."""
-    return _pair_keyed(inst.outcomes, B.keys, np.array(_dual_images(inst, B)),
-                       tol_lin)
+    return _pair_keyed(inst.outcomes, B.keys, np.array(_dual_images(inst, B)))
 
 
-def conditioned_observable(inst: Instrument, B: Observable,
-                           *, tol_lin: float = TOL_LIN) -> Observable:
+def conditioned_observable(inst: Instrument, B: Observable) -> Observable:
     """Observable of: run the instrument ignoring its outcome, then measure
     B.  Effects are sum_x dual_x(B_y) on B's outcome space."""
     total = sum(_dual_images(inst, B))
     return Observable.__new__(Observable)._build(
-        B.keys, (total + total.conj().swapaxes(-1, -2)) / 2.0, tol_lin)
+        B.keys, (total + total.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def product_statistics(inst: Instrument, B: Observable, f: Mapping | Callable,
-                       rho: DensityOperator,
-                       *, tol_lin: float = TOL_LIN):
+                       rho: DensityOperator):
     """Statistics of the real-valued function f of a sequential measurement.
 
     Returns (mean, variance, observable) where the observable is the coarse
     graining of the two-step product observable by f.
     """
-    obs = coarse_grain(sequential_product(inst, B, tol_lin=tol_lin), f,
-                       tol_lin=tol_lin)
+    obs = coarse_grain(sequential_product(inst, B), f)
     return average(rho, obs), obs_variance(rho, obs), obs

@@ -152,11 +152,10 @@ def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:
         raise ConvergenceFailureError(str(exc)) from exc
 
 
-def _validated_eigh(M, tol: float):
-    """(M, w, V): M validated as Hermitian, then ``eigh`` of its Hermitian part."""
-    M = require_hermitian(M, tol)
+def _eigh(M: np.ndarray):
+    """(w, V): ``eigh`` of the Hermitian part of M, with no check of M."""
     try:
-        return (M, *np.linalg.eigh((M + M.conj().T) / 2.0))
+        return np.linalg.eigh((M + M.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailureError(str(exc)) from exc
 
@@ -192,7 +191,12 @@ def hermitian_eigendecomposition(M, cluster_tol: float | None = None,
     the merged values.  Projections are sums of eigenvector outer products,
     so they are basis-independent within each cluster.
     """
-    M, w, V = _validated_eigh(M, tol)
+    return _eigendecomposition(require_hermitian(M, tol), cluster_tol)
+
+
+def _eigendecomposition(M: np.ndarray, cluster_tol: float | None) -> EigenDecomposition:
+    """``hermitian_eigendecomposition`` without the Hermiticity check."""
+    w, V = _eigh(M)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(M)
     cuts = [0, *(np.flatnonzero(np.diff(w) > cluster_tol) + 1).tolist(), len(w)]
@@ -210,11 +214,16 @@ def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
     Eigenvalues in [-tol_psd, 0) are treated as rounding noise and clipped
     to zero; anything lower raises ``NotPSDError``.
     """
-    _, w, V = _validated_eigh(M, tol)
+    w, V = _eigh(require_hermitian(M, tol))
     if w[0] < -tol_psd:
         raise NotPSDError(
             f"matrix has eigenvalue {w[0]:.3e} below -{tol_psd:.1e}",
             invariant="psd", violation=float(-w[0]))
+    return _root(w, V)
+
+
+def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The Hermitian square root of V diag(w) V*, with w clipped at zero."""
     root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
     return (root + root.conj().T) / 2.0
 

@@ -20,6 +20,7 @@ from .errors import (
     MissingLabelError,
     NotAnEffectError,
     NotCommutingError,
+    UnknownOutcomeError,
     ValidationError,
 )
 from .linalg import TOL_LIN, TOL_PSD, _Immutable, entry_norms, max_abs, scale_of
@@ -41,7 +42,7 @@ def canonical_outcome(x) -> float:
 
 def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
     """Check 0 <= E_i <= I for every effect in the stack, reporting the
-    first bad index."""
+    first bad index, and that the effects sum to I."""
     defect = linalg.hermiticity_defect(E)
     eigs = linalg.hermitian_eigenvalues(E)
     lo, hi = eigs[:, 0], eigs[:, -1]
@@ -65,6 +66,11 @@ def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
             f"{where} has eigenvalue {float(hi[i])!r} > 1",
             invariant="effect-upper-bound", violation=float(hi[i] - 1.0),
             field=where, index=i)
+    residual = max_abs(E.sum(0) - np.eye(E.shape[1]))
+    if residual > tol_lin:
+        raise CompletenessViolationError(
+            f"effects sum to identity with residual {residual:.3e}",
+            invariant="completeness", residual=residual)
 
 
 class Observable(_Immutable):
@@ -78,9 +84,9 @@ class Observable(_Immutable):
     Values derived from the effects are stored on the object the first time
     they are asked for: the stochastic operator at construction, and the
     spectral decomposition and the sharp version in one private dict, keyed
-    by what was derived and the ``(cluster_tol, tol_lin)`` it was derived
-    with.  The object stays immutable in value; two threads that fill the
-    same entry compute identical values.
+    by what was derived and the ``cluster_tol`` it was derived with.  The
+    object stays immutable in value; two threads that fill the same entry
+    compute identical values.
     """
 
     __slots__ = ("keys", "outcomes", "effects", "dim", "_stochastic",
@@ -88,13 +94,12 @@ class Observable(_Immutable):
 
     def __init__(self, keys: Sequence[Hashable], effects,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
-        self._build(keys, effects, tol_lin, tol_psd)
+        self._build(keys, effects, (tol_lin, tol_psd))
 
-    def _build(self, keys, E, tol_lin, tol_psd=None) -> "Observable":
-        """The one construction path.  A builder that forms a fresh stack E
-        from checked objects by a unital positive map passes no ``tol_psd``:
-        fuzz property ``derived.effect_spectrum`` checks the effect spectrum
-        instead.  No ``tol_lin`` also skips completeness."""
+    def _build(self, keys, E, tols=None) -> "Observable":
+        """The one construction path.  The constructor passes its ``tols``,
+        (tol_lin, tol_psd), to check the effects.  A builder forms E from
+        checked objects and passes none; ``derived.effect_spectrum`` checks."""
         keys = tuple(keys)
         if len(keys) != len(E) or not keys:
             raise ValidationError(
@@ -107,15 +112,9 @@ class Observable(_Immutable):
             raise DuplicateOutcomeError(
                 "outcomes are not pairwise distinct",
                 invariant="distinct-outcomes" if real else "distinct-labels")
-        if tol_psd is not None:
+        if tols is not None:
             E = linalg.as_stack(E, name="effect")
-            _check_effects(E, tol_lin, tol_psd)
-        if tol_lin is not None:
-            residual = max_abs(E.sum(0) - np.eye(E.shape[1]))
-            if residual > tol_lin:
-                raise CompletenessViolationError(
-                    f"effects sum to identity with residual {residual:.3e}",
-                    invariant="completeness", residual=residual)
+            _check_effects(E, *tols)
         stochastic = None
         if real:
             order = np.argsort(keys, kind="stable")
@@ -180,41 +179,38 @@ def _stored(cache: dict, key, build: Callable):
         return cache.setdefault(key, build())
 
 
-def _spectral_projections(A: Observable, cluster_tol: float | None,
-                          tol_lin: float) -> linalg.EigenDecomposition:
-    return _stored(A._derived, ("spectral", cluster_tol, tol_lin),
-                   lambda: linalg.hermitian_eigendecomposition(
-                       stochastic_operator(A), cluster_tol, tol=tol_lin))
+def _spectral_projections(A: Observable,
+                          cluster_tol: float | None) -> linalg.EigenDecomposition:
+    return _stored(A._derived, ("spectral", cluster_tol),
+                   lambda: linalg._eigendecomposition(stochastic_operator(A),
+                                                      cluster_tol))
 
 
-def sharp_version(A: Observable, cluster_tol: float | None = None,
-                  *, tol_lin: float = TOL_LIN) -> Observable:
+def sharp_version(A: Observable, cluster_tol: float | None = None) -> Observable:
     """The projection-valued observable given by the spectral decomposition
     of the stochastic operator.
 
     Outcomes are the distinct eigenvalues; the result has the same stochastic
     operator as the input.  Outcomes carried only by zero effects do not
     appear, since the stochastic operator cannot see them.  Repeated calls
-    with the same tolerances return the same object.
+    with the same ``cluster_tol`` return the same object.
     """
     def build():
-        decomp = _spectral_projections(A, cluster_tol, tol_lin)
-        return Observable.__new__(Observable)._build(
-            decomp.eigenvalues, decomp.projections, tol_lin)
+        decomp = _spectral_projections(A, cluster_tol)
+        return Observable.__new__(Observable)._build(decomp.eigenvalues,
+                                                     decomp.projections)
 
-    return _stored(A._derived, ("sharp", cluster_tol, tol_lin), build)
+    return _stored(A._derived, ("sharp", cluster_tol), build)
 
 
-def _pinched(A: Observable, cluster_tol: float | None,
-             tol_lin: float) -> np.ndarray:
+def _pinched(A: Observable, cluster_tol: float | None) -> np.ndarray:
     """The stack P_i A_x P_i, indexed [i, x], for the sharp version's
     projections P_i."""
-    P = _spectral_projections(A, cluster_tol, tol_lin).projections[:, None]
+    P = _spectral_projections(A, cluster_tol).projections[:, None]
     return P @ A.effects @ P
 
 
-def conjugate(A: Observable, cluster_tol: float | None = None,
-              *, tol_lin: float = TOL_LIN) -> Observable:
+def conjugate(A: Observable, cluster_tol: float | None = None) -> Observable:
     """The observable with effects sum_i P_i A_x P_i, pinched by the sharp
     version's eigenprojections.
 
@@ -222,21 +218,18 @@ def conjugate(A: Observable, cluster_tol: float | None = None,
     sharp version.  Equals the input exactly when the input is commutative.
     """
     return Observable.__new__(Observable)._build(
-        A.outcomes, _pinched(A, cluster_tol, tol_lin).sum(0), tol_lin)
+        A.outcomes, _pinched(A, cluster_tol).sum(0))
 
 
-def _pair_keyed(xs, ys, C: np.ndarray, tol_lin: float,
-                tol_psd: float | None = None) -> Observable:
+def _pair_keyed(xs, ys, C: np.ndarray) -> Observable:
     """Observable with keys (x, y), x-major, and the Hermitian parts of the
     matching effects of the ``(len(xs), len(ys), d, d)`` stack C."""
     C = C.reshape(-1, *C.shape[-2:])
     return Observable.__new__(Observable)._build(
-        [(x, y) for x in xs for y in ys], (C + C.conj().swapaxes(-1, -2)) / 2.0,
-        tol_lin, tol_psd)
+        [(x, y) for x in xs for y in ys], (C + C.conj().swapaxes(-1, -2)) / 2.0)
 
 
-def conjugate_joint(A: Observable, cluster_tol: float | None = None,
-                    *, tol_lin: float = TOL_LIN) -> Observable:
+def conjugate_joint(A: Observable, cluster_tol: float | None = None) -> Observable:
     """Joint observable C_(lam,x) = P_lam A_x P_lam for the sharp version
     and the conjugate.
 
@@ -244,10 +237,8 @@ def conjugate_joint(A: Observable, cluster_tol: float | None = None,
     A.  Coarse graining by ``key[0]`` gives the sharp version, by ``key[1]``
     the conjugate.
     """
-    sharp = sharp_version(A, cluster_tol, tol_lin=tol_lin)
-    # Fully checked, as no fuzz property covers this builder.
-    return _pair_keyed(sharp.outcomes, A.outcomes,
-                       _pinched(A, cluster_tol, tol_lin), tol_lin, TOL_PSD)
+    return _pair_keyed(sharp_version(A, cluster_tol).outcomes, A.outcomes,
+                       _pinched(A, cluster_tol))
 
 
 def commuting_joint(A: Observable, B: Observable,
@@ -272,35 +263,40 @@ def commuting_joint(A: Observable, B: Observable,
             f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute "
             f"(norm {norm[i, j]:.3e})", x=xs[i], y=ys[j],
             norm=float(norm[i, j]))
-    return _pair_keyed(xs, ys, AB, tol, TOL_PSD)
+    joint = _pair_keyed(xs, ys, AB)
+    _check_effects(joint.effects, tol, TOL_PSD)
+    return joint
+
+
+def _on_keys(f: Mapping, keys: Sequence[Hashable], what: str) -> list:
+    """[f[key] for key in keys], for a mapping keyed by exactly ``keys``,
+    matched as dict keys are (1 matches 1.0); ``what`` names the values."""
+    missing = [key for key in keys if key not in f]
+    if missing:
+        raise MissingLabelError(f"no {what} for outcome {missing[0]!r}",
+                                invariant="total-function", field=str(missing[0]))
+    known = set(keys)
+    unknown = [key for key in f if key not in known]
+    if unknown:
+        raise UnknownOutcomeError(f"{what} for {unknown[0]!r}, not an outcome",
+                                  invariant="known-outcome", field=str(unknown[0]))
+    return [f[key] for key in keys]
 
 
 def fibers(f: Mapping | Callable, keys: Sequence[Hashable]):
-    """Group keys by their real value under f.
-
-    Returns the sorted distinct values z and, for each key, the index of its
-    z.  ``f`` is a mapping or a callable and must be total on ``keys``.
-    """
-    values = []
-    for key in keys:
-        if callable(f) and not isinstance(f, Mapping):
-            z = f(key)
-        elif key in f:
-            z = f[key]
-        else:
-            raise MissingLabelError(
-                f"coarse-graining function has no value for outcome {key!r}",
-                invariant="total-function", field=str(key))
-        values.append(canonical_outcome(z))
-    zs, index = np.unique(values, return_inverse=True)
+    """Group keys by their real value under f, a callable or a mapping: the
+    sorted distinct values z and, for each key, the index of its z."""
+    values = (_on_keys(f, keys, "coarse-grained value") if isinstance(f, Mapping)
+              else [f(key) for key in keys])
+    zs, index = np.unique([canonical_outcome(z) for z in values],
+                          return_inverse=True)
     return zs.tolist(), index
 
 
-def coarse_grain(A: Observable, f: Mapping | Callable,
-                 *, tol_lin: float = TOL_LIN) -> Observable:
+def coarse_grain(A: Observable, f: Mapping | Callable) -> Observable:
     """Real-valued coarse graining: relabel outcomes through f and sum the
     effects over each fiber f^{-1}(z)."""
     zs, index = fibers(f, A.keys)
     grouped = np.zeros((len(zs), A.dim, A.dim), dtype=complex)
     np.add.at(grouped, index, A.effects)
-    return Observable.__new__(Observable)._build(zs, grouped, tol_lin)
+    return Observable.__new__(Observable)._build(zs, grouped)

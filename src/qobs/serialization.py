@@ -13,7 +13,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .instruments import (
     Instrument,
     holevo_instrument,
@@ -61,6 +61,17 @@ def _real(x, field: str) -> float:
         raise ParseError(f"{field}: expected a number", field=field) from None
 
 
+def _located(field: str, build, *args, **kw):
+    """build(*args, **kw), whose ``ValidationError`` names a JSON path: its
+    ``effect[1]`` is ``<field>.effects[1]``, ``state`` or no field ``<field>``."""
+    try:
+        return build(*args, **kw)
+    except ValidationError as exc:
+        exc.field = (field if exc.field in (None, "state") else
+                     f"{field}.{exc.field.replace('effect[', 'effects[', 1)}")
+        raise
+
+
 def encode_matrix(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=complex)
     out = {"dim": int(M.shape[0]), "re": M.real.tolist()}
@@ -95,16 +106,15 @@ def decode_state(obj, field: str = "state", *, tol_lin: float = TOL_LIN,
                  tol_psd: float = TOL_PSD) -> DensityOperator:
     kind = _expect(obj, "type", field)
     if kind == "density":
-        return DensityOperator(decode_matrix(_expect(obj, "matrix", field),
-                                             f"{field}.matrix"),
-                               tol_lin=tol_lin, tol_psd=tol_psd)
+        M = decode_matrix(_expect(obj, "matrix", field), f"{field}.matrix")
+        return _located(field, DensityOperator, M, tol_lin=tol_lin, tol_psd=tol_psd)
     if kind == "bloch":
         r = _expect(obj, "r", field)
         if not isinstance(r, list) or len(r) != 3:
             raise ParseError(f"{field}.r: expected a list of three numbers",
                              field=f"{field}.r")
-        return bloch_state([_real(v, f"{field}.r[{i}]")
-                            for i, v in enumerate(r)], tol_lin=tol_lin)
+        r = [_real(v, f"{field}.r[{i}]") for i, v in enumerate(r)]
+        return _located(field, bloch_state, r, tol_lin=tol_lin)
     raise ParseError(f"{field}.type: unknown state type {kind!r}",
                      field=f"{field}.type")
 
@@ -145,9 +155,10 @@ def decode_observable(obj, field: str = "observable", *,
     for key, read in (("outcomes", _real), ("labels", lambda s, _: str(s))):
         if key in obj:
             where = f"{field}.{key}"
-            return Observable([read(x, f"{where}[{i}]")
-                               for i, x in enumerate(_list(obj[key], where))],
-                              effects, tol_lin=tol_lin, tol_psd=tol_psd)
+            return _located(field, Observable,
+                            [read(x, f"{where}[{i}]")
+                             for i, x in enumerate(_list(obj[key], where))],
+                            effects, tol_lin=tol_lin, tol_psd=tol_psd)
     raise ParseError(f"{field}: needs either 'outcomes' or 'labels'",
                      field=field)
 
@@ -180,7 +191,7 @@ def encode_instrument(inst: Instrument) -> dict:
     zs = [z for (E, _), z in zip(inst._parts, inst.outcomes) for _ in E]
     merged = len(zs) > len(inst)  # only coarse graining merges, to real outcomes
     pairs = Observable.__new__(Observable)._build(  # A was checked when built
-        range(len(zs)) if merged else inst.outcomes, A, None)
+        range(len(zs)) if merged else inst.outcomes, A)
     out = {"type": "instrument", "family": "holevo",
            "observable": encode_observable(pairs),
            "states": [{"type": "density", "matrix": encode_matrix(a)} for a in alphas]}
@@ -198,23 +209,23 @@ def decode_instrument(obj, field: str = "instrument", *,
                          field=f"{field}.type")
     family = _expect(obj, "family", field)
     if family == "trivial":
-        dim = require_dim(_dim(obj, field), f"{field}.dim")
-        omega = decode_function_map(_expect(obj, "omega", field),
-                                    f"{field}.omega")
-        return trivial_instrument(omega, dim, tol_lin=tol_lin)
+        dim, where = require_dim(_dim(obj, field), f"{field}.dim"), f"{field}.omega"
+        omega = decode_function_map(_expect(obj, "omega", field), where)
+        return _located(where, trivial_instrument, omega, dim, tol_lin=tol_lin)
     if family in ("holevo", "lueders"):
         A = decode_observable(_expect(obj, "observable", field),
                               f"{field}.observable",
                               tol_lin=tol_lin, tol_psd=tol_psd)
         if family == "lueders":
-            return lueders_instrument(A, tol_lin=tol_lin)
+            return lueders_instrument(A)
         raw_states = _list(_expect(obj, "states", field), f"{field}.states")
         alphas = [decode_state(s, f"{field}.states[{i}]",
                                tol_lin=tol_lin, tol_psd=tol_psd)
                   for i, s in enumerate(raw_states)]
-        inst = holevo_instrument(A, alphas)
+        inst = _located(f"{field}.states", holevo_instrument, A, alphas)
         if "map" in obj:  # pairs keyed by index, merged as the API merges them
-            inst = inst.coarse_grain(decode_function_map(obj["map"], f"{field}.map"))
+            f = decode_function_map(obj["map"], f"{field}.map")
+            inst = _located(f"{field}.map", inst.coarse_grain, f)
         return inst
     if family == "kraus":
         raw_outs = _list(_expect(obj, "outcomes", field), f"{field}.outcomes")
@@ -222,10 +233,10 @@ def decode_instrument(obj, field: str = "instrument", *,
         kraus = [[decode_matrix(K, f"{field}.kraus[{i}][{j}]")
                   for j, K in enumerate(_list(ops, f"{field}.kraus[{i}]"))]
                  for i, ops in enumerate(raw_kraus)]
-        outcomes = [_parse_outcome_key(x) if isinstance(x, str)
-                    else _real(x, f"{field}.outcomes[{i}]")
+        outcomes = [x if isinstance(x, str) else _real(x, f"{field}.outcomes[{i}]")
                     for i, x in enumerate(raw_outs)]
-        return Instrument(outcomes, kraus, tol_lin=tol_lin, tol_psd=tol_psd)
+        return _located(field, Instrument, outcomes, kraus,
+                        tol_lin=tol_lin, tol_psd=tol_psd)
     raise ParseError(f"{field}.family: unknown family {family!r}",
                      field=f"{field}.family")
 

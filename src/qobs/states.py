@@ -29,9 +29,13 @@ class DensityOperator(_Immutable):
 
     def __init__(self, M, *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
         M = as_matrix(M, name="state")
-        eigs = _check_density(M, tol_lin, tol_psd)
+        self._build(M, _check_density(M, tol_lin, tol_psd))
+
+    def _build(self, M: np.ndarray, eigs: np.ndarray) -> "DensityOperator":
+        """Store M and its ascending eigenvalues, checked or not."""
         self._set(matrix=linalg.frozen(M),
                   eigenvalues=tuple(eigs.tolist()), dim=M.shape[0])
+        return self
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim}, eigenvalues={self.eigenvalues})"

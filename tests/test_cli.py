@@ -1,12 +1,14 @@
 """CLI subcommands: happy paths, diagnostics, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qobs
 from qobs import fuzz, serialization as ser
 from qobs.cli import _build_parser, main
 from qobs.instruments import lueders_instrument
@@ -368,6 +370,17 @@ class TestObservableCommands:
         original = json.loads(open(files["obs_b.json"]).read())
         assert out["outcomes"] == sorted(original["outcomes"])
 
+    def test_coarse_grain_map_key_naming_no_outcome(self, capsys, files,
+                                                    tmp_path):
+        fmap = tmp_path / "typo.json"
+        fmap.write_text(json.dumps({"1": 1.0, "-1": 1.0, "typo": 5}))
+        code, out = run_cli(capsys, "coarse-grain", "--obs", files["obs_a.json"],
+                            "--map", str(fmap))
+        assert code == 2
+        error = out["error"]
+        assert (error["type"], error["invariant"], error["field"]) == (
+            "UnknownOutcomeError", "known-outcome", "typo")
+
     def test_lueders_instrument_file(self, capsys, files):
         code, out = run_cli(capsys, "sequential",
                             "--instrument", files["inst_lueders.json"],
@@ -397,6 +410,23 @@ class TestValidate:
         assert err["file"] == str(bad)
         assert err["invariant"] == "effect-upper-bound"
         assert err["violation"] == pytest.approx(1.0)
+        assert err["field"] == "observable.effects[0]"
+
+    def test_lueders_file_validates_at_its_observables_tol_psd(self, capsys,
+                                                              tmp_path):
+        # An effect eigenvalue of -5e-7 passes --tol-psd 1e-6; the Lueders
+        # square root must not check it again at the default 1e-8.
+        A = {"type": "observable", "outcomes": [0, 1],
+             "effects": [{"dim": 2, "re": [[-5e-7, 0], [0, 0.5]]},
+                         {"dim": 2, "re": [[1 + 5e-7, 0], [0, 0.5]]}]}
+        for name, doc in (("obs", A), ("inst", {"type": "instrument",
+                                                "family": "lueders",
+                                                "observable": A})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            code, out = run_cli(capsys, "validate", str(path),
+                                "--tol-psd", "1e-6")
+            assert (code, out["summary"]) == (0, {"dim": 2, "outcomes": 2})
 
     def test_unrecognized_payload(self, capsys, tmp_path):
         f = tmp_path / "what.json"
@@ -624,9 +654,14 @@ def test_usage_error_is_one_json_diagnostic(capsys, argv, message, compact):
 
 
 def test_console_entry_point_runs():
+    # The child finds qobs where this process did, PYTHONPATH set or not.
+    src = os.path.dirname(os.path.dirname(qobs.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "qobs.cli", *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     proc = run("demo", "example1", "--json")
     assert proc.returncode == 0

@@ -68,7 +68,9 @@ def test_dims_above_max_dim_are_rejected():
 def test_worst_is_the_first_error_of_the_run():
     config = fuzz.RunConfig(seed=42, trials=9, dims=(2, 3, 4), tol_lin=1e-17)
     summary = fuzz.run_fuzz(config)
-    assert summary["properties"]["sharp.same_stochastic"]["errors"] == 9
+    # Only the checked primitive raises: the builders check nothing.
+    assert {name: p["errors"] for name, p in summary["properties"].items()
+            if p["errors"]} == {"psd_sqrt.contract": 5}
     worst = summary["worst"]
     assert (worst["trial"], worst["ratio"]) == (0, None)
     instance = fuzz.decode_instance(worst["instance"])

@@ -189,6 +189,9 @@ class TestHolevo:
                                 prob * alphas[x].matrix) < 1e-12
         with pytest.raises(MissingLabelError):
             holevo_instrument(A, {A.outcomes[0]: alphas[A.outcomes[0]]})
+        with pytest.raises(UnknownOutcomeError) as info:
+            holevo_instrument(A, {**alphas, "typo": rho})
+        assert (info.value.invariant, info.value.field) == ("known-outcome", "typo")
 
 
 class TestLueders:
@@ -708,7 +711,7 @@ class TestDerivedWithoutSecondCheck:
                 labels, [random_density(rng, dim) for _ in range(3)])):
             assert_rebuilds_exactly(labelled.measured_observable())
 
-    def test_six_builders_never_reach_the_effect_spectrum_check(
+    def test_builders_never_reach_the_effect_spectrum_check(
             self, rng, monkeypatch):
         A = random_observable(rng, 4, 3)
         B = random_observable(rng, 4, 2)
@@ -724,6 +727,7 @@ class TestDerivedWithoutSecondCheck:
         monkeypatch.setattr(observables, "_check_effects", counted)
         sharp_version(A)
         conjugate(A)
+        conjugate_joint(A)
         coarse_grain(A, {x: 0.0 for x in A.outcomes})
         for inst in insts:
             sequential_product(inst, B)
@@ -734,13 +738,11 @@ class TestDerivedWithoutSecondCheck:
         assert len(calls) == 1
         commuting_joint(C, C)
         assert len(calls) == 2
-        conjugate_joint(A)
-        assert len(calls) == 3
 
 
 class TestFamiliesBuildFromCheckedArrays:
     """The trivial and Lueders families skip re-coercing their own Kraus
-    arrays, and Lueders the trace-nonincreasing eigensolve too."""
+    arrays and the trace-nonincreasing eigensolve."""
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16])
     def test_equal_the_public_constructor_bit_for_bit(self, dim, rng):
@@ -760,7 +762,8 @@ class TestFamiliesBuildFromCheckedArrays:
             assert m.keys == n.keys
             assert np.array_equal(m.effects, n.effects)
 
-    def test_only_lueders_skips_the_trace_eigensolve(self, rng, monkeypatch):
+    def test_only_the_constructor_runs_the_trace_eigensolve(self, rng,
+                                                            monkeypatch):
         A = random_observable(rng, 3, 3)
         doc = encode_instrument(lueders_instrument(A))
         calls = []
@@ -772,13 +775,12 @@ class TestFamiliesBuildFromCheckedArrays:
 
         monkeypatch.setattr(linalg, "hermitian_eigenvalues", counted)
         inst = lueders_instrument(A)
+        trivial_instrument({1.0: 0.25, -1.0: 0.75}, 3)
         assert calls == []
         Instrument(inst.outcomes, per_outcome(inst))
         assert len(calls) == 1
-        trivial_instrument({1.0: 0.25, -1.0: 0.75}, 3)
+        decode_instrument(doc)  # the observable's effect check only
         assert len(calls) == 2
-        decode_instrument(doc)
-        assert len(calls) == 3
 
     def test_lueders_of_an_effect_above_the_default_bound(self):
         # Accepted at tol_psd=1e-6 with an eigenvalue 1 + 5e-7: the Lueders
@@ -786,9 +788,48 @@ class TestFamiliesBuildFromCheckedArrays:
         A = Observable([0.0, 1.0], [np.diag([1.0 + 5e-7, 0.5]),
                                     np.diag([0.0, 0.5])],
                        tol_lin=1e-6, tol_psd=1e-6)
-        inst = lueders_instrument(A, tol_lin=1e-6)
+        inst = lueders_instrument(A)
         assert max_abs_diff(inst.measured_observable().effects, A.effects) < 1e-15
         with pytest.raises(ValidationError) as info:
             Instrument(inst.outcomes, per_outcome(inst), tol_lin=1e-6)
         assert info.value.invariant == "trace-nonincreasing"
         assert info.value.field == "kraus[0]"
+
+
+class TestBuildersTrustCheckedInputs:
+    """What a constructor accepted at its tolerances, every builder takes:
+    none checks again at the defaults."""
+
+    def test_inputs_accepted_at_a_loose_tol_lin(self):
+        # Both sum to I within 1e-7: accepted at tol_lin=1e-6, not at TOL_LIN.
+        B = Observable([0.0, 1.0], [np.diag([0.5, 0.5]),
+                                    np.diag([0.5 + 1e-7, 0.5])], tol_lin=1e-6)
+        inst = Instrument([0.0, 1.0], [[np.sqrt(0.5) * np.eye(2)],
+                                       [np.sqrt(0.5 + 1e-7) * np.eye(2)]],
+                          tol_lin=1e-6)
+        rho = bloch_state([0.0, 0.0, 0.5])
+        assert coarse_grain(B, lambda x: 0.0).outcomes == (0.0,)
+        assert conjugate(B).outcomes == B.outcomes
+        assert len(sequential_product(inst, B)) == 4
+        assert conditioned_observable(inst, B).outcomes == B.outcomes
+        mean, _, fobs = product_statistics(inst, B, lambda k: k[0] + k[1], rho)
+        assert fobs.outcomes == (0.0, 1.0, 2.0)
+        out = inst.channel(rho)
+        assert abs(np.trace(out.matrix).real - (1.0 + 1e-7)) < 1e-15
+        assert out.eigenvalues == tuple(
+            linalg.hermitian_eigenvalues(out.matrix).tolist())
+
+    def test_every_coarse_graining_rejects_a_key_that_names_no_outcome(self):
+        A = Observable([0.0, 1.0, 2.0], [np.eye(2) / 3] * 3)
+        inst = lueders_instrument(A)
+        f = {1.0: 0.0, 0.0: 1.0, 2.0: 3.0, "typo": 5.0}
+        pairs = {(x, y): 0.0 for x in A.outcomes for y in A.outcomes}
+        for call in (lambda: coarse_grain(A, f), lambda: inst.coarse_grain(f),
+                     lambda: product_statistics(inst, A, {**pairs, "typo": 1.0},
+                                                bloch_state([0.0, 0.0, 0.0]))):
+            with pytest.raises(UnknownOutcomeError) as info:
+                call()
+            assert (info.value.invariant, info.value.field) == (
+                "known-outcome", "typo")
+        # Keys match as dict keys do: the int 1 names the outcome 1.0.
+        assert coarse_grain(A, {0: 0.0, 1: 1.0, 2: 1.0}).outcomes == (0.0, 1.0)

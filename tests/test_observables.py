@@ -231,7 +231,7 @@ def _assert_marginal(joint: obs.Observable, axis: int,
 
 class TestStoredDerivations:
     """Sharp versions and spectral data are derived once per object and
-    tolerance pair; a stored value is bit-identical to a fresh one."""
+    ``cluster_tol``; a stored value is bit-identical to a fresh one."""
 
     def test_repeated_sharp_version_is_same_object(self, rng):
         A = random_observable(rng, 4, 3)
@@ -255,10 +255,7 @@ class TestStoredDerivations:
         assert len(fine) == 3
         coarse = obs.sharp_version(A, 1e-3)
         assert coarse is not fine and len(coarse) == 2
-        loose = obs.sharp_version(A, tol_lin=1e-8)
-        assert loose is not fine
-        _assert_same_values(loose, obs.sharp_version(_rebuilt(A),
-                                                     tol_lin=1e-8))
+        assert obs.sharp_version(A, 1e-3) is coarse
         assert obs.sharp_version(A) is fine
 
     def test_conjugate_after_sharp_version_equals_fresh_exactly(self, rng):
@@ -433,3 +430,15 @@ class TestDerivedWithoutSecondCheck:
             obs.Observable(A.keys, A.effects)
         for out in (obs.conjugate(A), obs.coarse_grain(A, {0.0: 0.0, 1.0: 2.0})):
             assert max_abs_diff(out.effects, A.effects) < 1e-15
+
+    def test_sharp_version_of_a_stochastic_operator_off_hermitian_at_scale(self):
+        # E is Hermitian to 1e-10, within TOL_LIN; outcomes of 1e6 make the
+        # stochastic operator's defect 2e-4, which the builders must not
+        # check again.
+        E = np.array([[0.5, 1e-10j], [0.0, 0.5]])
+        A = obs.Observable([1e6, -1e6], [E, np.eye(2) - E])
+        M = obs.stochastic_operator(A)
+        w = np.linalg.eigh((M + M.conj().T) / 2.0)[0]
+        assert obs.sharp_version(A).outcomes == tuple(w.tolist())
+        assert obs.conjugate(A).outcomes == A.outcomes
+        assert len(obs.conjugate_joint(A)) == 4

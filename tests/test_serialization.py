@@ -7,7 +7,7 @@ import pytest
 
 from qobs import serialization as ser
 from qobs.errors import (MissingLabelError, NotAnEffectError, ParseError,
-                         TraceNotOneError, ValidationError)
+                         TraceNotOneError, UnknownOutcomeError, ValidationError)
 from qobs.instruments import (Instrument, holevo_instrument, lueders_instrument,
                               sequential_product, trivial_instrument)
 from qobs.observables import Observable, is_real
@@ -71,8 +71,9 @@ class TestState:
     def test_invalid_state_is_rejected_on_load(self):
         bad = {"type": "density",
                "matrix": {"dim": 2, "re": [[0.6, 0.0], [0.0, 0.6]]}}
-        with pytest.raises(TraceNotOneError):
+        with pytest.raises(TraceNotOneError) as err:
             ser.decode_state(bad)
+        assert err.value.field == "state"
 
     def test_unknown_type(self):
         with pytest.raises(ParseError) as err:
@@ -202,10 +203,34 @@ class TestInstrument:
         bad["observable"]["effects"][0]["re"][0][0] = 2.0
         with pytest.raises(NotAnEffectError) as info:
             ser.decode_instrument(bad)
-        assert info.value.field == "effect[0]"
+        assert info.value.field == "instrument.observable.effects[0]"
         with pytest.raises(ParseError) as info:
             ser.decode_instrument(dict(enc, map={"0": "x", "1": 0, "2": 0}))
         assert info.value.field == "instrument.map.0"
+        with pytest.raises(UnknownOutcomeError) as info:
+            ser.decode_instrument(dict(enc, map={**enc["map"], "typo": 0}))
+        assert info.value.field == "instrument.map.typo"
+
+    def test_constructor_diagnostics_name_the_json_path(self, rng):
+        A = random_observable(rng, 2, 3)
+        states = [ser.encode_state(random_density(rng, 2)) for _ in range(3)]
+        states[2]["matrix"]["re"][0][0] += 0.5  # trace 1.5
+        with pytest.raises(TraceNotOneError) as info:
+            ser.decode_instrument({"type": "instrument", "family": "holevo",
+                                   "observable": ser.encode_observable(A),
+                                   "states": states})
+        assert info.value.field == "instrument.states[2]"
+        bad = ser.encode_observable(A)
+        bad["effects"][1]["re"][0][0] = 2.0
+        with pytest.raises(NotAnEffectError) as info:
+            ser.decode_observable(bad)
+        assert info.value.field == "observable.effects[1]"
+        kraus = {"type": "instrument", "family": "kraus", "outcomes": [0, 1],
+                 "kraus": [[ser.encode_matrix(np.eye(2))],
+                           [ser.encode_matrix(2 * np.eye(2))]]}
+        with pytest.raises(ValidationError) as info:
+            ser.decode_instrument(kraus)
+        assert info.value.field == "instrument.kraus[1]"
 
     def test_trivial_dim_above_max_dim(self):
         with pytest.raises(ValidationError) as info:
@@ -255,7 +280,7 @@ def _keyed_observable(rng, keys: str, d: int) -> Observable:
         return sequential_product(lueders_instrument(random_observable(rng, d, 2)),
                                   random_observable(rng, d, 2))
     A = random_observable(rng, d, 3)
-    return A if keys == "real" else Observable(["a", "b", "c"], A.effects)
+    return A if keys == "real" else Observable(["a", "1", "c"], A.effects)
 
 
 def _build(rng, builder: str, A: Observable) -> Instrument:
