@@ -167,12 +167,14 @@ class _FileContext:
 
 
 def _decode_operand(obj, field: str, tol_lin: float, tol_psd: float):
-    """An observable file or a bare Hermitian matrix file."""
+    """An observable file, or a bare matrix file checked Hermitian at
+    ``tol_lin`` and returned as its exactly Hermitian part, so the statistics'
+    own check at the default tolerance accepts it."""
     if isinstance(obj, dict) and obj.get("type") == "observable":
         return ser.decode_observable(obj, field, tol_lin=tol_lin,
                                      tol_psd=tol_psd)
-    matrix = ser.decode_matrix(obj, field)
-    return require_hermitian(matrix, tol_lin, name=field)
+    M = require_hermitian(ser.decode_matrix(obj, field), tol_lin, name=field)
+    return (M + M.conj().T) / 2.0
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:

@@ -26,7 +26,7 @@ from .instruments import (
     sequential_product,
     trivial_instrument,
 )
-from .linalg import TOL_LIN, TOL_PSD, TOL_STAT, commutator, max_abs, psd_sqrt
+from .linalg import TOL_LIN, TOL_STAT, commutator, max_abs, psd_sqrt
 from .observables import Observable, coarse_grain, stochastic_operator
 from .qubit import SIGMA_Z, _spin_operator, noisy_spin, noisy_spin_closed_forms
 from .sampling import (
@@ -36,7 +36,7 @@ from .sampling import (
     random_probability_vector,
 )
 from .serialization import SCHEMA_VERSION
-from .states import DensityOperator, _bloch_matrices, _check_density, bloch_state
+from .states import DensityOperator, _bloch_matrices, bloch_state
 
 DEMO_NAMES = tuple(f"example{i}" for i in range(1, 8))
 
@@ -307,13 +307,13 @@ def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:
     the closed forms, and the slack identity slack = (1 - |r|^2) mu^4 / 16,
     which is asserted to hold within ``tol``.
 
-    All Bloch vectors are validated up front as one stack, as ``bloch_state``
-    checks one, so a vector outside the ball raises ``OutsideBlochBallError``
-    before any row is computed.  Each mu then takes one pass of the moment
-    kernel on mu sigma_x and mu sigma_y, read with its closed forms as arrays.
+    All Bloch vectors are validated up front, as ``bloch_state`` validates
+    one, so a vector outside the ball raises ``OutsideBlochBallError`` before
+    any row is computed; the states built from them are not checked again.
+    Each mu then takes one pass of the moment kernel on mu sigma_x and
+    mu sigma_y, read with its closed forms as arrays.
     """
     vectors, states = _bloch_matrices(bloch_vectors, TOL_LIN)
-    _check_density(states, TOL_LIN, max(TOL_PSD, TOL_LIN))  # as bloch_state
     r_columns = vectors.T.tolist()
     rows, max_delta = [], 0.0
     for mu in mu_grid:

@@ -45,6 +45,7 @@ from .observables import (
     Observable,
     _stored,
     coarse_grain,
+    commuting_joint,
     conjugate,
     conjugate_joint,
     is_commutative,
@@ -71,7 +72,7 @@ from .serialization import (
     encode_observable,
     encode_state,
 )
-from .states import DensityOperator, bloch_state, is_faithful, state_form
+from .states import bloch_state, is_faithful, maximally_mixed, state_form
 
 PRNG_NAME = "numpy PCG64, one SeedSequence(seed).spawn child per trial"
 
@@ -134,16 +135,18 @@ def build_instance(rng: np.random.Generator, dim: int, family: str) -> dict:
         "rho_low": random_density(rng, dim, rank=max(1, dim - 1)),
         "A_comm": random_commutative_observable(rng, dim, 2 if dim == 1 else n_a),
         "bloch": random_bloch_vector(rng),
-        "f_obs": {x: float(v) for x, v in
-                  zip(A.outcomes, rng.integers(-2, 3, size=len(A)))},
-        "f_inst": {x: float(v) for x, v in
-                   zip(inst.outcomes, rng.integers(-2, 3, size=len(inst)))},
-        "g": {x: float(v) for x, v in
-              zip(inst.outcomes, rng.integers(-2, 3, size=len(inst)))},
-        "h": {y: float(v) for y, v in
-              zip(B.outcomes, rng.integers(-2, 3, size=len(B)))},
+        "f_obs": _integer_map(rng, A.outcomes),
+        "f_inst": _integer_map(rng, inst.outcomes),
+        "g": _integer_map(rng, inst.outcomes),
+        "h": _integer_map(rng, B.outcomes),
     })
     return bundle
+
+
+def _integer_map(rng: np.random.Generator, outcomes) -> dict:
+    """A random map from outcomes to the integers -2..2, as floats."""
+    return {x: float(v) for x, v in
+            zip(outcomes, rng.integers(-2, 3, size=len(outcomes)))}
 
 
 def _matched_observable_delta(A: Observable, B: Observable) -> float:
@@ -338,7 +341,7 @@ def _chk_statistics_sharp_consistency(inst, cfg):
 def _chk_maximally_mixed_closed_form(inst, cfg):
     C, D = inst["C"], inst["D"]
     d = C.shape[0]
-    rho = DensityOperator(np.eye(d, dtype=complex) / d)
+    rho = maximally_mixed(d)
     closed = (np.trace(C @ D) / d
               - np.trace(C) * np.trace(D) / d ** 2)
     res = abs(stats.correlation(rho, C, D) - closed)
@@ -447,6 +450,7 @@ def _chk_derived_spectrum(inst, cfg):
     sharp = [sharp_version(X, cut) for X in (A, inst["B"], conj)]
     merged = _shared(inst, Instrument.coarse_grain, "inst", "f_inst")
     derived = (*sharp, sharp_version(sharp[0], cut), conj, conjugate_joint(A, cut),
+               commuting_joint(inst["A_comm"], inst["A_comm"]),
                _shared(inst, conjugate, "A_comm", cluster_tol=cut),
                _shared(inst, coarse_grain, "A", "f_obs"),
                _shared(inst, sequential_product, "inst", "B"),

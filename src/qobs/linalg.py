@@ -121,26 +121,12 @@ def is_hermitian(M, tol: float = TOL_LIN) -> bool:
 
 def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.ndarray:
     M = as_matrix(M, name=name)
-    _check_hermitian(M, tol, name)
-    return M
-
-
-def _raise_first(bad, name: str, error, *values) -> None:
-    """Raise ``error(label, *values at k)`` for the first True k of ``bad``:
-    one flag for one matrix (label ``name``) or one per matrix (``name[k]``)."""
-    if bad.any() if bad.ndim else bad:  # .any() of a numpy bool is slow
-        k = int(bad.argmax())
-        raise error(name if bad.ndim == 0 else f"{name}[{k}]",
-                    *(np.ravel(v)[k] for v in values))
-
-
-def _check_hermitian(M: np.ndarray, tol: float, name: str) -> None:
-    """The Hermiticity rule on one finite matrix or an ``(n, d, d)`` stack."""
     defect = hermiticity_defect(M)
-    _raise_first(defect > tol * scale_of(M), name, lambda at, v:
-                 NotHermitianError(f"{at} is not Hermitian (defect {v:.3e})",
-                                   invariant="hermitian", violation=float(v),
-                                   field=at), defect)
+    if defect > tol * scale_of(M):
+        raise NotHermitianError(f"{name} is not Hermitian (defect {defect:.3e})",
+                                invariant="hermitian", violation=float(defect),
+                                field=name)
+    return M
 
 
 def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:

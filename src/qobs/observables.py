@@ -246,8 +246,10 @@ def commuting_joint(A: Observable, B: Observable,
     """Joint observable C_(x,y) = A_x B_y for pairwise commuting effects.
 
     Raises ``NotCommutingError`` on the first pair whose commutator exceeds
-    ``tol``, which also validates the result.  Keys are (x, y) pairs;
-    coarse graining by ``key[0]`` gives A, by ``key[1]`` gives B.
+    ``tol``, relative to the effects' norms.  That checks how the inputs
+    relate; the products of their checked effects are not checked again.
+    Keys are (x, y) pairs; coarse graining by ``key[0]`` gives A, by
+    ``key[1]`` gives B.
     """
     xs = _outcomes(A, "a commuting joint")
     ys = _outcomes(B, "a commuting joint")
@@ -263,9 +265,7 @@ def commuting_joint(A: Observable, B: Observable,
             f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute "
             f"(norm {norm[i, j]:.3e})", x=xs[i], y=ys[j],
             norm=float(norm[i, j]))
-    joint = _pair_keyed(xs, ys, AB)
-    _check_effects(joint.effects, tol, TOL_PSD)
-    return joint
+    return _pair_keyed(xs, ys, AB)
 
 
 def _on_keys(f: Mapping, keys: Sequence[Hashable], what: str) -> list:

@@ -28,8 +28,19 @@ class DensityOperator(_Immutable):
     __slots__ = ("matrix", "eigenvalues", "dim")
 
     def __init__(self, M, *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
-        M = as_matrix(M, name="state")
-        self._build(M, _check_density(M, tol_lin, tol_psd))
+        M = linalg.require_hermitian(M, tol_lin, name="state")
+        eigs = linalg.hermitian_eigenvalues(M)
+        if eigs[0] < -tol_psd:
+            raise NotPSDError(
+                f"state has eigenvalue {eigs[0]:.3e} below -{tol_psd:.1e}",
+                invariant="psd", violation=float(-eigs[0]), field="state")
+        tr = M.trace()
+        if abs(tr - 1.0) > tol_lin:
+            raise TraceNotOneError(
+                f"state has trace {complex(tr)!r}, expected 1",
+                invariant="unit-trace", violation=float(abs(tr - 1.0)),
+                field="state")
+        self._build(M, eigs)
 
     def _build(self, M: np.ndarray, eigs: np.ndarray) -> "DensityOperator":
         """Store M and its ascending eigenvalues, checked or not."""
@@ -48,26 +59,6 @@ def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator(np.eye(d, dtype=complex) / d)
 
 
-def _check_density(M: np.ndarray, tol_lin: float, tol_psd: float):
-    """Ascending eigenvalues of one finite state matrix, or of each in an
-    ``(n, d, d)`` stack, after the checks Hermitian, PSD (one ``eigvalsh``)
-    and unit trace; each raises for its first failing state (``state[k]``)."""
-    linalg._check_hermitian(M, tol_lin, "state")
-    eigs = linalg.hermitian_eigenvalues(M)
-    low = eigs.T[0]  # each state's least eigenvalue; a scalar for one state
-    linalg._raise_first(low < -tol_psd, "state", lambda at, v: NotPSDError(
-        f"{at} has eigenvalue {v:.3e} below -{tol_psd:.1e}",
-        invariant="psd", violation=float(-v), field=at), low)
-    tr = M.trace(axis1=-2, axis2=-1)
-    defect = abs(tr - 1.0)
-    linalg._raise_first(defect > tol_lin, "state", lambda at, t, v:
-                        TraceNotOneError(f"{at} has trace {complex(t)!r}, "
-                                         "expected 1", invariant="unit-trace",
-                                         violation=float(v), field=at),
-                        tr, defect)
-    return eigs
-
-
 def _bloch_matrices(vectors, tol_lin: float):
     """(r, M): n Bloch vectors as an ``(n, 3)`` array r and their states
     (I + r . sigma)/2 as an ``(n, 2, 2)`` stack M.  Raises unless every vector
@@ -82,10 +73,12 @@ def _bloch_matrices(vectors, tol_lin: float):
                               invariant="bloch-shape", field="r")
     # Row-by-row dot products, rounded as np.linalg.norm of one vector is.
     norm = np.sqrt((r[:, None] @ r[:, :, None]).ravel())
-    linalg._raise_first(norm > 1.0 + tol_lin, "r", lambda _, n: (
-        OutsideBlochBallError(f"Bloch vector has norm {float(n)!r} > 1",
-                              invariant="bloch-ball",
-                              violation=float(n) - 1.0, field="r")), norm)
+    over = np.flatnonzero(norm > 1.0 + tol_lin)
+    if over.size:
+        n = float(norm[over[0]])
+        raise OutsideBlochBallError(f"Bloch vector has norm {n!r} > 1",
+                                    invariant="bloch-ball", violation=n - 1.0,
+                                    field="r")
     r1, r2, r3 = r.T
     # The operations of the complex literals (1 +- r3) and r1 -+ 1j r2, so
     # every entry, signed zeros included, is the one Python arithmetic gives.
@@ -101,10 +94,11 @@ def bloch_state(r: Sequence[float], *, tol_lin: float = TOL_LIN) -> DensityOpera
     """Qubit state (I + r . sigma)/2 for a Bloch vector r = (r1, r2, r3).
 
     Eigenvalues are (1 +- |r|)/2; |r| = 1 gives exactly the pure states.
+    Only r is checked: |r| <= 1 + tol_lin bounds them below by -tol_lin/2.
     """
     M = _bloch_matrices([r], tol_lin)[1][0]
-    # Validation tolerance is widened by the allowed overshoot of |r|.
-    return DensityOperator(M, tol_lin=tol_lin, tol_psd=max(TOL_PSD, tol_lin))
+    return DensityOperator.__new__(DensityOperator)._build(
+        M, linalg.hermitian_eigenvalues(M))
 
 
 def is_faithful(rho: DensityOperator, tol: float = TOL_PSD) -> bool:

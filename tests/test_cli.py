@@ -9,12 +9,17 @@ import numpy as np
 import pytest
 
 import qobs
-from qobs import fuzz, serialization as ser
-from qobs.cli import _build_parser, main
+from qobs import fuzz, serialization as ser, statistics as stats
+from qobs.cli import _build_parser, _decode_operand, main
 from qobs.instruments import lueders_instrument
 from qobs.linalg import MAX_OUTCOMES
 from qobs.qubit import noisy_spin
-from qobs.sampling import random_density, random_instrument, random_observable
+from qobs.sampling import (
+    random_density,
+    random_hermitian,
+    random_instrument,
+    random_observable,
+)
 from qobs.states import DensityOperator
 
 
@@ -74,6 +79,33 @@ class TestUncertainty:
                             "--obs-a", files["matrix.json"],
                             "--obs-b", files["matrix.json"])
         assert code == 0
+
+    def test_matrix_accepted_at_tol_lin_is_not_checked_again(
+            self, capsys, files, tmp_path):
+        """A bare matrix off Hermitian by 1e-7 passes at --tol-lin 1e-6 and
+        is reported as its Hermitian part."""
+        M = np.array([[0.5, 0.2 + 1e-7], [0.2, -0.3]], dtype=complex)
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(ser.encode_matrix(M)))
+        code, out = run_cli(capsys, "uncertainty", "--tol-lin", "1e-6",
+                            "--state", files["rho.json"], "--obs-a", str(path),
+                            "--obs-b", files["matrix.json"])
+        assert code == 0
+        with open(files["rho.json"]) as fh:
+            rho = ser.decode_state(json.load(fh))
+        rep = stats.uncertainty_report(rho, (M + M.conj().T) / 2.0,
+                                       np.diag([1.0, -1.0]))
+        expected = ser.encode_report(rep)
+        assert {key: out[key] for key in expected} == expected
+        code, out = run_cli(capsys, "uncertainty", "--state", files["rho.json"],
+                            "--obs-a", str(path), "--obs-b", files["matrix.json"])
+        assert code == 2
+        assert out["error"]["field"] == "obs-a"
+
+    def test_exactly_hermitian_matrix_operand_is_kept_bit_for_bit(self, rng):
+        H = random_hermitian(rng, 4)
+        out = _decode_operand(ser.encode_matrix(H), "obs-a", 1e-9, 1e-8)
+        assert repr(out.tolist()) == repr(H.tolist())
 
     def test_malformed_json_exits_2_with_field(self, capsys, files, tmp_path):
         bad = tmp_path / "broken.json"
@@ -367,7 +399,8 @@ class TestObservableCommands:
                             "--obs", files["obs_b.json"])
         assert code == 0
         # Trivial instrument: conditioning is invisible.
-        original = json.loads(open(files["obs_b.json"]).read())
+        with open(files["obs_b.json"]) as fh:
+            original = json.load(fh)
         assert out["outcomes"] == sorted(original["outcomes"])
 
     def test_coarse_grain_map_key_naming_no_outcome(self, capsys, files,

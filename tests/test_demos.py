@@ -10,7 +10,7 @@ import runpy
 import numpy as np
 import pytest
 
-from qobs import demos, statistics as stats
+from qobs import linalg, statistics as stats
 from qobs.demos import demo_example4, sweep_noisy_spin
 from qobs.errors import OutsideBlochBallError, ValidationError
 from qobs.observables import Observable
@@ -51,7 +51,7 @@ class TestSweepNoisySpin:
     def _count_calls(monkeypatch):
         built, passes, checked = [], [], []
         init, kernel = DensityOperator.__init__, stats._moments
-        check = demos._check_density
+        check = linalg.hermitian_eigenvalues  # any state check's eigensolve
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
@@ -61,13 +61,13 @@ class TestSweepNoisySpin:
             passes.append(1)
             return kernel(*args)
 
-        def counting_check(M, *args):
+        def counting_check(M):
             checked.append(M.shape)
-            return check(M, *args)
+            return check(M)
 
         monkeypatch.setattr(DensityOperator, "__init__", counting_init)
         monkeypatch.setattr(stats, "_moments", counting_kernel)
-        monkeypatch.setattr(demos, "_check_density", counting_check)
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", counting_check)
         return built, passes, checked
 
     def test_rows_equal_single_state_reports(self, rng):
@@ -101,8 +101,8 @@ class TestSweepNoisySpin:
         monkeypatch.setattr(Observable, "_build", counting_build)
         out = sweep_noisy_spin([0.0, 0.25, 0.5, 0.75, 1.0], vectors)
         assert len(out["rows"]) == 200
-        assert built == []  # validated as one stack, no DensityOperator
-        assert checked == [(40, 2, 2)]
+        assert built == []  # the vectors are checked, not the states
+        assert checked == []
         assert len(passes) == 5
         assert observables == []  # the kernel reads mu sigma directly
 
@@ -111,6 +111,14 @@ class TestSweepNoisySpin:
         with pytest.raises(OutsideBlochBallError):
             sweep_noisy_spin([0.5], [(0.0, 0.0, 0.5), (1.0, 1.0, 0.0)])
         assert passes == []
+
+    def test_first_vector_outside_the_ball_is_reported(self):
+        with pytest.raises(OutsideBlochBallError) as err:
+            sweep_noisy_spin([0.5], [(0.0, 0.0, 0.5), (0.0, 0.0, 1.5),
+                                     (1.0, 1.0, 0.0)])
+        assert err.value.field == "r"
+        assert err.value.violation == 0.5
+        assert str(err.value) == "Bloch vector has norm 1.5 > 1"
 
     @pytest.mark.parametrize("vectors", [
         [(0.0, 0.0, 1.0), (0.1, 0.2)],

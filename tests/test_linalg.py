@@ -145,6 +145,22 @@ class TestEigendecomposition:
                                                           [0.0, 0.0]]))
 
 
+class TestRequireHermitian:
+    def test_diagnostic_names_the_field(self):
+        with pytest.raises(NotHermitianError) as err:
+            linalg.require_hermitian(np.array([[0.0, 2.0], [0.0, 0.0]]), name="A")
+        assert err.value.field == "A"
+        assert err.value.invariant == "hermitian"
+        assert err.value.violation == 2.0
+        assert str(err.value) == "A is not Hermitian (defect 2.000e+00)"
+
+    def test_defect_is_relative_to_the_entries(self):
+        skew = np.array([[0.0, 1e-4], [0.0, 0.0]])
+        linalg.require_hermitian(np.diag([1e6, -1e6]) + skew, 1e-9)
+        with pytest.raises(NotHermitianError):
+            linalg.require_hermitian(np.diag([1.0, -1.0]) + skew, 1e-9)
+
+
 class TestPsdSqrt:
     def test_diagonal(self):
         S = linalg.psd_sqrt(np.diag([4.0, 9.0]).astype(complex))

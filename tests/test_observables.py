@@ -344,6 +344,19 @@ class TestCommutingJoint:
         _assert_marginal(joint, 0, A, 1e-12)
         _assert_marginal(joint, 1, A, 1e-12)
 
+    def test_input_accepted_at_a_loose_tol_lin(self):
+        """Only the commutation of the inputs is checked: A, complete to 1e-7
+        and accepted at tol_lin=1e-6, is joined as it is coarse grained."""
+        E = np.diag([0.3, 0.6, 1.0])
+        A = obs.Observable([0.0, 1.0], [E, np.eye(3) - E + 1e-7 * np.eye(3)],
+                           tol_lin=1e-6)
+        B = obs.Observable([0.0, 1.0], [np.diag([0.2, 0.9, 0.5]),
+                                        np.diag([0.8, 0.1, 0.5])])
+        obs.coarse_grain(A, {0.0: 1.0, 1.0: 1.0})
+        joint = obs.commuting_joint(A, B)
+        _assert_marginal(joint, 0, A, 1e-15)
+        _assert_marginal(joint, 1, B, 1.1e-7)  # B scaled by A's sum, 1 + 1e-7
+
     def test_noncommuting_pair_rejected(self):
         A = noisy_spin(1.0, "x")
         B = noisy_spin(1.0, "y")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qobs import states
+from qobs import linalg, states
 from qobs.errors import (
     DimensionMismatchError,
     NotAnEffectError,
@@ -15,7 +15,7 @@ from qobs.errors import (
     ValidationError,
 )
 from qobs.instruments import Instrument, trivial_instrument
-from qobs.linalg import TOL_LIN, TOL_PSD
+from qobs.linalg import TOL_LIN
 from qobs.observables import Observable
 from qobs.sampling import (
     ginibre,
@@ -58,40 +58,29 @@ class TestConstruction:
             rho.dim = 3
 
 
-class TestStackCheck:
-    """``_check_density`` on a stack applies the rules ``DensityOperator``
-    applies to one matrix, and names the first failing state."""
+class TestStateCheck:
+    """Each rule ``DensityOperator`` applies names the field ``state``."""
 
     FAULTS = {
-        "not-hermitian": np.array([[1.0, 1.0], [0.0, 0.0]]),
-        "negative-eigenvalue": np.diag([1.5, -0.5]),
-        "trace-not-one": np.diag([0.6, 0.6]),
+        "not-hermitian": (np.array([[1.0, 1.0], [0.0, 0.0]]), NotHermitianError,
+                          "hermitian", 1.0,
+                          "state is not Hermitian (defect 1.000e+00)"),
+        "negative-eigenvalue": (np.diag([1.5, -0.5]), NotPSDError, "psd", 0.5,
+                                "state has eigenvalue -5.000e-01 below -1.0e-08"),
+        "trace-not-one": (np.diag([0.6, 0.6]), TraceNotOneError, "unit-trace",
+                          abs(1.2 - 1.0), "state has trace (1.2+0j), expected 1"),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
-    @pytest.mark.parametrize("k", [0, 3, 5])
-    def test_fault_at_k_is_named(self, rng, fault, k):
-        bad = self.FAULTS[fault].astype(complex)
-        with pytest.raises(ValidationError) as single:
-            states.DensityOperator(bad)
-        stack = np.array([random_density(rng, 2).matrix for _ in range(6)])
-        stack[k] = bad
+    def test_fault_is_named(self, fault):
+        bad, kind, invariant, violation, message = self.FAULTS[fault]
         with pytest.raises(ValidationError) as err:
-            states._check_density(stack, TOL_LIN, TOL_PSD)
-        assert type(err.value) is type(single.value)
-        assert err.value.invariant == single.value.invariant
-        assert err.value.violation == single.value.violation
-        assert err.value.field == f"state[{k}]"
-        assert str(err.value) == str(single.value).replace(
-            "state", f"state[{k}]", 1)
-
-    def test_valid_stack_gives_each_states_eigenvalues(self, rng):
-        rhos = [random_density(rng, 3) for _ in range(4)]
-        eigs = states._check_density(np.array([r.matrix for r in rhos]),
-                                     TOL_LIN, TOL_PSD)
-        assert eigs.shape == (4, 3)
-        for row, rho in zip(eigs, rhos):
-            assert np.allclose(row, rho.eigenvalues, atol=1e-14)
+            states.DensityOperator(bad.astype(complex))
+        assert type(err.value) is kind
+        assert err.value.invariant == invariant
+        assert err.value.violation == violation
+        assert err.value.field == "state"
+        assert str(err.value) == message
 
     def test_one_matrix_keeps_the_field_state(self):
         with pytest.raises(NotPSDError) as err:
@@ -175,6 +164,31 @@ class TestBloch:
         for v, m in zip(vectors, M):
             assert repr(m.tolist()) == repr(
                 states.bloch_state(v).matrix.tolist())
+
+    def test_builds_without_a_state_check(self, rng, monkeypatch):
+        """The vector is the only input checked; the stored eigenvalues are
+        the ones the constructor computes, bit for bit."""
+        vectors = [random_bloch_vector(rng, surface=k % 2 == 0)
+                   for k in range(10)] + [(0.0, 0.0, 1.0), (0.0, 0.0, 0.0)]
+        checked = [states.DensityOperator(states.bloch_state(r).matrix)
+                   for r in vectors]
+        calls = []
+        init, hermitian = states.DensityOperator.__init__, linalg.require_hermitian
+
+        def counted(name, call):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return call(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(states.DensityOperator, "__init__",
+                            counted("__init__", init))
+        monkeypatch.setattr(linalg, "require_hermitian",
+                            counted("require_hermitian", hermitian))
+        for r, rho in zip(vectors, checked):
+            built = states.bloch_state(r)
+            assert repr(built.eigenvalues) == repr(rho.eigenvalues)
+        assert calls == []
 
     def test_eigenvalue_closed_form_on_grid(self, rng):
         for _ in range(100):
