@@ -39,6 +39,7 @@ from .serialization import SCHEMA_VERSION
 from .states import DensityOperator, _bloch_matrices, bloch_state
 
 DEMO_NAMES = tuple(f"example{i}" for i in range(1, 8))
+_SPIN_TOL = 1e-12  # the noisy-spin statistics against their closed forms
 
 
 class _Checks:
@@ -177,9 +178,9 @@ def demo_example4(mu: float = 0.5, bloch=(0.3, 0.4, 0.2)) -> dict:
         rho.matrix @ _effect_at(A, 1.0) @ _effect_at(A, 1.0)).real,
         ref["second_moment_a1"])
     ch.scalar("slack", rep.inequality_slack / 16.0, ref["slack"])
-    out = ch.result("example4", {"mu": mu, "bloch": r}, 1e-12)
-    # The effect-level slack reported above, against 1e-12 as the sweep does.
-    out["equality"] = bool(abs(rep.inequality_slack / 16.0) <= 1e-12)
+    out = ch.result("example4", {"mu": mu, "bloch": r}, _SPIN_TOL)
+    # The effect-level slack reported above, against the sweep's bound.
+    out["equality"] = bool(abs(rep.inequality_slack / 16.0) <= _SPIN_TOL)
     return out
 
 
@@ -300,12 +301,12 @@ _ROW_KEYS = ("mu", "r1", "r2", "r3", *(key for term in _TERMS
              "equality")
 
 
-def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:
+def sweep_noisy_spin(mu_grid, bloch_vectors) -> dict:
     """Evaluate the noisy-spin uncertainty terms over a grid of (mu, r).
 
     Each row carries the computed effect-level terms, their deltas against
     the closed forms, and the slack identity slack = (1 - |r|^2) mu^4 / 16,
-    which is asserted to hold within ``tol``.
+    which is asserted to hold within ``_SPIN_TOL`` (1e-12).
 
     All Bloch vectors are validated up front, as ``bloch_state`` validates
     one, so a vector outside the ball raises ``OutsideBlochBallError`` before
@@ -327,13 +328,13 @@ def sweep_noisy_spin(mu_grid, bloch_vectors, tol: float = 1e-12) -> dict:
             delta = abs(val - ref[key])
             columns += [val.tolist(), delta.tolist()]
             max_delta = max(max_delta, delta.max(initial=0.0).item())
-        if (delta > tol).any():  # the slack identity, first failing row
-            k = int((delta > tol).argmax())
+        if (delta > _SPIN_TOL).any():  # the slack identity, first failing row
+            k = int((delta > _SPIN_TOL).argmax())
             raise ValidationError(
                 f"slack identity violated by {delta[k]:.3e} at mu={mu}, "
                 f"r={vectors[k].tolist()}", invariant="slack-identity",
                 violation=float(delta[k]))
-        columns.append((np.abs(val) <= tol).tolist())
+        columns.append((np.abs(val) <= _SPIN_TOL).tolist())
         rows.extend(dict(zip(_ROW_KEYS, row)) for row in zip(*columns))
     return {"schema": SCHEMA_VERSION, "rows": rows, "max_delta": max_delta,
-            "tol": tol, "pass": bool(max_delta <= tol)}
+            "tol": _SPIN_TOL, "pass": bool(max_delta <= _SPIN_TOL)}

@@ -13,7 +13,7 @@ can be replayed bit-for-bit with ``replay_instance``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .observables import (
     conjugate,
     conjugate_joint,
     is_commutative,
+    is_real,
     sharp_version,
     stochastic_operator,
 )
@@ -99,6 +100,10 @@ class RunConfig:
             raise ValidationError("dims must be nonempty positive integers",
                                   invariant="positive-dims", field="dims")
         require_dim(max(self.dims), "dims")
+
+
+_TOLERANCES = (("lin", "tol_lin"), ("psd", "tol_psd"),  # summary key, field
+               ("stat", "tol_stat"), ("cluster", "cluster_tol"))
 
 
 def _family_instrument(bundle: dict):
@@ -608,31 +613,33 @@ def run_fuzz(config: RunConfig) -> dict:
         "seed": config.seed,
         "trials": config.trials,
         "dims": list(config.dims),
-        "tolerances": {"lin": config.tol_lin, "psd": config.tol_psd,
-                       "stat": config.tol_stat,
-                       "cluster": config.cluster_tol},
-        "properties": {name: {"trials": p.trials,
-                              "violations": p.violations,
-                              "errors": p.errors,
-                              "max_residual": p.max_residual,
-                              "max_ratio": p.max_ratio}
-                       for name, p in props.items()},
+        "tolerances": {key: getattr(config, field) for key, field in _TOLERANCES},
+        "properties": {name: asdict(p) for name, p in props.items()},
         "violations": total,
         "worst": worst,
     }
 
 
 def replay_instance(dump, config: RunConfig | None = None) -> dict:
-    """Re-evaluate a dumped worst instance, or the ``worst`` member of a run
-    summary; deterministic arithmetic makes the residual reproduce
-    bit-for-bit.  A malformed dump raises ``ParseError`` naming the field."""
-    config = config or RunConfig()
-    if isinstance(dump, dict) and "worst" in dump:
-        dump = dump["worst"]
+    """Re-evaluate the ``worst`` member of a run summary at the tolerances
+    the summary records, or a dumped worst instance at ``config``;
+    deterministic arithmetic makes the residual reproduce bit-for-bit.  A
+    malformed dump raises ``ParseError`` naming the field."""
+    summary = dump if isinstance(dump, dict) and "worst" in dump else None
+    dump = dump if summary is None else summary["worst"]
     name = _expect(dump, "property", "dump")
     if not isinstance(name, str) or name not in CHECKS:
         raise ParseError(f"dump.property: unknown property {name!r}",
                          field="dump.property")
+    if summary is not None:
+        tols = _expect(summary, "tolerances", "dump")
+        for key, _ in _TOLERANCES:
+            value = _expect(tols, key, "dump.tolerances")
+            if not (is_real(value) and 0 <= value < math.inf
+                    or value is None and key == "cluster"):
+                raise ParseError(f"dump.tolerances.{key}: expected a finite "
+                                 "number >= 0", field=f"dump.tolerances.{key}")
+        config = RunConfig(**{field: tols[key] for key, field in _TOLERANCES})
     try:
         instance = decode_instance(_expect(dump, "instance", "dump"),
                                    "dump.instance")
@@ -642,7 +649,7 @@ def replay_instance(dump, config: RunConfig | None = None) -> dict:
         raise ParseError(f"dump.instance: cannot rebuild the trial ({exc!r})",
                          field="dump.instance") from None
     try:
-        residual, bound = CHECKS[name](instance, config)
+        residual, bound = CHECKS[name](instance, config or RunConfig())
     except Exception as exc:
         return {"schema": SCHEMA_VERSION, "property": name,
                 "error": f"{type(exc).__name__}: {exc}"}

@@ -5,27 +5,26 @@ nonincreasing map; the maps must sum to a channel.  Each map is held in
 one form only: a Kraus slice ``(K,)``, rho -> sum_j K_j rho K_j*, or Holevo
 pairs ``(A, alpha)``, rho -> sum_i tr(rho A_i) alpha_i at O(d^2) per pair,
 each a ``(k, d, d)`` stack.  Every builder ends in ``Instrument._build``,
-which checks nothing; the public constructor checks its maps after it.
+which checks nothing; the public constructor checks its Kraus maps as the
+observable they measure, x -> sum_j K_j* K_j, with no rule of its own.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Mapping, Sequence, Sized
 
 import numpy as np
 
 from . import linalg
 from .errors import (
-    CompletenessViolationError,
     DimensionMismatchError,
-    DuplicateOutcomeError,
     NotAProbabilityError,
     UnknownOutcomeError,
     ValidationError,
 )
-from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix, max_abs
+from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix
 from .observables import (Observable, _on_keys, _pair_keyed, _stored,
-                          coarse_grain, fibers, is_real)
+                          canonical_outcome, coarse_grain, fibers, is_real)
 from .states import DensityOperator
 from .statistics import average, variance as obs_variance
 
@@ -48,28 +47,19 @@ class Instrument(_Immutable):
     """Outcomes, each with its map, summing to a channel.  ``_parts`` holds
     one map per outcome in the form its builder made: a Kraus slice, or
     Holevo pairs (several per outcome after coarse graining).  The measured
-    observable is built on first use and kept.
+    observable is built on first use and kept; the constructor builds it with
+    the ``Observable`` constructor, which names a bad effect ``kraus[i]``.
     """
 
     __slots__ = ("outcomes", "dim", "_parts", "_duals", "_derived")
 
     def __init__(self, outcomes: Sequence[Hashable], kraus: Sequence,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
-        if len(outcomes) != len(kraus) or len(outcomes) == 0:
+        outs = tuple(outcomes)
+        if not isinstance(kraus, Sized) or len(outs) != len(kraus) or not outs:
             raise ValidationError(
                 "outcomes and Kraus lists must be parallel nonempty lists",
                 invariant="parallel-lists")
-        for i, ops in enumerate(kraus):
-            if not isinstance(ops, Sequence) and np.ndim(ops) == 0:
-                raise ValidationError(f"kraus[{i}] is not a list of operators",
-                                      invariant="kraus-list", field=f"kraus[{i}]")
-        if any(len(ops) == 0 for ops in kraus):
-            raise ValidationError("each outcome needs a Kraus operator",
-                                  invariant="nonempty-kraus")
-        outs = tuple(outcomes)
-        if len(set(outs)) != len(outs):
-            raise DuplicateOutcomeError("instrument outcomes are not distinct",
-                                        invariant="distinct-outcomes")
         parts = [(linalg.as_stack(ops, name=f"kraus[{i}]"),)
                  for i, ops in enumerate(kraus)]
         dims = [K.shape[1] for K, in parts]
@@ -78,28 +68,21 @@ class Instrument(_Immutable):
             raise DimensionMismatchError("Kraus operators have mixed dims",
                                          invariant="matching-dims", field=f"kraus[{i}]")
         self._build(outs, parts)
-        top = linalg.hermitian_eigenvalues(self._duals)[:, -1]
-        i = int(np.argmax(top > 1.0 + tol_psd))  # first bad one, if any
-        if top[i] > 1.0 + tol_psd:
-            raise ValidationError(
-                f"outcome {i} increases trace: sum K*K has eigenvalue "
-                f"{float(top[i])!r}", invariant="trace-nonincreasing",
-                violation=float(top[i]) - 1.0, field=f"kraus[{i}]")
-        residual = max_abs(self._duals.sum(0) - np.eye(self.dim))
-        if residual > tol_lin:
-            raise CompletenessViolationError(
-                f"total map is not a channel (residual {residual:.3e})",
-                invariant="channel", residual=residual)
+        try:
+            self._derived["measured"] = Observable(
+                outs, self._duals, tol_lin=tol_lin, tol_psd=tol_psd)
+        except ValidationError as exc:
+            exc.field = exc.field and exc.field.replace("effect[", "kraus[", 1)
+            raise
 
     def _build(self, outcomes, parts) -> "Instrument":
         """The one construction path, which checks nothing: set the parts
-        and their duals, sum K*K over a slice or sum A_i over pairs
-        (tr alpha_i = 1).  The constructor checks the duals afterwards."""
-        duals = np.array([p[0].sum(0) if len(p) == 2 else
-                          (p[0].conj().swapaxes(-1, -2) @ p[0]).sum(0)
-                          for p in parts])
-        self._set(outcomes=tuple(outcomes), dim=duals.shape[1],
-                  _parts=tuple(parts), _duals=duals, _derived={})
+        and the Hermitian parts of their duals, the measured effects: sum
+        K*K over a slice or sum A_i over pairs (tr alpha_i = 1)."""
+        E = np.array([p[0].sum(0) if len(p) == 2 else
+                      (p[0].conj().swapaxes(-1, -2) @ p[0]).sum(0) for p in parts])
+        self._set(outcomes=tuple(outcomes), dim=E.shape[1], _parts=tuple(parts),
+                  _duals=(E + E.conj().swapaxes(-1, -2)) / 2.0, _derived={})
         return self
 
     def __len__(self):
@@ -130,13 +113,11 @@ class Instrument(_Immutable):
 
     def measured_observable(self) -> Observable:
         """The unique observable whose probabilities the instrument
-        reproduces: effects are the dual images of the identity, checked
-        with the maps.  Repeated calls return the same object."""
-        def build():
-            E = self._duals
-            return Observable.__new__(Observable)._build(
-                self.outcomes, (E + E.conj().swapaxes(-1, -2)) / 2.0)
-        return _stored(self._derived, "measured", build)
+        reproduces: effects are the dual images of the identity.  The
+        constructor stores the one it checked; a builder's is built on first
+        use, with no check.  Repeated calls return the same object."""
+        return _stored(self._derived, "measured", lambda: Observable.__new__(
+            Observable)._build(self.outcomes, self._duals))
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
         """Total state change when the outcome is ignored, not checked again."""
@@ -168,15 +149,18 @@ def trivial_instrument(omega: Mapping, dim: int, *,
                        tol_lin: float = TOL_LIN) -> Instrument:
     """Instrument that leaves the state alone and draws the outcome from the
     fixed distribution omega, checked at ``tol_lin``; measures the trivial
-    observable omega(x) I."""
+    observable omega(x) I.  Real outcomes are checked as an ``Observable``
+    checks them and kept as given."""
     outcomes = list(omega)
+    for x in filter(is_real, outcomes):
+        canonical_outcome(x)
     probs = [float(omega[x]) for x in outcomes]
-    if any(p < -tol_lin for p in probs):
-        raise NotAProbabilityError("weights must be nonnegative",
-                                   invariant="nonnegative-weights",
-                                   violation=-min(probs))
+    if not all(p >= -tol_lin for p in probs):  # a NaN weight fails too
+        raise NotAProbabilityError(
+            "weights must be nonnegative", invariant="nonnegative-weights",
+            violation=None if np.isnan(probs).any() else -min(probs))
     total = sum(probs)
-    if abs(total - 1.0) > tol_lin:
+    if not abs(total - 1.0) <= tol_lin:
         raise NotAProbabilityError(
             f"weights sum to {total!r}, expected 1",
             invariant="unit-total", violation=abs(total - 1.0))

@@ -10,6 +10,7 @@ checks are done densely.
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,13 @@ def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
 
 def as_stack(mats, *, name: str) -> np.ndarray:
     """Coerce a nonempty sequence of square matrices of one dimension to a
-    fresh ``(n, d, d)`` complex array.
-
-    A sequence that does not stack cleanly is checked matrix by matrix, so
-    the error names the first bad entry, e.g. ``effect[2]``.
+    fresh ``(n, d, d)`` complex array; anything else is an error naming
+    ``name``, or the first bad entry, e.g. ``effect[2]``, of a sequence
+    that does not stack cleanly.
     """
+    if not isinstance(mats, Sized) or not len(mats):
+        raise ValidationError(f"{name} is not a nonempty list of matrices",
+                              invariant="matrix-list", field=name)
     try:
         stack = np.array(mats, dtype=complex)
     except (TypeError, ValueError):

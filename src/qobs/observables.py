@@ -8,7 +8,7 @@ pinching by the sharp version's projections defines the conjugate.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class Observable(_Immutable):
         (tol_lin, tol_psd), to check the effects.  A builder forms E from
         checked objects and passes none; ``derived.effect_spectrum`` checks."""
         keys = tuple(keys)
-        if len(keys) != len(E) or not keys:
+        if not isinstance(E, Sized) or len(keys) != len(E) or not keys:
             raise ValidationError(
                 "keys and effects must be parallel nonempty lists",
                 invariant="parallel-lists")

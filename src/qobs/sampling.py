@@ -24,9 +24,9 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     G = ginibre(rng, dim, dim)
-    return scale * (G + G.conj().T) / 2.0
+    return (G + G.conj().T) / 2.0
 
 
 def random_density(rng: np.random.Generator, dim: int,

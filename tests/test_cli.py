@@ -1,6 +1,7 @@
 """CLI subcommands: happy paths, diagnostics, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -212,6 +213,26 @@ class TestFuzz:
         assert repr(out["residual"]) == repr(worst["residual"])
         assert repr(out["ratio"]) == repr(worst["ratio"])
 
+    @pytest.mark.parametrize("run", [
+        ["--trials", "30", "--seed", "5", "--dims", "2..4",
+         "--cluster-tol", "0.05"],
+        ["--trials", "9", "--seed", "42", "--dims", "2..4",
+         "--tol-lin", "1e-17"],
+    ], ids=["cluster-tol", "tol-lin"])
+    def test_replay_of_a_summary_uses_the_tolerances_it_records(
+            self, capsys, tmp_path, run):
+        summary_path = str(tmp_path / "s.json")
+        main(["fuzz", *run, "--output", summary_path])
+        worst = json.loads((tmp_path / "s.json").read_text())["worst"]
+        # The flags apply only to a bare worst dump.
+        for flags in ([], ["--tol-lin", "1e-3", "--cluster-tol", "1e-8"]):
+            code, out = run_cli(capsys, "fuzz", "--replay", summary_path,
+                                *flags, "--json")
+            assert code == 0
+            assert out["property"] == worst["property"]
+            assert repr(out.get("ratio")) == repr(worst["ratio"])
+            assert out.get("error") == worst.get("error")
+
     def test_replay_honours_output(self, capsys, tmp_path):
         summary = str(tmp_path / "s.json")
         main(["fuzz", "--trials", "6", "--dims", "2", "--seed", "3",
@@ -262,6 +283,17 @@ class TestFuzz:
         ({"property": "eigen.reconstruction", "instance": {
             "dim": 100000, "family": "trivial", "omega": {"1": 1.0}}},
          "dump.instance.dim"),
+        ({"worst": {"property": "eigen.reconstruction"}}, "dump.tolerances"),
+        ({"worst": {"property": "eigen.reconstruction"},
+          "tolerances": {"lin": 1e-9, "psd": -1.0}}, "dump.tolerances.psd"),
+        ({"worst": {"property": "eigen.reconstruction"},
+          "tolerances": {"lin": 1e-9, "psd": 1e-8, "stat": 1e-9}},
+         "dump.tolerances.cluster"),
+        ({"worst": {"property": "eigen.reconstruction"},
+          "tolerances": {"lin": "1e-9"}}, "dump.tolerances.lin"),
+        ({"worst": {"property": "eigen.reconstruction"},
+          "tolerances": {"lin": 1e-9, "psd": 1e-8, "stat": None,
+                         "cluster": None}}, "dump.tolerances.stat"),
     ])
     def test_malformed_replay_exits_2_naming_the_field(self, capsys, tmp_path,
                                                         dump, field):
@@ -460,6 +492,28 @@ class TestValidate:
             code, out = run_cli(capsys, "validate", str(path),
                                 "--tol-psd", "1e-6")
             assert (code, out["summary"]) == (0, {"dim": 2, "outcomes": 2})
+
+    _HALF = {"dim": 2, "re": [[0.5 ** 0.5, 0], [0, 0.5 ** 0.5]]}
+
+    @pytest.mark.parametrize("doc, field, invariant", [
+        ({"type": "instrument", "family": "kraus", "outcomes": [math.nan, 1.0],
+          "kraus": [[_HALF], [_HALF]]}, "instrument", "finite-outcome"),
+        ({"type": "instrument", "family": "trivial", "dim": 2,
+          "omega": {"NaN": 0.5, "-1": 0.5}}, "instrument.omega",
+         "finite-outcome"),
+        ({"type": "instrument", "family": "trivial", "dim": 2,
+          "omega": {"1": math.nan, "-1": 1.0}}, "instrument.omega",
+         "nonnegative-weights"),
+    ], ids=["kraus-outcome", "trivial-key", "trivial-weight"])
+    def test_nan_outcome_or_weight_is_one_diagnostic(self, capsys, tmp_path,
+                                                     doc, field, invariant):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # Python's json writes NaN
+        assert main(["validate", str(path), "--json"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert (error["field"], error["invariant"]) == (field, invariant)
 
     def test_unrecognized_payload(self, capsys, tmp_path):
         f = tmp_path / "what.json"

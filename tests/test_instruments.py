@@ -13,6 +13,7 @@ from qobs.errors import (
     DimensionMismatchError,
     DuplicateOutcomeError,
     MissingLabelError,
+    NotAnEffectError,
     NotAProbabilityError,
     UnknownOutcomeError,
     ValidationError,
@@ -65,18 +66,19 @@ def twins(rng, dim, family, **kw):
 
 class TestValidation:
     def test_trace_increasing_outcome_is_named(self):
+        # Checked as the measured observable: sum K*K = 4I is no effect.
         half = np.eye(2) / np.sqrt(2)
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(NotAnEffectError) as info:
             Instrument([0.0, 1.0, 2.0], [[half], [2.0 * np.eye(2)], [half]])
-        assert type(info.value) is ValidationError
-        assert info.value.invariant == "trace-nonincreasing"
+        assert info.value.invariant == "effect-upper-bound"
         assert info.value.violation == pytest.approx(3.0)
         assert info.value.field == "kraus[1]"
 
     def test_outcome_needs_kraus(self):
         with pytest.raises(ValidationError) as info:
             Instrument([0.0, 1.0], [[np.eye(2)], []])
-        assert info.value.invariant == "nonempty-kraus"
+        assert info.value.invariant == "matrix-list"
+        assert info.value.field == "kraus[1]"
 
     def test_malformed_kraus_names_the_operator(self):
         with pytest.raises(ValidationError) as info:
@@ -95,6 +97,47 @@ class TestValidation:
         m = [np.eye(2) / np.sqrt(2)]
         with pytest.raises(DuplicateOutcomeError):
             Instrument([1.0, 1.0], [m, m])
+
+    def test_checked_as_its_measured_observable(self):
+        half = [np.eye(2) / np.sqrt(2)]
+        with pytest.raises(CompletenessViolationError) as info:
+            Instrument([0, 1], [[np.eye(2) / 2], [np.eye(2) / 2]])
+        assert info.value.invariant == "completeness"
+        with pytest.raises(DuplicateOutcomeError) as info:
+            Instrument(["a", "a"], [half, half])
+        assert info.value.invariant == "distinct-labels"
+        for x in (np.nan, np.inf):
+            with pytest.raises(ValidationError) as info:
+                Instrument([x, 1.0], [half, half])
+            assert info.value.invariant == "finite-outcome"
+
+    def test_keeps_the_observable_it_checked(self, monkeypatch):
+        half = [np.eye(2) / np.sqrt(2)]
+        inst = Instrument(["b", "a"], [half, half])
+        builds = []
+        build = Observable._build
+        monkeypatch.setattr(Observable, "_build",
+                            lambda *args: builds.append(1) or build(*args))
+        measured = inst.measured_observable()
+        assert measured is inst.measured_observable()
+        assert builds == []
+        assert measured.keys == ("b", "a")
+
+    def test_rounding_below_zero_fails_at_tol_psd_0(self):
+        # sum K*K of a rank-one K0 has an eigenvalue -2.4e-18 after
+        # rounding; the Observable constructor rejects it at tol_psd=0.
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        v /= 1.5 * np.linalg.norm(v)
+        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        K0 = np.outer(w / np.linalg.norm(w), v.conj())
+        kraus = [[K0], [psd_sqrt(np.eye(3) - K0.conj().T @ K0)]]
+        Instrument([0, 1], kraus)
+        with pytest.raises(NotAnEffectError) as info:
+            Instrument([0, 1], kraus, tol_psd=0.0)
+        assert (info.value.invariant, info.value.field) == (
+            "effect-lower-bound", "kraus[0]")
+        assert 0.0 < info.value.violation < 1e-16
 
     def test_unknown_outcome(self, rng):
         inst = trivial_instrument({1.0: 0.5, -1.0: 0.5}, 2)
@@ -131,6 +174,25 @@ class TestTrivial:
             trivial_instrument({1.0: 0.4, -1.0: 0.4}, 2)
         with pytest.raises(NotAProbabilityError):
             trivial_instrument({1.0: 1.5, -1.0: -0.5}, 2)
+
+    @pytest.mark.parametrize("omega, invariant", [
+        ({1.0: np.nan, -1.0: 1.0}, "nonnegative-weights"),
+        ({1.0: 1.0, -1.0: np.nan}, "nonnegative-weights"),
+        ({1.0: np.inf, -1.0: 0.0}, "unit-total"),
+    ])
+    def test_rejects_non_finite_weights(self, omega, invariant):
+        with pytest.raises(NotAProbabilityError) as info:
+            trivial_instrument(omega, 2)
+        assert info.value.invariant == invariant
+
+    def test_outcomes_are_checked_and_kept_as_given(self):
+        for x in (np.nan, -np.inf):
+            with pytest.raises(ValidationError) as info:
+                trivial_instrument({x: 0.5, 1.0: 0.5}, 2)
+            assert info.value.invariant == "finite-outcome"
+        inst = trivial_instrument({2: 0.5, -0.0: 0.25, "a": 0.25}, 2)
+        assert inst.outcomes == (2, -0.0, "a")
+        assert [type(x) for x in inst.outcomes] == [int, float, str]
 
 
 class TestHolevo:
@@ -741,7 +803,7 @@ class TestDerivedWithoutSecondCheck:
 
 class TestFamiliesBuildFromCheckedArrays:
     """The trivial and Lueders families skip re-coercing their own Kraus
-    arrays and the trace-nonincreasing eigensolve."""
+    arrays and the constructor's eigensolve of the measured effects."""
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 16])
     def test_equal_the_public_constructor_bit_for_bit(self, dim, rng):
@@ -789,9 +851,9 @@ class TestFamiliesBuildFromCheckedArrays:
                        tol_lin=1e-6, tol_psd=1e-6)
         inst = lueders_instrument(A)
         assert max_abs_diff(inst.measured_observable().effects, A.effects) < 1e-15
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(NotAnEffectError) as info:
             Instrument(inst.outcomes, per_outcome(inst), tol_lin=1e-6)
-        assert info.value.invariant == "trace-nonincreasing"
+        assert info.value.invariant == "effect-upper-bound"
         assert info.value.field == "kraus[0]"
 
 

@@ -44,16 +44,21 @@ class TestArithmetic:
         (lambda: Observable([0, 1], [np.eye(2), np.eye(3)]), "effect[1]"),
         (lambda: Instrument([0, 1], [[np.eye(2) / np.sqrt(2)],
                                      [np.eye(3) / np.sqrt(2)]]), "kraus[1]"),
+        (lambda: Observable([0, 1], 5), None),
+        (lambda: Instrument([0], 5), None),
     ], ids=["ragged-kraus", "ragged-effect", "string-kraus", "string-state",
             "ragged-state", "scalar-kraus-list", "mixed-dim-effects",
-            "mixed-dim-outcomes"])
+            "mixed-dim-outcomes", "scalar-effects", "scalar-kraus"])
     def test_constructors_name_the_entry_that_is_not_numeric(self, build, field):
         """Entries numpy cannot read as complex matrices, or as matrices of
         one dim, are a ValidationError naming the field, never numpy's own
-        exception."""
+        exception.  A bare number for the whole list is a ``parallel-lists``
+        error, which names no field."""
         with pytest.raises(ValidationError) as info:
             build()
         assert info.value.field == field
+        if field is None:
+            assert info.value.invariant == "parallel-lists"
 
 
 class TestTrace:
@@ -159,6 +164,20 @@ class TestRequireHermitian:
         linalg.require_hermitian(np.diag([1e6, -1e6]) + skew, 1e-9)
         with pytest.raises(NotHermitianError):
             linalg.require_hermitian(np.diag([1.0, -1.0]) + skew, 1e-9)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-4])
+    def test_is_hermitian_agrees(self, tol, rng):
+        skew = np.array([[0.0, 1e-4], [0.0, 0.0]])
+        cases = [np.diag([1e6, -1e6]) + skew, np.diag([1.0, -1.0]) + skew,
+                 np.array([[0.0, 2.0], [0.0, 0.0]]), SIGMA_Y,
+                 random_hermitian(rng, 3), rng.standard_normal((3, 3))]
+        for M in cases:
+            try:
+                linalg.require_hermitian(M, tol)
+                required = True
+            except NotHermitianError:
+                required = False
+            assert linalg.is_hermitian(M, tol) is required
 
 
 class TestPsdSqrt:
