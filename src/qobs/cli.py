@@ -139,6 +139,9 @@ def _emit(obj, args, stream=None) -> None:
 
 
 def _diagnostic(exc: Exception, path: str | None) -> dict:
+    violation = getattr(exc, "violation", None)
+    if violation is not None and not math.isfinite(violation):
+        violation = None  # JSON has no inf or NaN
     return {
         "schema": SCHEMA_VERSION,
         "error": {
@@ -146,7 +149,7 @@ def _diagnostic(exc: Exception, path: str | None) -> dict:
             "file": path,
             "field": getattr(exc, "field", None),
             "invariant": getattr(exc, "invariant", None),
-            "violation": getattr(exc, "violation", None),
+            "violation": violation,
             "message": str(exc),
         },
     }

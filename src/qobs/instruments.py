@@ -11,7 +11,7 @@ observable they measure, x -> sum_j K_j* K_j, with no rule of its own.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Mapping, Sequence, Sized
+from collections.abc import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,11 +55,7 @@ class Instrument(_Immutable):
 
     def __init__(self, outcomes: Sequence[Hashable], kraus: Sequence,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
-        outs = tuple(outcomes)
-        if not isinstance(kraus, Sized) or len(outs) != len(kraus) or not outs:
-            raise ValidationError(
-                "outcomes and Kraus lists must be parallel nonempty lists",
-                invariant="parallel-lists")
+        outs = linalg.parallel_keys(outcomes, kraus, "outcomes and Kraus lists")
         parts = [(linalg.as_stack(ops, name=f"kraus[{i}]"),)
                  for i, ops in enumerate(kraus)]
         dims = [K.shape[1] for K, in parts]
@@ -195,8 +191,8 @@ def lueders_instrument(A: Observable) -> Instrument:
     """Square-root instrument rho -> A_x^{1/2} rho A_x^{1/2}; measures A.
     Its duals are A's checked effects, so the roots skip ``psd_sqrt``'s
     checks: eigenvalues of an effect below zero are clipped."""
-    return Instrument.__new__(Instrument)._build(
-        A.keys, [(linalg._root(*linalg._eigh(E))[None],) for E in A.effects])
+    roots = linalg._root(*linalg._eigh(A.effects))
+    return Instrument.__new__(Instrument)._build(A.keys, [(R[None],) for R in roots])
 
 
 def _dual_images(inst: Instrument, B: Observable) -> list[np.ndarray]:

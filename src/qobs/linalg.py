@@ -10,7 +10,6 @@ checks are done densely.
 
 from __future__ import annotations
 
-from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
         raise DimensionMismatchError(
             f"{name} must be a square matrix, got shape {arr.shape}",
             invariant="square", field=name)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries",
                               invariant="finite-entries", field=name)
     return arr
@@ -55,7 +54,11 @@ def as_stack(mats, *, name: str) -> np.ndarray:
     ``name``, or the first bad entry, e.g. ``effect[2]``, of a sequence
     that does not stack cleanly.
     """
-    if not isinstance(mats, Sized) or not len(mats):
+    try:
+        n = len(mats)
+    except TypeError:  # no length: a number, or a 0-d array
+        n = 0
+    if not n:
         raise ValidationError(f"{name} is not a nonempty list of matrices",
                               invariant="matrix-list", field=name)
     try:
@@ -63,7 +66,7 @@ def as_stack(mats, *, name: str) -> np.ndarray:
     except (TypeError, ValueError):
         stack = np.empty(0)
     if (stack.ndim == 3 and 0 < stack.shape[1] == stack.shape[2]
-            and np.all(np.isfinite(stack))):
+            and np.isfinite(stack).all()):
         return stack
     items = [as_matrix(M, name=f"{name}[{i}]") for i, M in enumerate(mats)]
     dim = items[0].shape[0]
@@ -73,6 +76,19 @@ def as_stack(mats, *, name: str) -> np.ndarray:
                 f"{name}[{i}] has dim {M.shape[0]}, expected {dim}",
                 invariant="matching-dims", field=f"{name}[{i}]")
     return np.stack(items)
+
+
+def parallel_keys(keys, values, what: str) -> tuple:
+    """tuple(keys), if keys and values are parallel nonempty lists; else a
+    ``parallel-lists`` error, also for a bare number or a 0-d array."""
+    try:
+        keys, n = tuple(keys), len(values)
+    except TypeError:  # not iterable, or no length
+        keys, n = (), 0
+    if not keys or len(keys) != n:
+        raise ValidationError(f"{what} must be parallel nonempty lists",
+                              invariant="parallel-lists")
+    return keys
 
 
 def require_dim(d: int, field: str) -> int:
@@ -142,9 +158,9 @@ def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:
 
 
 def _eigh(M: np.ndarray):
-    """(w, V): ``eigh`` of the Hermitian part of M, with no check of M."""
+    """(w, V): ``eigh`` of the Hermitian part of M (or a stack), unchecked."""
     try:
-        return np.linalg.eigh((M + M.conj().T) / 2.0)
+        return np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2.0)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailureError(str(exc)) from exc
 
@@ -188,13 +204,14 @@ def _eigendecomposition(M: np.ndarray, cluster_tol: float | None) -> EigenDecomp
     w, V = _eigh(M)
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(M)
-    cuts = [0, *(np.flatnonzero(np.diff(w) > cluster_tol) + 1).tolist(), len(w)]
-    bounds = list(zip(cuts[:-1], cuts[1:]))
-    P = np.array([V[:, lo:hi] @ V[:, lo:hi].conj().T for lo, hi in bounds])
+    starts = np.append(0, np.flatnonzero(np.diff(w) > cluster_tol) + 1)
+    sizes = np.diff(starts, append=len(w))
+    P = V.T[:, :, None] @ V.conj().T[:, None, :]  # v v*, one per eigenvector
+    if len(starts) < len(w):  # sum each cluster's; reduceat is slow at large d
+        P = np.add.reduceat(P, starts)
     return EigenDecomposition(
-        tuple(float(w[lo:hi].sum() / (hi - lo)) for lo, hi in bounds),
-        frozen((P + P.conj().swapaxes(-1, -2)) / 2.0),
-        tuple(hi - lo for lo, hi in bounds))
+        tuple((np.add.reduceat(w, starts) / sizes).tolist()),
+        frozen((P + P.conj().swapaxes(-1, -2)) / 2.0), tuple(sizes.tolist()))
 
 
 def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
@@ -212,9 +229,10 @@ def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
 
 
 def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The Hermitian square root of V diag(w) V*, with w clipped at zero."""
-    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-    return (root + root.conj().T) / 2.0
+    """The Hermitian square root of V diag(w) V* (or a stack), w clipped at 0."""
+    Vh = V.conj().swapaxes(-1, -2)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ Vh
+    return (root + root.conj().swapaxes(-1, -2)) / 2.0
 
 
 def frozen(M: np.ndarray) -> np.ndarray:

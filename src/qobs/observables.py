@@ -8,7 +8,8 @@ pinching by the sharp version's projections defines the conjugate.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Mapping, Sequence, Sized
+import math
+from collections.abc import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ def is_real(key) -> bool:
 def canonical_outcome(x) -> float:
     """Outcome values are finite doubles; -0.0 is folded into 0.0."""
     v = float(x)
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValidationError(f"outcome {x!r} is not finite",
                               invariant="finite-outcome")
     return v + 0.0 if v != 0.0 else 0.0
@@ -100,11 +101,7 @@ class Observable(_Immutable):
         """The one construction path.  The constructor passes its ``tols``,
         (tol_lin, tol_psd), to check the effects.  A builder forms E from
         checked objects and passes none; ``derived.effect_spectrum`` checks."""
-        keys = tuple(keys)
-        if not isinstance(E, Sized) or len(keys) != len(E) or not keys:
-            raise ValidationError(
-                "keys and effects must be parallel nonempty lists",
-                invariant="parallel-lists")
+        keys = linalg.parallel_keys(keys, E, "keys and effects")
         real = all(is_real(x) for x in keys)
         if real:
             keys = tuple(canonical_outcome(x) for x in keys)
@@ -117,9 +114,10 @@ class Observable(_Immutable):
             _check_effects(E, *tols)
         stochastic = None
         if real:
-            order = np.argsort(keys, kind="stable")
-            keys = tuple(keys[i] for i in order)
-            E = E[order]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            if order != list(range(len(keys))):
+                keys = tuple(keys[i] for i in order)
+                E = E[order]
             stochastic = linalg.frozen(np.einsum("x,xab->ab", keys, E))
         E.setflags(write=False)
         self._set(keys=keys, outcomes=keys if real else None, effects=E,
@@ -288,9 +286,10 @@ def fibers(f: Mapping | Callable, keys: Sequence[Hashable]):
     sorted distinct values z and, for each key, the index of its z."""
     values = (_on_keys(f, keys, "coarse-grained value") if isinstance(f, Mapping)
               else [f(key) for key in keys])
-    zs, index = np.unique([canonical_outcome(z) for z in values],
-                          return_inverse=True)
-    return zs.tolist(), index
+    values = [canonical_outcome(z) for z in values]
+    zs = sorted(set(values))
+    position = {z: i for i, z in enumerate(zs)}
+    return zs, [position[z] for z in values]
 
 
 def coarse_grain(A: Observable, f: Mapping | Callable) -> Observable:

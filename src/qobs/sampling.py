@@ -65,26 +65,25 @@ def random_outcomes(rng: np.random.Generator, n: int) -> list[float]:
             return xs
 
 
-def random_probability_vector(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_probability_vector(rng: np.random.Generator, n) -> np.ndarray:
+    """A random probability vector of length n, or for n = (rows, k) one
+    per row, drawn as rows calls of length k would draw them."""
     w = rng.standard_normal(n) ** 2 + 1e-3
-    return w / w.sum()
+    return w / w.sum(-1, keepdims=True)
 
 
 def random_observable(rng: np.random.Generator, dim: int, n_outcomes: int,
                       outcomes=None) -> Observable:
     """POVM from random PSD pieces E_x, normalized to S^{-1/2} E_x S^{-1/2}
     with S the sum, which makes completeness exact."""
-    pieces = []
-    for _ in range(n_outcomes):
-        G = ginibre(rng, dim, dim)
-        pieces.append(G @ G.conj().T)
-    S = np.zeros((dim, dim), dtype=complex)
-    for E in pieces:
-        S = S + E
+    X = rng.standard_normal((n_outcomes, 2, dim, dim))  # the stream of n ginibre calls
+    G = X[:, 0] + 1j * X[:, 1]
+    pieces = G @ G.conj().swapaxes(-1, -2)
+    S = pieces.sum(0)
     w, V = np.linalg.eigh((S + S.conj().T) / 2.0)
     inv_root = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    effects = [inv_root @ E @ inv_root for E in pieces]
-    effects = [(E + E.conj().T) / 2.0 for E in effects]
+    effects = inv_root @ pieces @ inv_root
+    effects = (effects + effects.conj().swapaxes(-1, -2)) / 2.0
     if outcomes is None:
         outcomes = random_outcomes(rng, n_outcomes)
     return Observable(outcomes, effects)
@@ -114,12 +113,9 @@ def random_commutative_observable(rng: np.random.Generator, dim: int,
     """Effects diagonal in a common random eigenbasis: for each basis index
     the weights over outcomes form a probability vector."""
     U = haar_unitary(rng, dim)
-    table = np.stack([random_probability_vector(rng, n_outcomes)
-                      for _ in range(dim)])  # (dim, n_outcomes)
-    effects = []
-    for x in range(n_outcomes):
-        E = (U * table[:, x]) @ U.conj().T
-        effects.append((E + E.conj().T) / 2.0)
+    table = random_probability_vector(rng, (dim, n_outcomes))
+    E = (U * table.T[:, None, :]) @ U.conj().T
+    effects = (E + E.conj().swapaxes(-1, -2)) / 2.0
     return Observable(random_outcomes(rng, n_outcomes), effects)
 
 

@@ -1,8 +1,15 @@
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
+from qobs import linalg
+from qobs.instruments import Instrument
 from qobs.linalg import psd_sqrt
-from qobs.observables import Observable, stochastic_operator
+from qobs.observables import (Observable, _on_keys, canonical_outcome,
+                              stochastic_operator)
+from qobs.sampling import (ginibre, haar_unitary, random_outcomes,
+                           random_probability_vector)
 
 
 @pytest.fixture
@@ -54,3 +61,76 @@ def assert_same_parts(got, want) -> None:
     for p, q in zip(got._parts, want._parts):
         for x, y in zip(p, q):
             assert x.shape == y.shape and np.array_equal(x, y)
+
+
+# Loop forms of the stacked kernels: one numpy call per cluster, piece,
+# effect or key, as the kernels were first written.  The kernels must give
+# the same bits (a merged cluster's projection may move in its last bits).
+
+def eigendecomposition_loop(M, cluster_tol):
+    """``linalg._eigendecomposition`` with one V_c V_c* matmul per cluster."""
+    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
+    if cluster_tol is None:
+        cluster_tol = linalg.default_cluster_tol(M)
+    cuts = [0, *(np.flatnonzero(np.diff(w) > cluster_tol) + 1).tolist(), len(w)]
+    bounds = list(zip(cuts[:-1], cuts[1:]))
+    P = np.array([V[:, lo:hi] @ V[:, lo:hi].conj().T for lo, hi in bounds])
+    return linalg.EigenDecomposition(
+        tuple(float(w[lo:hi].sum() / (hi - lo)) for lo, hi in bounds),
+        linalg.frozen((P + P.conj().swapaxes(-1, -2)) / 2.0),
+        tuple(hi - lo for lo, hi in bounds))
+
+
+def random_observable_loop(rng, dim, n_outcomes, outcomes=None):
+    """``sampling.random_observable`` with one ginibre draw per piece and
+    the sum of the pieces taken one at a time."""
+    pieces = []
+    for _ in range(n_outcomes):
+        G = ginibre(rng, dim, dim)
+        pieces.append(G @ G.conj().T)
+    S = np.zeros((dim, dim), dtype=complex)
+    for E in pieces:
+        S = S + E
+    w, V = np.linalg.eigh((S + S.conj().T) / 2.0)
+    inv_root = (V * (1.0 / np.sqrt(w))) @ V.conj().T
+    effects = [inv_root @ E @ inv_root for E in pieces]
+    effects = [(E + E.conj().T) / 2.0 for E in effects]
+    if outcomes is None:
+        outcomes = random_outcomes(rng, n_outcomes)
+    return Observable(outcomes, effects)
+
+
+def random_commutative_observable_loop(rng, dim, n_outcomes):
+    """``sampling.random_commutative_observable`` with one probability
+    vector per basis index and one product per outcome."""
+    U = haar_unitary(rng, dim)
+    table = np.stack([random_probability_vector(rng, n_outcomes)
+                      for _ in range(dim)])
+    effects = []
+    for x in range(n_outcomes):
+        E = (U * table[:, x]) @ U.conj().T
+        effects.append((E + E.conj().T) / 2.0)
+    return Observable(random_outcomes(rng, n_outcomes), effects)
+
+
+def lueders_root_loop(E):
+    """The clipped square root of one effect, as ``lueders_instrument``
+    took it: its own eigensolve and product."""
+    w, V = np.linalg.eigh((E + E.conj().T) / 2.0)
+    root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+    return (root + root.conj().T) / 2.0
+
+
+def lueders_instrument_loop(A):
+    """``instruments.lueders_instrument`` with one root per effect."""
+    return Instrument.__new__(Instrument)._build(
+        A.keys, [(lueders_root_loop(E)[None],) for E in A.effects])
+
+
+def fibers_unique(f, keys):
+    """``observables.fibers`` by ``np.unique``."""
+    values = (_on_keys(f, keys, "coarse-grained value") if isinstance(f, Mapping)
+              else [f(key) for key in keys])
+    zs, index = np.unique([canonical_outcome(z) for z in values],
+                          return_inverse=True)
+    return zs.tolist(), index

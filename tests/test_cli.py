@@ -515,6 +515,23 @@ class TestValidate:
         error = json.loads(lines[0])["error"]
         assert (error["field"], error["invariant"]) == (field, invariant)
 
+    @pytest.mark.parametrize("weight, invariant", [
+        (math.inf, "unit-total"), (-math.inf, "nonnegative-weights")])
+    def test_infinite_violation_is_null(self, capsys, tmp_path, weight,
+                                        invariant):
+        """JSON has no infinity: a violation of +-inf is written as null, as
+        a NaN weight's is, and the diagnostic parses as strict JSON."""
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"type": "instrument", "family": "trivial",
+                                    "dim": 2, "omega": {"1": weight, "-1": 0.0}}))
+        assert main(["validate", str(path), "--json"]) == 2
+
+        def strict(name):
+            raise ValueError(f"not JSON: {name}")
+
+        error = json.loads(capsys.readouterr().out, parse_constant=strict)["error"]
+        assert (error["invariant"], error["violation"]) == (invariant, None)
+
     def test_unrecognized_payload(self, capsys, tmp_path):
         f = tmp_path / "what.json"
         f.write_text('{"hello": 1}')

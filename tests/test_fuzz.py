@@ -7,9 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from qobs import fuzz
+from qobs import fuzz, instruments, linalg, observables
 from qobs.errors import ValidationError
 from qobs.serialization import canonical_json
+
+from conftest import (
+    eigendecomposition_loop,
+    fibers_unique,
+    lueders_instrument_loop,
+    random_commutative_observable_loop,
+    random_observable_loop,
+)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 4])
@@ -100,3 +108,20 @@ def test_each_dim_meets_each_family_within_three_passes(monkeypatch, dims):
     if len(dims) % 3:  # the map every earlier run used
         assert [cell[1:] for cell in cells] == [
             (dims[i % len(dims)], fuzz.FAMILIES[i % 3]) for i in range(trials)]
+
+
+def test_stacked_kernels_give_the_loop_forms_summary(monkeypatch):
+    """The run as shipped and the run on the loop forms of its kernels write
+    the same bytes; both run on this machine's BLAS, so no digest is pinned."""
+    config = fuzz.RunConfig(trials=45, seed=3, dims=range(1, 10))
+    shipped = canonical_json(fuzz.run_fuzz(config))
+    for owner, name, loop in [
+            (linalg, "_eigendecomposition", eigendecomposition_loop),
+            (fuzz, "random_observable", random_observable_loop),
+            (fuzz, "random_commutative_observable",
+             random_commutative_observable_loop),
+            (fuzz, "lueders_instrument", lueders_instrument_loop),
+            (observables, "fibers", fibers_unique),
+            (instruments, "fibers", fibers_unique)]:
+        monkeypatch.setattr(owner, name, loop)
+    assert canonical_json(fuzz.run_fuzz(config)) == shipped

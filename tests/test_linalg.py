@@ -46,14 +46,21 @@ class TestArithmetic:
                                      [np.eye(3) / np.sqrt(2)]]), "kraus[1]"),
         (lambda: Observable([0, 1], 5), None),
         (lambda: Instrument([0], 5), None),
+        (lambda: Observable(5, [np.eye(2)]), None),
+        (lambda: Instrument(5, [[np.eye(2)]]), None),
+        (lambda: Observable([0], np.array(5)), None),
+        (lambda: Instrument([0], np.array(5)), None),
+        (lambda: Instrument([0], [np.array(5)]), "kraus[0]"),
     ], ids=["ragged-kraus", "ragged-effect", "string-kraus", "string-state",
             "ragged-state", "scalar-kraus-list", "mixed-dim-effects",
-            "mixed-dim-outcomes", "scalar-effects", "scalar-kraus"])
+            "mixed-dim-outcomes", "scalar-effects", "scalar-kraus",
+            "scalar-keys", "scalar-outcomes", "0d-effects", "0d-kraus",
+            "0d-kraus-list"])
     def test_constructors_name_the_entry_that_is_not_numeric(self, build, field):
         """Entries numpy cannot read as complex matrices, or as matrices of
         one dim, are a ValidationError naming the field, never numpy's own
-        exception.  A bare number for the whole list is a ``parallel-lists``
-        error, which names no field."""
+        exception.  A bare number or a 0-d array for the whole key or value
+        list is a ``parallel-lists`` error, which names no field."""
         with pytest.raises(ValidationError) as info:
             build()
         assert info.value.field == field
