@@ -13,7 +13,7 @@ can be replayed bit-for-bit with ``replay_instance``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .linalg import (
     TOL_PSD,
     TOL_STAT,
     default_cluster_tol,
+    entry_norms,
     hermitian_eigendecomposition,
     hermitian_eigenvalues,
     hermiticity_defect,
@@ -180,13 +181,22 @@ def _chk_eigen_reconstruction(inst, cfg):
 
 
 def _chk_eigen_projections(inst, cfg):
-    H = inst["H"]
+    """Completeness, idempotence, Hermiticity; orthogonality by the k - 1 tail
+    products P_i S_i, S_i = P_{i+1} + ... + P_{k-1}.  For Hermitian P, in operator
+    norm, n = max ||P_j^2 - P_j||, e = max ||P_i S_i||, p = max_{i<l} ||P_i P_l||:
+    P_j >= -n, ||P_j|| <= 1 + n, P_i S_i P_l gives p <= a + (k-2) p^2 for a = (1+n) e
+    + (k-1)(1+n)^2 n, and P_i (S_i - P_l) P_i >= -(k-2) n P_i^2 gives p^2 <= a.  So
+    |(P_i P_l)_xy| <= p <= (k-1) a, and <= a / c if c = 1 - (k-2) sqrt(a) > 0."""
     P = _shared(inst, hermitian_eigendecomposition, "H",
                 cluster_tol=cfg.cluster_tol, tol=cfg.tol_lin).projections
-    i, j = np.triu_indices(len(P), 1)  # each pair of distinct projections
-    res = max(max_abs(P.sum(0) - np.eye(H.shape[0])), max_abs(P @ P - P),
+    k, defect = len(P), P @ P - P
+    e, n = (float(np.linalg.norm(X, axis=(-2, -1)).max(initial=0.0))  # >= op norms
+            for X in (P[:-1] @ P[:0:-1].cumsum(0)[::-1], defect))  # P_i S_i, n
+    a = (1 + n) * e + (k - 1) * (1 + n) ** 2 * n
+    c = 1.0 - (k - 2) * math.sqrt(a)
+    res = max(max_abs(P.sum(0) - np.eye(P.shape[1])), max_abs(defect),
               max_abs(P - P.conj().swapaxes(-1, -2)),
-              float(np.abs(P[i] @ P[j]).max(initial=0.0)))
+              min((k - 1) * a, a / c if c > 0 else math.inf))
     return res, cfg.tol_lin
 
 
@@ -243,7 +253,7 @@ def _chk_bloch_eigenvalues(inst, cfg):
 
 def _chk_observable_completeness(inst, cfg):
     A = inst["A"]
-    return max_abs(sum(A.effects) - np.eye(A.dim)), cfg.tol_lin
+    return max_abs(A.effects.sum(0) - np.eye(A.dim)), cfg.tol_lin
 
 
 def _chk_observable_spectrum(inst, cfg):
@@ -296,7 +306,7 @@ def _chk_conjugate_commutative(inst, cfg):
 def _chk_coarse_grain_valid(inst, cfg):
     A, f = inst["A"], inst["f_obs"]
     fA = _shared(inst, coarse_grain, "A", "f_obs")
-    res = max_abs(sum(fA.effects) - np.eye(A.dim))
+    res = max_abs(fA.effects.sum(0) - np.eye(A.dim))
     direct = sum(f[x] * E for x, E in A.pairs())
     res = max(res, max_abs(stochastic_operator(fA) - direct))
     return res, cfg.tol_lin * scale_of(direct)
@@ -412,7 +422,7 @@ def _chk_instrument_mean(inst, cfg):
 
 def _chk_sequential_completeness(inst, cfg):
     product = _shared(inst, sequential_product, "inst", "B")
-    return max_abs(sum(product.effects) - np.eye(product.dim)), cfg.tol_lin
+    return max_abs(product.effects.sum(0) - np.eye(product.dim)), cfg.tol_lin
 
 
 def _chk_sequential_marginal(inst, cfg):
@@ -448,8 +458,8 @@ def _chk_product_split_function(inst, cfg):
 
 def _chk_derived_spectrum(inst, cfg):
     """The checks the builders skip, on every observable a trial derives:
-    the effect spectrum, in one eigensolve, and completeness; returns the
-    (residual, bound) of worst ratio."""
+    the effect spectrum, in one eigensolve, and completeness, in one stacked
+    pass; returns the (residual, bound) of worst ratio."""
     cut, tol = cfg.cluster_tol, cfg.tol_lin
     A, conj = inst["A"], _shared(inst, conjugate, "A", cluster_tol=cut)
     sharp = [sharp_version(X, cut) for X in (A, inst["B"], conj)]
@@ -463,9 +473,9 @@ def _chk_derived_spectrum(inst, cfg):
                inst["inst"].measured_observable(), merged.measured_observable())
     E = np.concatenate([obs.effects for obs in derived])
     w = hermitian_eigenvalues(E)
-    residual = np.concatenate([
-        hermiticity_defect(E), -w[:, 0], w[:, -1] - 1.0,
-        [max_abs(obs.effects.sum(0) - np.eye(obs.dim)) for obs in derived]])
+    gaps = np.array([obs.effects.sum(0) for obs in derived]) - np.eye(E.shape[1])
+    residual = np.concatenate([hermiticity_defect(E), -w[:, 0], w[:, -1] - 1.0,
+                               entry_norms(gaps)])
     bound = np.concatenate([tol * scale_of(E), np.full(2 * len(E), cfg.tol_psd),
                             np.full(len(derived), tol)])
     ratio = np.divide(residual, bound, where=bound > 0,
@@ -564,6 +574,11 @@ class _PropertyStats:
     max_ratio: float = 0.0
 
 
+def _json_number(x):
+    """x, or None for a float JSON cannot write: an infinite ratio or residual."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def run_fuzz(config: RunConfig) -> dict:
     """Run the property battery; the returned summary is deterministic in
     the config and contains the worst instance for replay.
@@ -572,8 +587,7 @@ def run_fuzz(config: RunConfig) -> dict:
     contract could not even be evaluated on) rather than aborting the run.
     """
     root, n = np.random.SeedSequence(config.seed), len(config.dims)
-    props: dict[str, _PropertyStats] = {name: _PropertyStats()
-                                        for name in CHECKS}
+    props = {name: _PropertyStats() for name in CHECKS}
     worst = {"ratio": -1.0}
     for i in range(config.trials):
         rng = np.random.default_rng(root.spawn(1)[0])  # child i, spawned now
@@ -582,7 +596,6 @@ def run_fuzz(config: RunConfig) -> dict:
         family = FAMILIES[(i + (i // n if n % 3 == 0 else 0)) % 3]
         dim = config.dims[i % n]
         instance = build_instance(rng, dim, family)
-        encoded = None
         for name, check in CHECKS.items():
             entry = props[name]
             entry.trials += 1
@@ -604,8 +617,9 @@ def run_fuzz(config: RunConfig) -> dict:
                 if worst["ratio"] is None or not ratio > worst["ratio"]:
                     continue
                 found = {"ratio": ratio, "residual": residual, "bound": bound}
-            encoded = encoded or encode_instance(instance)
-            worst = {**found, "property": name, "trial": i, "instance": encoded}
+            worst = {**found, "property": name, "trial": i, "instance": instance}
+    worst = {key: encode_instance(v) if key == "instance" else _json_number(v)
+             for key, v in worst.items()}  # ``_shared``'s keys are not encoded
     total = sum(p.violations for p in props.values())
     return {
         "schema": SCHEMA_VERSION,
@@ -614,7 +628,8 @@ def run_fuzz(config: RunConfig) -> dict:
         "trials": config.trials,
         "dims": list(config.dims),
         "tolerances": {key: getattr(config, field) for key, field in _TOLERANCES},
-        "properties": {name: asdict(p) for name, p in props.items()},
+        "properties": {name: {key: _json_number(v) for key, v in vars(p).items()}
+                       for name, p in props.items()},
         "violations": total,
         "worst": worst,
     }
@@ -655,4 +670,4 @@ def replay_instance(dump, config: RunConfig | None = None) -> dict:
                 "error": f"{type(exc).__name__}: {exc}"}
     return {"schema": SCHEMA_VERSION, "property": name,
             "residual": residual, "bound": bound,
-            "ratio": residual / bound if bound > 0 else math.inf}
+            "ratio": _json_number(residual / bound if bound > 0 else math.inf)}

@@ -202,16 +202,18 @@ def hermitian_eigendecomposition(M, cluster_tol: float | None = None,
 def _eigendecomposition(M: np.ndarray, cluster_tol: float | None) -> EigenDecomposition:
     """``hermitian_eigendecomposition`` without the Hermiticity check."""
     w, V = _eigh(M)
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(M)
-    starts = np.append(0, np.flatnonzero(np.diff(w) > cluster_tol) + 1)
-    sizes = np.diff(starts, append=len(w))
+    ws = w.tolist()
+    cut = float(default_cluster_tol(M) if cluster_tol is None else cluster_tol)
+    starts = [0, *(i for i in range(1, len(ws)) if ws[i] - ws[i - 1] > cut)]
     P = V.T[:, :, None] @ V.conj().T[:, None, :]  # v v*, one per eigenvector
-    if len(starts) < len(w):  # sum each cluster's; reduceat is slow at large d
-        P = np.add.reduceat(P, starts)
+    values, sizes = tuple(ws), (1,) * len(ws)
+    if len(starts) < len(ws):  # a merged cluster's mean, and sum of its slice
+        sizes = tuple(hi - lo for lo, hi in zip(starts, [*starts[1:], len(ws)]))
+        values = tuple((np.add.reduceat(w, starts) / sizes).tolist())
+        P = np.array([P[lo:lo + m].sum(0) if m > 1 else P[lo]
+                      for lo, m in zip(starts, sizes)])
     return EigenDecomposition(
-        tuple((np.add.reduceat(w, starts) / sizes).tolist()),
-        frozen((P + P.conj().swapaxes(-1, -2)) / 2.0), tuple(sizes.tolist()))
+        values, frozen((P + P.conj().swapaxes(-1, -2)) / 2.0), sizes)
 
 
 def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:

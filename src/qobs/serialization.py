@@ -163,10 +163,22 @@ def decode_observable(obj, field: str = "observable", *,
                      field=field)
 
 
+class _WrittenKey(float):
+    """A numeric map key: it matches as its float and prints as written."""
+
+    def __new__(cls, text: str):
+        key = super().__new__(cls, text)
+        key.text = text
+        return key
+
+    def __repr__(self):  # and str
+        return self.text
+
+
 def _parse_outcome_key(key: str):
     """Map keys in JSON objects are strings; recover numeric outcomes."""
     try:
-        return float(key)
+        return _WrittenKey(key)
     except ValueError:
         return key
 
@@ -210,7 +222,8 @@ def decode_instrument(obj, field: str = "instrument", *,
     family = _expect(obj, "family", field)
     if family == "trivial":
         dim, where = require_dim(_dim(obj, field), f"{field}.dim"), f"{field}.omega"
-        omega = decode_function_map(_expect(obj, "omega", field), where)
+        omega = {float(x) if isinstance(x, float) else x: p for x, p in  # plain floats
+                 decode_function_map(_expect(obj, "omega", field), where).items()}
         return _located(where, trivial_instrument, omega, dim, tol_lin=tol_lin)
     if family in ("holevo", "lueders"):
         A = decode_observable(_expect(obj, "observable", field),

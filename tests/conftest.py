@@ -1,9 +1,10 @@
+import functools
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from qobs import linalg
+from qobs import fuzz, linalg
 from qobs.instruments import Instrument
 from qobs.linalg import psd_sqrt
 from qobs.observables import (Observable, _on_keys, canonical_outcome,
@@ -134,3 +135,49 @@ def fibers_unique(f, keys):
     zs, index = np.unique([canonical_outcome(z) for z in values],
                           return_inverse=True)
     return zs.tolist(), index
+
+
+# The fuzz checks before their linear forms, as references: all pairwise
+# products of the eigenprojections, and each derived observable's
+# completeness on its own.
+
+def eigen_projections_pairwise(inst, cfg):
+    """``fuzz._chk_eigen_projections`` with the k(k-1)/2 products P_i P_j,
+    in max-entry form."""
+    P = fuzz.hermitian_eigendecomposition(
+        inst["H"], cluster_tol=cfg.cluster_tol, tol=cfg.tol_lin).projections
+    i, j = np.triu_indices(len(P), 1)  # each pair of distinct projections
+    res = max(linalg.max_abs(P.sum(0) - np.eye(len(inst["H"]))),
+              linalg.max_abs(P @ P - P),
+              linalg.max_abs(P - P.conj().swapaxes(-1, -2)),
+              float(np.abs(P[i] @ P[j]).max(initial=0.0)))
+    return res, cfg.tol_lin
+
+
+def derived_spectrum_eigensolve(inst, cfg):
+    """``fuzz._chk_derived_spectrum`` with the completeness of one observable
+    at a time."""
+    cut, shared = cfg.cluster_tol, functools.partial(fuzz._shared, inst)
+    A, conj = inst["A"], shared(fuzz.conjugate, "A", cluster_tol=cut)
+    sharp = [fuzz.sharp_version(X, cut) for X in (A, inst["B"], conj)]
+    merged = shared(fuzz.Instrument.coarse_grain, "inst", "f_inst")
+    derived = (*sharp, fuzz.sharp_version(sharp[0], cut), conj,
+               fuzz.conjugate_joint(A, cut),
+               fuzz.commuting_joint(inst["A_comm"], inst["A_comm"]),
+               shared(fuzz.conjugate, "A_comm", cluster_tol=cut),
+               shared(fuzz.coarse_grain, "A", "f_obs"),
+               shared(fuzz.sequential_product, "inst", "B"),
+               shared(fuzz.conditioned_observable, "inst", "B"),
+               inst["inst"].measured_observable(), merged.measured_observable())
+    E = np.concatenate([obs.effects for obs in derived])
+    w = linalg.hermitian_eigenvalues(E)
+    residual = np.concatenate([
+        linalg.hermiticity_defect(E), -w[:, 0], w[:, -1] - 1.0,
+        [linalg.max_abs(obs.effects.sum(0) - np.eye(obs.dim)) for obs in derived]])
+    bound = np.concatenate([cfg.tol_lin * linalg.scale_of(E),
+                            np.full(2 * len(E), cfg.tol_psd),
+                            np.full(len(derived), cfg.tol_lin)])
+    ratio = np.divide(residual, bound, where=bound > 0,
+                      out=np.where(residual > 0, np.inf, 0.0))
+    k = np.lexsort((residual, ratio))[-1]
+    return float(residual[k]), float(bound[k])

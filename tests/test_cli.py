@@ -304,6 +304,33 @@ class TestFuzz:
         assert out["error"]["field"] == field
         assert out["error"]["file"] == str(path)
 
+    @pytest.mark.parametrize("run", [
+        ["--trials", "200", "--seed", "42"],
+        ["--trials", "45", "--seed", "3", "--dims", "1..9"],
+        ["--trials", "30", "--seed", "5", "--dims", "2..4",
+         "--cluster-tol", "0.05"],
+        ["--trials", "200", "--seed", "42", "--tol-lin", "1e-17"],
+        ["--trials", "3", "--tol-lin", "0"],
+        ["--trials", "3", "--dims", "1", "--tol-lin", "0"],
+    ], ids=["default", "dims-1-9", "cluster-tol", "tol-lin", "tol-lin-0",
+            "dim-1-tol-lin-0"])
+    def test_summary_and_its_replay_are_strict_json(self, capsys, tmp_path, run):
+        """RFC 8259 has no Infinity or NaN: an infinite ratio (a bound of 0)
+        or residual is written null, in the summary and in its replay."""
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        path = tmp_path / "s.json"
+        main(["fuzz", *run, "--output", str(path)])
+        summary = json.loads(path.read_text(), parse_constant=refuse)
+        main(["fuzz", "--replay", str(path), "--json"])
+        replay = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert replay.get("ratio") == summary["worst"]["ratio"]
+        if run[-2:] == ["--tol-lin", "0"]:  # eigen.projections' bound is 0
+            assert summary["properties"]["eigen.projections"]["max_ratio"] is None
+        if run[-4:] == ["--dims", "1", "--tol-lin", "0"]:  # worst is 0 / 0
+            assert (summary["worst"]["bound"], replay["ratio"]) == (0.0, None)
+
     def test_absurd_tolerance_forces_violation_exit(self, capsys):
         code = main(["fuzz", "--trials", "3", "--dims", "2", "--seed", "1",
                      "--tol-lin", "1e-30", "--tol-stat", "1e-30",
@@ -445,6 +472,17 @@ class TestObservableCommands:
         error = out["error"]
         assert (error["type"], error["invariant"], error["field"]) == (
             "UnknownOutcomeError", "known-outcome", "typo")
+
+    def test_numeric_map_key_naming_no_outcome_is_named_as_written(
+            self, capsys, files, tmp_path):
+        fmap = tmp_path / "extra.json"
+        fmap.write_text(json.dumps({"1": 1.0, "-1": 1.0, "7": 0}))
+        code, out = run_cli(capsys, "coarse-grain", "--obs", files["obs_a.json"],
+                            "--map", str(fmap))
+        assert code == 2
+        error = out["error"]
+        assert (error["type"], error["invariant"], error["field"]) == (
+            "UnknownOutcomeError", "known-outcome", "7")
 
     def test_lueders_instrument_file(self, capsys, files):
         code, out = run_cli(capsys, "sequential",

@@ -1,5 +1,6 @@
 """Replay codec of the property fuzzer: a trial bundle survives a round trip
-through canonical JSON with every property residual bit for bit."""
+through canonical JSON with every property residual bit for bit.  The
+linear forms of two checks bound their references in ``conftest``."""
 
 import functools
 import json
@@ -9,9 +10,13 @@ import pytest
 
 from qobs import fuzz, instruments, linalg, observables
 from qobs.errors import ValidationError
+from qobs.observables import Observable
+from qobs.sampling import haar_unitary
 from qobs.serialization import canonical_json
 
 from conftest import (
+    derived_spectrum_eigensolve,
+    eigen_projections_pairwise,
     eigendecomposition_loop,
     fibers_unique,
     lueders_instrument_loop,
@@ -125,3 +130,116 @@ def test_stacked_kernels_give_the_loop_forms_summary(monkeypatch):
             (instruments, "fibers", fibers_unique)]:
         monkeypatch.setattr(owner, name, loop)
     assert canonical_json(fuzz.run_fuzz(config)) == shipped
+
+
+def test_worst_instance_is_encoded_once_per_run(monkeypatch):
+    """The worst trial's bundle is kept and encoded after the loop, however
+    often the worst changes, also when it is an error."""
+    calls = []
+    encode = fuzz.encode_instance
+    monkeypatch.setattr(fuzz, "encode_instance",
+                        lambda inst: calls.append(inst["dim"]) or encode(inst))
+    for tol_lin in (1e-9, 1e-17):
+        calls.clear()
+        summary = fuzz.run_fuzz(fuzz.RunConfig(seed=42, trials=9, dims=(2, 3, 4),
+                                               tol_lin=tol_lin))
+        assert calls == [summary["worst"]["instance"]["dim"]]
+
+
+def _planted_sharp_version(monkeypatch, spectrum):
+    """A d=3 trial in which A's sharp version is the pair E, I - E with E =
+    U diag(spectrum) U*, planted among the four sharp versions' effects."""
+    inst = fuzz.build_instance(np.random.default_rng(5), 3, "lueders")
+    U = haar_unitary(np.random.default_rng(6), 3)
+    E = (U * np.array(spectrum)) @ U.conj().T
+    E = (E + E.conj().T) / 2.0
+    planted = Observable.__new__(Observable)._build(
+        [0.0, 1.0], np.array([E, np.eye(3) - E]))
+    sharp = fuzz.sharp_version
+    monkeypatch.setattr(fuzz, "sharp_version", lambda X, cut=None: (
+        planted if X is inst["A"] else sharp(X, cut)))
+    return inst
+
+
+@pytest.mark.parametrize("low", [-2e-8, -1e-6])
+def test_sharp_effect_below_zero_reports_its_eigenvalue(monkeypatch, low):
+    """A planted eigenvalue below -tol_psd is flagged at its exact size, as
+    the reference reports it."""
+    inst = _planted_sharp_version(monkeypatch, [low, 0.01, 1.0])
+    config = fuzz.RunConfig()
+    residual, bound = fuzz._chk_derived_spectrum(inst, config)
+    assert residual > bound == config.tol_psd
+    assert residual == pytest.approx(-low, rel=1e-6)
+    assert (residual, bound) == derived_spectrum_eigensolve(inst, config)
+
+
+@pytest.mark.parametrize("theta", np.geomspace(1e-12, 1e-3, 8))
+def test_tail_sums_bound_the_pairwise_products(monkeypatch, theta):
+    """P_0 rotated by theta toward P_1: the tail-sum residual is at least
+    the pairwise one, and both give the same verdict."""
+    inst = fuzz.build_instance(np.random.default_rng(3), 4, "trivial")
+    exact = linalg.hermitian_eigendecomposition(inst["H"])
+    assert exact.multiplicities == (1, 1, 1, 1)
+    _, V = linalg._eigh(inst["H"])
+    v = np.cos(theta) * V[:, 0] + np.sin(theta) * V[:, 1]
+    P = np.array(exact.projections)
+    P[0] = np.outer(v, v.conj())
+    rotated = linalg.EigenDecomposition(exact.eigenvalues, linalg.frozen(P),
+                                        exact.multiplicities)
+    monkeypatch.setattr(fuzz, "hermitian_eigendecomposition",
+                        lambda *args, **kw: rotated)
+    config = fuzz.RunConfig()
+    new, bound = fuzz._chk_eigen_projections(inst, config)
+    old, _ = eigen_projections_pairwise(inst, config)
+    assert new >= old
+    assert (new > bound) == (old > bound)
+
+
+def _planted_projections(monkeypatch, P):
+    """A d-dim trial whose eigendecomposition has the projections P."""
+    d = P.shape[1]
+    planted = linalg.EigenDecomposition(tuple(range(len(P))), linalg.frozen(P),
+                                        (1,) * len(P))
+    monkeypatch.setattr(fuzz, "hermitian_eigendecomposition",
+                        lambda *args, **kw: planted)
+    return {"H": np.diag(np.arange(d, dtype=float))}
+
+
+def test_idempotence_defects_that_hide_a_pair_from_the_tail_sums(monkeypatch):
+    """d = k = 16: P_15 couples |0> and |15> by eps, and P_1..P_14 each carry
+    -eps/14 of that coupling, an idempotence defect of max entry eps/14.  Then
+    P_0 S_0 = 0 and every tail product and idempotence entry is below tol_lin,
+    but P_0 P_15 has an entry eps above it: the defect term of the residual
+    catches what the pairwise form catches."""
+    k, eps, tol = 16, 7e-9, 1e-9
+    X = np.zeros((k, k), dtype=complex)
+    X[0, k - 1] = X[k - 1, 0] = 1.0
+    P = np.array([np.diag(np.eye(k)[j]).astype(complex) for j in range(k)])
+    P[1:-1] -= eps / (k - 2) * X
+    P[-1] += eps * X
+    inst = _planted_projections(monkeypatch, P)
+    S = P[::-1].cumsum(0)[::-1]
+    assert np.linalg.norm(P[:-1] @ S[1:], axis=(-2, -1)).max() < tol
+    assert linalg.max_abs(P @ P - P) < tol
+    assert linalg.max_abs(P.sum(0) - np.eye(k)) < tol
+    config = fuzz.RunConfig(tol_lin=tol)
+    old, _ = eigen_projections_pairwise(inst, config)
+    new, bound = fuzz._chk_eigen_projections(inst, config)
+    assert old == pytest.approx(eps) and old > bound
+    assert new >= old
+
+
+def test_linear_forms_dominate_their_references():
+    """Over 200 seeded trials at d 1..9 each linear form gives the
+    reference's verdict at a ratio at least the reference's."""
+    config = fuzz.RunConfig()
+    for i in range(200):
+        inst = fuzz.build_instance(np.random.default_rng([11, i]), 1 + i % 9,
+                                   fuzz.FAMILIES[i % 3])
+        for check, reference in [
+                (fuzz._chk_eigen_projections, eigen_projections_pairwise),
+                (fuzz._chk_derived_spectrum, derived_spectrum_eigensolve)]:
+            (new, bound), (old, old_bound) = (check(inst, config),
+                                              reference(inst, config))
+            assert (new > bound) == (old > old_bound), (i, check.__name__)
+            assert new / bound >= old / old_bound, (i, check.__name__)

@@ -211,6 +211,21 @@ class TestInstrument:
             ser.decode_instrument(dict(enc, map={**enc["map"], "typo": 0}))
         assert info.value.field == "instrument.map.typo"
 
+    @pytest.mark.parametrize("key", ["7", "7.50", "1e0x"])
+    def test_unknown_map_key_is_named_as_written(self, rng, key):
+        inst = random_instrument(rng, 2, "holevo", n_outcomes=3)
+        enc = ser.encode_instrument(inst.coarse_grain(lambda x: 0.0))
+        with pytest.raises(UnknownOutcomeError) as info:
+            ser.decode_instrument(dict(enc, map={**enc["map"], key: 0}))
+        assert info.value.field == f"instrument.map.{key}"
+        written = repr(key) if key == "1e0x" else key  # a label, or a number
+        assert str(info.value) == f"coarse-grained value for {written}, not an outcome"
+
+    def test_trivial_outcomes_are_plain_floats(self):
+        inst = ser.decode_instrument({"type": "instrument", "family": "trivial",
+                                      "dim": 2, "omega": {"7.50": 0.5, "1": 0.5}})
+        assert [(type(x), x) for x in inst.outcomes] == [(float, 7.5), (float, 1.0)]
+
     def test_constructor_diagnostics_name_the_json_path(self, rng):
         A = random_observable(rng, 2, 3)
         states = [ser.encode_state(random_density(rng, 2)) for _ in range(3)]

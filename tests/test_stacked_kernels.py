@@ -57,6 +57,32 @@ def test_merged_cluster_is_a_projection_near_the_loop_form():
     assert linalg.max_abs(P - want.projections) <= 1e-15
 
 
+@pytest.mark.parametrize("cut", [None, 0.9e-8, 0.0])
+def test_scalar_clustering_of_a_chain_gives_the_numpy_starts(cut):
+    """64 eigenvalues spaced 0.9e-8 chain into one cluster at the default
+    cluster_tol (1e-8), and split about the gaps' rounding at 0.9e-8: the
+    Python-scalar comparison cuts where np.diff does, and each merged
+    projection lies within 1e-15 of the per-cluster matmul."""
+    U = haar_unitary(np.random.default_rng(11), 64)
+    H = (U * (0.9e-8 * np.arange(64.0))) @ U.conj().T
+    w, _ = linalg._eigh(H)
+    tol = linalg.default_cluster_tol(H) if cut is None else cut
+    starts = np.append(0, np.flatnonzero(np.diff(w) > tol) + 1)
+    got, want = linalg._eigendecomposition(H, cut), eigendecomposition_loop(H, cut)
+    assert got.multiplicities == tuple(np.diff(starts, append=64).tolist())
+    assert got.multiplicities == want.multiplicities
+    assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-15)
+    assert linalg.max_abs(got.projections - want.projections) <= 1e-15
+    if cut is None:
+        assert got.multiplicities == (64,)
+
+
+def test_a_gap_of_exactly_cluster_tol_merges():
+    got = linalg._eigendecomposition(np.diag([0.0, 0.5, 1.0, 2.0]) + 0j, 0.5)
+    assert got.multiplicities == (3, 1)
+    assert got.eigenvalues == (0.5, 2.0)
+
+
 @pytest.mark.parametrize("dim", DIMS)
 def test_samplers_draw_the_loop_forms_bits_from_the_same_stream(dim):
     for sample, loop in [
