@@ -19,13 +19,14 @@ import numpy as np
 from qobs import (
     average,
     bloch_state,
+    coarse_grain,
     conditioned_observable,
     lueders_instrument,
     max_abs,
     noisy_spin,
-    product_statistics,
     sequential_product,
     trivial_instrument,
+    variance,
 )
 
 rho = bloch_state((0.3, 0.1, 0.8))
@@ -51,6 +52,7 @@ print(f"  <B> on the dephased state: {average(lued.channel(rho), B):+.4f}"
 product = sequential_product(lued, B)
 print("\nProduct observable keys:", product.keys)
 parity = {(x, y): x * y for x, _ in product.keys for y in B.outcomes}
-mean, var, parity_obs = product_statistics(lued, B, parity, rho)
-print(f"Outcome-product statistics: mean {mean:+.4f}, variance {var:.4f}")
+parity_obs = coarse_grain(product, parity)
+print(f"Outcome-product statistics: mean {average(rho, parity_obs):+.4f}, "
+      f"variance {variance(rho, parity_obs):.4f}")
 print("Coarse-grained observable outcomes:", parity_obs.outcomes)

@@ -76,7 +76,6 @@ from .instruments import (
     conditioned_observable,
     holevo_instrument,
     lueders_instrument,
-    product_statistics,
     sequential_product,
     trivial_instrument,
 )

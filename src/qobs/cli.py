@@ -138,7 +138,7 @@ def _emit(obj, args, stream=None) -> None:
     stream.write("\n")
 
 
-def _diagnostic(exc: Exception, path: str | None) -> dict:
+def _diagnostic(exc: Exception) -> dict:
     violation = getattr(exc, "violation", None)
     if violation is not None and not math.isfinite(violation):
         violation = None  # JSON has no inf or NaN
@@ -146,7 +146,7 @@ def _diagnostic(exc: Exception, path: str | None) -> dict:
         "schema": SCHEMA_VERSION,
         "error": {
             "type": type(exc).__name__,
-            "file": path,
+            "file": getattr(exc, "file", None),
             "field": getattr(exc, "field", None),
             "invariant": getattr(exc, "invariant", None),
             "violation": violation,
@@ -155,18 +155,14 @@ def _diagnostic(exc: Exception, path: str | None) -> dict:
     }
 
 
-class _FileContext:
-    """Tracks which input file a parse/validation error belongs to."""
-
-    def __init__(self):
-        self.path: str | None = None
-
-    def load(self, path: str, decode, *dargs, **dkw):
-        self.path = path
-        raw = ser.load_json_file(path)
-        out = decode(raw, *dargs, **dkw)
-        self.path = None
-        return out
+def _load(path: str, decode, *args, **kw):
+    """Read one input file and decode it; a toolkit error raised on the way
+    carries the file's path, for the diagnostic."""
+    try:
+        return decode(ser.load_json_file(path), *args, **kw)
+    except QobsError as exc:
+        exc.file = path
+        raise
 
 
 def _decode_operand(obj, field: str, tol_lin: float, tol_psd: float):
@@ -203,11 +199,11 @@ def _parse_floats(text: str, flag: str) -> list[float]:
             invariant="real-list", field=flag) from None
 
 
-def _cmd_uncertainty(args, ctx: _FileContext) -> int:
-    rho = ctx.load(args.state, ser.decode_state, "state",
-                   tol_lin=args.tol_lin, tol_psd=args.tol_psd)
-    A = ctx.load(args.obs_a, _decode_operand, "obs-a", args.tol_lin, args.tol_psd)
-    B = ctx.load(args.obs_b, _decode_operand, "obs-b", args.tol_lin, args.tol_psd)
+def _cmd_uncertainty(args) -> int:
+    rho = _load(args.state, ser.decode_state, "state",
+                tol_lin=args.tol_lin, tol_psd=args.tol_psd)
+    A = _load(args.obs_a, _decode_operand, "obs-a", args.tol_lin, args.tol_psd)
+    B = _load(args.obs_b, _decode_operand, "obs-b", args.tol_lin, args.tol_psd)
     rep = uncertainty_report(rho, A, B, tol=args.tol_stat)
     out = ser.encode_report(rep)
     out["equality"] = bool(rep.inequality_slack
@@ -216,7 +212,7 @@ def _cmd_uncertainty(args, ctx: _FileContext) -> int:
     return 0
 
 
-def _cmd_demo(args, ctx: _FileContext) -> int:
+def _cmd_demo(args) -> int:
     params = {}
     if args.name == "example4":
         bloch = _parse_floats(args.bloch, "--bloch")
@@ -239,7 +235,7 @@ def _cmd_demo(args, ctx: _FileContext) -> int:
     return 0
 
 
-def _cmd_fuzz(args, ctx: _FileContext) -> int:
+def _cmd_fuzz(args) -> int:
     config = fuzz.RunConfig(seed=args.seed, trials=args.trials,
                             dims=_parse_dims(args.dims),
                             tol_lin=args.tol_lin, tol_psd=args.tol_psd,
@@ -252,13 +248,13 @@ def _cmd_fuzz(args, ctx: _FileContext) -> int:
         raise ValidationError(f"--output: cannot write {args.output}: {exc.strerror}",
                               invariant="writable-output", field="--output") from None
     with out as stream:
-        result = (ctx.load(args.replay, fuzz.replay_instance, config)
+        result = (_load(args.replay, fuzz.replay_instance, config)
                   if args.replay is not None else fuzz.run_fuzz(config))
         _emit(result, args, stream)
     return 1 if result.get("violations") else 0
 
 
-def _cmd_sweep(args, ctx: _FileContext) -> int:
+def _cmd_sweep(args) -> int:
     mu_grid = _parse_floats(args.mu_grid, "--mu-grid")
     if not mu_grid:
         raise ValidationError("--mu-grid must be nonempty",
@@ -284,9 +280,9 @@ def _cmd_sweep(args, ctx: _FileContext) -> int:
     return 0
 
 
-def _cmd_observable(args, ctx: _FileContext) -> int:
+def _cmd_observable(args) -> int:
     _, flags, inputs, op = _OBSERVABLE_COMMANDS[args.command]
-    operands = [ctx.load(getattr(args, flag), load, args)
+    operands = [_load(getattr(args, flag), load, args)
                 for flag, load, _ in inputs]
     kw = {name: getattr(args, name) for name in
           (flag.replace("-", "_") for flag in flags)}
@@ -316,8 +312,8 @@ def _describe(raw, args) -> tuple[str, dict]:
     raise ParseError("file has no recognizable 'type' field", field="type")
 
 
-def _cmd_validate(args, ctx: _FileContext) -> int:
-    kind, summary = ctx.load(args.file, _describe, args)
+def _cmd_validate(args) -> int:
+    kind, summary = _load(args.file, _describe, args)
     _emit({"schema": SCHEMA_VERSION, "valid": True, "kind": kind,
            "summary": summary}, args)
     return 0
@@ -335,7 +331,6 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = argparse.Namespace(json="--json" in (sys.argv if argv is None else argv))
-    ctx = _FileContext()
     try:
         _build_parser().parse_args(argv, args)  # a usage error keeps args.json
         for flag, floor in _FLAG_FLOORS.items():
@@ -344,9 +339,9 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     f"--{flag}: expected a finite number >= {floor}, "
                     f"got {value}", invariant="flag-range", field=f"--{flag}")
-        return _HANDLERS[args.command](args, ctx)
+        return _HANDLERS[args.command](args)
     except QobsError as exc:
-        _emit(_diagnostic(exc, ctx.path), args)
+        _emit(_diagnostic(exc), args)
         return 2
 
 

@@ -101,10 +101,20 @@ class RunConfig:
             raise ValidationError("dims must be nonempty positive integers",
                                   invariant="positive-dims", field="dims")
         require_dim(max(self.dims), "dims")
+        for _, field in _TOLERANCES:
+            if not _is_tolerance(getattr(self, field), field):
+                raise ValidationError(f"{field} must be a finite number >= 0",
+                                      invariant="tolerance-range", field=field)
 
 
 _TOLERANCES = (("lin", "tol_lin"), ("psd", "tol_psd"),  # summary key, field
                ("stat", "tol_stat"), ("cluster", "cluster_tol"))
+
+
+def _is_tolerance(value, field: str) -> bool:
+    """A finite real >= 0; the clustering width may also be None."""
+    return (is_real(value) and 0 <= value < math.inf
+            or value is None and field == "cluster_tol")
 
 
 def _family_instrument(bundle: dict):
@@ -274,25 +284,19 @@ def _chk_sharp_idempotent(inst, cfg):
     A = inst["A"]
     once = sharp_version(A, cfg.cluster_tol)
     twice = sharp_version(once, cfg.cluster_tol)
-    sto = stochastic_operator(A)
-    bound = max(cfg.tol_lin,
-                cfg.cluster_tol if cfg.cluster_tol is not None
-                else default_cluster_tol(sto))
-    return _matched_observable_delta(once, twice), bound
+    bound = default_cluster_tol(stochastic_operator(A), cfg.cluster_tol)
+    return _matched_observable_delta(once, twice), max(cfg.tol_lin, bound)
 
 
 def _chk_conjugate_same_sharp(inst, cfg):
-    A = inst["A"]
+    A, sto = inst["A"], stochastic_operator(inst["A"])
     conj = _shared(inst, conjugate, "A", cluster_tol=cfg.cluster_tol)
-    res = max_abs(stochastic_operator(conj) - stochastic_operator(A))
+    res = max_abs(stochastic_operator(conj) - sto)
     sharp_a = sharp_version(A, cfg.cluster_tol)
     sharp_c = sharp_version(conj, cfg.cluster_tol)
     res = max(res, _matched_observable_delta(sharp_a, sharp_c))
-    sto = stochastic_operator(A)
-    bound = max(cfg.tol_lin * scale_of(sto),
-                cfg.cluster_tol if cfg.cluster_tol is not None
-                else default_cluster_tol(sto))
-    return res, bound
+    bound = default_cluster_tol(sto, cfg.cluster_tol)
+    return res, max(cfg.tol_lin * scale_of(sto), bound)
 
 
 def _chk_conjugate_commutative(inst, cfg):
@@ -415,7 +419,8 @@ def _chk_instrument_coarse_grain(inst, cfg):
 
 def _chk_instrument_mean(inst, cfg):
     instr, rho = inst["inst"], inst["rho"]
-    mean = instr.mean(rho)
+    mean = float(sum(x * np.trace(instr.apply(x, rho)).real
+                     for x in instr.outcomes))
     res = abs(mean - stats.average(rho, instr.measured_observable()))
     return res, cfg.tol_lin * max(1.0, abs(mean))
 
@@ -648,10 +653,8 @@ def replay_instance(dump, config: RunConfig | None = None) -> dict:
                          field="dump.property")
     if summary is not None:
         tols = _expect(summary, "tolerances", "dump")
-        for key, _ in _TOLERANCES:
-            value = _expect(tols, key, "dump.tolerances")
-            if not (is_real(value) and 0 <= value < math.inf
-                    or value is None and key == "cluster"):
+        for key, field in _TOLERANCES:
+            if not _is_tolerance(_expect(tols, key, "dump.tolerances"), field):
                 raise ParseError(f"dump.tolerances.{key}: expected a finite "
                                  "number >= 0", field=f"dump.tolerances.{key}")
         config = RunConfig(**{field: tols[key] for key, field in _TOLERANCES})

@@ -24,9 +24,8 @@ from .errors import (
 )
 from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix
 from .observables import (Observable, _on_keys, _pair_keyed, _stored,
-                          canonical_outcome, coarse_grain, fibers, is_real)
+                          canonical_outcome, fibers, is_real)
 from .states import DensityOperator
-from .statistics import average, variance as obs_variance
 
 
 def _sandwich(part: tuple, M: np.ndarray, dual: bool = False) -> np.ndarray:
@@ -131,15 +130,6 @@ class Instrument(_Immutable):
         return Instrument.__new__(Instrument)._build(
             zs, [tuple(map(np.concatenate, arrs)) for arrs in fibered])
 
-    def mean(self, rho: DensityOperator) -> float:
-        """Outcome-weighted total trace, available for real outcomes only;
-        equals the average of the measured observable."""
-        if not all(is_real(x) for x in self.outcomes):
-            raise ValidationError("mean requires real-valued outcomes",
-                                  invariant="real-outcomes")
-        return float(sum(x * np.trace(self.apply(x, rho)).real
-                         for x in self.outcomes))
-
 
 def trivial_instrument(omega: Mapping, dim: int, *,
                        tol_lin: float = TOL_LIN) -> Instrument:
@@ -217,14 +207,3 @@ def conditioned_observable(inst: Instrument, B: Observable) -> Observable:
     total = sum(_dual_images(inst, B))
     return Observable.__new__(Observable)._build(
         B.keys, (total + total.conj().swapaxes(-1, -2)) / 2.0)
-
-
-def product_statistics(inst: Instrument, B: Observable, f: Mapping | Callable,
-                       rho: DensityOperator):
-    """Statistics of the real-valued function f of a sequential measurement.
-
-    Returns (mean, variance, observable) where the observable is the coarse
-    graining of the two-step product observable by f.
-    """
-    obs = coarse_grain(sequential_product(inst, B), f)
-    return average(rho, obs), obs_variance(rho, obs), obs

@@ -183,8 +183,10 @@ class EigenDecomposition:
         return (lam[:, None, None] * self.projections).sum(0)
 
 
-def default_cluster_tol(M: np.ndarray) -> float:
-    return 1e-8 * scale_of(M)
+def default_cluster_tol(M: np.ndarray, cluster_tol: float | None = None) -> float:
+    """The eigenvalue clustering width for M: ``cluster_tol`` when given,
+    else 1e-8 of M's scale; every clustering and its bound read it here."""
+    return 1e-8 * scale_of(M) if cluster_tol is None else cluster_tol
 
 
 def hermitian_eigendecomposition(M, cluster_tol: float | None = None,
@@ -203,7 +205,7 @@ def _eigendecomposition(M: np.ndarray, cluster_tol: float | None) -> EigenDecomp
     """``hermitian_eigendecomposition`` without the Hermiticity check."""
     w, V = _eigh(M)
     ws = w.tolist()
-    cut = float(default_cluster_tol(M) if cluster_tol is None else cluster_tol)
+    cut = float(default_cluster_tol(M, cluster_tol))
     starts = [0, *(i for i in range(1, len(ws)) if ws[i] - ws[i - 1] > cut)]
     P = V.T[:, :, None] @ V.conj().T[:, None, :]  # v v*, one per eigenvector
     values, sizes = tuple(ws), (1,) * len(ws)

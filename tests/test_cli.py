@@ -134,6 +134,18 @@ class TestUncertainty:
         assert err["violation"] == pytest.approx(0.2)
         assert err["field"] == "state"
 
+    def test_error_after_every_load_names_no_file(self, capsys, files, tmp_path,
+                                                  rng):
+        """Two valid files of different dims: the mismatch belongs to no file."""
+        big = tmp_path / "obs3.json"
+        big.write_text(json.dumps(ser.encode_observable(random_observable(rng, 3, 2))))
+        code, out = run_cli(capsys, "uncertainty", "--state", files["rho.json"],
+                            "--obs-a", files["obs_a.json"], "--obs-b", str(big),
+                            "--json")
+        assert code == 2
+        assert (out["error"]["invariant"], out["error"]["file"]) == (
+            "matching-dims", None)
+
     @pytest.mark.parametrize("r, invariant", [
         ([0.3, 0.4, 0.2], "uncertainty-equation"),
         ([0.6, 0.0, 0.8], "uncertainty-inequality"),

@@ -78,6 +78,17 @@ def test_dims_above_max_dim_are_rejected():
     assert info.value.invariant == "dim-range"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tol_lin", float("nan")), ("tol_psd", -1.0), ("tol_stat", float("inf")),
+    ("cluster_tol", float("nan")), ("tol_lin", None), ("tol_psd", "1e-8")])
+def test_tolerances_must_be_finite_nonnegative_reals(field, value):
+    """A NaN bound turns off every check it bounds and a negative one fails
+    them all, so the config refuses both and names the field."""
+    with pytest.raises(ValidationError) as info:
+        fuzz.RunConfig(trials=3, **{field: value})
+    assert (info.value.invariant, info.value.field) == ("tolerance-range", field)
+
+
 def test_worst_is_the_first_error_of_the_run():
     config = fuzz.RunConfig(seed=42, trials=9, dims=(2, 3, 4), tol_lin=1e-17)
     summary = fuzz.run_fuzz(config)

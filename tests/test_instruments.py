@@ -23,7 +23,6 @@ from qobs.instruments import (
     conditioned_observable,
     holevo_instrument,
     lueders_instrument,
-    product_statistics,
     sequential_product,
     trivial_instrument,
 )
@@ -167,7 +166,14 @@ class TestTrivial:
     def test_mean(self, rng):
         inst = trivial_instrument({1.0: 0.3, -1.0: 0.7}, 2)
         rho = random_density(rng, 2)
-        assert inst.mean(rho) == pytest.approx(2 * 0.3 - 1, abs=1e-12)
+        assert stats.average(rho, inst.measured_observable()) == pytest.approx(
+            2 * 0.3 - 1, abs=1e-12)
+
+    def test_label_keyed_statistics_need_real_outcomes(self):
+        inst = trivial_instrument({"up": 0.5, "down": 0.5}, 2)
+        with pytest.raises(ValidationError) as info:
+            stats.average(bloch_state([0.0, 0.0, 0.0]), inst.measured_observable())
+        assert info.value.invariant == "real-outcomes"
 
     def test_rejects_bad_weights(self):
         with pytest.raises(NotAProbabilityError):
@@ -291,11 +297,13 @@ class TestLueders:
     def test_mean_on_noisy_spin(self):
         mu, r = 0.6, (0.5, -0.1, 0.2)
         inst = lueders_instrument(noisy_spin(mu, "x"))
-        assert inst.mean(bloch_state(r)) == pytest.approx(r[0] * mu, abs=1e-13)
+        mean = stats.average(bloch_state(r), inst.measured_observable())
+        assert mean == pytest.approx(r[0] * mu, abs=1e-13)
 
     def test_single_outcome_mean(self, rng):
         inst = lueders_instrument(Observable([2.5], [np.eye(3)]))
-        assert inst.mean(random_density(rng, 3)) == pytest.approx(2.5, abs=1e-12)
+        mean = stats.average(random_density(rng, 3), inst.measured_observable())
+        assert mean == pytest.approx(2.5, abs=1e-12)
 
 
 class TestSharedContracts:
@@ -335,13 +343,6 @@ class TestSharedContracts:
             t = np.trace(out).real
             assert -1e-9 <= t <= 1.0 + 1e-9
             assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-9
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_mean_equals_measured_average(self, family, rng):
-        inst = random_instrument(rng, 3, family)
-        rho = random_density(rng, 3)
-        assert inst.mean(rho) == pytest.approx(
-            stats.average(rho, inst.measured_observable()), abs=1e-10)
 
 
 class TestStackedLayout:
@@ -468,7 +469,6 @@ class TestPairForm:
             assert_close(inst.dual_apply(x, C), kraus.dual_apply(x, C))
             assert_close(inst.dual_apply(x, stack), kraus.dual_apply(x, stack))
         assert_close(inst.channel(rho).matrix, kraus.channel(rho).matrix)
-        assert_close(inst.mean(rho), kraus.mean(rho))
         assert_close(inst.measured_observable().effects,
                      kraus.measured_observable().effects)
         for build in (sequential_product, conditioned_observable):
@@ -509,7 +509,6 @@ class TestPairForm:
             np.trace(rho.matrix @ A.effects[0]).real, abs=1e-12)
         assert inst.dual_apply(x, B.effects).shape == (3, dim, dim)
         assert inst.channel(rho).dim == dim
-        inst.mean(rho)
         assert_close(inst.measured_observable().effects, A.effects)
         sequential_product(inst, B)
         conditioned_observable(inst, B)
@@ -675,14 +674,18 @@ class TestConditionedObservable:
 
 
 class TestProductStatistics:
+    """A real function f of the outcome pair (x, y) is the observable
+    coarse_grain(sequential_product(inst, B), f); its statistics are that
+    observable's."""
+
     def test_constant_function(self, rng):
         inst = random_instrument(rng, 2, "lueders")
         B = random_observable(rng, 2, 2)
         rho = random_density(rng, 2)
         f = {(x, y): 1.0 for x in inst.outcomes for y in B.outcomes}
-        mean, var, fab = product_statistics(inst, B, f, rho)
-        assert mean == pytest.approx(1.0, abs=1e-12)
-        assert var == pytest.approx(0.0, abs=1e-12)
+        fab = coarse_grain(sequential_product(inst, B), f)
+        assert stats.average(rho, fab) == pytest.approx(1.0, abs=1e-12)
+        assert stats.variance(rho, fab) == pytest.approx(0.0, abs=1e-12)
         assert fab.outcomes == (1.0,)
 
     def test_trivial_product_function_factorizes(self, rng):
@@ -693,7 +696,7 @@ class TestProductStatistics:
         g = {1.0: 2.0, 2.0: -1.0}
         h = {y: float(v) for y, v in zip(B.outcomes, (1.0, 3.0))}
         f = {(x, y): g[x] * h[y] for x in inst.outcomes for y in B.outcomes}
-        mean, _, _ = product_statistics(inst, B, f, rho)
+        mean = stats.average(rho, coarse_grain(sequential_product(inst, B), f))
         g_mean = sum(g[x] * omega[x] for x in inst.outcomes)
         h_mean = stats.average(rho, coarse_grain(B, h))
         assert mean == pytest.approx(g_mean * h_mean, abs=1e-12)
@@ -712,7 +715,7 @@ class TestProductStatistics:
         inst = lueders_instrument(A)
         rho = random_density(rng, 3)
         f = {(x, y): x * y for x in inst.outcomes for y in B.outcomes}
-        mean, _, _ = product_statistics(inst, B, f, rho)
+        mean = stats.average(rho, coarse_grain(sequential_product(inst, B), f))
         expected = np.trace(rho.matrix @ stochastic_operator(A)
                             @ stochastic_operator(B)).real
         assert mean == pytest.approx(expected, abs=1e-10)
@@ -721,11 +724,10 @@ class TestProductStatistics:
     def test_split_function_simplification(self, family, rng):
         inst = random_instrument(rng, 3, family)
         B = random_observable(rng, 3, 2)
-        rho = random_density(rng, 3)
         g = {x: float(v) for x, v in zip(inst.outcomes, (1.0, -2.0, 0.5))}
         h = {y: float(v) for y, v in zip(B.outcomes, (2.0, -1.0))}
         f = {(x, y): g[x] * h[y] for x in inst.outcomes for y in B.outcomes}
-        _, _, fab = product_statistics(inst, B, f, rho)
+        fab = coarse_grain(sequential_product(inst, B), f)
         hB = stochastic_operator(coarse_grain(B, h))
         expected = sum(g[x] * inst.dual_apply(x, hB) for x in inst.outcomes)
         assert max_abs_diff(stochastic_operator(fab), expected) < 1e-9
@@ -736,7 +738,8 @@ class TestProductStatistics:
         rho = random_density(rng, 2)
         f = {(x, y): float(i - 2 * j) for i, x in enumerate(inst.outcomes)
              for j, y in enumerate(B.outcomes)}
-        mean, var, _ = product_statistics(inst, B, f, rho)
+        fab = coarse_grain(sequential_product(inst, B), f)
+        mean, var = stats.average(rho, fab), stats.variance(rho, fab)
         T = sum(f[(x, y)] * inst.dual_apply(x, B.effects[B.outcomes.index(y)])
                 for x in inst.outcomes for y in B.outcomes)
         direct_mean = np.trace(rho.matrix @ T).real
@@ -747,9 +750,8 @@ class TestProductStatistics:
     def test_missing_pair_rejected(self, rng):
         inst = random_instrument(rng, 2, "trivial")
         B = random_observable(rng, 2, 2)
-        rho = random_density(rng, 2)
         with pytest.raises(MissingLabelError):
-            product_statistics(inst, B, {}, rho)
+            coarse_grain(sequential_product(inst, B), {})
 
 
 class TestDerivedWithoutSecondCheck:
@@ -873,8 +875,11 @@ class TestBuildersTrustCheckedInputs:
         assert conjugate(B).outcomes == B.outcomes
         assert len(sequential_product(inst, B)) == 4
         assert conditioned_observable(inst, B).outcomes == B.outcomes
-        mean, _, fobs = product_statistics(inst, B, lambda k: k[0] + k[1], rho)
+        fobs = coarse_grain(sequential_product(inst, B), lambda k: k[0] + k[1])
         assert fobs.outcomes == (0.0, 1.0, 2.0)
+        # Effects w_x B_y: the mean is w_1 tr(rho sum B) + tr(rho B_1) sum w
+        # = (0.5 + 1e-7)(1 + 0.75e-7) + (0.5 + 0.75e-7)(1 + 1e-7).
+        assert stats.average(rho, fobs) == pytest.approx(1 + 2.625e-7, abs=1e-12)
         out = inst.channel(rho)
         assert abs(np.trace(out.matrix).real - (1.0 + 1e-7)) < 1e-15
         assert out.eigenvalues == tuple(
@@ -886,8 +891,8 @@ class TestBuildersTrustCheckedInputs:
         f = {1.0: 0.0, 0.0: 1.0, 2.0: 3.0, "typo": 5.0}
         pairs = {(x, y): 0.0 for x in A.outcomes for y in A.outcomes}
         for call in (lambda: coarse_grain(A, f), lambda: inst.coarse_grain(f),
-                     lambda: product_statistics(inst, A, {**pairs, "typo": 1.0},
-                                                bloch_state([0.0, 0.0, 0.0]))):
+                     lambda: coarse_grain(sequential_product(inst, A),
+                                          {**pairs, "typo": 1.0})):
             with pytest.raises(UnknownOutcomeError) as info:
                 call()
             assert (info.value.invariant, info.value.field) == (

@@ -31,7 +31,7 @@ INVARIANTS = {
     # fuzz, demos and the CLI
     "flag-range", "integer-list", "known-demo", "nonempty-grid",
     "outcomes-range", "positive-dims", "positive-trials", "real-list",
-    "samples-range", "writable-output",
+    "samples-range", "tolerance-range", "writable-output",
 }
 
 
@@ -54,4 +54,4 @@ def _source_invariants() -> set:
 
 def test_diagnostics_name_exactly_the_listed_invariants():
     assert _source_invariants() == INVARIANTS
-    assert len(INVARIANTS) == 41
+    assert len(INVARIANTS) == 42
