@@ -138,18 +138,15 @@ def _emit(obj, args, stream=None) -> None:
     stream.write("\n")
 
 
-def _diagnostic(exc: Exception) -> dict:
-    violation = getattr(exc, "violation", None)
-    if violation is not None and not math.isfinite(violation):
-        violation = None  # JSON has no inf or NaN
+def _diagnostic(exc: QobsError) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "error": {
             "type": type(exc).__name__,
-            "file": getattr(exc, "file", None),
-            "field": getattr(exc, "field", None),
-            "invariant": getattr(exc, "invariant", None),
-            "violation": violation,
+            "file": exc.file,
+            "field": exc.field,
+            "invariant": exc.invariant,
+            "violation": exc.violation,
             "message": str(exc),
         },
     }

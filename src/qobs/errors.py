@@ -1,19 +1,20 @@
 """Exception types shared across the toolkit.
 
-Every validation failure carries the name of the violated invariant and,
-where meaningful, the measured violation magnitude, so callers (the CLI in
-particular) can emit machine-readable diagnostics.
+Every toolkit error carries one diagnostic record, declared on ``QobsError``
+alone: the name of the violated invariant and, where meaningful, the
+measured violation magnitude, the offending input field and the input file,
+so callers (the CLI in particular) can emit machine-readable diagnostics.
 """
 
 from __future__ import annotations
 
 
 class QobsError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors, and the diagnostic record: the
+    ``invariant`` violated, by how much (``violation``), at which input
+    ``field``, and in which input ``file``, set by the CLI as it reads one."""
 
-
-class ValidationError(QobsError, ValueError):
-    """A domain object violates one of its invariants."""
+    file: str | None = None
 
     def __init__(self, message: str, *, invariant: str | None = None,
                  violation: float | None = None, field: str | None = None):
@@ -21,6 +22,10 @@ class ValidationError(QobsError, ValueError):
         self.invariant = invariant
         self.violation = violation
         self.field = field
+
+
+class ValidationError(QobsError, ValueError):
+    """A domain object violates one of its invariants."""
 
 
 class DimensionMismatchError(ValidationError):
@@ -58,9 +63,8 @@ class NotAnEffectError(ValidationError):
 class CompletenessViolationError(ValidationError):
     """Effects (or Kraus maps) do not sum to the identity."""
 
-    def __init__(self, message: str, *, residual: float | None = None, **kw):
-        super().__init__(message, violation=residual, **kw)
-        self.residual = residual
+    residual = property(lambda self: self.violation,
+                        doc="The completeness residual, read-only: ``violation``.")
 
 
 class DuplicateOutcomeError(ValidationError):
@@ -70,11 +74,13 @@ class DuplicateOutcomeError(ValidationError):
 class NotCommutingError(ValidationError):
     """A pair of effects fails the commutation precondition."""
 
-    def __init__(self, message: str, *, x=None, y=None, norm: float | None = None):
-        super().__init__(message, invariant="commuting-effects", violation=norm)
+    def __init__(self, message: str, *, x=None, y=None, **kw):
+        super().__init__(message, **kw)
         self.x = x
         self.y = y
-        self.norm = norm
+
+    norm = property(lambda self: self.violation,
+                    doc="The commutator's norm, read-only: ``violation``.")
 
 
 class MissingLabelError(ValidationError):
@@ -92,16 +98,6 @@ class NotAProbabilityError(ValidationError):
 class InternalConsistencyError(QobsError):
     """A mathematical identity failed beyond tolerance; indicates a bug."""
 
-    def __init__(self, message: str, *, invariant: str | None = None,
-                 violation: float | None = None):
-        super().__init__(message)
-        self.invariant = invariant
-        self.violation = violation
-
 
 class ParseError(QobsError, ValueError):
     """JSON input does not match the expected schema."""
-
-    def __init__(self, message: str, *, field: str | None = None):
-        super().__init__(message)
-        self.field = field

@@ -319,6 +319,7 @@ def _chk_coarse_grain_valid(inst, cfg):
 def _uncertainty_residuals(rho, A, B):
     # Measure the residuals here; an infinite tolerance disarms the report's
     # own internal-consistency guard so violations are counted, not raised.
+    # A NaN residual still raises, and counts as the property's error.
     rep = stats.uncertainty_report(rho, A, B, tol=math.inf)
     scale = max(1.0, rep.correlation_sq)
     eq = abs(rep.equation_residual) / scale
@@ -579,11 +580,6 @@ class _PropertyStats:
     max_ratio: float = 0.0
 
 
-def _json_number(x):
-    """x, or None for a float JSON cannot write: an infinite ratio or residual."""
-    return None if isinstance(x, float) and not math.isfinite(x) else x
-
-
 def run_fuzz(config: RunConfig) -> dict:
     """Run the property battery; the returned summary is deterministic in
     the config and contains the worst instance for replay.
@@ -623,7 +619,7 @@ def run_fuzz(config: RunConfig) -> dict:
                     continue
                 found = {"ratio": ratio, "residual": residual, "bound": bound}
             worst = {**found, "property": name, "trial": i, "instance": instance}
-    worst = {key: encode_instance(v) if key == "instance" else _json_number(v)
+    worst = {key: encode_instance(v) if key == "instance" else v
              for key, v in worst.items()}  # ``_shared``'s keys are not encoded
     total = sum(p.violations for p in props.values())
     return {
@@ -633,8 +629,7 @@ def run_fuzz(config: RunConfig) -> dict:
         "trials": config.trials,
         "dims": list(config.dims),
         "tolerances": {key: getattr(config, field) for key, field in _TOLERANCES},
-        "properties": {name: {key: _json_number(v) for key, v in vars(p).items()}
-                       for name, p in props.items()},
+        "properties": {name: vars(p) for name, p in props.items()},
         "violations": total,
         "worst": worst,
     }
@@ -673,4 +668,4 @@ def replay_instance(dump, config: RunConfig | None = None) -> dict:
                 "error": f"{type(exc).__name__}: {exc}"}
     return {"schema": SCHEMA_VERSION, "property": name,
             "residual": residual, "bound": bound,
-            "ratio": _json_number(residual / bound if bound > 0 else math.inf)}
+            "ratio": residual / bound if bound > 0 else math.inf}

@@ -71,7 +71,7 @@ def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
     if residual > tol_lin:
         raise CompletenessViolationError(
             f"effects sum to identity with residual {residual:.3e}",
-            invariant="completeness", residual=residual)
+            invariant="completeness", violation=residual)
 
 
 class Observable(_Immutable):
@@ -262,7 +262,7 @@ def commuting_joint(A: Observable, B: Observable,
         raise NotCommutingError(
             f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute "
             f"(norm {norm[i, j]:.3e})", x=xs[i], y=ys[j],
-            norm=float(norm[i, j]))
+            invariant="commuting-effects", violation=float(norm[i, j]))
     return _pair_keyed(xs, ys, AB)
 
 

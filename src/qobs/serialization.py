@@ -260,10 +260,15 @@ def encode_report(rep: UncertaintyReport) -> dict:
 
 
 def canonical_json(obj, compact: bool = False) -> str:
-    """Deterministic serialization: sorted keys, fixed separators."""
-    if compact:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic strict JSON (RFC 8259): sorted keys, fixed separators,
+    and every non-finite float, which RFC 8259 cannot write, as ``null``."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    try:  # finite output, the usual case, is written in one pass
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **layout)
+    except ValueError:  # read back with null, in the order first written
+        nulled = json.loads(json.dumps(obj, sort_keys=True),
+                            parse_constant=lambda _: None)
+        return json.dumps(nulled, allow_nan=False, **layout)
 
 
 def load_json_file(path: str):

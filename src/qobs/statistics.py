@@ -125,7 +125,8 @@ def _report(means: np.ndarray, M: np.ndarray,
 def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     """The six ``UncertaintyReport`` terms in field order, as arrays over the
     states along the leading axes of the kernel's means and M, in row-major
-    order.  Raises for the first state whose residuals exceed ``tol``."""
+    order.  Raises for the first state whose residuals exceed ``tol`` or
+    are NaN."""
     means, M = means.reshape(-1, 2), M.reshape(-1, 2, 2)
     cor = M[:, 0, 1] - means[:, 0] * means[:, 1]
     comm = M[:, 0, 1] - M[:, 1, 0]
@@ -139,11 +140,12 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     equation_residual = commutator_term + covariance_sq - correlation_sq
     inequality_slack = variance_product - correlation_sq
     scale = np.maximum(1.0, correlation_sq)
-    failed = ((np.abs(equation_residual) > tol * scale)
-              | (inequality_slack < -tol * scale))
-    if failed.any():
-        i = failed.argmax()  # the first failing state
-        if abs(equation_residual[i]) > tol * scale[i]:
+    # Stated as what holds, so that a NaN term, which compares false, fails.
+    holds = ((np.abs(equation_residual) <= tol * scale)
+             & (inequality_slack >= -tol * scale))
+    if not holds.all():
+        i = holds.argmin()  # the first failing state
+        if not abs(equation_residual[i]) <= tol * scale[i]:
             raise InternalConsistencyError(
                 f"uncertainty equation residual {equation_residual[i]:.3e} "
                 f"exceeds {tol:.1e} x {scale[i]:.3g}",

@@ -24,10 +24,19 @@ from qobs.sampling import (
 from qobs.states import DensityOperator
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def strict_loads(text):
+    """json.loads that refuses NaN and +-Infinity, which RFC 8259 has not."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 def run_cli(capsys, *argv) -> tuple[int, dict | list | None]:
     code = main(list(argv))
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip().startswith(("{", "[")) else out)
+    return code, (strict_loads(out) if out.strip().startswith(("{", "[")) else out)
 
 
 @pytest.fixture
@@ -146,6 +155,39 @@ class TestUncertainty:
         assert (out["error"]["invariant"], out["error"]["file"]) == (
             "matching-dims", None)
 
+    @pytest.fixture
+    def huge(self, tmp_path):
+        """I/2 and the Hermitian operands diag(1e200, -1e200) and
+        [[0, 1e200], [1e200, 0]], whose products overflow."""
+        paths = {}
+        for name, doc in (
+                ("state", {"type": "bloch", "r": [0.0, 0.0, 0.0]}),
+                ("diag", ser.encode_matrix(np.diag([1e200, -1e200]))),
+                ("off", ser.encode_matrix(np.array([[0.0, 1e200], [1e200, 0.0]])))):
+            paths[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        return paths
+
+    def test_infinite_terms_are_null(self, capsys, huge):
+        code, out = run_cli(capsys, "uncertainty", "--state", huge["state"],
+                            "--obs-a", huge["diag"], "--obs-b", huge["off"],
+                            "--json")
+        assert code == 0
+        assert (out["variance_product"], out["inequality_slack"]) == (None, None)
+        assert out["equation_residual"] == 0.0
+
+    def test_nan_identity_is_a_failure(self, capsys, huge):
+        """Var(A)^2 and |Cor|^2 are both inf, so the equation residual is NaN:
+        a failed identity, not a report of NaN terms."""
+        with np.errstate(invalid="ignore"):  # inf - inf
+            code, out = run_cli(capsys, "uncertainty", "--state", huge["state"],
+                                "--obs-a", huge["diag"], "--obs-b", huge["diag"],
+                                "--json")
+        assert code == 2
+        error = out["error"]
+        assert (error["type"], error["invariant"], error["violation"]) == (
+            "InternalConsistencyError", "uncertainty-equation", None)
+
     @pytest.mark.parametrize("r, invariant", [
         ([0.3, 0.4, 0.2], "uncertainty-equation"),
         ([0.6, 0.0, 0.8], "uncertainty-inequality"),
@@ -199,7 +241,7 @@ class TestFuzz:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
-        summary = json.loads(out1)
+        summary = strict_loads(out1)
         assert summary["violations"] == 0
         assert summary["schema"] == 1
         assert "PCG64" in summary["prng"]
@@ -208,7 +250,7 @@ class TestFuzz:
         code = main(["fuzz", "--trials", "6", "--dims", "2", "--seed", "3",
                      "--output", str(tmp_path / "summary.json")])
         assert code == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = strict_loads((tmp_path / "summary.json").read_text())
         dump = tmp_path / "worst.json"
         dump.write_text(json.dumps(summary["worst"]))
         code, out = run_cli(capsys, "fuzz", "--replay", str(dump))
@@ -218,7 +260,7 @@ class TestFuzz:
     def test_replay_of_a_summary_reproduces_its_worst(self, capsys, tmp_path):
         summary_path = str(tmp_path / "s.json")
         main(["fuzz", "--trials", "30", "--seed", "42", "--output", summary_path])
-        worst = json.loads((tmp_path / "s.json").read_text())["worst"]
+        worst = strict_loads((tmp_path / "s.json").read_text())["worst"]
         code, out = run_cli(capsys, "fuzz", "--replay", summary_path, "--json")
         assert code == 0
         assert out["property"] == worst["property"]
@@ -235,7 +277,7 @@ class TestFuzz:
             self, capsys, tmp_path, run):
         summary_path = str(tmp_path / "s.json")
         main(["fuzz", *run, "--output", summary_path])
-        worst = json.loads((tmp_path / "s.json").read_text())["worst"]
+        worst = strict_loads((tmp_path / "s.json").read_text())["worst"]
         # The flags apply only to a bare worst dump.
         for flags in ([], ["--tol-lin", "1e-3", "--cluster-tol", "1e-8"]):
             code, out = run_cli(capsys, "fuzz", "--replay", summary_path,
@@ -273,7 +315,7 @@ class TestFuzz:
             code = main(["fuzz", *source, "--output", str(target), "--json"])
             captured = capsys.readouterr()
             assert (code, captured.err, captured.out.count("\n")) == (2, "", 1)
-            error = json.loads(captured.out)["error"]
+            error = strict_loads(captured.out)["error"]
             assert (error["type"], error["field"], error["invariant"]) == (
                 "ValidationError", "--output", "writable-output")
             assert str(target) in error["message"]
@@ -324,30 +366,41 @@ class TestFuzz:
         ["--trials", "200", "--seed", "42", "--tol-lin", "1e-17"],
         ["--trials", "3", "--tol-lin", "0"],
         ["--trials", "3", "--dims", "1", "--tol-lin", "0"],
+        ["--trials", "3", "--seed", "42"],
     ], ids=["default", "dims-1-9", "cluster-tol", "tol-lin", "tol-lin-0",
-            "dim-1-tol-lin-0"])
+            "dim-1-tol-lin-0", "bare-dump-tol-lin"])
     def test_summary_and_its_replay_are_strict_json(self, capsys, tmp_path, run):
         """RFC 8259 has no Infinity or NaN: an infinite ratio (a bound of 0)
         or residual is written null, in the summary and in its replay."""
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
         path = tmp_path / "s.json"
         main(["fuzz", *run, "--output", str(path)])
-        summary = json.loads(path.read_text(), parse_constant=refuse)
+        summary = strict_loads(path.read_text())
         main(["fuzz", "--replay", str(path), "--json"])
-        replay = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        replay = strict_loads(capsys.readouterr().out)
         assert replay.get("ratio") == summary["worst"]["ratio"]
         if run[-2:] == ["--tol-lin", "0"]:  # eigen.projections' bound is 0
             assert summary["properties"]["eigen.projections"]["max_ratio"] is None
         if run[-4:] == ["--dims", "1", "--tol-lin", "0"]:  # worst is 0 / 0
             assert (summary["worst"]["bound"], replay["ratio"]) == (0.0, None)
+        if run == ["--trials", "3", "--seed", "42"]:
+            # Trial 1 (d=3, holevo) as a bare dump: at --tol-lin 1e-17 its
+            # A_comm is not commutative, and the residual is inf.
+            rng = np.random.default_rng(np.random.SeedSequence(42).spawn(2)[1])
+            bare = tmp_path / "bare.json"
+            bare.write_text(json.dumps({
+                "property": "conjugate.commutative_identity",
+                "instance": fuzz.encode_instance(
+                    fuzz.build_instance(rng, 3, "holevo"))}))
+            code, out = run_cli(capsys, "fuzz", "--replay", str(bare),
+                                "--tol-lin", "1e-17", "--json")
+            assert (code, out["residual"], out["ratio"], out["bound"]) == (
+                0, None, None, 1e-17)
 
     def test_absurd_tolerance_forces_violation_exit(self, capsys):
         code = main(["fuzz", "--trials", "3", "--dims", "2", "--seed", "1",
                      "--tol-lin", "1e-30", "--tol-stat", "1e-30",
                      "--json"])
-        out = json.loads(capsys.readouterr().out)
+        out = strict_loads(capsys.readouterr().out)
         assert code == 1
         assert out["violations"] > 0
 
@@ -562,7 +615,7 @@ class TestValidate:
         assert main(["validate", str(path), "--json"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
-        error = json.loads(lines[0])["error"]
+        error = strict_loads(lines[0])["error"]
         assert (error["field"], error["invariant"]) == (field, invariant)
 
     @pytest.mark.parametrize("weight, invariant", [
@@ -575,11 +628,7 @@ class TestValidate:
         path.write_text(json.dumps({"type": "instrument", "family": "trivial",
                                     "dim": 2, "omega": {"1": weight, "-1": 0.0}}))
         assert main(["validate", str(path), "--json"]) == 2
-
-        def strict(name):
-            raise ValueError(f"not JSON: {name}")
-
-        error = json.loads(capsys.readouterr().out, parse_constant=strict)["error"]
+        error = strict_loads(capsys.readouterr().out)["error"]
         assert (error["invariant"], error["violation"]) == (invariant, None)
 
     def test_unrecognized_payload(self, capsys, tmp_path):
@@ -587,6 +636,15 @@ class TestValidate:
         f.write_text('{"hello": 1}')
         code, out = run_cli(capsys, "validate", str(f))
         assert code == 2
+
+    def test_missing_file_is_a_parse_error_naming_the_path(self, capsys,
+                                                           tmp_path):
+        missing = str(tmp_path / "absent.json")
+        code, out = run_cli(capsys, "validate", missing, "--json")
+        assert code == 2
+        error = out["error"]
+        assert (error["type"], error["field"], error["file"]) == (
+            "ParseError", missing, missing)
 
     def test_invalid_json_names_the_file(self, capsys, tmp_path):
         f = tmp_path / "broken.json"
@@ -613,6 +671,10 @@ _MALFORMED_FILES = {
     "noisy-spin": ser.encode_observable(noisy_spin(0.8, "x")),
     "trivial-huge-dim": {"type": "instrument", "family": "trivial",
                          "dim": 10 ** 50, "omega": {"1": 1.0}},
+    "bloch-two": {"type": "bloch", "r": [0.1, 0.2]},
+    "observable-no-effects": {"type": "observable", "outcomes": [],
+                              "effects": []},
+    "empty-map": {},
 }
 
 # Sizes that no input array backs, each above the documented d <= 64.
@@ -685,6 +747,23 @@ def _run_malformed(capsys, tmp_path, argv) -> dict:
     code, out = run_cli(capsys, *argv, "--json")
     assert code == 2
     return out
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["demo", "example4", "--bloch", "0.1,0.2"],
+     ("ValidationError", "bloch-shape", "--bloch")),
+    (["sweep-example4", "--mu-grid", ","],
+     ("ValidationError", "nonempty-grid", "--mu-grid")),
+    (["validate", "bloch-two"], ("ParseError", None, "state.r")),
+    (["validate", "observable-no-effects"],
+     ("ParseError", None, "observable.effects")),
+    (["coarse-grain", "--obs", "noisy-spin", "--map", "empty-map"],
+     ("ParseError", None, "map")),
+], ids=["bloch-shape", "nonempty-grid", "bloch-r", "no-effects", "empty-map"])
+def test_rejection_names_its_invariant_and_field(capsys, tmp_path, argv,
+                                                 error):
+    out = _run_malformed(capsys, tmp_path, argv)["error"]
+    assert (out["type"], out["invariant"], out["field"]) == error
 
 
 @pytest.mark.parametrize("argv", _ABOVE_MAX_DIM)
@@ -801,7 +880,7 @@ def test_usage_error_is_one_json_diagnostic(capsys, argv, message, compact):
     assert code == 2
     assert captured.err == ""
     assert (captured.out.count("\n") == 1) == compact
-    error = json.loads(captured.out)["error"]
+    error = strict_loads(captured.out)["error"]
     assert error["type"] == "ParseError"
     assert error["message"].startswith(message)
     assert error["file"] is None
@@ -819,11 +898,11 @@ def test_console_entry_point_runs():
 
     proc = run("demo", "example1", "--json")
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["pass"] is True
+    assert strict_loads(proc.stdout)["pass"] is True
     proc = run("sharp", "--obs", "F", "--seed", "1", "--json")
     assert (proc.returncode, proc.stderr) == (2, "")
     assert proc.stdout.count("\n") == 1
-    assert json.loads(proc.stdout)["error"]["message"] == \
+    assert strict_loads(proc.stdout)["error"]["message"] == \
         "unrecognized arguments: --seed 1"
     proc = run("sharp", "--help")
     assert proc.returncode == 0
@@ -841,7 +920,7 @@ def _leaf_paths(doc, path=()):
 
 
 def _with_leaf(doc, path, value):
-    doc = json.loads(json.dumps(doc))
+    doc = strict_loads(json.dumps(doc))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -896,6 +975,6 @@ def test_single_leaf_mutants_exit_0_or_2_with_json(capsys, tmp_path):
                     code = main([*argv, "--json"])
                     out = capsys.readouterr().out
                     assert code in (0, 2), (argv[0], leaf, bad)
-                    json.loads(out)
+                    strict_loads(out)
                     runs += 1
     assert runs > 1000

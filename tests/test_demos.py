@@ -10,7 +10,7 @@ import runpy
 import numpy as np
 import pytest
 
-from qobs import linalg, statistics as stats
+from qobs import demos, linalg, statistics as stats
 from qobs.demos import demo_example4, sweep_noisy_spin
 from qobs.errors import OutsideBlochBallError, ValidationError
 from qobs.observables import Observable
@@ -162,6 +162,18 @@ class TestSweepNoisySpin:
         assert out["max_delta"] == max(
             row[f"{key}_delta"] for row in expected for key in self.TERMS)
 
+    def test_closed_forms_off_by_1e9_fail_the_slack_identity(self,
+                                                               monkeypatch):
+        def off(mu, r):
+            return {key: value + 1e-9
+                    for key, value in noisy_spin_closed_forms(mu, r).items()}
+
+        monkeypatch.setattr(demos, "noisy_spin_closed_forms", off)
+        with pytest.raises(ValidationError) as err:
+            sweep_noisy_spin([0.5], [(0.0, 0.0, 1.0), (0.3, 0.4, 0.2)])
+        assert err.value.invariant == "slack-identity"
+        assert err.value.violation == pytest.approx(1e-9)
+
     def test_empty_grids_give_no_rows(self):
         for mu_grid, vectors in (([], [(0.0, 0.0, 1.0)]), ([0.5], [])):
             out = sweep_noisy_spin(mu_grid, vectors)
@@ -178,3 +190,9 @@ def test_demo_example4_decides_equality_as_the_sweep_does():
     row, = sweep_noisy_spin([1.0], [r])["rows"]
     assert row["slack"] == slack
     assert out["equality"] is row["equality"] is True
+
+
+def test_unknown_demo_is_known_demo():
+    with pytest.raises(ValidationError) as err:
+        demos.run_demo("example9")
+    assert (err.value.invariant, err.value.field) == ("known-demo", "name")

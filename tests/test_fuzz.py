@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from qobs import fuzz, instruments, linalg, observables
-from qobs.errors import ValidationError
+from qobs.errors import InternalConsistencyError, ValidationError
 from qobs.observables import Observable
 from qobs.sampling import haar_unitary
+from qobs.states import maximally_mixed
 from qobs.serialization import canonical_json
 
 from conftest import (
@@ -254,3 +255,23 @@ def test_linear_forms_dominate_their_references():
                                               reference(inst, config))
             assert (new > bound) == (old > old_bound), (i, check.__name__)
             assert new / bound >= old / old_bound, (i, check.__name__)
+
+
+def test_observables_of_different_sizes_are_infinitely_apart():
+    two, three = (Observable(range(n), np.full((n, 1, 1), 1.0 / n))
+                  for n in (2, 3))
+    assert fuzz._matched_observable_delta(two, three) == np.inf
+
+
+def test_nan_uncertainty_residual_is_an_error_not_a_pass():
+    """The fuzz disarms the report's guard with tol=inf; a NaN residual,
+    which compares false with any bound, must still raise, so the run
+    counts it as the property's error rather than max(0.0, nan) == 0.0."""
+    D = np.diag([1e200, -1e200])
+    rho = maximally_mixed(2)
+    bundle = {"rho": rho, "rho_low": rho, "A": D, "B": D, "C": D, "D": D}
+    for check in (fuzz._chk_uncertainty_equation,
+                  fuzz._chk_uncertainty_inequality):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            with pytest.raises(InternalConsistencyError):
+                check(bundle, fuzz.RunConfig())

@@ -261,6 +261,16 @@ class TestHolevo:
             holevo_instrument(A, {**alphas, "typo": rho})
         assert (info.value.invariant, info.value.field) == ("known-outcome", "typo")
 
+    def test_needs_one_state_per_outcome_of_its_dim(self, rng):
+        A = random_observable(rng, 2, 2)
+        for alphas, error, invariant in (
+                ([random_density(rng, 2)], ValidationError, "parallel-lists"),
+                ([random_density(rng, 2), random_density(rng, 3)],
+                 DimensionMismatchError, "matching-dims")):
+            with pytest.raises(error) as info:
+                holevo_instrument(A, alphas)
+            assert info.value.invariant == invariant
+
 
 class TestLueders:
     def test_apply_is_square_root_pinching(self, rng):
@@ -581,7 +591,18 @@ class TestCoarseGrainInstrument:
             inst.coarse_grain({inst.outcomes[0]: 1.0})
 
 
+def test_random_instrument_knows_three_families(rng):
+    with pytest.raises(ValueError, match="unknown instrument family 'kraus'"):
+        random_instrument(rng, 2, "kraus")
+
+
 class TestSequentialProduct:
+    def test_dims_must_match(self, rng):
+        inst = lueders_instrument(noisy_spin(0.5, "x"))
+        with pytest.raises(DimensionMismatchError) as info:
+            sequential_product(inst, random_observable(rng, 3, 2))
+        assert info.value.invariant == "matching-dims"
+
     def test_trivial_instrument_product(self, rng):
         inst = trivial_instrument({1.0: 0.2, 2.0: 0.8}, 3)
         B = random_observable(rng, 3, 2)

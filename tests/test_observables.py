@@ -9,6 +9,7 @@ import pytest
 from qobs import observables as obs
 from qobs.errors import (
     CompletenessViolationError,
+    DimensionMismatchError,
     DuplicateOutcomeError,
     MissingLabelError,
     NotAnEffectError,
@@ -363,6 +364,38 @@ class TestCommutingJoint:
         with pytest.raises(NotCommutingError) as err:
             obs.commuting_joint(A, B)
         assert err.value.norm == pytest.approx(0.5)
+
+    def test_dims_must_match(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            obs.commuting_joint(noisy_spin(0.5, "z"),
+                                obs.Observable([0.0], [np.eye(3)]))
+        assert err.value.invariant == "matching-dims"
+
+
+def test_residual_and_norm_are_read_only_names_of_the_violation():
+    with pytest.raises(CompletenessViolationError) as incomplete:
+        obs.Observable([0.0, 1.0], [0.5 * np.eye(2), 0.4 * np.eye(2)])
+    with pytest.raises(NotCommutingError) as noncommuting:
+        obs.commuting_joint(noisy_spin(1.0, "x"), noisy_spin(1.0, "y"))
+    for info, name, invariant in ((incomplete, "residual", "completeness"),
+                                  (noncommuting, "norm", "commuting-effects")):
+        exc = info.value
+        assert getattr(exc, name) == exc.violation > 0
+        assert exc.invariant == invariant
+        with pytest.raises(AttributeError):
+            setattr(exc, name, 0.0)
+
+
+def test_noisy_spin_needs_a_known_axis():
+    with pytest.raises(ValidationError) as err:
+        noisy_spin(0.5, "w")
+    assert err.value.invariant == "axis"
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_random_sharp_observable_needs_one_to_dim_outcomes(rng, n):
+    with pytest.raises(ValueError, match="need 1 <= n_outcomes <= dim"):
+        random_sharp_observable(rng, 2, n)
 
 
 class TestCoarseGrain:

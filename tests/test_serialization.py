@@ -289,6 +289,30 @@ class TestFunctionMapAndReport:
         assert text == '{"a":{"y":0.1,"z":[1,2]},"b":1.0}'
         assert json.loads(text) == obj
 
+    def test_canonical_json_writes_non_finite_numbers_as_null(self):
+        inf, nan = float("inf"), float("nan")
+        obj = {"b": [inf, {"d": -inf, "c": 0.1 + 0.2}], "a": nan,
+               "e": (1, np.float64(-inf), "Infinity"), "f": {10.0: inf, 9.0: 1e-300}}
+        assert ser.canonical_json(obj, compact=True) == (
+            '{"a":null,"b":[null,{"c":0.30000000000000004,"d":null}],'
+            '"e":[1,null,"Infinity"],"f":{"9.0":1e-300,"10.0":null}}')
+        assert json.loads(ser.canonical_json(obj)) == json.loads(
+            ser.canonical_json(obj, compact=True))
+
+    def test_canonical_json_of_finite_objects_is_the_plain_dump(self, rng,
+                                                                 monkeypatch):
+        """Finite output takes one strict pass and never the read-back."""
+        rep = uncertainty_report(random_density(rng, 3), random_observable(rng, 3, 2),
+                                 random_observable(rng, 3, 3))
+        objs = [ser.encode_report(rep), {"t": (0.1, np.float64(2.5)),
+                                         "m": {7.0: 1, 3.0: [-0.0, 1e308]}},
+                ser.encode_instrument(random_instrument(rng, 2, "holevo"))]
+        expected = [(json.dumps(obj, sort_keys=True, separators=(",", ":")),
+                     json.dumps(obj, sort_keys=True, indent=2)) for obj in objs]
+        monkeypatch.setattr(ser.json, "loads", None)
+        assert [(ser.canonical_json(obj, compact=True), ser.canonical_json(obj))
+                for obj in objs] == expected
+
 
 def _keyed_observable(rng, keys: str, d: int) -> Observable:
     if keys == "pair":

@@ -21,6 +21,7 @@ from qobs.sampling import (
     ginibre,
     random_bloch_vector,
     random_density,
+    random_faithful_density,
     random_hermitian,
 )
 
@@ -49,6 +50,16 @@ class TestConstruction:
     def test_not_psd(self):
         with pytest.raises(NotPSDError):
             states.DensityOperator(np.diag([1.5, -0.5]))
+
+    def test_repr_shows_dim_and_spectrum(self):
+        assert repr(states.DensityOperator(np.diag([0.25, 0.75]))) == \
+            "DensityOperator(dim=2, eigenvalues=(0.25, 0.75))"
+
+    @pytest.mark.parametrize("floor", [0.0, 0.5])
+    def test_faithful_sampler_needs_a_floor_below_one_over_dim(self, rng,
+                                                               floor):
+        with pytest.raises(ValueError, match="0 < floor"):
+            random_faithful_density(rng, 2, floor)
 
     def test_matrix_is_read_only(self):
         rho = states.maximally_mixed(2)

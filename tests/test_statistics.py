@@ -214,6 +214,16 @@ class TestCommutatorExpectation:
 
 
 class TestUncertaintyReport:
+    def test_nan_identity_fails_even_at_infinite_tolerance(self):
+        """At I/2, A = B = diag(1e200, -1e200) overflows Var(A)^2 and |Cor|^2
+        to inf, so the equation residual is NaN; it must not pass."""
+        D = np.diag([1e200, -1e200])
+        with np.errstate(invalid="ignore"):  # inf - inf
+            with pytest.raises(InternalConsistencyError) as err:
+                stats.uncertainty_report(maximally_mixed(2), D, D, tol=np.inf)
+        assert err.value.invariant == "uncertainty-equation"
+        assert np.isnan(err.value.violation)
+
     def test_sharp_spins_at_north_pole(self):
         rho = bloch_state((0.0, 0.0, 1.0))
         rep = stats.uncertainty_report(rho, noisy_spin(1.0, "x"),
@@ -292,6 +302,11 @@ class TestLinearRelation:
         assert rel.related
         assert rel.alpha == pytest.approx(1.0, abs=1e-12)
         assert rel.beta == pytest.approx(0.0, abs=1e-12)
+
+    def test_dims_must_match(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            stats.linear_relation(SIGMA_X, np.eye(3))
+        assert err.value.invariant == "matching-dims"
 
     def test_scalar_operand_branch(self):
         rel = stats.linear_relation(2.0 * np.eye(3), 3.0 * np.eye(3))
