@@ -34,7 +34,6 @@ from .linalg import (
     EigenDecomposition,
     commutator,
     hermitian_eigendecomposition,
-    is_hermitian,
     max_abs,
     psd_sqrt,
 )

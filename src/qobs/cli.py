@@ -25,7 +25,7 @@ from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, require_dim,
                      require_hermitian)
 from .observables import coarse_grain, conjugate, sharp_version
 from .sampling import random_bloch_vector
-from .statistics import uncertainty_report
+from .statistics import _is_equality, uncertainty_report
 from .serialization import SCHEMA_VERSION
 
 
@@ -202,10 +202,7 @@ def _cmd_uncertainty(args) -> int:
     A = _load(args.obs_a, _decode_operand, "obs-a", args.tol_lin, args.tol_psd)
     B = _load(args.obs_b, _decode_operand, "obs-b", args.tol_lin, args.tol_psd)
     rep = uncertainty_report(rho, A, B, tol=args.tol_stat)
-    out = ser.encode_report(rep)
-    out["equality"] = bool(rep.inequality_slack
-                           <= args.tol_stat * max(1.0, rep.correlation_sq))
-    _emit(out, args)
+    _emit({**ser.encode_report(rep), "equality": _is_equality(rep)}, args)
     return 0
 
 
@@ -336,7 +333,8 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     f"--{flag}: expected a finite number >= {floor}, "
                     f"got {value}", invariant="flag-range", field=f"--{flag}")
-        return _HANDLERS[args.command](args)
+        with np.errstate(all="ignore"):  # overflow shows as null or exit 2
+            return _HANDLERS[args.command](args)
     except QobsError as exc:
         _emit(_diagnostic(exc), args)
         return 2

@@ -32,10 +32,7 @@ from .linalg import (
     TOL_PSD,
     TOL_STAT,
     default_cluster_tol,
-    entry_norms,
     hermitian_eigendecomposition,
-    hermitian_eigenvalues,
-    hermiticity_defect,
     max_abs,
     pair_scale,
     psd_sqrt,
@@ -44,6 +41,7 @@ from .linalg import (
 )
 from .observables import (
     Observable,
+    _effect_margins,
     _stored,
     coarse_grain,
     commuting_joint,
@@ -321,7 +319,7 @@ def _uncertainty_residuals(rho, A, B):
     # own internal-consistency guard so violations are counted, not raised.
     # A NaN residual still raises, and counts as the property's error.
     rep = stats.uncertainty_report(rho, A, B, tol=math.inf)
-    scale = max(1.0, rep.correlation_sq)
+    scale = float(stats._scale(rep.correlation_sq))
     eq = abs(rep.equation_residual) / scale
     ineq = max(0.0, -rep.inequality_slack) / scale
     rh = max(0.0, rep.commutator_term - rep.variance_product) / scale
@@ -463,10 +461,9 @@ def _chk_product_split_function(inst, cfg):
 
 
 def _chk_derived_spectrum(inst, cfg):
-    """The checks the builders skip, on every observable a trial derives:
-    the effect spectrum, in one eigensolve, and completeness, in one stacked
-    pass; returns the (residual, bound) of worst ratio."""
-    cut, tol = cfg.cluster_tol, cfg.tol_lin
+    """The constructor's effect rule on every observable a trial derives,
+    which the builders do not check: the (residual, bound) of worst ratio."""
+    cut = cfg.cluster_tol
     A, conj = inst["A"], _shared(inst, conjugate, "A", cluster_tol=cut)
     sharp = [sharp_version(X, cut) for X in (A, inst["B"], conj)]
     merged = _shared(inst, Instrument.coarse_grain, "inst", "f_inst")
@@ -477,13 +474,8 @@ def _chk_derived_spectrum(inst, cfg):
                _shared(inst, sequential_product, "inst", "B"),
                _shared(inst, conditioned_observable, "inst", "B"),
                inst["inst"].measured_observable(), merged.measured_observable())
-    E = np.concatenate([obs.effects for obs in derived])
-    w = hermitian_eigenvalues(E)
-    gaps = np.array([obs.effects.sum(0) for obs in derived]) - np.eye(E.shape[1])
-    residual = np.concatenate([hermiticity_defect(E), -w[:, 0], w[:, -1] - 1.0,
-                               entry_norms(gaps)])
-    bound = np.concatenate([tol * scale_of(E), np.full(2 * len(E), cfg.tol_psd),
-                            np.full(len(derived), tol)])
+    residual, bound = _effect_margins([obs.effects for obs in derived],
+                                      cfg.tol_lin, cfg.tol_psd)
     ratio = np.divide(residual, bound, where=bound > 0,
                       out=np.where(residual > 0, math.inf, 0.0))
     k = np.lexsort((residual, ratio))[-1]  # of equal ratios, the largest residual

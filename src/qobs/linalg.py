@@ -133,11 +133,6 @@ def hermiticity_defect(M: np.ndarray):
     return entry_norms(M - M.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(M, tol: float = TOL_LIN) -> bool:
-    M = as_matrix(M)
-    return bool(hermiticity_defect(M) <= tol * scale_of(M))
-
-
 def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.ndarray:
     M = as_matrix(M, name=name)
     defect = hermiticity_defect(M)

@@ -24,7 +24,7 @@ from .errors import (
     UnknownOutcomeError,
     ValidationError,
 )
-from .linalg import TOL_LIN, TOL_PSD, _Immutable, entry_norms, max_abs, scale_of
+from .linalg import TOL_LIN, TOL_PSD, _Immutable, entry_norms, scale_of
 
 
 def is_real(key) -> bool:
@@ -41,37 +41,48 @@ def canonical_outcome(x) -> float:
     return v + 0.0 if v != 0.0 else 0.0
 
 
+def _effect_margins(stacks: Sequence[np.ndarray], tol_lin: float, tol_psd: float):
+    """The effect rule as (residual, bound) arrays, failing where residual >
+    bound: each effect's Hermiticity defect (bound ``tol_lin * scale_of``),
+    each -lambda_min and each lambda_max - 1 (bound ``tol_psd``), and each
+    stack's completeness residual (bound ``tol_lin``), in that order."""
+    E = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    w = linalg.hermitian_eigenvalues(E)
+    gaps = np.array([S.sum(0) for S in stacks]) - np.eye(E.shape[1])
+    residual = np.concatenate([linalg.hermiticity_defect(E), -w[:, 0],
+                               w[:, -1] - 1.0, entry_norms(gaps)])
+    bound = np.full(len(residual), tol_psd)
+    bound[:len(E)], bound[3 * len(E):] = tol_lin * scale_of(E), tol_lin
+    return residual, bound
+
+
 def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
     """Check 0 <= E_i <= I for every effect in the stack, reporting the
     first bad index, and that the effects sum to I."""
-    defect = linalg.hermiticity_defect(E)
-    eigs = linalg.hermitian_eigenvalues(E)
-    lo, hi = eigs[:, 0], eigs[:, -1]
-    bad_herm = defect > tol_lin * scale_of(E)
-    bad_lo, bad_hi = lo < -tol_psd, hi > 1.0 + tol_psd
-    bad = np.flatnonzero(bad_herm | bad_lo | bad_hi)
-    if bad.size:
-        i = int(bad[0])
+    residual, bound = _effect_margins([E], tol_lin, tol_psd)
+    n, over = len(E), residual > bound
+    if over[:3 * n].any():
+        i = int(over[:3 * n].reshape(3, n).any(0).argmax())  # the first True
         where = f"effect[{i}]"
-        if bad_herm[i]:
+        defect, neg_lo, hi_gap = residual[i:3 * n:n]
+        if over[i]:
             raise NotAnEffectError(
-                f"{where} is not Hermitian (defect {defect[i]:.3e})",
-                invariant="hermitian", violation=float(defect[i]),
+                f"{where} is not Hermitian (defect {defect:.3e})",
+                invariant="hermitian", violation=float(defect),
                 field=where, index=i)
-        if bad_lo[i]:
+        if over[n + i]:
             raise NotAnEffectError(
-                f"{where} has eigenvalue {lo[i]:.3e} < 0",
-                invariant="effect-lower-bound", violation=float(-lo[i]),
+                f"{where} has eigenvalue {-neg_lo:.3e} < 0",
+                invariant="effect-lower-bound", violation=float(neg_lo),
                 field=where, index=i)
         raise NotAnEffectError(
-            f"{where} has eigenvalue {float(hi[i])!r} > 1",
-            invariant="effect-upper-bound", violation=float(hi[i] - 1.0),
+            f"{where} has eigenvalue {float(hi_gap + 1.0)!r} > 1",
+            invariant="effect-upper-bound", violation=float(hi_gap),
             field=where, index=i)
-    residual = max_abs(E.sum(0) - np.eye(E.shape[1]))
-    if residual > tol_lin:
+    if over[-1]:
         raise CompletenessViolationError(
-            f"effects sum to identity with residual {residual:.3e}",
-            invariant="completeness", violation=residual)
+            f"effects sum to identity with residual {residual[-1]:.3e}",
+            invariant="completeness", violation=float(residual[-1]))
 
 
 class Observable(_Immutable):
@@ -84,10 +95,9 @@ class Observable(_Immutable):
 
     Values derived from the effects are stored on the object the first time
     they are asked for: the stochastic operator at construction, and the
-    spectral decomposition and the sharp version in one private dict, keyed
-    by what was derived and the ``cluster_tol`` it was derived with.  The
-    object stays immutable in value; two threads that fill the same entry
-    compute identical values.
+    sharp version in one private dict, keyed by what was derived and the
+    ``cluster_tol`` it was derived with.  The object stays immutable in
+    value; two threads that fill the same entry compute identical values.
     """
 
     __slots__ = ("keys", "outcomes", "effects", "dim", "_stochastic",
@@ -177,13 +187,6 @@ def _stored(cache: dict, key, build: Callable):
         return cache.setdefault(key, build())
 
 
-def _spectral_projections(A: Observable,
-                          cluster_tol: float | None) -> linalg.EigenDecomposition:
-    return _stored(A._derived, ("spectral", cluster_tol),
-                   lambda: linalg._eigendecomposition(stochastic_operator(A),
-                                                      cluster_tol))
-
-
 def sharp_version(A: Observable, cluster_tol: float | None = None) -> Observable:
     """The projection-valued observable given by the spectral decomposition
     of the stochastic operator.
@@ -194,7 +197,7 @@ def sharp_version(A: Observable, cluster_tol: float | None = None) -> Observable
     with the same ``cluster_tol`` return the same object.
     """
     def build():
-        decomp = _spectral_projections(A, cluster_tol)
+        decomp = linalg._eigendecomposition(stochastic_operator(A), cluster_tol)
         return Observable.__new__(Observable)._build(decomp.eigenvalues,
                                                      decomp.projections)
 
@@ -204,7 +207,7 @@ def sharp_version(A: Observable, cluster_tol: float | None = None) -> Observable
 def _pinched(A: Observable, cluster_tol: float | None) -> np.ndarray:
     """The stack P_i A_x P_i, indexed [i, x], for the sharp version's
     projections P_i."""
-    P = _spectral_projections(A, cluster_tol).projections[:, None]
+    P = sharp_version(A, cluster_tol).effects[:, None]
     return P @ A.effects @ P
 
 

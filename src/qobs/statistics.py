@@ -122,6 +122,16 @@ def _report(means: np.ndarray, M: np.ndarray,
         *(t.tolist() for t in _terms(means, M, tol)))]
 
 
+def _scale(correlation_sq):
+    """max(1, |Cor|^2): the uncertainty identities hold within tol times it."""
+    return np.maximum(1.0, correlation_sq)
+
+
+def _is_equality(rep: UncertaintyReport) -> bool:
+    """Var(A) Var(B) = |Cor|^2 within tolerance; the slack is already >= -tol."""
+    return bool(abs(rep.inequality_slack) <= rep.tol * _scale(rep.correlation_sq))
+
+
 def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     """The six ``UncertaintyReport`` terms in field order, as arrays over the
     states along the leading axes of the kernel's means and M, in row-major
@@ -139,7 +149,7 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     variance_product = var[:, 0] * var[:, 1]
     equation_residual = commutator_term + covariance_sq - correlation_sq
     inequality_slack = variance_product - correlation_sq
-    scale = np.maximum(1.0, correlation_sq)
+    scale = _scale(correlation_sq)
     # Stated as what holds, so that a NaN term, which compares false, fails.
     holds = ((np.abs(equation_residual) <= tol * scale)
              & (inequality_slack >= -tol * scale))
@@ -229,9 +239,9 @@ def equality_diagnosis(rho: DensityOperator, A, B,
     covariance^2 = |Cor|^2 = Var(A) Var(B) holds within tolerance."""
     X, means, M = _moments(rho.matrix, A, B)
     rep = _report(means, M, tol)[0]
-    scale = max(1.0, rep.correlation_sq)
-    eq_ineq = abs(rep.variance_product - rep.correlation_sq) <= tol * scale
-    three_way = eq_ineq and abs(rep.covariance_sq - rep.correlation_sq) <= tol * scale
+    eq_ineq = _is_equality(rep)
+    three_way = eq_ineq and bool(abs(rep.covariance_sq - rep.correlation_sq)
+                                 <= tol * _scale(rep.correlation_sq))
     return EqualityDiagnosis(
         faithful=is_faithful(rho),
         min_eigenvalue=rho.eigenvalues[0],

@@ -179,10 +179,9 @@ class TestUncertainty:
     def test_nan_identity_is_a_failure(self, capsys, huge):
         """Var(A)^2 and |Cor|^2 are both inf, so the equation residual is NaN:
         a failed identity, not a report of NaN terms."""
-        with np.errstate(invalid="ignore"):  # inf - inf
-            code, out = run_cli(capsys, "uncertainty", "--state", huge["state"],
-                                "--obs-a", huge["diag"], "--obs-b", huge["diag"],
-                                "--json")
+        code, out = run_cli(capsys, "uncertainty", "--state", huge["state"],
+                            "--obs-a", huge["diag"], "--obs-b", huge["diag"],
+                            "--json")
         assert code == 2
         error = out["error"]
         assert (error["type"], error["invariant"], error["violation"]) == (
@@ -928,7 +927,6 @@ def _with_leaf(doc, path, value):
     return doc
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e308 overflows
 def test_single_leaf_mutants_exit_0_or_2_with_json(capsys, tmp_path):
     """Every scalar of a few valid documents, replaced in turn by each bad
     value, gives exit 0 or 2 and JSON on stdout from every command that

@@ -172,20 +172,6 @@ class TestRequireHermitian:
         with pytest.raises(NotHermitianError):
             linalg.require_hermitian(np.diag([1.0, -1.0]) + skew, 1e-9)
 
-    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-4])
-    def test_is_hermitian_agrees(self, tol, rng):
-        skew = np.array([[0.0, 1e-4], [0.0, 0.0]])
-        cases = [np.diag([1e6, -1e6]) + skew, np.diag([1.0, -1.0]) + skew,
-                 np.array([[0.0, 2.0], [0.0, 0.0]]), SIGMA_Y,
-                 random_hermitian(rng, 3), rng.standard_normal((3, 3))]
-        for M in cases:
-            try:
-                linalg.require_hermitian(M, tol)
-                required = True
-            except NotHermitianError:
-                required = False
-            assert linalg.is_hermitian(M, tol) is required
-
 
 class TestPsdSqrt:
     def test_diagonal(self):

@@ -90,6 +90,93 @@ class TestConstruction:
         assert err.value.invariant == "effect-upper-bound"
 
 
+def _planted_stacks(tol_lin, tol_psd):
+    """(name, effects, the invariant the constructor must name or None):
+    each rule broken, or kept, by a small margin on either side of its bound."""
+    def herm(delta, low=0.5):
+        E = np.array([[low, delta], [0.0, 0.5]])
+        return [E, np.eye(2) - E]
+
+    def diag(*rows):
+        return [np.diag(row) for row in rows]
+
+    below, above = -tol_psd * 1.001, -tol_psd * 0.999  # lambda_min near -tol_psd
+    return [
+        ("not-hermitian", herm(2 * tol_lin), "hermitian"),
+        ("hermitian-within-tol", herm(0.5 * tol_lin), None),
+        ("not-hermitian-and-negative", herm(2 * tol_lin, low=-1.0), "hermitian"),
+        ("lambda-min-below", diag([below, 0.5], [1 - below, 0.5]),
+         "effect-lower-bound"),
+        ("lambda-min-above", diag([above, 0.5], [1 - above, 0.5]), None),
+        ("lambda-max-above", diag([0.0, 0.5], [1 - below, 0.25], [below, 0.25]),
+         "effect-upper-bound"),
+        ("lambda-max-below", diag([0.0, 0.5], [1 - above, 0.25], [above, 0.25]),
+         None),
+        ("incomplete", diag([0.5, 0.5], [0.5, 0.5 + 2 * tol_lin]), "completeness"),
+        ("complete-within-tol", diag([0.5, 0.5], [0.5, 0.5 + 0.5 * tol_lin]), None),
+    ]
+
+
+def _first_failure(residual, bound, n):
+    """(invariant, field, violation) of the lowest failing effect, its rules
+    in the order Hermitian, lower bound, upper bound; then completeness."""
+    over = residual > bound
+    for i in range(n):
+        for k, invariant in enumerate(
+                ("hermitian", "effect-lower-bound", "effect-upper-bound")):
+            if over[k * n + i]:
+                return invariant, f"effect[{i}]", float(residual[k * n + i])
+    if over[3 * n]:
+        return "completeness", None, float(residual[3 * n])
+    return None
+
+
+class TestEffectRule:
+    """``_effect_margins`` is the one statement of the effect rule: the
+    constructor raises exactly when one of its residuals exceeds its bound,
+    and names the lowest failing effect."""
+
+    @pytest.mark.parametrize("tol_lin, tol_psd", [(1e-9, 1e-8), (1e-4, 1e-3)])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_constructor_raises_on_the_kernel_first_failure(
+            self, tol_lin, tol_psd, rotated, rng):
+        U = haar_unitary(rng, 2)
+        for name, effects, planted in _planted_stacks(tol_lin, tol_psd):
+            E = np.array(effects, dtype=complex)
+            if rotated:
+                E = U @ E @ U.conj().T
+            residual, bound = obs._effect_margins([E], tol_lin, tol_psd)
+            assert residual.shape == bound.shape == (3 * len(E) + 1,)
+            expected = _first_failure(residual, bound, len(E))
+            if not rotated:
+                assert (expected and expected[0]) == planted, name
+            keys = [float(x) for x in range(len(E))]
+            if expected is None:
+                obs.Observable(keys, E, tol_lin=tol_lin, tol_psd=tol_psd)
+                continue
+            with pytest.raises((NotAnEffectError,
+                                CompletenessViolationError)) as err:
+                obs.Observable(keys, E, tol_lin=tol_lin, tol_psd=tol_psd)
+            got = (err.value.invariant, err.value.field, err.value.violation)
+            assert got == expected, name
+
+    def test_stacks_keep_their_entries_in_order(self, rng):
+        """Two stacks give each stack's entries, kind by kind, then one
+        completeness residual per stack."""
+        A, B = random_observable(rng, 3, 2), random_observable(rng, 3, 3)
+        residual, bound = obs._effect_margins([A.effects, B.effects], 1e-9, 1e-8)
+        total = len(A) + len(B)
+        assert residual.shape == (3 * total + 2,)
+        for j, (X, offset) in enumerate(((A, 0), (B, len(A)))):
+            r, b = obs._effect_margins([X.effects], 1e-9, 1e-8)
+            n = len(X)
+            for k in range(3):
+                both = slice(k * total + offset, k * total + offset + n)
+                assert np.array_equal(residual[both], r[k * n:(k + 1) * n])
+                assert np.array_equal(bound[both], b[k * n:(k + 1) * n])
+            assert (residual[3 * total + j], bound[3 * total + j]) == (r[-1], b[-1])
+
+
 class TestStochasticOperator:
     def test_dichotomic(self, rng):
         A = random_observable(rng, 3, 2, outcomes=[1.0, -1.0])
@@ -231,8 +318,8 @@ def _assert_marginal(joint: obs.Observable, axis: int,
 
 
 class TestStoredDerivations:
-    """Sharp versions and spectral data are derived once per object and
-    ``cluster_tol``; a stored value is bit-identical to a fresh one."""
+    """Sharp versions are derived once per object and ``cluster_tol``; a
+    stored value is bit-identical to a fresh one."""
 
     def test_repeated_sharp_version_is_same_object(self, rng):
         A = random_observable(rng, 4, 3)
