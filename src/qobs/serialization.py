@@ -37,12 +37,18 @@ def _expect(obj, key: str, field: str):
     return obj[key]
 
 
-def _real_grid(raw, d: int, field: str) -> np.ndarray:
+def _finite_grid(raw, shape: tuple) -> np.ndarray | None:
+    """``raw`` as a float array of ``shape`` with finite entries, or None."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.shape != (d, d) or not np.all(np.isfinite(arr)):
+        return None
+    return arr if arr.shape == shape and np.isfinite(arr).all() else None
+
+
+def _real_grid(raw, d: int, field: str) -> np.ndarray:
+    arr = _finite_grid(raw, (d, d))
+    if arr is None:
         raise ParseError(f"{field}: expected a {d}x{d} array of finite numbers",
                          field=field)
     return arr
@@ -72,12 +78,21 @@ def _located(field: str, build, *args, **kw):
         raise
 
 
-def encode_matrix(M: np.ndarray) -> dict:
+def _encode_stack(M: np.ndarray) -> list[dict]:
+    """The matrix documents of a stack of d x d matrices, from one ``tolist``
+    per part; an all-zero imaginary part is left out."""
     M = np.asarray(M, dtype=complex)
-    out = {"dim": int(M.shape[0]), "re": M.real.tolist()}
-    if np.any(M.imag != 0.0):
-        out["im"] = M.imag.tolist()
-    return out
+    docs = [{"dim": M.shape[1], "re": re} for re in M.real.tolist()]
+    has_im = (M.imag != 0.0).any(axis=(1, 2))
+    if has_im.any():
+        for doc, im, keep in zip(docs, M.imag.tolist(), has_im.tolist()):
+            if keep:
+                doc["im"] = im
+    return docs
+
+
+def encode_matrix(M: np.ndarray) -> dict:
+    return _encode_stack(np.asarray(M, dtype=complex)[None])[0]
 
 
 def _dim(obj, field: str) -> int:
@@ -96,6 +111,27 @@ def decode_matrix(obj, field: str = "matrix") -> np.ndarray:
     else:
         im = np.zeros((d, d))
     return re + 1j * im
+
+
+def _matrix_stack(raw: list, field: str):
+    """The matrix documents of ``raw`` as one (n, d, d) array, from one
+    conversion of all ``re`` grids and one of all ``im`` grids, when every
+    entry is an object with the same valid ``dim`` and finite grids of that
+    shape.  Otherwise a list of ``decode_matrix`` of each entry, which names
+    the first bad one, ``<field>[i]``, and leaves a mismatch of dims or an
+    empty list to the constructor."""
+    d = raw[0].get("dim") if raw and type(raw[0]) is dict else None
+    if type(d) is int and d >= 1 and all(
+            type(E) is dict and type(E.get("dim")) is int and E["dim"] == d
+            and "re" in E for E in raw):
+        shape = (len(raw), d, d)
+        re = _finite_grid([E["re"] for E in raw], shape)
+        if re is not None:  # only now is a d x d array backed by the input
+            zero = np.zeros((d, d))
+            im = _finite_grid([E.get("im", zero) for E in raw], shape)
+            if im is not None:
+                return re + 1j * im
+    return [decode_matrix(E, f"{field}[{i}]") for i, E in enumerate(raw)]
 
 
 def encode_state(rho: DensityOperator) -> dict:
@@ -130,7 +166,7 @@ def label_to_str(label) -> str:
 
 def encode_observable(A: Observable) -> dict:
     out = {"type": "observable",
-           "effects": [encode_matrix(E) for E in A.effects]}
+           "effects": _encode_stack(A.effects)}
     if A.outcomes is not None:
         out["outcomes"] = list(A.outcomes)
     else:
@@ -149,8 +185,7 @@ def decode_observable(obj, field: str = "observable", *,
     if not isinstance(raw_effects, list) or not raw_effects:
         raise ParseError(f"{field}.effects: expected a nonempty list",
                          field=f"{field}.effects")
-    effects = [decode_matrix(E, f"{field}.effects[{i}]")
-               for i, E in enumerate(raw_effects)]
+    effects = _matrix_stack(raw_effects, f"{field}.effects")
     # Real outcomes are numbers; labels are read as strings.
     for key, read in (("outcomes", _real), ("labels", lambda s, _: str(s))):
         if key in obj:
@@ -198,7 +233,7 @@ def encode_instrument(inst: Instrument) -> dict:
         return {"type": "instrument", "family": "kraus",
                 "outcomes": [x if is_real(x) else label_to_str(x)
                              for x in inst.outcomes],
-                "kraus": [[encode_matrix(K) for K in p[0]] for p in inst._parts]}
+                "kraus": [_encode_stack(p[0]) for p in inst._parts]}
     A, alphas = (np.concatenate(arrs) for arrs in zip(*inst._parts))
     zs = [z for (E, _), z in zip(inst._parts, inst.outcomes) for _ in E]
     merged = len(zs) > len(inst)  # only coarse graining merges, to real outcomes
@@ -206,7 +241,8 @@ def encode_instrument(inst: Instrument) -> dict:
         range(len(zs)) if merged else inst.outcomes, A)
     out = {"type": "instrument", "family": "holevo",
            "observable": encode_observable(pairs),
-           "states": [{"type": "density", "matrix": encode_matrix(a)} for a in alphas]}
+           "states": [{"type": "density", "matrix": m}
+                      for m in _encode_stack(alphas)]}
     if merged:
         out["map"] = {str(j): z for j, z in enumerate(zs)}
     return out
@@ -243,8 +279,8 @@ def decode_instrument(obj, field: str = "instrument", *,
     if family == "kraus":
         raw_outs = _list(_expect(obj, "outcomes", field), f"{field}.outcomes")
         raw_kraus = _list(_expect(obj, "kraus", field), f"{field}.kraus")
-        kraus = [[decode_matrix(K, f"{field}.kraus[{i}][{j}]")
-                  for j, K in enumerate(_list(ops, f"{field}.kraus[{i}]"))]
+        kraus = [_matrix_stack(_list(ops, f"{field}.kraus[{i}]"),
+                               f"{field}.kraus[{i}]")
                  for i, ops in enumerate(raw_kraus)]
         outcomes = [x if isinstance(x, str) else _real(x, f"{field}.outcomes[{i}]")
                     for i, x in enumerate(raw_outs)]
@@ -272,11 +308,20 @@ def canonical_json(obj, compact: bool = False) -> str:
 
 
 def load_json_file(path: str):
+    """The JSON document in a UTF-8 text file; a file that cannot be read or
+    parsed is a ``ParseError`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"file not found: {path}", field=path) from None
+    except OSError as exc:  # a directory, no permission, ...
+        raise ParseError(f"{path}: cannot read: {exc.strerror}",
+                         field=path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}", field=path) from None
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, arrays nested too deeply, or an integer
+        # literal above Python's digit limit
+        raise ParseError(f"{path}: cannot parse: {exc}", field=path) from None

@@ -11,6 +11,7 @@ from qobs.observables import (Observable, _on_keys, canonical_outcome,
                               stochastic_operator)
 from qobs.sampling import (ginibre, haar_unitary, random_outcomes,
                            random_probability_vector)
+from qobs.serialization import decode_matrix
 
 
 @pytest.fixture
@@ -135,6 +136,29 @@ def fibers_unique(f, keys):
     zs, index = np.unique([canonical_outcome(z) for z in values],
                           return_inverse=True)
     return zs.tolist(), index
+
+
+# The JSON codec's per-matrix forms: one decode and one pair of ``tolist``
+# calls per matrix.  The stacked codec must give the same bits and the same
+# diagnostics.
+
+def decode_matrices_loop(raw, field):
+    """``serialization._matrix_stack`` with one ``decode_matrix`` per entry."""
+    return [decode_matrix(E, f"{field}[{i}]") for i, E in enumerate(raw)]
+
+
+def encode_matrix_loop(M):
+    """``serialization.encode_matrix`` of one matrix, as first written."""
+    M = np.asarray(M, dtype=complex)
+    out = {"dim": int(M.shape[0]), "re": M.real.tolist()}
+    if np.any(M.imag != 0.0):
+        out["im"] = M.imag.tolist()
+    return out
+
+
+def encode_stack_loop(stack):
+    """``serialization._encode_stack`` with one document per matrix."""
+    return [encode_matrix_loop(M) for M in stack]
 
 
 # The fuzz checks before their linear forms, as references: all pairwise

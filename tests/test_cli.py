@@ -1,5 +1,6 @@
 """CLI subcommands: happy paths, diagnostics, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -12,10 +13,11 @@ import pytest
 import qobs
 from qobs import fuzz, serialization as ser, statistics as stats
 from qobs.cli import _build_parser, _decode_operand, main
-from qobs.instruments import lueders_instrument
-from qobs.linalg import MAX_OUTCOMES
+from qobs.instruments import Instrument, holevo_instrument, lueders_instrument
+from qobs.linalg import MAX_OUTCOMES, psd_sqrt
 from qobs.qubit import noisy_spin
 from qobs.sampling import (
+    haar_unitary,
     random_density,
     random_hermitian,
     random_instrument,
@@ -653,6 +655,37 @@ class TestValidate:
         assert out["error"]["file"] == str(f)
 
 
+_UNREADABLE_FILES = {  # name: (write the path, start of the message)
+    "utf-16": (lambda p: p.write_bytes(b"\xff\xfe{}"), "cannot parse"),
+    "directory": (lambda p: p.mkdir(), "cannot read"),
+    "deep-nesting": (lambda p: p.write_text("[" * 100000 + "]" * 100000),
+                     "cannot parse"),
+    "5000-digits": (lambda p: p.write_text("1" * 5000), "cannot parse"),
+    "utf-8-bom": (lambda p: p.write_bytes(b"\xef\xbb\xbf{}"), "invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("name", _UNREADABLE_FILES)
+@pytest.mark.parametrize("command", [["validate"], ["fuzz", "--replay"]],
+                         ids=["validate", "fuzz-replay"])
+def test_unreadable_file_is_one_parse_error_naming_the_path(capsys, tmp_path,
+                                                            name, command):
+    """A file that is not UTF-8 JSON text, or cannot be read, or nests or
+    writes digits beyond what Python parses: exit 2 and one strict JSON
+    diagnostic naming the path, no traceback."""
+    write, message = _UNREADABLE_FILES[name]
+    path = tmp_path / f"{name}.json"
+    write(path)
+    assert main([*command, str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    error = strict_loads(captured.out)["error"]
+    assert (error["type"], error["field"], error["file"]) == (
+        "ParseError", str(path), str(path))
+    assert error["message"].startswith(f"{path}: {message}")
+
+
 _MALFORMED_FILES = {
     "observable-outcomes": {"type": "observable", "outcomes": ["a", "b"],
                             "effects": [{"dim": 1, "re": [[0.5]]},
@@ -976,3 +1009,66 @@ def test_single_leaf_mutants_exit_0_or_2_with_json(capsys, tmp_path):
                     strict_loads(out)
                     runs += 1
     assert runs > 1000
+
+
+def _family_document(rng, d: int, family: str) -> dict:
+    """An instrument document of one family, from seeded draws."""
+    A = random_observable(rng, d, 3)
+    if family == "trivial":
+        return {"type": "instrument", "family": "trivial", "dim": d,
+                "omega": {"1": 0.25, "-1.5": 0.5, "2": 0.25}}
+    if family == "lueders":
+        return {"type": "instrument", "family": "lueders",
+                "observable": ser.encode_observable(A)}
+    if family == "holevo":
+        return ser.encode_instrument(holevo_instrument(
+            A, [random_density(rng, d) for _ in range(len(A))]))
+    # Two Kraus operators per outcome, U_j E_x^(1/2) / sqrt(2).
+    roots = [psd_sqrt(E) for E in A.effects]
+    Us = [haar_unitary(rng, d) for _ in range(2)]
+    return ser.encode_instrument(Instrument(
+        A.outcomes, [[U @ R / np.sqrt(2.0) for U in Us] for R in roots]))
+
+
+def _seven_commands(tmp_path, d: int, family: str) -> list[list[str]]:
+    """The seven commands of the benchmark's ``cli_json`` case on files
+    drawn from a seed of their own."""
+    rng = np.random.default_rng(100 + d)
+    rho, A = random_density(rng, d), random_observable(rng, d, 3)
+    docs = {"state": ser.encode_state(rho), "a": ser.encode_observable(A),
+            "b": ser.encode_observable(random_observable(rng, d, 2)),
+            "inst": _family_document(rng, d, family),
+            "map": {repr(x): v for x, v in zip(A.outcomes, (1.0, -1.0, 1.0))}}
+    p = {}
+    for name, doc in docs.items():
+        p[name] = str(tmp_path / f"{family}-{name}.json")
+        with open(p[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return [["uncertainty", "--state", p["state"], "--obs-a", p["a"],
+             "--obs-b", p["b"]],
+            ["sharp", "--obs", p["a"]],
+            ["conjugate", "--obs", p["a"]],
+            ["coarse-grain", "--obs", p["a"], "--map", p["map"]],
+            ["sequential", "--instrument", p["inst"], "--obs", p["b"]],
+            ["conditioned", "--instrument", p["inst"], "--obs", p["b"]],
+            ["validate", p["inst"]]]
+
+
+@pytest.mark.parametrize("d, family, digest", [
+    (2, "trivial", "aeb882f056acf14d2d84a2268a183879e9ad9eab51d69ed852be2f60dacad12a"),
+    (3, "holevo", "e42d80e7af9818253a83977143280bbb4fdf9da3d4af20e9fe028b8127bf2fb9"),
+    (4, "lueders", "8f7e878bd3f00613251450b51490d3d42c45a6725df3769449503a63f99b30df"),
+    (3, "kraus", "b60d0b8486658274f4e2262a2f45d818fad6f0b8e69104fef62e9da2db089673"),
+], ids=["trivial", "holevo", "lueders", "kraus"])
+def test_stdout_of_the_benchmark_commands_is_pinned(capsys, tmp_path, d,
+                                                    family, digest):
+    """The SHA-256 of the stdout of the seven ``cli_json`` commands, one case
+    per instrument family.  The benchmark's own gate computes its expected
+    stdout with the same encoders, so it cannot see an encoder change; these
+    digests can.  They are the same with ``OPENBLAS_NUM_THREADS=1`` and with
+    the default thread setting."""
+    text = ""
+    for argv in _seven_commands(tmp_path, d, family):
+        assert main([*argv, "--json"]) == 0
+        text += capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

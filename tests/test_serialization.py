@@ -1,22 +1,26 @@
 """JSON round trips and schema diagnostics."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qobs import serialization as ser
 from qobs.errors import (MissingLabelError, NotAnEffectError, ParseError,
-                         TraceNotOneError, UnknownOutcomeError, ValidationError)
+                         QobsError, TraceNotOneError, UnknownOutcomeError,
+                         ValidationError)
 from qobs.instruments import (Instrument, holevo_instrument, lueders_instrument,
                               sequential_product, trivial_instrument)
+from qobs.linalg import psd_sqrt
 from qobs.observables import Observable, is_real
 from qobs.qubit import noisy_spin
 from qobs.sampling import (ginibre, haar_unitary, random_density, random_instrument,
                            random_observable, random_probability_vector)
 from qobs.statistics import uncertainty_report
 
-from conftest import assert_same_parts, max_abs_diff, per_outcome
+from conftest import (assert_same_parts, decode_matrices_loop, encode_matrix_loop,
+                      encode_stack_loop, max_abs_diff, per_outcome)
 
 
 class TestMatrix:
@@ -358,3 +362,205 @@ def test_every_instrument_round_trips_exactly(rng, builder, grain, keys):
                                   for x in inst.outcomes)
     assert_same_parts(back, inst)
     assert np.array_equal(back._duals, inst._duals)
+
+
+# The stacked codec against its per-matrix forms (``conftest``): the same
+# bits, signed zeros included, and the same diagnostics.
+
+def _real_effect_observable(rng, d: int) -> Observable:
+    """Two complex effects and one real one, 0.5 I, which encodes without
+    ``im``."""
+    half = 0.5 * random_observable(rng, d, 2).effects
+    return Observable([-1.0, 0.5, 2.0], [*half, 0.5 * np.eye(d)])
+
+
+def _kraus_instrument(rng, d: int) -> Instrument:
+    """Two complex Kraus operators for each of two outcomes and one real
+    operator, I / sqrt(2), for the third."""
+    A = _real_effect_observable(rng, d)
+    Us = [haar_unitary(rng, d) for _ in range(2)]
+    kraus = [[U @ psd_sqrt(E) / np.sqrt(2.0) for U in Us] for E in A.effects[:2]]
+    return Instrument(A.keys, [*kraus, [np.eye(d) / np.sqrt(2.0)]])
+
+
+def _negate_zeros(docs: list) -> list:
+    """The documents with every +0.0 of their grids written as -0.0."""
+    return [{**doc, **{part: [[-0.0 if x == 0.0 else x for x in row]
+                              for row in doc[part]]
+                       for part in ("re", "im") if part in doc}}
+            for doc in docs]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_matrix_stack_gives_the_per_entry_bits(rng, d):
+    """Seeded grids with -0.0 in ``re`` and ``im``, real and complex entries
+    mixed, decode to the bits of one ``decode_matrix`` per entry."""
+    M = ginibre(rng, 5, d * d).reshape(5, d, d)
+    M[1] = M[1].real
+    M[3] = M[3].real
+    M.real[0, 0] = 0.0
+    M.imag[2, 0] = 0.0
+    zeros = encode_stack_loop(M)
+    zeros[4]["im"] = np.zeros((d, d)).tolist()  # written, though all zero
+    for raw in (zeros, _negate_zeros(zeros)):
+        assert [("im" in doc) for doc in raw][:2] == [True, False]
+        assert _same_bits(ser._matrix_stack(raw, "f"),
+                          np.array(decode_matrices_loop(raw, "f")))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_encode_stack_gives_the_per_matrix_documents(rng, d):
+    """``-0.0`` prints as written, and an all-zero imaginary part, signed
+    zeros included, is left out as for one matrix."""
+    M = ginibre(rng, 4, d * d).reshape(4, d, d)
+    M[1] = M[1].real
+    M[2] = M[2].real + (-0.0j)
+    M[:, -1, :] = -0.0
+    assert json.dumps(ser._encode_stack(M)) == json.dumps(encode_stack_loop(M))
+    assert [json.dumps(ser.encode_matrix(E)) for E in M] == \
+        [json.dumps(encode_matrix_loop(E)) for E in M]
+
+
+def _documents(rng, d: int) -> dict:
+    """An observable, a ``kraus`` and a Holevo instrument, each with its
+    document."""
+    A = _real_effect_observable(rng, d)
+    kraus = _kraus_instrument(rng, d)
+    holevo = holevo_instrument(A, [random_density(rng, d) for _ in range(3)])
+    return {"observable": (A, ser.encode_observable(A)),
+            "kraus": (kraus, ser.encode_instrument(kraus)),
+            "holevo": (holevo, ser.encode_instrument(holevo))}
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_codec_matches_its_per_matrix_forms(rng, monkeypatch, d):
+    """Observables, ``kraus`` and Holevo documents encode to the per-matrix
+    documents and decode, also with every zero written as -0.0, to the bits
+    of the per-entry decoder."""
+    docs = _documents(rng, d)
+    A, doc = docs["observable"]
+    assert json.dumps(doc["effects"]) == json.dumps(encode_stack_loop(A.effects))
+    inst, doc = docs["kraus"]
+    assert json.dumps(doc["kraus"]) == json.dumps(
+        [encode_stack_loop(p[0]) for p in inst._parts])
+    inst, doc = docs["holevo"]
+    alphas = np.concatenate([p[1] for p in inst._parts])
+    assert json.dumps([s["matrix"] for s in doc["states"]]) == json.dumps(
+        encode_stack_loop(alphas))
+
+    variants = {name: [doc] for name, (_, doc) in docs.items()}
+    variants["observable"].append({**variants["observable"][0], "effects":
+                                   _negate_zeros(docs["observable"][1]["effects"])})
+    variants["kraus"].append({**variants["kraus"][0], "kraus": [
+        _negate_zeros(ops) for ops in docs["kraus"][1]["kraus"]]})
+
+    def decode_all():
+        out = [ser.decode_observable(doc).effects
+               for doc in variants["observable"]]
+        for doc in variants["kraus"] + variants["holevo"]:
+            out += [x for p in ser.decode_instrument(doc)._parts for x in p]
+        return out
+
+    shipped = decode_all()
+    monkeypatch.setattr(ser, "_matrix_stack", decode_matrices_loop)
+    reference = decode_all()
+    assert len(shipped) == len(reference)
+    assert all(_same_bits(x, y) for x, y in zip(shipped, reference))
+
+
+def _with_entry(docs: list, k: int, entry) -> list:
+    return [*docs[:k], entry, *docs[k + 1:]]
+
+
+_GOOD = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}
+_BAD_ENTRIES = {
+    "bool-dim": {"dim": True, "re": [[0.5]]},
+    "dim-mismatch": {"dim": 3, "re": np.eye(3).tolist()},
+    "missing-re": {"dim": 2, "im": [[0.0, 0.0], [0.0, 0.0]]},
+    "nan-re": {"dim": 2, "re": [[float("nan"), 0.0], [0.0, 0.5]]},
+    "inf-re": {"dim": 2, "re": [[float("inf"), 0.0], [0.0, 0.5]]},
+    "nan-im": {**_GOOD, "im": [[0.0, float("nan")], [0.0, 0.0]]},
+    "inf-im": {**_GOOD, "im": [[0.0, 0.0], [float("-inf"), 0.0]]},
+    "ragged": {"dim": 2, "re": [[0.5, 0.0], [0.5]]},
+    "null-im": {**_GOOD, "im": None},
+    "non-object": 5,
+    "huge-dim": {"dim": 10 ** 9, "re": [[1.0]]},
+}
+
+
+def _malformed_documents():
+    for name, entry in _BAD_ENTRIES.items():
+        for k in (0, 1):
+            effects = _with_entry([_GOOD, _GOOD], k, entry)
+            yield f"observable-{name}-at-{k}", {
+                "type": "observable", "outcomes": [0.0, 1.0], "effects": effects}
+            yield f"kraus-{name}-at-{k}", {
+                "type": "instrument", "family": "kraus", "outcomes": [0.0, 1.0],
+                "kraus": [[_GOOD], effects]}
+    one, true = {"dim": 1, "re": [[0.5]]}, {"dim": True, "re": [[0.5]]}
+    for k in (0, 1):  # True == 1, but a bool is not a dim
+        yield f"observable-bool-dim-1-at-{k}", {
+            "type": "observable", "outcomes": [0.0, 1.0],
+            "effects": _with_entry([one, one], k, true)}
+    yield "observable-all-huge-dim", {
+        "type": "observable", "outcomes": [0.0, 1.0],
+        "effects": [_BAD_ENTRIES["huge-dim"]] * 2}
+    yield "kraus-empty-list", {
+        "type": "instrument", "family": "kraus", "outcomes": [0.0, 1.0],
+        "kraus": [[_GOOD, _GOOD], []]}
+
+
+def _error(doc) -> tuple:
+    decode = (ser.decode_observable if doc["type"] == "observable"
+              else ser.decode_instrument)
+    with pytest.raises(QobsError) as err:
+        decode(json.loads(json.dumps(doc)))
+    e = err.value
+    return type(e), e.field, str(e), e.invariant, e.violation
+
+
+@pytest.mark.parametrize("name, doc", list(_malformed_documents()),
+                         ids=[name for name, _ in _malformed_documents()])
+def test_malformed_lists_keep_their_per_entry_diagnostics(monkeypatch, name, doc):
+    """Type, field, message, invariant and violation are those of the
+    per-entry decoder, also where the constructor raises."""
+    shipped = _error(doc)
+    monkeypatch.setattr(ser, "_matrix_stack", decode_matrices_loop)
+    assert shipped == _error(doc)
+
+
+def test_a_huge_dim_allocates_nothing_of_its_size():
+    """A ``dim`` that its grid does not back is a prompt ParseError, before
+    any array of that size: nothing near d x d bytes is traced."""
+    doc = {"type": "observable", "outcomes": [0.0, 1.0],
+           "effects": [{"dim": 4096, "re": [[0.5]]}] * 2}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            ser.decode_observable(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.field == "observable.effects[0].re"
+    assert peak < 1 << 20
+
+
+def test_well_formed_lists_make_no_per_entry_decode(rng, monkeypatch):
+    """Observable effects and ``kraus`` lists decode as one stack, without
+    a ``decode_matrix`` call per entry; a malformed list still makes them."""
+    calls = []
+    decode = ser.decode_matrix
+    monkeypatch.setattr(ser, "decode_matrix",
+                        lambda *a, **kw: calls.append(a) or decode(*a, **kw))
+    docs = _documents(rng, 3)
+    ser.decode_observable(json.loads(json.dumps(docs["observable"][1])))
+    ser.decode_instrument(json.loads(json.dumps(docs["kraus"][1])))
+    assert calls == []
+    with pytest.raises(ParseError):
+        ser.decode_observable(dict(docs["observable"][1], effects=[_GOOD, 5]))
+    assert len(calls) == 2
