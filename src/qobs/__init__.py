@@ -42,7 +42,6 @@ from .states import (
     bloch_state,
     is_faithful,
     maximally_mixed,
-    normalized_density,
     state_form,
 )
 from .observables import (

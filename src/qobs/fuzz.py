@@ -259,17 +259,6 @@ def _chk_bloch_eigenvalues(inst, cfg):
     return float(np.max(np.abs(np.array(rho.eigenvalues) - expected))), 1e-12
 
 
-def _chk_observable_completeness(inst, cfg):
-    A = inst["A"]
-    return max_abs(A.effects.sum(0) - np.eye(A.dim)), cfg.tol_lin
-
-
-def _chk_observable_spectrum(inst, cfg):
-    w = np.linalg.eigvalsh(inst["A"].effects)
-    res = max(0.0, -float(w[:, 0].min()), float(w[:, -1].max()) - 1.0)
-    return res, cfg.tol_psd
-
-
 def _chk_sharp_same_stochastic(inst, cfg):
     A = inst["A"]
     sharp = sharp_version(A, cfg.cluster_tol)
@@ -306,12 +295,9 @@ def _chk_conjugate_commutative(inst, cfg):
 
 
 def _chk_coarse_grain_valid(inst, cfg):
-    A, f = inst["A"], inst["f_obs"]
     fA = _shared(inst, coarse_grain, "A", "f_obs")
-    res = max_abs(fA.effects.sum(0) - np.eye(A.dim))
-    direct = sum(f[x] * E for x, E in A.pairs())
-    res = max(res, max_abs(stochastic_operator(fA) - direct))
-    return res, cfg.tol_lin * scale_of(direct)
+    direct = sum(inst["f_obs"][x] * E for x, E in inst["A"].pairs())
+    return max_abs(stochastic_operator(fA) - direct), cfg.tol_lin * scale_of(direct)
 
 
 def _uncertainty_residuals(rho, A, B):
@@ -424,11 +410,6 @@ def _chk_instrument_mean(inst, cfg):
     return res, cfg.tol_lin * max(1.0, abs(mean))
 
 
-def _chk_sequential_completeness(inst, cfg):
-    product = _shared(inst, sequential_product, "inst", "B")
-    return max_abs(product.effects.sum(0) - np.eye(product.dim)), cfg.tol_lin
-
-
 def _chk_sequential_marginal(inst, cfg):
     instr = inst["inst"]
     product = _shared(inst, sequential_product, "inst", "B")
@@ -460,22 +441,28 @@ def _chk_product_split_function(inst, cfg):
     return max_abs(lhs - rhs), cfg.tol_lin * scale_of(rhs)
 
 
-def _chk_derived_spectrum(inst, cfg):
-    """The constructor's effect rule on every observable a trial derives,
-    which the builders do not check: the (residual, bound) of worst ratio."""
-    cut = cfg.cluster_tol
-    A, conj = inst["A"], _shared(inst, conjugate, "A", cluster_tol=cut)
-    sharp = [sharp_version(X, cut) for X in (A, inst["B"], conj)]
+def _trial_observables(inst, cfg) -> tuple:
+    """Every observable a trial holds: its inputs A, B and A_comm, and each
+    one it derives from them through a builder."""
+    cut, A, B, A_comm = cfg.cluster_tol, inst["A"], inst["B"], inst["A_comm"]
+    conj = _shared(inst, conjugate, "A", cluster_tol=cut)
+    sharp = [sharp_version(X, cut) for X in (A, B, conj)]
     merged = _shared(inst, Instrument.coarse_grain, "inst", "f_inst")
-    derived = (*sharp, sharp_version(sharp[0], cut), conj, conjugate_joint(A, cut),
-               commuting_joint(inst["A_comm"], inst["A_comm"]),
-               _shared(inst, conjugate, "A_comm", cluster_tol=cut),
-               _shared(inst, coarse_grain, "A", "f_obs"),
-               _shared(inst, sequential_product, "inst", "B"),
-               _shared(inst, conditioned_observable, "inst", "B"),
-               inst["inst"].measured_observable(), merged.measured_observable())
-    residual, bound = _effect_margins([obs.effects for obs in derived],
-                                      cfg.tol_lin, cfg.tol_psd)
+    return (A, B, A_comm, *sharp, sharp_version(sharp[0], cut), conj,
+            conjugate_joint(A, cut), commuting_joint(A_comm, A_comm),
+            _shared(inst, conjugate, "A_comm", cluster_tol=cut),
+            _shared(inst, coarse_grain, "A", "f_obs"),
+            _shared(inst, sequential_product, "inst", "B"),
+            _shared(inst, conditioned_observable, "inst", "B"),
+            inst["inst"].measured_observable(), merged.measured_observable())
+
+
+def _chk_derived_spectrum(inst, cfg):
+    """The constructor's effect rule, the fuzz's one statement of it, on
+    every observable of the trial: its inputs, and the derived ones that the
+    builders do not check.  The (residual, bound) of worst ratio."""
+    residual, bound = _effect_margins(
+        [obs.effects for obs in _trial_observables(inst, cfg)], cfg.tol_lin, cfg.tol_psd)
     ratio = np.divide(residual, bound, where=bound > 0,
                       out=np.where(residual > 0, math.inf, 0.0))
     k = np.lexsort((residual, ratio))[-1]  # of equal ratios, the largest residual
@@ -492,8 +479,6 @@ CHECKS = {
     "state_form.conjugate_symmetry": _chk_form_conjugate_symmetry,
     "state.faithful_witness": _chk_faithful_witness,
     "bloch.eigenvalues": _chk_bloch_eigenvalues,
-    "observable.completeness": _chk_observable_completeness,
-    "observable.effect_spectrum": _chk_observable_spectrum,
     "sharp.same_stochastic": _chk_sharp_same_stochastic,
     "sharp.idempotent": _chk_sharp_idempotent,
     "conjugate.same_sharp": _chk_conjugate_same_sharp,
@@ -511,7 +496,6 @@ CHECKS = {
     "instrument.channel": _chk_instrument_channel,
     "instrument.coarse_grain_measured": _chk_instrument_coarse_grain,
     "instrument.mean": _chk_instrument_mean,
-    "sequential.completeness": _chk_sequential_completeness,
     "sequential.marginal": _chk_sequential_marginal,
     "conditioned.mean": _chk_conditioned_mean,
     "product.split_function": _chk_product_split_function,

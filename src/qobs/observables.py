@@ -110,7 +110,8 @@ class Observable(_Immutable):
     def _build(self, keys, E, tols=None) -> "Observable":
         """The one construction path.  The constructor passes its ``tols``,
         (tol_lin, tol_psd), to check the effects.  A builder forms E from
-        checked objects and passes none; ``derived.effect_spectrum`` checks."""
+        checked objects and passes none; the fuzz property
+        ``derived.effect_spectrum`` checks its output and its inputs."""
         keys = linalg.parallel_keys(keys, E, "keys and effects")
         real = all(is_real(x) for x in keys)
         if real:

@@ -125,17 +125,3 @@ def state_form(rho: DensityOperator, C, D) -> complex:
             invariant="matching-dims")
     return complex(np.trace(rho.matrix @ C.conj().T @ D))
 
-
-def normalized_density(M, *, tol_lin: float = TOL_LIN) -> DensityOperator:
-    """Normalize a subnormalized post-measurement matrix to a state.
-
-    Raises when the trace is at or below tolerance (outcome of probability
-    ~0 has no conditional state).
-    """
-    M = as_matrix(M)
-    t = float(np.trace(M).real)
-    if t <= tol_lin:
-        raise ValidationError(
-            f"cannot normalize matrix with trace {t:.3e}",
-            invariant="positive-trace", violation=t)
-    return DensityOperator(M / t, tol_lin=tol_lin)

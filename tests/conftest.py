@@ -1,4 +1,3 @@
-import functools
 from collections.abc import Mapping
 
 import numpy as np
@@ -162,8 +161,8 @@ def encode_stack_loop(stack):
 
 
 # The fuzz checks before their linear forms, as references: all pairwise
-# products of the eigenprojections, and each derived observable's
-# completeness on its own.
+# products of the eigenprojections, and each observable's completeness on
+# its own.
 
 def eigen_projections_pairwise(inst, cfg):
     """``fuzz._chk_eigen_projections`` with the k(k-1)/2 products P_i P_j,
@@ -180,27 +179,16 @@ def eigen_projections_pairwise(inst, cfg):
 
 def derived_spectrum_eigensolve(inst, cfg):
     """``fuzz._chk_derived_spectrum`` with the completeness of one observable
-    at a time."""
-    cut, shared = cfg.cluster_tol, functools.partial(fuzz._shared, inst)
-    A, conj = inst["A"], shared(fuzz.conjugate, "A", cluster_tol=cut)
-    sharp = [fuzz.sharp_version(X, cut) for X in (A, inst["B"], conj)]
-    merged = shared(fuzz.Instrument.coarse_grain, "inst", "f_inst")
-    derived = (*sharp, fuzz.sharp_version(sharp[0], cut), conj,
-               fuzz.conjugate_joint(A, cut),
-               fuzz.commuting_joint(inst["A_comm"], inst["A_comm"]),
-               shared(fuzz.conjugate, "A_comm", cluster_tol=cut),
-               shared(fuzz.coarse_grain, "A", "f_obs"),
-               shared(fuzz.sequential_product, "inst", "B"),
-               shared(fuzz.conditioned_observable, "inst", "B"),
-               inst["inst"].measured_observable(), merged.measured_observable())
-    E = np.concatenate([obs.effects for obs in derived])
+    at a time, over the observables the check reads."""
+    held = fuzz._trial_observables(inst, cfg)
+    E = np.concatenate([obs.effects for obs in held])
     w = linalg.hermitian_eigenvalues(E)
     residual = np.concatenate([
         linalg.hermiticity_defect(E), -w[:, 0], w[:, -1] - 1.0,
-        [linalg.max_abs(obs.effects.sum(0) - np.eye(obs.dim)) for obs in derived]])
+        [linalg.max_abs(obs.effects.sum(0) - np.eye(obs.dim)) for obs in held]])
     bound = np.concatenate([cfg.tol_lin * linalg.scale_of(E),
                             np.full(2 * len(E), cfg.tol_psd),
-                            np.full(len(derived), cfg.tol_lin)])
+                            np.full(len(held), cfg.tol_lin)])
     ratio = np.divide(residual, bound, where=bound > 0,
                       out=np.where(residual > 0, np.inf, 0.0))
     k = np.lexsort((residual, ratio))[-1]

@@ -128,6 +128,31 @@ def test_each_dim_meets_each_family_within_three_passes(monkeypatch, dims):
             (dims[i % len(dims)], fuzz.FAMILIES[i % 3]) for i in range(trials)]
 
 
+# The properties of a run, in the order it evaluates them.  Adding,
+# removing or renaming one is an output change: update this list
+# deliberately, re-pin ``SUMMARY_DIGESTS`` and name the change in CHANGES.md.
+PROPERTIES = (
+    "eigen.reconstruction", "eigen.projections", "psd_sqrt.contract",
+    "trace.adjoint_conjugate", "state_form.psd", "state_form.cauchy_schwarz",
+    "state_form.conjugate_symmetry", "state.faithful_witness",
+    "bloch.eigenvalues", "sharp.same_stochastic", "sharp.idempotent",
+    "conjugate.same_sharp", "conjugate.commutative_identity",
+    "coarse_grain.validity", "uncertainty.equation", "uncertainty.inequality",
+    "correlation.conjugate_symmetry", "statistics.sharp_consistency",
+    "statistics.maximally_mixed", "deviation.traceless",
+    "commutator.imaginary_identity", "instrument.adjointness",
+    "instrument.probability", "instrument.channel",
+    "instrument.coarse_grain_measured", "instrument.mean",
+    "sequential.marginal", "conditioned.mean", "product.split_function",
+    "derived.effect_spectrum",
+)
+
+
+def test_checks_are_exactly_the_listed_properties():
+    assert tuple(fuzz.CHECKS) == PROPERTIES
+    assert len(PROPERTIES) == 30
+
+
 # SHA-256 of the bytes ``qobs fuzz --json`` prints for each config.  A digest
 # changes only in a change that declares an output change in CHANGES.md, as
 # ``tests/test_public_api.py`` does for the public names.  Pinned with numpy
@@ -135,11 +160,11 @@ def test_each_dim_meets_each_family_within_three_passes(monkeypatch, dims):
 # rounds differently can move them without any change to the library.
 SUMMARY_DIGESTS = [
     (fuzz.RunConfig(seed=42, trials=200),
-     "bd5f4b5e0a8a5ee62b4964271191ac069c21d5decd4665f9edbd32138b73be14"),
+     "e6a15742e4ff545df494b1074dc283a31fda038030de2f8118b5448b62af66d5"),
     (fuzz.RunConfig(seed=3, trials=45, dims=tuple(range(1, 10))),
-     "cf58196635ef2890c1aaa5f16a3c84fd3f6ab993818f38240e141cf2fae2f7ab"),
+     "7f864cb320dcc92b8c335a5696aceff088862e928e5940718f63a14557e24fc6"),
     (fuzz.RunConfig(seed=5, trials=30, dims=(2, 3, 4), cluster_tol=0.05),
-     "bce4164bb14de3f8efb2ab7bf96f387a86fbff8212005a4c1194753823664c63"),
+     "12e38a45e563f19684ba7c472bb9d5f6770d648e984aa6a9e4dc18dc63dcaccc"),
 ]
 
 
@@ -278,6 +303,72 @@ def test_linear_forms_dominate_their_references():
                                               reference(inst, config))
             assert (new > bound) == (old > old_bound), (i, check.__name__)
             assert new / bound >= old / old_bound, (i, check.__name__)
+
+
+def _restated_effect_rule(inst, cfg):
+    """The effect rule as the fuzz once restated it, (residual, bound) per
+    formula: A's completeness and spectrum, the completeness of f(A), bounded
+    as ``coarse_grain.validity`` bounded it, and the product's completeness."""
+    A = inst["A"]
+    fA = fuzz._shared(inst, fuzz.coarse_grain, "A", "f_obs")
+    product = fuzz._shared(inst, fuzz.sequential_product, "inst", "B")
+    direct = sum(inst["f_obs"][x] * E for x, E in A.pairs())
+    w = np.linalg.eigvalsh(A.effects)
+
+    def gap(obs):
+        return linalg.max_abs(obs.effects.sum(0) - np.eye(obs.dim))
+
+    return [(gap(A), cfg.tol_lin),
+            (max(0.0, -float(w[:, 0].min()), float(w[:, -1].max()) - 1.0),
+             cfg.tol_psd),
+            (gap(fA), cfg.tol_lin * linalg.scale_of(direct)),
+            (gap(product), cfg.tol_lin)]
+
+
+@pytest.mark.parametrize("config", [
+    fuzz.RunConfig(seed=42, trials=30, tol_lin=1e-17),
+    fuzz.RunConfig(seed=42, trials=30, tol_psd=0, tol_lin=1e-15, tol_stat=1e-18),
+    fuzz.RunConfig(seed=3, trials=45, dims=tuple(range(1, 10)), tol_lin=2e-15),
+    fuzz.RunConfig(seed=7, trials=30, tol_lin=1e-16, tol_psd=1e-17),
+    fuzz.RunConfig(seed=42, trials=100, tol_lin=2e-15),
+], ids=["tol-lin-1e-17", "tol-psd-0", "seed3-dims1..9", "seed7", "tol-lin-2e-15"])
+def test_effect_spectrum_fails_wherever_a_restated_rule_fails(monkeypatch, config):
+    """Each trial of a tightened run in which a restated formula exceeds its
+    bound violates ``derived.effect_spectrum`` too."""
+    check, trials = fuzz._chk_derived_spectrum, []
+
+    def recorded(inst, cfg):
+        old = any(r > b for r, b in _restated_effect_rule(inst, cfg))
+        residual, bound = check(inst, cfg)
+        trials.append((old, residual > bound))
+        return residual, bound
+
+    monkeypatch.setattr(fuzz, "CHECKS", {"derived.effect_spectrum": recorded})
+    fuzz.run_fuzz(config)
+    assert len(trials) == config.trials
+    assert any(old for old, _ in trials)  # the config reaches the formulas
+    assert all(new for old, new in trials if old)
+
+
+@pytest.mark.parametrize("name", ["A", "B", "A_comm"])
+@pytest.mark.parametrize("family", fuzz.FAMILIES)
+def test_input_effect_below_zero_reports_its_eigenvalue(name, family):
+    """An input observable whose first effect has eigenvalue -delta, with
+    the sum kept at I, is flagged at that size: the check reads the inputs."""
+    inst = fuzz.build_instance(np.random.default_rng(5), 3, family)
+    X, delta = inst[name], 1e-6
+    w, V = np.linalg.eigh(X.effects[0])
+    shift = (w[0] + delta) * np.outer(V[:, 0], V[:, 0].conj())
+    E = np.array(X.effects)
+    E[0] -= shift
+    E[1] += shift
+    inst[name] = Observable.__new__(Observable)._build(X.keys, E)
+    config = fuzz.RunConfig()
+    assert any(obs is inst[name] for obs in fuzz._trial_observables(inst, config))
+    residual, bound = fuzz._chk_derived_spectrum(inst, config)
+    assert residual > bound == config.tol_psd
+    assert residual == pytest.approx(delta, rel=1e-6)
+    assert (residual, bound) == derived_spectrum_eigensolve(inst, config)
 
 
 def test_observables_of_different_sizes_are_infinitely_apart():

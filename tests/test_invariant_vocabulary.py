@@ -18,7 +18,7 @@ INVARIANTS = {
     "matrix-list", "numeric-entries", "parallel-lists", "positive-dim",
     "square",
     # states
-    "bloch-ball", "hermitian", "psd", "unit-trace", "positive-trace",
+    "bloch-ball", "hermitian", "psd", "unit-trace",
     # observables and outcomes
     "commuting-effects", "completeness", "distinct-labels",
     "distinct-outcomes", "effect-lower-bound", "effect-upper-bound",
@@ -54,4 +54,4 @@ def _source_invariants() -> set:
 
 def test_diagnostics_name_exactly_the_listed_invariants():
     assert _source_invariants() == INVARIANTS
-    assert len(INVARIANTS) == 42
+    assert len(INVARIANTS) == 41

@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "commutator", "hermitian_eigendecomposition", "max_abs", "psd_sqrt",
     # states
     "DensityOperator", "bloch_state", "is_faithful", "maximally_mixed",
-    "normalized_density", "state_form",
+    "state_form",
     # observables
     "Observable", "coarse_grain", "commuting_joint", "conjugate",
     "conjugate_joint", "is_commutative", "is_sharp", "sharp_version",
@@ -46,7 +46,7 @@ def test_package_exports_exactly_the_public_names():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 63
+    assert len(PUBLIC_NAMES) == 62
 
 
 # An instrument's statistics are those of its measured observable, so the

@@ -278,13 +278,3 @@ class TestStateForm:
         with pytest.raises(DimensionMismatchError):
             states.state_form(rho, np.eye(3), np.eye(3))
 
-
-class TestNormalizedDensity:
-    def test_rescales_trace(self, rng):
-        M = random_density(rng, 3).matrix * 0.4
-        rho = states.normalized_density(M)
-        assert abs(sum(rho.eigenvalues) - 1.0) < 1e-12
-
-    def test_rejects_near_zero_trace(self):
-        with pytest.raises(ValidationError):
-            states.normalized_density(np.zeros((2, 2)))
