@@ -13,7 +13,10 @@ import argparse
 import contextlib
 import csv
 import functools
+import inspect
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -81,12 +84,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     description="Finite-dimensional quantum measurement toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, flags):  # a subcommand with only these flags
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+    def add(name, help_text, flags, into=sub):  # a parser with only these flags
+        p = into.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags:
             kind, default, text = _SHARED_FLAGS[flag]
             p.add_argument(f"--{flag}", type=kind, default=default, help=text)
-        p.add_argument("--json", action="store_true", help="single-line JSON output")
+        # main sets args.json first; a nested parser's default would undo it
+        p.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                       help="single-line JSON output")
         return p
 
     p = add("uncertainty", "uncertainty report for a state and two observables",
@@ -95,13 +100,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-a", required=True, metavar="FILE")
     p.add_argument("--obs-b", required=True, metavar="FILE")
 
-    p = add("demo", "closed-form demonstration cases", ("seed",))
-    p.add_argument("name", choices=list(demos.DEMO_NAMES))
-    p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--bloch", type=str, default="0.3,0.4,0.2",
-                   metavar="R1,R2,R3")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--outcomes", type=int, default=2)
+    examples = add("demo", "closed-form demonstration cases", ()) \
+        .add_subparsers(dest="name", required=True)
+    for name in demos.DEMO_NAMES:  # the flags are the demo's own parameters
+        run = getattr(demos, f"demo_{name}")
+        params = inspect.signature(run).parameters.values()
+        p = add(name, (run.__doc__ or name).partition(".")[0],
+                [q.name for q in params if q.name in _SHARED_FLAGS], examples)
+        for q in params:  # passed only when given; a tuple is written x,y,z
+            if q.name not in _SHARED_FLAGS:
+                kind = str if isinstance(q.default, tuple) else type(q.default)
+                p.add_argument(f"--{q.name}", type=kind, default=argparse.SUPPRESS)
 
     p = add("fuzz", "randomized property verification", _SHARED_FLAGS)
     p.add_argument("--trials", type=int, default=100)
@@ -207,25 +216,21 @@ def _cmd_uncertainty(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    params = {}
-    if args.name == "example4":
-        bloch = _parse_floats(args.bloch, "--bloch")
-        if len(bloch) != 3:
+    run = getattr(demos, f"demo_{args.name}")
+    params = {key: getattr(args, key)
+              for key in inspect.signature(run).parameters if hasattr(args, key)}
+    if "bloch" in params:
+        params["bloch"] = _parse_floats(params["bloch"], "--bloch")
+        if len(params["bloch"]) != 3:
             raise ValidationError("--bloch needs three comma-separated reals",
                                   invariant="bloch-shape", field="--bloch")
-        params = {"mu": args.mu, "bloch": tuple(bloch)}
-    elif args.name != "example1":
-        params = {"seed": args.seed}
-        if args.name in ("example5", "example6", "example7"):
-            if args.outcomes > MAX_OUTCOMES:
-                raise ValidationError(
-                    f"--outcomes: {args.outcomes} is above {MAX_OUTCOMES}",
-                    invariant="outcomes-range", field="--outcomes")
-            params["outcomes"] = args.outcomes
-        if args.dim is not None:
-            params["dim"] = require_dim(args.dim, "--dim")
-    result = demos.run_demo(args.name, **params)
-    _emit(result, args)
+    if params.get("outcomes", 0) > MAX_OUTCOMES:
+        raise ValidationError(
+            f"--outcomes: {params['outcomes']} is above {MAX_OUTCOMES}",
+            invariant="outcomes-range", field="--outcomes")
+    if "dim" in params:
+        require_dim(params["dim"], "--dim")
+    _emit(run(**params), args)
     return 0
 
 
@@ -235,15 +240,19 @@ def _cmd_fuzz(args) -> int:
                             tol_lin=args.tol_lin, tol_psd=args.tol_psd,
                             tol_stat=args.tol_stat,
                             cluster_tol=args.cluster_tol)
-    try:  # before the run, so an unwritable path costs no fuzzing
+    try:  # before the run, so an unwritable path costs no fuzzing; opened
+        # to append, so a failed run (or a replay of PATH) keeps its content
         out = (contextlib.nullcontext() if args.output == "-"
-               else open(args.output, "w", encoding="utf-8"))
+               else open(args.output, "a", encoding="utf-8"))
     except OSError as exc:
         raise ValidationError(f"--output: cannot write {args.output}: {exc.strerror}",
                               invariant="writable-output", field="--output") from None
     with out as stream:
         result = (_load(args.replay, fuzz.replay_instance, config)
                   if args.replay is not None else fuzz.run_fuzz(config))
+        # a result exists: replace what PATH held (a device or pipe has none)
+        if stream is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+            stream.truncate(0)
         _emit(result, args, stream)
     return 1 if result.get("violations") else 0
 

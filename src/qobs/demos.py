@@ -286,14 +286,6 @@ def demo_example7(dim: int = 2, seed: int = 7, outcomes: int = 2) -> dict:
                                   "outcomes": outcomes}, 1e-10)
 
 
-def run_demo(name: str, **params) -> dict:
-    """Dispatch a demo by CLI name to the function ``demo_<name>``."""
-    if name not in DEMO_NAMES:
-        raise ValidationError(f"unknown demo {name!r}; choose from {DEMO_NAMES}",
-                              invariant="known-demo", field="name")
-    return globals()[f"demo_{name}"](**params)
-
-
 _TERMS = ("commutator_term", "covariance_term", "correlation_term",
           "variance_term", "slack")
 _ROW_KEYS = ("mu", "r1", "r2", "r3", *(key for term in _TERMS

@@ -1,4 +1,4 @@
-"""Seeded random instances: states, observables, instruments.
+"""Seeded random instances: states, observables, Bloch vectors.
 
 Constructions are chosen so every draw is valid without rejection sampling:
 states come from Wishart-style products G G*, observables from normalizing
@@ -9,12 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instruments import (
-    Instrument,
-    holevo_instrument,
-    lueders_instrument,
-    trivial_instrument,
-)
 from .observables import Observable
 from .states import DensityOperator
 
@@ -89,25 +83,6 @@ def random_observable(rng: np.random.Generator, dim: int, n_outcomes: int,
     return Observable(outcomes, effects)
 
 
-def random_sharp_observable(rng: np.random.Generator, dim: int,
-                            n_outcomes: int) -> Observable:
-    """Projection-valued observable from a random eigenbasis partition."""
-    if not 1 <= n_outcomes <= dim:
-        raise ValueError("need 1 <= n_outcomes <= dim")
-    U = haar_unitary(rng, dim)
-    # Random surjective assignment of basis indices to outcomes.
-    while True:
-        assign = rng.integers(0, n_outcomes, size=dim)
-        if len(set(assign.tolist())) == n_outcomes:
-            break
-    effects = []
-    for g in range(n_outcomes):
-        cols = U[:, assign == g]
-        P = cols @ cols.conj().T
-        effects.append((P + P.conj().T) / 2.0)
-    return Observable(random_outcomes(rng, n_outcomes), effects)
-
-
 def random_commutative_observable(rng: np.random.Generator, dim: int,
                                   n_outcomes: int) -> Observable:
     """Effects diagonal in a common random eigenbasis: for each basis index
@@ -126,19 +101,3 @@ def random_bloch_vector(rng: np.random.Generator, surface: bool = False) -> np.n
     if surface:
         return v
     return v * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
-
-
-def random_instrument(rng: np.random.Generator, dim: int, family: str,
-                      n_outcomes: int = 2) -> Instrument:
-    """Random member of one of the three named instrument families."""
-    if family == "trivial":
-        probs = random_probability_vector(rng, n_outcomes)
-        omega = {x: float(p) for x, p in zip(random_outcomes(rng, n_outcomes), probs)}
-        return trivial_instrument(omega, dim)
-    A = random_observable(rng, dim, n_outcomes)
-    if family == "holevo":
-        alphas = [random_density(rng, dim) for _ in range(n_outcomes)]
-        return holevo_instrument(A, alphas)
-    if family == "lueders":
-        return lueders_instrument(A)
-    raise ValueError(f"unknown instrument family {family!r}")

@@ -26,6 +26,12 @@ from .states import DensityOperator, bloch_state
 from .statistics import UncertaintyReport
 
 SCHEMA_VERSION = 1
+# The largest input file read: 120 complex 64 x 64 effects as canonical_json
+# writes them (~277 kB each), or six d=64 fuzz dumps.  A written observable
+# with more such effects, which only `sequential` can produce from readable
+# inputs, is refused when read back (see README).
+MAX_FILE_BYTES = 32 * 2 ** 20
+_FIRST_READ = 2 ** 16  # below malloc's mmap threshold
 
 
 def _expect(obj, key: str, field: str):
@@ -308,11 +314,15 @@ def canonical_json(obj, compact: bool = False) -> str:
 
 
 def load_json_file(path: str):
-    """The JSON document in a UTF-8 text file; a file that cannot be read or
-    parsed is a ``ParseError`` naming the path."""
+    """The JSON document in a UTF-8 text file of at most ``MAX_FILE_BYTES``;
+    a file that cannot be read or parsed is a ``ParseError`` naming the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:  # read(n) allocates n bytes first, so
+            data = fh.read(_FIRST_READ)  # a small file takes a small read
+            if len(data) == _FIRST_READ:
+                data += fh.read(MAX_FILE_BYTES + 1 - _FIRST_READ)
+        if len(data) <= MAX_FILE_BYTES:
+            return json.loads(data.decode("utf-8"))
     except FileNotFoundError:
         raise ParseError(f"file not found: {path}", field=path) from None
     except OSError as exc:  # a directory, no permission, ...
@@ -325,3 +335,5 @@ def load_json_file(path: str):
         # bytes that are not UTF-8, arrays nested too deeply, or an integer
         # literal above Python's digit limit
         raise ParseError(f"{path}: cannot parse: {exc}", field=path) from None
+    raise ParseError(f"{path}: cannot read: larger than {MAX_FILE_BYTES} bytes",
+                     field=path)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from qobs import fuzz, linalg
-from qobs.instruments import Instrument
+from qobs.instruments import (Instrument, holevo_instrument, lueders_instrument,
+                              trivial_instrument)
 from qobs.linalg import psd_sqrt
 from qobs.observables import (Observable, _on_keys, canonical_outcome,
                               stochastic_operator)
-from qobs.sampling import (ginibre, haar_unitary, random_outcomes,
+from qobs.sampling import (ginibre, haar_unitary, random_density,
+                           random_observable, random_outcomes,
                            random_probability_vector)
 from qobs.serialization import decode_matrix
 
@@ -35,6 +37,43 @@ def assert_rebuilds_exactly(out: Observable) -> None:
         assert np.array_equal(stochastic_operator(again),
                               stochastic_operator(out))
         assert not stochastic_operator(out).flags.writeable
+
+
+# Random instances that only the tests draw.
+
+def random_sharp_observable(rng: np.random.Generator, dim: int,
+                            n_outcomes: int) -> Observable:
+    """Projection-valued observable from a random eigenbasis partition."""
+    if not 1 <= n_outcomes <= dim:
+        raise ValueError("need 1 <= n_outcomes <= dim")
+    U = haar_unitary(rng, dim)
+    # Random surjective assignment of basis indices to outcomes.
+    while True:
+        assign = rng.integers(0, n_outcomes, size=dim)
+        if len(set(assign.tolist())) == n_outcomes:
+            break
+    effects = []
+    for g in range(n_outcomes):
+        cols = U[:, assign == g]
+        P = cols @ cols.conj().T
+        effects.append((P + P.conj().T) / 2.0)
+    return Observable(random_outcomes(rng, n_outcomes), effects)
+
+
+def random_instrument(rng: np.random.Generator, dim: int, family: str,
+                      n_outcomes: int = 2) -> Instrument:
+    """Random member of one of the three named instrument families."""
+    if family == "trivial":
+        probs = random_probability_vector(rng, n_outcomes)
+        omega = {x: float(p) for x, p in zip(random_outcomes(rng, n_outcomes), probs)}
+        return trivial_instrument(omega, dim)
+    A = random_observable(rng, dim, n_outcomes)
+    if family == "holevo":
+        alphas = [random_density(rng, dim) for _ in range(n_outcomes)]
+        return holevo_instrument(A, alphas)
+    if family == "lueders":
+        return lueders_instrument(A)
+    raise ValueError(f"unknown instrument family {family!r}")
 
 
 def holevo_kraus(A: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -32,14 +32,14 @@ from qobs.sampling import (
     random_density,
     random_faithful_density,
     random_hermitian,
-    random_instrument,
     random_observable,
     random_outcomes,
     random_probability_vector,
-    random_sharp_observable,
 )
 from qobs.serialization import canonical_json
 from qobs.states import DensityOperator, bloch_state
+
+from conftest import random_instrument, random_sharp_observable
 
 DIMS = (2, 3, 4, 5, 6)
 

@@ -1,6 +1,7 @@
 """CLI subcommands: happy paths, diagnostics, determinism."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import qobs
-from qobs import fuzz, serialization as ser, statistics as stats
+from qobs import demos, fuzz, serialization as ser, statistics as stats
 from qobs.cli import _build_parser, _decode_operand, main
 from qobs.instruments import Instrument, holevo_instrument, lueders_instrument
 from qobs.linalg import MAX_OUTCOMES, psd_sqrt
@@ -20,10 +21,11 @@ from qobs.sampling import (
     haar_unitary,
     random_density,
     random_hermitian,
-    random_instrument,
     random_observable,
 )
 from qobs.states import DensityOperator
+
+from conftest import random_instrument
 
 
 def _refuse(constant):
@@ -211,6 +213,34 @@ class TestUncertainty:
         assert f"{err['violation']:.3e}" in err["message"]
 
 
+# The flags each demo example reads: the parameters of demos.demo_<name>.
+_DEMO_FLAGS_READ = {
+    "example1": set(),
+    "example2": {"dim", "seed"},
+    "example3": {"dim", "seed"},
+    "example4": {"mu", "bloch"},
+    **{f"example{i}": {"dim", "seed", "outcomes"} for i in (5, 6, 7)},
+}
+_DEMO_VALUES = {"dim": "2", "seed": "3", "outcomes": "3", "mu": "0.9",
+                "bloch": "0.1,0.2,0.3"}
+_DEMO_FLAGS_UNREAD = [(name, flag) for name, read in _DEMO_FLAGS_READ.items()
+                      for flag in _DEMO_VALUES if flag not in read]
+
+
+def _subparsers(parser) -> dict:
+    """The parsers of a parser's subcommands, by name."""
+    return {name: p for a in parser._actions if isinstance(a.choices, dict)
+            for name, p in a.choices.items()}
+
+
+def _options(parser) -> set:
+    """The long options of a parser and of the parsers under it, without
+    their leading dashes."""
+    return {o[2:] for a in parser._actions for o in a.option_strings
+            if o.startswith("--")}.union(*map(_options,
+                                              _subparsers(parser).values()))
+
+
 class TestDemo:
     @pytest.mark.parametrize("name", [f"example{i}" for i in range(1, 8)])
     def test_all_demos_pass(self, capsys, name):
@@ -230,6 +260,59 @@ class TestDemo:
         assert code == 2
         assert out["error"]["type"] == "ParseError"
         assert "invalid choice: 'example9'" in out["error"]["message"]
+
+    @pytest.mark.parametrize("name, digest", [
+        ("example1", "62a1e3f30bd0bcc34b7b3540e598596c2961e463eced3ca85bd78e947866b7a4"),
+        ("example2", "c3726ff6cc83c6cbb93af9ab191b2d9ad833d6ee27a8915ca268f4034ea060e7"),
+        ("example3", "ce59f010b5a7dff62adc67a7a56e9010c2dda79a179e23a8f2ef31c4118aae3b"),
+        ("example4", "d8df9833cc6155616cecd96a43abf29db09d79d5c06642a21f8709e15e72774f"),
+        ("example5", "2b5f0426f6d302d6866c02e5c37439720f85a79c53d3f3dfcde00c614aaf22a4"),
+        ("example6", "e95c8d28768874fad7b1805bd50e1eab84ae162c61d57a20fcb62a875b4045aa"),
+        ("example7", "9f552df14cd1d3bffedd9f3d917cceaf5db21b12770c3f3cf50124f17fb2ed4c"),
+    ])
+    def test_stdout_at_the_defaults_is_pinned(self, capsys, name, digest):
+        """The SHA-256 of ``demo NAME --json`` at the CLI's defaults (seed
+        42).  It is the same with ``OPENBLAS_NUM_THREADS=1`` and with the
+        default thread setting."""
+        assert main(["demo", name, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_each_example_parser_takes_its_functions_parameters(self):
+        examples = _subparsers(_subparsers(_build_parser())["demo"])
+        assert list(examples) == list(demos.DEMO_NAMES)
+        for name, p in examples.items():
+            params = inspect.signature(getattr(demos, f"demo_{name}")).parameters
+            assert _options(p) - {"help"} == {*params, "json"} \
+                == _DEMO_FLAGS_READ[name] | {"json"}
+        assert sum(map(len, _DEMO_FLAGS_READ.values())) == 15  # of 7 x 5 slots
+        assert len(_DEMO_FLAGS_UNREAD) == 20
+
+    def test_each_example_reads_each_of_its_flags(self, capsys):
+        given = {"dim": 2, "seed": 3, "outcomes": 3, "mu": 0.9,
+                 "bloch": [0.1, 0.2, 0.3]}
+        for name, read in _DEMO_FLAGS_READ.items():
+            argv = [arg for flag in sorted(read)
+                    for arg in (f"--{flag}", _DEMO_VALUES[flag])]
+            code, out = run_cli(capsys, "demo", name, *argv, "--json")
+            assert code == 0 and out["pass"] is True
+            assert out["params"] == {flag: given[flag] for flag in read}
+
+    @pytest.mark.parametrize("name, flag", _DEMO_FLAGS_UNREAD)
+    def test_a_flag_the_example_does_not_read_is_a_usage_error(
+            self, capsys, name, flag):
+        value = _DEMO_VALUES[flag]
+        code, out = run_cli(capsys, "demo", name, f"--{flag}", value, "--json")
+        assert code == 2
+        assert (out["error"]["type"], out["error"]["message"]) == (
+            "ParseError", f"unrecognized arguments: --{flag} {value}")
+
+    def test_json_before_the_example_name_is_compact(self, capsys):
+        assert main(["demo", "--json", "example1"]) == 0
+        before = capsys.readouterr().out
+        assert main(["demo", "example1", "--json"]) == 0
+        assert before == capsys.readouterr().out
+        assert before.count("\n") == 1
 
 
 class TestFuzz:
@@ -299,6 +382,36 @@ class TestFuzz:
                      "--json"]) == 0
         assert capsys.readouterr().out == ""
         assert written.read_text() == printed
+
+    def test_replay_into_its_own_file_writes_the_replay(self, capsys,
+                                                          tmp_path):
+        summary = str(tmp_path / "s.json")
+        main(["fuzz", "--trials", "6", "--dims", "2", "--seed", "3",
+              "--output", summary])
+        assert main(["fuzz", "--replay", summary, "--json"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["fuzz", "--replay", summary, "--output", summary,
+                     "--json"]) == 0
+        assert (tmp_path / "s.json").read_text() == printed
+
+    def test_failed_run_leaves_the_output_file_as_it_was(self, capsys,
+                                                           tmp_path):
+        out = tmp_path / "out.json"
+        out.write_bytes(b'{"kept": true}\n')
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        for source in (bad, out):  # a broken dump, then PATH itself
+            code, diagnostic = run_cli(capsys, "fuzz", "--replay", str(source),
+                                       "--output", str(out), "--json")
+            assert (code, diagnostic["error"]["file"]) == (2, str(source))
+            assert out.read_bytes() == b'{"kept": true}\n'
+
+    def test_output_to_a_device_is_written(self, capsys):
+        """A path that is no regular file, such as the null device, is
+        written without being emptied first."""
+        assert main(["fuzz", "--trials", "2", "--dims", "2",
+                     "--output", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("replay", [False, True])
     def test_unwritable_output_exits_2_before_the_run(self, capsys, tmp_path,
@@ -686,6 +799,68 @@ def test_unreadable_file_is_one_parse_error_naming_the_path(capsys, tmp_path,
     assert error["message"].startswith(f"{path}: {message}")
 
 
+@pytest.fixture(scope="module")
+def capped_files(tmp_path_factory):
+    """For validate and for fuzz --replay: a valid document padded with
+    spaces to exactly MAX_FILE_BYTES, and the same with one space more."""
+    rng = np.random.default_rng(5)
+    docs = {"validate": {"type": "bloch", "r": [0.0, 0.6, 0.8]},
+            "fuzz": {"property": "eigen.reconstruction",
+                     "instance": fuzz.encode_instance(
+                         fuzz.build_instance(rng, 2, "trivial"))}}
+    paths = {}
+    for command, doc in docs.items():
+        text = json.dumps(doc).encode("utf-8")
+        paths[command] = []
+        for size in (ser.MAX_FILE_BYTES, ser.MAX_FILE_BYTES + 1):
+            path = tmp_path_factory.mktemp(command) / f"{size}.json"
+            path.write_bytes(text + b" " * (size - len(text)))
+            paths[command].append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("command", [["validate"], ["fuzz", "--replay"]],
+                         ids=["validate", "fuzz-replay"])
+def test_input_file_at_the_size_cap_is_read_and_one_byte_more_is_not(
+        capsys, capped_files, command):
+    at_cap, above = capped_files[command[0]]
+    assert main([*command, at_cap, "--json"]) == 0
+    capsys.readouterr()
+    code, out = run_cli(capsys, *command, above, "--json")
+    assert code == 2
+    error = out["error"]
+    assert (error["type"], error["field"], error["file"]) == (
+        "ParseError", above, above)
+    assert error["message"] == \
+        f"{above}: cannot read: larger than {ser.MAX_FILE_BYTES} bytes"
+
+
+@pytest.mark.parametrize("n_first, readable", [(10, True), (12, False)])
+def test_size_cap_bounds_a_sequential_product_at_d64_near_120_outcomes(
+        capsys, tmp_path, n_first, readable):
+    """The cap holds about 121 complex 64 x 64 effects as the CLI writes
+    them (~277 kB each).  Only ``sequential`` writes more outcomes than it
+    reads: n_first x 11 of them, 110 read back and 132 refused."""
+    rng = np.random.default_rng(8)
+    paths = {}
+    for name, doc in (
+            ("instrument", ser.encode_instrument(
+                random_instrument(rng, 64, "trivial", n_first))),
+            ("obs", ser.encode_observable(random_observable(rng, 64, 11)))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(ser.canonical_json(doc), encoding="utf-8")
+    assert main(["sequential", "--instrument", str(paths["instrument"]),
+                 "--obs", str(paths["obs"])]) == 0
+    product = tmp_path / "product.json"
+    product.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert (product.stat().st_size <= ser.MAX_FILE_BYTES) == readable
+    code, out = run_cli(capsys, "validate", str(product), "--json")
+    if readable:
+        assert (code, out["kind"]) == (0, "observable")
+    else:
+        assert (code, out["error"]["type"]) == (2, "ParseError")
+
+
 _MALFORMED_FILES = {
     "observable-outcomes": {"type": "observable", "outcomes": ["a", "b"],
                             "effects": [{"dim": 1, "re": [[0.5]]},
@@ -854,7 +1029,7 @@ def _valid_argv(command, files) -> list[str]:
         "uncertainty": ["--state", files["state.json"],
                         "--obs-a", files["obs_a.json"],
                         "--obs-b", files["obs_b.json"]],
-        "demo": ["example1"],
+        "demo": ["example2"],  # example1 reads no shared flag
         "fuzz": ["--trials", "1", "--dims", "2"],
         "sweep-example4": ["--mu-grid", "0.5", "--samples", "2"],
         "sharp": ["--obs", files["obs_rand.json"]],
@@ -869,9 +1044,10 @@ def _valid_argv(command, files) -> list[str]:
 
 
 def test_parser_gives_each_subcommand_only_the_shared_flags_it_reads():
-    sub, = [a for a in _build_parser()._actions if isinstance(a.choices, dict)]
-    options = {name: {o[2:] for a in p._actions for o in a.option_strings}
-               for name, p in sub.choices.items()}
+    """A subcommand's options include those of its own subcommands: demo's
+    --seed is on the parsers of the examples that read it."""
+    options = {name: _options(p)
+               for name, p in _subparsers(_build_parser()).items()}
     assert {name: opts & set(_SHARED_VALUES) for name, opts in options.items()} \
         == _SHARED_FLAGS_READ
     assert all("json" in opts for opts in options.values())
@@ -924,13 +1100,16 @@ def test_console_entry_point_runs():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "qobs.cli", *argv],
+    def run(*argv, python=(sys.executable,)):
+        return subprocess.run([*python, "-m", "qobs.cli", *argv],
                               capture_output=True, text=True, env=env)
 
     proc = run("demo", "example1", "--json")
     assert proc.returncode == 0
     assert strict_loads(proc.stdout)["pass"] is True
+    # -OO strips the docstrings that the demo parsers take their help from
+    assert run("demo", "example1", "--json",
+               python=(sys.executable, "-OO")).stdout == proc.stdout
     proc = run("sharp", "--obs", "F", "--seed", "1", "--json")
     assert (proc.returncode, proc.stderr) == (2, "")
     assert proc.stdout.count("\n") == 1

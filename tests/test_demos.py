@@ -190,9 +190,3 @@ def test_demo_example4_decides_equality_as_the_sweep_does():
     row, = sweep_noisy_spin([1.0], [r])["rows"]
     assert row["slack"] == slack
     assert out["equality"] is row["equality"] is True
-
-
-def test_unknown_demo_is_known_demo():
-    with pytest.raises(ValidationError) as err:
-        demos.run_demo("example9")
-    assert (err.value.invariant, err.value.field) == ("known-demo", "name")

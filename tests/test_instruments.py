@@ -41,16 +41,14 @@ from qobs.sampling import (
     random_commutative_observable,
     random_density,
     random_hermitian,
-    random_instrument,
     random_observable,
     random_probability_vector,
-    random_sharp_observable,
 )
 from qobs.serialization import canonical_json, decode_instrument, encode_instrument
 from qobs.states import bloch_state
 
 from conftest import (assert_rebuilds_exactly, assert_same_parts, max_abs_diff,
-                      per_outcome)
+                      per_outcome, random_instrument, random_sharp_observable)
 
 FAMILIES = ("trivial", "holevo", "lueders")
 KRAUS_FORM = ("trivial", "lueders")  # the Holevo family keeps (A_x, alpha_x)

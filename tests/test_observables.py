@@ -21,10 +21,10 @@ from qobs.sampling import (
     haar_unitary,
     random_commutative_observable,
     random_observable,
-    random_sharp_observable,
 )
 
-from conftest import assert_rebuilds_exactly, max_abs_diff
+from conftest import (assert_rebuilds_exactly, max_abs_diff,
+                      random_sharp_observable)
 
 
 def trine_povm() -> obs.Observable:

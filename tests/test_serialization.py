@@ -15,12 +15,13 @@ from qobs.instruments import (Instrument, holevo_instrument, lueders_instrument,
 from qobs.linalg import psd_sqrt
 from qobs.observables import Observable, is_real
 from qobs.qubit import noisy_spin
-from qobs.sampling import (ginibre, haar_unitary, random_density, random_instrument,
+from qobs.sampling import (ginibre, haar_unitary, random_density,
                            random_observable, random_probability_vector)
 from qobs.statistics import uncertainty_report
 
 from conftest import (assert_same_parts, decode_matrices_loop, encode_matrix_loop,
-                      encode_stack_loop, max_abs_diff, per_outcome)
+                      encode_stack_loop, max_abs_diff, per_outcome,
+                      random_instrument)
 
 
 class TestMatrix:
