@@ -31,9 +31,7 @@ from .linalg import (
     TOL_PSD,
     TOL_REL,
     TOL_STAT,
-    EigenDecomposition,
     commutator,
-    hermitian_eigendecomposition,
     max_abs,
     psd_sqrt,
 )

@@ -109,8 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 [q.name for q in params if q.name in _SHARED_FLAGS], examples)
         for q in params:  # passed only when given; a tuple is written x,y,z
             if q.name not in _SHARED_FLAGS:
-                kind = str if isinstance(q.default, tuple) else type(q.default)
-                p.add_argument(f"--{q.name}", type=kind, default=argparse.SUPPRESS)
+                tup = isinstance(q.default, tuple)
+                shown = ",".join(map(str, q.default)) if tup else q.default
+                p.add_argument(f"--{q.name}", type=str if tup else type(q.default),
+                               default=argparse.SUPPRESS, help=f"default: {shown}")
 
     p = add("fuzz", "randomized property verification", _SHARED_FLAGS)
     p.add_argument("--trials", type=int, default=100)
@@ -240,20 +242,29 @@ def _cmd_fuzz(args) -> int:
                             tol_lin=args.tol_lin, tol_psd=args.tol_psd,
                             tol_stat=args.tol_stat,
                             cluster_tol=args.cluster_tol)
-    try:  # before the run, so an unwritable path costs no fuzzing; opened
-        # to append, so a failed run (or a replay of PATH) keeps its content
-        out = (contextlib.nullcontext() if args.output == "-"
-               else open(args.output, "a", encoding="utf-8"))
+    out, created = contextlib.nullcontext(), False
+    try:  # before the run, so an unwritable path costs no fuzzing; an existing
+        # PATH is opened to append, so a failed run (or a replay of PATH) keeps it
+        if args.output != "-":
+            try:  # made by this run, so a failed run removes it
+                out, created = open(args.output, "x", encoding="utf-8"), True
+            except FileExistsError:
+                out = open(args.output, "a", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"--output: cannot write {args.output}: {exc.strerror}",
                               invariant="writable-output", field="--output") from None
-    with out as stream:
-        result = (_load(args.replay, fuzz.replay_instance, config)
-                  if args.replay is not None else fuzz.run_fuzz(config))
-        # a result exists: replace what PATH held (a device or pipe has none)
-        if stream is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
-            stream.truncate(0)
-        _emit(result, args, stream)
+    try:
+        with out as stream:
+            result = (_load(args.replay, fuzz.replay_instance, config)
+                      if args.replay is not None else fuzz.run_fuzz(config))
+            # a result exists: replace what PATH held (a device or pipe has none)
+            if stream is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
+                stream.truncate(0)
+            _emit(result, args, stream)
+    except BaseException:
+        if created:  # a regular file, as ``open`` mode "x" makes one
+            os.remove(args.output)
+        raise
     return 1 if result.get("violations") else 0
 
 

@@ -32,7 +32,6 @@ from .linalg import (
     TOL_PSD,
     TOL_STAT,
     default_cluster_tol,
-    hermitian_eigendecomposition,
     max_abs,
     pair_scale,
     psd_sqrt,
@@ -183,9 +182,8 @@ def _shared(inst: dict, build, *names, **kw):
 
 def _chk_eigen_reconstruction(inst, cfg):
     H = inst["H"]
-    decomp = _shared(inst, hermitian_eigendecomposition, "H",
-                     cluster_tol=cfg.cluster_tol, tol=cfg.tol_lin)
-    return max_abs(decomp.reconstruct() - H), cfg.tol_lin * scale_of(H)
+    sharp = _shared(inst, sharp_version, "H", cluster_tol=cfg.cluster_tol)
+    return max_abs(stochastic_operator(sharp) - H), cfg.tol_lin * scale_of(H)
 
 
 def _chk_eigen_projections(inst, cfg):
@@ -195,8 +193,7 @@ def _chk_eigen_projections(inst, cfg):
     P_j >= -n, ||P_j|| <= 1 + n, P_i S_i P_l gives p <= a + (k-2) p^2 for a = (1+n) e
     + (k-1)(1+n)^2 n, and P_i (S_i - P_l) P_i >= -(k-2) n P_i^2 gives p^2 <= a.  So
     |(P_i P_l)_xy| <= p <= (k-1) a, and <= a / c if c = 1 - (k-2) sqrt(a) > 0."""
-    P = _shared(inst, hermitian_eigendecomposition, "H",
-                cluster_tol=cfg.cluster_tol, tol=cfg.tol_lin).projections
+    P = _shared(inst, sharp_version, "H", cluster_tol=cfg.cluster_tol).effects
     k, defect = len(P), P @ P - P
     e, n = (float(np.linalg.norm(X, axis=(-2, -1)).max(initial=0.0))  # >= op norms
             for X in (P[:-1] @ P[:0:-1].cumsum(0)[::-1], defect))  # P_i S_i, n
@@ -214,11 +211,6 @@ def _chk_psd_sqrt(inst, cfg):
     res = max_abs(S @ S - P) / (1.0 + max_abs(P))
     res = max(res, max_abs(S @ P - P @ S) / scale_of(P))
     return res, cfg.tol_lin
-
-
-def _chk_trace_adjoint(inst, cfg):
-    D = inst["C"] + 1j * inst["H"]  # generic non-Hermitian operand
-    return abs(np.trace(D.conj().T) - np.conj(np.trace(D))), cfg.tol_lin
 
 
 def _chk_form_psd(inst, cfg):
@@ -473,7 +465,6 @@ CHECKS = {
     "eigen.reconstruction": _chk_eigen_reconstruction,
     "eigen.projections": _chk_eigen_projections,
     "psd_sqrt.contract": _chk_psd_sqrt,
-    "trace.adjoint_conjugate": _chk_trace_adjoint,
     "state_form.psd": _chk_form_psd,
     "state_form.cauchy_schwarz": _chk_form_cauchy_schwarz,
     "state_form.conjugate_symmetry": _chk_form_conjugate_symmetry,

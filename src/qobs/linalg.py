@@ -1,6 +1,7 @@
 """Dense complex matrix arithmetic and the two spectral primitives the rest
-of the toolkit is built on: Hermitian eigendecomposition into eigenspace
-projections, and the positive-semidefinite square root.
+of the toolkit is built on: the positive-semidefinite square root, and the
+private Hermitian eigendecomposition into eigenspace projections, which
+``observables.sharp_version`` returns as a projection-valued observable.
 
 Operators are plain ``numpy`` arrays of ``complex128``.  Every function is
 pure and returns fresh arrays; values stored inside domain objects are
@@ -9,8 +10,6 @@ checks are done densely.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,57 +159,29 @@ def _eigh(M: np.ndarray):
         raise ConvergenceFailureError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition M = sum_i lambda_i P_i over distinct eigenvalues.
-
-    ``eigenvalues`` are strictly increasing after clustering, ``projections``
-    is one read-only ``(k, d, d)`` stack of the orthogonal projections onto
-    the corresponding eigenspaces, and ``multiplicities`` their ranks.
-    """
-
-    eigenvalues: tuple[float, ...]
-    projections: np.ndarray
-    multiplicities: tuple[int, ...]
-
-    def reconstruct(self) -> np.ndarray:
-        lam = np.array(self.eigenvalues)
-        return (lam[:, None, None] * self.projections).sum(0)
-
-
 def default_cluster_tol(M: np.ndarray, cluster_tol: float | None = None) -> float:
     """The eigenvalue clustering width for M: ``cluster_tol`` when given,
     else 1e-8 of M's scale; every clustering and its bound read it here."""
     return 1e-8 * scale_of(M) if cluster_tol is None else cluster_tol
 
 
-def hermitian_eigendecomposition(M, cluster_tol: float | None = None,
-                                 tol: float = TOL_LIN) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix into distinct eigenvalues.
-
-    Raw eigenvalues whose consecutive gap is at most ``cluster_tol`` are
-    merged into a single eigenspace whose reported eigenvalue is the mean of
-    the merged values.  Projections are sums of eigenvector outer products,
-    so they are basis-independent within each cluster.
-    """
-    return _eigendecomposition(require_hermitian(M, tol), cluster_tol)
-
-
-def _eigendecomposition(M: np.ndarray, cluster_tol: float | None) -> EigenDecomposition:
-    """``hermitian_eigendecomposition`` without the Hermiticity check."""
+def _eigendecomposition(M: np.ndarray, cluster_tol: float | None):
+    """(ws, P) with M = sum_i ws[i] P[i], for Hermitian M (unchecked):
+    strictly increasing eigenvalues and a ``(k, d, d)`` stack of the
+    projections onto their eigenspaces.  Raw eigenvalues whose consecutive
+    gap is at most ``cluster_tol`` merge into one eigenspace, valued at their
+    mean, whose projection is basis-independent: a sum of outer products."""
     w, V = _eigh(M)
     ws = w.tolist()
     cut = float(default_cluster_tol(M, cluster_tol))
     starts = [0, *(i for i in range(1, len(ws)) if ws[i] - ws[i - 1] > cut)]
     P = V.T[:, :, None] @ V.conj().T[:, None, :]  # v v*, one per eigenvector
-    values, sizes = tuple(ws), (1,) * len(ws)
     if len(starts) < len(ws):  # a merged cluster's mean, and sum of its slice
-        sizes = tuple(hi - lo for lo, hi in zip(starts, [*starts[1:], len(ws)]))
-        values = tuple((np.add.reduceat(w, starts) / sizes).tolist())
+        sizes = [hi - lo for lo, hi in zip(starts, [*starts[1:], len(ws)])]
+        ws = (np.add.reduceat(w, starts) / sizes).tolist()
         P = np.array([P[lo:lo + m].sum(0) if m > 1 else P[lo]
                       for lo, m in zip(starts, sizes)])
-    return EigenDecomposition(
-        values, frozen((P + P.conj().swapaxes(-1, -2)) / 2.0), sizes)
+    return ws, (P + P.conj().swapaxes(-1, -2)) / 2.0
 
 
 def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:

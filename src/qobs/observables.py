@@ -188,21 +188,23 @@ def _stored(cache: dict, key, build: Callable):
         return cache.setdefault(key, build())
 
 
-def sharp_version(A: Observable, cluster_tol: float | None = None) -> Observable:
+def sharp_version(A, cluster_tol: float | None = None) -> Observable:
     """The projection-valued observable given by the spectral decomposition
-    of the stochastic operator.
-
-    Outcomes are the distinct eigenvalues; the result has the same stochastic
-    operator as the input.  Outcomes carried only by zero effects do not
-    appear, since the stochastic operator cannot see them.  Repeated calls
-    with the same ``cluster_tol`` return the same object.
+    of A, a Hermitian matrix or a real-valued observable's stochastic
+    operator.  Outcomes are the distinct eigenvalues, each multiplicity the
+    rank of its effect; the stochastic operator is A's.  Outcomes carried
+    only by zero effects do not appear, since the stochastic operator cannot
+    see them.  For an observable, repeated calls with the same
+    ``cluster_tol`` return the same object.
     """
-    def build():
-        decomp = linalg._eigendecomposition(stochastic_operator(A), cluster_tol)
-        return Observable.__new__(Observable)._build(decomp.eigenvalues,
-                                                     decomp.projections)
+    def build(H):
+        return Observable.__new__(Observable)._build(
+            *linalg._eigendecomposition(H, cluster_tol))
 
-    return _stored(A._derived, ("sharp", cluster_tol), build)
+    if not isinstance(A, Observable):
+        return build(linalg.require_hermitian(A, name="A"))
+    return _stored(A._derived, ("sharp", cluster_tol),
+                   lambda: build(stochastic_operator(A)))
 
 
 def _pinched(A: Observable, cluster_tol: float | None) -> np.ndarray:

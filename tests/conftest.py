@@ -115,10 +115,14 @@ def eigendecomposition_loop(M, cluster_tol):
     cuts = [0, *(np.flatnonzero(np.diff(w) > cluster_tol) + 1).tolist(), len(w)]
     bounds = list(zip(cuts[:-1], cuts[1:]))
     P = np.array([V[:, lo:hi] @ V[:, lo:hi].conj().T for lo, hi in bounds])
-    return linalg.EigenDecomposition(
-        tuple(float(w[lo:hi].sum() / (hi - lo)) for lo, hi in bounds),
-        linalg.frozen((P + P.conj().swapaxes(-1, -2)) / 2.0),
-        tuple(hi - lo for lo, hi in bounds))
+    return ([float(w[lo:hi].sum() / (hi - lo)) for lo, hi in bounds],
+            (P + P.conj().swapaxes(-1, -2)) / 2.0)
+
+
+def ranks(P):
+    """The ranks round(tr P_i) of a stack of projections: the multiplicity
+    of each eigenvalue of a sharp version."""
+    return tuple(np.rint(P.trace(axis1=1, axis2=2).real).astype(int).tolist())
 
 
 def random_observable_loop(rng, dim, n_outcomes, outcomes=None):
@@ -206,8 +210,7 @@ def encode_stack_loop(stack):
 def eigen_projections_pairwise(inst, cfg):
     """``fuzz._chk_eigen_projections`` with the k(k-1)/2 products P_i P_j,
     in max-entry form."""
-    P = fuzz.hermitian_eigendecomposition(
-        inst["H"], cluster_tol=cfg.cluster_tol, tol=cfg.tol_lin).projections
+    P = fuzz.sharp_version(inst["H"], cfg.cluster_tol).effects
     i, j = np.triu_indices(len(P), 1)  # each pair of distinct projections
     res = max(linalg.max_abs(P.sum(0) - np.eye(len(inst["H"]))),
               linalg.max_abs(P @ P - P),

@@ -307,6 +307,22 @@ class TestDemo:
         assert (out["error"]["type"], out["error"]["message"]) == (
             "ParseError", f"unrecognized arguments: --{flag} {value}")
 
+    @pytest.mark.parametrize("name, shown", [
+        ("example4", {"mu": "0.5", "bloch": "0.3,0.4,0.2"}),
+        ("example6", {"dim": "3", "outcomes": "2"}),
+    ])
+    def test_help_shows_each_own_flags_default(self, capsys, name, shown):
+        """The defaults of the example's function, a tuple written as the
+        flag takes it."""
+        with pytest.raises(SystemExit) as info:
+            main(["demo", name, "--help"])
+        assert info.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for flag, default in shown.items():
+            line, = (line for line in lines
+                     if line.lstrip().startswith(f"--{flag} "))
+            assert line.endswith(f" default: {default}")
+
     def test_json_before_the_example_name_is_compact(self, capsys):
         assert main(["demo", "--json", "example1"]) == 0
         before = capsys.readouterr().out
@@ -405,6 +421,19 @@ class TestFuzz:
                                        "--output", str(out), "--json")
             assert (code, diagnostic["error"]["file"]) == (2, str(source))
             assert out.read_bytes() == b'{"kept": true}\n'
+
+    def test_failed_run_leaves_no_output_file_it_created(self, capsys,
+                                                           tmp_path):
+        new = tmp_path / "new.json"
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        code, diagnostic = run_cli(capsys, "fuzz", "--replay", str(bad),
+                                   "--output", str(new), "--json")
+        assert (code, diagnostic["error"]["file"]) == (2, str(bad))
+        assert not new.exists()
+        assert main(["fuzz", "--trials", "1", "--dims", "2",
+                     "--output", str(new)]) == 0
+        assert json.loads(new.read_text())["trials"] == 1
 
     def test_output_to_a_device_is_written(self, capsys):
         """A path that is no regular file, such as the null device, is

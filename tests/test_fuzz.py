@@ -24,6 +24,7 @@ from conftest import (
     lueders_instrument_loop,
     random_commutative_observable_loop,
     random_observable_loop,
+    ranks,
 )
 
 
@@ -47,13 +48,15 @@ def test_each_trial_builds_its_shared_values_once(monkeypatch):
     def counted(name, fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            calls.setdefault(name, []).append(args)  # keeps args alive
+            # an observable keeps its own sharp version; count those of H
+            if name != "sharp_version" or not isinstance(args[0], Observable):
+                calls.setdefault(name, []).append(args)  # keeps args alive
             return fn(*args, **kwargs)
         return wrapper
 
     for owner, attr in [(fuzz, "sequential_product"),
                         (fuzz.stats, "uncertainty_report"),
-                        (fuzz, "hermitian_eigendecomposition"),
+                        (fuzz, "sharp_version"),
                         (fuzz, "conjugate"), (fuzz, "coarse_grain"),
                         (fuzz, "conditioned_observable"),
                         (fuzz.Instrument, "channel"),
@@ -62,11 +65,11 @@ def test_each_trial_builds_its_shared_values_once(monkeypatch):
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     summary = fuzz.run_fuzz(fuzz.RunConfig(seed=5, trials=6, dims=(2, 3)))
     assert summary["violations"] == 0
-    # Per trial: two reports, conjugates of A and A_comm, and coarse
-    # grainings of A, the measured observable and the product.
+    # Per trial: two reports, the sharp version of H, conjugates of A and
+    # A_comm, and coarse grainings of A, the measured observable and the product.
     assert {name: len(args) for name, args in calls.items()} == {
         "sequential_product": 6, "uncertainty_report": 12,
-        "hermitian_eigendecomposition": 6, "conjugate": 12,
+        "sharp_version": 6, "conjugate": 12,
         "coarse_grain": 18, "conditioned_observable": 6,
         "Instrument.channel": 6, "Instrument.coarse_grain": 6}
     for name, args in calls.items():  # never twice on the same operands
@@ -133,7 +136,7 @@ def test_each_dim_meets_each_family_within_three_passes(monkeypatch, dims):
 # deliberately, re-pin ``SUMMARY_DIGESTS`` and name the change in CHANGES.md.
 PROPERTIES = (
     "eigen.reconstruction", "eigen.projections", "psd_sqrt.contract",
-    "trace.adjoint_conjugate", "state_form.psd", "state_form.cauchy_schwarz",
+    "state_form.psd", "state_form.cauchy_schwarz",
     "state_form.conjugate_symmetry", "state.faithful_witness",
     "bloch.eigenvalues", "sharp.same_stochastic", "sharp.idempotent",
     "conjugate.same_sharp", "conjugate.commutative_identity",
@@ -150,7 +153,7 @@ PROPERTIES = (
 
 def test_checks_are_exactly_the_listed_properties():
     assert tuple(fuzz.CHECKS) == PROPERTIES
-    assert len(PROPERTIES) == 30
+    assert len(PROPERTIES) == 29
 
 
 # SHA-256 of the bytes ``qobs fuzz --json`` prints for each config.  A digest
@@ -160,11 +163,11 @@ def test_checks_are_exactly_the_listed_properties():
 # rounds differently can move them without any change to the library.
 SUMMARY_DIGESTS = [
     (fuzz.RunConfig(seed=42, trials=200),
-     "e6a15742e4ff545df494b1074dc283a31fda038030de2f8118b5448b62af66d5"),
+     "bafc0fb279a48887a1e976c2930f85a778f53c32018db9dc8ca3d7eef13b03a9"),
     (fuzz.RunConfig(seed=3, trials=45, dims=tuple(range(1, 10))),
-     "7f864cb320dcc92b8c335a5696aceff088862e928e5940718f63a14557e24fc6"),
+     "3cf04cdbfeee64c2b954fda44933e440de9b697709adffc9e63d8653b3af1a12"),
     (fuzz.RunConfig(seed=5, trials=30, dims=(2, 3, 4), cluster_tol=0.05),
-     "12e38a45e563f19684ba7c472bb9d5f6770d648e984aa6a9e4dc18dc63dcaccc"),
+     "44871cde93fa69f25eb4babe134ab97e9fafa6146bef9dccfd8e8a31b13e058b"),
 ]
 
 
@@ -238,16 +241,14 @@ def test_tail_sums_bound_the_pairwise_products(monkeypatch, theta):
     """P_0 rotated by theta toward P_1: the tail-sum residual is at least
     the pairwise one, and both give the same verdict."""
     inst = fuzz.build_instance(np.random.default_rng(3), 4, "trivial")
-    exact = linalg.hermitian_eigendecomposition(inst["H"])
-    assert exact.multiplicities == (1, 1, 1, 1)
+    exact = fuzz.sharp_version(inst["H"])
+    assert ranks(exact.effects) == (1, 1, 1, 1)
     _, V = linalg._eigh(inst["H"])
     v = np.cos(theta) * V[:, 0] + np.sin(theta) * V[:, 1]
-    P = np.array(exact.projections)
+    P = np.array(exact.effects)
     P[0] = np.outer(v, v.conj())
-    rotated = linalg.EigenDecomposition(exact.eigenvalues, linalg.frozen(P),
-                                        exact.multiplicities)
-    monkeypatch.setattr(fuzz, "hermitian_eigendecomposition",
-                        lambda *args, **kw: rotated)
+    rotated = Observable.__new__(Observable)._build(exact.outcomes, P)
+    monkeypatch.setattr(fuzz, "sharp_version", lambda *args, **kw: rotated)
     config = fuzz.RunConfig()
     new, bound = fuzz._chk_eigen_projections(inst, config)
     old, _ = eigen_projections_pairwise(inst, config)
@@ -256,12 +257,11 @@ def test_tail_sums_bound_the_pairwise_products(monkeypatch, theta):
 
 
 def _planted_projections(monkeypatch, P):
-    """A d-dim trial whose eigendecomposition has the projections P."""
+    """A d-dim trial whose sharp version of H has the effects P; only
+    ``_chk_eigen_projections`` may read it, as every sharp version is P."""
     d = P.shape[1]
-    planted = linalg.EigenDecomposition(tuple(range(len(P))), linalg.frozen(P),
-                                        (1,) * len(P))
-    monkeypatch.setattr(fuzz, "hermitian_eigendecomposition",
-                        lambda *args, **kw: planted)
+    planted = Observable.__new__(Observable)._build(range(len(P)), P)
+    monkeypatch.setattr(fuzz, "sharp_version", lambda *args, **kw: planted)
     return {"H": np.diag(np.arange(d, dtype=float))}
 
 

@@ -11,12 +11,12 @@ from qobs.errors import (
     ValidationError,
 )
 from qobs.instruments import Instrument
-from qobs.observables import Observable
+from qobs.observables import Observable, sharp_version, stochastic_operator
 from qobs.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
-from qobs.sampling import random_hermitian
+from qobs.sampling import random_hermitian, random_observable
 from qobs.states import DensityOperator
 
-from conftest import max_abs_diff
+from conftest import max_abs_diff, ranks
 
 
 class TestArithmetic:
@@ -104,57 +104,73 @@ class TestCommutator:
 
 
 class TestEigendecomposition:
+    """``sharp_version`` of a Hermitian matrix: outcomes are the distinct
+    eigenvalues, effects the eigenprojections, multiplicities their ranks."""
+
     def test_sigma_z(self):
-        decomp = linalg.hermitian_eigendecomposition(SIGMA_Z)
-        assert decomp.eigenvalues == (-1.0, 1.0)
-        assert max_abs_diff(decomp.projections[0], np.diag([0.0, 1.0])) < 1e-15
-        assert max_abs_diff(decomp.projections[1], np.diag([1.0, 0.0])) < 1e-15
-        assert decomp.multiplicities == (1, 1)
+        sharp = sharp_version(SIGMA_Z)
+        assert sharp.outcomes == (-1.0, 1.0)
+        assert max_abs_diff(sharp.effects[0], np.diag([0.0, 1.0])) < 1e-15
+        assert max_abs_diff(sharp.effects[1], np.diag([1.0, 0.0])) < 1e-15
+        assert ranks(sharp.effects) == (1, 1)
 
     def test_fully_degenerate_identity_clusters(self):
-        decomp = linalg.hermitian_eigendecomposition(np.eye(4))
-        assert decomp.eigenvalues == (1.0,)
-        assert decomp.multiplicities == (4,)
-        assert max_abs_diff(decomp.projections[0], np.eye(4)) < 1e-14
+        sharp = sharp_version(np.eye(4))
+        assert sharp.outcomes == (1.0,)
+        assert ranks(sharp.effects) == (4,)
+        assert max_abs_diff(sharp.effects[0], np.eye(4)) < 1e-14
 
     def test_near_degenerate_pair_merges(self):
         M = np.diag([1.0, 1.0 + 1e-12, 2.0]).astype(complex)
-        decomp = linalg.hermitian_eigendecomposition(M, cluster_tol=1e-8)
-        assert len(decomp.eigenvalues) == 2
-        assert decomp.multiplicities == (2, 1)
-        assert abs(decomp.eigenvalues[0] - (1.0 + 5e-13)) < 1e-13
+        sharp = sharp_version(M, cluster_tol=1e-8)
+        assert len(sharp.outcomes) == 2
+        assert ranks(sharp.effects) == (2, 1)
+        assert abs(sharp.outcomes[0] - (1.0 + 5e-13)) < 1e-13
         M = np.diag([1.0, 1.0 + 1e-12, 2.0, 2.0 + 1e-12, 3.0]).astype(complex)
-        decomp = linalg.hermitian_eigendecomposition(M, cluster_tol=1e-8)
-        assert decomp.multiplicities == (2, 2, 1)
+        sharp = sharp_version(M, cluster_tol=1e-8)
+        assert ranks(sharp.effects) == (2, 2, 1)
 
     def test_reconstruction_oracle_d6(self, rng):
         M = random_hermitian(rng, 6)
-        decomp = linalg.hermitian_eigendecomposition(M)
-        assert max_abs_diff(decomp.reconstruct(), M) <= 1e-10 * linalg.max_abs(M)
+        sharp = sharp_version(M)
+        assert (max_abs_diff(stochastic_operator(sharp), M)
+                <= 1e-10 * linalg.max_abs(M))
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_invariants_random(self, dim, rng):
         for _ in range(25):
             M = random_hermitian(rng, dim)
-            decomp = linalg.hermitian_eigendecomposition(M)
-            projections = decomp.projections
-            k = len(decomp.eigenvalues)
+            sharp = sharp_version(M)
+            projections = sharp.effects
+            k = len(sharp.outcomes)
             assert projections.shape == (k, dim, dim)
             assert not projections.flags.writeable
-            assert all(x < y for x, y in zip(decomp.eigenvalues,
-                                             decomp.eigenvalues[1:]))
+            assert all(x < y for x, y in zip(sharp.outcomes, sharp.outcomes[1:]))
             assert max_abs_diff(sum(projections), np.eye(dim)) < 1e-9
             for i, P in enumerate(projections):
                 assert linalg.max_abs(P @ P - P) < 1e-9
                 assert linalg.max_abs(P - P.conj().T) < 1e-9
                 for Q in projections[i + 1:]:
                     assert linalg.max_abs(P @ Q) < 1e-9
-            assert sum(decomp.multiplicities) == dim
+            assert sum(ranks(projections)) == dim
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            linalg.hermitian_eigendecomposition(np.array([[0.0, 1.0],
-                                                          [0.0, 0.0]]))
+        with pytest.raises(NotHermitianError) as err:
+            sharp_version(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert err.value.field == "A"
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("cut", [None, 0.0])
+    def test_an_observable_and_its_stochastic_operator_agree(self, dim, cut):
+        """One path serves both inputs: the same outcomes and effect bits."""
+        rng = np.random.default_rng([dim, 9])
+        for n in (1, 2, 3, 4):
+            A = random_observable(rng, dim, n)
+            of_obs = sharp_version(A, cut)
+            of_matrix = sharp_version(stochastic_operator(A), cut)
+            assert of_matrix.outcomes == of_obs.outcomes
+            assert np.array_equal(of_matrix.effects, of_obs.effects)
+            assert of_matrix is not sharp_version(stochastic_operator(A), cut)
 
 
 class TestRequireHermitian:

@@ -1,0 +1,39 @@
+"""The README's examples run as written: the library quick start executes,
+and every ``qobs`` line of the CLI block parses."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from qobs.cli import _build_parser
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def _block(section: str, language: str) -> str:
+    """The first fenced ``language`` block under the ``## section`` heading."""
+    body = README.split(f"\n## {section}\n", 1)[1]
+    return re.search(rf"^```{language}\n(.*?)^```$", body, re.M | re.S).group(1)
+
+
+def test_library_quick_start_runs(capsys):
+    exec(_block("Library quick start", "python"), {})
+    assert capsys.readouterr().out.strip()  # it prints the report's terms
+
+
+CLI_LINES = [line for line in _block("Command-line interface", "sh").splitlines()
+             if line.startswith("qobs ")]
+
+
+def test_the_cli_block_has_twelve_qobs_lines():
+    assert len(CLI_LINES) == 12
+
+
+@pytest.mark.parametrize("line", CLI_LINES)
+def test_cli_line_parses(line):
+    """Optional parts in brackets are given, and the comment is dropped."""
+    argv = shlex.split(line.partition("#")[0].replace("[", "").replace("]", ""))
+    args = _build_parser().parse_args(argv[1:])
+    assert args.command == argv[1]

@@ -19,16 +19,15 @@ from conftest import (
     lueders_root_loop,
     random_commutative_observable_loop,
     random_observable_loop,
+    ranks,
 )
 
 DIMS = range(1, 7)
 
 
 def assert_same_decomposition(got, want):
-    assert got.eigenvalues == want.eigenvalues
-    assert got.multiplicities == want.multiplicities
-    assert np.array_equal(got.projections, want.projections)
-    assert not got.projections.flags.writeable
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -47,14 +46,13 @@ def test_merged_cluster_is_a_projection_near_the_loop_form():
     I, and lie within 1e-15 of the per-cluster matmul."""
     U = haar_unitary(np.random.default_rng(7), 3)
     H = (U * np.array([0.0, 5e-9, 1.0])) @ U.conj().T
-    got = linalg._eigendecomposition(H, None)
-    want = eigendecomposition_loop(H, None)
-    assert got.multiplicities == want.multiplicities == (2, 1)
-    assert got.eigenvalues == want.eigenvalues
-    P = got.projections
+    values, P = linalg._eigendecomposition(H, None)
+    want_values, want_P = eigendecomposition_loop(H, None)
+    assert ranks(P) == ranks(want_P) == (2, 1)
+    assert values == want_values
     assert linalg.max_abs(P @ P - P) <= 1e-15
     assert linalg.max_abs(P.sum(0) - np.eye(3)) <= 1e-15
-    assert linalg.max_abs(P - want.projections) <= 1e-15
+    assert linalg.max_abs(P - want_P) <= 1e-15
 
 
 @pytest.mark.parametrize("cut", [None, 0.9e-8, 0.0])
@@ -68,19 +66,20 @@ def test_scalar_clustering_of_a_chain_gives_the_numpy_starts(cut):
     w, _ = linalg._eigh(H)
     tol = linalg.default_cluster_tol(H) if cut is None else cut
     starts = np.append(0, np.flatnonzero(np.diff(w) > tol) + 1)
-    got, want = linalg._eigendecomposition(H, cut), eigendecomposition_loop(H, cut)
-    assert got.multiplicities == tuple(np.diff(starts, append=64).tolist())
-    assert got.multiplicities == want.multiplicities
-    assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-15)
-    assert linalg.max_abs(got.projections - want.projections) <= 1e-15
+    (values, P), (want_values, want_P) = (linalg._eigendecomposition(H, cut),
+                                          eigendecomposition_loop(H, cut))
+    assert ranks(P) == tuple(np.diff(starts, append=64).tolist())
+    assert ranks(P) == ranks(want_P)
+    assert np.allclose(values, want_values, rtol=0, atol=1e-15)
+    assert linalg.max_abs(P - want_P) <= 1e-15
     if cut is None:
-        assert got.multiplicities == (64,)
+        assert ranks(P) == (64,)
 
 
 def test_a_gap_of_exactly_cluster_tol_merges():
-    got = linalg._eigendecomposition(np.diag([0.0, 0.5, 1.0, 2.0]) + 0j, 0.5)
-    assert got.multiplicities == (3, 1)
-    assert got.eigenvalues == (0.5, 2.0)
+    values, P = linalg._eigendecomposition(np.diag([0.0, 0.5, 1.0, 2.0]) + 0j, 0.5)
+    assert ranks(P) == (3, 1)
+    assert values == [0.5, 2.0]
 
 
 @pytest.mark.parametrize("dim", DIMS)
