@@ -1,10 +1,10 @@
 """JSON-driven command-line front end.
 
-Subcommands: uncertainty, demo, fuzz, sweep-example4, sharp, conjugate,
-coarse-grain, sequential, conditioned, validate.  All file I/O uses the JSON
-schemas defined by the serialization module.  Exit codes: 0 success, 1 fuzz
-found a violated property, 2 parse or validation error (with a machine-
-readable diagnostic on stdout).
+Subcommands: uncertainty, demo, fuzz, replay, sweep-example4, sharp,
+conjugate, coarse-grain, sequential, conditioned, validate.  All file I/O
+uses the JSON schemas defined by the serialization module.  Exit codes: 0
+success, 1 fuzz found a violated property, 2 parse or validation error
+(with a machine-readable diagnostic on stdout).
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ _SHARED_FLAGS = {  # flags that several subcommands read: (type, default, help)
     "tol-stat": (float, TOL_STAT, "tolerance for statistical identities"),
     "cluster-tol": (float, None, "eigenvalue clustering width (default scale-aware)"),
     "seed": (int, 42, "PRNG seed for randomized commands"),
+    "output": (str, "-", "result destination path, '-' for stdout"),
 }
 
 # Numeric flags checked before any command runs: flag -> smallest allowed
@@ -104,24 +105,22 @@ def _build_parser() -> argparse.ArgumentParser:
         .add_subparsers(dest="name", required=True)
     for name in demos.DEMO_NAMES:  # the flags are the demo's own parameters
         run = getattr(demos, f"demo_{name}")
-        params = inspect.signature(run).parameters.values()
-        p = add(name, (run.__doc__ or name).partition(".")[0],
-                [q.name for q in params if q.name in _SHARED_FLAGS], examples)
-        for q in params:  # passed only when given; a tuple is written x,y,z
-            if q.name not in _SHARED_FLAGS:
-                tup = isinstance(q.default, tuple)
-                shown = ",".join(map(str, q.default)) if tup else q.default
-                p.add_argument(f"--{q.name}", type=str if tup else type(q.default),
-                               default=argparse.SUPPRESS, help=f"default: {shown}")
+        p = add(name, (run.__doc__ or name).partition(".")[0], (), examples)
+        for q in inspect.signature(run).parameters.values():
+            tup = isinstance(q.default, tuple)  # passed only when given
+            shown = ",".join(map(str, q.default)) if tup else q.default
+            p.add_argument(f"--{q.name}", type=str if tup else type(q.default),
+                           default=argparse.SUPPRESS, help=f"default: {shown}")
 
     p = add("fuzz", "randomized property verification", _SHARED_FLAGS)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--dims", type=str, default="2..6",
+    p.add_argument("--trials", type=int, default=fuzz.RunConfig.trials)
+    p.add_argument("--dims", type=str,
+                   default=",".join(map(str, fuzz.RunConfig.dims)),
                    help="comma list or A..B range of dimensions")
-    p.add_argument("--output", type=str, default="-",
-                   help="result destination path, '-' for stdout")
-    p.add_argument("--replay", type=str, default=None, metavar="FILE",
-                   help="re-evaluate a dumped worst instance instead")
+
+    p = add("replay", "re-evaluate the worst instance of a fuzz summary",
+            ("output",))
+    p.add_argument("file", metavar="FILE", help="a summary written by fuzz")
 
     p = add("sweep-example4", "noisy-spin term sweep over mu and Bloch vectors",
             ("seed",))
@@ -237,11 +236,13 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    config = fuzz.RunConfig(seed=args.seed, trials=args.trials,
-                            dims=_parse_dims(args.dims),
-                            tol_lin=args.tol_lin, tol_psd=args.tol_psd,
-                            tol_stat=args.tol_stat,
-                            cluster_tol=args.cluster_tol)
+    if args.command == "replay":
+        run = functools.partial(_load, args.file, fuzz.replay_instance)
+    else:  # the config is checked before the output is opened
+        run = functools.partial(fuzz.run_fuzz, fuzz.RunConfig(
+            seed=args.seed, trials=args.trials, dims=_parse_dims(args.dims),
+            tol_lin=args.tol_lin, tol_psd=args.tol_psd,
+            tol_stat=args.tol_stat, cluster_tol=args.cluster_tol))
     out, created = contextlib.nullcontext(), False
     try:  # before the run, so an unwritable path costs no fuzzing; an existing
         # PATH is opened to append, so a failed run (or a replay of PATH) keeps it
@@ -255,8 +256,7 @@ def _cmd_fuzz(args) -> int:
                               invariant="writable-output", field="--output") from None
     try:
         with out as stream:
-            result = (_load(args.replay, fuzz.replay_instance, config)
-                      if args.replay is not None else fuzz.run_fuzz(config))
+            result = run()
             # a result exists: replace what PATH held (a device or pipe has none)
             if stream is not None and stat.S_ISREG(os.fstat(stream.fileno()).st_mode):
                 stream.truncate(0)
@@ -337,6 +337,7 @@ _HANDLERS = {
     "uncertainty": _cmd_uncertainty,
     "demo": _cmd_demo,
     "fuzz": _cmd_fuzz,
+    "replay": _cmd_fuzz,
     "sweep-example4": _cmd_sweep,
     "validate": _cmd_validate,
     **{name: _cmd_observable for name in _OBSERVABLE_COMMANDS},

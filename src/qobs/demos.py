@@ -93,7 +93,7 @@ def demo_example1() -> dict:
     return out
 
 
-def demo_example2(dim: int = 3, seed: int = 7) -> dict:
+def demo_example2(dim: int = 3, seed: int = 42) -> dict:
     """At rho = I/n every statistic reduces to traces of operator products."""
     rng = np.random.default_rng(seed)
     n = dim
@@ -125,7 +125,7 @@ def _effect_at(A: Observable, outcome: float) -> np.ndarray:
     return A.effects[A.outcomes.index(outcome)]
 
 
-def demo_example3(dim: int = 2, seed: int = 7) -> dict:
+def demo_example3(dim: int = 2, seed: int = 42) -> dict:
     """Two-outcome observables: every statistic collapses onto the effect at
     outcome +1."""
     rng = np.random.default_rng(seed)
@@ -202,7 +202,7 @@ def _instrument_checks(ch: _Checks, inst, B: Observable, measured,
     return joint
 
 
-def demo_example5(dim: int = 3, seed: int = 7, outcomes: int = 2) -> dict:
+def demo_example5(dim: int = 3, seed: int = 42, outcomes: int = 2) -> dict:
     """Trivial instrument: outcome drawn from a fixed law, state untouched;
     conditioning on it changes nothing."""
     rng = np.random.default_rng(seed)
@@ -229,7 +229,7 @@ def demo_example5(dim: int = 3, seed: int = 7, outcomes: int = 2) -> dict:
                                   "outcomes": outcomes}, 1e-10)
 
 
-def demo_example6(dim: int = 3, seed: int = 7, outcomes: int = 2) -> dict:
+def demo_example6(dim: int = 3, seed: int = 42, outcomes: int = 2) -> dict:
     """Holevo instrument: probability from the measured effect, output state
     reprepared from a fixed family."""
     rng = np.random.default_rng(seed)
@@ -257,7 +257,7 @@ def demo_example6(dim: int = 3, seed: int = 7, outcomes: int = 2) -> dict:
                                   "outcomes": outcomes}, 1e-10)
 
 
-def demo_example7(dim: int = 2, seed: int = 7, outcomes: int = 2) -> dict:
+def demo_example7(dim: int = 2, seed: int = 42, outcomes: int = 2) -> dict:
     """Lueders instrument: square-root pinching; measures its own observable
     and dephases in the sharp case."""
     rng = np.random.default_rng(seed)

@@ -602,24 +602,22 @@ def run_fuzz(config: RunConfig) -> dict:
     }
 
 
-def replay_instance(dump, config: RunConfig | None = None) -> dict:
+def replay_instance(summary) -> dict:
     """Re-evaluate the ``worst`` member of a run summary at the tolerances
-    the summary records, or a dumped worst instance at ``config``;
-    deterministic arithmetic makes the residual reproduce bit-for-bit.  A
-    malformed dump raises ``ParseError`` naming the field."""
-    summary = dump if isinstance(dump, dict) and "worst" in dump else None
-    dump = dump if summary is None else summary["worst"]
+    the summary records; deterministic arithmetic makes the residual
+    reproduce bit-for-bit.  A malformed summary raises ``ParseError`` naming
+    the field."""
+    dump = _expect(summary, "worst", "dump")
     name = _expect(dump, "property", "dump")
     if not isinstance(name, str) or name not in CHECKS:
         raise ParseError(f"dump.property: unknown property {name!r}",
                          field="dump.property")
-    if summary is not None:
-        tols = _expect(summary, "tolerances", "dump")
-        for key, field in _TOLERANCES:
-            if not _is_tolerance(_expect(tols, key, "dump.tolerances"), field):
-                raise ParseError(f"dump.tolerances.{key}: expected a finite "
-                                 "number >= 0", field=f"dump.tolerances.{key}")
-        config = RunConfig(**{field: tols[key] for key, field in _TOLERANCES})
+    tols = _expect(summary, "tolerances", "dump")
+    for key, field in _TOLERANCES:
+        if not _is_tolerance(_expect(tols, key, "dump.tolerances"), field):
+            raise ParseError(f"dump.tolerances.{key}: expected a finite "
+                             "number >= 0", field=f"dump.tolerances.{key}")
+    config = RunConfig(**{field: tols[key] for key, field in _TOLERANCES})
     try:
         instance = decode_instance(_expect(dump, "instance", "dump"),
                                    "dump.instance")
@@ -629,7 +627,7 @@ def replay_instance(dump, config: RunConfig | None = None) -> dict:
         raise ParseError(f"dump.instance: cannot rebuild the trial ({exc!r})",
                          field="dump.instance") from None
     try:
-        residual, bound = CHECKS[name](instance, config or RunConfig())
+        residual, bound = CHECKS[name](instance, config)
     except Exception as exc:
         return {"schema": SCHEMA_VERSION, "property": name,
                 "error": f"{type(exc).__name__}: {exc}"}

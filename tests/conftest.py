@@ -20,6 +20,20 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def subparsers(parser) -> dict:
+    """The parsers of a parser's subcommands, by name."""
+    return {name: p for a in parser._actions if isinstance(a.choices, dict)
+            for name, p in a.choices.items()}
+
+
+def long_options(parser) -> set:
+    """The long options of a parser and of the parsers under it, without
+    their leading dashes."""
+    return {o[2:] for a in parser._actions for o in a.option_strings
+            if o.startswith("--")}.union(*map(long_options,
+                                              subparsers(parser).values()))
+
+
 def max_abs_diff(A, B) -> float:
     return float(np.max(np.abs(np.asarray(A) - np.asarray(B))))
 

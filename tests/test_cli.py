@@ -25,7 +25,7 @@ from qobs.sampling import (
 )
 from qobs.states import DensityOperator
 
-from conftest import random_instrument
+from conftest import long_options, random_instrument, subparsers
 
 
 def _refuse(constant):
@@ -41,6 +41,17 @@ def run_cli(capsys, *argv) -> tuple[int, dict | list | None]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (strict_loads(out) if out.strip().startswith(("{", "[")) else out)
+
+
+# The tolerances a fuzz summary records for a run at the defaults.
+_DEFAULT_TOLERANCES = {key: getattr(fuzz.RunConfig(), field)
+                       for key, field in fuzz._TOLERANCES}
+
+
+def _summary(worst) -> dict:
+    """The least document that ``replay`` reads: ``worst`` and the
+    tolerances to replay it at."""
+    return {"tolerances": _DEFAULT_TOLERANCES, "worst": worst}
 
 
 @pytest.fixture
@@ -66,6 +77,9 @@ def files(tmp_path, rng):
         "type": "instrument", "family": "lueders",
         "observable": ser.encode_observable(noisy_spin(0.5, "x"))})
     write("fmap.json", {"1": 1.0, "-1": 1.0})
+    paths["summary.json"] = str(tmp_path / "summary.json")
+    (tmp_path / "summary.json").write_text(ser.canonical_json(
+        fuzz.run_fuzz(fuzz.RunConfig(trials=1, dims=(2,)))))
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -227,20 +241,6 @@ _DEMO_FLAGS_UNREAD = [(name, flag) for name, read in _DEMO_FLAGS_READ.items()
                       for flag in _DEMO_VALUES if flag not in read]
 
 
-def _subparsers(parser) -> dict:
-    """The parsers of a parser's subcommands, by name."""
-    return {name: p for a in parser._actions if isinstance(a.choices, dict)
-            for name, p in a.choices.items()}
-
-
-def _options(parser) -> set:
-    """The long options of a parser and of the parsers under it, without
-    their leading dashes."""
-    return {o[2:] for a in parser._actions for o in a.option_strings
-            if o.startswith("--")}.union(*map(_options,
-                                              _subparsers(parser).values()))
-
-
 class TestDemo:
     @pytest.mark.parametrize("name", [f"example{i}" for i in range(1, 8)])
     def test_all_demos_pass(self, capsys, name):
@@ -279,11 +279,11 @@ class TestDemo:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_each_example_parser_takes_its_functions_parameters(self):
-        examples = _subparsers(_subparsers(_build_parser())["demo"])
+        examples = subparsers(subparsers(_build_parser())["demo"])
         assert list(examples) == list(demos.DEMO_NAMES)
         for name, p in examples.items():
             params = inspect.signature(getattr(demos, f"demo_{name}")).parameters
-            assert _options(p) - {"help"} == {*params, "json"} \
+            assert long_options(p) - {"help"} == {*params, "json"} \
                 == _DEMO_FLAGS_READ[name] | {"json"}
         assert sum(map(len, _DEMO_FLAGS_READ.values())) == 15  # of 7 x 5 slots
         assert len(_DEMO_FLAGS_UNREAD) == 20
@@ -352,8 +352,9 @@ class TestFuzz:
         assert code == 0
         summary = strict_loads((tmp_path / "summary.json").read_text())
         dump = tmp_path / "worst.json"
-        dump.write_text(json.dumps(summary["worst"]))
-        code, out = run_cli(capsys, "fuzz", "--replay", str(dump))
+        dump.write_text(json.dumps({"tolerances": summary["tolerances"],
+                                    "worst": summary["worst"]}))
+        code, out = run_cli(capsys, "replay", str(dump))
         assert code == 0
         assert repr(out["residual"]) == repr(summary["worst"]["residual"])
 
@@ -361,7 +362,7 @@ class TestFuzz:
         summary_path = str(tmp_path / "s.json")
         main(["fuzz", "--trials", "30", "--seed", "42", "--output", summary_path])
         worst = strict_loads((tmp_path / "s.json").read_text())["worst"]
-        code, out = run_cli(capsys, "fuzz", "--replay", summary_path, "--json")
+        code, out = run_cli(capsys, "replay", summary_path, "--json")
         assert code == 0
         assert out["property"] == worst["property"]
         assert repr(out["residual"]) == repr(worst["residual"])
@@ -378,23 +379,20 @@ class TestFuzz:
         summary_path = str(tmp_path / "s.json")
         main(["fuzz", *run, "--output", summary_path])
         worst = strict_loads((tmp_path / "s.json").read_text())["worst"]
-        # The flags apply only to a bare worst dump.
-        for flags in ([], ["--tol-lin", "1e-3", "--cluster-tol", "1e-8"]):
-            code, out = run_cli(capsys, "fuzz", "--replay", summary_path,
-                                *flags, "--json")
-            assert code == 0
-            assert out["property"] == worst["property"]
-            assert repr(out.get("ratio")) == repr(worst["ratio"])
-            assert out.get("error") == worst.get("error")
+        code, out = run_cli(capsys, "replay", summary_path, "--json")
+        assert code == 0
+        assert out["property"] == worst["property"]
+        assert repr(out.get("ratio")) == repr(worst["ratio"])
+        assert out.get("error") == worst.get("error")
 
     def test_replay_honours_output(self, capsys, tmp_path):
         summary = str(tmp_path / "s.json")
         main(["fuzz", "--trials", "6", "--dims", "2", "--seed", "3",
               "--output", summary])
-        assert main(["fuzz", "--replay", summary, "--json"]) == 0
+        assert main(["replay", summary, "--json"]) == 0
         printed = capsys.readouterr().out
         written = tmp_path / "replay.json"
-        assert main(["fuzz", "--replay", summary, "--output", str(written),
+        assert main(["replay", summary, "--output", str(written),
                      "--json"]) == 0
         assert capsys.readouterr().out == ""
         assert written.read_text() == printed
@@ -404,9 +402,9 @@ class TestFuzz:
         summary = str(tmp_path / "s.json")
         main(["fuzz", "--trials", "6", "--dims", "2", "--seed", "3",
               "--output", summary])
-        assert main(["fuzz", "--replay", summary, "--json"]) == 0
+        assert main(["replay", summary, "--json"]) == 0
         printed = capsys.readouterr().out
-        assert main(["fuzz", "--replay", summary, "--output", summary,
+        assert main(["replay", summary, "--output", summary,
                      "--json"]) == 0
         assert (tmp_path / "s.json").read_text() == printed
 
@@ -417,7 +415,7 @@ class TestFuzz:
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
         for source in (bad, out):  # a broken dump, then PATH itself
-            code, diagnostic = run_cli(capsys, "fuzz", "--replay", str(source),
+            code, diagnostic = run_cli(capsys, "replay", str(source),
                                        "--output", str(out), "--json")
             assert (code, diagnostic["error"]["file"]) == (2, str(source))
             assert out.read_bytes() == b'{"kept": true}\n'
@@ -427,7 +425,7 @@ class TestFuzz:
         new = tmp_path / "new.json"
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
-        code, diagnostic = run_cli(capsys, "fuzz", "--replay", str(bad),
+        code, diagnostic = run_cli(capsys, "replay", str(bad),
                                    "--output", str(new), "--json")
         assert (code, diagnostic["error"]["file"]) == (2, str(bad))
         assert not new.exists()
@@ -453,9 +451,9 @@ class TestFuzz:
 
         monkeypatch.setattr(fuzz, "run_fuzz", refuse)
         monkeypatch.setattr(fuzz, "replay_instance", refuse)
-        source = ["--replay", str(summary)] if replay else ["--trials", "1"]
+        source = ["replay", str(summary)] if replay else ["fuzz", "--trials", "1"]
         for target in (tmp_path / "missing" / "x.json", tmp_path):
-            code = main(["fuzz", *source, "--output", str(target), "--json"])
+            code = main([*source, "--output", str(target), "--json"])
             captured = capsys.readouterr()
             assert (code, captured.err, captured.out.count("\n")) == (2, "", 1)
             error = strict_loads(captured.out)["error"]
@@ -464,21 +462,24 @@ class TestFuzz:
             assert str(target) in error["message"]
 
     @pytest.mark.parametrize("dump, field", [
-        ({"property": "nope", "instance": {}}, "dump.property"),
-        ([1, 2], "dump"),
-        ({"property": ["eigen.reconstruction"], "instance": {}}, "dump.property"),
+        (_summary({"property": "nope", "instance": {}}), "dump.property"),
+        (_summary([1, 2]), "dump"),
+        (_summary({"property": ["eigen.reconstruction"], "instance": {}}),
+         "dump.property"),
         ({"worst": {"property": "nope"}}, "dump.property"),
-        ({"property": "eigen.reconstruction"}, "dump.instance"),
-        ({"property": "eigen.reconstruction", "instance": [1]}, "dump.instance"),
-        ({"property": "eigen.reconstruction", "instance": {"dim": 2}},
-         "dump.instance.family"),
-        ({"property": "eigen.reconstruction",
-          "instance": {"dim": "x", "family": "trivial", "omega": {"1": 1.0}}},
+        (_summary({"property": "eigen.reconstruction"}), "dump.instance"),
+        (_summary({"property": "eigen.reconstruction", "instance": [1]}),
          "dump.instance"),
-        ({"property": "eigen.reconstruction",
-          "instance": {"dim": 2, "family": "bogus"}}, "dump.instance.family"),
-        ({"property": "eigen.reconstruction", "instance": {
-            "dim": 100000, "family": "trivial", "omega": {"1": 1.0}}},
+        (_summary({"property": "eigen.reconstruction",
+                   "instance": {"dim": 2}}), "dump.instance.family"),
+        (_summary({"property": "eigen.reconstruction", "instance": {
+            "dim": "x", "family": "trivial", "omega": {"1": 1.0}}}),
+         "dump.instance"),
+        (_summary({"property": "eigen.reconstruction",
+                   "instance": {"dim": 2, "family": "bogus"}}),
+         "dump.instance.family"),
+        (_summary({"property": "eigen.reconstruction", "instance": {
+            "dim": 100000, "family": "trivial", "omega": {"1": 1.0}}}),
          "dump.instance.dim"),
         ({"worst": {"property": "eigen.reconstruction"}}, "dump.tolerances"),
         ({"worst": {"property": "eigen.reconstruction"},
@@ -491,12 +492,13 @@ class TestFuzz:
         ({"worst": {"property": "eigen.reconstruction"},
           "tolerances": {"lin": 1e-9, "psd": 1e-8, "stat": None,
                          "cluster": None}}, "dump.tolerances.stat"),
+        ({"tolerances": _DEFAULT_TOLERANCES}, "dump.worst"),
     ])
     def test_malformed_replay_exits_2_naming_the_field(self, capsys, tmp_path,
                                                         dump, field):
         path = tmp_path / "dump.json"
         path.write_text(json.dumps(dump))
-        code, out = run_cli(capsys, "fuzz", "--replay", str(path), "--json")
+        code, out = run_cli(capsys, "replay", str(path), "--json")
         assert code == 2
         assert out["error"]["field"] == field
         assert out["error"]["file"] == str(path)
@@ -518,7 +520,7 @@ class TestFuzz:
         path = tmp_path / "s.json"
         main(["fuzz", *run, "--output", str(path)])
         summary = strict_loads(path.read_text())
-        main(["fuzz", "--replay", str(path), "--json"])
+        main(["replay", str(path), "--json"])
         replay = strict_loads(capsys.readouterr().out)
         assert replay.get("ratio") == summary["worst"]["ratio"]
         if run[-2:] == ["--tol-lin", "0"]:  # eigen.projections' bound is 0
@@ -526,16 +528,16 @@ class TestFuzz:
         if run[-4:] == ["--dims", "1", "--tol-lin", "0"]:  # worst is 0 / 0
             assert (summary["worst"]["bound"], replay["ratio"]) == (0.0, None)
         if run == ["--trials", "3", "--seed", "42"]:
-            # Trial 1 (d=3, holevo) as a bare dump: at --tol-lin 1e-17 its
+            # Trial 1 (d=3, holevo) in a summary at tolerance lin 1e-17: its
             # A_comm is not commutative, and the residual is inf.
             rng = np.random.default_rng(np.random.SeedSequence(42).spawn(2)[1])
             bare = tmp_path / "bare.json"
             bare.write_text(json.dumps({
-                "property": "conjugate.commutative_identity",
-                "instance": fuzz.encode_instance(
-                    fuzz.build_instance(rng, 3, "holevo"))}))
-            code, out = run_cli(capsys, "fuzz", "--replay", str(bare),
-                                "--tol-lin", "1e-17", "--json")
+                "tolerances": {**summary["tolerances"], "lin": 1e-17},
+                "worst": {"property": "conjugate.commutative_identity",
+                          "instance": fuzz.encode_instance(
+                              fuzz.build_instance(rng, 3, "holevo"))}}))
+            code, out = run_cli(capsys, "replay", str(bare), "--json")
             assert (code, out["residual"], out["ratio"], out["bound"]) == (
                 0, None, None, 1e-17)
 
@@ -557,6 +559,22 @@ class TestFuzz:
         code, out = run_cli(capsys, "fuzz", "--trials", "0", "--json")
         assert code == 2
         assert out["error"]["invariant"] == "positive-trials"
+
+    def test_defaults_are_those_of_run_config(self, capsys, monkeypatch):
+        configs = []
+
+        def run(config):
+            configs.append(config)
+            return {"violations": 0}
+
+        monkeypatch.setattr(fuzz, "run_fuzz", run)
+        assert main(["fuzz", "--json"]) == 0
+        assert configs == [fuzz.RunConfig()]
+
+    def test_replay_parser_takes_only_the_file_output_and_json(self):
+        p = subparsers(_build_parser())["replay"]
+        assert {a.dest for a in p._actions} - {"help"} == {
+            "file", "output", "json"}
 
 
 class TestSweep:
@@ -808,8 +826,8 @@ _UNREADABLE_FILES = {  # name: (write the path, start of the message)
 
 
 @pytest.mark.parametrize("name", _UNREADABLE_FILES)
-@pytest.mark.parametrize("command", [["validate"], ["fuzz", "--replay"]],
-                         ids=["validate", "fuzz-replay"])
+@pytest.mark.parametrize("command", [["validate"], ["replay"]],
+                         ids=["validate", "replay"])
 def test_unreadable_file_is_one_parse_error_naming_the_path(capsys, tmp_path,
                                                             name, command):
     """A file that is not UTF-8 JSON text, or cannot be read, or nests or
@@ -830,13 +848,13 @@ def test_unreadable_file_is_one_parse_error_naming_the_path(capsys, tmp_path,
 
 @pytest.fixture(scope="module")
 def capped_files(tmp_path_factory):
-    """For validate and for fuzz --replay: a valid document padded with
+    """For validate and for replay: a valid document padded with
     spaces to exactly MAX_FILE_BYTES, and the same with one space more."""
     rng = np.random.default_rng(5)
     docs = {"validate": {"type": "bloch", "r": [0.0, 0.6, 0.8]},
-            "fuzz": {"property": "eigen.reconstruction",
-                     "instance": fuzz.encode_instance(
-                         fuzz.build_instance(rng, 2, "trivial"))}}
+            "replay": _summary({"property": "eigen.reconstruction",
+                                "instance": fuzz.encode_instance(
+                                    fuzz.build_instance(rng, 2, "trivial"))})}
     paths = {}
     for command, doc in docs.items():
         text = json.dumps(doc).encode("utf-8")
@@ -848,8 +866,8 @@ def capped_files(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("command", [["validate"], ["fuzz", "--replay"]],
-                         ids=["validate", "fuzz-replay"])
+@pytest.mark.parametrize("command", [["validate"], ["replay"]],
+                         ids=["validate", "replay"])
 def test_input_file_at_the_size_cap_is_read_and_one_byte_more_is_not(
         capsys, capped_files, command):
     at_cap, above = capped_files[command[0]]
@@ -1040,7 +1058,8 @@ _TOLS = {"tol-lin", "tol-psd"}
 _SHARED_FLAGS_READ = {
     "uncertainty": _TOLS | {"tol-stat"},
     "demo": {"seed"},
-    "fuzz": _TOLS | {"tol-stat", "cluster-tol", "seed"},
+    "fuzz": _TOLS | {"tol-stat", "cluster-tol", "seed", "output"},
+    "replay": {"output"},
     "sweep-example4": {"seed"},
     "sharp": _TOLS | {"cluster-tol"},
     "conjugate": _TOLS | {"cluster-tol"},
@@ -1050,7 +1069,7 @@ _SHARED_FLAGS_READ = {
     "validate": _TOLS,
 }
 _SHARED_VALUES = {"tol-lin": "1e-9", "tol-psd": "1e-8", "tol-stat": "1e-9",
-                  "cluster-tol": "1e-6", "seed": "3"}
+                  "cluster-tol": "1e-6", "seed": "3", "output": os.devnull}
 
 
 def _valid_argv(command, files) -> list[str]:
@@ -1060,6 +1079,7 @@ def _valid_argv(command, files) -> list[str]:
                         "--obs-b", files["obs_b.json"]],
         "demo": ["example2"],  # example1 reads no shared flag
         "fuzz": ["--trials", "1", "--dims", "2"],
+        "replay": [files["summary.json"]],
         "sweep-example4": ["--mu-grid", "0.5", "--samples", "2"],
         "sharp": ["--obs", files["obs_rand.json"]],
         "conjugate": ["--obs", files["obs_rand.json"]],
@@ -1075,12 +1095,12 @@ def _valid_argv(command, files) -> list[str]:
 def test_parser_gives_each_subcommand_only_the_shared_flags_it_reads():
     """A subcommand's options include those of its own subcommands: demo's
     --seed is on the parsers of the examples that read it."""
-    options = {name: _options(p)
-               for name, p in _subparsers(_build_parser()).items()}
+    options = {name: long_options(p)
+               for name, p in subparsers(_build_parser()).items()}
     assert {name: opts & set(_SHARED_VALUES) for name, opts in options.items()} \
         == _SHARED_FLAGS_READ
     assert all("json" in opts for opts in options.values())
-    assert sum(map(len, _SHARED_FLAGS_READ.values())) == 24  # of 10 x 5 slots
+    assert sum(map(len, _SHARED_FLAGS_READ.values())) == 26  # of 11 x 6 slots
 
 
 @pytest.mark.parametrize("command", list(_SHARED_FLAGS_READ))
@@ -1109,6 +1129,11 @@ def test_each_subcommand_takes_only_the_shared_flags_it_reads(capsys, files,
     (["demo", "example1", "--js"], "unrecognized arguments: --js"),  # no prefixes
     (["fuzz", "--trials", "1", "--dims", "2", "--clus", "0.1"],
      "unrecognized arguments: --clus 0.1"),
+    (["fuzz", "--replay", "s.json"], "unrecognized arguments: --replay s.json"),
+    # replay takes no flag of a fuzz run; for the shared flags see
+    # test_each_subcommand_takes_only_the_shared_flags_it_reads
+    (["replay", "s.json", "--trials", "0"], "unrecognized arguments: --trials 0"),
+    (["replay", "s.json", "--dims", "2"], "unrecognized arguments: --dims 2"),
 ])
 @pytest.mark.parametrize("compact", [False, True])
 def test_usage_error_is_one_json_diagnostic(capsys, argv, message, compact):

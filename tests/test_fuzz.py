@@ -107,7 +107,7 @@ def test_worst_is_the_first_error_of_the_run():
         if name == worst["property"]:
             break
         check(instance, config)
-    assert fuzz.replay_instance(worst, config)["error"] == worst["error"]
+    assert fuzz.replay_instance(summary)["error"] == worst["error"]
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), tuple(range(1, 10)),

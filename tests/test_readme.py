@@ -1,5 +1,6 @@
 """The README's examples run as written: the library quick start executes,
-and every ``qobs`` line of the CLI block parses."""
+every ``qobs`` line of the CLI block parses, and the shared-flags table
+states what the parser takes."""
 
 import re
 import shlex
@@ -7,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from qobs.cli import _build_parser
+from qobs.cli import _SHARED_FLAGS, _build_parser
+
+from conftest import long_options, subparsers
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -37,3 +40,19 @@ def test_cli_line_parses(line):
     argv = shlex.split(line.partition("#")[0].replace("[", "").replace("]", ""))
     args = _build_parser().parse_args(argv[1:])
     assert args.command == argv[1]
+
+
+def test_shared_flags_table_states_each_subcommands_shared_flags():
+    """Each row: the subcommands in backticks, and the shared flags that
+    each of them (with the parsers under it) takes."""
+    table = re.search(r"Each takes only the\s+shared flags[^|]*((?:\|.*\n)+)",
+                      README).group(1)
+    subcommands = subparsers(_build_parser())
+    listed = []
+    for row in table.splitlines()[2:]:  # after the header and its rule
+        names, flags = row.split("|")[1:3]
+        for name in re.findall(r"`([a-z0-9-]+)`", names):
+            listed.append(name)
+            assert long_options(subcommands[name]) & set(_SHARED_FLAGS) == \
+                set(re.findall(r"`--([a-z-]+)`", flags)), name
+    assert sorted(listed) == sorted(subcommands)
