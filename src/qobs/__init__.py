@@ -8,22 +8,10 @@ CLI for worked examples.
 """
 
 from .errors import (
-    CompletenessViolationError,
     ConvergenceFailureError,
-    DimensionMismatchError,
-    DuplicateOutcomeError,
     InternalConsistencyError,
-    MissingLabelError,
-    NotAnEffectError,
-    NotAProbabilityError,
-    NotCommutingError,
-    NotHermitianError,
-    NotPSDError,
-    OutsideBlochBallError,
     ParseError,
     QobsError,
-    TraceNotOneError,
-    UnknownOutcomeError,
     ValidationError,
 )
 from .linalg import (

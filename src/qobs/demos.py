@@ -301,7 +301,7 @@ def sweep_noisy_spin(mu_grid, bloch_vectors) -> dict:
     which is asserted to hold within ``_SPIN_TOL`` (1e-12).
 
     All Bloch vectors are validated up front, as ``bloch_state`` validates
-    one, so a vector outside the ball raises ``OutsideBlochBallError`` before
+    one, so a vector outside the ball is a ``bloch-ball`` error before
     any row is computed; the states built from them are not checked again.
     Each mu then takes one pass of the moment kernel on mu sigma_x and
     mu sigma_y, read with its closed forms as arrays.

@@ -1,9 +1,13 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit: one class per kind of failure.
 
-Every toolkit error carries one diagnostic record, declared on ``QobsError``
-alone: the name of the violated invariant and, where meaningful, the
-measured violation magnitude, the offending input field and the input file,
-so callers (the CLI in particular) can emit machine-readable diagnostics.
+``ValidationError`` is an input that breaks a rule, ``ParseError`` a
+document or argv that does not match the schema, ``InternalConsistencyError``
+an identity that failed (a bug), and ``ConvergenceFailureError`` an
+eigensolver that did not converge.  Which rule broke is named by the
+``invariant`` of the one diagnostic record, declared on ``QobsError`` alone,
+with the measured violation magnitude, the offending input field and the
+input file where meaningful, so callers (the CLI in particular) can emit
+machine-readable diagnostics.
 """
 
 from __future__ import annotations
@@ -25,74 +29,11 @@ class QobsError(Exception):
 
 
 class ValidationError(QobsError, ValueError):
-    """A domain object violates one of its invariants."""
-
-
-class DimensionMismatchError(ValidationError):
-    """Operands have incompatible shapes."""
-
-
-class NotHermitianError(ValidationError):
-    """Matrix fails the Hermiticity check."""
-
-
-class NotPSDError(ValidationError):
-    """Matrix has an eigenvalue below the allowed negative slack."""
+    """An input violates one of its rules, named by ``invariant``."""
 
 
 class ConvergenceFailureError(QobsError):
     """The eigensolver did not converge."""
-
-
-class TraceNotOneError(ValidationError):
-    """Candidate density operator does not have unit trace."""
-
-
-class OutsideBlochBallError(ValidationError):
-    """Bloch vector has norm larger than one."""
-
-
-class NotAnEffectError(ValidationError):
-    """Matrix is not Hermitian with spectrum inside [0, 1]."""
-
-    def __init__(self, message: str, *, index: int | None = None, **kw):
-        super().__init__(message, **kw)
-        self.index = index
-
-
-class CompletenessViolationError(ValidationError):
-    """Effects (or Kraus maps) do not sum to the identity."""
-
-    residual = property(lambda self: self.violation,
-                        doc="The completeness residual, read-only: ``violation``.")
-
-
-class DuplicateOutcomeError(ValidationError):
-    """Outcome values (or labels) are not pairwise distinct."""
-
-
-class NotCommutingError(ValidationError):
-    """A pair of effects fails the commutation precondition."""
-
-    def __init__(self, message: str, *, x=None, y=None, **kw):
-        super().__init__(message, **kw)
-        self.x = x
-        self.y = y
-
-    norm = property(lambda self: self.violation,
-                    doc="The commutator's norm, read-only: ``violation``.")
-
-
-class MissingLabelError(ValidationError):
-    """A coarse-graining function is not total on the outcome space."""
-
-
-class UnknownOutcomeError(ValidationError):
-    """Requested outcome is not in the instrument's outcome space."""
-
-
-class NotAProbabilityError(ValidationError):
-    """Weights are negative or do not sum to one."""
 
 
 class InternalConsistencyError(QobsError):

@@ -605,8 +605,9 @@ def run_fuzz(config: RunConfig) -> dict:
 def replay_instance(summary) -> dict:
     """Re-evaluate the ``worst`` member of a run summary at the tolerances
     the summary records; deterministic arithmetic makes the residual
-    reproduce bit-for-bit.  A malformed summary raises ``ParseError`` naming
-    the field."""
+    reproduce bit-for-bit.  ``violations`` is 1 when the check raised or its
+    residual exceeds its bound, as ``run_fuzz`` counts, else 0.  A malformed
+    summary raises ``ParseError`` naming the field."""
     dump = _expect(summary, "worst", "dump")
     name = _expect(dump, "property", "dump")
     if not isinstance(name, str) or name not in CHECKS:
@@ -629,8 +630,9 @@ def replay_instance(summary) -> dict:
     try:
         residual, bound = CHECKS[name](instance, config)
     except Exception as exc:
-        return {"schema": SCHEMA_VERSION, "property": name,
+        return {"schema": SCHEMA_VERSION, "property": name, "violations": 1,
                 "error": f"{type(exc).__name__}: {exc}"}
     return {"schema": SCHEMA_VERSION, "property": name,
             "residual": residual, "bound": bound,
-            "ratio": residual / bound if bound > 0 else math.inf}
+            "ratio": residual / bound if bound > 0 else math.inf,
+            "violations": int(residual > bound)}

@@ -16,12 +16,7 @@ from collections.abc import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatchError,
-    NotAProbabilityError,
-    UnknownOutcomeError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix
 from .observables import (Observable, _on_keys, _pair_keyed, _stored,
                           canonical_outcome, fibers, is_real)
@@ -60,8 +55,8 @@ class Instrument(_Immutable):
         dims = [K.shape[1] for K, in parts]
         if len(set(dims)) > 1:  # name the first outcome off the first dim
             i = next(i for i, d in enumerate(dims) if d != dims[0])
-            raise DimensionMismatchError("Kraus operators have mixed dims",
-                                         invariant="matching-dims", field=f"kraus[{i}]")
+            raise ValidationError("Kraus operators have mixed dims",
+                                  invariant="matching-dims", field=f"kraus[{i}]")
         self._build(outs, parts)
         try:
             self._derived["measured"] = Observable(
@@ -87,7 +82,7 @@ class Instrument(_Immutable):
         try:
             return self.outcomes.index(x)
         except ValueError:
-            raise UnknownOutcomeError(
+            raise ValidationError(
                 f"outcome {x!r} not in {self.outcomes}",
                 invariant="known-outcome") from None
 
@@ -101,7 +96,7 @@ class Instrument(_Immutable):
         each of an ``(n, d, d)`` stack of them."""
         C = (linalg.as_stack if np.ndim(C) == 3 else as_matrix)(C, name="C")
         if C.shape[-1] != self.dim:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"operator dim {C.shape[-1]} does not match instrument dim {self.dim}",
                 invariant="matching-dims")
         return _sandwich(self._parts[self._index(x)], C, dual=True)
@@ -142,12 +137,12 @@ def trivial_instrument(omega: Mapping, dim: int, *,
         canonical_outcome(x)
     probs = [float(omega[x]) for x in outcomes]
     if not all(p >= -tol_lin for p in probs):  # a NaN weight fails too
-        raise NotAProbabilityError(
+        raise ValidationError(
             "weights must be nonnegative", invariant="nonnegative-weights",
             violation=None if np.isnan(probs).any() else -min(probs))
     total = sum(probs)
     if not abs(total - 1.0) <= tol_lin:
-        raise NotAProbabilityError(
+        raise ValidationError(
             f"weights sum to {total!r}, expected 1",
             invariant="unit-total", violation=abs(total - 1.0))
     eye = as_matrix(np.eye(dim, dtype=complex), name="kraus[0][0]")  # d < 1 raises
@@ -170,7 +165,7 @@ def holevo_instrument(A: Observable,
         raise ValidationError("need one reprepared state per outcome",
                               invariant="parallel-lists")
     if any(alpha.dim != A.dim for alpha in alphas):
-        raise DimensionMismatchError(
+        raise ValidationError(
             "reprepared state dim does not match observable dim",
             invariant="matching-dims")
     return Instrument.__new__(Instrument)._build(A.keys, [
@@ -188,7 +183,7 @@ def lueders_instrument(A: Observable) -> Instrument:
 def _dual_images(inst: Instrument, B: Observable) -> list[np.ndarray]:
     """For each outcome x, the stack of dual_x(B_y) over B's outcomes."""
     if inst.dim != B.dim:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"instrument dim {inst.dim} does not match observable dim {B.dim}",
             invariant="matching-dims")
     return [_sandwich(part, B.effects, dual=True) for part in inst._parts]

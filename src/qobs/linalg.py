@@ -13,13 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailureError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPSDError,
-    ValidationError,
-)
+from .errors import ConvergenceFailureError, ValidationError
 
 # Default tolerances. All overridable per call.
 TOL_LIN = 1e-9    # structural identities: Hermiticity, completeness, reconstruction
@@ -38,7 +32,7 @@ def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name} is not a matrix of numbers",
                               invariant="numeric-entries", field=name) from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"{name} must be a square matrix, got shape {arr.shape}",
             invariant="square", field=name)
     if not np.isfinite(arr).all():
@@ -71,7 +65,7 @@ def as_stack(mats, *, name: str) -> np.ndarray:
     dim = items[0].shape[0]
     for i, M in enumerate(items):
         if M.shape[0] != dim:
-            raise DimensionMismatchError(
+            raise ValidationError(
                 f"{name}[{i}] has dim {M.shape[0]}, expected {dim}",
                 invariant="matching-dims", field=f"{name}[{i}]")
     return np.stack(items)
@@ -122,7 +116,7 @@ def commutator(A, B) -> np.ndarray:
     """AB - BA."""
     A, B = as_matrix(A, name="A"), as_matrix(B, name="B")
     if A.shape != B.shape:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"dimension mismatch: {A.shape[0]} vs {B.shape[0]}",
             invariant="matching-dims")
     return A @ B - B @ A
@@ -136,9 +130,9 @@ def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.nd
     M = as_matrix(M, name=name)
     defect = hermiticity_defect(M)
     if defect > tol * scale_of(M):
-        raise NotHermitianError(f"{name} is not Hermitian (defect {defect:.3e})",
-                                invariant="hermitian", violation=float(defect),
-                                field=name)
+        raise ValidationError(f"{name} is not Hermitian (defect {defect:.3e})",
+                              invariant="hermitian", violation=float(defect),
+                              field=name)
     return M
 
 
@@ -188,11 +182,11 @@ def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
     Eigenvalues in [-tol_psd, 0) are treated as rounding noise and clipped
-    to zero; anything lower raises ``NotPSDError``.
+    to zero; anything lower is a ``psd`` error.
     """
     w, V = _eigh(require_hermitian(M, tol))
     if w[0] < -tol_psd:
-        raise NotPSDError(
+        raise ValidationError(
             f"matrix has eigenvalue {w[0]:.3e} below -{tol_psd:.1e}",
             invariant="psd", violation=float(-w[0]))
     return _root(w, V)

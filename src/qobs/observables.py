@@ -14,16 +14,7 @@ from collections.abc import Callable, Hashable, Mapping, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (
-    CompletenessViolationError,
-    DimensionMismatchError,
-    DuplicateOutcomeError,
-    MissingLabelError,
-    NotAnEffectError,
-    NotCommutingError,
-    UnknownOutcomeError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .linalg import TOL_LIN, TOL_PSD, _Immutable, entry_norms, scale_of
 
 
@@ -66,21 +57,20 @@ def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
         where = f"effect[{i}]"
         defect, neg_lo, hi_gap = residual[i:3 * n:n]
         if over[i]:
-            raise NotAnEffectError(
+            raise ValidationError(
                 f"{where} is not Hermitian (defect {defect:.3e})",
-                invariant="hermitian", violation=float(defect),
-                field=where, index=i)
+                invariant="hermitian", violation=float(defect), field=where)
         if over[n + i]:
-            raise NotAnEffectError(
+            raise ValidationError(
                 f"{where} has eigenvalue {-neg_lo:.3e} < 0",
                 invariant="effect-lower-bound", violation=float(neg_lo),
-                field=where, index=i)
-        raise NotAnEffectError(
+                field=where)
+        raise ValidationError(
             f"{where} has eigenvalue {float(hi_gap + 1.0)!r} > 1",
             invariant="effect-upper-bound", violation=float(hi_gap),
-            field=where, index=i)
+            field=where)
     if over[-1]:
-        raise CompletenessViolationError(
+        raise ValidationError(
             f"effects sum to identity with residual {residual[-1]:.3e}",
             invariant="completeness", violation=float(residual[-1]))
 
@@ -117,7 +107,7 @@ class Observable(_Immutable):
         if real:
             keys = tuple(canonical_outcome(x) for x in keys)
         if len(set(keys)) != len(keys):
-            raise DuplicateOutcomeError(
+            raise ValidationError(
                 "outcomes are not pairwise distinct",
                 invariant="distinct-outcomes" if real else "distinct-labels")
         if tols is not None:
@@ -249,7 +239,7 @@ def commuting_joint(A: Observable, B: Observable,
                     tol: float = TOL_LIN) -> Observable:
     """Joint observable C_(x,y) = A_x B_y for pairwise commuting effects.
 
-    Raises ``NotCommutingError`` on the first pair whose commutator exceeds
+    Fails ``commuting-effects`` on the first pair whose commutator exceeds
     ``tol``, relative to the effects' norms.  That checks how the inputs
     relate; the products of their checked effects are not checked again.
     Keys are (x, y) pairs; coarse graining by ``key[0]`` gives A, by
@@ -258,17 +248,17 @@ def commuting_joint(A: Observable, B: Observable,
     xs = _outcomes(A, "a commuting joint")
     ys = _outcomes(B, "a commuting joint")
     if A.dim != B.dim:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"observables have dims {A.dim} and {B.dim}",
             invariant="matching-dims")
     AB, over, norm = _commutators(A, B, tol)
     bad = np.argwhere(over)
     if bad.size:
         i, j = bad[0]
-        raise NotCommutingError(
+        raise ValidationError(
             f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute "
-            f"(norm {norm[i, j]:.3e})", x=xs[i], y=ys[j],
-            invariant="commuting-effects", violation=float(norm[i, j]))
+            f"(norm {norm[i, j]:.3e})", invariant="commuting-effects",
+            violation=float(norm[i, j]))
     return _pair_keyed(xs, ys, AB)
 
 
@@ -277,13 +267,13 @@ def _on_keys(f: Mapping, keys: Sequence[Hashable], what: str) -> list:
     matched as dict keys are (1 matches 1.0); ``what`` names the values."""
     missing = [key for key in keys if key not in f]
     if missing:
-        raise MissingLabelError(f"no {what} for outcome {missing[0]!r}",
-                                invariant="total-function", field=str(missing[0]))
+        raise ValidationError(f"no {what} for outcome {missing[0]!r}",
+                              invariant="total-function", field=str(missing[0]))
     known = set(keys)
     unknown = [key for key in f if key not in known]
     if unknown:
-        raise UnknownOutcomeError(f"{what} for {unknown[0]!r}, not an outcome",
-                                  invariant="known-outcome", field=str(unknown[0]))
+        raise ValidationError(f"{what} for {unknown[0]!r}, not an outcome",
+                              invariant="known-outcome", field=str(unknown[0]))
     return [f[key] for key in keys]
 
 

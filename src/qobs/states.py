@@ -8,12 +8,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (
-    NotPSDError,
-    OutsideBlochBallError,
-    TraceNotOneError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .linalg import TOL_LIN, TOL_PSD, _Immutable, as_matrix
 
 
@@ -31,12 +26,12 @@ class DensityOperator(_Immutable):
         M = linalg.require_hermitian(M, tol_lin, name="state")
         eigs = linalg.hermitian_eigenvalues(M)
         if eigs[0] < -tol_psd:
-            raise NotPSDError(
+            raise ValidationError(
                 f"state has eigenvalue {eigs[0]:.3e} below -{tol_psd:.1e}",
                 invariant="psd", violation=float(-eigs[0]), field="state")
         tr = M.trace()
         if abs(tr - 1.0) > tol_lin:
-            raise TraceNotOneError(
+            raise ValidationError(
                 f"state has trace {complex(tr)!r}, expected 1",
                 invariant="unit-trace", violation=float(abs(tr - 1.0)),
                 field="state")
@@ -76,9 +71,8 @@ def _bloch_matrices(vectors, tol_lin: float):
     over = np.flatnonzero(norm > 1.0 + tol_lin)
     if over.size:
         n = float(norm[over[0]])
-        raise OutsideBlochBallError(f"Bloch vector has norm {n!r} > 1",
-                                    invariant="bloch-ball", violation=n - 1.0,
-                                    field="r")
+        raise ValidationError(f"Bloch vector has norm {n!r} > 1",
+                              invariant="bloch-ball", violation=n - 1.0, field="r")
     r1, r2, r3 = r.T
     # The operations of the complex literals (1 +- r3) and r1 -+ 1j r2, so
     # every entry, signed zeros included, is the one Python arithmetic gives.
@@ -120,7 +114,7 @@ def state_form(rho: DensityOperator, C, D) -> complex:
     C = as_matrix(C, name="C")
     D = as_matrix(D, name="D")
     if C.shape[0] != rho.dim or D.shape[0] != rho.dim:
-        raise linalg.DimensionMismatchError(
+        raise ValidationError(
             f"operands of dim {C.shape[0]}, {D.shape[0]} do not match state dim {rho.dim}",
             invariant="matching-dims")
     return complex(np.trace(rho.matrix @ C.conj().T @ D))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalConsistencyError
+from .errors import InternalConsistencyError, ValidationError
 from .linalg import TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian, scale_of
 from .observables import Observable, stochastic_operator
 from .states import DensityOperator, is_faithful
@@ -27,7 +27,7 @@ def _as_operator(x, dim: int, name: str) -> np.ndarray:
     op = (stochastic_operator(x) if isinstance(x, Observable)
           else require_hermitian(x, name=name))
     if op.shape[0] != dim:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"{name} has dim {op.shape[0]}, state has dim {dim}",
             invariant="matching-dims", field=name)
     return op
@@ -194,8 +194,8 @@ def linear_relation(A, B, *, tol_lin: float = TOL_LIN,
     A = require_hermitian(A, name="A")
     B = require_hermitian(B, name="B")
     if A.shape != B.shape:
-        raise DimensionMismatchError("A and B must have equal dims",
-                                     invariant="matching-dims")
+        raise ValidationError("A and B must have equal dims",
+                              invariant="matching-dims")
     return _fit(A, B, tol_lin, tol_rel)
 
 

@@ -355,7 +355,7 @@ class TestFuzz:
         dump.write_text(json.dumps({"tolerances": summary["tolerances"],
                                     "worst": summary["worst"]}))
         code, out = run_cli(capsys, "replay", str(dump))
-        assert code == 0
+        assert (code, out["violations"]) == (0, 0)
         assert repr(out["residual"]) == repr(summary["worst"]["residual"])
 
     def test_replay_of_a_summary_reproduces_its_worst(self, capsys, tmp_path):
@@ -370,20 +370,23 @@ class TestFuzz:
 
     @pytest.mark.parametrize("run", [
         ["--trials", "30", "--seed", "5", "--dims", "2..4",
-         "--cluster-tol", "0.05"],
+         "--cluster-tol", "0.05"],  # the worst's ratio is 2.19e6
         ["--trials", "9", "--seed", "42", "--dims", "2..4",
-         "--tol-lin", "1e-17"],
+         "--tol-lin", "1e-17"],  # the worst is an error entry
     ], ids=["cluster-tol", "tol-lin"])
     def test_replay_of_a_summary_uses_the_tolerances_it_records(
             self, capsys, tmp_path, run):
+        """Each worst is a violation, so its replay counts one, as
+        ``run_fuzz`` counts, and exits 1, as ``fuzz`` does."""
         summary_path = str(tmp_path / "s.json")
         main(["fuzz", *run, "--output", summary_path])
         worst = strict_loads((tmp_path / "s.json").read_text())["worst"]
         code, out = run_cli(capsys, "replay", summary_path, "--json")
-        assert code == 0
+        assert (code, out["violations"]) == (1, 1)
         assert out["property"] == worst["property"]
         assert repr(out.get("ratio")) == repr(worst["ratio"])
         assert out.get("error") == worst.get("error")
+        assert ("error" in out) == (run[-1] == "1e-17")
 
     def test_replay_honours_output(self, capsys, tmp_path):
         summary = str(tmp_path / "s.json")
@@ -539,7 +542,7 @@ class TestFuzz:
                               fuzz.build_instance(rng, 3, "holevo"))}}))
             code, out = run_cli(capsys, "replay", str(bare), "--json")
             assert (code, out["residual"], out["ratio"], out["bound"]) == (
-                0, None, None, 1e-17)
+                1, None, None, 1e-17)
 
     def test_absurd_tolerance_forces_violation_exit(self, capsys):
         code = main(["fuzz", "--trials", "3", "--dims", "2", "--seed", "1",
@@ -697,7 +700,7 @@ class TestObservableCommands:
         assert code == 2
         error = out["error"]
         assert (error["type"], error["invariant"], error["field"]) == (
-            "UnknownOutcomeError", "known-outcome", "typo")
+            "ValidationError", "known-outcome", "typo")
 
     def test_numeric_map_key_naming_no_outcome_is_named_as_written(
             self, capsys, files, tmp_path):
@@ -708,7 +711,7 @@ class TestObservableCommands:
         assert code == 2
         error = out["error"]
         assert (error["type"], error["invariant"], error["field"]) == (
-            "UnknownOutcomeError", "known-outcome", "7")
+            "ValidationError", "known-outcome", "7")
 
     def test_lueders_instrument_file(self, capsys, files):
         code, out = run_cli(capsys, "sequential",
@@ -735,7 +738,7 @@ class TestValidate:
         code, out = run_cli(capsys, "validate", str(bad))
         assert code == 2
         err = out["error"]
-        assert err["type"] == "NotAnEffectError"
+        assert err["type"] == "ValidationError"
         assert err["file"] == str(bad)
         assert err["invariant"] == "effect-upper-bound"
         assert err["violation"] == pytest.approx(1.0)

@@ -12,7 +12,7 @@ import pytest
 
 from qobs import demos, linalg, statistics as stats
 from qobs.demos import demo_example4, sweep_noisy_spin
-from qobs.errors import OutsideBlochBallError, ValidationError
+from qobs.errors import ValidationError
 from qobs.observables import Observable
 from qobs.qubit import noisy_spin, noisy_spin_closed_forms
 from qobs.sampling import random_bloch_vector
@@ -108,15 +108,16 @@ class TestSweepNoisySpin:
 
     def test_vector_outside_the_ball_fails_before_any_row(self, monkeypatch):
         _, passes, _ = self._count_calls(monkeypatch)
-        with pytest.raises(OutsideBlochBallError):
+        with pytest.raises(ValidationError) as err:
             sweep_noisy_spin([0.5], [(0.0, 0.0, 0.5), (1.0, 1.0, 0.0)])
+        assert err.value.invariant == "bloch-ball"
         assert passes == []
 
     def test_first_vector_outside_the_ball_is_reported(self):
-        with pytest.raises(OutsideBlochBallError) as err:
+        with pytest.raises(ValidationError) as err:
             sweep_noisy_spin([0.5], [(0.0, 0.0, 0.5), (0.0, 0.0, 1.5),
                                      (1.0, 1.0, 0.0)])
-        assert err.value.field == "r"
+        assert (err.value.invariant, err.value.field) == ("bloch-ball", "r")
         assert err.value.violation == 0.5
         assert str(err.value) == "Bloch vector has norm 1.5 > 1"
 

@@ -5,9 +5,13 @@ an interface, like the public names in test_public_api.py.  Each is a
 string literal at an ``invariant=`` keyword in the package source (or one
 of two literals of a conditional expression).  Adding, removing or
 renaming one is an interface change: update this list deliberately and
-name the change in CHANGES.md."""
+name the change in CHANGES.md.
+
+Each invariant is raised under one exception class, so a diagnostic's
+``type`` follows from its ``invariant``."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import qobs
@@ -43,15 +47,47 @@ def _literals(node: ast.expr, where: str) -> set:
     raise AssertionError(f"{where}: invariant is not a string literal")
 
 
+def _trees():
+    for path in sorted(Path(qobs.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _source_invariants() -> set:
     found = set()
-    for path in sorted(Path(qobs.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.keyword) and node.arg == "invariant":
-                found |= _literals(node.value, f"{path.name}:{node.lineno}")
+                found |= _literals(node.value, f"{name}:{node.lineno}")
     return found
+
+
+def _error_calls():
+    """(class, invariants, where) for each call of a toolkit exception class
+    in the package source, by its name or through a module attribute."""
+    classes = {name for name, value in vars(qobs.errors).items()
+               if isinstance(value, type) and issubclass(value, qobs.QobsError)}
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            cls = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and cls in classes:
+                where = f"{module}:{node.lineno}"
+                yield cls, set().union(*(_literals(k.value, where)
+                                         for k in node.keywords
+                                         if k.arg == "invariant")), where
 
 
 def test_diagnostics_name_exactly_the_listed_invariants():
     assert _source_invariants() == INVARIANTS
     assert len(INVARIANTS) == 40
+
+
+def test_each_invariant_is_raised_under_one_class():
+    raised = defaultdict(set)
+    for cls, invariants, where in _error_calls():
+        if cls in ("ValidationError", "InternalConsistencyError"):
+            assert invariants, f"{where}: {cls} names no invariant"
+        for invariant in invariants:
+            raised[invariant].add(cls)
+    assert set(raised) == INVARIANTS  # no invariant outside an error call
+    assert {key: cls for key, cls in raised.items() if len(cls) > 1} == {}

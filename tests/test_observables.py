@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 
 from qobs import observables as obs
-from qobs.errors import (
-    CompletenessViolationError,
-    DimensionMismatchError,
-    DuplicateOutcomeError,
-    MissingLabelError,
-    NotAnEffectError,
-    NotCommutingError,
-    ValidationError,
-)
+from qobs.errors import ValidationError
 from qobs.qubit import SIGMA_X, SIGMA_Y, noisy_spin
 from qobs.sampling import (
     haar_unitary,
@@ -53,41 +45,48 @@ class TestConstruction:
         assert len(A) == 2
 
     def test_rejects_non_effect(self):
-        with pytest.raises(NotAnEffectError) as err:
+        with pytest.raises(ValidationError) as err:
             obs.Observable([1.0, -1.0], [2 * np.eye(2), -np.eye(2)])
-        assert err.value.index == 0
+        assert (err.value.invariant, err.value.field) == ("effect-upper-bound",
+                                                          "effect[0]")
 
     def test_rejects_incomplete(self):
-        with pytest.raises(CompletenessViolationError) as err:
+        with pytest.raises(ValidationError) as err:
             obs.Observable([0.0, 1.0], [0.5 * np.eye(2), 0.4 * np.eye(2)])
-        assert err.value.residual == pytest.approx(0.1)
+        assert err.value.invariant == "completeness"
+        assert err.value.violation == pytest.approx(0.1)
 
     def test_rejects_duplicate_outcomes(self):
-        with pytest.raises(DuplicateOutcomeError):
+        with pytest.raises(ValidationError) as err:
             obs.Observable([1.0, 1.0], [0.5 * np.eye(2), 0.5 * np.eye(2)])
+        assert err.value.invariant == "distinct-outcomes"
 
     def test_negative_zero_outcome_is_duplicate_of_zero(self):
-        with pytest.raises(DuplicateOutcomeError):
+        with pytest.raises(ValidationError) as err:
             obs.Observable([0.0, -0.0], [0.5 * np.eye(2), 0.5 * np.eye(2)])
+        assert err.value.invariant == "distinct-outcomes"
 
     def test_general_observable_labels(self):
         G = obs.Observable(["up", "down"],
                            [0.5 * np.eye(2), 0.5 * np.eye(2)])
         assert G.keys == ("up", "down")
-        with pytest.raises(DuplicateOutcomeError):
+        with pytest.raises(ValidationError) as err:
             obs.Observable(["a", "a"],
                            [0.5 * np.eye(2), 0.5 * np.eye(2)])
+        assert err.value.invariant == "distinct-labels"
 
     def test_checks_run_in_their_order(self):
         # Lists, then keys, then each effect, then completeness.
         with pytest.raises(ValidationError) as err:
             obs.Observable([1.0, 1.0], [np.eye(2)])
         assert err.value.invariant == "parallel-lists"
-        with pytest.raises(DuplicateOutcomeError):
+        with pytest.raises(ValidationError) as err:
             obs.Observable([1.0, 1.0], [2 * np.eye(2), [[1.0]]])
-        with pytest.raises(NotAnEffectError) as err:
+        assert err.value.invariant == "distinct-outcomes"
+        with pytest.raises(ValidationError) as err:
             obs.Observable([0.0, 1.0], [0.5 * np.eye(2), 2 * np.eye(2)])
-        assert err.value.invariant == "effect-upper-bound"
+        assert (err.value.invariant, err.value.field) == ("effect-upper-bound",
+                                                          "effect[1]")
 
 
 def _planted_stacks(tol_lin, tol_psd):
@@ -154,8 +153,7 @@ class TestEffectRule:
             if expected is None:
                 obs.Observable(keys, E, tol_lin=tol_lin, tol_psd=tol_psd)
                 continue
-            with pytest.raises((NotAnEffectError,
-                                CompletenessViolationError)) as err:
+            with pytest.raises(ValidationError) as err:
                 obs.Observable(keys, E, tol_lin=tol_lin, tol_psd=tol_psd)
             got = (err.value.invariant, err.value.field, err.value.violation)
             assert got == expected, name
@@ -448,29 +446,33 @@ class TestCommutingJoint:
     def test_noncommuting_pair_rejected(self):
         A = noisy_spin(1.0, "x")
         B = noisy_spin(1.0, "y")
-        with pytest.raises(NotCommutingError) as err:
+        with pytest.raises(ValidationError) as err:
             obs.commuting_joint(A, B)
-        assert err.value.norm == pytest.approx(0.5)
+        assert err.value.invariant == "commuting-effects"
+        assert err.value.violation == pytest.approx(0.5)
 
     def test_dims_must_match(self):
-        with pytest.raises(DimensionMismatchError) as err:
+        with pytest.raises(ValidationError) as err:
             obs.commuting_joint(noisy_spin(0.5, "z"),
                                 obs.Observable([0.0], [np.eye(3)]))
         assert err.value.invariant == "matching-dims"
 
 
-def test_residual_and_norm_are_read_only_names_of_the_violation():
-    with pytest.raises(CompletenessViolationError) as incomplete:
+def test_residual_and_norm_are_the_violation_and_in_the_message():
+    """The completeness residual and the commutator's norm are ``violation``;
+    the message also names them, and the pair of outcomes that fails."""
+    with pytest.raises(ValidationError) as incomplete:
         obs.Observable([0.0, 1.0], [0.5 * np.eye(2), 0.4 * np.eye(2)])
-    with pytest.raises(NotCommutingError) as noncommuting:
+    with pytest.raises(ValidationError) as noncommuting:
         obs.commuting_joint(noisy_spin(1.0, "x"), noisy_spin(1.0, "y"))
-    for info, name, invariant in ((incomplete, "residual", "completeness"),
-                                  (noncommuting, "norm", "commuting-effects")):
+    for info, invariant, violation, message in (
+            (incomplete, "completeness", 0.1,
+             "effects sum to identity with residual 1.000e-01"),
+            (noncommuting, "commuting-effects", 0.5,
+             "effects at outcomes (-1.0, -1.0) do not commute (norm 5.000e-01)")):
         exc = info.value
-        assert getattr(exc, name) == exc.violation > 0
-        assert exc.invariant == invariant
-        with pytest.raises(AttributeError):
-            setattr(exc, name, 0.0)
+        assert (exc.invariant, str(exc)) == (invariant, message)
+        assert exc.violation == pytest.approx(violation)
 
 
 def test_noisy_spin_needs_a_known_axis():
@@ -520,8 +522,9 @@ class TestCoarseGrain:
 
     def test_missing_label_rejected(self):
         A = noisy_spin(0.5, "x")
-        with pytest.raises(MissingLabelError):
+        with pytest.raises(ValidationError) as err:
             obs.coarse_grain(A, {1.0: 2.0})
+        assert (err.value.invariant, err.value.field) == ("total-function", "-1.0")
 
 
 def _derived_inputs(rng, dim: int) -> list[obs.Observable]:
@@ -559,8 +562,10 @@ class TestDerivedWithoutSecondCheck:
         # the default TOL_PSD (1e-8), which rejects it.
         E = np.diag([-1e-7, 0.5])
         A = obs.Observable([0.0, 1.0], [E, np.eye(2) - E], tol_psd=1e-6)
-        with pytest.raises(NotAnEffectError):
+        with pytest.raises(ValidationError) as err:
             obs.Observable(A.keys, A.effects)
+        assert (err.value.invariant, err.value.field) == ("effect-lower-bound",
+                                                          "effect[0]")
         for out in (obs.conjugate(A), obs.coarse_grain(A, {0.0: 0.0, 1.0: 2.0})):
             assert max_abs_diff(out.effects, A.effects) < 1e-15
 

@@ -12,12 +12,8 @@ import qobs
 
 PUBLIC_NAMES = {
     # errors
-    "CompletenessViolationError", "ConvergenceFailureError",
-    "DimensionMismatchError", "DuplicateOutcomeError",
-    "InternalConsistencyError", "MissingLabelError", "NotAnEffectError",
-    "NotAProbabilityError", "NotCommutingError", "NotHermitianError",
-    "NotPSDError", "OutsideBlochBallError", "ParseError", "QobsError",
-    "TraceNotOneError", "UnknownOutcomeError", "ValidationError",
+    "ConvergenceFailureError", "InternalConsistencyError", "ParseError",
+    "QobsError", "ValidationError",
     # linalg
     "TOL_LIN", "TOL_PSD", "TOL_REL", "TOL_STAT", "commutator", "max_abs",
     "psd_sqrt",
@@ -46,7 +42,7 @@ def test_package_exports_exactly_the_public_names():
                 if not name.startswith("_")
                 and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 48
 
 
 # An instrument's statistics are those of its measured observable, so the

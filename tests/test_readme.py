@@ -1,6 +1,6 @@
 """The README's examples run as written: the library quick start executes,
-every ``qobs`` line of the CLI block parses, and the shared-flags table
-states what the parser takes."""
+every ``qobs`` line of the CLI block parses, the shared-flags table
+states what the parser takes, and every error class it names exists."""
 
 import re
 import shlex
@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qobs
 from qobs.cli import _SHARED_FLAGS, _build_parser
 
 from conftest import long_options, subparsers
@@ -56,3 +57,11 @@ def test_shared_flags_table_states_each_subcommands_shared_flags():
             assert long_options(subcommands[name]) & set(_SHARED_FLAGS) == \
                 set(re.findall(r"`--([a-z-]+)`", flags)), name
     assert sorted(listed) == sorted(subcommands)
+
+
+def test_every_error_class_named_is_exported():
+    """A backticked ``...Error``, bare or module-qualified as
+    ``errors.QobsError``, is a class the package exports."""
+    named = set(re.findall(r"`(?:\w+\.)*(\w+Error)`", README))
+    assert named
+    assert named - set(vars(qobs)) == set()

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from qobs import serialization as ser
-from qobs.errors import (MissingLabelError, NotAnEffectError, ParseError,
-                         QobsError, TraceNotOneError, UnknownOutcomeError,
-                         ValidationError)
+from qobs.errors import ParseError, QobsError, ValidationError
 from qobs.instruments import (Instrument, holevo_instrument, lueders_instrument,
                               sequential_product, trivial_instrument)
 from qobs.linalg import psd_sqrt
@@ -76,9 +74,9 @@ class TestState:
     def test_invalid_state_is_rejected_on_load(self):
         bad = {"type": "density",
                "matrix": {"dim": 2, "re": [[0.6, 0.0], [0.0, 0.6]]}}
-        with pytest.raises(TraceNotOneError) as err:
+        with pytest.raises(ValidationError) as err:
             ser.decode_state(bad)
-        assert err.value.field == "state"
+        assert (err.value.invariant, err.value.field) == ("unit-trace", "state")
 
     def test_unknown_type(self):
         with pytest.raises(ParseError) as err:
@@ -202,27 +200,31 @@ class TestInstrument:
         inst = random_instrument(rng, 2, "holevo", n_outcomes=3)
         enc = ser.encode_instrument(inst.coarse_grain(lambda x: 0.0))
         missing = dict(enc, map={"0": 0.0, "1": 0.0})
-        with pytest.raises(MissingLabelError):
+        with pytest.raises(ValidationError) as info:
             ser.decode_instrument(missing)
+        assert info.value.invariant == "total-function"
         bad = json.loads(json.dumps(enc))
         bad["observable"]["effects"][0]["re"][0][0] = 2.0
-        with pytest.raises(NotAnEffectError) as info:
+        with pytest.raises(ValidationError) as info:
             ser.decode_instrument(bad)
-        assert info.value.field == "instrument.observable.effects[0]"
+        assert (info.value.invariant, info.value.field) == (
+            "effect-upper-bound", "instrument.observable.effects[0]")
         with pytest.raises(ParseError) as info:
             ser.decode_instrument(dict(enc, map={"0": "x", "1": 0, "2": 0}))
         assert info.value.field == "instrument.map.0"
-        with pytest.raises(UnknownOutcomeError) as info:
+        with pytest.raises(ValidationError) as info:
             ser.decode_instrument(dict(enc, map={**enc["map"], "typo": 0}))
-        assert info.value.field == "instrument.map.typo"
+        assert (info.value.invariant, info.value.field) == (
+            "known-outcome", "instrument.map.typo")
 
     @pytest.mark.parametrize("key", ["7", "7.50", "1e0x"])
     def test_unknown_map_key_is_named_as_written(self, rng, key):
         inst = random_instrument(rng, 2, "holevo", n_outcomes=3)
         enc = ser.encode_instrument(inst.coarse_grain(lambda x: 0.0))
-        with pytest.raises(UnknownOutcomeError) as info:
+        with pytest.raises(ValidationError) as info:
             ser.decode_instrument(dict(enc, map={**enc["map"], key: 0}))
-        assert info.value.field == f"instrument.map.{key}"
+        assert (info.value.invariant, info.value.field) == (
+            "known-outcome", f"instrument.map.{key}")
         written = repr(key) if key == "1e0x" else key  # a label, or a number
         assert str(info.value) == f"coarse-grained value for {written}, not an outcome"
 
@@ -235,16 +237,18 @@ class TestInstrument:
         A = random_observable(rng, 2, 3)
         states = [ser.encode_state(random_density(rng, 2)) for _ in range(3)]
         states[2]["matrix"]["re"][0][0] += 0.5  # trace 1.5
-        with pytest.raises(TraceNotOneError) as info:
+        with pytest.raises(ValidationError) as info:
             ser.decode_instrument({"type": "instrument", "family": "holevo",
                                    "observable": ser.encode_observable(A),
                                    "states": states})
-        assert info.value.field == "instrument.states[2]"
+        assert (info.value.invariant, info.value.field) == (
+            "unit-trace", "instrument.states[2]")
         bad = ser.encode_observable(A)
         bad["effects"][1]["re"][0][0] = 2.0
-        with pytest.raises(NotAnEffectError) as info:
+        with pytest.raises(ValidationError) as info:
             ser.decode_observable(bad)
-        assert info.value.field == "observable.effects[1]"
+        assert (info.value.invariant, info.value.field) == (
+            "effect-upper-bound", "observable.effects[1]")
         kraus = {"type": "instrument", "family": "kraus", "outcomes": [0, 1],
                  "kraus": [[ser.encode_matrix(np.eye(2))],
                            [ser.encode_matrix(2 * np.eye(2))]]}

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from qobs import linalg, states
-from qobs.errors import (
-    DimensionMismatchError,
-    NotAnEffectError,
-    NotAProbabilityError,
-    NotHermitianError,
-    NotPSDError,
-    OutsideBlochBallError,
-    TraceNotOneError,
-    ValidationError,
-)
+from qobs.errors import ValidationError
 from qobs.instruments import Instrument, trivial_instrument
 from qobs.linalg import TOL_LIN
 from qobs.observables import Observable
@@ -39,17 +30,20 @@ class TestConstruction:
         assert rho.eigenvalues == (0.0, 1.0)
 
     def test_trace_not_one(self):
-        with pytest.raises(TraceNotOneError) as err:
+        with pytest.raises(ValidationError) as err:
             states.DensityOperator(np.diag([0.6, 0.6]))
+        assert err.value.invariant == "unit-trace"
         assert err.value.violation == pytest.approx(0.2)
 
     def test_not_hermitian(self):
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ValidationError) as err:
             states.DensityOperator(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert err.value.invariant == "hermitian"
 
     def test_not_psd(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(ValidationError) as err:
             states.DensityOperator(np.diag([1.5, -0.5]))
+        assert err.value.invariant == "psd"
 
     def test_repr_shows_dim_and_spectrum(self):
         assert repr(states.DensityOperator(np.diag([0.25, 0.75]))) == \
@@ -73,51 +67,51 @@ class TestStateCheck:
     """Each rule ``DensityOperator`` applies names the field ``state``."""
 
     FAULTS = {
-        "not-hermitian": (np.array([[1.0, 1.0], [0.0, 0.0]]), NotHermitianError,
-                          "hermitian", 1.0,
+        "not-hermitian": (np.array([[1.0, 1.0], [0.0, 0.0]]), "hermitian", 1.0,
                           "state is not Hermitian (defect 1.000e+00)"),
-        "negative-eigenvalue": (np.diag([1.5, -0.5]), NotPSDError, "psd", 0.5,
+        "negative-eigenvalue": (np.diag([1.5, -0.5]), "psd", 0.5,
                                 "state has eigenvalue -5.000e-01 below -1.0e-08"),
-        "trace-not-one": (np.diag([0.6, 0.6]), TraceNotOneError, "unit-trace",
-                          abs(1.2 - 1.0), "state has trace (1.2+0j), expected 1"),
+        "trace-not-one": (np.diag([0.6, 0.6]), "unit-trace", abs(1.2 - 1.0),
+                          "state has trace (1.2+0j), expected 1"),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_fault_is_named(self, fault):
-        bad, kind, invariant, violation, message = self.FAULTS[fault]
+        bad, invariant, violation, message = self.FAULTS[fault]
         with pytest.raises(ValidationError) as err:
             states.DensityOperator(bad.astype(complex))
-        assert type(err.value) is kind
+        assert type(err.value) is ValidationError
         assert err.value.invariant == invariant
         assert err.value.violation == violation
         assert err.value.field == "state"
         assert str(err.value) == message
 
     def test_one_matrix_keeps_the_field_state(self):
-        with pytest.raises(NotPSDError) as err:
+        with pytest.raises(ValidationError) as err:
             states.DensityOperator(np.diag([1.5, -0.5]))
-        assert err.value.field == "state"
+        assert (err.value.invariant, err.value.field) == ("psd", "state")
         assert str(err.value) == "state has eigenvalue -5.000e-01 below -1.0e-08"
 
 
 OVER = 1.0 + 5e-7  # above 1 by more than every default tolerance
 
 
-@pytest.mark.parametrize("build, error", [
+@pytest.mark.parametrize("build, invariant, field", [
     (lambda: Observable([0.0, 1.0], [np.diag([OVER, 0.5]), np.diag([0.0, 0.5])],
-                        tol_lin=1e-6), NotAnEffectError),
+                        tol_lin=1e-6), "effect-upper-bound", "effect[0]"),
     (lambda: Instrument([0.0, 1.0], [[np.diag(np.sqrt([OVER, 0.5]))],
                                      [np.diag([0.0, np.sqrt(0.5)])]],
-                        tol_lin=1e-6), ValidationError),
+                        tol_lin=1e-6), "effect-upper-bound", "kraus[0]"),
     (lambda: states.DensityOperator(np.diag([OVER - 0.5, 0.5])),
-     TraceNotOneError),
-    (lambda: states.bloch_state((0.0, 0.0, OVER)), OutsideBlochBallError),
+     "unit-trace", "state"),
+    (lambda: states.bloch_state((0.0, 0.0, OVER)), "bloch-ball", "r"),
     (lambda: trivial_instrument({1.0: OVER - 0.5, -1.0: 0.5}, 2),
-     NotAProbabilityError),
+     "unit-total", None),
 ], ids=["effect", "instrument", "trace", "bloch", "weights"])
-def test_bound_near_one_diagnostic_shows_the_excess(build, error):
-    with pytest.raises(error) as info:
+def test_bound_near_one_diagnostic_shows_the_excess(build, invariant, field):
+    with pytest.raises(ValidationError) as info:
         build()
+    assert (info.value.invariant, info.value.field) == (invariant, field)
     assert info.value.violation == pytest.approx(5e-7, rel=1e-6)
     assert repr(1.0 + info.value.violation) in str(info.value)
 
@@ -156,8 +150,9 @@ class TestBloch:
         assert max_abs_diff(rho.matrix, expected) == 0.0
 
     def test_outside_ball_rejected(self):
-        with pytest.raises(OutsideBlochBallError):
+        with pytest.raises(ValidationError) as err:
             states.bloch_state((1.0, 0.5, 0.0))
+        assert err.value.invariant == "bloch-ball"
 
     @pytest.mark.parametrize("r", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4),
                                    ((0.1, 0.2, 0.3),), (0.1, np.nan, 0.0)])
@@ -275,6 +270,7 @@ class TestStateForm:
 
     def test_dimension_mismatch(self):
         rho = states.maximally_mixed(2)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError) as err:
             states.state_form(rho, np.eye(3), np.eye(3))
+        assert err.value.invariant == "matching-dims"
 
