@@ -191,7 +191,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         lo, hi = (int(part) for part in text.split("..", 1))
     except ValueError:
         raise ValidationError(
-            f"--dims: expected A..B or a comma list of integers, got {text!r}",
+            f"expected A..B or a comma list of integers, got {text!r}",
             invariant="integer-list", field="--dims") from None
     # An end below 1 leaves a 0 in the range, for RunConfig to reject.
     return tuple(range(max(lo, 0), require_dim(hi, "--dims") + 1))
@@ -201,9 +201,8 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValidationError(
-            f"{flag}: expected comma-separated reals, got {text!r}",
-            invariant="real-list", field=flag) from None
+        raise ValidationError(f"expected comma-separated reals, got {text!r}",
+                              invariant="real-list", field=flag) from None
 
 
 def _cmd_uncertainty(args) -> int:
@@ -223,12 +222,11 @@ def _cmd_demo(args) -> int:
     if "bloch" in params:
         params["bloch"] = _parse_floats(params["bloch"], "--bloch")
         if len(params["bloch"]) != 3:
-            raise ValidationError("--bloch needs three comma-separated reals",
+            raise ValidationError("expected three comma-separated reals",
                                   invariant="bloch-shape", field="--bloch")
     if params.get("outcomes", 0) > MAX_OUTCOMES:
-        raise ValidationError(
-            f"--outcomes: {params['outcomes']} is above {MAX_OUTCOMES}",
-            invariant="outcomes-range", field="--outcomes")
+        raise ValidationError(f"{params['outcomes']} is above {MAX_OUTCOMES}",
+                              invariant="outcomes-range", field="--outcomes")
     if "dim" in params:
         require_dim(params["dim"], "--dim")
     _emit(run(**params), args)
@@ -252,7 +250,7 @@ def _cmd_fuzz(args) -> int:
             except FileExistsError:
                 out = open(args.output, "a", encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"--output: cannot write {args.output}: {exc.strerror}",
+        raise ValidationError(f"cannot write {args.output}: {exc.strerror}",
                               invariant="writable-output", field="--output") from None
     try:
         with out as stream:
@@ -271,13 +269,12 @@ def _cmd_fuzz(args) -> int:
 def _cmd_sweep(args) -> int:
     mu_grid = _parse_floats(args.mu_grid, "--mu-grid")
     if not mu_grid:
-        raise ValidationError("--mu-grid must be nonempty",
+        raise ValidationError("must be nonempty",
                               invariant="nonempty-grid", field="--mu-grid")
     if args.samples * len(mu_grid) > _MAX_SWEEP_ROWS:
         raise ValidationError(
-            f"--samples: {args.samples} x {len(mu_grid)} mu values is above "
-            f"{_MAX_SWEEP_ROWS} rows", invariant="samples-range",
-            field="--samples")
+            f"{args.samples} x {len(mu_grid)} mu values is above "
+            f"{_MAX_SWEEP_ROWS} rows", invariant="samples-range", field="--samples")
     rng = np.random.default_rng(args.seed)
     n_surface = min(args.surface, args.samples)
     vectors = [random_bloch_vector(rng, surface=True) for _ in range(n_surface)]
@@ -323,7 +320,7 @@ def _describe(raw, args) -> tuple[str, dict]:
     if isinstance(raw, dict) and "re" in raw:
         M = ser.decode_matrix(raw, "matrix")
         return "matrix", {"dim": int(M.shape[0])}
-    raise ParseError("file has no recognizable 'type' field", field="type")
+    raise ParseError("unrecognized, and the file is not a matrix", field="type")
 
 
 def _cmd_validate(args) -> int:
@@ -352,8 +349,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag.replace("-", "_"), None)
             if value is not None and not floor <= value < math.inf:
                 raise ValidationError(
-                    f"--{flag}: expected a finite number >= {floor}, "
-                    f"got {value}", invariant="flag-range", field=f"--{flag}")
+                    f"expected a finite number >= {floor}, got {value}",
+                    invariant="flag-range", field=f"--{flag}")
         with np.errstate(all="ignore"):  # overflow shows as null or exit 2
             return _HANDLERS[args.command](args)
     except QobsError as exc:

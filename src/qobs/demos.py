@@ -323,9 +323,9 @@ def sweep_noisy_spin(mu_grid, bloch_vectors) -> dict:
         if (delta > _SPIN_TOL).any():  # the slack identity, first failing row
             k = int((delta > _SPIN_TOL).argmax())
             raise ValidationError(
-                f"slack identity violated by {delta[k]:.3e} at mu={mu}, "
-                f"r={vectors[k].tolist()}", invariant="slack-identity",
-                violation=float(delta[k]))
+                f"slack identity violated at mu={mu}, r={vectors[k].tolist()}",
+                invariant="slack-identity", violation=float(delta[k]),
+                bound=_SPIN_TOL)
         columns.append((np.abs(val) <= _SPIN_TOL).tolist())
         rows.extend(dict(zip(_ROW_KEYS, row)) for row in zip(*columns))
     return {"schema": SCHEMA_VERSION, "rows": rows, "max_delta": max_delta,

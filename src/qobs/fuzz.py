@@ -92,15 +92,15 @@ class RunConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValidationError("trials must be >= 1",
+            raise ValidationError("must be >= 1",
                                   invariant="positive-trials", field="trials")
         if not self.dims or any(d < 1 for d in self.dims):
-            raise ValidationError("dims must be nonempty positive integers",
+            raise ValidationError("must be nonempty positive integers",
                                   invariant="positive-dims", field="dims")
         require_dim(max(self.dims), "dims")
         for _, field in _TOLERANCES:
             if not _is_tolerance(getattr(self, field), field):
-                raise ValidationError(f"{field} must be a finite number >= 0",
+                raise ValidationError("must be a finite number >= 0",
                                       invariant="tolerance-range", field=field)
 
 
@@ -529,8 +529,7 @@ def decode_instance(obj: dict, field: str = "instance") -> dict:
     """Rebuild a trial bundle; the instrument is rebuilt from the family's
     fields so the arithmetic path matches the original run."""
     if _expect(obj, "family", field) not in FAMILIES:
-        raise ParseError(f"{field}.family: expected one of {FAMILIES}",
-                         field=f"{field}.family")
+        raise ParseError(f"expected one of {FAMILIES}", field=f"{field}.family")
     require_dim(_expect(obj, "dim", field), f"{field}.dim")  # trivial: np.eye(dim)
     out = {name: decode(obj[name], f"{field}.{name}")
            for names, _, decode in _FIELDS for name in names if name in obj}
@@ -545,6 +544,15 @@ class _PropertyStats:
     errors: int = 0
     max_residual: float = 0.0
     max_ratio: float = 0.0
+
+
+def _error_entry(exc: Exception) -> dict:
+    """The summary's record of a check that raised: its class and message,
+    and the rule it names when it is a toolkit error."""
+    entry = {"error": f"{type(exc).__name__}: {exc}"}
+    if isinstance(exc, QobsError):
+        entry["invariant"] = exc.invariant
+    return entry
 
 
 def run_fuzz(config: RunConfig) -> dict:
@@ -575,7 +583,7 @@ def run_fuzz(config: RunConfig) -> dict:
                 if worst["ratio"] is None:  # the first error stays the worst
                     continue
                 found = {"ratio": None, "residual": None, "bound": None,
-                         "error": f"{type(exc).__name__}: {exc}"}
+                         **_error_entry(exc)}
             else:
                 entry.max_residual = max(entry.max_residual, residual)
                 ratio = residual / bound if bound > 0 else math.inf
@@ -611,13 +619,12 @@ def replay_instance(summary) -> dict:
     dump = _expect(summary, "worst", "dump")
     name = _expect(dump, "property", "dump")
     if not isinstance(name, str) or name not in CHECKS:
-        raise ParseError(f"dump.property: unknown property {name!r}",
-                         field="dump.property")
+        raise ParseError(f"unknown property {name!r}", field="dump.property")
     tols = _expect(summary, "tolerances", "dump")
     for key, field in _TOLERANCES:
         if not _is_tolerance(_expect(tols, key, "dump.tolerances"), field):
-            raise ParseError(f"dump.tolerances.{key}: expected a finite "
-                             "number >= 0", field=f"dump.tolerances.{key}")
+            raise ParseError("expected a finite number >= 0",
+                             field=f"dump.tolerances.{key}")
     config = RunConfig(**{field: tols[key] for key, field in _TOLERANCES})
     try:
         instance = decode_instance(_expect(dump, "instance", "dump"),
@@ -625,13 +632,13 @@ def replay_instance(summary) -> dict:
     except QobsError:
         raise
     except Exception as exc:  # a field the codec cannot read
-        raise ParseError(f"dump.instance: cannot rebuild the trial ({exc!r})",
+        raise ParseError(f"cannot rebuild the trial ({exc!r})",
                          field="dump.instance") from None
     try:
         residual, bound = CHECKS[name](instance, config)
     except Exception as exc:
         return {"schema": SCHEMA_VERSION, "property": name, "violations": 1,
-                "error": f"{type(exc).__name__}: {exc}"}
+                **_error_entry(exc)}
     return {"schema": SCHEMA_VERSION, "property": name,
             "residual": residual, "bound": bound,
             "ratio": residual / bound if bound > 0 else math.inf,

@@ -139,12 +139,11 @@ def trivial_instrument(omega: Mapping, dim: int, *,
     if not all(p >= -tol_lin for p in probs):  # a NaN weight fails too
         raise ValidationError(
             "weights must be nonnegative", invariant="nonnegative-weights",
-            violation=None if np.isnan(probs).any() else -min(probs))
-    total = sum(probs)
-    if not abs(total - 1.0) <= tol_lin:
-        raise ValidationError(
-            f"weights sum to {total!r}, expected 1",
-            invariant="unit-total", violation=abs(total - 1.0))
+            violation=None if np.isnan(probs).any() else -min(probs), bound=tol_lin)
+    miss = abs(sum(probs) - 1.0)
+    if not miss <= tol_lin:
+        raise ValidationError("weights do not sum to 1", invariant="unit-total",
+                              violation=miss, bound=tol_lin)
     eye = as_matrix(np.eye(dim, dtype=complex), name="kraus[0][0]")  # d < 1 raises
     return Instrument.__new__(Instrument)._build(outcomes, [
         (np.sqrt(max(p, 0.0)) * eye[None],) for p in probs])

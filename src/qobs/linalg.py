@@ -29,14 +29,13 @@ def as_matrix(M, *, name: str = "matrix") -> np.ndarray:
     try:
         arr = np.asarray(M, dtype=complex)
     except (TypeError, ValueError):
-        raise ValidationError(f"{name} is not a matrix of numbers",
+        raise ValidationError("not a matrix of numbers",
                               invariant="numeric-entries", field=name) from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValidationError(
-            f"{name} must be a square matrix, got shape {arr.shape}",
-            invariant="square", field=name)
+        raise ValidationError(f"not a square matrix: shape {arr.shape}",
+                              invariant="square", field=name)
     if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite entries",
+        raise ValidationError("non-finite entries",
                               invariant="finite-entries", field=name)
     return arr
 
@@ -52,7 +51,7 @@ def as_stack(mats, *, name: str) -> np.ndarray:
     except TypeError:  # no length: a number, or a 0-d array
         n = 0
     if not n:
-        raise ValidationError(f"{name} is not a nonempty list of matrices",
+        raise ValidationError("not a nonempty list of matrices",
                               invariant="matrix-list", field=name)
     try:
         stack = np.array(mats, dtype=complex)
@@ -65,9 +64,8 @@ def as_stack(mats, *, name: str) -> np.ndarray:
     dim = items[0].shape[0]
     for i, M in enumerate(items):
         if M.shape[0] != dim:
-            raise ValidationError(
-                f"{name}[{i}] has dim {M.shape[0]}, expected {dim}",
-                invariant="matching-dims", field=f"{name}[{i}]")
+            raise ValidationError(f"dim {M.shape[0]}, expected {dim}",
+                                  invariant="matching-dims", field=f"{name}[{i}]")
     return np.stack(items)
 
 
@@ -87,7 +85,7 @@ def parallel_keys(keys, values, what: str) -> tuple:
 def require_dim(d: int, field: str) -> int:
     """d, if at most MAX_DIM: for sizes that no input array backs."""
     if d > MAX_DIM:
-        raise ValidationError(f"{field}: dimension {d} is above {MAX_DIM}",
+        raise ValidationError(f"dimension {d} is above {MAX_DIM}",
                               invariant="dim-range", field=field)
     return d
 
@@ -128,11 +126,10 @@ def hermiticity_defect(M: np.ndarray):
 
 def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.ndarray:
     M = as_matrix(M, name=name)
-    defect = hermiticity_defect(M)
-    if defect > tol * scale_of(M):
-        raise ValidationError(f"{name} is not Hermitian (defect {defect:.3e})",
-                              invariant="hermitian", violation=float(defect),
-                              field=name)
+    defect, bound = hermiticity_defect(M), tol * scale_of(M)
+    if defect > bound:
+        raise ValidationError("not Hermitian", invariant="hermitian", field=name,
+                              violation=float(defect), bound=float(bound))
     return M
 
 
@@ -186,9 +183,8 @@ def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
     """
     w, V = _eigh(require_hermitian(M, tol))
     if w[0] < -tol_psd:
-        raise ValidationError(
-            f"matrix has eigenvalue {w[0]:.3e} below -{tol_psd:.1e}",
-            invariant="psd", violation=float(-w[0]))
+        raise ValidationError("matrix has an eigenvalue below 0", invariant="psd",
+                              violation=float(-w[0]), bound=tol_psd)
     return _root(w, V)
 
 

@@ -53,26 +53,17 @@ def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
     residual, bound = _effect_margins([E], tol_lin, tol_psd)
     n, over = len(E), residual > bound
     if over[:3 * n].any():
-        i = int(over[:3 * n].reshape(3, n).any(0).argmax())  # the first True
-        where = f"effect[{i}]"
-        defect, neg_lo, hi_gap = residual[i:3 * n:n]
-        if over[i]:
-            raise ValidationError(
-                f"{where} is not Hermitian (defect {defect:.3e})",
-                invariant="hermitian", violation=float(defect), field=where)
-        if over[n + i]:
-            raise ValidationError(
-                f"{where} has eigenvalue {-neg_lo:.3e} < 0",
-                invariant="effect-lower-bound", violation=float(neg_lo),
-                field=where)
+        i = int(over[:3 * n].reshape(3, n).any(0).argmax())  # the first effect
+        k = i + n * int(over[i:3 * n:n].argmax())  # and its first broken rule
         raise ValidationError(
-            f"{where} has eigenvalue {float(hi_gap + 1.0)!r} > 1",
-            invariant="effect-upper-bound", violation=float(hi_gap),
-            field=where)
+            ("not Hermitian", "eigenvalue below 0", "eigenvalue above 1")[k // n],
+            invariant=("hermitian" if k < n else "effect-lower-bound" if k < 2 * n
+                       else "effect-upper-bound"),
+            field=f"effect[{i}]", violation=float(residual[k]), bound=float(bound[k]))
     if over[-1]:
-        raise ValidationError(
-            f"effects sum to identity with residual {residual[-1]:.3e}",
-            invariant="completeness", violation=float(residual[-1]))
+        raise ValidationError("effects do not sum to the identity",
+                              invariant="completeness",
+                              violation=float(residual[-1]), bound=tol_lin)
 
 
 class Observable(_Immutable):
@@ -135,16 +126,16 @@ class Observable(_Immutable):
         return f"Observable(dim={self.dim}, keys={self.keys})"
 
 
-def _outcomes(A: Observable, what: str) -> tuple[float, ...]:
+def _outcomes(A: Observable) -> tuple[float, ...]:
     if A.outcomes is None:
-        raise ValidationError(f"{what} needs a real-valued observable",
-                              invariant="real-outcomes", field="observable")
+        raise ValidationError("not real-valued", invariant="real-outcomes",
+                              field="observable")
     return A.outcomes
 
 
 def stochastic_operator(A: Observable) -> np.ndarray:
     """The Hermitian operator sum_x x A_x, as a read-only array."""
-    _outcomes(A, "the stochastic operator")
+    _outcomes(A)
     return A._stochastic
 
 
@@ -155,17 +146,18 @@ def is_sharp(A: Observable, tol: float = TOL_LIN) -> bool:
 
 
 def _commutators(A: Observable, B: Observable, tol: float):
-    """The products A_x B_y, indexed [x, y], and the mask of the pairs whose
-    commutator norm exceeds ``tol * pair_scale(A_x, B_y)``, with those norms."""
+    """The products A_x B_y, indexed [x, y], their commutators' norms, and
+    the bounds ``tol * pair_scale(A_x, B_y)`` that the norms must not exceed."""
     left, right = A.effects[:, None], B.effects[None, :]
     AB = left @ right
     norm = entry_norms(AB - right @ left)
-    return AB, norm > tol * linalg.pair_scale(A.effects, B.effects), norm
+    return AB, norm, tol * linalg.pair_scale(A.effects, B.effects)
 
 
 def is_commutative(A: Observable, tol: float = TOL_LIN) -> bool:
     """True when all pairs of effects commute within tolerance."""
-    return not _commutators(A, A, tol)[1].any()
+    _, norm, bound = _commutators(A, A, tol)
+    return not (norm > bound).any()
 
 
 def _stored(cache: dict, key, build: Callable):
@@ -245,20 +237,19 @@ def commuting_joint(A: Observable, B: Observable,
     Keys are (x, y) pairs; coarse graining by ``key[0]`` gives A, by
     ``key[1]`` gives B.
     """
-    xs = _outcomes(A, "a commuting joint")
-    ys = _outcomes(B, "a commuting joint")
+    xs, ys = _outcomes(A), _outcomes(B)
     if A.dim != B.dim:
         raise ValidationError(
             f"observables have dims {A.dim} and {B.dim}",
             invariant="matching-dims")
-    AB, over, norm = _commutators(A, B, tol)
-    bad = np.argwhere(over)
+    AB, norm, bound = _commutators(A, B, tol)
+    bad = np.argwhere(norm > bound)
     if bad.size:
         i, j = bad[0]
         raise ValidationError(
-            f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute "
-            f"(norm {norm[i, j]:.3e})", invariant="commuting-effects",
-            violation=float(norm[i, j]))
+            f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute",
+            invariant="commuting-effects", violation=float(norm[i, j]),
+            bound=float(bound[i, j]))
     return _pair_keyed(xs, ys, AB)
 
 
@@ -267,12 +258,12 @@ def _on_keys(f: Mapping, keys: Sequence[Hashable], what: str) -> list:
     matched as dict keys are (1 matches 1.0); ``what`` names the values."""
     missing = [key for key in keys if key not in f]
     if missing:
-        raise ValidationError(f"no {what} for outcome {missing[0]!r}",
+        raise ValidationError(f"an outcome with no {what}",
                               invariant="total-function", field=str(missing[0]))
     known = set(keys)
     unknown = [key for key in f if key not in known]
     if unknown:
-        raise ValidationError(f"{what} for {unknown[0]!r}, not an outcome",
+        raise ValidationError(f"{what} for a key that is not an outcome",
                               invariant="known-outcome", field=str(unknown[0]))
     return [f[key] for key in keys]
 

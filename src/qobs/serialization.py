@@ -36,10 +36,9 @@ _FIRST_READ = 2 ** 16  # below malloc's mmap threshold
 
 def _expect(obj, key: str, field: str):
     if not isinstance(obj, Mapping):
-        raise ParseError(f"{field}: expected a JSON object", field=field)
+        raise ParseError("expected a JSON object", field=field)
     if key not in obj:
-        raise ParseError(f"{field}: missing required field '{key}'",
-                         field=f"{field}.{key}")
+        raise ParseError("missing required field", field=f"{field}.{key}")
     return obj[key]
 
 
@@ -55,14 +54,14 @@ def _finite_grid(raw, shape: tuple) -> np.ndarray | None:
 def _real_grid(raw, d: int, field: str) -> np.ndarray:
     arr = _finite_grid(raw, (d, d))
     if arr is None:
-        raise ParseError(f"{field}: expected a {d}x{d} array of finite numbers",
+        raise ParseError(f"expected a {d}x{d} array of finite numbers",
                          field=field)
     return arr
 
 
 def _list(raw, field: str) -> list:
     if not isinstance(raw, list):
-        raise ParseError(f"{field}: expected a list", field=field)
+        raise ParseError("expected a list", field=field)
     return raw
 
 
@@ -70,7 +69,7 @@ def _real(x, field: str) -> float:
     try:
         return float(x)
     except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{field}: expected a number", field=field) from None
+        raise ParseError("expected a number", field=field) from None
 
 
 def _located(field: str, build, *args, **kw):
@@ -104,8 +103,7 @@ def encode_matrix(M: np.ndarray) -> dict:
 def _dim(obj, field: str) -> int:
     d = _expect(obj, "dim", field)
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ParseError(f"{field}.dim: expected a positive integer",
-                         field=f"{field}.dim")
+        raise ParseError("expected a positive integer", field=f"{field}.dim")
     return d
 
 
@@ -153,12 +151,10 @@ def decode_state(obj, field: str = "state", *, tol_lin: float = TOL_LIN,
     if kind == "bloch":
         r = _expect(obj, "r", field)
         if not isinstance(r, list) or len(r) != 3:
-            raise ParseError(f"{field}.r: expected a list of three numbers",
-                             field=f"{field}.r")
+            raise ParseError("expected a list of three numbers", field=f"{field}.r")
         r = [_real(v, f"{field}.r[{i}]") for i, v in enumerate(r)]
         return _located(field, bloch_state, r, tol_lin=tol_lin)
-    raise ParseError(f"{field}.type: unknown state type {kind!r}",
-                     field=f"{field}.type")
+    raise ParseError(f"unknown state type {kind!r}", field=f"{field}.type")
 
 
 def label_to_str(label) -> str:
@@ -185,12 +181,11 @@ def decode_observable(obj, field: str = "observable", *,
                       tol_psd: float = TOL_PSD) -> Observable:
     kind = _expect(obj, "type", field)
     if kind != "observable":
-        raise ParseError(f"{field}.type: expected 'observable', got {kind!r}",
+        raise ParseError(f"expected 'observable', got {kind!r}",
                          field=f"{field}.type")
     raw_effects = _expect(obj, "effects", field)
     if not isinstance(raw_effects, list) or not raw_effects:
-        raise ParseError(f"{field}.effects: expected a nonempty list",
-                         field=f"{field}.effects")
+        raise ParseError("expected a nonempty list", field=f"{field}.effects")
     effects = _matrix_stack(raw_effects, f"{field}.effects")
     # Real outcomes are numbers; labels are read as strings.
     for key, read in (("outcomes", _real), ("labels", lambda s, _: str(s))):
@@ -200,8 +195,7 @@ def decode_observable(obj, field: str = "observable", *,
                             [read(x, f"{where}[{i}]")
                              for i, x in enumerate(_list(obj[key], where))],
                             effects, tol_lin=tol_lin, tol_psd=tol_psd)
-    raise ParseError(f"{field}: needs either 'outcomes' or 'labels'",
-                     field=field)
+    raise ParseError("needs either 'outcomes' or 'labels'", field=field)
 
 
 class _WrittenKey(float):
@@ -227,7 +221,7 @@ def _parse_outcome_key(key: str):
 def decode_function_map(obj, field: str = "map") -> dict:
     """Coarse-graining map {label: real} with numeric keys recovered."""
     if not isinstance(obj, Mapping) or not obj:
-        raise ParseError(f"{field}: expected a nonempty JSON object", field=field)
+        raise ParseError("expected a nonempty JSON object", field=field)
     return {_parse_outcome_key(key): _real(val, f"{field}.{key}")
             for key, val in obj.items()}
 
@@ -259,7 +253,7 @@ def decode_instrument(obj, field: str = "instrument", *,
                       tol_psd: float = TOL_PSD) -> Instrument:
     kind = _expect(obj, "type", field)
     if kind != "instrument":
-        raise ParseError(f"{field}.type: expected 'instrument', got {kind!r}",
+        raise ParseError(f"expected 'instrument', got {kind!r}",
                          field=f"{field}.type")
     family = _expect(obj, "family", field)
     if family == "trivial":
@@ -292,8 +286,7 @@ def decode_instrument(obj, field: str = "instrument", *,
                     for i, x in enumerate(raw_outs)]
         return _located(field, Instrument, outcomes, kraus,
                         tol_lin=tol_lin, tol_psd=tol_psd)
-    raise ParseError(f"{field}.family: unknown family {family!r}",
-                     field=f"{field}.family")
+    raise ParseError(f"unknown family {family!r}", field=f"{field}.family")
 
 
 def encode_report(rep: UncertaintyReport) -> dict:
@@ -324,16 +317,14 @@ def load_json_file(path: str):
         if len(data) <= MAX_FILE_BYTES:
             return json.loads(data.decode("utf-8"))
     except FileNotFoundError:
-        raise ParseError(f"file not found: {path}", field=path) from None
+        raise ParseError("file not found", field=path) from None
     except OSError as exc:  # a directory, no permission, ...
-        raise ParseError(f"{path}: cannot read: {exc.strerror}",
-                         field=path) from None
+        raise ParseError(f"cannot read: {exc.strerror}", field=path) from None
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}", field=path) from None
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                         f"{exc.msg}", field=path) from None
     except (ValueError, RecursionError) as exc:
         # bytes that are not UTF-8, arrays nested too deeply, or an integer
         # literal above Python's digit limit
-        raise ParseError(f"{path}: cannot parse: {exc}", field=path) from None
-    raise ParseError(f"{path}: cannot read: larger than {MAX_FILE_BYTES} bytes",
-                     field=path)
+        raise ParseError(f"cannot parse: {exc}", field=path) from None
+    raise ParseError(f"cannot read: larger than {MAX_FILE_BYTES} bytes", field=path)

@@ -26,15 +26,13 @@ class DensityOperator(_Immutable):
         M = linalg.require_hermitian(M, tol_lin, name="state")
         eigs = linalg.hermitian_eigenvalues(M)
         if eigs[0] < -tol_psd:
-            raise ValidationError(
-                f"state has eigenvalue {eigs[0]:.3e} below -{tol_psd:.1e}",
-                invariant="psd", violation=float(-eigs[0]), field="state")
-        tr = M.trace()
-        if abs(tr - 1.0) > tol_lin:
-            raise ValidationError(
-                f"state has trace {complex(tr)!r}, expected 1",
-                invariant="unit-trace", violation=float(abs(tr - 1.0)),
-                field="state")
+            raise ValidationError("eigenvalue below 0", invariant="psd",
+                                  field="state", violation=float(-eigs[0]),
+                                  bound=tol_psd)
+        miss = abs(M.trace() - 1.0)
+        if miss > tol_lin:
+            raise ValidationError("trace is not 1", invariant="unit-trace",
+                                  field="state", violation=float(miss), bound=tol_lin)
         self._build(M, eigs)
 
     def _build(self, M: np.ndarray, eigs: np.ndarray) -> "DensityOperator":
@@ -64,15 +62,15 @@ def _bloch_matrices(vectors, tol_lin: float):
         r = np.empty(1)
     r = r.reshape(0, 3) if r.shape == (0,) else r
     if r.ndim != 2 or r.shape[1] != 3 or not np.isfinite(r).all():
-        raise ValidationError("Bloch vector must be three finite reals",
+        raise ValidationError("a Bloch vector is not three finite reals",
                               invariant="bloch-shape", field="r")
     # Row-by-row dot products, rounded as np.linalg.norm of one vector is.
     norm = np.sqrt((r[:, None] @ r[:, :, None]).ravel())
     over = np.flatnonzero(norm > 1.0 + tol_lin)
     if over.size:
-        n = float(norm[over[0]])
-        raise ValidationError(f"Bloch vector has norm {n!r} > 1",
-                              invariant="bloch-ball", violation=n - 1.0, field="r")
+        raise ValidationError("a Bloch vector has norm above 1",
+                              invariant="bloch-ball", field="r",
+                              violation=float(norm[over[0]]) - 1.0, bound=tol_lin)
     r1, r2, r3 = r.T
     # The operations of the complex literals (1 +- r3) and r1 -+ 1j r2, so
     # every entry, signed zeros included, is the one Python arithmetic gives.

@@ -27,9 +27,8 @@ def _as_operator(x, dim: int, name: str) -> np.ndarray:
     op = (stochastic_operator(x) if isinstance(x, Observable)
           else require_hermitian(x, name=name))
     if op.shape[0] != dim:
-        raise ValidationError(
-            f"{name} has dim {op.shape[0]}, state has dim {dim}",
-            invariant="matching-dims", field=name)
+        raise ValidationError(f"dim {op.shape[0]}, state has dim {dim}",
+                              invariant="matching-dims", field=name)
     return op
 
 
@@ -155,15 +154,15 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
              & (inequality_slack >= -tol * scale))
     if not holds.all():
         i = holds.argmin()  # the first failing state
-        if not abs(equation_residual[i]) <= tol * scale[i]:
+        bound = float(tol * scale[i])
+        if not abs(equation_residual[i]) <= bound:
             raise InternalConsistencyError(
-                f"uncertainty equation residual {equation_residual[i]:.3e} "
-                f"exceeds {tol:.1e} x {scale[i]:.3g}",
+                "uncertainty equation residual exceeds its bound",
                 invariant="uncertainty-equation",
-                violation=float(abs(equation_residual[i])))
+                violation=float(abs(equation_residual[i])), bound=bound)
         raise InternalConsistencyError(
-            f"uncertainty inequality violated by {-inequality_slack[i]:.3e}",
-            invariant="uncertainty-inequality", violation=float(-inequality_slack[i]))
+            "uncertainty inequality violated", invariant="uncertainty-inequality",
+            violation=float(-inequality_slack[i]), bound=bound)
     return (commutator_term, covariance_sq, correlation_sq, variance_product,
             equation_residual, inequality_slack)
 

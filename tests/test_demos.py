@@ -119,7 +119,8 @@ class TestSweepNoisySpin:
                                      (1.0, 1.0, 0.0)])
         assert (err.value.invariant, err.value.field) == ("bloch-ball", "r")
         assert err.value.violation == 0.5
-        assert str(err.value) == "Bloch vector has norm 1.5 > 1"
+        assert str(err.value) == ("r: a Bloch vector has norm above 1 "
+                                  "(violation 5.000e-01, bound 1.000e-09)")
 
     @pytest.mark.parametrize("vectors", [
         [(0.0, 0.0, 1.0), (0.1, 0.2)],

@@ -107,7 +107,12 @@ def test_worst_is_the_first_error_of_the_run():
         if name == worst["property"]:
             break
         check(instance, config)
-    assert fuzz.replay_instance(summary)["error"] == worst["error"]
+    assert (worst["error"], worst["invariant"]) == (
+        "ValidationError: matrix: not Hermitian (violation 4.441e-16, "
+        "bound 6.652e-17)", "hermitian")
+    replayed = fuzz.replay_instance(summary)
+    assert (replayed["error"], replayed["invariant"]) == (
+        worst["error"], worst["invariant"])
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), tuple(range(1, 10)),

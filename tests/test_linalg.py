@@ -177,7 +177,8 @@ class TestRequireHermitian:
         assert err.value.field == "A"
         assert err.value.invariant == "hermitian"
         assert err.value.violation == 2.0
-        assert str(err.value) == "A is not Hermitian (defect 2.000e+00)"
+        assert str(err.value) == \
+            "A: not Hermitian (violation 2.000e+00, bound 2.000e-09)"
 
     def test_defect_is_relative_to_the_entries(self):
         skew = np.array([[0.0, 1e-4], [0.0, 0.0]])

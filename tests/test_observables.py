@@ -460,16 +460,19 @@ class TestCommutingJoint:
 
 def test_residual_and_norm_are_the_violation_and_in_the_message():
     """The completeness residual and the commutator's norm are ``violation``;
-    the message also names them, and the pair of outcomes that fails."""
+    the message also names them with their bounds, and the pair of outcomes
+    that fails."""
     with pytest.raises(ValidationError) as incomplete:
         obs.Observable([0.0, 1.0], [0.5 * np.eye(2), 0.4 * np.eye(2)])
     with pytest.raises(ValidationError) as noncommuting:
         obs.commuting_joint(noisy_spin(1.0, "x"), noisy_spin(1.0, "y"))
     for info, invariant, violation, message in (
             (incomplete, "completeness", 0.1,
-             "effects sum to identity with residual 1.000e-01"),
+             "effects do not sum to the identity "
+             "(violation 1.000e-01, bound 1.000e-09)"),
             (noncommuting, "commuting-effects", 0.5,
-             "effects at outcomes (-1.0, -1.0) do not commute (norm 5.000e-01)")):
+             "effects at outcomes (-1.0, -1.0) do not commute "
+             "(violation 5.000e-01, bound 1.000e-09)")):
         exc = info.value
         assert (exc.invariant, str(exc)) == (invariant, message)
         assert exc.violation == pytest.approx(violation)

@@ -68,11 +68,14 @@ class TestStateCheck:
 
     FAULTS = {
         "not-hermitian": (np.array([[1.0, 1.0], [0.0, 0.0]]), "hermitian", 1.0,
-                          "state is not Hermitian (defect 1.000e+00)"),
+                          "state: not Hermitian "
+                          "(violation 1.000e+00, bound 1.000e-09)"),
         "negative-eigenvalue": (np.diag([1.5, -0.5]), "psd", 0.5,
-                                "state has eigenvalue -5.000e-01 below -1.0e-08"),
+                                "state: eigenvalue below 0 "
+                                "(violation 5.000e-01, bound 1.000e-08)"),
         "trace-not-one": (np.diag([0.6, 0.6]), "unit-trace", abs(1.2 - 1.0),
-                          "state has trace (1.2+0j), expected 1"),
+                          "state: trace is not 1 "
+                          "(violation 2.000e-01, bound 1.000e-09)"),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -90,30 +93,34 @@ class TestStateCheck:
         with pytest.raises(ValidationError) as err:
             states.DensityOperator(np.diag([1.5, -0.5]))
         assert (err.value.invariant, err.value.field) == ("psd", "state")
-        assert str(err.value) == "state has eigenvalue -5.000e-01 below -1.0e-08"
+        assert str(err.value) == \
+            "state: eigenvalue below 0 (violation 5.000e-01, bound 1.000e-08)"
 
 
 OVER = 1.0 + 5e-7  # above 1 by more than every default tolerance
 
 
-@pytest.mark.parametrize("build, invariant, field", [
+@pytest.mark.parametrize("build, invariant, message", [
     (lambda: Observable([0.0, 1.0], [np.diag([OVER, 0.5]), np.diag([0.0, 0.5])],
-                        tol_lin=1e-6), "effect-upper-bound", "effect[0]"),
+                        tol_lin=1e-6), "effect-upper-bound",
+     "effect[0]: eigenvalue above 1 (violation 5.000e-07, bound 1.000e-08)"),
     (lambda: Instrument([0.0, 1.0], [[np.diag(np.sqrt([OVER, 0.5]))],
                                      [np.diag([0.0, np.sqrt(0.5)])]],
-                        tol_lin=1e-6), "effect-upper-bound", "kraus[0]"),
-    (lambda: states.DensityOperator(np.diag([OVER - 0.5, 0.5])),
-     "unit-trace", "state"),
-    (lambda: states.bloch_state((0.0, 0.0, OVER)), "bloch-ball", "r"),
-    (lambda: trivial_instrument({1.0: OVER - 0.5, -1.0: 0.5}, 2),
-     "unit-total", None),
+                        tol_lin=1e-6), "effect-upper-bound",
+     "kraus[0]: eigenvalue above 1 (violation 5.000e-07, bound 1.000e-08)"),
+    (lambda: states.DensityOperator(np.diag([OVER - 0.5, 0.5])), "unit-trace",
+     "state: trace is not 1 (violation 5.000e-07, bound 1.000e-09)"),
+    (lambda: states.bloch_state((0.0, 0.0, OVER)), "bloch-ball",
+     "r: a Bloch vector has norm above 1 (violation 5.000e-07, bound 1.000e-09)"),
+    (lambda: trivial_instrument({1.0: OVER - 0.5, -1.0: 0.5}, 2), "unit-total",
+     "weights do not sum to 1 (violation 5.000e-07, bound 1.000e-09)"),
 ], ids=["effect", "instrument", "trace", "bloch", "weights"])
-def test_bound_near_one_diagnostic_shows_the_excess(build, invariant, field):
+def test_bound_near_one_diagnostic_shows_the_excess(build, invariant, message):
+    """The excess over 1 is the violation, shown with the bound it broke."""
     with pytest.raises(ValidationError) as info:
         build()
-    assert (info.value.invariant, info.value.field) == (invariant, field)
+    assert (info.value.invariant, str(info.value)) == (invariant, message)
     assert info.value.violation == pytest.approx(5e-7, rel=1e-6)
-    assert repr(1.0 + info.value.violation) in str(info.value)
 
 
 class TestMaximallyMixed:
