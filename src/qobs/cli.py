@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import demos, fuzz, serialization as ser
-from .errors import ParseError, QobsError, ValidationError
+from .errors import _RECORD, ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
 from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, require_dim,
                      require_hermitian)
@@ -154,9 +154,7 @@ def _diagnostic(exc: QobsError) -> dict:
         "error": {
             "type": type(exc).__name__,
             "file": exc.file,
-            "field": exc.field,
-            "invariant": exc.invariant,
-            "violation": exc.violation,
+            **{key: getattr(exc, key) for key in _RECORD},
             "message": str(exc),
         },
     }
@@ -193,7 +191,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise ValidationError(
             f"expected A..B or a comma list of integers, got {text!r}",
             invariant="integer-list", field="--dims") from None
-    # An end below 1 leaves a 0 in the range, for RunConfig to reject.
+    # A start below 1 leaves a 0 in the range, for RunConfig to reject.
     return tuple(range(max(lo, 0), require_dim(hi, "--dims") + 1))
 
 

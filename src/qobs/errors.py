@@ -13,6 +13,9 @@ it is read, so it always states the record's current field.
 
 from __future__ import annotations
 
+# The record's keys, as the CLI's diagnostic and a fuzz error entry write them.
+_RECORD = ("invariant", "field", "violation", "bound")
+
 
 class QobsError(Exception):
     """Base class for all toolkit errors, and the diagnostic record: the

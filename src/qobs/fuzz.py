@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import statistics as stats
-from .errors import ParseError, QobsError, ValidationError
+from .errors import _RECORD, ParseError, QobsError, ValidationError
 from .instruments import (
     Instrument,
     conditioned_observable,
@@ -94,10 +94,8 @@ class RunConfig:
         if self.trials < 1:
             raise ValidationError("must be >= 1",
                                   invariant="positive-trials", field="trials")
-        if not self.dims or any(d < 1 for d in self.dims):
-            raise ValidationError("must be nonempty positive integers",
-                                  invariant="positive-dims", field="dims")
-        require_dim(max(self.dims), "dims")
+        for d in (min(self.dims, default=0), max(self.dims, default=0)):
+            require_dim(d, "dims")  # an empty tuple fails at 0
         for _, field in _TOLERANCES:
             if not _is_tolerance(getattr(self, field), field):
                 raise ValidationError("must be a finite number >= 0",
@@ -548,10 +546,11 @@ class _PropertyStats:
 
 def _error_entry(exc: Exception) -> dict:
     """The summary's record of a check that raised: its class and message,
-    and the rule it names when it is a toolkit error."""
+    and, for a toolkit error, its diagnostic record under the keys of the
+    CLI's JSON diagnostic."""
     entry = {"error": f"{type(exc).__name__}: {exc}"}
     if isinstance(exc, QobsError):
-        entry["invariant"] = exc.invariant
+        entry.update((key, getattr(exc, key)) for key in _RECORD)
     return entry
 
 

@@ -52,11 +52,8 @@ class Instrument(_Immutable):
         outs = linalg.parallel_keys(outcomes, kraus, "outcomes and Kraus lists")
         parts = [(linalg.as_stack(ops, name=f"kraus[{i}]"),)
                  for i, ops in enumerate(kraus)]
-        dims = [K.shape[1] for K, in parts]
-        if len(set(dims)) > 1:  # name the first outcome off the first dim
-            i = next(i for i, d in enumerate(dims) if d != dims[0])
-            raise ValidationError("Kraus operators have mixed dims",
-                                  invariant="matching-dims", field=f"kraus[{i}]")
+        for i, (K,) in enumerate(parts):
+            linalg.require_same_dim(K.shape[1], parts[0][0].shape[1], f"kraus[{i}]")
         self._build(outs, parts)
         try:
             self._derived["measured"] = Observable(
@@ -95,10 +92,7 @@ class Instrument(_Immutable):
         """Heisenberg-picture action for outcome x on an operator, or on
         each of an ``(n, d, d)`` stack of them."""
         C = (linalg.as_stack if np.ndim(C) == 3 else as_matrix)(C, name="C")
-        if C.shape[-1] != self.dim:
-            raise ValidationError(
-                f"operator dim {C.shape[-1]} does not match instrument dim {self.dim}",
-                invariant="matching-dims")
+        linalg.require_same_dim(C.shape[-1], self.dim, "C")
         return _sandwich(self._parts[self._index(x)], C, dual=True)
 
     def measured_observable(self) -> Observable:
@@ -144,7 +138,7 @@ def trivial_instrument(omega: Mapping, dim: int, *,
     if not miss <= tol_lin:
         raise ValidationError("weights do not sum to 1", invariant="unit-total",
                               violation=miss, bound=tol_lin)
-    eye = as_matrix(np.eye(dim, dtype=complex), name="kraus[0][0]")  # d < 1 raises
+    eye = np.eye(linalg.require_dim(dim, "dim"), dtype=complex)
     return Instrument.__new__(Instrument)._build(outcomes, [
         (np.sqrt(max(p, 0.0)) * eye[None],) for p in probs])
 
@@ -160,13 +154,9 @@ def holevo_instrument(A: Observable,
     """
     if isinstance(alphas, Mapping):
         alphas = _on_keys(alphas, A.keys, "reprepared state")
-    if len(alphas) != len(A):
-        raise ValidationError("need one reprepared state per outcome",
-                              invariant="parallel-lists")
-    if any(alpha.dim != A.dim for alpha in alphas):
-        raise ValidationError(
-            "reprepared state dim does not match observable dim",
-            invariant="matching-dims")
+    linalg.parallel_keys(A.keys, alphas, "outcomes and reprepared states")
+    for i, alpha in enumerate(alphas):
+        linalg.require_same_dim(alpha.dim, A.dim, f"alphas[{i}]")
     return Instrument.__new__(Instrument)._build(A.keys, [
         (E[None], alpha.matrix[None]) for E, alpha in zip(A.effects, alphas)])
 
@@ -181,10 +171,7 @@ def lueders_instrument(A: Observable) -> Instrument:
 
 def _dual_images(inst: Instrument, B: Observable) -> list[np.ndarray]:
     """For each outcome x, the stack of dual_x(B_y) over B's outcomes."""
-    if inst.dim != B.dim:
-        raise ValidationError(
-            f"instrument dim {inst.dim} does not match observable dim {B.dim}",
-            invariant="matching-dims")
+    linalg.require_same_dim(B.dim, inst.dim, "B")
     return [_sandwich(part, B.effects, dual=True) for part in inst._parts]
 
 

@@ -6,7 +6,8 @@ private Hermitian eigendecomposition into eigenspace projections, which
 Operators are plain ``numpy`` arrays of ``complex128``.  Every function is
 pure and returns fresh arrays; values stored inside domain objects are
 frozen read-only.  Dimensions are expected to stay small (d <= ~64), so all
-checks are done densely.
+checks are done densely.  Each shape rule is stated here once, for every
+module: ``require_dim``, ``require_same_dim`` and ``parallel_keys``.
 """
 
 from __future__ import annotations
@@ -61,11 +62,8 @@ def as_stack(mats, *, name: str) -> np.ndarray:
             and np.isfinite(stack).all()):
         return stack
     items = [as_matrix(M, name=f"{name}[{i}]") for i, M in enumerate(mats)]
-    dim = items[0].shape[0]
     for i, M in enumerate(items):
-        if M.shape[0] != dim:
-            raise ValidationError(f"dim {M.shape[0]}, expected {dim}",
-                                  invariant="matching-dims", field=f"{name}[{i}]")
+        require_same_dim(M.shape[0], items[0].shape[0], f"{name}[{i}]")
     return np.stack(items)
 
 
@@ -83,11 +81,27 @@ def parallel_keys(keys, values, what: str) -> tuple:
 
 
 def require_dim(d: int, field: str) -> int:
-    """d, if at most MAX_DIM: for sizes that no input array backs."""
-    if d > MAX_DIM:
-        raise ValidationError(f"dimension {d} is above {MAX_DIM}",
+    """d, if 1 <= d <= MAX_DIM: for sizes that no input array backs."""
+    if not 1 <= d <= MAX_DIM:
+        raise ValidationError(f"dim {d}, expected 1..{MAX_DIM}",
                               invariant="dim-range", field=field)
     return d
+
+
+def require_same_dim(d: int, expected: int, field: str) -> None:
+    """Raise ``matching-dims`` at ``field`` unless its dim d is the dim
+    ``expected`` of the operands it meets: the one operand-pair rule."""
+    if d != expected:
+        raise ValidationError(f"dim {d}, expected {expected}",
+                              invariant="matching-dims", field=field)
+
+
+def require_tolerance(tol: float, field: str) -> None:
+    """Raise ``tolerance-range`` at ``field`` unless tol >= 0 (infinity
+    included): a negative or NaN bound would blame every input it checks."""
+    if not tol >= 0:
+        raise ValidationError("must be >= 0", invariant="tolerance-range",
+                              field=field)
 
 
 def max_abs(M: np.ndarray) -> float:
@@ -113,10 +127,7 @@ def pair_scale(M: np.ndarray, N: np.ndarray):
 def commutator(A, B) -> np.ndarray:
     """AB - BA."""
     A, B = as_matrix(A, name="A"), as_matrix(B, name="B")
-    if A.shape != B.shape:
-        raise ValidationError(
-            f"dimension mismatch: {A.shape[0]} vs {B.shape[0]}",
-            invariant="matching-dims")
+    require_same_dim(B.shape[0], A.shape[0], "B")
     return A @ B - B @ A
 
 
@@ -183,7 +194,7 @@ def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
     """
     w, V = _eigh(require_hermitian(M, tol))
     if w[0] < -tol_psd:
-        raise ValidationError("matrix has an eigenvalue below 0", invariant="psd",
+        raise ValidationError("eigenvalue below 0", invariant="psd", field="matrix",
                               violation=float(-w[0]), bound=tol_psd)
     return _root(w, V)
 

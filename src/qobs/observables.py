@@ -86,6 +86,8 @@ class Observable(_Immutable):
 
     def __init__(self, keys: Sequence[Hashable], effects,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
+        linalg.require_tolerance(tol_lin, "tol_lin")
+        linalg.require_tolerance(tol_psd, "tol_psd")
         self._build(keys, effects, (tol_lin, tol_psd))
 
     def _build(self, keys, E, tols=None) -> "Observable":
@@ -238,10 +240,7 @@ def commuting_joint(A: Observable, B: Observable,
     ``key[1]`` gives B.
     """
     xs, ys = _outcomes(A), _outcomes(B)
-    if A.dim != B.dim:
-        raise ValidationError(
-            f"observables have dims {A.dim} and {B.dim}",
-            invariant="matching-dims")
+    linalg.require_same_dim(B.dim, A.dim, "B")
     AB, norm, bound = _commutators(A, B, tol)
     bad = np.argwhere(norm > bound)
     if bad.size:

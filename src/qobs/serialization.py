@@ -74,12 +74,14 @@ def _real(x, field: str) -> float:
 
 def _located(field: str, build, *args, **kw):
     """build(*args, **kw), whose ``ValidationError`` names a JSON path: its
-    ``effect[1]`` is ``<field>.effects[1]``, ``state`` or no field ``<field>``."""
+    ``effect[1]`` is ``<field>.effects[1]``, ``alphas[1]`` (a Holevo state)
+    ``<field>.states[1]``, ``state`` or no field ``<field>``."""
     try:
         return build(*args, **kw)
     except ValidationError as exc:
-        exc.field = (field if exc.field in (None, "state") else
-                     f"{field}.{exc.field.replace('effect[', 'effects[', 1)}")
+        name = (exc.field or "state").replace("effect[", "effects[", 1)
+        name = name.replace("alphas[", "states[", 1)
+        exc.field = field if name == "state" else f"{field}.{name}"
         raise
 
 
@@ -271,7 +273,7 @@ def decode_instrument(obj, field: str = "instrument", *,
         alphas = [decode_state(s, f"{field}.states[{i}]",
                                tol_lin=tol_lin, tol_psd=tol_psd)
                   for i, s in enumerate(raw_states)]
-        inst = _located(f"{field}.states", holevo_instrument, A, alphas)
+        inst = _located(field, holevo_instrument, A, alphas)
         if "map" in obj:  # pairs keyed by index, merged as the API merges them
             f = decode_function_map(obj["map"], f"{field}.map")
             inst = _located(f"{field}.map", inst.coarse_grain, f)

@@ -23,6 +23,8 @@ class DensityOperator(_Immutable):
     __slots__ = ("matrix", "eigenvalues", "dim")
 
     def __init__(self, M, *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
+        linalg.require_tolerance(tol_lin, "tol_lin")
+        linalg.require_tolerance(tol_psd, "tol_psd")
         M = linalg.require_hermitian(M, tol_lin, name="state")
         eigs = linalg.hermitian_eigenvalues(M)
         if eigs[0] < -tol_psd:
@@ -47,8 +49,7 @@ class DensityOperator(_Immutable):
 
 def maximally_mixed(d: int) -> DensityOperator:
     """The state I/d, the simplest faithful state in dimension d."""
-    if d < 1:
-        raise ValidationError("dimension must be >= 1", invariant="positive-dim")
+    d = linalg.require_dim(d, "d")
     return DensityOperator(np.eye(d, dtype=complex) / d)
 
 
@@ -111,9 +112,7 @@ def state_form(rho: DensityOperator, C, D) -> complex:
     """
     C = as_matrix(C, name="C")
     D = as_matrix(D, name="D")
-    if C.shape[0] != rho.dim or D.shape[0] != rho.dim:
-        raise ValidationError(
-            f"operands of dim {C.shape[0]}, {D.shape[0]} do not match state dim {rho.dim}",
-            invariant="matching-dims")
+    linalg.require_same_dim(C.shape[0], rho.dim, "C")
+    linalg.require_same_dim(D.shape[0], rho.dim, "D")
     return complex(np.trace(rho.matrix @ C.conj().T @ D))
 

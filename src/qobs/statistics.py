@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ValidationError
-from .linalg import TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian, scale_of
+from .errors import InternalConsistencyError
+from .linalg import (TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian,
+                     require_same_dim, require_tolerance, scale_of)
 from .observables import Observable, stochastic_operator
 from .states import DensityOperator, is_faithful
 
@@ -26,9 +27,7 @@ from .states import DensityOperator, is_faithful
 def _as_operator(x, dim: int, name: str) -> np.ndarray:
     op = (stochastic_operator(x) if isinstance(x, Observable)
           else require_hermitian(x, name=name))
-    if op.shape[0] != dim:
-        raise ValidationError(f"dim {op.shape[0]}, state has dim {dim}",
-                              invariant="matching-dims", field=name)
+    require_same_dim(op.shape[0], dim, name)
     return op
 
 
@@ -136,6 +135,7 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     states along the leading axes of the kernel's means and M, in row-major
     order.  Raises for the first state whose residuals exceed ``tol`` or
     are NaN."""
+    require_tolerance(tol, "tol")
     means, M = means.reshape(-1, 2), M.reshape(-1, 2, 2)
     cor = M[:, 0, 1] - means[:, 0] * means[:, 1]
     comm = M[:, 0, 1] - M[:, 1, 0]
@@ -192,9 +192,7 @@ def linear_relation(A, B, *, tol_lin: float = TOL_LIN,
     """
     A = require_hermitian(A, name="A")
     B = require_hermitian(B, name="B")
-    if A.shape != B.shape:
-        raise ValidationError("A and B must have equal dims",
-                              invariant="matching-dims")
+    require_same_dim(B.shape[0], A.shape[0], "B")
     return _fit(A, B, tol_lin, tol_rel)
 
 

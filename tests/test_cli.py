@@ -156,9 +156,12 @@ class TestUncertainty:
                             "--obs-b", files["obs_b.json"])
         assert code == 2
         err = out["error"]
+        assert set(err) == {"type", "file", "invariant", "field", "violation",
+                            "bound", "message"}
         assert err["file"] == str(bad)
         assert err["invariant"] == "unit-trace"
         assert err["violation"] == pytest.approx(0.2)
+        assert err["bound"] == 1e-9  # --tol-lin
         assert err["field"] == "state"
 
     def test_error_after_every_load_names_no_file(self, capsys, files, tmp_path,

@@ -107,12 +107,14 @@ def test_worst_is_the_first_error_of_the_run():
         if name == worst["property"]:
             break
         check(instance, config)
-    assert (worst["error"], worst["invariant"]) == (
+    assert (worst["error"], worst["invariant"], worst["field"]) == (
         "ValidationError: matrix: not Hermitian (violation 4.441e-16, "
-        "bound 6.652e-17)", "hermitian")
+        "bound 6.652e-17)", "hermitian", "matrix")
+    assert f"violation {worst['violation']:.3e}, bound {worst['bound']:.3e}" \
+        in worst["error"]
     replayed = fuzz.replay_instance(summary)
-    assert (replayed["error"], replayed["invariant"]) == (
-        worst["error"], worst["invariant"])
+    record = ("error", "invariant", "field", "violation", "bound")
+    assert [replayed[key] for key in record] == [worst[key] for key in record]
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), tuple(range(1, 10)),

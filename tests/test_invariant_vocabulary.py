@@ -32,8 +32,7 @@ from qobs.statistics import uncertainty_report
 INVARIANTS = {
     # inputs: shapes, entries and ranges
     "bloch-shape", "dim-range", "finite-entries", "matching-dims",
-    "matrix-list", "numeric-entries", "parallel-lists", "positive-dim",
-    "square",
+    "matrix-list", "numeric-entries", "parallel-lists", "square",
     # states
     "bloch-ball", "hermitian", "psd", "unit-trace",
     # observables and outcomes
@@ -47,8 +46,8 @@ INVARIANTS = {
     "uncertainty-inequality",
     # fuzz, demos and the CLI
     "flag-range", "integer-list", "nonempty-grid", "outcomes-range",
-    "positive-dims", "positive-trials", "real-list", "samples-range",
-    "tolerance-range", "writable-output",
+    "positive-trials", "real-list", "samples-range", "tolerance-range",
+    "writable-output",
 }
 
 
@@ -92,7 +91,7 @@ def _error_calls():
 
 def test_diagnostics_name_exactly_the_listed_invariants():
     assert _source_invariants() == INVARIANTS
-    assert len(INVARIANTS) == 40
+    assert len(INVARIANTS) == 38
 
 
 def test_each_invariant_is_raised_under_one_class():
@@ -106,6 +105,18 @@ def test_each_invariant_is_raised_under_one_class():
     assert {key: cls for key, cls in raised.items() if len(cls) > 1} == {}
 
 
+SHAPE_RULES = ("matching-dims", "dim-range", "parallel-lists")
+
+
+def test_each_shape_rule_is_raised_at_one_site_in_linalg():
+    """A shape rule is stated once, by its ``linalg.require_*`` or
+    ``parallel_keys`` helper, which every entry point calls; a second raise
+    site would be the rule written out by hand again."""
+    sites = {rule: [where.split(":")[0] for _, invariants, where, _ in _error_calls()
+                    if rule in invariants] for rule in SHAPE_RULES}
+    assert sites == {rule: ["linalg.py"] for rule in SHAPE_RULES}
+
+
 def test_no_message_restates_its_record():
     """A raise site passes its field, violation and bound in the record
     only: the message is rendered from the record, so an expression
@@ -113,7 +124,7 @@ def test_no_message_restates_its_record():
     is matched with each of its subexpressions, so ``{defect:.3e}`` beside
     ``violation=float(defect)`` is a restatement too."""
     calls = list(_error_calls())
-    assert len(calls) > 70  # the walk sees the raise sites
+    assert len(calls) >= 67  # the walk sees the raise sites
     for _, _, where, call in calls:
         record = {ast.dump(node) for k in call.keywords
                   if k.arg in ("field", "violation", "bound")
@@ -173,8 +184,6 @@ _MESSAGE_CASES = {
         qobs.Observable, [0.0], [[["a"]]])),
     "parallel-lists": ("parallel-lists", None, lambda t, m: _raised(
         qobs.Observable, [0.0, 1.0], [np.eye(2)])),
-    "positive-dim": ("positive-dim", None, lambda t, m: _raised(
-        qobs.maximally_mixed, 0)),
     "square": ("square", "effect[0]", lambda t, m: _raised(
         qobs.Observable, [0.0], [np.ones((2, 3))])),
     "bloch-ball": ("bloch-ball", "r", lambda t, m: _raised(
@@ -213,8 +222,8 @@ _MESSAGE_CASES = {
     "mu-range": ("mu-range", None, lambda t, m: _raised(qobs.noisy_spin, 2.0)),
     "slack-identity": ("slack-identity", None, _slack_off),
     "uncertainty-equation": ("uncertainty-equation", None, lambda t, m: _raised(
-        uncertainty_report, qobs.maximally_mixed(2), qobs.SIGMA_X, qobs.SIGMA_Y,
-        tol=-1.0)),
+        uncertainty_report, qobs.bloch_state([0.3, 0.4, 0.2]),
+        qobs.noisy_spin(1.0, "x"), qobs.noisy_spin(1.0, "y"), tol=0.0)),
     "uncertainty-inequality": ("uncertainty-inequality", None, lambda t, m: _raised(
         uncertainty_report, qobs.bloch_state([0.6, 0.0, 0.8]),
         qobs.noisy_spin(1.0, "x"), qobs.noisy_spin(1.0, "y"), tol=0.0)),
@@ -226,8 +235,6 @@ _MESSAGE_CASES = {
         t, "sweep-example4", "--mu-grid", ",")),
     "outcomes-range": ("outcomes-range", "--outcomes", lambda t, m: _cli(
         t, "demo", "example6", "--outcomes", "5000")),
-    "positive-dims": ("positive-dims", "dims", lambda t, m: _raised(
-        fuzz.RunConfig, dims=(0,))),
     "positive-trials": ("positive-trials", "trials", lambda t, m: _raised(
         fuzz.RunConfig, trials=0)),
     "real-list": ("real-list", "--mu-grid", lambda t, m: _cli(
@@ -255,6 +262,13 @@ _MESSAGE_CASES = {
                 "observable": ser.encode_observable(qobs.noisy_spin(0.0)),
                 "states": [{"type": "density", "matrix": ser.encode_matrix(m)}
                            for m in (HALF, np.eye(2))]})),
+    "validate -> instrument.states[i] of another dim": (
+        "matching-dims", "instrument.states[1]", lambda t, m: _cli(
+            t, "validate", "FILE", doc={
+                "type": "instrument", "family": "holevo",
+                "observable": ser.encode_observable(qobs.noisy_spin(0.0)),
+                "states": [{"type": "density", "matrix": ser.encode_matrix(m)}
+                           for m in (HALF, np.eye(3) / 3)]})),
     "validate -> instrument.kraus[i][j]": (
         "matching-dims", "instrument.kraus[1][1]", lambda t, m: _cli(
             t, "validate", "FILE", doc={

@@ -1,15 +1,20 @@
 """Matrix arithmetic and spectral primitives."""
 
+import math
+
 import numpy as np
 import pytest
 
-from qobs import linalg
+from qobs import fuzz, linalg, statistics as stats
 from qobs.errors import ValidationError
-from qobs.instruments import Instrument
-from qobs.observables import Observable, sharp_version, stochastic_operator
-from qobs.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
+from qobs.instruments import (Instrument, conditioned_observable, holevo_instrument,
+                              lueders_instrument, sequential_product,
+                              trivial_instrument)
+from qobs.observables import (Observable, commuting_joint, sharp_version,
+                              stochastic_operator)
+from qobs.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z, noisy_spin
 from qobs.sampling import random_hermitian, random_observable
-from qobs.states import DensityOperator
+from qobs.states import DensityOperator, maximally_mixed, state_form
 
 from conftest import max_abs_diff, ranks
 
@@ -220,6 +225,98 @@ class TestPsdSqrt:
             linalg.psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
         assert err.value.invariant == "psd"
 
+    @pytest.mark.parametrize("M, invariant", [
+        ([[1.0, 1.0], [0.0, 1.0]], "hermitian"), (np.diag([1.0, -1.0]), "psd")])
+    def test_both_failures_name_the_field_matrix(self, M, invariant):
+        with pytest.raises(ValidationError) as err:
+            linalg.psd_sqrt(M)
+        assert (err.value.invariant, err.value.field) == (invariant, "matrix")
+        assert str(err.value).startswith("matrix: ")
+
     def test_hermitian_trace_is_real(self, rng):
         M = random_hermitian(rng, 5)
         assert abs(np.trace(M).imag) < 1e-9
+
+
+# Every entry point that meets operands of two dims, with the operand it
+# names: a qubit operand first, then one of dim 3.
+_RHO, _SPIN, _EYE3 = maximally_mixed(2), noisy_spin(0.5), np.eye(3)
+_OBS3 = Observable([0.0], [_EYE3])
+_MISMATCHES = {
+    "as_stack": (lambda: linalg.as_stack([np.eye(2), _EYE3], name="effect"),
+                 "effect[1]"),
+    "commutator": (lambda: linalg.commutator(SIGMA_X, _EYE3), "B"),
+    "commuting_joint": (lambda: commuting_joint(_SPIN, _OBS3), "B"),
+    "average-observable": (lambda: stats.average(_RHO, _OBS3), "A"),
+    "correlation-matrix": (lambda: stats.correlation(_RHO, SIGMA_X, _EYE3), "B"),
+    "linear_relation": (lambda: stats.linear_relation(SIGMA_X, _EYE3), "B"),
+    "state_form-C": (lambda: state_form(_RHO, _EYE3, SIGMA_X), "C"),
+    "state_form-D": (lambda: state_form(_RHO, SIGMA_X, _EYE3), "D"),
+    "Instrument": (lambda: Instrument([0.0, 1.0], [[np.eye(2) / np.sqrt(2)],
+                                                   [_EYE3 / np.sqrt(2)]]), "kraus[1]"),
+    "dual_apply": (lambda: lueders_instrument(_SPIN).dual_apply(1.0, _EYE3), "C"),
+    "dual_apply-stack": (
+        lambda: lueders_instrument(_SPIN).dual_apply(1.0, _EYE3[None]), "C"),
+    "holevo_instrument": (lambda: holevo_instrument(
+        _SPIN, [_RHO, maximally_mixed(3)]), "alphas[1]"),
+    "sequential_product": (lambda: sequential_product(
+        lueders_instrument(_SPIN), _OBS3), "B"),
+    "conditioned_observable": (lambda: conditioned_observable(
+        lueders_instrument(_SPIN), _OBS3), "B"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISMATCHES))
+def test_operands_of_two_dims_are_one_matching_dims_error(case):
+    build, field = _MISMATCHES[case]
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert (err.value.invariant, err.value.field) == ("matching-dims", field)
+    assert str(err.value) == f"{field}: dim 3, expected 2"
+
+
+@pytest.mark.parametrize("build, field, d", [
+    (lambda: maximally_mixed(0), "d", 0),
+    (lambda: maximally_mixed(65), "d", 65),
+    (lambda: trivial_instrument({0.0: 1.0}, 0), "dim", 0),
+    (lambda: fuzz.RunConfig(dims=()), "dims", 0),
+    (lambda: fuzz.RunConfig(dims=(0, 2)), "dims", 0),
+], ids=["maximally_mixed-0", "maximally_mixed-65", "trivial_instrument-0",
+        "RunConfig-empty", "RunConfig-0"])
+def test_dim_outside_one_to_max_dim_is_dim_range(build, field, d):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert (err.value.invariant, err.value.field) == ("dim-range", field)
+    assert str(err.value) == f"{field}: dim {d}, expected 1..64"
+
+
+def test_dims_one_and_max_dim_are_accepted():
+    assert maximally_mixed(linalg.MAX_DIM).dim == linalg.MAX_DIM
+    assert trivial_instrument({0.0: 1.0}, 1).dim == 1
+
+
+_HALF = np.eye(2) / 2
+_TOLERANT = {
+    "DensityOperator-tol_lin": (lambda t: DensityOperator(_HALF, tol_lin=t), "tol_lin"),
+    "DensityOperator-tol_psd": (lambda t: DensityOperator(_HALF, tol_psd=t), "tol_psd"),
+    "Observable-tol_lin": (lambda t: Observable([0.0], [np.eye(2)], tol_lin=t),
+                           "tol_lin"),
+    "Observable-tol_psd": (lambda t: Observable([0.0], [np.eye(2)], tol_psd=t),
+                           "tol_psd"),
+    "Instrument-tol_lin": (lambda t: Instrument([0.0], [[np.eye(2)]], tol_lin=t),
+                           "tol_lin"),
+    "uncertainty_report-tol": (lambda t: stats.uncertainty_report(
+        _RHO, SIGMA_X, SIGMA_Y, tol=t), "tol"),
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+@pytest.mark.parametrize("case", list(_TOLERANT))
+def test_negative_or_nan_tolerance_is_tolerance_range(case, tol):
+    """A bound below 0 would blame a valid input, or report a bug, so it is
+    refused by name; an infinite one turns its check off."""
+    build, field = _TOLERANT[case]
+    with pytest.raises(ValidationError) as err:
+        build(tol)
+    assert (err.value.invariant, err.value.field) == ("tolerance-range", field)
+    build(math.inf)

@@ -485,13 +485,16 @@ class TestMomentKernel:
             assert stats._report(means2, M2, stats.TOL_STAT) == reports
 
     def test_guard_fires_on_both_paths(self, rng):
-        states = [random_density(rng, 3) for _ in range(3)]
-        A, B = random_observable(rng, 3, 3), random_hermitian(rng, 3)
+        """At tol 0 the last-bit equation residual at this Bloch vector
+        fails the guard, for one state and for the first of a stack."""
+        states = [bloch_state([0.3, 0.4, 0.2])] + [random_density(rng, 2)
+                                                   for _ in range(2)]
+        A, B = noisy_spin(1.0, "x"), noisy_spin(1.0, "y")
         with pytest.raises(InternalConsistencyError) as single:
-            stats.uncertainty_report(states[0], A, B, tol=-1.0)
+            stats.uncertainty_report(states[0], A, B, tol=0.0)
         _, means, M = stats._moments(np.array([r.matrix for r in states]), A, B)
         with pytest.raises(InternalConsistencyError) as batched:
-            stats._report(means, M, -1.0)
+            stats._report(means, M, 0.0)
         assert str(batched.value) == str(single.value)
         assert "uncertainty equation residual" in str(single.value)
 
