@@ -32,10 +32,12 @@ from .linalg import (
     TOL_PSD,
     TOL_STAT,
     default_cluster_tol,
+    is_int,
     max_abs,
     pair_scale,
     psd_sqrt,
     require_dim,
+    require_tolerance,
     scale_of,
 )
 from .observables import (
@@ -47,7 +49,6 @@ from .observables import (
     conjugate,
     conjugate_joint,
     is_commutative,
-    is_real,
     sharp_version,
     stochastic_operator,
 )
@@ -80,7 +81,8 @@ FAMILIES = ("trivial", "holevo", "lueders")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fuzzer configuration; identical configs give byte-identical output."""
+    """Fuzzer configuration; identical configs give byte-identical output.
+    Checked by ``require_dim`` and the finite form of ``require_tolerance``."""
 
     seed: int = 42
     trials: int = 100
@@ -91,25 +93,18 @@ class RunConfig:
     cluster_tol: float | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("must be >= 1",
+        if not (is_int(self.trials) and self.trials >= 1):
+            raise ValidationError("must be an int >= 1",
                                   invariant="positive-trials", field="trials")
-        for d in (min(self.dims, default=0), max(self.dims, default=0)):
-            require_dim(d, "dims")  # an empty tuple fails at 0
+        for d in self.dims or (0,):  # an empty tuple fails at 0
+            require_dim(d, "dims")
         for _, field in _TOLERANCES:
-            if not _is_tolerance(getattr(self, field), field):
-                raise ValidationError("must be a finite number >= 0",
-                                      invariant="tolerance-range", field=field)
+            if field != "cluster_tol" or self.cluster_tol is not None:
+                require_tolerance(getattr(self, field), field, finite=True)
 
 
 _TOLERANCES = (("lin", "tol_lin"), ("psd", "tol_psd"),  # summary key, field
                ("stat", "tol_stat"), ("cluster", "cluster_tol"))
-
-
-def _is_tolerance(value, field: str) -> bool:
-    """A finite real >= 0; the clustering width may also be None."""
-    return (is_real(value) and 0 <= value < math.inf
-            or value is None and field == "cluster_tol")
 
 
 def _family_instrument(bundle: dict):
@@ -620,10 +615,12 @@ def replay_instance(summary) -> dict:
     if not isinstance(name, str) or name not in CHECKS:
         raise ParseError(f"unknown property {name!r}", field="dump.property")
     tols = _expect(summary, "tolerances", "dump")
-    for key, field in _TOLERANCES:
-        if not _is_tolerance(_expect(tols, key, "dump.tolerances"), field):
+    for key, field in _TOLERANCES:  # the config's rule, at the summary's key
+        try:
+            RunConfig(**{field: _expect(tols, key, "dump.tolerances")})
+        except ValidationError:
             raise ParseError("expected a finite number >= 0",
-                             field=f"dump.tolerances.{key}")
+                             field=f"dump.tolerances.{key}") from None
     config = RunConfig(**{field: tols[key] for key, field in _TOLERANCES})
     try:
         instance = decode_instance(_expect(dump, "instance", "dump"),

@@ -126,6 +126,7 @@ def trivial_instrument(omega: Mapping, dim: int, *,
     fixed distribution omega, checked at ``tol_lin``; measures the trivial
     observable omega(x) I.  Real outcomes are checked as an ``Observable``
     checks them and kept as given."""
+    linalg.require_tolerance(tol_lin, "tol_lin")
     outcomes = list(omega)
     for x in filter(is_real, outcomes):
         canonical_outcome(x)

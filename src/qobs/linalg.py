@@ -80,9 +80,19 @@ def parallel_keys(keys, values, what: str) -> tuple:
     return keys
 
 
+def is_real(x) -> bool:
+    """The rule for a real outcome or tolerance: ints and floats, not bools."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def is_int(n) -> bool:
+    """The rule for a count or a dim: Python or numpy ints, not bools."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def require_dim(d: int, field: str) -> int:
-    """d, if 1 <= d <= MAX_DIM: for sizes that no input array backs."""
-    if not 1 <= d <= MAX_DIM:
+    """d, if an int in 1..MAX_DIM: for sizes that no input array backs."""
+    if not (is_int(d) and 1 <= d <= MAX_DIM):
         raise ValidationError(f"dim {d}, expected 1..{MAX_DIM}",
                               invariant="dim-range", field=field)
     return d
@@ -96,12 +106,22 @@ def require_same_dim(d: int, expected: int, field: str) -> None:
                               invariant="matching-dims", field=field)
 
 
-def require_tolerance(tol: float, field: str) -> None:
-    """Raise ``tolerance-range`` at ``field`` unless tol >= 0 (infinity
-    included): a negative or NaN bound would blame every input it checks."""
-    if not tol >= 0:
-        raise ValidationError("must be >= 0", invariant="tolerance-range",
-                              field=field)
+def require_tolerance(tol: float, field: str, *, finite: bool = False) -> float:
+    """tol, if a real number >= 0: the one tolerance rule, read where each
+    tolerance enters, since a negative or NaN bound blames every input.  Inf
+    turns a check off; ``finite`` refuses it, as JSON cannot write it."""
+    if not (is_real(tol) and tol >= 0 and (tol < np.inf or not finite)):
+        raise ValidationError("must be a finite number >= 0" if finite
+                              else "must be a number >= 0",
+                              invariant="tolerance-range", field=field)
+    return tol
+
+
+def require_psd(w: np.ndarray, tol_psd: float, field: str) -> None:
+    """Raise ``psd`` at ``field`` if ascending eigenvalues w start below -tol_psd."""
+    if w[0] < -tol_psd:
+        raise ValidationError("eigenvalue below 0", invariant="psd", field=field,
+                              violation=float(-w[0]), bound=tol_psd)
 
 
 def max_abs(M: np.ndarray) -> float:
@@ -136,6 +156,7 @@ def hermiticity_defect(M: np.ndarray):
 
 
 def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.ndarray:
+    require_tolerance(tol, "tol")
     M = as_matrix(M, name=name)
     defect, bound = hermiticity_defect(M), tol * scale_of(M)
     if defect > bound:
@@ -162,9 +183,10 @@ def _eigh(M: np.ndarray):
 
 
 def default_cluster_tol(M: np.ndarray, cluster_tol: float | None = None) -> float:
-    """The eigenvalue clustering width for M: ``cluster_tol`` when given,
-    else 1e-8 of M's scale; every clustering and its bound read it here."""
-    return 1e-8 * scale_of(M) if cluster_tol is None else cluster_tol
+    """The eigenvalue clustering width for M: ``cluster_tol``, if given and a
+    tolerance, else 1e-8 of M's scale; every clustering and its bound read it."""
+    return (1e-8 * scale_of(M) if cluster_tol is None
+            else require_tolerance(cluster_tol, "cluster_tol"))
 
 
 def _eigendecomposition(M: np.ndarray, cluster_tol: float | None):
@@ -192,10 +214,9 @@ def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
     Eigenvalues in [-tol_psd, 0) are treated as rounding noise and clipped
     to zero; anything lower is a ``psd`` error.
     """
+    require_tolerance(tol_psd, "tol_psd")
     w, V = _eigh(require_hermitian(M, tol))
-    if w[0] < -tol_psd:
-        raise ValidationError("eigenvalue below 0", invariant="psd", field="matrix",
-                              violation=float(-w[0]), bound=tol_psd)
+    require_psd(w, tol_psd, "matrix")
     return _root(w, V)
 
 

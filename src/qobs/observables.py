@@ -15,12 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ValidationError
-from .linalg import TOL_LIN, TOL_PSD, _Immutable, entry_norms, scale_of
-
-
-def is_real(key) -> bool:
-    """The outcome-space rule: ints and floats (not bools) are real."""
-    return isinstance(key, (int, float)) and not isinstance(key, bool)
+from .linalg import TOL_LIN, TOL_PSD, _Immutable, entry_norms, is_real, scale_of
 
 
 def canonical_outcome(x) -> float:
@@ -86,9 +81,8 @@ class Observable(_Immutable):
 
     def __init__(self, keys: Sequence[Hashable], effects,
                  *, tol_lin: float = TOL_LIN, tol_psd: float = TOL_PSD):
-        linalg.require_tolerance(tol_lin, "tol_lin")
-        linalg.require_tolerance(tol_psd, "tol_psd")
-        self._build(keys, effects, (tol_lin, tol_psd))
+        self._build(keys, effects, (linalg.require_tolerance(tol_lin, "tol_lin"),
+                                    linalg.require_tolerance(tol_psd, "tol_psd")))
 
     def _build(self, keys, E, tols=None) -> "Observable":
         """The one construction path.  The constructor passes its ``tols``,
@@ -143,13 +137,14 @@ def stochastic_operator(A: Observable) -> np.ndarray:
 
 def is_sharp(A: Observable, tol: float = TOL_LIN) -> bool:
     """True when every effect is a projection (P^2 = P within tolerance)."""
-    E = A.effects
+    E, tol = A.effects, linalg.require_tolerance(tol, "tol")
     return bool(np.all(entry_norms(E @ E - E) <= tol * scale_of(E)))
 
 
 def _commutators(A: Observable, B: Observable, tol: float):
     """The products A_x B_y, indexed [x, y], their commutators' norms, and
     the bounds ``tol * pair_scale(A_x, B_y)`` that the norms must not exceed."""
+    linalg.require_tolerance(tol, "tol")
     left, right = A.effects[:, None], B.effects[None, :]
     AB = left @ right
     norm = entry_norms(AB - right @ left)

@@ -79,9 +79,10 @@ def _located(field: str, build, *args, **kw):
     try:
         return build(*args, **kw)
     except ValidationError as exc:
-        name = (exc.field or "state").replace("effect[", "effects[", 1)
-        name = name.replace("alphas[", "states[", 1)
-        exc.field = field if name == "state" else f"{field}.{name}"
+        if exc.invariant != "tolerance-range":  # a parameter, not in the doc
+            name = (exc.field or "state").replace("effect[", "effects[", 1)
+            name = name.replace("alphas[", "states[", 1)
+            exc.field = field if name == "state" else f"{field}.{name}"
         raise
 
 

@@ -27,10 +27,7 @@ class DensityOperator(_Immutable):
         linalg.require_tolerance(tol_psd, "tol_psd")
         M = linalg.require_hermitian(M, tol_lin, name="state")
         eigs = linalg.hermitian_eigenvalues(M)
-        if eigs[0] < -tol_psd:
-            raise ValidationError("eigenvalue below 0", invariant="psd",
-                                  field="state", violation=float(-eigs[0]),
-                                  bound=tol_psd)
+        linalg.require_psd(eigs, tol_psd, "state")
         miss = abs(M.trace() - 1.0)
         if miss > tol_lin:
             raise ValidationError("trace is not 1", invariant="unit-trace",
@@ -57,6 +54,7 @@ def _bloch_matrices(vectors, tol_lin: float):
     """(r, M): n Bloch vectors as an ``(n, 3)`` array r and their states
     (I + r . sigma)/2 as an ``(n, 2, 2)`` stack M.  Raises unless every vector
     is three finite reals, then for the first with norm above 1 + tol_lin."""
+    linalg.require_tolerance(tol_lin, "tol_lin")
     try:
         r = np.asarray(vectors, dtype=float)
     except (TypeError, ValueError):  # ragged or non-numeric
@@ -101,7 +99,7 @@ def is_faithful(rho: DensityOperator, tol: float = TOL_PSD) -> bool:
     product; zero eigenvalues are indistinguishable from tiny ones in
     floating point, so the cut is an explicit parameter.
     """
-    return rho.eigenvalues[0] > tol
+    return rho.eigenvalues[0] > linalg.require_tolerance(tol, "tol")
 
 
 def state_form(rho: DensityOperator, C, D) -> complex:

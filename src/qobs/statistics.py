@@ -190,6 +190,8 @@ def linear_relation(A, B, *, tol_lin: float = TOL_LIN,
     exactly.  When A is a multiple of the identity, a relation exists only
     if B is too.
     """
+    require_tolerance(tol_lin, "tol_lin")
+    require_tolerance(tol_rel, "tol_rel")
     A = require_hermitian(A, name="A")
     B = require_hermitian(B, name="B")
     require_same_dim(B.shape[0], A.shape[0], "B")

@@ -484,7 +484,7 @@ class TestFuzz:
                    "instance": {"dim": 2}}), "dump.instance.family"),
         (_summary({"property": "eigen.reconstruction", "instance": {
             "dim": "x", "family": "trivial", "omega": {"1": 1.0}}}),
-         "dump.instance"),
+         "dump.instance.dim"),
         (_summary({"property": "eigen.reconstruction",
                    "instance": {"dim": 2, "family": "bogus"}}),
          "dump.instance.family"),

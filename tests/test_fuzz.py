@@ -94,6 +94,13 @@ def test_tolerances_must_be_finite_nonnegative_reals(field, value):
     assert (info.value.invariant, info.value.field) == ("tolerance-range", field)
 
 
+@pytest.mark.parametrize("trials", [0, 2.5, True, "3"])
+def test_trials_must_be_a_positive_int(trials):
+    with pytest.raises(ValidationError) as info:
+        fuzz.RunConfig(trials=trials)
+    assert (info.value.invariant, info.value.field) == ("positive-trials", "trials")
+
+
 def test_worst_is_the_first_error_of_the_run():
     config = fuzz.RunConfig(seed=42, trials=9, dims=(2, 3, 4), tol_lin=1e-17)
     summary = fuzz.run_fuzz(config)

@@ -106,15 +106,17 @@ def test_each_invariant_is_raised_under_one_class():
 
 
 SHAPE_RULES = ("matching-dims", "dim-range", "parallel-lists")
+ONE_SITE_RULES = (*SHAPE_RULES, "tolerance-range", "psd")
 
 
 def test_each_shape_rule_is_raised_at_one_site_in_linalg():
-    """A shape rule is stated once, by its ``linalg.require_*`` or
-    ``parallel_keys`` helper, which every entry point calls; a second raise
-    site would be the rule written out by hand again."""
+    """A shape rule, the tolerance rule and the psd rule are each stated
+    once, by their ``linalg.require_*`` or ``parallel_keys`` helper, which
+    every entry point calls; a second raise site would be the rule written
+    out by hand again."""
     sites = {rule: [where.split(":")[0] for _, invariants, where, _ in _error_calls()
-                    if rule in invariants] for rule in SHAPE_RULES}
-    assert sites == {rule: ["linalg.py"] for rule in SHAPE_RULES}
+                    if rule in invariants] for rule in ONE_SITE_RULES}
+    assert sites == {rule: ["linalg.py"] for rule in ONE_SITE_RULES}
 
 
 def test_no_message_restates_its_record():
@@ -124,7 +126,7 @@ def test_no_message_restates_its_record():
     is matched with each of its subexpressions, so ``{defect:.3e}`` beside
     ``violation=float(defect)`` is a restatement too."""
     calls = list(_error_calls())
-    assert len(calls) >= 67  # the walk sees the raise sites
+    assert len(calls) >= 65  # the walk sees the raise sites
     for _, _, where, call in calls:
         record = {ast.dump(node) for k in call.keywords
                   if k.arg in ("field", "violation", "bound")

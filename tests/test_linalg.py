@@ -10,11 +10,13 @@ from qobs.errors import ValidationError
 from qobs.instruments import (Instrument, conditioned_observable, holevo_instrument,
                               lueders_instrument, sequential_product,
                               trivial_instrument)
-from qobs.observables import (Observable, commuting_joint, sharp_version,
-                              stochastic_operator)
+from qobs.observables import (Observable, commuting_joint, conjugate,
+                              conjugate_joint, is_commutative, is_sharp,
+                              sharp_version, stochastic_operator)
 from qobs.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z, noisy_spin
 from qobs.sampling import random_hermitian, random_observable
-from qobs.states import DensityOperator, maximally_mixed, state_form
+from qobs.states import (DensityOperator, bloch_state, is_faithful, maximally_mixed,
+                         state_form)
 
 from conftest import max_abs_diff, ranks
 
@@ -281,9 +283,17 @@ def test_operands_of_two_dims_are_one_matching_dims_error(case):
     (lambda: trivial_instrument({0.0: 1.0}, 0), "dim", 0),
     (lambda: fuzz.RunConfig(dims=()), "dims", 0),
     (lambda: fuzz.RunConfig(dims=(0, 2)), "dims", 0),
+    (lambda: maximally_mixed(2.5), "d", 2.5),
+    (lambda: maximally_mixed(True), "d", True),
+    (lambda: trivial_instrument({0.0: 1.0}, 2.5), "dim", 2.5),
+    (lambda: fuzz.RunConfig(dims=(2.5,)), "dims", 2.5),
+    (lambda: fuzz.RunConfig(dims=(2, 2.5, 3)), "dims", 2.5),
 ], ids=["maximally_mixed-0", "maximally_mixed-65", "trivial_instrument-0",
-        "RunConfig-empty", "RunConfig-0"])
+        "RunConfig-empty", "RunConfig-0", "maximally_mixed-float",
+        "maximally_mixed-bool", "trivial_instrument-float", "RunConfig-float",
+        "RunConfig-float-inside"])
 def test_dim_outside_one_to_max_dim_is_dim_range(build, field, d):
+    """A dim is an int (not a bool) in 1..64, each of a list checked."""
     with pytest.raises(ValidationError) as err:
         build()
     assert (err.value.invariant, err.value.field) == ("dim-range", field)
@@ -307,6 +317,30 @@ _TOLERANT = {
                            "tol_lin"),
     "uncertainty_report-tol": (lambda t: stats.uncertainty_report(
         _RHO, SIGMA_X, SIGMA_Y, tol=t), "tol"),
+    "bloch_state-tol_lin": (lambda t: bloch_state((0, 0, 1), tol_lin=t), "tol_lin"),
+    "is_faithful-tol": (lambda t: is_faithful(_RHO, tol=t), "tol"),
+    "is_sharp-tol": (lambda t: is_sharp(_SPIN, tol=t), "tol"),
+    "is_commutative-tol": (lambda t: is_commutative(_SPIN, tol=t), "tol"),
+    "commuting_joint-tol": (lambda t: commuting_joint(_SPIN, _SPIN, tol=t), "tol"),
+    "sharp_version-cluster_tol": (lambda t: sharp_version(
+        noisy_spin(0.5, "x"), cluster_tol=t), "cluster_tol"),
+    "sharp_version-matrix-cluster_tol": (lambda t: sharp_version(
+        SIGMA_X, cluster_tol=t), "cluster_tol"),
+    "conjugate-cluster_tol": (lambda t: conjugate(_SPIN, cluster_tol=t),
+                              "cluster_tol"),
+    "conjugate_joint-cluster_tol": (lambda t: conjugate_joint(_SPIN, cluster_tol=t),
+                                    "cluster_tol"),
+    "psd_sqrt-tol_psd": (lambda t: linalg.psd_sqrt(np.diag([-1e-3, 1.0]), tol_psd=t),
+                         "tol_psd"),
+    "psd_sqrt-tol": (lambda t: linalg.psd_sqrt(np.eye(2), tol=t), "tol"),
+    "require_hermitian-tol": (lambda t: linalg.require_hermitian(SIGMA_X, tol=t),
+                              "tol"),
+    "trivial_instrument-tol_lin": (lambda t: trivial_instrument(
+        {0.0: 1.0}, 2, tol_lin=t), "tol_lin"),
+    "linear_relation-tol_lin": (lambda t: stats.linear_relation(
+        np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), tol_lin=t), "tol_lin"),
+    "linear_relation-tol_rel": (lambda t: stats.linear_relation(
+        np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), tol_rel=t), "tol_rel"),
 }
 
 
@@ -319,4 +353,5 @@ def test_negative_or_nan_tolerance_is_tolerance_range(case, tol):
     with pytest.raises(ValidationError) as err:
         build(tol)
     assert (err.value.invariant, err.value.field) == ("tolerance-range", field)
+    assert str(err.value) == f"{field}: must be a number >= 0"
     build(math.inf)

@@ -256,6 +256,23 @@ class TestInstrument:
             ser.decode_instrument(kraus)
         assert info.value.field == "instrument.kraus[1]"
 
+    @pytest.mark.parametrize("decode, doc, field", [
+        (ser.decode_state, {"type": "density", "matrix": ser.encode_matrix(
+            np.eye(2) / 2)}, "tol_lin"),
+        (ser.decode_state, {"type": "bloch", "r": [0.0, 0.0, 1.0]}, "tol_lin"),
+        (ser.decode_observable, ser.encode_observable(noisy_spin(0.5)), "tol_psd"),
+        (ser.decode_instrument, {"type": "instrument", "family": "trivial",
+                                 "dim": 2, "omega": {"1": 1.0}}, "tol_lin"),
+        (ser.decode_instrument, {"type": "instrument", "family": "kraus",
+                                 "outcomes": [0.0], "kraus": [[ser.encode_matrix(
+                                     np.eye(2))]]}, "tol_psd"),
+    ], ids=["density", "bloch", "observable", "trivial", "kraus"])
+    def test_a_bad_tolerance_names_the_parameter_not_a_json_path(self, decode,
+                                                                   doc, field):
+        with pytest.raises(ValidationError) as info:
+            decode(doc, **{field: -1.0})
+        assert (info.value.invariant, info.value.field) == ("tolerance-range", field)
+
     def test_trivial_dim_above_max_dim(self):
         with pytest.raises(ValidationError) as info:
             ser.decode_instrument({"type": "instrument", "family": "trivial",
