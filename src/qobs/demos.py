@@ -19,16 +19,11 @@ import numpy as np
 
 from . import statistics as stats
 from .errors import ValidationError
-from .instruments import (
-    conditioned_observable,
-    holevo_instrument,
-    lueders_instrument,
-    sequential_product,
-    trivial_instrument,
-)
-from .linalg import TOL_LIN, TOL_STAT, commutator, max_abs, psd_sqrt
+from .fuzz import _family_instrument, _family_rows, _maximally_mixed_correlation
+from .instruments import lueders_instrument, sequential_product
+from .linalg import TOL_LIN, TOL_STAT, commutator, max_abs
 from .observables import Observable, coarse_grain, stochastic_operator
-from .qubit import SIGMA_Z, _spin_operator, noisy_spin, noisy_spin_closed_forms
+from .qubit import _spin_operator, noisy_spin, noisy_spin_closed_forms
 from .sampling import (
     random_density,
     random_hermitian,
@@ -43,10 +38,13 @@ _SPIN_TOL = 1e-12  # the noisy-spin statistics against their closed forms
 
 
 class _Checks:
-    """Accumulates (name, computed, expected) rows and their deltas."""
+    """Accumulates (name, computed, expected) rows and their deltas, from
+    the matrix rows it is given first."""
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.rows = []
+        for row in rows:
+            self.matrix(*row)
 
     def scalar(self, name: str, computed, expected):
         computed, expected = complex(computed), complex(expected)
@@ -100,20 +98,16 @@ def demo_example2(dim: int = 3, seed: int = 42) -> dict:
     rho = DensityOperator(np.eye(n, dtype=complex) / n)
     A = random_hermitian(rng, n)
     B = random_hermitian(rng, n)
-    trA, trB = np.trace(A).real, np.trace(B).real
-    trAB = complex(np.trace(A @ B))
+    cor = _maximally_mixed_correlation(A, B)
 
     ch = _Checks()
-    ch.scalar("mean_a", stats.average(rho, A), trA / n)
-    ch.scalar("correlation", stats.correlation(rho, A, B),
-              trAB / n - trA * trB / n ** 2)
-    ch.scalar("covariance", stats.covariance(rho, A, B),
-              trAB.real / n - trA * trB / n ** 2)
+    ch.scalar("mean_a", stats.average(rho, A), np.trace(A).real / n)
+    ch.scalar("correlation", stats.correlation(rho, A, B), cor)
+    ch.scalar("covariance", stats.covariance(rho, A, B), cor.real)
     ch.scalar("variance_a", stats.variance(rho, A),
-              np.trace(A @ A).real / n - (trA / n) ** 2)
+              _maximally_mixed_correlation(A, A).real)
     ch.scalar("commutator_expectation",
-              stats.commutator_expectation(rho, A, B),
-              2j * trAB.imag / n)
+              stats.commutator_expectation(rho, A, B), 2j * cor.imag)
     return ch.result("example2", {"dim": dim, "seed": seed}, 1e-10)
 
 
@@ -184,24 +178,6 @@ def demo_example4(mu: float = 0.5, bloch=(0.3, 0.4, 0.2)) -> dict:
     return out
 
 
-def _instrument_checks(ch: _Checks, inst, B: Observable, measured,
-                       product, conditioned) -> Observable:
-    """Rows for the instrument's measured observable, its sequential product
-    with B, and B conditioned on it, against the expected effects
-    measured(i), product(i, B_y) and conditioned(B_y), where i indexes
-    ``inst.outcomes``.  Returns the sequential product."""
-    for x, E in inst.measured_observable().pairs():
-        ch.matrix(f"measured_effect[{x}]", E,
-                  measured(inst.outcomes.index(x)))
-    joint = sequential_product(inst, B)
-    for (x, y), E in joint.pairs():
-        ch.matrix(f"product_effect[{x},{y}]", E,
-                  product(inst.outcomes.index(x), _effect_at(B, y)))
-    for y, E in conditioned_observable(inst, B).pairs():
-        ch.matrix(f"conditioned_effect[{y}]", E, conditioned(_effect_at(B, y)))
-    return joint
-
-
 def demo_example5(dim: int = 3, seed: int = 42, outcomes: int = 2) -> dict:
     """Trivial instrument: outcome drawn from a fixed law, state untouched;
     conditioning on it changes nothing."""
@@ -209,21 +185,16 @@ def demo_example5(dim: int = 3, seed: int = 42, outcomes: int = 2) -> dict:
     probs = random_probability_vector(rng, outcomes)
     omega = {float(x): float(p)
              for x, p in zip(range(1, outcomes + 1), probs)}
-    inst = trivial_instrument(omega, dim)
     B = random_observable(rng, dim, 2)
-    eye = np.eye(dim)
-    weights = [omega[x] for x in inst.outcomes]
+    bundle = {"family": "trivial", "dim": dim, "omega": omega, "B": B,
+              "rho": random_density(rng, dim), "C": random_hermitian(rng, dim)}
+    bundle["inst"] = _family_instrument(bundle)
 
-    ch = _Checks()
-    product = _instrument_checks(ch, inst, B, lambda i: weights[i] * eye,
-                                 lambda i, By: weights[i] * By,
-                                 lambda By: By)
+    ch = _Checks(zip(*_family_rows(bundle)))
     f = {(x, y): float((i + 1) * (j - 1))
-         for i, x in enumerate(inst.outcomes)
-         for j, y in enumerate(B.outcomes)}
-    fab = coarse_grain(product, f)
-    direct = sum(f[(x, y)] * omega[x] * _effect_at(B, y)
-                 for x in inst.outcomes for y in B.outcomes)
+         for i, x in enumerate(omega) for j, y in enumerate(B.outcomes)}
+    fab = coarse_grain(sequential_product(bundle["inst"], B), f)
+    direct = sum(f[x, y] * omega[x] * E for x in omega for y, E in B.pairs())
     ch.matrix("coarse_grained_stochastic", stochastic_operator(fab), direct)
     return ch.result("example5", {"dim": dim, "seed": seed,
                                   "outcomes": outcomes}, 1e-10)
@@ -233,53 +204,30 @@ def demo_example6(dim: int = 3, seed: int = 42, outcomes: int = 2) -> dict:
     """Holevo instrument: probability from the measured effect, output state
     reprepared from a fixed family."""
     rng = np.random.default_rng(seed)
-    A = random_observable(rng, dim, outcomes)
-    alphas = [random_density(rng, dim) for _ in range(outcomes)]
-    inst = holevo_instrument(A, alphas)
-    B = random_observable(rng, dim, 2)
-    rho = random_density(rng, dim)
-    C = random_hermitian(rng, dim)
-
-    ch = _Checks()
-    for i, x in enumerate(inst.outcomes):
-        ch.matrix(f"apply[{x}]", inst.apply(x, rho),
-                  np.trace(rho.matrix @ A.effects[i]).real * alphas[i].matrix)
-        ch.matrix(f"dual[{x}]", inst.dual_apply(x, C),
-                  complex(np.trace(alphas[i].matrix @ C)) * A.effects[i])
-
-    def reprepared(i, By):
-        return np.trace(alphas[i].matrix @ By).real * A.effects[i]
-
-    _instrument_checks(ch, inst, B, lambda i: A.effects[i], reprepared,
-                       lambda By: sum(reprepared(i, By)
-                                      for i in range(outcomes)))
-    return ch.result("example6", {"dim": dim, "seed": seed,
-                                  "outcomes": outcomes}, 1e-10)
+    bundle = {"family": "holevo", "dim": dim,  # drawn in the order written
+              "A": random_observable(rng, dim, outcomes),
+              "alphas": [random_density(rng, dim) for _ in range(outcomes)],
+              "B": random_observable(rng, dim, 2), "rho": random_density(rng, dim),
+              "C": random_hermitian(rng, dim)}
+    bundle["inst"] = _family_instrument(bundle)
+    return _Checks(zip(*_family_rows(bundle))).result(
+        "example6", {"dim": dim, "seed": seed, "outcomes": outcomes}, 1e-10)
 
 
 def demo_example7(dim: int = 2, seed: int = 42, outcomes: int = 2) -> dict:
     """Lueders instrument: square-root pinching; measures its own observable
     and dephases in the sharp case."""
     rng = np.random.default_rng(seed)
-    A = random_observable(rng, dim, outcomes)
-    inst = lueders_instrument(A)
-    B = random_observable(rng, dim, 2)
-    rho = random_density(rng, dim)
+    bundle = {"family": "lueders", "dim": dim,  # drawn in the order written
+              "A": random_observable(rng, dim, outcomes),
+              "B": random_observable(rng, dim, 2), "rho": random_density(rng, dim),
+              "C": random_hermitian(rng, dim)}
+    bundle["inst"] = _family_instrument(bundle)
 
-    ch = _Checks()
-    roots = [psd_sqrt(E) for E in A.effects]
-    for i, x in enumerate(inst.outcomes):
-        ch.scalar(f"probability[{x}]", np.trace(inst.apply(x, rho)).real,
-                  np.trace(rho.matrix @ A.effects[i]).real)
-    _instrument_checks(ch, inst, B, lambda i: A.effects[i],
-                       lambda i, By: roots[i] @ By @ roots[i],
-                       lambda By: sum(S @ By @ S for S in roots))
+    ch = _Checks(zip(*_family_rows(bundle)))
     # Sharp special case: measuring along z dephases a Bloch state.
-    sharp = Observable([1.0, -1.0],
-                       [(np.eye(2) + SIGMA_Z) / 2.0,
-                        (np.eye(2) - SIGMA_Z) / 2.0])
     rho2 = bloch_state((0.3, -0.5, 0.4))
-    dephased = lueders_instrument(sharp).channel(rho2)
+    dephased = lueders_instrument(noisy_spin(1.0, "z")).channel(rho2)
     ch.matrix("sharp_dephasing", dephased.matrix,
               np.diag(np.diag(rho2.matrix)))
     return ch.result("example7", {"dim": dim, "seed": seed,

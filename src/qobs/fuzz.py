@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .linalg import (
     TOL_PSD,
     TOL_STAT,
     default_cluster_tol,
+    entry_norms,
     is_int,
     max_abs,
     pair_scale,
@@ -93,6 +95,9 @@ class RunConfig:
     cluster_tol: float | None = None
 
     def __post_init__(self):
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValidationError("must be an int >= 0",
+                                  invariant="seed-range", field="seed")
         if not (is_int(self.trials) and self.trials >= 1):
             raise ValidationError("must be an int >= 1",
                                   invariant="positive-trials", field="trials")
@@ -115,6 +120,66 @@ def _family_instrument(bundle: dict):
     if family == "holevo":
         return holevo_instrument(bundle["A"], bundle["alphas"])
     return lueders_instrument(bundle["A"])
+
+
+def _family_maps(bundle: dict):
+    """Each family's definition, stated once, from the bundle's omega, A or
+    alphas alone: (outcomes, apply, dual), each taking a (k, d, d) stack to
+    its images under every outcome's map, or its dual, as (n, k, d, d):
+      trivial  apply(rho) = omega_x rho,         dual(C) = omega_x C
+      Holevo   apply(rho) = tr(rho A_x) alpha_x, dual(C) = tr(alpha_x C) A_x
+      Lueders  apply(rho) = R_x rho R_x,         dual(C) = R_x C R_x,
+    with R_x = A_x^(1/2) from an eigendecomposition of its own."""
+    if bundle["family"] == "trivial":
+        omega = bundle["omega"]
+        scaled = partial(np.multiply.outer, [omega[x] for x in omega])
+        return tuple(omega), scaled, scaled
+    A = bundle["A"]
+    if bundle["family"] == "holevo":
+        pair = A.effects, np.array([alpha.matrix for alpha in bundle["alphas"]])
+        return A.keys, partial(_paired, *pair), partial(_paired, *pair[::-1])
+    w, V = np.linalg.eigh(A.effects)
+    R = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.conj().swapaxes(-1, -2)
+    sandwiched = partial(_sandwiched, R[:, None])
+    return A.keys, sandwiched, sandwiched
+
+
+def _paired(P, Q, M):
+    """tr(M_k P_x) Q_x over the pairs x and the stack M."""
+    return np.einsum("xk,xab->xkab", np.einsum("xba,kab->xk", P, M), Q)
+
+
+def _sandwiched(R, M):
+    """R_x M_k R_x over the roots x and the stack M."""
+    return R @ M @ R
+
+
+def _family_rows(bundle: dict):
+    """The bundle's instrument against its family's definition on the bundle's
+    rho, C and B, as columns (names, computed, expected), names formatted when
+    read: the measured effects against dual(I), apply(rho), dual(C), and in
+    their key order, (x, y) over the outcomes then B's keys, the sequential
+    product with B against dual(B_y) and B conditioned on it, sum_x dual(B_y)."""
+    inst, rho, C, B = (bundle[key] for key in ("inst", "rho", "C", "B"))
+    outcomes, apply, dual = _family_maps(bundle)
+    duals = dual(np.concatenate([np.eye(B.dim)[None], C[None], B.effects]))
+    measured = dict(inst.measured_observable().pairs())
+    product = _shared(bundle, sequential_product, "inst", "B")
+    conditioned = _shared(bundle, conditioned_observable, "inst", "B")
+    groups = (("measured_effect", outcomes), ("apply", outcomes), ("dual", outcomes),
+              ("product_effect", product.keys), ("conditioned_effect", conditioned.keys))
+    computed = np.concatenate([
+        [measured[x] for x in outcomes], [inst.apply(x, rho) for x in outcomes],
+        [inst.dual_apply(x, C) for x in outcomes], product.effects, conditioned.effects])
+    expected = np.concatenate([duals[:, 0], apply(rho.matrix[None])[:, 0], duals[:, 1],
+                               duals[:, 2:].reshape(-1, B.dim, B.dim), duals[:, 2:].sum(0)])
+    return (f"{kind}[{key}]" for kind, keys in groups for key in keys), computed, expected
+
+
+def _maximally_mixed_correlation(C, D) -> complex:
+    """Cor(C, D) at the maximally mixed state: tr(CD)/d - tr C tr D / d^2."""
+    d = C.shape[0]
+    return complex(np.trace(C @ D) / d - np.trace(C) * np.trace(D) / d ** 2)
 
 
 def build_instance(rng: np.random.Generator, dim: int, family: str) -> dict:
@@ -169,6 +234,15 @@ def _shared(inst: dict, build, *names, **kw):
     that ``_FIELDS`` never encodes, so replay does not see it."""
     return _stored(inst, (build.__qualname__, *names, *kw.items()),
                    lambda: build(*(inst[name] for name in names), **kw))
+
+
+def _worst(residual: np.ndarray, bound: np.ndarray) -> tuple[float, float]:
+    """The (residual, bound) of worst ratio; of equal ratios, the largest
+    residual.  A residual above a bound of 0 has ratio inf, and 0 over 0 is 0."""
+    ratio = np.divide(residual, bound, where=bound > 0,
+                      out=np.where(residual > 0, math.inf, 0.0))
+    k = np.lexsort((residual, ratio))[-1]
+    return float(residual[k]), float(bound[k])
 
 
 # Property registry: name -> fn(instance, config) -> (residual, bound).
@@ -329,11 +403,8 @@ def _chk_statistics_sharp_consistency(inst, cfg):
 
 def _chk_maximally_mixed_closed_form(inst, cfg):
     C, D = inst["C"], inst["D"]
-    d = C.shape[0]
-    rho = maximally_mixed(d)
-    closed = (np.trace(C @ D) / d
-              - np.trace(C) * np.trace(D) / d ** 2)
-    res = abs(stats.correlation(rho, C, D) - closed)
+    closed = _maximally_mixed_correlation(C, D)
+    res = abs(stats.correlation(maximally_mixed(C.shape[0]), C, D) - closed)
     return res, cfg.tol_lin * max(1.0, abs(closed))
 
 
@@ -352,24 +423,10 @@ def _chk_commutator_identity(inst, cfg):
     return res, cfg.tol_lin * max(1.0, abs(comm))
 
 
-def _chk_instrument_adjointness(inst, cfg):
-    instr, rho, C = inst["inst"], inst["rho"], inst["C"]
-    res = 0.0
-    for x in instr.outcomes:
-        lhs = np.trace(rho.matrix @ instr.dual_apply(x, C))
-        rhs = np.trace(instr.apply(x, rho) @ C)
-        res = max(res, abs(lhs - rhs))
-    return res, cfg.tol_lin * scale_of(C)
-
-
-def _chk_instrument_probability(inst, cfg):
-    instr, rho = inst["inst"], inst["rho"]
-    measured = instr.measured_observable()
-    res = 0.0
-    for x, E in measured.pairs():
-        res = max(res, abs(np.trace(instr.apply(x, rho)).real
-                           - np.trace(rho.matrix @ E).real))
-    return res, cfg.tol_lin
+def _chk_instrument_family(inst, cfg):
+    """Every row of ``_family_rows``; the (residual, bound) of worst ratio."""
+    _, computed, expected = _family_rows(inst)
+    return _worst(entry_norms(computed - expected), cfg.tol_lin * scale_of(expected))
 
 
 def _chk_instrument_channel(inst, cfg):
@@ -411,8 +468,6 @@ def _chk_conditioned_mean(inst, cfg):
     cond = _shared(inst, conditioned_observable, "inst", "B")
     res = abs(stats.average(rho, cond) - stats.average(
         _shared(inst, Instrument.channel, "inst", "rho"), B))
-    if inst["family"] == "trivial":
-        res = max(res, _matched_observable_delta(cond, B))
     return res, cfg.tol_lin * max(1.0, abs(stats.average(rho, B)))
 
 
@@ -446,12 +501,8 @@ def _chk_derived_spectrum(inst, cfg):
     """The constructor's effect rule, the fuzz's one statement of it, on
     every observable of the trial: its inputs, and the derived ones that the
     builders do not check.  The (residual, bound) of worst ratio."""
-    residual, bound = _effect_margins(
-        [obs.effects for obs in _trial_observables(inst, cfg)], cfg.tol_lin, cfg.tol_psd)
-    ratio = np.divide(residual, bound, where=bound > 0,
-                      out=np.where(residual > 0, math.inf, 0.0))
-    k = np.lexsort((residual, ratio))[-1]  # of equal ratios, the largest residual
-    return float(residual[k]), float(bound[k])
+    stacks = [obs.effects for obs in _trial_observables(inst, cfg)]
+    return _worst(*_effect_margins(stacks, cfg.tol_lin, cfg.tol_psd))
 
 
 CHECKS = {
@@ -475,8 +526,7 @@ CHECKS = {
     "statistics.maximally_mixed": _chk_maximally_mixed_closed_form,
     "deviation.traceless": _chk_deviation_traceless,
     "commutator.imaginary_identity": _chk_commutator_identity,
-    "instrument.adjointness": _chk_instrument_adjointness,
-    "instrument.probability": _chk_instrument_probability,
+    "instrument.family": _chk_instrument_family,
     "instrument.channel": _chk_instrument_channel,
     "instrument.coarse_grain_measured": _chk_instrument_coarse_grain,
     "instrument.mean": _chk_instrument_mean,
@@ -556,7 +606,8 @@ def run_fuzz(config: RunConfig) -> dict:
     A check that raises counts as a violated property (an instance its
     contract could not even be evaluated on) rather than aborting the run.
     """
-    root, n = np.random.SeedSequence(config.seed), len(config.dims)
+    dims = [int(d) for d in config.dims]  # numpy ints are not JSON
+    root, n = np.random.SeedSequence(config.seed), len(dims)
     props = {name: _PropertyStats() for name in CHECKS}
     worst = {"ratio": -1.0}
     for i in range(config.trials):
@@ -564,7 +615,7 @@ def run_fuzz(config: RunConfig) -> dict:
         # i % 3 pairs every dim with every family unless 3 divides the
         # number of dims; then each pass over the dims shifts the families.
         family = FAMILIES[(i + (i // n if n % 3 == 0 else 0)) % 3]
-        dim = config.dims[i % n]
+        dim = dims[i % n]
         instance = build_instance(rng, dim, family)
         for name, check in CHECKS.items():
             entry = props[name]
@@ -594,9 +645,9 @@ def run_fuzz(config: RunConfig) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "prng": PRNG_NAME,
-        "seed": config.seed,
-        "trials": config.trials,
-        "dims": list(config.dims),
+        "seed": int(config.seed),
+        "trials": int(config.trials),
+        "dims": dims,
         "tolerances": {key: getattr(config, field) for key, field in _TOLERANCES},
         "properties": {name: vars(p) for name, p in props.items()},
         "violations": total,

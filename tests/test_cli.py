@@ -273,9 +273,9 @@ class TestDemo:
         ("example2", "c3726ff6cc83c6cbb93af9ab191b2d9ad833d6ee27a8915ca268f4034ea060e7"),
         ("example3", "ce59f010b5a7dff62adc67a7a56e9010c2dda79a179e23a8f2ef31c4118aae3b"),
         ("example4", "d8df9833cc6155616cecd96a43abf29db09d79d5c06642a21f8709e15e72774f"),
-        ("example5", "2b5f0426f6d302d6866c02e5c37439720f85a79c53d3f3dfcde00c614aaf22a4"),
-        ("example6", "e95c8d28768874fad7b1805bd50e1eab84ae162c61d57a20fcb62a875b4045aa"),
-        ("example7", "9f552df14cd1d3bffedd9f3d917cceaf5db21b12770c3f3cf50124f17fb2ed4c"),
+        ("example5", "410294f693fbb192c6c85f211fa6a022469525dcf6a53d34d61d4c0f4117f6b5"),
+        ("example6", "6cde6eb1cbb5d9ea4c9d676bb93947e82e54132e9d41649de2e407a8d8abf5b0"),
+        ("example7", "21ae9b48180e093766718b51d37fb5ccce78462ad2a43276f1aa1ff2009d2a69"),
     ])
     def test_stdout_at_the_defaults_is_pinned(self, capsys, name, digest):
         """The SHA-256 of ``demo NAME --json`` at the CLI's defaults (seed

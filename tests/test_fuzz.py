@@ -94,11 +94,26 @@ def test_tolerances_must_be_finite_nonnegative_reals(field, value):
     assert (info.value.invariant, info.value.field) == ("tolerance-range", field)
 
 
-@pytest.mark.parametrize("trials", [0, 2.5, True, "3"])
-def test_trials_must_be_a_positive_int(trials):
+@pytest.mark.parametrize("field, value, invariant", [
+    ("trials", 0, "positive-trials"), ("trials", 2.5, "positive-trials"),
+    ("trials", True, "positive-trials"), ("trials", "3", "positive-trials"),
+    ("seed", -1, "seed-range"), ("seed", 2.5, "seed-range"),
+    ("seed", None, "seed-range")])
+def test_trials_and_seed_must_be_ints_in_range(field, value, invariant):
+    """A seed below 0 or not an int would reach numpy's ``SeedSequence``,
+    which raises its own error only once the run starts."""
     with pytest.raises(ValidationError) as info:
-        fuzz.RunConfig(trials=trials)
-    assert (info.value.invariant, info.value.field) == ("positive-trials", "trials")
+        fuzz.RunConfig(**{field: value})
+    assert (info.value.invariant, info.value.field) == (invariant, field)
+
+
+def test_numpy_ints_in_the_config_give_the_same_summary():
+    """The summary records the config's counts as Python ints, so it is
+    JSON whatever int type the caller passed."""
+    as_numpy = fuzz.RunConfig(seed=np.int64(3), trials=np.int64(4),
+                              dims=(np.int64(2), np.int32(3)))
+    assert canonical_json(fuzz.run_fuzz(as_numpy)) == canonical_json(
+        fuzz.run_fuzz(fuzz.RunConfig(seed=3, trials=4, dims=(2, 3))))
 
 
 def test_worst_is_the_first_error_of_the_run():
@@ -157,8 +172,7 @@ PROPERTIES = (
     "coarse_grain.validity", "uncertainty.equation", "uncertainty.inequality",
     "correlation.conjugate_symmetry", "statistics.sharp_consistency",
     "statistics.maximally_mixed", "deviation.traceless",
-    "commutator.imaginary_identity", "instrument.adjointness",
-    "instrument.probability", "instrument.channel",
+    "commutator.imaginary_identity", "instrument.family", "instrument.channel",
     "instrument.coarse_grain_measured", "instrument.mean",
     "sequential.marginal", "conditioned.mean", "product.split_function",
     "derived.effect_spectrum",
@@ -167,7 +181,7 @@ PROPERTIES = (
 
 def test_checks_are_exactly_the_listed_properties():
     assert tuple(fuzz.CHECKS) == PROPERTIES
-    assert len(PROPERTIES) == 29
+    assert len(PROPERTIES) == 28
 
 
 # SHA-256 of the bytes ``qobs fuzz --json`` prints for each config.  A digest
@@ -177,11 +191,11 @@ def test_checks_are_exactly_the_listed_properties():
 # rounds differently can move them without any change to the library.
 SUMMARY_DIGESTS = [
     (fuzz.RunConfig(seed=42, trials=200),
-     "bafc0fb279a48887a1e976c2930f85a778f53c32018db9dc8ca3d7eef13b03a9"),
+     "a516be9976b365db941aa6c1b63269b498b478324c5f3b034b68b3342d01bd45"),
     (fuzz.RunConfig(seed=3, trials=45, dims=tuple(range(1, 10))),
-     "3cf04cdbfeee64c2b954fda44933e440de9b697709adffc9e63d8653b3af1a12"),
+     "332c45927a6b08d04616a94b654e7082e5eff2c7f6866475483f01cc1aa7045a"),
     (fuzz.RunConfig(seed=5, trials=30, dims=(2, 3, 4), cluster_tol=0.05),
-     "44871cde93fa69f25eb4babe134ab97e9fafa6146bef9dccfd8e8a31b13e058b"),
+     "3c6bf402c5133e2f9d241b9e70a01281cdceee0fc83096dc356bd8ac16f5b8fd"),
 ]
 
 
@@ -403,3 +417,29 @@ def test_nan_uncertainty_residual_is_an_error_not_a_pass():
         with np.errstate(invalid="ignore"):  # inf - inf
             with pytest.raises(InternalConsistencyError):
                 check(bundle, fuzz.RunConfig())
+
+
+def _shifted_holevo(A, alphas):
+    """Reprepares alphas[i + 1] after outcome i: the measured observable is
+    A's, so only the family's definition tells it apart."""
+    return instruments.holevo_instrument(A, alphas[1:] + alphas[:1])
+
+
+def _rotated_lueders(A):
+    """Kraus operators U A_x^(1/2), U a fixed diagonal unitary: the same
+    measured observable as the Lueders instrument of A."""
+    U = np.diag(np.exp(1j * np.arange(A.dim)))
+    return instruments.Instrument(A.keys, [[U @ linalg.psd_sqrt(E)]
+                                           for E in A.effects])
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("holevo_instrument", _shifted_holevo),
+    ("lueders_instrument", _rotated_lueders)], ids=["holevo", "lueders"])
+def test_only_the_family_property_sees_a_mutant_family(monkeypatch, name, mutant):
+    monkeypatch.setattr(fuzz, name, mutant)
+    summary = fuzz.run_fuzz(fuzz.RunConfig(seed=42, trials=12, dims=(2, 3, 4)))
+    violations = {key: p["violations"] for key, p in summary["properties"].items()
+                  if p["violations"]}
+    assert set(violations) == {"instrument.family"}
+    assert violations["instrument.family"] == 4  # every trial of the family

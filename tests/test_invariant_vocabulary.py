@@ -46,8 +46,8 @@ INVARIANTS = {
     "uncertainty-inequality",
     # fuzz, demos and the CLI
     "flag-range", "integer-list", "nonempty-grid", "outcomes-range",
-    "positive-trials", "real-list", "samples-range", "tolerance-range",
-    "writable-output",
+    "positive-trials", "real-list", "samples-range", "seed-range",
+    "tolerance-range", "writable-output",
 }
 
 
@@ -91,7 +91,7 @@ def _error_calls():
 
 def test_diagnostics_name_exactly_the_listed_invariants():
     assert _source_invariants() == INVARIANTS
-    assert len(INVARIANTS) == 38
+    assert len(INVARIANTS) == 39
 
 
 def test_each_invariant_is_raised_under_one_class():
@@ -243,6 +243,8 @@ _MESSAGE_CASES = {
         t, "sweep-example4", "--mu-grid", "a")),
     "samples-range": ("samples-range", "--samples", lambda t, m: _cli(
         t, "sweep-example4", "--samples", "100000", "--mu-grid", "0,1")),
+    "seed-range": ("seed-range", "seed", lambda t, m: _raised(
+        fuzz.RunConfig, seed=-1)),
     "tolerance-range": ("tolerance-range", "tol_lin", lambda t, m: _raised(
         fuzz.RunConfig, tol_lin=-1.0)),
     "writable-output": ("writable-output", "--output", lambda t, m: _cli(

@@ -1,7 +1,9 @@
 """The README's examples run as written: the library quick start executes,
 every ``qobs`` line of the CLI block parses, the shared-flags table
-states what the parser takes, and every error class it names exists."""
+states what the parser takes, and every error class and fuzz property it
+names exists."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qobs
+from qobs import fuzz
 from qobs.cli import _SHARED_FLAGS, _build_parser
 
 from conftest import long_options, subparsers
@@ -65,3 +68,26 @@ def test_every_error_class_named_is_exported():
     named = set(re.findall(r"`(?:\w+\.)*(\w+Error)`", README))
     assert named
     assert named - set(vars(qobs)) == set()
+
+
+def _property_names(text: str) -> set:
+    """Each backticked ``a.b`` whose ``a`` begins a fuzz property's name,
+    unless ``qobs.a`` is a module with an attribute ``b``."""
+    prefixes = {name.split(".")[0] for name in fuzz.CHECKS}
+    names = set()
+    for a, b in re.findall(r"`(\w+)\.(\w+)`", text):
+        try:
+            if a not in prefixes or hasattr(importlib.import_module(f"qobs.{a}"), b):
+                continue
+        except ImportError:
+            pass
+        names.add(f"{a}.{b}")
+    return names
+
+
+def test_every_property_named_is_a_fuzz_check():
+    named = _property_names(README)
+    assert "instrument.family" in named
+    assert named - set(fuzz.CHECKS) == set()
+    assert _property_names("`instrument.adjointness`, `statistics._scale`") == {
+        "instrument.adjointness"}
