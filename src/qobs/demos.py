@@ -18,10 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import statistics as stats
-from .errors import ValidationError
 from .fuzz import _family_instrument, _family_rows, _maximally_mixed_correlation
 from .instruments import lueders_instrument, sequential_product
-from .linalg import TOL_LIN, TOL_STAT, commutator, max_abs
+from .linalg import TOL_LIN, TOL_STAT, commutator, max_abs, require_margin
 from .observables import Observable, coarse_grain, stochastic_operator
 from .qubit import _spin_operator, noisy_spin, noisy_spin_closed_forms
 from .sampling import (
@@ -268,12 +267,10 @@ def sweep_noisy_spin(mu_grid, bloch_vectors) -> dict:
             delta = abs(val - ref[key])
             columns += [val.tolist(), delta.tolist()]
             max_delta = max(max_delta, delta.max(initial=0.0).item())
-        if (delta > _SPIN_TOL).any():  # the slack identity, first failing row
-            k = int((delta > _SPIN_TOL).argmax())
-            raise ValidationError(
-                f"slack identity violated at mu={mu}, r={vectors[k].tolist()}",
-                invariant="slack-identity", violation=float(delta[k]),
-                bound=_SPIN_TOL)
+        require_margin(  # the slack identity, first failing row
+            delta, _SPIN_TOL,
+            lambda k: f"slack identity violated at mu={mu}, r={vectors[k].tolist()}",
+            invariant="slack-identity")
         columns.append((np.abs(val) <= _SPIN_TOL).tolist())
         rows.extend(dict(zip(_ROW_KEYS, row)) for row in zip(*columns))
     return {"schema": SCHEMA_VERSION, "rows": rows, "max_delta": max_delta,

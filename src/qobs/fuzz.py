@@ -236,11 +236,20 @@ def _shared(inst: dict, build, *names, **kw):
                    lambda: build(*(inst[name] for name in names), **kw))
 
 
+def _margin(residual: float, bound: float) -> tuple[bool, float]:
+    """(violated, ratio), the fuzz's one rule: violated unless residual <=
+    bound, so NaN is; the ratio is residual / bound, 0 over 0 is 0, and NaN
+    or a positive residual over a bound of 0 is inf."""
+    violated = not residual <= bound
+    if bound > 0 and residual == residual:  # not NaN
+        return violated, residual / bound
+    return violated, math.inf if violated else 0.0
+
+
 def _worst(residual: np.ndarray, bound: np.ndarray) -> tuple[float, float]:
-    """The (residual, bound) of worst ratio; of equal ratios, the largest
-    residual.  A residual above a bound of 0 has ratio inf, and 0 over 0 is 0."""
-    ratio = np.divide(residual, bound, where=bound > 0,
-                      out=np.where(residual > 0, math.inf, 0.0))
+    """The (residual, bound) of worst ``_margin`` ratio; of equal ratios, the
+    largest residual."""
+    ratio = [_margin(r, b)[1] for r, b in zip(residual.tolist(), bound.tolist())]
     k = np.lexsort((residual, ratio))[-1]
     return float(residual[k]), float(bound[k])
 
@@ -630,11 +639,10 @@ def run_fuzz(config: RunConfig) -> dict:
                 found = {"ratio": None, "residual": None, "bound": None,
                          **_error_entry(exc)}
             else:
+                violated, ratio = _margin(residual, bound)
                 entry.max_residual = max(entry.max_residual, residual)
-                ratio = residual / bound if bound > 0 else math.inf
                 entry.max_ratio = max(entry.max_ratio, ratio)
-                if residual > bound:
-                    entry.violations += 1
+                entry.violations += violated
                 if worst["ratio"] is None or not ratio > worst["ratio"]:
                     continue
                 found = {"ratio": ratio, "residual": residual, "bound": bound}
@@ -659,7 +667,7 @@ def replay_instance(summary) -> dict:
     """Re-evaluate the ``worst`` member of a run summary at the tolerances
     the summary records; deterministic arithmetic makes the residual
     reproduce bit-for-bit.  ``violations`` is 1 when the check raised or its
-    residual exceeds its bound, as ``run_fuzz`` counts, else 0.  A malformed
+    residual is not within its bound, as ``run_fuzz`` counts, else 0.  A malformed
     summary raises ``ParseError`` naming the field."""
     dump = _expect(summary, "worst", "dump")
     name = _expect(dump, "property", "dump")
@@ -686,7 +694,6 @@ def replay_instance(summary) -> dict:
     except Exception as exc:
         return {"schema": SCHEMA_VERSION, "property": name, "violations": 1,
                 **_error_entry(exc)}
-    return {"schema": SCHEMA_VERSION, "property": name,
-            "residual": residual, "bound": bound,
-            "ratio": residual / bound if bound > 0 else math.inf,
-            "violations": int(residual > bound)}
+    violated, ratio = _margin(residual, bound)
+    return {"schema": SCHEMA_VERSION, "property": name, "residual": residual,
+            "bound": bound, "ratio": ratio, "violations": int(violated)}

@@ -131,14 +131,10 @@ def trivial_instrument(omega: Mapping, dim: int, *,
     for x in filter(is_real, outcomes):
         canonical_outcome(x)
     probs = [float(omega[x]) for x in outcomes]
-    if not all(p >= -tol_lin for p in probs):  # a NaN weight fails too
-        raise ValidationError(
-            "weights must be nonnegative", invariant="nonnegative-weights",
-            violation=None if np.isnan(probs).any() else -min(probs), bound=tol_lin)
-    miss = abs(sum(probs) - 1.0)
-    if not miss <= tol_lin:
-        raise ValidationError("weights do not sum to 1", invariant="unit-total",
-                              violation=miss, bound=tol_lin)
+    linalg.require_margin(np.negative(probs), tol_lin, "weights must be nonnegative",
+                          invariant="nonnegative-weights")
+    linalg.require_margin(abs(sum(probs) - 1.0), tol_lin, "weights do not sum to 1",
+                          invariant="unit-total")
     eye = np.eye(linalg.require_dim(dim, "dim"), dtype=complex)
     return Instrument.__new__(Instrument)._build(outcomes, [
         (np.sqrt(max(p, 0.0)) * eye[None],) for p in probs])

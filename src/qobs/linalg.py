@@ -7,7 +7,8 @@ Operators are plain ``numpy`` arrays of ``complex128``.  Every function is
 pure and returns fresh arrays; values stored inside domain objects are
 frozen read-only.  Dimensions are expected to stay small (d <= ~64), so all
 checks are done densely.  Each shape rule is stated here once, for every
-module: ``require_dim``, ``require_same_dim`` and ``parallel_keys``.
+module: ``require_dim``, ``require_same_dim`` and ``parallel_keys``; so is
+the margin rule, ``require_margin``, for every residual against its bound.
 """
 
 from __future__ import annotations
@@ -117,11 +118,32 @@ def require_tolerance(tol: float, field: str, *, finite: bool = False) -> float:
     return tol
 
 
+def require_margin(residual, bound, detail, *, invariant, field=None,
+                   error=ValidationError) -> None:
+    """The one margin rule: raise ``error`` unless residual <= bound, entrywise,
+    so a NaN fails, even against an infinite bound.  For arrays that
+    broadcast, the record is the first failing entry's, in row-major order,
+    at index k: ``invariant``, ``detail`` and ``field`` are each a value or
+    a tuple read at the entry's rule k[-1], and detail or field may be a
+    callable of k."""
+    holds = residual <= bound  # one comparison; a scalar's is not reduced
+    if holds.all() if isinstance(holds, np.ndarray) else holds:
+        return
+    residual, bound = np.broadcast_arrays(residual, bound)
+    k = np.unravel_index(np.argmin(residual <= bound), residual.shape)
+
+    def at(x):  # x, read at the failing entry
+        return x(*k) if callable(x) else x[k[-1]] if isinstance(x, tuple) else x
+
+    raise error(at(detail), invariant=at(invariant), field=at(field),
+                violation=float(residual[k]), bound=float(bound[k]))
+
+
 def require_psd(w: np.ndarray, tol_psd: float, field: str) -> None:
-    """Raise ``psd`` at ``field`` if ascending eigenvalues w start below -tol_psd."""
-    if w[0] < -tol_psd:
-        raise ValidationError("eigenvalue below 0", invariant="psd", field=field,
-                              violation=float(-w[0]), bound=tol_psd)
+    """Raise ``psd`` at ``field`` unless ascending eigenvalues w start at or
+    above -tol_psd; NaN eigenvalues fail."""
+    require_margin(-w[0], tol_psd, "eigenvalue below 0", invariant="psd",
+                   field=field)
 
 
 def max_abs(M: np.ndarray) -> float:
@@ -158,10 +180,8 @@ def hermiticity_defect(M: np.ndarray):
 def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.ndarray:
     require_tolerance(tol, "tol")
     M = as_matrix(M, name=name)
-    defect, bound = hermiticity_defect(M), tol * scale_of(M)
-    if defect > bound:
-        raise ValidationError("not Hermitian", invariant="hermitian", field=name,
-                              violation=float(defect), bound=float(bound))
+    require_margin(hermiticity_defect(M), tol * scale_of(M), "not Hermitian",
+                   invariant="hermitian", field=name)
     return M
 
 

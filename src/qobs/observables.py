@@ -28,8 +28,8 @@ def canonical_outcome(x) -> float:
 
 
 def _effect_margins(stacks: Sequence[np.ndarray], tol_lin: float, tol_psd: float):
-    """The effect rule as (residual, bound) arrays, failing where residual >
-    bound: each effect's Hermiticity defect (bound ``tol_lin * scale_of``),
+    """The effect rule as (residual, bound) arrays, failing where not residual
+    <= bound: each effect's Hermiticity defect (bound ``tol_lin * scale_of``),
     each -lambda_min and each lambda_max - 1 (bound ``tol_psd``), and each
     stack's completeness residual (bound ``tol_lin``), in that order."""
     E = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
@@ -43,22 +43,17 @@ def _effect_margins(stacks: Sequence[np.ndarray], tol_lin: float, tol_psd: float
 
 
 def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
-    """Check 0 <= E_i <= I for every effect in the stack, reporting the
-    first bad index, and that the effects sum to I."""
+    """Check 0 <= E_i <= I for every effect, reporting the first bad effect
+    and its first broken rule, then that the effects sum to I."""
     residual, bound = _effect_margins([E], tol_lin, tol_psd)
-    n, over = len(E), residual > bound
-    if over[:3 * n].any():
-        i = int(over[:3 * n].reshape(3, n).any(0).argmax())  # the first effect
-        k = i + n * int(over[i:3 * n:n].argmax())  # and its first broken rule
-        raise ValidationError(
-            ("not Hermitian", "eigenvalue below 0", "eigenvalue above 1")[k // n],
-            invariant=("hermitian" if k < n else "effect-lower-bound" if k < 2 * n
-                       else "effect-upper-bound"),
-            field=f"effect[{i}]", violation=float(residual[k]), bound=float(bound[k]))
-    if over[-1]:
-        raise ValidationError("effects do not sum to the identity",
-                              invariant="completeness",
-                              violation=float(residual[-1]), bound=tol_lin)
+    n = len(E)  # rows (effect, rule), effect-major
+    linalg.require_margin(
+        residual[:3 * n].reshape(3, n).T, bound[:3 * n].reshape(3, n).T,
+        ("not Hermitian", "eigenvalue below 0", "eigenvalue above 1"),
+        invariant=("hermitian", "effect-lower-bound", "effect-upper-bound"),
+        field=lambda i, rule: f"effect[{i}]")
+    linalg.require_margin(residual[-1], bound[-1], "effects do not sum to the identity",
+                          invariant="completeness")
 
 
 class Observable(_Immutable):
@@ -154,7 +149,7 @@ def _commutators(A: Observable, B: Observable, tol: float):
 def is_commutative(A: Observable, tol: float = TOL_LIN) -> bool:
     """True when all pairs of effects commute within tolerance."""
     _, norm, bound = _commutators(A, A, tol)
-    return not (norm > bound).any()
+    return bool((norm <= bound).all())  # commuting_joint's margin rule
 
 
 def _stored(cache: dict, key, build: Callable):
@@ -237,13 +232,9 @@ def commuting_joint(A: Observable, B: Observable,
     xs, ys = _outcomes(A), _outcomes(B)
     linalg.require_same_dim(B.dim, A.dim, "B")
     AB, norm, bound = _commutators(A, B, tol)
-    bad = np.argwhere(norm > bound)
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(
-            f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute",
-            invariant="commuting-effects", violation=float(norm[i, j]),
-            bound=float(bound[i, j]))
+    linalg.require_margin(norm, bound, lambda i, j: (
+        f"effects at outcomes ({xs[i]}, {ys[j]}) do not commute"),
+        invariant="commuting-effects")
     return _pair_keyed(xs, ys, AB)
 
 

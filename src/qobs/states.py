@@ -28,10 +28,8 @@ class DensityOperator(_Immutable):
         M = linalg.require_hermitian(M, tol_lin, name="state")
         eigs = linalg.hermitian_eigenvalues(M)
         linalg.require_psd(eigs, tol_psd, "state")
-        miss = abs(M.trace() - 1.0)
-        if miss > tol_lin:
-            raise ValidationError("trace is not 1", invariant="unit-trace",
-                                  field="state", violation=float(miss), bound=tol_lin)
+        linalg.require_margin(abs(M.trace() - 1.0), tol_lin, "trace is not 1",
+                              invariant="unit-trace", field="state")
         self._build(M, eigs)
 
     def _build(self, M: np.ndarray, eigs: np.ndarray) -> "DensityOperator":
@@ -53,7 +51,7 @@ def maximally_mixed(d: int) -> DensityOperator:
 def _bloch_matrices(vectors, tol_lin: float):
     """(r, M): n Bloch vectors as an ``(n, 3)`` array r and their states
     (I + r . sigma)/2 as an ``(n, 2, 2)`` stack M.  Raises unless every vector
-    is three finite reals, then for the first with norm above 1 + tol_lin."""
+    is three finite reals, then for the first whose norm - 1 exceeds tol_lin."""
     linalg.require_tolerance(tol_lin, "tol_lin")
     try:
         r = np.asarray(vectors, dtype=float)
@@ -65,11 +63,8 @@ def _bloch_matrices(vectors, tol_lin: float):
                               invariant="bloch-shape", field="r")
     # Row-by-row dot products, rounded as np.linalg.norm of one vector is.
     norm = np.sqrt((r[:, None] @ r[:, :, None]).ravel())
-    over = np.flatnonzero(norm > 1.0 + tol_lin)
-    if over.size:
-        raise ValidationError("a Bloch vector has norm above 1",
-                              invariant="bloch-ball", field="r",
-                              violation=float(norm[over[0]]) - 1.0, bound=tol_lin)
+    linalg.require_margin(norm - 1.0, tol_lin, "a Bloch vector has norm above 1",
+                          invariant="bloch-ball", field="r")
     r1, r2, r3 = r.T
     # The operations of the complex literals (1 +- r3) and r1 -+ 1j r2, so
     # every entry, signed zeros included, is the one Python arithmetic gives.

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .linalg import (TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian,
-                     require_same_dim, require_tolerance, scale_of)
+                     require_margin, require_same_dim, require_tolerance,
+                     scale_of)
 from .observables import Observable, stochastic_operator
 from .states import DensityOperator, is_faithful
 
@@ -148,21 +149,13 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     variance_product = var[:, 0] * var[:, 1]
     equation_residual = commutator_term + covariance_sq - correlation_sq
     inequality_slack = variance_product - correlation_sq
-    scale = _scale(correlation_sq)
-    # Stated as what holds, so that a NaN term, which compares false, fails.
-    holds = ((np.abs(equation_residual) <= tol * scale)
-             & (inequality_slack >= -tol * scale))
-    if not holds.all():
-        i = holds.argmin()  # the first failing state
-        bound = float(tol * scale[i])
-        if not abs(equation_residual[i]) <= bound:
-            raise InternalConsistencyError(
-                "uncertainty equation residual exceeds its bound",
-                invariant="uncertainty-equation",
-                violation=float(abs(equation_residual[i])), bound=bound)
-        raise InternalConsistencyError(
-            "uncertainty inequality violated", invariant="uncertainty-inequality",
-            violation=float(-inequality_slack[i]), bound=bound)
+    # Rows (state, identity): the equation, then the inequality.
+    require_margin(np.array((np.abs(equation_residual), -inequality_slack)).T,
+                   (tol * _scale(correlation_sq))[:, None],
+                   ("uncertainty equation residual exceeds its bound",
+                    "uncertainty inequality violated"),
+                   invariant=("uncertainty-equation", "uncertainty-inequality"),
+                   error=InternalConsistencyError)
     return (commutator_term, covariance_sq, correlation_sq, variance_product,
             equation_residual, inequality_slack)
 

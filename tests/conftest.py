@@ -34,6 +34,12 @@ def long_options(parser) -> set:
                                               subparsers(parser).values()))
 
 
+# Entries of 1e308 are finite, but (M + M*)/2 overflows, so the spectra are
+# NaN: a state, and the two effects of an observable that sum to I.
+NAN_SPECTRUM_STATE = np.array([[1.0, 1e308], [1e308, 0.0]])
+NAN_SPECTRUM_EFFECTS = np.array([[[0.5, s], [s, 0.5]] for s in (1e308, -1e308)])
+
+
 def max_abs_diff(A, B) -> float:
     return float(np.max(np.abs(np.asarray(A) - np.asarray(B))))
 

@@ -25,7 +25,8 @@ from qobs.sampling import (
 )
 from qobs.states import DensityOperator
 
-from conftest import long_options, random_instrument, subparsers
+from conftest import (NAN_SPECTRUM_EFFECTS, NAN_SPECTRUM_STATE, long_options,
+                      random_instrument, subparsers)
 
 
 def _refuse(constant):
@@ -530,13 +531,17 @@ class TestFuzz:
         path = tmp_path / "s.json"
         main(["fuzz", *run, "--output", str(path)])
         summary = strict_loads(path.read_text())
-        main(["replay", str(path), "--json"])
+        code = main(["replay", str(path), "--json"])
         replay = strict_loads(capsys.readouterr().out)
         assert replay.get("ratio") == summary["worst"]["ratio"]
         if run[-2:] == ["--tol-lin", "0"]:  # eigen.projections' bound is 0
-            assert summary["properties"]["eigen.projections"]["max_ratio"] is None
-        if run[-4:] == ["--dims", "1", "--tol-lin", "0"]:  # worst is 0 / 0
-            assert (summary["worst"]["bound"], replay["ratio"]) == (0.0, None)
+            # At d=1 its residual is 0 too, and 0 over 0 is a ratio of 0.
+            assert summary["properties"]["eigen.projections"]["max_ratio"] == (
+                0.0 if "--dims" in run else None)
+        if run[-4:] == ["--dims", "1", "--tol-lin", "0"]:  # worst is r > 0 over 0
+            worst = summary["worst"]
+            assert worst["residual"] > worst["bound"] == 0.0
+            assert (code, replay["violations"], replay["ratio"]) == (1, 1, None)
         if run == ["--trials", "3", "--seed", "42"]:
             # Trial 1 (d=3, holevo) in a summary at tolerance lin 1e-17: its
             # A_comm is not commutative, and the residual is inf.
@@ -778,7 +783,14 @@ class TestValidate:
         ({"type": "instrument", "family": "trivial", "dim": 2,
           "omega": {"1": math.nan, "-1": 1.0}}, "instrument.omega",
          "nonnegative-weights"),
-    ], ids=["kraus-outcome", "trivial-key", "trivial-weight"])
+        # finite entries whose Hermitian part overflows: a NaN spectrum
+        ({"type": "density", "matrix": ser.encode_matrix(NAN_SPECTRUM_STATE)},
+         "state", "psd"),
+        ({"type": "observable", "outcomes": [0.0, 1.0],
+          "effects": [ser.encode_matrix(E) for E in NAN_SPECTRUM_EFFECTS]},
+         "observable.effects[0]", "effect-lower-bound"),
+    ], ids=["kraus-outcome", "trivial-key", "trivial-weight", "state-spectrum",
+            "effect-spectrum"])
     def test_nan_outcome_or_weight_is_one_diagnostic(self, capsys, tmp_path,
                                                      doc, field, invariant):
         path = tmp_path / "nan.json"
@@ -787,7 +799,8 @@ class TestValidate:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         error = strict_loads(lines[0])["error"]
-        assert (error["field"], error["invariant"]) == (field, invariant)
+        assert (error["field"], error["invariant"], error["violation"]) == (
+            field, invariant, None)
 
     @pytest.mark.parametrize("weight, invariant", [
         (math.inf, "unit-total"), (-math.inf, "nonnegative-weights")])

@@ -443,3 +443,21 @@ def test_only_the_family_property_sees_a_mutant_family(monkeypatch, name, mutant
                   if p["violations"]}
     assert set(violations) == {"instrument.family"}
     assert violations["instrument.family"] == 4  # every trial of the family
+
+
+def _nan_root_lueders(A):
+    """Kraus operators V sqrt(w - 0.01) V*, NaN where an eigenvalue of A_x is
+    below 0.01, built unchecked: some of the family's rows are NaN."""
+    w, V = np.linalg.eigh(A.effects)
+    roots = (V * np.sqrt(w - 0.01)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    return instruments.Instrument.__new__(instruments.Instrument)._build(
+        A.keys, [(R[None],) for R in roots])
+
+
+def test_a_nan_row_does_not_hide_the_violations_beside_it(monkeypatch):
+    """A NaN residual is a violation, and its ratio inf, not a NaN ranked
+    above every finite ratio and then read as ``NaN > bound``, false."""
+    monkeypatch.setattr(fuzz, "lueders_instrument", _nan_root_lueders)
+    with np.errstate(all="ignore"):
+        summary = fuzz.run_fuzz(fuzz.RunConfig(seed=42, trials=9))
+    assert summary["properties"]["instrument.family"]["violations"] == 3  # of 3 Lüders

@@ -3,7 +3,8 @@
 Every JSON diagnostic reports the invariant its error names, so the set is
 an interface, like the public names in test_public_api.py.  Each is a
 string literal at an ``invariant=`` keyword in the package source (or one
-of two literals of a conditional expression).  Adding, removing or
+of two literals of a conditional expression, or one of a tuple that
+``linalg.require_margin`` reads at the failing rule).  Adding, removing or
 renaming one is an interface change: update this list deliberately and
 name the change in CHANGES.md.
 
@@ -56,6 +57,8 @@ def _literals(node: ast.expr, where: str) -> set:
         return {node.value}
     if isinstance(node, ast.IfExp):
         return _literals(node.body, where) | _literals(node.orelse, where)
+    if isinstance(node, ast.Tuple):  # require_margin's, one per rule
+        return set().union(*(_literals(elt, where) for elt in node.elts))
     raise AssertionError(f"{where}: invariant is not a string literal")
 
 
@@ -64,29 +67,57 @@ def _trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
+MARGIN = "require_margin"  # the linalg helper that decides every margin
+FORWARD = f"linalg.py:{MARGIN}"  # its raise, of the record its caller passed
+
+
+def _calls():
+    """(scope, call) for each call in the package source; ``scope`` is
+    ``module:name`` of the top-level definition that holds it."""
+    for module, tree in _trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    yield f"{module}:{getattr(top, 'name', '')}", node
+
+
+def _name(node: ast.expr | None):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
 def _source_invariants() -> set:
     found = set()
-    for name, tree in _trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.keyword) and node.arg == "invariant":
-                found |= _literals(node.value, f"{name}:{node.lineno}")
+    for scope, call in _calls():
+        for k in call.keywords:
+            if k.arg == "invariant" and scope != FORWARD:
+                found |= _literals(k.value, f"{scope}:{call.lineno}")
     return found
 
 
 def _error_calls():
-    """(class, invariants, where, call) for each call of a toolkit exception
-    class in the package source, by its name or through a module attribute."""
+    """(class, invariants, where, message, record) for each call that raises
+    a toolkit error: a toolkit exception class, by its name or through a
+    module attribute, whose message is its first argument; or
+    ``require_margin``, whose ``error`` keyword names the class
+    (``ValidationError`` if absent), whose message is its ``detail`` and
+    whose residual and bound are the record's violation and bound.  The
+    raise inside ``require_margin`` forwards its caller's record."""
     classes = {name for name, value in vars(qobs.errors).items()
                if isinstance(value, type) and issubclass(value, qobs.QobsError)}
-    for module, tree in _trees():
-        for node in ast.walk(tree):
-            func = getattr(node, "func", None)
-            cls = getattr(func, "id", None) or getattr(func, "attr", None)
-            if isinstance(node, ast.Call) and cls in classes:
-                where = f"{module}:{node.lineno}"
-                yield cls, set().union(*(_literals(k.value, where)
-                                         for k in node.keywords
-                                         if k.arg == "invariant")), where, node
+    for scope, call in _calls():
+        cls, where = _name(call.func), f"{scope.split(':')[0]}:{call.lineno}"
+        keywords = {k.arg: k.value for k in call.keywords}
+        if cls in classes:
+            message = call.args[:1]
+            record = [keywords.get(key) for key in ("field", "violation", "bound")]
+        elif cls == MARGIN:
+            cls = _name(keywords.get("error")) or "ValidationError"
+            message, record = call.args[2:3], [*call.args[:2], keywords.get("field")]
+        else:
+            continue
+        invariants = (_literals(keywords["invariant"], where)
+                      if "invariant" in keywords else set())
+        yield cls, invariants, where, message, [n for n in record if n is not None]
 
 
 def test_diagnostics_name_exactly_the_listed_invariants():
@@ -96,7 +127,7 @@ def test_diagnostics_name_exactly_the_listed_invariants():
 
 def test_each_invariant_is_raised_under_one_class():
     raised = defaultdict(set)
-    for cls, invariants, where, _ in _error_calls():
+    for cls, invariants, where, *_ in _error_calls():
         if cls in ("ValidationError", "InternalConsistencyError"):
             assert invariants, f"{where}: {cls} names no invariant"
         for invariant in invariants:
@@ -114,9 +145,20 @@ def test_each_shape_rule_is_raised_at_one_site_in_linalg():
     once, by their ``linalg.require_*`` or ``parallel_keys`` helper, which
     every entry point calls; a second raise site would be the rule written
     out by hand again."""
-    sites = {rule: [where.split(":")[0] for _, invariants, where, _ in _error_calls()
+    sites = {rule: [where.split(":")[0] for _, invariants, where, *_ in _error_calls()
                     if rule in invariants] for rule in ONE_SITE_RULES}
     assert sites == {rule: ["linalg.py"] for rule in ONE_SITE_RULES}
+
+
+def test_each_margin_is_raised_at_one_site_in_linalg():
+    """Every residual is decided against its bound by ``require_margin``,
+    which raises the record of the first failing entry, NaN included; so
+    the only call that passes a ``violation`` is its raise.  A second one
+    would be a margin decided by hand again, where ``residual > bound``
+    lets a NaN pass."""
+    sites = [scope for scope, call in _calls()
+             if any(k.arg == "violation" for k in call.keywords)]
+    assert sites == [FORWARD]
 
 
 def test_no_message_restates_its_record():
@@ -126,12 +168,11 @@ def test_no_message_restates_its_record():
     is matched with each of its subexpressions, so ``{defect:.3e}`` beside
     ``violation=float(defect)`` is a restatement too."""
     calls = list(_error_calls())
-    assert len(calls) >= 65  # the walk sees the raise sites
-    for _, _, where, call in calls:
-        record = {ast.dump(node) for k in call.keywords
-                  if k.arg in ("field", "violation", "bound")
-                  for node in ast.walk(k.value) if isinstance(node, ast.expr)}
-        formatted = {ast.dump(node.value) for arg in call.args[:1]
+    assert len(calls) >= 65  # the walk sees the raise sites and margin calls
+    for _, _, where, message, record in calls:
+        record = {ast.dump(node) for value in record
+                  for node in ast.walk(value) if isinstance(node, ast.expr)}
+        formatted = {ast.dump(node.value) for arg in message
                      for node in ast.walk(arg) if isinstance(node, ast.FormattedValue)}
         assert not formatted & record, where
 

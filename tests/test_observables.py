@@ -1,5 +1,6 @@
 """Observable construction, sharp versions, conjugates, joints, coarse graining."""
 
+import math
 import sys
 import threading
 
@@ -15,8 +16,8 @@ from qobs.sampling import (
     random_observable,
 )
 
-from conftest import (assert_rebuilds_exactly, max_abs_diff,
-                      random_sharp_observable)
+from conftest import (NAN_SPECTRUM_EFFECTS, assert_rebuilds_exactly,
+                      max_abs_diff, random_sharp_observable)
 
 
 def trine_povm() -> obs.Observable:
@@ -157,6 +158,15 @@ class TestEffectRule:
                 obs.Observable(keys, E, tol_lin=tol_lin, tol_psd=tol_psd)
             got = (err.value.invariant, err.value.field, err.value.violation)
             assert got == expected, name
+
+    def test_nan_spectrum_fails_the_lower_bound_of_the_first_effect(self):
+        """The effects are Hermitian, but their spectra are NaN: the first
+        effect's first rule that fails on NaN is its lower bound."""
+        with np.errstate(all="ignore"), pytest.raises(ValidationError) as err:
+            obs.Observable([0.0, 1.0], NAN_SPECTRUM_EFFECTS)
+        assert (err.value.invariant, err.value.field) == ("effect-lower-bound",
+                                                          "effect[0]")
+        assert math.isnan(err.value.violation)
 
     def test_stacks_keep_their_entries_in_order(self, rng):
         """Two stacks give each stack's entries, kind by kind, then one
@@ -450,6 +460,23 @@ class TestCommutingJoint:
             obs.commuting_joint(A, B)
         assert err.value.invariant == "commuting-effects"
         assert err.value.violation == pytest.approx(0.5)
+
+    def test_is_commutative_decides_as_commuting_joint(self):
+        """Both read norm <= bound.  Unchecked effects, as a builder forms
+        them, whose products overflow have a NaN commutator norm: neither
+        accepts it."""
+        nan = obs.Observable.__new__(obs.Observable)._build(
+            [0.0, 1.0], NAN_SPECTRUM_EFFECTS.astype(complex))
+        with np.errstate(all="ignore"):
+            for A in (noisy_spin(0.5, "z"), trine_povm(), nan):
+                try:
+                    obs.commuting_joint(A, A)
+                except ValidationError as err:
+                    assert err.invariant == "commuting-effects"
+                    assert not obs.is_commutative(A)
+                else:
+                    assert obs.is_commutative(A)
+            assert not obs.is_commutative(nan)
 
     def test_dims_must_match(self):
         with pytest.raises(ValidationError) as err:

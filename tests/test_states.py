@@ -1,5 +1,7 @@
 """Density operators, faithfulness, the sesquilinear form, Bloch states."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qobs.sampling import (
     random_hermitian,
 )
 
-from conftest import max_abs_diff
+from conftest import NAN_SPECTRUM_STATE, max_abs_diff
 
 
 class TestConstruction:
@@ -88,6 +90,16 @@ class TestStateCheck:
         assert err.value.violation == violation
         assert err.value.field == "state"
         assert str(err.value) == message
+
+    def test_nan_spectrum_fails_psd(self):
+        """Finite entries whose Hermitian part overflows give NaN
+        eigenvalues; the psd margin, decided as what holds, fails on NaN."""
+        with np.errstate(all="ignore"), pytest.raises(ValidationError) as err:
+            states.DensityOperator(NAN_SPECTRUM_STATE)
+        assert (err.value.invariant, err.value.field) == ("psd", "state")
+        assert math.isnan(err.value.violation)
+        assert str(err.value) == \
+            "state: eigenvalue below 0 (violation nan, bound 1.000e-08)"
 
     def test_one_matrix_keeps_the_field_state(self):
         with pytest.raises(ValidationError) as err:
