@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import inspect
 import math
@@ -21,13 +20,12 @@ import sys
 
 import numpy as np
 
-from . import demos, fuzz, serialization as ser
+from . import serialization as ser
 from .errors import _RECORD, ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
-from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, require_dim,
-                     require_hermitian)
+from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, _hermitian_part,
+                     require_dim, require_hermitian)
 from .observables import coarse_grain, conjugate, sharp_version
-from .sampling import random_bloch_vector
 from .statistics import _is_equality, uncertainty_report
 from .serialization import SCHEMA_VERSION
 
@@ -76,7 +74,11 @@ _MAX_SWEEP_ROWS = 100_000  # each row takes ~1 KB until the output is written
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(examples: bool = True) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  The ``demo`` examples' parsers read
+    the demo functions' signatures, so only with ``examples`` is ``demos``
+    imported; ``main`` asks for them when its argv holds the token ``demo``,
+    the only argv that reaches them."""
     class Parser(argparse.ArgumentParser):
         def error(self, message):  # a usage error becomes a JSON diagnostic
             raise ParseError(message)
@@ -101,21 +103,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-a", required=True, metavar="FILE")
     p.add_argument("--obs-b", required=True, metavar="FILE")
 
-    examples = add("demo", "closed-form demonstration cases", ()) \
-        .add_subparsers(dest="name", required=True)
-    for name in demos.DEMO_NAMES:  # the flags are the demo's own parameters
-        run = getattr(demos, f"demo_{name}")
-        p = add(name, (run.__doc__ or name).partition(".")[0], (), examples)
-        for q in inspect.signature(run).parameters.values():
-            tup = isinstance(q.default, tuple)  # passed only when given
-            shown = ",".join(map(str, q.default)) if tup else q.default
-            p.add_argument(f"--{q.name}", type=str if tup else type(q.default),
-                           default=argparse.SUPPRESS, help=f"default: {shown}")
+    p = add("demo", "closed-form demonstration cases", ())
+    if examples:
+        from . import demos
+        examples = p.add_subparsers(dest="name", required=True)
+        for name in demos.DEMO_NAMES:  # the flags are the demo's own parameters
+            run = getattr(demos, f"demo_{name}")
+            p = add(name, (run.__doc__ or name).partition(".")[0], (), examples)
+            for q in inspect.signature(run).parameters.values():
+                tup = isinstance(q.default, tuple)  # passed only when given
+                shown = ",".join(map(str, q.default)) if tup else q.default
+                p.add_argument(f"--{q.name}", type=str if tup else type(q.default),
+                               default=argparse.SUPPRESS, help=f"default: {shown}")
 
     p = add("fuzz", "randomized property verification", _SHARED_FLAGS)
-    p.add_argument("--trials", type=int, default=fuzz.RunConfig.trials)
+    p.add_argument("--trials", type=int)  # unset: the handler reads RunConfig's
     p.add_argument("--dims", type=str,
-                   default=",".join(map(str, fuzz.RunConfig.dims)),
                    help="comma list or A..B range of dimensions")
 
     p = add("replay", "re-evaluate the worst instance of a fuzz summary",
@@ -178,7 +181,7 @@ def _decode_operand(obj, field: str, tol_lin: float, tol_psd: float):
         return ser.decode_observable(obj, field, tol_lin=tol_lin,
                                      tol_psd=tol_psd)
     M = require_hermitian(ser.decode_matrix(obj, field), tol_lin, name=field)
-    return (M + M.conj().T) / 2.0
+    return _hermitian_part(M)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -214,6 +217,7 @@ def _cmd_uncertainty(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from . import demos
     run = getattr(demos, f"demo_{args.name}")
     params = {key: getattr(args, key)
               for key in inspect.signature(run).parameters if hasattr(args, key)}
@@ -232,11 +236,15 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from . import fuzz
     if args.command == "replay":
         run = functools.partial(_load, args.file, fuzz.replay_instance)
     else:  # the config is checked before the output is opened
+        default = fuzz.RunConfig  # for --trials and --dims when not given
         run = functools.partial(fuzz.run_fuzz, fuzz.RunConfig(
-            seed=args.seed, trials=args.trials, dims=_parse_dims(args.dims),
+            seed=args.seed,
+            trials=default.trials if args.trials is None else args.trials,
+            dims=default.dims if args.dims is None else _parse_dims(args.dims),
             tol_lin=args.tol_lin, tol_psd=args.tol_psd,
             tol_stat=args.tol_stat, cluster_tol=args.cluster_tol))
     out, created = contextlib.nullcontext(), False
@@ -265,6 +273,9 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    import csv
+
+    from . import demos, sampling
     mu_grid = _parse_floats(args.mu_grid, "--mu-grid")
     if not mu_grid:
         raise ValidationError("must be nonempty",
@@ -275,8 +286,9 @@ def _cmd_sweep(args) -> int:
             f"{_MAX_SWEEP_ROWS} rows", invariant="samples-range", field="--samples")
     rng = np.random.default_rng(args.seed)
     n_surface = min(args.surface, args.samples)
-    vectors = [random_bloch_vector(rng, surface=True) for _ in range(n_surface)]
-    vectors += [random_bloch_vector(rng)
+    vectors = [sampling.random_bloch_vector(rng, surface=True)
+               for _ in range(n_surface)]
+    vectors += [sampling.random_bloch_vector(rng)
                 for _ in range(args.samples - n_surface)]
     result = demos.sweep_noisy_spin(mu_grid, vectors)
     if args.format == "csv":
@@ -340,9 +352,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = argparse.Namespace(json="--json" in (sys.argv if argv is None else argv))
-    try:
-        _build_parser().parse_args(argv, args)  # a usage error keeps args.json
+    tokens = sys.argv[1:] if argv is None else argv
+    args = argparse.Namespace(json="--json" in tokens)
+    try:  # a usage error keeps args.json
+        _build_parser("demo" in tokens).parse_args(argv, args)
         for flag, floor in _FLAG_FLOORS.items():
             value = getattr(args, flag.replace("-", "_"), None)
             if value is not None and not floor <= value < math.inf:

@@ -640,7 +640,8 @@ def run_fuzz(config: RunConfig) -> dict:
                          **_error_entry(exc)}
             else:
                 violated, ratio = _margin(residual, bound)
-                entry.max_residual = max(entry.max_residual, residual)
+                if residual != residual or residual > entry.max_residual:
+                    entry.max_residual = residual  # a NaN, as _margin's, stays
                 entry.max_ratio = max(entry.max_ratio, ratio)
                 entry.violations += violated
                 if worst["ratio"] is None or not ratio > worst["ratio"]:

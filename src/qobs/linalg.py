@@ -185,11 +185,20 @@ def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.nd
     return M
 
 
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    """M/2 + M*/2, of a matrix or a stack: it cannot overflow, where
+    (M + M*)/2 does for entries above ~9e307, and halving a normal entry is
+    exact, so elsewhere the bits are those of (M + M*)/2."""
+    half = M * 0.5
+    half += half.conj().swapaxes(-1, -2)
+    return half
+
+
 def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a (validated) Hermitian matrix, or of each
     matrix in an ``(n, d, d)`` stack."""
     try:
-        return np.linalg.eigvalsh((M + M.conj().swapaxes(-1, -2)) / 2.0)
+        return np.linalg.eigvalsh(_hermitian_part(M))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - d<=64 converges
         raise ConvergenceFailureError(str(exc)) from exc
 
@@ -197,7 +206,7 @@ def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:
 def _eigh(M: np.ndarray):
     """(w, V): ``eigh`` of the Hermitian part of M (or a stack), unchecked."""
     try:
-        return np.linalg.eigh((M + M.conj().swapaxes(-1, -2)) / 2.0)
+        return np.linalg.eigh(_hermitian_part(M))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailureError(str(exc)) from exc
 

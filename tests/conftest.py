@@ -34,10 +34,11 @@ def long_options(parser) -> set:
                                               subparsers(parser).values()))
 
 
-# Entries of 1e308 are finite, but (M + M*)/2 overflows, so the spectra are
-# NaN: a state, and the two effects of an observable that sum to I.
-NAN_SPECTRUM_STATE = np.array([[1.0, 1e308], [1e308, 0.0]])
-NAN_SPECTRUM_EFFECTS = np.array([[[0.5, s], [s, 0.5]] for s in (1e308, -1e308)])
+# Entries of 1e308 are finite, and so is the Hermitian part M/2 + M*/2 (the
+# form (M + M*)/2 overflowed to a NaN spectrum): a state, and the two effects
+# of an observable that sum to I, each with an eigenvalue near -1e308.
+HUGE_SPECTRUM_STATE = np.array([[1.0, 1e308], [1e308, 0.0]])
+HUGE_SPECTRUM_EFFECTS = np.array([[[0.5, s], [s, 0.5]] for s in (1e308, -1e308)])
 
 
 def max_abs_diff(A, B) -> float:

@@ -25,7 +25,7 @@ from qobs.sampling import (
 )
 from qobs.states import DensityOperator
 
-from conftest import (NAN_SPECTRUM_EFFECTS, NAN_SPECTRUM_STATE, long_options,
+from conftest import (HUGE_SPECTRUM_EFFECTS, HUGE_SPECTRUM_STATE, long_options,
                       random_instrument, subparsers)
 
 
@@ -135,6 +135,13 @@ class TestUncertainty:
         H = random_hermitian(rng, 4)
         out = _decode_operand(ser.encode_matrix(H), "obs-a", 1e-9, 1e-8)
         assert repr(out.tolist()) == repr(H.tolist())
+
+    def test_huge_matrix_operand_keeps_its_finite_entries(self):
+        """The Hermitian part M/2 + M*/2 of entries of 1e308 is finite, where
+        (M + M*)/2 overflowed to inf and NaN."""
+        doc = {"dim": 2, "re": [[1e308, 1e308], [1e308, 0.0]]}
+        out = _decode_operand(doc, "obs-a", 1e-9, 1e-8)
+        assert out.tolist() == [[1e308, 1e308], [1e308, 0.0]]
 
     def test_malformed_json_exits_2_with_field(self, capsys, files, tmp_path):
         bad = tmp_path / "broken.json"
@@ -645,7 +652,7 @@ class TestSweep:
     ])
     def test_row_count_above_the_cap_is_rejected_before_any_draw(
             self, capsys, monkeypatch, argv):
-        monkeypatch.setattr("qobs.cli.random_bloch_vector", None)  # no draw
+        monkeypatch.setattr("qobs.sampling.random_bloch_vector", None)  # no draw
         code, out = run_cli(capsys, "sweep-example4", *argv, "--json")
         assert code == 2
         assert out["error"]["invariant"] == "samples-range"
@@ -774,25 +781,26 @@ class TestValidate:
 
     _HALF = {"dim": 2, "re": [[0.5 ** 0.5, 0], [0, 0.5 ** 0.5]]}
 
-    @pytest.mark.parametrize("doc, field, invariant", [
+    @pytest.mark.parametrize("doc, field, invariant, violation", [
         ({"type": "instrument", "family": "kraus", "outcomes": [math.nan, 1.0],
-          "kraus": [[_HALF], [_HALF]]}, "instrument", "finite-outcome"),
+          "kraus": [[_HALF], [_HALF]]}, "instrument", "finite-outcome", None),
         ({"type": "instrument", "family": "trivial", "dim": 2,
           "omega": {"NaN": 0.5, "-1": 0.5}}, "instrument.omega",
-         "finite-outcome"),
+         "finite-outcome", None),
         ({"type": "instrument", "family": "trivial", "dim": 2,
           "omega": {"1": math.nan, "-1": 1.0}}, "instrument.omega",
-         "nonnegative-weights"),
-        # finite entries whose Hermitian part overflows: a NaN spectrum
-        ({"type": "density", "matrix": ser.encode_matrix(NAN_SPECTRUM_STATE)},
-         "state", "psd"),
+         "nonnegative-weights", None),
+        # finite entries of 1e308: a finite Hermitian part and spectrum
+        ({"type": "density", "matrix": ser.encode_matrix(HUGE_SPECTRUM_STATE)},
+         "state", "psd", 1e308),
         ({"type": "observable", "outcomes": [0.0, 1.0],
-          "effects": [ser.encode_matrix(E) for E in NAN_SPECTRUM_EFFECTS]},
-         "observable.effects[0]", "effect-lower-bound"),
+          "effects": [ser.encode_matrix(E) for E in HUGE_SPECTRUM_EFFECTS]},
+         "observable.effects[0]", "effect-lower-bound", 1e308),
     ], ids=["kraus-outcome", "trivial-key", "trivial-weight", "state-spectrum",
             "effect-spectrum"])
     def test_nan_outcome_or_weight_is_one_diagnostic(self, capsys, tmp_path,
-                                                     doc, field, invariant):
+                                                     doc, field, invariant,
+                                                     violation):
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(doc))  # Python's json writes NaN
         assert main(["validate", str(path), "--json"]) == 2
@@ -800,7 +808,7 @@ class TestValidate:
         assert len(lines) == 1
         error = strict_loads(lines[0])["error"]
         assert (error["field"], error["invariant"], error["violation"]) == (
-            field, invariant, None)
+            field, invariant, violation)
 
     @pytest.mark.parametrize("weight, invariant", [
         (math.inf, "unit-total"), (-math.inf, "nonnegative-weights")])
@@ -1328,3 +1336,65 @@ def test_stdout_of_the_benchmark_commands_is_pinned(capsys, tmp_path, d,
         assert main([*argv, "--json"]) == 0
         text += capsys.readouterr().out
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _fresh_cli(*argv, cwd=None, python=(sys.executable,)):
+    """``python -m qobs.cli *argv`` in a new interpreter, which finds qobs
+    where this process did."""
+    src = os.path.dirname(os.path.dirname(qobs.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([*python, "-m", "qobs.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env)
+
+
+class TestColdLaunch:
+    """A launch imports only what its subcommand runs: ``validate``, the
+    benchmark's cold-launch command, runs no demo, fuzz or sampling code."""
+
+    UNUSED_BY_VALIDATE = ("qobs.demos", "qobs.fuzz", "qobs.sampling", "csv")
+
+    def test_validate_imports_no_demo_fuzz_sampling_or_csv(self, files):
+        proc = _fresh_cli("validate", files["state.json"], "--json",
+                          python=(sys.executable, "-X", "importtime"))
+        assert proc.returncode == 0
+        assert strict_loads(proc.stdout)["valid"] is True
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "qobs.serialization" in imported  # the listing is read
+        assert imported.isdisjoint(self.UNUSED_BY_VALIDATE)
+
+    # SHA-256 of the stdout, as written before these imports moved into the
+    # handlers that run them.
+    @pytest.mark.parametrize("argv, digest", [
+        (("demo", "example1", "--json"),
+         "62a1e3f30bd0bcc34b7b3540e598596c2961e463eced3ca85bd78e947866b7a4"),
+        (("fuzz", "--trials", "2", "--json"),
+         "9b5a549dc12d866484f9eb5fae55811f9bb1bd1a45ea358df4199d2dd72dd726"),
+        (("sweep-example4", "--samples", "2", "--json"),
+         "fd4f9e832b35bdf6d2997e206ddc41f9e74cfed5b89b71d1853680044118e21a"),
+    ], ids=["demo", "fuzz", "sweep"])
+    def test_handlers_import_what_they_run(self, argv, digest):
+        proc = _fresh_cli(*argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+    def test_replay_imports_what_it_runs(self, tmp_path):
+        proc = _fresh_cli("fuzz", "--trials", "2", "--output", "summary.json",
+                          cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, "")
+        proc = _fresh_cli("replay", "summary.json", "--json", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+            "b190d23ba31803182e6f1e0930e1bac9fdb5b20a0950897aeca73a8c932b3fef"
+
+    def test_a_parser_without_the_examples_parses_as_the_full_one(self, files):
+        """``main`` builds the ``demo`` examples only for an argv holding the
+        token ``demo``; every other argv parses to the same namespace."""
+        argv = ["fuzz", "--trials", "3", "--dims", "2..4"]
+        assert vars(_build_parser(False).parse_args(argv)) == \
+            vars(_build_parser().parse_args(argv)) == {
+                **vars(_build_parser().parse_args(["fuzz"])),
+                "trials": 3, "dims": "2..4"}
+        assert subparsers(subparsers(_build_parser(False))["demo"]) == {}

@@ -5,6 +5,7 @@ linear forms of two checks bound their references in ``conftest``."""
 import functools
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -461,3 +462,23 @@ def test_a_nan_row_does_not_hide_the_violations_beside_it(monkeypatch):
     with np.errstate(all="ignore"):
         summary = fuzz.run_fuzz(fuzz.RunConfig(seed=42, trials=9))
     assert summary["properties"]["instrument.family"]["violations"] == 3  # of 3 Lüders
+
+
+def test_a_nan_residual_is_the_max_residual(monkeypatch):
+    """``max_residual`` follows ``_margin``: a NaN residual makes it NaN,
+    written null, and it stays NaN beside later finite residuals."""
+    check, calls = fuzz.CHECKS["instrument.mean"], []
+
+    def nan_second(inst, cfg):
+        residual, bound = check(inst, cfg)
+        calls.append(None)
+        return (math.nan if len(calls) == 2 else residual), bound
+
+    monkeypatch.setitem(fuzz.CHECKS, "instrument.mean", nan_second)
+    summary = fuzz.run_fuzz(fuzz.RunConfig(seed=42, trials=3))
+    entry = summary["properties"]["instrument.mean"]
+    assert len(calls) == 3
+    assert (entry["violations"], entry["max_ratio"]) == (1, math.inf)
+    assert math.isnan(entry["max_residual"])
+    written = json.loads(canonical_json(summary))
+    assert written["properties"]["instrument.mean"]["max_residual"] is None

@@ -235,6 +235,20 @@ class TestPsdSqrt:
         assert (err.value.invariant, err.value.field) == (invariant, "matrix")
         assert str(err.value).startswith("matrix: ")
 
+    def test_huge_entries_do_not_overflow_the_hermitian_part(self):
+        """M/2 + M*/2 is finite wherever M is, so a PSD matrix with an entry
+        of 1e308 has its root, where (M + M*)/2 gave a NaN spectrum."""
+        S = linalg.psd_sqrt(np.diag([1e308, 1.0]))
+        assert S.tolist() == [[1e154, 0.0], [0.0, 1.0]]
+
+    def test_hermitian_part_keeps_the_bits_of_the_halved_sum(self, rng):
+        """Halving is exact, so in the normal range the overflow-free form
+        gives the bits of (M + M*)/2."""
+        for d in (1, 3, 8, 64):
+            M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            assert linalg._hermitian_part(M).tobytes() == \
+                ((M + M.conj().T) / 2.0).tobytes()
+
     def test_hermitian_trace_is_real(self, rng):
         M = random_hermitian(rng, 5)
         assert abs(np.trace(M).imag) < 1e-9

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from qobs import observables as obs
+from qobs import linalg, observables as obs
 from qobs.errors import ValidationError
 from qobs.qubit import SIGMA_X, SIGMA_Y, noisy_spin
 from qobs.sampling import (
@@ -16,7 +16,7 @@ from qobs.sampling import (
     random_observable,
 )
 
-from conftest import (NAN_SPECTRUM_EFFECTS, assert_rebuilds_exactly,
+from conftest import (HUGE_SPECTRUM_EFFECTS, assert_rebuilds_exactly,
                       max_abs_diff, random_sharp_observable)
 
 
@@ -159,14 +159,26 @@ class TestEffectRule:
             got = (err.value.invariant, err.value.field, err.value.violation)
             assert got == expected, name
 
-    def test_nan_spectrum_fails_the_lower_bound_of_the_first_effect(self):
+    def test_nan_spectrum_fails_the_lower_bound_of_the_first_effect(
+            self, monkeypatch):
         """The effects are Hermitian, but their spectra are NaN: the first
         effect's first rule that fails on NaN is its lower bound."""
-        with np.errstate(all="ignore"), pytest.raises(ValidationError) as err:
-            obs.Observable([0.0, 1.0], NAN_SPECTRUM_EFFECTS)
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues",
+                            lambda E: np.full(E.shape[:2], math.nan))
+        with pytest.raises(ValidationError) as err:
+            obs.Observable([0.0, 1.0], noisy_spin(0.5, "z").effects)
         assert (err.value.invariant, err.value.field) == ("effect-lower-bound",
                                                           "effect[0]")
         assert math.isnan(err.value.violation)
+
+    def test_huge_entries_fail_the_lower_bound_with_a_finite_violation(self):
+        """Entries of 1e308 have a finite Hermitian part and spectrum: the
+        first effect's -lambda_min is 1e308."""
+        with pytest.raises(ValidationError) as err:
+            obs.Observable([0.0, 1.0], HUGE_SPECTRUM_EFFECTS)
+        assert (err.value.invariant, err.value.field) == ("effect-lower-bound",
+                                                          "effect[0]")
+        assert err.value.violation == 1e308
 
     def test_stacks_keep_their_entries_in_order(self, rng):
         """Two stacks give each stack's entries, kind by kind, then one
@@ -230,6 +242,12 @@ class TestSharpVersion:
         assert sharp.outcomes == pytest.approx((-0.4, 0.4))
         assert max_abs_diff(sharp.effects[0], np.diag([0.0, 1.0])) < 1e-14
         assert max_abs_diff(sharp.effects[1], np.diag([1.0, 0.0])) < 1e-14
+
+    def test_huge_outcomes_do_not_overflow(self):
+        """The Hermitian part M/2 + M*/2 of diag(1e308, -1e308) is finite,
+        so its outcomes are +-1e308, not a NaN ``finite-outcome`` error."""
+        sharp = obs.sharp_version(np.diag([1e308, -1e308]))
+        assert sharp.outcomes == (-1e308, 1e308)
 
     def test_already_sharp_is_fixed_point(self, rng):
         A = random_sharp_observable(rng, 4, 3)
@@ -466,7 +484,7 @@ class TestCommutingJoint:
         them, whose products overflow have a NaN commutator norm: neither
         accepts it."""
         nan = obs.Observable.__new__(obs.Observable)._build(
-            [0.0, 1.0], NAN_SPECTRUM_EFFECTS.astype(complex))
+            [0.0, 1.0], HUGE_SPECTRUM_EFFECTS.astype(complex))
         with np.errstate(all="ignore"):
             for A in (noisy_spin(0.5, "z"), trine_povm(), nan):
                 try:

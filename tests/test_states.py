@@ -18,7 +18,7 @@ from qobs.sampling import (
     random_hermitian,
 )
 
-from conftest import NAN_SPECTRUM_STATE, max_abs_diff
+from conftest import HUGE_SPECTRUM_STATE, max_abs_diff
 
 
 class TestConstruction:
@@ -92,14 +92,24 @@ class TestStateCheck:
         assert str(err.value) == message
 
     def test_nan_spectrum_fails_psd(self):
-        """Finite entries whose Hermitian part overflows give NaN
-        eigenvalues; the psd margin, decided as what holds, fails on NaN."""
-        with np.errstate(all="ignore"), pytest.raises(ValidationError) as err:
-            states.DensityOperator(NAN_SPECTRUM_STATE)
+        """The psd margin, decided as what holds, fails on a NaN eigenvalue,
+        even at an infinite tolerance."""
+        with pytest.raises(ValidationError) as err:
+            linalg.require_psd(np.array([math.nan, 0.5]), math.inf, "state")
         assert (err.value.invariant, err.value.field) == ("psd", "state")
         assert math.isnan(err.value.violation)
         assert str(err.value) == \
-            "state: eigenvalue below 0 (violation nan, bound 1.000e-08)"
+            "state: eigenvalue below 0 (violation nan, bound inf)"
+
+    def test_huge_entries_fail_psd_with_a_finite_violation(self):
+        """Entries of 1e308 have a finite Hermitian part, so the spectrum is
+        finite too: -lambda_min is 1e308, not NaN."""
+        with pytest.raises(ValidationError) as err:
+            states.DensityOperator(HUGE_SPECTRUM_STATE)
+        assert (err.value.invariant, err.value.field) == ("psd", "state")
+        assert err.value.violation == 1e308
+        assert str(err.value) == \
+            "state: eigenvalue below 0 (violation 1.000e+308, bound 1.000e-08)"
 
     def test_one_matrix_keeps_the_field_state(self):
         with pytest.raises(ValidationError) as err:
