@@ -57,7 +57,7 @@ class _Checks:
                                                  - np.asarray(expected)))})
 
     def result(self, demo: str, params: dict, threshold: float) -> dict:
-        max_delta = max(row["delta"] for row in self.rows)
+        max_delta = float(np.max([row["delta"] for row in self.rows]))  # NaN if any
         return {"schema": SCHEMA_VERSION, "demo": demo, "params": params,
                 "checks": self.rows, "max_delta": max_delta,
                 "threshold": threshold, "pass": bool(max_delta <= threshold)}

@@ -2,9 +2,9 @@
 
 Each trial draws one bundle of random objects (states, operators,
 observables, one instrument) and evaluates every registered property on it,
-recording residuals against their tolerance bounds.  Trials use independent
-children of a single seed sequence, so the run is deterministic for a fixed
-config and the aggregation (counts and maxima) is order-independent.
+one row per sub-identity, each a residual against its bound.  Trials use
+independent children of a single seed sequence, so the run is deterministic
+for a fixed config and the aggregation (counts and maxima) is order-independent.
 
 The worst instance across all properties is serialized into the summary and
 can be replayed bit-for-bit with ``replay_instance``.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -220,13 +221,12 @@ def _integer_map(rng: np.random.Generator, outcomes) -> dict:
             zip(outcomes, rng.integers(-2, 3, size=len(outcomes)))}
 
 
-def _matched_observable_delta(A: Observable, B: Observable) -> float:
-    """Max deviation between two observables compared entry-by-entry after
-    matching their (sorted) outcome lists; infinite when sizes differ."""
+def _matched_observable_delta(A: Observable, B: Observable) -> list:
+    """Rows (outcomes, effects): the max deviations of two observables' sorted
+    outcome lists and matched effects; both infinite when sizes differ."""
     if len(A) != len(B):
-        return math.inf
-    return max(max(abs(x - y) for x, y in zip(A.outcomes, B.outcomes)),
-               max_abs(A.effects - B.effects))
+        return [math.inf, math.inf]
+    return [max_abs(np.subtract(A.outcomes, B.outcomes)), max_abs(A.effects - B.effects)]
 
 
 def _shared(inst: dict, build, *names, **kw):
@@ -246,20 +246,39 @@ def _margin(residual: float, bound: float) -> tuple[bool, float]:
     return violated, math.inf if violated else 0.0
 
 
-def _worst(residual: np.ndarray, bound: np.ndarray) -> tuple[float, float]:
-    """The (residual, bound) of worst ``_margin`` ratio; of equal ratios, the
-    largest residual."""
-    ratio = [_margin(r, b)[1] for r, b in zip(residual.tolist(), bound.tolist())]
-    k = np.lexsort((residual, ratio))[-1]
-    return float(residual[k]), float(bound[k])
+def _decide(check, inst: dict, cfg: RunConfig):
+    """Run ``check`` on a trial and decide each of its rows by ``_margin``.
+    If it raised, its error entry: the class and message, and a toolkit
+    error's record under the keys of the CLI's JSON diagnostic.  Else
+    (violated, ratio, residual, bound, names, k) of its worst row k, of
+    largest ratio, then largest residual, NaN above any number, then the
+    last; its name, ``next(islice(names, k, None))``, is formatted when read."""
+    try:
+        names, residual, bound = check(inst, cfg)
+    except Exception as exc:
+        entry = {"error": f"{type(exc).__name__}: {exc}"}
+        if isinstance(exc, QobsError):
+            entry.update((key, getattr(exc, key)) for key in _RECORD)
+        return entry
+    for k, (r, b) in enumerate(zip(residual, bound)):
+        violated, ratio = _margin(r, b)
+        if not k or ratio > top or ratio == top and (r != r or r >= worst[2]):
+            top, worst = ratio, (violated, ratio, r, b, names, k)
+    return worst
 
 
-# Property registry: name -> fn(instance, config) -> (residual, bound).
+def _excess(x: float) -> float:
+    """x above 0, else 0.0, never -0.0: a one-sided residual; NaN stays."""
+    return 0.0 if x <= 0 else x
+
+
+# Property registry: name -> fn(instance, config) -> (names, residuals,
+# bounds), one row per sub-identity, which ``_decide`` decides.
 
 def _chk_eigen_reconstruction(inst, cfg):
-    H = inst["H"]
-    sharp = _shared(inst, sharp_version, "H", cluster_tol=cfg.cluster_tol)
-    return max_abs(stochastic_operator(sharp) - H), cfg.tol_lin * scale_of(H)
+    H, sharp = inst["H"], _shared(inst, sharp_version, "H", cluster_tol=cfg.cluster_tol)
+    return (("reconstruction",), [max_abs(stochastic_operator(sharp) - H)],
+            [cfg.tol_lin * scale_of(H)])
 
 
 def _chk_eigen_projections(inst, cfg):
@@ -275,97 +294,93 @@ def _chk_eigen_projections(inst, cfg):
             for X in (P[:-1] @ P[:0:-1].cumsum(0)[::-1], defect))  # P_i S_i, n
     a = (1 + n) * e + (k - 1) * (1 + n) ** 2 * n
     c = 1.0 - (k - 2) * math.sqrt(a)
-    res = max(max_abs(P.sum(0) - np.eye(P.shape[1])), max_abs(defect),
-              max_abs(P - P.conj().swapaxes(-1, -2)),
-              min((k - 1) * a, a / c if c > 0 else math.inf))
-    return res, cfg.tol_lin
+    return (("completeness", "idempotence", "hermiticity", "orthogonality"),
+            [max_abs(P.sum(0) - np.eye(P.shape[1])), max_abs(defect),
+             max_abs(P - P.conj().swapaxes(-1, -2)),
+             min((k - 1) * a, a / c if c > 0 else math.inf)], [cfg.tol_lin] * 4)
 
 
 def _chk_psd_sqrt(inst, cfg):
     P = inst["P"]
     S = psd_sqrt(P, tol_psd=cfg.tol_psd, tol=cfg.tol_lin)
-    res = max_abs(S @ S - P) / (1.0 + max_abs(P))
-    res = max(res, max_abs(S @ P - P @ S) / scale_of(P))
-    return res, cfg.tol_lin
+    rows = [max_abs(S @ S - P) / (1.0 + max_abs(P)), max_abs(S @ P - P @ S) / scale_of(P)]
+    return ("square", "commutation"), rows, [cfg.tol_lin] * 2
 
 
 def _chk_form_psd(inst, cfg):
     rho, C = inst["rho"], inst["C"]
     val = state_form(rho, C, C)
-    res = max(abs(val.imag), max(0.0, -val.real))
-    return res, cfg.tol_lin * pair_scale(C, C)
+    return (("imaginary", "negative"), [abs(val.imag), _excess(-val.real)],
+            [cfg.tol_lin * pair_scale(C, C)] * 2)
 
 
 def _chk_form_cauchy_schwarz(inst, cfg):
     rho, C, D = inst["rho"], inst["C"], inst["D"]
     lhs = abs(state_form(rho, C, D)) ** 2
     rhs = state_form(rho, C, C).real * state_form(rho, D, D).real
-    return max(0.0, lhs - rhs), cfg.tol_lin * max(1.0, rhs)
+    return ("excess",), [_excess(lhs - rhs)], [cfg.tol_lin * max(1.0, rhs)]
 
 
 def _chk_form_conjugate_symmetry(inst, cfg):
     rho, C, D = inst["rho"], inst["C"], inst["D"]
     res = abs(state_form(rho, C, D) - np.conj(state_form(rho, D, C)))
-    return res, cfg.tol_lin * pair_scale(C, D)
+    return ("symmetry",), [res], [cfg.tol_lin * pair_scale(C, D)]
 
 
 def _chk_faithful_witness(inst, cfg):
     rho = inst["rho_low"]
     if is_faithful(rho, cfg.tol_psd):
-        return 0.0, cfg.tol_lin  # dim 1 cannot be rank-deficient
-    w, V = np.linalg.eigh(rho.matrix)
-    v = V[:, 0]
+        return ("witness",), [0.0], [cfg.tol_lin]  # dim 1 cannot be rank-deficient
+    v = np.linalg.eigh(rho.matrix)[1][:, 0]
     P = np.outer(v, v.conj())
-    return max(0.0, state_form(rho, P, P).real), cfg.tol_lin
+    return ("witness",), [_excess(state_form(rho, P, P).real)], [cfg.tol_lin]
 
 
 def _chk_bloch_eigenvalues(inst, cfg):
     r = inst["bloch"]
-    rho = bloch_state(r)
     norm = float(np.linalg.norm(r))
     expected = np.array([(1.0 - norm) / 2.0, (1.0 + norm) / 2.0])
-    return float(np.max(np.abs(np.array(rho.eigenvalues) - expected))), 1e-12
+    rows = np.abs(np.array(bloch_state(r).eigenvalues) - expected).tolist()
+    return ("lower", "upper"), rows, [1e-12] * 2
 
 
 def _chk_sharp_same_stochastic(inst, cfg):
     A = inst["A"]
-    sharp = sharp_version(A, cfg.cluster_tol)
-    sto = stochastic_operator(A)
-    return (max_abs(stochastic_operator(sharp) - sto),
-            cfg.tol_lin * scale_of(sto))
+    sto, sharp = stochastic_operator(A), sharp_version(A, cfg.cluster_tol)
+    res = max_abs(stochastic_operator(sharp) - sto)
+    return ("stochastic",), [res], [cfg.tol_lin * scale_of(sto)]
 
 
 def _chk_sharp_idempotent(inst, cfg):
     A = inst["A"]
     once = sharp_version(A, cfg.cluster_tol)
-    twice = sharp_version(once, cfg.cluster_tol)
+    rows = _matched_observable_delta(once, sharp_version(once, cfg.cluster_tol))
     bound = default_cluster_tol(stochastic_operator(A), cfg.cluster_tol)
-    return _matched_observable_delta(once, twice), max(cfg.tol_lin, bound)
+    return ("outcomes", "effects"), rows, [max(cfg.tol_lin, bound)] * 2
 
 
 def _chk_conjugate_same_sharp(inst, cfg):
     A, sto = inst["A"], stochastic_operator(inst["A"])
     conj = _shared(inst, conjugate, "A", cluster_tol=cfg.cluster_tol)
-    res = max_abs(stochastic_operator(conj) - sto)
-    sharp_a = sharp_version(A, cfg.cluster_tol)
-    sharp_c = sharp_version(conj, cfg.cluster_tol)
-    res = max(res, _matched_observable_delta(sharp_a, sharp_c))
-    bound = default_cluster_tol(sto, cfg.cluster_tol)
-    return res, max(cfg.tol_lin * scale_of(sto), bound)
+    rows = [max_abs(stochastic_operator(conj) - sto), *_matched_observable_delta(
+        sharp_version(A, cfg.cluster_tol), sharp_version(conj, cfg.cluster_tol))]
+    bound = max(cfg.tol_lin * scale_of(sto), default_cluster_tol(sto, cfg.cluster_tol))
+    return ("stochastic", "sharp_outcomes", "sharp_effects"), rows, [bound] * 3
 
 
 def _chk_conjugate_commutative(inst, cfg):
     A = inst["A_comm"]
     if not is_commutative(A, cfg.tol_lin):  # pragma: no cover - by construction
-        return math.inf, cfg.tol_lin
+        return ("commutative",), [math.inf], [cfg.tol_lin]
     conj = _shared(inst, conjugate, "A_comm", cluster_tol=cfg.cluster_tol)
-    return _matched_observable_delta(A, conj), cfg.tol_lin
+    return ("outcomes", "effects"), _matched_observable_delta(A, conj), [cfg.tol_lin] * 2
 
 
 def _chk_coarse_grain_valid(inst, cfg):
     fA = _shared(inst, coarse_grain, "A", "f_obs")
     direct = sum(inst["f_obs"][x] * E for x, E in inst["A"].pairs())
-    return max_abs(stochastic_operator(fA) - direct), cfg.tol_lin * scale_of(direct)
+    res = max_abs(stochastic_operator(fA) - direct)
+    return ("stochastic",), [res], [cfg.tol_lin * scale_of(direct)]
 
 
 def _uncertainty_residuals(rho, A, B):
@@ -374,102 +389,93 @@ def _uncertainty_residuals(rho, A, B):
     # A NaN residual still raises, and counts as the property's error.
     rep = stats.uncertainty_report(rho, A, B, tol=math.inf)
     scale = float(stats._scale(rep.correlation_sq))
-    eq = abs(rep.equation_residual) / scale
-    ineq = max(0.0, -rep.inequality_slack) / scale
-    rh = max(0.0, rep.commutator_term - rep.variance_product) / scale
-    return eq, ineq, rh
+    return (abs(rep.equation_residual) / scale, _excess(-rep.inequality_slack) / scale,
+            _excess(rep.commutator_term - rep.variance_product) / scale)
 
 
 def _chk_uncertainty_equation(inst, cfg):
     eq1, _, _ = _shared(inst, _uncertainty_residuals, "rho", "A", "B")
     eq2, _, _ = _shared(inst, _uncertainty_residuals, "rho_low", "C", "D")
-    return max(eq1, eq2), cfg.tol_stat
+    return ("rho,A,B", "rho_low,C,D"), [eq1, eq2], [cfg.tol_stat] * 2
 
 
 def _chk_uncertainty_inequality(inst, cfg):
     _, in1, rh1 = _shared(inst, _uncertainty_residuals, "rho", "A", "B")
     _, in2, rh2 = _shared(inst, _uncertainty_residuals, "rho_low", "C", "D")
-    return max(in1, in2, rh1, rh2), cfg.tol_stat
+    return (("slack[rho,A,B]", "slack[rho_low,C,D]", "robertson[rho,A,B]",
+             "robertson[rho_low,C,D]"), [in1, in2, rh1, rh2], [cfg.tol_stat] * 4)
 
 
 def _chk_correlation_symmetry(inst, cfg):
     rho, A, B = inst["rho"], inst["A"], inst["B"]
     cor = stats.correlation(rho, A, B)
     res = abs(cor - np.conj(stats.correlation(rho, B, A)))
-    return res, cfg.tol_lin * max(1.0, abs(cor))
+    return ("symmetry",), [res], [cfg.tol_lin * max(1.0, abs(cor))]
 
 
 def _chk_statistics_sharp_consistency(inst, cfg):
     rho, A, B = inst["rho"], inst["A"], inst["B"]
-    sharp_a = sharp_version(A, cfg.cluster_tol)
-    sharp_b = sharp_version(B, cfg.cluster_tol)
+    sharp_a, sharp_b = (sharp_version(X, cfg.cluster_tol) for X in (A, B))
     cor = stats.correlation(rho, A, B)
-    res = abs(cor - stats.correlation(rho, sharp_a, sharp_b))
-    res = max(res, abs(stats.average(rho, A) - stats.average(rho, sharp_a)))
-    res = max(res, abs(stats.variance(rho, A) - stats.variance(rho, sharp_a)))
-    return res, cfg.tol_lin * max(1.0, abs(cor))
+    return (("correlation", "mean", "variance"),
+            [abs(cor - stats.correlation(rho, sharp_a, sharp_b)),
+             abs(stats.average(rho, A) - stats.average(rho, sharp_a)),
+             abs(stats.variance(rho, A) - stats.variance(rho, sharp_a))],
+            [cfg.tol_lin * max(1.0, abs(cor))] * 3)
 
 
 def _chk_maximally_mixed_closed_form(inst, cfg):
     C, D = inst["C"], inst["D"]
     closed = _maximally_mixed_correlation(C, D)
     res = abs(stats.correlation(maximally_mixed(C.shape[0]), C, D) - closed)
-    return res, cfg.tol_lin * max(1.0, abs(closed))
+    return ("correlation",), [res], [cfg.tol_lin * max(1.0, abs(closed))]
 
 
 def _chk_deviation_traceless(inst, cfg):
-    rho, A = inst["rho"], inst["A"]
-    dev = stats.deviation(rho, A)
-    return abs(np.trace(rho.matrix @ dev)), cfg.tol_lin * scale_of(dev)
+    rho, dev = inst["rho"], stats.deviation(inst["rho"], inst["A"])
+    return ("trace",), [abs(np.trace(rho.matrix @ dev))], [cfg.tol_lin * scale_of(dev)]
 
 
 def _chk_commutator_identity(inst, cfg):
     rho, A, B = inst["rho"], inst["A"], inst["B"]
     comm = stats.commutator_expectation(rho, A, B)
-    sto_a, sto_b = stochastic_operator(A), stochastic_operator(B)
-    ident = 2j * np.trace(rho.matrix @ sto_a @ sto_b).imag
-    res = max(abs(comm.real), abs(comm - ident))
-    return res, cfg.tol_lin * max(1.0, abs(comm))
+    ident = 2j * np.trace(rho.matrix @ stochastic_operator(A) @ stochastic_operator(B)).imag
+    return (("real_part", "identity"), [abs(comm.real), abs(comm - ident)],
+            [cfg.tol_lin * max(1.0, abs(comm))] * 2)
 
 
 def _chk_instrument_family(inst, cfg):
-    """Every row of ``_family_rows``; the (residual, bound) of worst ratio."""
-    _, computed, expected = _family_rows(inst)
-    return _worst(entry_norms(computed - expected), cfg.tol_lin * scale_of(expected))
+    """Every row of ``_family_rows``, within ``tol_lin`` of its scale."""
+    names, computed, expected = _family_rows(inst)
+    return (names, entry_norms(computed - expected).tolist(),
+            (cfg.tol_lin * scale_of(expected)).tolist())
 
 
 def _chk_instrument_channel(inst, cfg):
-    out = _shared(inst, Instrument.channel, "inst", "rho")
-    res = abs(sum(out.eigenvalues) - 1.0)
-    res = max(res, max(0.0, -out.eigenvalues[0]))
-    return res, cfg.tol_psd
+    eig = _shared(inst, Instrument.channel, "inst", "rho").eigenvalues
+    return ("trace", "negative"), [abs(sum(eig) - 1.0), _excess(-eig[0])], [cfg.tol_psd] * 2
 
 
 def _chk_instrument_coarse_grain(inst, cfg):
-    instr, f = inst["inst"], inst["f_inst"]
     merged = _shared(inst, Instrument.coarse_grain, "inst", "f_inst")
-    lhs = merged.measured_observable()
-    rhs = coarse_grain(instr.measured_observable(), f)
-    return _matched_observable_delta(lhs, rhs), cfg.tol_lin
+    rhs = coarse_grain(inst["inst"].measured_observable(), inst["f_inst"])
+    rows = _matched_observable_delta(merged.measured_observable(), rhs)
+    return ("outcomes", "effects"), rows, [cfg.tol_lin] * 2
 
 
 def _chk_instrument_mean(inst, cfg):
     instr, rho = inst["inst"], inst["rho"]
-    mean = float(sum(x * np.trace(instr.apply(x, rho)).real
-                     for x in instr.outcomes))
+    mean = float(sum(x * np.trace(instr.apply(x, rho)).real for x in instr.outcomes))
     res = abs(mean - stats.average(rho, instr.measured_observable()))
-    return res, cfg.tol_lin * max(1.0, abs(mean))
+    return ("mean",), [res], [cfg.tol_lin * max(1.0, abs(mean))]
 
 
 def _chk_sequential_marginal(inst, cfg):
-    instr = inst["inst"]
     product = _shared(inst, sequential_product, "inst", "B")
-    measured = instr.measured_observable()
-    res = 0.0
-    for x, E in measured.pairs():
-        marg = sum(eff for (xx, _), eff in product.pairs() if xx == x)
-        res = max(res, max_abs(marg - E))
-    return res, cfg.tol_lin
+    measured = inst["inst"].measured_observable()
+    return ((f"marginal[{x}]" for x in measured.keys),
+            [max_abs(sum(eff for (xx, _), eff in product.pairs() if xx == x) - E)
+             for x, E in measured.pairs()], [cfg.tol_lin] * len(measured))
 
 
 def _chk_conditioned_mean(inst, cfg):
@@ -477,7 +483,7 @@ def _chk_conditioned_mean(inst, cfg):
     cond = _shared(inst, conditioned_observable, "inst", "B")
     res = abs(stats.average(rho, cond) - stats.average(
         _shared(inst, Instrument.channel, "inst", "rho"), B))
-    return res, cfg.tol_lin * max(1.0, abs(stats.average(rho, B)))
+    return ("mean",), [res], [cfg.tol_lin * max(1.0, abs(stats.average(rho, B)))]
 
 
 def _chk_product_split_function(inst, cfg):
@@ -487,7 +493,7 @@ def _chk_product_split_function(inst, cfg):
     lhs = stochastic_operator(coarse_grain(product, f))
     hB = sum(h[y] * E for y, E in B.pairs())
     rhs = sum(g[x] * instr.dual_apply(x, hB) for x in instr.outcomes)
-    return max_abs(lhs - rhs), cfg.tol_lin * scale_of(rhs)
+    return ("stochastic",), [max_abs(lhs - rhs)], [cfg.tol_lin * scale_of(rhs)]
 
 
 def _trial_observables(inst, cfg) -> tuple:
@@ -509,9 +515,15 @@ def _trial_observables(inst, cfg) -> tuple:
 def _chk_derived_spectrum(inst, cfg):
     """The constructor's effect rule, the fuzz's one statement of it, on
     every observable of the trial: its inputs, and the derived ones that the
-    builders do not check.  The (residual, bound) of worst ratio."""
+    builders do not check.  Row rule[i][j] is effect j of the i-th
+    observable of ``_trial_observables``, and completeness[i] its sum."""
     stacks = [obs.effects for obs in _trial_observables(inst, cfg)]
-    return _worst(*_effect_margins(stacks, cfg.tol_lin, cfg.tol_psd))
+    residual, bound = _effect_margins(stacks, cfg.tol_lin, cfg.tol_psd)
+    rules = ("hermitian", "effect-lower-bound", "effect-upper-bound")
+    names = chain((f"{rule}[{i}][{j}]" for rule in rules
+                   for i, S in enumerate(stacks) for j in range(len(S))),
+                  (f"completeness[{i}]" for i in range(len(stacks))))
+    return names, residual.tolist(), bound.tolist()
 
 
 CHECKS = {
@@ -550,8 +562,8 @@ def _encode_map(f: dict) -> dict:
     return {repr(k): v for k, v in f.items()}
 
 
-def _decode_map(obj: dict, field: str) -> dict:
-    return {float(k): float(v) for k, v in obj.items()}
+def _decode_map(obj: dict, field: str) -> dict:  # keys ascending, as built
+    return dict(sorted((float(k), float(v)) for k, v in obj.items()))
 
 
 # Replay codec for the fields of a trial bundle; ``omega`` and ``alphas``
@@ -598,16 +610,6 @@ class _PropertyStats:
     max_ratio: float = 0.0
 
 
-def _error_entry(exc: Exception) -> dict:
-    """The summary's record of a check that raised: its class and message,
-    and, for a toolkit error, its diagnostic record under the keys of the
-    CLI's JSON diagnostic."""
-    entry = {"error": f"{type(exc).__name__}: {exc}"}
-    if isinstance(exc, QobsError):
-        entry.update((key, getattr(exc, key)) for key in _RECORD)
-    return entry
-
-
 def run_fuzz(config: RunConfig) -> dict:
     """Run the property battery; the returned summary is deterministic in
     the config and contains the worst instance for replay.
@@ -629,24 +631,23 @@ def run_fuzz(config: RunConfig) -> dict:
         for name, check in CHECKS.items():
             entry = props[name]
             entry.trials += 1
-            try:
-                residual, bound = check(instance, config)
-            except Exception as exc:
+            found = _decide(check, instance, config)
+            if type(found) is dict:  # the check raised: its error entry
                 entry.errors += 1
                 entry.violations += 1
                 if worst["ratio"] is None:  # the first error stays the worst
                     continue
-                found = {"ratio": None, "residual": None, "bound": None,
-                         **_error_entry(exc)}
+                found = {"ratio": None, "residual": None, "bound": None, **found}
             else:
-                violated, ratio = _margin(residual, bound)
+                violated, ratio, residual, bound, names, k = found
                 if residual != residual or residual > entry.max_residual:
                     entry.max_residual = residual  # a NaN, as _margin's, stays
                 entry.max_ratio = max(entry.max_ratio, ratio)
                 entry.violations += violated
                 if worst["ratio"] is None or not ratio > worst["ratio"]:
                     continue
-                found = {"ratio": ratio, "residual": residual, "bound": bound}
+                found = {"ratio": ratio, "residual": residual, "bound": bound,
+                         "row": next(islice(names, k, None))}
             worst = {**found, "property": name, "trial": i, "instance": instance}
     worst = {key: encode_instance(v) if key == "instance" else v
              for key, v in worst.items()}  # ``_shared``'s keys are not encoded
@@ -690,11 +691,10 @@ def replay_instance(summary) -> dict:
     except Exception as exc:  # a field the codec cannot read
         raise ParseError(f"cannot rebuild the trial ({exc!r})",
                          field="dump.instance") from None
-    try:
-        residual, bound = CHECKS[name](instance, config)
-    except Exception as exc:
-        return {"schema": SCHEMA_VERSION, "property": name, "violations": 1,
-                **_error_entry(exc)}
-    violated, ratio = _margin(residual, bound)
+    found = _decide(CHECKS[name], instance, config)
+    if type(found) is dict:  # the check raised: its error entry
+        return {"schema": SCHEMA_VERSION, "property": name, "violations": 1, **found}
+    violated, ratio, residual, bound, names, k = found
     return {"schema": SCHEMA_VERSION, "property": name, "residual": residual,
-            "bound": bound, "ratio": ratio, "violations": int(violated)}
+            "bound": bound, "ratio": ratio, "row": next(islice(names, k, None)),
+            "violations": int(violated)}

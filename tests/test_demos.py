@@ -192,3 +192,14 @@ def test_demo_example4_decides_equality_as_the_sweep_does():
     row, = sweep_noisy_spin([1.0], [r])["rows"]
     assert row["slack"] == slack
     assert out["equality"] is row["equality"] is True
+
+
+def test_a_nan_delta_fails_a_demo_wherever_it_stands():
+    """``pass`` holds only if every delta is within the threshold: a NaN
+    delta after a finite one fails it, and ``max_delta`` is NaN."""
+    checks = demos._Checks()
+    checks.scalar("exact", 1.0, 1.0)
+    checks.scalar("lost", math.nan, 0.0)
+    out = checks.result("probe", {}, 1e-12)
+    assert [row["delta"] for row in out["checks"]][0] == 0.0
+    assert out["pass"] is False and math.isnan(out["max_delta"])

@@ -1,11 +1,15 @@
 """Replay codec of the property fuzzer: a trial bundle survives a round trip
 through canonical JSON with every property residual bit for bit.  The
-linear forms of two checks bound their references in ``conftest``."""
+linear forms of two checks bound their references in ``conftest``.  Every
+property returns rows, which ``fuzz._decide`` alone reduces."""
 
+import ast
 import functools
 import hashlib
 import json
 import math
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +42,17 @@ def test_instance_round_trip_keeps_every_residual(family, dim):
     decoded = fuzz.decode_instance(json.loads(canonical_json(encoded)))
     assert fuzz.encode_instance(decoded) == encoded
     config = fuzz.RunConfig()
-    for name, check in fuzz.CHECKS.items():
-        expected = check(original, config)
-        assert repr(check(decoded, config)) == repr(expected), name
+    for name, check in fuzz.CHECKS.items():  # every row: name, residual, bound
+        expected = [list(column) for column in check(original, config)]
+        assert repr([list(column) for column in check(decoded, config)]) == \
+            repr(expected), name
+
+
+def _worst_row(check, inst, cfg):
+    """The (residual, bound) of the row of ``check`` that ``fuzz._decide``
+    finds worst on the trial ``inst``."""
+    _, _, residual, bound, _, _ = fuzz._decide(check, inst, cfg)
+    return residual, bound
 
 
 def test_each_trial_builds_its_shared_values_once(monkeypatch):
@@ -185,26 +197,38 @@ def test_checks_are_exactly_the_listed_properties():
     assert len(PROPERTIES) == 28
 
 
-# SHA-256 of the bytes ``qobs fuzz --json`` prints for each config.  A digest
-# changes only in a change that declares an output change in CHANGES.md, as
-# ``tests/test_public_api.py`` does for the public names.  Pinned with numpy
-# 2.4 on OpenBLAS 0.3.31, single- and multi-threaded alike; a BLAS that
-# rounds differently can move them without any change to the library.
+# SHA-256 of the bytes ``qobs fuzz --json`` prints for each config, and of
+# those bytes without ``worst.row``, the one key added since they were first
+# pinned: the rows moved no number.  A digest changes only in a change that
+# declares an output change in CHANGES.md, as ``tests/test_public_api.py``
+# does for the public names.  Pinned with numpy 2.4 on OpenBLAS 0.3.31,
+# single- and multi-threaded alike; a BLAS that rounds differently can move
+# them without any change to the library.
 SUMMARY_DIGESTS = [
     (fuzz.RunConfig(seed=42, trials=200),
+     "5fc7de6fe5aa0b20fd7387966428801ac6ca5ac5a915d754eaa2e01f2833ddea",
      "a516be9976b365db941aa6c1b63269b498b478324c5f3b034b68b3342d01bd45"),
     (fuzz.RunConfig(seed=3, trials=45, dims=tuple(range(1, 10))),
+     "9502871a54e5fffcf8af4a238a9e346a8bc0ef9dacb61d4fe24361cadf16c564",
      "332c45927a6b08d04616a94b654e7082e5eff2c7f6866475483f01cc1aa7045a"),
     (fuzz.RunConfig(seed=5, trials=30, dims=(2, 3, 4), cluster_tol=0.05),
+     "e7d33a13c1a4838f9d15c06fd594a387b2da903f06f7d95e308e2b338268cdbb",
      "3c6bf402c5133e2f9d241b9e70a01281cdceee0fc83096dc356bd8ac16f5b8fd"),
 ]
 
 
-@pytest.mark.parametrize("config, digest", SUMMARY_DIGESTS,
+def _digest(summary) -> str:
+    text = canonical_json(summary, compact=True) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("config, digest, without_row", SUMMARY_DIGESTS,
                          ids=["seed42", "seed3-dims1..9", "seed5-cluster0.05"])
-def test_summary_bytes_are_pinned(config, digest):
-    text = canonical_json(fuzz.run_fuzz(config), compact=True) + "\n"
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+def test_summary_bytes_are_pinned(config, digest, without_row):
+    summary = fuzz.run_fuzz(config)
+    assert _digest(summary) == digest
+    del summary["worst"]["row"]
+    assert _digest(summary) == without_row
 
 
 def test_stacked_kernels_give_the_loop_forms_summary(monkeypatch):
@@ -259,7 +283,7 @@ def test_sharp_effect_below_zero_reports_its_eigenvalue(monkeypatch, low):
     the reference reports it."""
     inst = _planted_sharp_version(monkeypatch, [low, 0.01, 1.0])
     config = fuzz.RunConfig()
-    residual, bound = fuzz._chk_derived_spectrum(inst, config)
+    residual, bound = _worst_row(fuzz._chk_derived_spectrum, inst, config)
     assert residual > bound == config.tol_psd
     assert residual == pytest.approx(-low, rel=1e-6)
     assert (residual, bound) == derived_spectrum_eigensolve(inst, config)
@@ -279,7 +303,7 @@ def test_tail_sums_bound_the_pairwise_products(monkeypatch, theta):
     rotated = Observable.__new__(Observable)._build(exact.outcomes, P)
     monkeypatch.setattr(fuzz, "sharp_version", lambda *args, **kw: rotated)
     config = fuzz.RunConfig()
-    new, bound = fuzz._chk_eigen_projections(inst, config)
+    new, bound = _worst_row(fuzz._chk_eigen_projections, inst, config)
     old, _ = eigen_projections_pairwise(inst, config)
     assert new >= old
     assert (new > bound) == (old > bound)
@@ -313,7 +337,7 @@ def test_idempotence_defects_that_hide_a_pair_from_the_tail_sums(monkeypatch):
     assert linalg.max_abs(P.sum(0) - np.eye(k)) < tol
     config = fuzz.RunConfig(tol_lin=tol)
     old, _ = eigen_projections_pairwise(inst, config)
-    new, bound = fuzz._chk_eigen_projections(inst, config)
+    new, bound = _worst_row(fuzz._chk_eigen_projections, inst, config)
     assert old == pytest.approx(eps) and old > bound
     assert new >= old
 
@@ -328,7 +352,7 @@ def test_linear_forms_dominate_their_references():
         for check, reference in [
                 (fuzz._chk_eigen_projections, eigen_projections_pairwise),
                 (fuzz._chk_derived_spectrum, derived_spectrum_eigensolve)]:
-            (new, bound), (old, old_bound) = (check(inst, config),
+            (new, bound), (old, old_bound) = (_worst_row(check, inst, config),
                                               reference(inst, config))
             assert (new > bound) == (old > old_bound), (i, check.__name__)
             assert new / bound >= old / old_bound, (i, check.__name__)
@@ -368,9 +392,9 @@ def test_effect_spectrum_fails_wherever_a_restated_rule_fails(monkeypatch, confi
 
     def recorded(inst, cfg):
         old = any(r > b for r, b in _restated_effect_rule(inst, cfg))
-        residual, bound = check(inst, cfg)
-        trials.append((old, residual > bound))
-        return residual, bound
+        rows = check(inst, cfg)
+        trials.append((old, fuzz._decide(lambda *_: rows, inst, cfg)[0]))
+        return rows
 
     monkeypatch.setattr(fuzz, "CHECKS", {"derived.effect_spectrum": recorded})
     fuzz.run_fuzz(config)
@@ -394,7 +418,7 @@ def test_input_effect_below_zero_reports_its_eigenvalue(name, family):
     inst[name] = Observable.__new__(Observable)._build(X.keys, E)
     config = fuzz.RunConfig()
     assert any(obs is inst[name] for obs in fuzz._trial_observables(inst, config))
-    residual, bound = fuzz._chk_derived_spectrum(inst, config)
+    residual, bound = _worst_row(fuzz._chk_derived_spectrum, inst, config)
     assert residual > bound == config.tol_psd
     assert residual == pytest.approx(delta, rel=1e-6)
     assert (residual, bound) == derived_spectrum_eigensolve(inst, config)
@@ -403,7 +427,7 @@ def test_input_effect_below_zero_reports_its_eigenvalue(name, family):
 def test_observables_of_different_sizes_are_infinitely_apart():
     two, three = (Observable(range(n), np.full((n, 1, 1), 1.0 / n))
                   for n in (2, 3))
-    assert fuzz._matched_observable_delta(two, three) == np.inf
+    assert fuzz._matched_observable_delta(two, three) == [np.inf, np.inf]
 
 
 def test_nan_uncertainty_residual_is_an_error_not_a_pass():
@@ -470,9 +494,9 @@ def test_a_nan_residual_is_the_max_residual(monkeypatch):
     check, calls = fuzz.CHECKS["instrument.mean"], []
 
     def nan_second(inst, cfg):
-        residual, bound = check(inst, cfg)
+        names, residual, bound = check(inst, cfg)
         calls.append(None)
-        return (math.nan if len(calls) == 2 else residual), bound
+        return names, ([math.nan] if len(calls) == 2 else residual), bound
 
     monkeypatch.setitem(fuzz.CHECKS, "instrument.mean", nan_second)
     summary = fuzz.run_fuzz(fuzz.RunConfig(seed=42, trials=3))
@@ -482,3 +506,142 @@ def test_a_nan_residual_is_the_max_residual(monkeypatch):
     assert math.isnan(entry["max_residual"])
     written = json.loads(canonical_json(summary))
     assert written["properties"]["instrument.mean"]["max_residual"] is None
+
+
+def _nan_variance(monkeypatch):
+    """``statistics.variance`` is NaN: the last row of its one fuzz caller."""
+    monkeypatch.setattr(fuzz.stats, "variance", lambda *args, **kw: math.nan)
+
+
+def _nan_commutation(monkeypatch):
+    """The third ``max_abs`` of ``psd_sqrt.contract``, its commutation row,
+    is NaN."""
+    check = fuzz.CHECKS["psd_sqrt.contract"]
+
+    def planted(inst, cfg):
+        calls = []
+
+        def counted(M):
+            calls.append(None)
+            return math.nan if len(calls) == 3 else linalg.max_abs(M)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fuzz, "max_abs", counted)
+            return check(inst, cfg)
+
+    monkeypatch.setitem(fuzz.CHECKS, "psd_sqrt.contract", planted)
+
+
+def _nan_cross_form(monkeypatch):
+    """<X, Y>_rho is NaN unless X is Y: |<C, D>|^2 in the Cauchy-Schwarz row."""
+    form = fuzz.state_form
+    monkeypatch.setattr(fuzz, "state_form", lambda rho, X, Y: (
+        form(rho, X, Y) if X is Y else complex(math.nan, 0.0)))
+
+
+@pytest.mark.parametrize("name, plant", [
+    ("statistics.sharp_consistency", _nan_variance),
+    ("psd_sqrt.contract", _nan_commutation),
+    ("state_form.cauchy_schwarz", _nan_cross_form),
+], ids=["variance", "commutation", "cauchy-schwarz"])
+def test_a_nan_sub_identity_is_a_violation_in_every_trial(monkeypatch, name, plant):
+    """A NaN in a row that is not a check's first, once dropped by a chain
+    of Python's ``max``, violates its property in each trial."""
+    plant(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        summary = fuzz.run_fuzz(fuzz.RunConfig(trials=15, seed=42))
+    entry = summary["properties"][name]
+    assert (entry["violations"], entry["errors"]) == (15, 0)
+    assert math.isnan(entry["max_residual"])
+
+
+@pytest.mark.parametrize("family", fuzz.FAMILIES)
+def test_a_nan_in_any_row_is_the_worst_row(family):
+    """Whichever row holds it, a NaN residual is the check's worst row, a
+    violation at an infinite ratio, named by that row's name."""
+    inst = fuzz.build_instance(np.random.default_rng(8), 3, family)
+    config = fuzz.RunConfig()
+    for name, check in fuzz.CHECKS.items():
+        names, residual, bound = (list(column) for column in check(inst, config))
+        assert len(names) == len(residual) == len(bound) >= 1, name
+        for k in range(len(residual)):
+            planted = residual[:k] + [math.nan] + residual[k + 1:]
+            violated, ratio, worst, _, lazy, row = fuzz._decide(
+                lambda *_: (iter(names), planted, bound), inst, config)
+            assert (violated, ratio, math.isnan(worst)) == (True, math.inf, True), name
+            assert next(islice(lazy, row, None)) == names[k], name
+
+
+def test_ties_go_to_the_largest_residual_then_the_last_row():
+    rows = (("a", "b", "c", "d"), [0.0, 2.0, 1.0, 2.0], [1.0, 2.0, 1.0, 2.0])
+    assert fuzz._decide(lambda *_: rows, {}, fuzz.RunConfig())[2:] == (
+        2.0, 2.0, rows[0], 3)
+
+
+def test_a_one_sided_residual_keeps_a_nan_and_writes_no_negative_zero():
+    assert [repr(fuzz._excess(x)) for x in (-1.0, -0.0, 0.0, 2.5)] == [
+        "0.0", "0.0", "0.0", "2.5"]
+    assert math.isnan(fuzz._excess(math.nan))
+
+
+@pytest.mark.parametrize("config", [
+    fuzz.RunConfig(seed=42, trials=30),
+    fuzz.RunConfig(seed=5, trials=30, dims=(2, 3, 4), cluster_tol=0.05),
+    fuzz.RunConfig(seed=42, trials=3, dims=(1,), tol_lin=0.0),
+    fuzz.RunConfig(seed=42, trials=12, dims=(2, 3, 4), tol_lin=1e-15),
+], ids=["seed42", "cluster-tol", "tol-lin-0", "tol-lin-1e-15"])
+def test_the_summary_names_the_worst_row_and_its_replay_the_same(config):
+    summary = json.loads(canonical_json(fuzz.run_fuzz(config)))
+    worst = summary["worst"]
+    instance = fuzz.decode_instance(worst["instance"])
+    names = list(fuzz.CHECKS[worst["property"]](instance, config)[0])
+    assert worst["row"] in names
+    assert fuzz.replay_instance(summary)["row"] == worst["row"]
+
+
+# Each builtin ``max`` or ``min`` that a row builder calls, as (function,
+# source): a floor of a bound, and the tighter of two bounds on the
+# orthogonality residual.  None folds rows: ``fuzz._decide`` alone reduces
+# them, so a NaN row counts.  Removing a floor removes its entry here.
+BUILTIN_MAX_MIN = {
+    ("_chk_eigen_projections", "min((k - 1) * a, a / c if c > 0 else math.inf)"),
+    ("_chk_form_cauchy_schwarz", "max(1.0, rhs)"),
+    ("_chk_sharp_idempotent", "max(cfg.tol_lin, bound)"),
+    ("_chk_conjugate_same_sharp",
+     "max(cfg.tol_lin * scale_of(sto), default_cluster_tol(sto, cfg.cluster_tol))"),
+    ("_chk_correlation_symmetry", "max(1.0, abs(cor))"),
+    ("_chk_statistics_sharp_consistency", "max(1.0, abs(cor))"),
+    ("_chk_maximally_mixed_closed_form", "max(1.0, abs(closed))"),
+    ("_chk_commutator_identity", "max(1.0, abs(comm))"),
+    ("_chk_instrument_mean", "max(1.0, abs(mean))"),
+    ("_chk_conditioned_mean", "max(1.0, abs(stats.average(rho, B)))"),
+}
+
+
+def _row_builders(source: str) -> dict:
+    """name -> definition of each ``_chk_*`` function of the fuzz module and
+    of each module function that one names, transitively: every helper that
+    builds a check's rows."""
+    defs = {node.name: node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef)}
+    todo, found = [name for name in defs if name.startswith("_chk_")], {}
+    while todo:
+        name = todo.pop()
+        if name not in found:
+            found[name] = defs[name]
+            todo += [node.id for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Name) and node.id in defs]
+    return found
+
+
+def test_no_row_builder_folds_rows_with_builtin_max_or_min():
+    source = Path(fuzz.__file__).read_text(encoding="utf-8")
+    builders = _row_builders(source)
+    assert len([name for name in builders if name.startswith("_chk_")]) == 28
+    assert {"_uncertainty_residuals", "_matched_observable_delta", "_family_rows",
+            "_trial_observables", "_excess"} <= set(builders)
+    calls = {(name, ast.get_source_segment(source, node))
+             for name, fn in builders.items() for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+             in ("max", "min")}
+    assert calls == BUILTIN_MAX_MIN
