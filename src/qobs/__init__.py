@@ -3,8 +3,7 @@
 Real-valued observables (finite POVMs), density operators, the generalized
 uncertainty principle with covariance term, sharp versions and conjugates,
 real-valued coarse graining, and quantum instruments (trivial, Holevo,
-Lueders) in operator-sum form.  See the demos/ directory and the ``qobs``
-CLI for worked examples.
+Lueders) in operator-sum form.  ``qobs demo`` runs nine checked worked examples.
 """
 
 from .errors import (

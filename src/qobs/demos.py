@@ -2,7 +2,7 @@
 
 Each demo returns a JSON-ready dict with per-check absolute deltas between
 the toolkit's output and an independently derived reference value.  The
-``demo`` CLI subcommand exposes them as example1 .. example7:
+``demo`` CLI subcommand exposes them as example1 .. example9:
 
   example1  uncorrelated yet noncommuting projections on a pure state
   example2  statistics at the maximally mixed state (trace closed forms)
@@ -11,6 +11,8 @@ the toolkit's output and an independently derived reference value.  The
   example5  trivial instrument (state untouched, outcome from a fixed law)
   example6  Holevo measure-and-reprepare instrument
   example7  Lueders square-root instrument
+  example8  sharp version and conjugate of an unsharp, noncommutative POVM
+  example9  real-valued coarse graining of an observable and its instrument
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import statistics as stats
-from .fuzz import _family_instrument, _family_rows, _maximally_mixed_correlation
+from .fuzz import (CHECKS, RunConfig, _family_instrument, _family_rows,
+                   _matched_observable_delta, _maximally_mixed_correlation)
 from .instruments import lueders_instrument, sequential_product
 from .linalg import TOL_LIN, TOL_STAT, commutator, max_abs, require_margin
-from .observables import Observable, coarse_grain, stochastic_operator
-from .qubit import _spin_operator, noisy_spin, noisy_spin_closed_forms
+from .observables import (Observable, coarse_grain, conjugate, conjugate_joint,
+                          is_commutative, is_sharp, sharp_version, stochastic_operator)
+from .qubit import SIGMA_X, SIGMA_Y, _spin_operator, noisy_spin, noisy_spin_closed_forms
 from .sampling import (
     random_density,
     random_hermitian,
@@ -32,7 +36,7 @@ from .sampling import (
 from .serialization import SCHEMA_VERSION
 from .states import DensityOperator, _bloch_matrices, bloch_state
 
-DEMO_NAMES = tuple(f"example{i}" for i in range(1, 8))
+DEMO_NAMES = tuple(f"example{i}" for i in range(1, 10))
 _SPIN_TOL = 1e-12  # the noisy-spin statistics against their closed forms
 
 
@@ -55,6 +59,10 @@ class _Checks:
         self.rows.append({"name": name,
                           "delta": float(max_abs(np.asarray(computed)
                                                  - np.asarray(expected)))})
+
+    def residuals(self, prefix: str, names, residuals):
+        self.rows += ({"name": f"{prefix}.{name}", "delta": float(r)}
+                      for name, r in zip(names, residuals))
 
     def result(self, demo: str, params: dict, threshold: float) -> dict:
         max_delta = float(np.max([row["delta"] for row in self.rows]))  # NaN if any
@@ -233,6 +241,38 @@ def demo_example7(dim: int = 2, seed: int = 42, outcomes: int = 2) -> dict:
                                   "outcomes": outcomes}, 1e-10)
 
 
+def demo_example8() -> dict:
+    """Sharp version and conjugate of the qubit POVM with outcomes -1, 0, 1 and
+    effects (I + cos t sx + sin t sy)/3, t = 2 pi k/3: the joint P_lam A_x P_lam
+    has both as marginals, and A~ = -sx/2 - (sqrt 3/6) sy has eigenvalues +-1/sqrt 3."""
+    A = Observable([-1.0, 0.0, 1.0], [(np.eye(2) + np.cos(t) * SIGMA_X + np.sin(t)
+                                       * SIGMA_Y) / 3 for t in np.arange(3) * 2 * np.pi / 3])
+    ch = _Checks()
+    for name in ("conjugate.same_sharp", "sharp.same_stochastic"):
+        ch.residuals(name, *CHECKS[name]({"A": A}, RunConfig())[:2])
+    joint = conjugate_joint(A)
+    for k, marginal in enumerate((sharp_version(A), conjugate(A))):
+        ch.residuals(f"key[{k}]_marginal", ("outcomes", "effects"), _matched_observable_delta(
+            coarse_grain(joint, lambda key: key[k]), marginal))
+    ch.matrix("sharp_outcomes", sharp_version(A).outcomes, np.array([-1.0, 1.0]) / np.sqrt(3.0))
+    return {**ch.result("example8", {}, 1e-10),
+            "sharp": is_sharp(A), "commutative": is_commutative(A)}
+
+
+def demo_example9() -> dict:
+    """Coarse graining of a four-outcome observable A on C^3 and of its
+    Lueders instrument: f(A) for f(x) = x^2, |A| and sign(A)."""
+    A = random_observable(np.random.default_rng(5), 3, 4, outcomes=[-2.0, -1.0, 1.0, 2.0])
+    bundle = {"A": A, "f_obs": {x: x * x for x in A.outcomes},
+              "inst": lueders_instrument(A), "f_inst": {x: abs(x) for x in A.outcomes}}
+    ch = _Checks()
+    for name in ("coarse_grain.validity", "instrument.coarse_grain_measured"):
+        ch.residuals(name, *CHECKS[name](bundle, RunConfig())[:2])
+    ch.matrix("sign_outcomes", coarse_grain(A, np.sign).outcomes, [-1.0, 1.0])
+    ch.matrix("abs_outcomes", coarse_grain(A, abs).outcomes, [1.0, 2.0])
+    return ch.result("example9", {}, 1e-10)
+
+
 _TERMS = ("commutator_term", "covariance_term", "correlation_term",
           "variance_term", "slack")
 _ROW_KEYS = ("mu", "r1", "r2", "r3", *(key for term in _TERMS
@@ -255,7 +295,7 @@ def sweep_noisy_spin(mu_grid, bloch_vectors) -> dict:
     """
     vectors, states = _bloch_matrices(bloch_vectors, TOL_LIN)
     r_columns = vectors.T.tolist()
-    rows, max_delta = [], 0.0
+    rows, maxima = [], []
     for mu in mu_grid:
         A, B = _spin_operator(float(mu), "x"), _spin_operator(float(mu), "y")
         terms = stats._terms(*stats._moments(states, A, B)[1:], TOL_STAT)
@@ -266,12 +306,13 @@ def sweep_noisy_spin(mu_grid, bloch_vectors) -> dict:
             val = terms[i] / 16.0
             delta = abs(val - ref[key])
             columns += [val.tolist(), delta.tolist()]
-            max_delta = max(max_delta, delta.max(initial=0.0).item())
+            maxima.append(delta.max(initial=0.0))
         require_margin(  # the slack identity, first failing row
             delta, _SPIN_TOL,
             lambda k: f"slack identity violated at mu={mu}, r={vectors[k].tolist()}",
             invariant="slack-identity")
         columns.append((np.abs(val) <= _SPIN_TOL).tolist())
         rows.extend(dict(zip(_ROW_KEYS, row)) for row in zip(*columns))
+    max_delta = float(np.max(maxima, initial=0.0))  # NaN if any delta is
     return {"schema": SCHEMA_VERSION, "rows": rows, "max_delta": max_delta,
             "tol": _SPIN_TOL, "pass": bool(max_delta <= _SPIN_TOL)}

@@ -249,6 +249,8 @@ _DEMO_FLAGS_READ = {
     "example3": {"dim", "seed"},
     "example4": {"mu", "bloch"},
     **{f"example{i}": {"dim", "seed", "outcomes"} for i in (5, 6, 7)},
+    "example8": set(),
+    "example9": set(),
 }
 _DEMO_VALUES = {"dim": "2", "seed": "3", "outcomes": "3", "mu": "0.9",
                 "bloch": "0.1,0.2,0.3"}
@@ -257,7 +259,7 @@ _DEMO_FLAGS_UNREAD = [(name, flag) for name, read in _DEMO_FLAGS_READ.items()
 
 
 class TestDemo:
-    @pytest.mark.parametrize("name", [f"example{i}" for i in range(1, 8)])
+    @pytest.mark.parametrize("name", demos.DEMO_NAMES)
     def test_all_demos_pass(self, capsys, name):
         code, out = run_cli(capsys, "demo", name)
         assert code == 0
@@ -271,10 +273,10 @@ class TestDemo:
         assert len([c for c in out["checks"]]) >= 8
 
     def test_unknown_demo_rejected_by_parser(self, capsys):
-        code, out = run_cli(capsys, "demo", "example9")
+        code, out = run_cli(capsys, "demo", "example10")
         assert code == 2
         assert out["error"]["type"] == "ParseError"
-        assert "invalid choice: 'example9'" in out["error"]["message"]
+        assert "invalid choice: 'example10'" in out["error"]["message"]
 
     @pytest.mark.parametrize("name, digest", [
         ("example1", "62a1e3f30bd0bcc34b7b3540e598596c2961e463eced3ca85bd78e947866b7a4"),
@@ -284,6 +286,8 @@ class TestDemo:
         ("example5", "410294f693fbb192c6c85f211fa6a022469525dcf6a53d34d61d4c0f4117f6b5"),
         ("example6", "6cde6eb1cbb5d9ea4c9d676bb93947e82e54132e9d41649de2e407a8d8abf5b0"),
         ("example7", "21ae9b48180e093766718b51d37fb5ccce78462ad2a43276f1aa1ff2009d2a69"),
+        ("example8", "9f9339d9e2456f4e37fbf68be3182ebe3c320e9a31be95f13444a09d02902bbd"),
+        ("example9", "53a3cdee67c9b37d59949dea4cba77d47ba5775944e3bd3806dc092f41c3b30d"),
     ])
     def test_stdout_at_the_defaults_is_pinned(self, capsys, name, digest):
         """The SHA-256 of ``demo NAME --json`` at the CLI's defaults (seed
@@ -300,8 +304,8 @@ class TestDemo:
             params = inspect.signature(getattr(demos, f"demo_{name}")).parameters
             assert long_options(p) - {"help"} == {*params, "json"} \
                 == _DEMO_FLAGS_READ[name] | {"json"}
-        assert sum(map(len, _DEMO_FLAGS_READ.values())) == 15  # of 7 x 5 slots
-        assert len(_DEMO_FLAGS_UNREAD) == 20
+        assert sum(map(len, _DEMO_FLAGS_READ.values())) == 15  # of 9 x 5 slots
+        assert len(_DEMO_FLAGS_UNREAD) == 30
 
     def test_each_example_reads_each_of_its_flags(self, capsys):
         given = {"dim": 2, "seed": 3, "outcomes": 3, "mu": 0.9,
@@ -1154,7 +1158,7 @@ def test_each_subcommand_takes_only_the_shared_flags_it_reads(capsys, files,
 @pytest.mark.parametrize("argv, message", [
     (["fuzz", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
     (["sharp"], "the following arguments are required: --obs"),
-    (["demo", "example9"], "argument name: invalid choice: 'example9' "),
+    (["demo", "example10"], "argument name: invalid choice: 'example10' "),
     (["validate", "f.json", "--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: command"),
     (["demo", "example1", "--js"], "unrecognized arguments: --js"),  # no prefixes
