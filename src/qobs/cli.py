@@ -25,7 +25,7 @@ from .errors import _RECORD, ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
 from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, _hermitian_part,
                      require_dim, require_hermitian)
-from .observables import coarse_grain, conjugate, sharp_version
+from .observables import _outcomes, coarse_grain, conjugate, sharp_version
 from .statistics import _is_equality, uncertainty_report
 from .serialization import SCHEMA_VERSION
 
@@ -174,12 +174,13 @@ def _load(path: str, decode, *args, **kw):
 
 
 def _decode_operand(obj, field: str, tol_lin: float, tol_psd: float):
-    """An observable file, or a bare matrix file checked Hermitian at
-    ``tol_lin`` and returned as its exactly Hermitian part, so the statistics'
-    own check at the default tolerance accepts it."""
+    """A real-valued observable file, or a bare matrix file checked Hermitian
+    at ``tol_lin`` and returned as its exactly Hermitian part, so the
+    statistics' own check at the default tolerance accepts it."""
     if isinstance(obj, dict) and obj.get("type") == "observable":
-        return ser.decode_observable(obj, field, tol_lin=tol_lin,
-                                     tol_psd=tol_psd)
+        A = ser.decode_observable(obj, field, tol_lin=tol_lin, tol_psd=tol_psd)
+        _outcomes(A, field)  # label keys: the fault of this file
+        return A
     M = require_hermitian(ser.decode_matrix(obj, field), tol_lin, name=field)
     return _hermitian_part(M)
 

@@ -185,19 +185,31 @@ def demo_example4(mu: float = 0.5, bloch=(0.3, 0.4, 0.2)) -> dict:
     return out
 
 
+def _family_checks(family: str, dim: int, seed: int, outcomes: int):
+    """(bundle, checks): one instrument family's bundle, drawn in this order,
+    its omega, or its A then alphas, then B, rho and C; and the checks of
+    its instrument against the family's definition, ``fuzz._family_rows``."""
+    rng = np.random.default_rng(seed)
+    bundle = {"family": family, "dim": dim}
+    if family == "trivial":
+        probs = random_probability_vector(rng, outcomes)
+        bundle["omega"] = {float(x): float(p)
+                           for x, p in zip(range(1, outcomes + 1), probs)}
+    else:
+        bundle["A"] = random_observable(rng, dim, outcomes)
+        if family == "holevo":
+            bundle["alphas"] = [random_density(rng, dim) for _ in range(outcomes)]
+    bundle.update(B=random_observable(rng, dim, 2), rho=random_density(rng, dim),
+                  C=random_hermitian(rng, dim))
+    bundle["inst"] = _family_instrument(bundle)
+    return bundle, _Checks(zip(*_family_rows(bundle)))
+
+
 def demo_example5(dim: int = 3, seed: int = 42, outcomes: int = 2) -> dict:
     """Trivial instrument: outcome drawn from a fixed law, state untouched;
     conditioning on it changes nothing."""
-    rng = np.random.default_rng(seed)
-    probs = random_probability_vector(rng, outcomes)
-    omega = {float(x): float(p)
-             for x, p in zip(range(1, outcomes + 1), probs)}
-    B = random_observable(rng, dim, 2)
-    bundle = {"family": "trivial", "dim": dim, "omega": omega, "B": B,
-              "rho": random_density(rng, dim), "C": random_hermitian(rng, dim)}
-    bundle["inst"] = _family_instrument(bundle)
-
-    ch = _Checks(zip(*_family_rows(bundle)))
+    bundle, ch = _family_checks("trivial", dim, seed, outcomes)
+    omega, B = bundle["omega"], bundle["B"]
     f = {(x, y): float((i + 1) * (j - 1))
          for i, x in enumerate(omega) for j, y in enumerate(B.outcomes)}
     fab = coarse_grain(sequential_product(bundle["inst"], B), f)
@@ -210,28 +222,14 @@ def demo_example5(dim: int = 3, seed: int = 42, outcomes: int = 2) -> dict:
 def demo_example6(dim: int = 3, seed: int = 42, outcomes: int = 2) -> dict:
     """Holevo instrument: probability from the measured effect, output state
     reprepared from a fixed family."""
-    rng = np.random.default_rng(seed)
-    bundle = {"family": "holevo", "dim": dim,  # drawn in the order written
-              "A": random_observable(rng, dim, outcomes),
-              "alphas": [random_density(rng, dim) for _ in range(outcomes)],
-              "B": random_observable(rng, dim, 2), "rho": random_density(rng, dim),
-              "C": random_hermitian(rng, dim)}
-    bundle["inst"] = _family_instrument(bundle)
-    return _Checks(zip(*_family_rows(bundle))).result(
+    return _family_checks("holevo", dim, seed, outcomes)[1].result(
         "example6", {"dim": dim, "seed": seed, "outcomes": outcomes}, 1e-10)
 
 
 def demo_example7(dim: int = 2, seed: int = 42, outcomes: int = 2) -> dict:
     """Lueders instrument: square-root pinching; measures its own observable
     and dephases in the sharp case."""
-    rng = np.random.default_rng(seed)
-    bundle = {"family": "lueders", "dim": dim,  # drawn in the order written
-              "A": random_observable(rng, dim, outcomes),
-              "B": random_observable(rng, dim, 2), "rho": random_density(rng, dim),
-              "C": random_hermitian(rng, dim)}
-    bundle["inst"] = _family_instrument(bundle)
-
-    ch = _Checks(zip(*_family_rows(bundle)))
+    _, ch = _family_checks("lueders", dim, seed, outcomes)
     # Sharp special case: measuring along z dephases a Bloch state.
     rho2 = bloch_state((0.3, -0.5, 0.4))
     dephased = lueders_instrument(noisy_spin(1.0, "z")).channel(rho2)

@@ -35,12 +35,14 @@ from .linalg import (
     TOL_STAT,
     default_cluster_tol,
     entry_norms,
+    hermiticity_defect,
     is_int,
     max_abs,
     pair_scale,
     psd_sqrt,
     require_dim,
     require_tolerance,
+    scale,
     scale_of,
 )
 from .observables import (
@@ -296,7 +298,7 @@ def _chk_eigen_projections(inst, cfg):
     c = 1.0 - (k - 2) * math.sqrt(a)
     return (("completeness", "idempotence", "hermiticity", "orthogonality"),
             [max_abs(P.sum(0) - np.eye(P.shape[1])), max_abs(defect),
-             max_abs(P - P.conj().swapaxes(-1, -2)),
+             hermiticity_defect(P).max(),
              min((k - 1) * a, a / c if c > 0 else math.inf)], [cfg.tol_lin] * 4)
 
 
@@ -318,7 +320,7 @@ def _chk_form_cauchy_schwarz(inst, cfg):
     rho, C, D = inst["rho"], inst["C"], inst["D"]
     lhs = abs(state_form(rho, C, D)) ** 2
     rhs = state_form(rho, C, C).real * state_form(rho, D, D).real
-    return ("excess",), [_excess(lhs - rhs)], [cfg.tol_lin * max(1.0, rhs)]
+    return ("excess",), [_excess(lhs - rhs)], [cfg.tol_lin * scale(rhs)]
 
 
 def _chk_form_conjugate_symmetry(inst, cfg):
@@ -388,9 +390,9 @@ def _uncertainty_residuals(rho, A, B):
     # own internal-consistency guard so violations are counted, not raised.
     # A NaN residual still raises, and counts as the property's error.
     rep = stats.uncertainty_report(rho, A, B, tol=math.inf)
-    scale = float(stats._scale(rep.correlation_sq))
-    return (abs(rep.equation_residual) / scale, _excess(-rep.inequality_slack) / scale,
-            _excess(rep.commutator_term - rep.variance_product) / scale)
+    s = float(scale(rep.correlation_sq))
+    return (abs(rep.equation_residual) / s, _excess(-rep.inequality_slack) / s,
+            _excess(rep.commutator_term - rep.variance_product) / s)
 
 
 def _chk_uncertainty_equation(inst, cfg):
@@ -410,7 +412,7 @@ def _chk_correlation_symmetry(inst, cfg):
     rho, A, B = inst["rho"], inst["A"], inst["B"]
     cor = stats.correlation(rho, A, B)
     res = abs(cor - np.conj(stats.correlation(rho, B, A)))
-    return ("symmetry",), [res], [cfg.tol_lin * max(1.0, abs(cor))]
+    return ("symmetry",), [res], [cfg.tol_lin * scale(abs(cor))]
 
 
 def _chk_statistics_sharp_consistency(inst, cfg):
@@ -421,14 +423,14 @@ def _chk_statistics_sharp_consistency(inst, cfg):
             [abs(cor - stats.correlation(rho, sharp_a, sharp_b)),
              abs(stats.average(rho, A) - stats.average(rho, sharp_a)),
              abs(stats.variance(rho, A) - stats.variance(rho, sharp_a))],
-            [cfg.tol_lin * max(1.0, abs(cor))] * 3)
+            [cfg.tol_lin * scale(abs(cor))] * 3)
 
 
 def _chk_maximally_mixed_closed_form(inst, cfg):
     C, D = inst["C"], inst["D"]
     closed = _maximally_mixed_correlation(C, D)
     res = abs(stats.correlation(maximally_mixed(C.shape[0]), C, D) - closed)
-    return ("correlation",), [res], [cfg.tol_lin * max(1.0, abs(closed))]
+    return ("correlation",), [res], [cfg.tol_lin * scale(abs(closed))]
 
 
 def _chk_deviation_traceless(inst, cfg):
@@ -441,7 +443,7 @@ def _chk_commutator_identity(inst, cfg):
     comm = stats.commutator_expectation(rho, A, B)
     ident = 2j * np.trace(rho.matrix @ stochastic_operator(A) @ stochastic_operator(B)).imag
     return (("real_part", "identity"), [abs(comm.real), abs(comm - ident)],
-            [cfg.tol_lin * max(1.0, abs(comm))] * 2)
+            [cfg.tol_lin * scale(abs(comm))] * 2)
 
 
 def _chk_instrument_family(inst, cfg):
@@ -467,7 +469,7 @@ def _chk_instrument_mean(inst, cfg):
     instr, rho = inst["inst"], inst["rho"]
     mean = float(sum(x * np.trace(instr.apply(x, rho)).real for x in instr.outcomes))
     res = abs(mean - stats.average(rho, instr.measured_observable()))
-    return ("mean",), [res], [cfg.tol_lin * max(1.0, abs(mean))]
+    return ("mean",), [res], [cfg.tol_lin * scale(abs(mean))]
 
 
 def _chk_sequential_marginal(inst, cfg):
@@ -483,7 +485,7 @@ def _chk_conditioned_mean(inst, cfg):
     cond = _shared(inst, conditioned_observable, "inst", "B")
     res = abs(stats.average(rho, cond) - stats.average(
         _shared(inst, Instrument.channel, "inst", "rho"), B))
-    return ("mean",), [res], [cfg.tol_lin * max(1.0, abs(stats.average(rho, B)))]
+    return ("mean",), [res], [cfg.tol_lin * scale(abs(stats.average(rho, B)))]
 
 
 def _chk_product_split_function(inst, cfg):

@@ -69,7 +69,7 @@ class Instrument(_Immutable):
         E = np.array([p[0].sum(0) if len(p) == 2 else
                       (p[0].conj().swapaxes(-1, -2) @ p[0]).sum(0) for p in parts])
         self._set(outcomes=tuple(outcomes), dim=E.shape[1], _parts=tuple(parts),
-                  _duals=(E + E.conj().swapaxes(-1, -2)) / 2.0, _derived={})
+                  _duals=linalg._hermitian_part(E), _derived={})
         return self
 
     def __len__(self):
@@ -105,8 +105,8 @@ class Instrument(_Immutable):
 
     def channel(self, rho: DensityOperator) -> DensityOperator:
         """Total state change when the outcome is ignored, not checked again."""
-        out = sum(_sandwich(part, rho.matrix) for part in self._parts)
-        out = (out + out.conj().T) / 2.0
+        out = linalg._hermitian_part(sum(_sandwich(part, rho.matrix)
+                                         for part in self._parts))
         return DensityOperator.__new__(DensityOperator)._build(
             out, linalg.hermitian_eigenvalues(out))
 
@@ -183,5 +183,4 @@ def conditioned_observable(inst: Instrument, B: Observable) -> Observable:
     """Observable of: run the instrument ignoring its outcome, then measure
     B.  Effects are sum_x dual_x(B_y) on B's outcome space."""
     total = sum(_dual_images(inst, B))
-    return Observable.__new__(Observable)._build(
-        B.keys, (total + total.conj().swapaxes(-1, -2)) / 2.0)
+    return Observable.__new__(Observable)._build(B.keys, linalg._hermitian_part(total))

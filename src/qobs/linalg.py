@@ -8,7 +8,9 @@ pure and returns fresh arrays; values stored inside domain objects are
 frozen read-only.  Dimensions are expected to stay small (d <= ~64), so all
 checks are done densely.  Each shape rule is stated here once, for every
 module: ``require_dim``, ``require_same_dim`` and ``parallel_keys``; so is
-the margin rule, ``require_margin``, for every residual against its bound.
+the margin rule, ``require_margin``, for every residual against its bound,
+the floor of every relative bound, ``scale``, and the Hermitian part that
+every builder takes, ``_hermitian_part``.
 """
 
 from __future__ import annotations
@@ -156,14 +158,20 @@ def entry_norms(M: np.ndarray) -> np.ndarray:
     return np.abs(M).max(axis=(-2, -1))
 
 
+def scale(magnitude):
+    """max(1, magnitude), entrywise: the one floor of every relative bound,
+    ``tol * scale(magnitude)``; a NaN magnitude stays NaN, so its bound fails."""
+    return np.maximum(1.0, magnitude)
+
+
 def scale_of(M: np.ndarray):
-    """max(1, ||M||) per matrix: every relative bound is ``tol * scale_of``."""
-    return np.maximum(1.0, entry_norms(M))
+    """The scale of ||M|| per matrix."""
+    return scale(entry_norms(M))
 
 
 def pair_scale(M: np.ndarray, N: np.ndarray):
-    """max(1, ||M[i]|| ||N[j]||) per pair: the scale of a product's bound."""
-    return np.maximum(1.0, np.multiply.outer(entry_norms(M), entry_norms(N)))
+    """The scale of ||M[i]|| ||N[j]|| per pair: a product's bound."""
+    return scale(np.multiply.outer(entry_norms(M), entry_norms(N)))
 
 
 def commutator(A, B) -> np.ndarray:
@@ -234,7 +242,7 @@ def _eigendecomposition(M: np.ndarray, cluster_tol: float | None):
         ws = (np.add.reduceat(w, starts) / sizes).tolist()
         P = np.array([P[lo:lo + m].sum(0) if m > 1 else P[lo]
                       for lo, m in zip(starts, sizes)])
-    return ws, (P + P.conj().swapaxes(-1, -2)) / 2.0
+    return ws, _hermitian_part(P)
 
 
 def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
@@ -252,8 +260,7 @@ def psd_sqrt(M, tol_psd: float = TOL_PSD, tol: float = TOL_LIN) -> np.ndarray:
 def _root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The Hermitian square root of V diag(w) V* (or a stack), w clipped at 0."""
     Vh = V.conj().swapaxes(-1, -2)
-    root = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ Vh
-    return (root + root.conj().swapaxes(-1, -2)) / 2.0
+    return _hermitian_part((V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ Vh)
 
 
 def frozen(M: np.ndarray) -> np.ndarray:

@@ -117,10 +117,10 @@ class Observable(_Immutable):
         return f"Observable(dim={self.dim}, keys={self.keys})"
 
 
-def _outcomes(A: Observable) -> tuple[float, ...]:
+def _outcomes(A: Observable, field: str = "observable") -> tuple[float, ...]:
     if A.outcomes is None:
         raise ValidationError("not real-valued", invariant="real-outcomes",
-                              field="observable")
+                              field=field)
     return A.outcomes
 
 
@@ -204,7 +204,7 @@ def _pair_keyed(xs, ys, C: np.ndarray) -> Observable:
     matching effects of the ``(len(xs), len(ys), d, d)`` stack C."""
     C = C.reshape(-1, *C.shape[-2:])
     return Observable.__new__(Observable)._build(
-        [(x, y) for x in xs for y in ys], (C + C.conj().swapaxes(-1, -2)) / 2.0)
+        [(x, y) for x in xs for y in ys], linalg._hermitian_part(C))
 
 
 def conjugate_joint(A: Observable, cluster_tol: float | None = None) -> Observable:

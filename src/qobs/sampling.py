@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _eigh, _hermitian_part
 from .observables import Observable
 from .states import DensityOperator
 
@@ -19,8 +20,7 @@ def ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    G = ginibre(rng, dim, dim)
-    return (G + G.conj().T) / 2.0
+    return _hermitian_part(ginibre(rng, dim, dim))
 
 
 def random_density(rng: np.random.Generator, dim: int,
@@ -73,11 +73,9 @@ def random_observable(rng: np.random.Generator, dim: int, n_outcomes: int,
     X = rng.standard_normal((n_outcomes, 2, dim, dim))  # the stream of n ginibre calls
     G = X[:, 0] + 1j * X[:, 1]
     pieces = G @ G.conj().swapaxes(-1, -2)
-    S = pieces.sum(0)
-    w, V = np.linalg.eigh((S + S.conj().T) / 2.0)
+    w, V = _eigh(pieces.sum(0))
     inv_root = (V * (1.0 / np.sqrt(w))) @ V.conj().T
-    effects = inv_root @ pieces @ inv_root
-    effects = (effects + effects.conj().swapaxes(-1, -2)) / 2.0
+    effects = _hermitian_part(inv_root @ pieces @ inv_root)
     if outcomes is None:
         outcomes = random_outcomes(rng, n_outcomes)
     return Observable(outcomes, effects)
@@ -89,8 +87,7 @@ def random_commutative_observable(rng: np.random.Generator, dim: int,
     the weights over outcomes form a probability vector."""
     U = haar_unitary(rng, dim)
     table = random_probability_vector(rng, (dim, n_outcomes))
-    E = (U * table.T[:, None, :]) @ U.conj().T
-    effects = (E + E.conj().swapaxes(-1, -2)) / 2.0
+    effects = _hermitian_part((U * table.T[:, None, :]) @ U.conj().T)
     return Observable(random_outcomes(rng, n_outcomes), effects)
 
 

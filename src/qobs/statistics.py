@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InternalConsistencyError
 from .linalg import (TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian,
                      require_margin, require_same_dim, require_tolerance,
-                     scale_of)
+                     scale, scale_of)
 from .observables import Observable, stochastic_operator
 from .states import DensityOperator, is_faithful
 
@@ -111,24 +111,12 @@ def uncertainty_report(rho: DensityOperator, A, B,
     input, so it raises ``InternalConsistencyError`` rather than returning.
     """
     _, means, M = _moments(rho.matrix, A, B)
-    return _report(means, M, tol)[0]
-
-
-def _report(means: np.ndarray, M: np.ndarray,
-            tol: float) -> list[UncertaintyReport]:
-    """``_terms`` as one report per state; one state gives a list of one."""
-    return [UncertaintyReport(*terms, tol) for terms in zip(
-        *(t.tolist() for t in _terms(means, M, tol)))]
-
-
-def _scale(correlation_sq):
-    """max(1, |Cor|^2): the uncertainty identities hold within tol times it."""
-    return np.maximum(1.0, correlation_sq)
+    return UncertaintyReport(*(t.item() for t in _terms(means, M, tol)), tol)
 
 
 def _is_equality(rep: UncertaintyReport) -> bool:
     """Var(A) Var(B) = |Cor|^2 within tolerance; the slack is already >= -tol."""
-    return bool(abs(rep.inequality_slack) <= rep.tol * _scale(rep.correlation_sq))
+    return bool(abs(rep.inequality_slack) <= rep.tol * scale(rep.correlation_sq))
 
 
 def _terms(means: np.ndarray, M: np.ndarray, tol: float):
@@ -151,7 +139,7 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     inequality_slack = variance_product - correlation_sq
     # Rows (state, identity): the equation, then the inequality.
     require_margin(np.array((np.abs(equation_residual), -inequality_slack)).T,
-                   (tol * _scale(correlation_sq))[:, None],
+                   (tol * scale(correlation_sq))[:, None],
                    ("uncertainty equation residual exceeds its bound",
                     "uncertainty inequality violated"),
                    invariant=("uncertainty-equation", "uncertainty-inequality"),
@@ -230,10 +218,10 @@ def equality_diagnosis(rho: DensityOperator, A, B,
     """Report faithfulness, the affine fit, and whether the chain
     covariance^2 = |Cor|^2 = Var(A) Var(B) holds within tolerance."""
     X, means, M = _moments(rho.matrix, A, B)
-    rep = _report(means, M, tol)[0]
+    rep = UncertaintyReport(*(t.item() for t in _terms(means, M, tol)), tol)
     eq_ineq = _is_equality(rep)
     three_way = eq_ineq and bool(abs(rep.covariance_sq - rep.correlation_sq)
-                                 <= tol * _scale(rep.correlation_sq))
+                                 <= tol * scale(rep.correlation_sq))
     return EqualityDiagnosis(
         faithful=is_faithful(rho),
         min_eigenvalue=rho.eigenvalues[0],

@@ -184,6 +184,21 @@ class TestUncertainty:
         assert (out["error"]["invariant"], out["error"]["file"]) == (
             "matching-dims", None)
 
+    def test_label_keyed_operand_is_blamed_on_its_file(self, capsys, files,
+                                                       tmp_path):
+        """Labels instead of outcomes are the operand file's fault: its
+        path and its flag, not the statistics' generic field."""
+        labels = tmp_path / "labels.json"
+        labels.write_text(json.dumps(ser.encode_observable(
+            qobs.Observable(["up", "down"], [np.eye(2) / 2] * 2))))
+        code, out = run_cli(capsys, "uncertainty", "--state", files["state.json"],
+                            "--obs-a", files["obs_a.json"], "--obs-b", str(labels),
+                            "--json")
+        assert code == 2
+        err = out["error"]
+        assert (err["invariant"], err["field"], err["file"]) == (
+            "real-outcomes", "obs-b", str(labels))
+
     @pytest.fixture
     def huge(self, tmp_path):
         """I/2 and the Hermitian operands diag(1e200, -1e200) and

@@ -600,21 +600,14 @@ def test_the_summary_names_the_worst_row_and_its_replay_the_same(config):
 
 
 # Each builtin ``max`` or ``min`` that a row builder calls, as (function,
-# source): a floor of a bound, and the tighter of two bounds on the
+# source): the larger of two bounds, and the tighter of two bounds on the
 # orthogonality residual.  None folds rows: ``fuzz._decide`` alone reduces
-# them, so a NaN row counts.  Removing a floor removes its entry here.
+# them, so a NaN row counts.  The floor of a bound is ``linalg.scale``.
 BUILTIN_MAX_MIN = {
     ("_chk_eigen_projections", "min((k - 1) * a, a / c if c > 0 else math.inf)"),
-    ("_chk_form_cauchy_schwarz", "max(1.0, rhs)"),
     ("_chk_sharp_idempotent", "max(cfg.tol_lin, bound)"),
     ("_chk_conjugate_same_sharp",
      "max(cfg.tol_lin * scale_of(sto), default_cluster_tol(sto, cfg.cluster_tol))"),
-    ("_chk_correlation_symmetry", "max(1.0, abs(cor))"),
-    ("_chk_statistics_sharp_consistency", "max(1.0, abs(cor))"),
-    ("_chk_maximally_mixed_closed_form", "max(1.0, abs(closed))"),
-    ("_chk_commutator_identity", "max(1.0, abs(comm))"),
-    ("_chk_instrument_mean", "max(1.0, abs(mean))"),
-    ("_chk_conditioned_mean", "max(1.0, abs(stats.average(rho, B)))"),
 }
 
 

@@ -161,6 +161,52 @@ def test_each_margin_is_raised_at_one_site_in_linalg():
     assert sites == [FORWARD]
 
 
+def test_the_floor_of_a_relative_bound_is_written_once_in_linalg():
+    """``linalg.scale`` is the one max(1, magnitude) that every relative
+    bound reads; a ``max(1.0, ...)`` or ``np.maximum(1.0, ...)`` elsewhere
+    would be the floor written out by hand again.  Int floors on counts,
+    such as a rank of at least 1, are not bounds."""
+    sites = [scope for scope, call in _calls()
+             if _name(call.func) in ("max", "maximum") and call.args
+             and isinstance(call.args[0], ast.Constant)
+             and type(call.args[0].value) is float and call.args[0].value == 1.0]
+    assert sites == ["linalg.py:scale"]
+
+
+def _adjoint_of(node: ast.expr):
+    """The source of X, if ``node`` is X.conj() then .T or .swapaxes(...),
+    in either order; else None."""
+    steps = []
+    while len(steps) < 2:
+        if isinstance(node, ast.Call) and _name(node.func) in ("conj", "swapaxes"):
+            steps.append(_name(node.func) == "conj")
+            node = node.func.value
+        elif isinstance(node, ast.Attribute) and node.attr == "T":
+            steps.append(False)
+            node = node.value
+        else:
+            return None
+    return ast.unparse(node) if sorted(steps) == [False, True] else None
+
+
+def test_a_hermitian_part_is_formed_only_by_linalg():
+    """X + X* is written once, in ``linalg._hermitian_part``, as halves that
+    cannot overflow; every builder that symmetrises a matrix calls it."""
+    sites = []
+    for module, tree in _trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                    pair = node.left, node.right
+                elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+                    pair = node.target, node.value
+                else:
+                    continue
+                if any(ast.unparse(x) == _adjoint_of(y) for x, y in (pair, pair[::-1])):
+                    sites.append(f"{module}:{getattr(top, 'name', '')}")
+    assert sites == ["linalg.py:_hermitian_part"]
+
+
 def test_no_message_restates_its_record():
     """A raise site passes its field, violation and bound in the record
     only: the message is rendered from the record, so an expression

@@ -89,5 +89,5 @@ def test_every_property_named_is_a_fuzz_check():
     named = _property_names(README)
     assert "instrument.family" in named
     assert named - set(fuzz.CHECKS) == set()
-    assert _property_names("`instrument.adjointness`, `statistics._scale`") == {
+    assert _property_names("`instrument.adjointness`, `statistics._terms`") == {
         "instrument.adjointness"}

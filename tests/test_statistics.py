@@ -473,16 +473,17 @@ class TestMomentKernel:
         A, H = random_observable(rng, d, 3), random_hermitian(rng, d)
         for a, b in ((A, H), (H, A), (A, A)):
             _, means, M = stats._moments(stack, a, b)
-            reports = stats._report(means, M, stats.TOL_STAT)
-            assert len(reports) == len(states)
-            for rho, rep in zip(states, reports):
+            terms = stats._terms(means, M, stats.TOL_STAT)
+            assert [len(t) for t in terms] == [len(states)] * 6
+            for k, rho in enumerate(states):
                 want = stats.uncertainty_report(rho, a, b)
-                for field in self.REPORT_FIELDS:
-                    got, ref = getattr(rep, field), getattr(want, field)
+                for field, t in zip(self.REPORT_FIELDS, terms):
+                    got, ref = t[k], getattr(want, field)
                     assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
             # Further leading axes flatten in row-major order.
             _, means2, M2 = stats._moments(stack.reshape(2, 3, d, d), a, b)
-            assert stats._report(means2, M2, stats.TOL_STAT) == reports
+            terms2 = stats._terms(means2, M2, stats.TOL_STAT)
+            assert [t.tolist() for t in terms2] == [t.tolist() for t in terms]
 
     def test_guard_fires_on_both_paths(self, rng):
         """At tol 0 the last-bit equation residual at this Bloch vector
@@ -494,7 +495,7 @@ class TestMomentKernel:
             stats.uncertainty_report(states[0], A, B, tol=0.0)
         _, means, M = stats._moments(np.array([r.matrix for r in states]), A, B)
         with pytest.raises(InternalConsistencyError) as batched:
-            stats._report(means, M, 0.0)
+            stats._terms(means, M, 0.0)
         assert str(batched.value) == str(single.value)
         assert "uncertainty equation residual" in str(single.value)
 
@@ -512,7 +513,7 @@ class TestMomentKernel:
         first = failing[0]
         _, means, M = stats._moments(np.array([r.matrix for r in states]), A, B)
         with pytest.raises(InternalConsistencyError) as batched:
-            stats._report(means, M, tol)
+            stats._terms(means, M, tol)
         with pytest.raises(InternalConsistencyError) as single:
             stats.uncertainty_report(states[first], A, B, tol=tol)
         assert str(batched.value) == str(single.value)
