@@ -25,28 +25,37 @@ from .errors import _RECORD, ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
 from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, _hermitian_part,
                      require_dim, require_hermitian)
-from .observables import _outcomes, coarse_grain, conjugate, sharp_version
+from .observables import (_outcomes, canonical_outcome, coarse_grain, conjugate,
+                          sharp_version)
 from .statistics import _is_equality, uncertainty_report
 from .serialization import SCHEMA_VERSION
 
 
+def _decode_obs(raw, a, real: bool = False):
+    A = ser.decode_observable(raw, "observable", tol_lin=a.tol_lin, tol_psd=a.tol_psd)
+    if real:  # label keys: the fault of this file
+        _outcomes(A, "obs")
+    return A
+
+
 # File inputs of the observable-valued subcommands: (flag, decoder, help).
-_OBS_FILE = ("obs", lambda raw, a: ser.decode_observable(
-    raw, "observable", tol_lin=a.tol_lin, tol_psd=a.tol_psd), None)
+_OBS_FILE = ("obs", _decode_obs, None)
+_REAL_OBS_FILE = ("obs", functools.partial(_decode_obs, real=True), None)
 _INSTRUMENT_FILE = ("instrument", lambda raw, a: ser.decode_instrument(
     raw, "instrument", tol_lin=a.tol_lin, tol_psd=a.tol_psd), None)
-_MAP_FILE = ("map", lambda raw, a: ser.decode_function_map(raw, "map"),
-             "JSON object {label: value}")
+_MAP_FILE = ("map", lambda raw, a: {  # a value that is no outcome: this file's fault
+    key: ser._located(f"map.{key}", canonical_outcome, z)
+    for key, z in ser.decode_function_map(raw, "map").items()}, "JSON object {label: value}")
 _TOLS = ("tol-lin", "tol-psd")  # read by every decoder of an input file
 
 # Subcommands that decode their input files, make one library call and print
 # the resulting observable: name -> (help, flags besides _TOLS, inputs, call).
 # The call takes the decoded inputs, and its flags as keywords.
 _OBSERVABLE_COMMANDS = {
-    "sharp": ("sharp version of an observable", ("cluster-tol",), (_OBS_FILE,),
-              sharp_version),
-    "conjugate": ("conjugate of an observable", ("cluster-tol",), (_OBS_FILE,),
-                  conjugate),
+    "sharp": ("sharp version of an observable", ("cluster-tol",),
+              (_REAL_OBS_FILE,), sharp_version),
+    "conjugate": ("conjugate of an observable", ("cluster-tol",),
+                  (_REAL_OBS_FILE,), conjugate),
     "coarse-grain": ("relabel outcomes through a real-valued map", (),
                      (_OBS_FILE, _MAP_FILE), coarse_grain),
     "sequential": ("product observable of instrument then observable", (),

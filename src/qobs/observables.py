@@ -82,8 +82,9 @@ class Observable(_Immutable):
     def _build(self, keys, E, tols=None) -> "Observable":
         """The one construction path.  The constructor passes its ``tols``,
         (tol_lin, tol_psd), to check the effects.  A builder forms E from
-        checked objects and passes none; the fuzz property
-        ``derived.effect_spectrum`` checks its output and its inputs."""
+        checked objects, and a sampler by a construction valid by design;
+        both pass none.  The keys are always checked.  The fuzz property
+        ``derived.effect_spectrum`` checks the effects of both."""
         keys = linalg.parallel_keys(keys, E, "keys and effects")
         real = all(is_real(x) for x in keys)
         if real:

@@ -2,7 +2,9 @@
 
 Constructions are chosen so every draw is valid without rejection sampling:
 states come from Wishart-style products G G*, observables from normalizing
-random PSD effects by the inverse square root of their sum.
+random PSD effects by the inverse square root of their sum.  States are
+checked by ``DensityOperator``.  Observables skip the effect check, as the
+builders do: ``derived.effect_spectrum`` checks a fuzz trial's inputs.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def random_observable(rng: np.random.Generator, dim: int, n_outcomes: int,
     effects = _hermitian_part(inv_root @ pieces @ inv_root)
     if outcomes is None:
         outcomes = random_outcomes(rng, n_outcomes)
-    return Observable(outcomes, effects)
+    return Observable.__new__(Observable)._build(outcomes, effects)
 
 
 def random_commutative_observable(rng: np.random.Generator, dim: int,
@@ -88,7 +90,7 @@ def random_commutative_observable(rng: np.random.Generator, dim: int,
     U = haar_unitary(rng, dim)
     table = random_probability_vector(rng, (dim, n_outcomes))
     effects = _hermitian_part((U * table.T[:, None, :]) @ U.conj().T)
-    return Observable(random_outcomes(rng, n_outcomes), effects)
+    return Observable.__new__(Observable)._build(random_outcomes(rng, n_outcomes), effects)
 
 
 def random_bloch_vector(rng: np.random.Generator, surface: bool = False) -> np.ndarray:

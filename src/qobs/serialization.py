@@ -66,10 +66,12 @@ def _list(raw, field: str) -> list:
 
 
 def _real(x, field: str) -> float:
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError("expected a number", field=field) from None
+    try:  # a JSON number; float() would also take a string or a bool
+        if is_real(x):
+            return float(x)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ParseError("expected a number", field=field)
 
 
 def _located(field: str, build, *args, **kw):

@@ -757,6 +757,58 @@ class TestObservableCommands:
                             "--obs", files["obs_b.json"])
         assert code == 0
 
+    @pytest.fixture
+    def labels(self, tmp_path):
+        """A label-keyed qubit observable file."""
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(ser.encode_observable(
+            qobs.Observable(["up", "down"], [np.eye(2) / 2] * 2))))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["sharp", "conjugate"])
+    def test_label_keyed_obs_is_blamed_on_its_file(self, capsys, labels, command):
+        """sharp and conjugate need real outcomes: labels are the fault of
+        the --obs file, named with its path and its flag."""
+        code, out = run_cli(capsys, command, "--obs", labels, "--json")
+        assert code == 2
+        err = out["error"]
+        assert (err["type"], err["invariant"], err["field"], err["file"]) == (
+            "ValidationError", "real-outcomes", "obs", labels)
+
+    def test_label_keyed_obs_is_read_by_the_label_commands(self, capsys, files,
+                                                           labels, tmp_path):
+        fmap = tmp_path / "labels_map.json"
+        fmap.write_text(json.dumps({"up": 1.0, "down": -1.0}))
+        for argv in (("coarse-grain", "--map", str(fmap)),
+                     ("sequential", "--instrument", files["inst_trivial.json"]),
+                     ("conditioned", "--instrument", files["inst_trivial.json"])):
+            code, out = run_cli(capsys, *argv, "--obs", labels)
+            assert code == 0, argv
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_map_value_is_blamed_on_the_map_file(
+            self, capsys, files, tmp_path, value):
+        fmap = tmp_path / "nan_map.json"
+        fmap.write_text(json.dumps({"1": 1.0, "-1": value}))  # json writes NaN
+        code, out = run_cli(capsys, "coarse-grain", "--obs", files["obs_a.json"],
+                            "--map", str(fmap), "--json")
+        assert code == 2
+        err = out["error"]
+        assert (err["type"], err["invariant"], err["field"], err["file"]) == (
+            "ValidationError", "finite-outcome", "map.-1", str(fmap))
+
+    @pytest.mark.parametrize("value", ["1.5", True])
+    def test_map_value_that_is_no_json_number_is_a_parse_error(
+            self, capsys, files, tmp_path, value):
+        fmap = tmp_path / "typed_map.json"
+        fmap.write_text(json.dumps({"1": value, "-1": 1.0}))
+        code, out = run_cli(capsys, "coarse-grain", "--obs", files["obs_a.json"],
+                            "--map", str(fmap), "--json")
+        assert code == 2
+        err = out["error"]
+        assert (err["type"], err["field"], err["file"], err["message"]) == (
+            "ParseError", "map.1", str(fmap), "map.1: expected a number")
+
 
 class TestValidate:
     @pytest.mark.parametrize("key", ["state.json", "rho.json", "obs_a.json",
@@ -828,6 +880,30 @@ class TestValidate:
         error = strict_loads(lines[0])["error"]
         assert (error["field"], error["invariant"], error["violation"]) == (
             field, invariant, violation)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"type": "bloch", "r": [0.0, "0.5", 0.0]}, "state.r[1]"),
+        ({"type": "bloch", "r": [0.0, 0.0, True]}, "state.r[2]"),
+        ({"type": "observable", "outcomes": [True, 2.0],
+          "effects": [_HALF, _HALF]}, "observable.outcomes[0]"),
+        ({"type": "instrument", "family": "kraus", "outcomes": [True, 2.0],
+          "kraus": [[_HALF], [_HALF]]}, "instrument.outcomes[0]"),
+        ({"type": "instrument", "family": "trivial", "dim": 2,
+          "omega": {"1": "0.5", "-1": 0.5}}, "instrument.omega.1"),
+    ], ids=["bloch-string", "bloch-bool", "observable-bool", "kraus-bool",
+            "trivial-string"])
+    def test_a_number_field_takes_only_json_numbers(self, capsys, tmp_path,
+                                                    doc, field):
+        """A string or a bool where a number belongs is refused where it is
+        read, though float() would take "0.5" and true."""
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "validate", str(path), "--json")
+        assert code == 2
+        err = out["error"]
+        assert (err["type"], err["field"], err["file"]) == (
+            "ParseError", field, str(path))
+        assert err["message"] == f"{field}: expected a number"
 
     @pytest.mark.parametrize("weight, invariant", [
         (math.inf, "unit-total"), (-math.inf, "nonnegative-weights")])

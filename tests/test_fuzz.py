@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qobs import fuzz, instruments, linalg, observables
+from qobs import fuzz, instruments, linalg, observables, sampling
+from qobs.cli import main
 from qobs.errors import InternalConsistencyError, ValidationError
 from qobs.observables import Observable
 from qobs.sampling import haar_unitary
@@ -403,6 +404,16 @@ def test_effect_spectrum_fails_wherever_a_restated_rule_fails(monkeypatch, confi
     assert all(new for old, new in trials if old)
 
 
+def _first_effect_below_zero(E: np.ndarray, delta: float = 1e-6) -> np.ndarray:
+    """The stack E with its first effect's least eigenvalue moved to -delta,
+    the difference added to the second effect, so the sum stays at I."""
+    w, V = np.linalg.eigh(E[0])
+    shift = (w[0] + delta) * np.outer(V[:, 0], V[:, 0].conj())
+    E[0] -= shift
+    E[1] += shift
+    return E
+
+
 @pytest.mark.parametrize("name", ["A", "B", "A_comm"])
 @pytest.mark.parametrize("family", fuzz.FAMILIES)
 def test_input_effect_below_zero_reports_its_eigenvalue(name, family):
@@ -410,11 +421,7 @@ def test_input_effect_below_zero_reports_its_eigenvalue(name, family):
     the sum kept at I, is flagged at that size: the check reads the inputs."""
     inst = fuzz.build_instance(np.random.default_rng(5), 3, family)
     X, delta = inst[name], 1e-6
-    w, V = np.linalg.eigh(X.effects[0])
-    shift = (w[0] + delta) * np.outer(V[:, 0], V[:, 0].conj())
-    E = np.array(X.effects)
-    E[0] -= shift
-    E[1] += shift
+    E = _first_effect_below_zero(np.array(X.effects), delta)
     inst[name] = Observable.__new__(Observable)._build(X.keys, E)
     config = fuzz.RunConfig()
     assert any(obs is inst[name] for obs in fuzz._trial_observables(inst, config))
@@ -422,6 +429,33 @@ def test_input_effect_below_zero_reports_its_eigenvalue(name, family):
     assert residual > bound == config.tol_psd
     assert residual == pytest.approx(delta, rel=1e-6)
     assert (residual, bound) == derived_spectrum_eigensolve(inst, config)
+
+
+def test_a_sampler_fault_is_counted_not_raised(monkeypatch, tmp_path, capsys):
+    """The samplers leave their effects to ``derived.effect_spectrum``: an
+    input observable that breaks the effect rule is a violation in every
+    trial, not an error that ends the run, and its replay names the effect
+    when the instance is decoded."""
+    def faulty(rng, dim, n_outcomes, outcomes=None):
+        with pytest.MonkeyPatch.context() as inner:  # where the sampler forms E
+            inner.setattr(sampling, "_hermitian_part",
+                          lambda M: _first_effect_below_zero(linalg._hermitian_part(M)))
+            return sampling.random_observable(rng, dim, n_outcomes, outcomes)
+
+    monkeypatch.setattr(fuzz, "random_observable", faulty)
+    summary = fuzz.run_fuzz(fuzz.RunConfig(trials=3, seed=1))
+    props = summary["properties"]
+    assert props["derived.effect_spectrum"]["violations"] == 3
+    assert sum(p["errors"] for p in props.values()) == 0
+    with pytest.raises(ValidationError) as info:
+        fuzz.replay_instance(summary)
+    assert (info.value.invariant, info.value.field) == (
+        "effect-lower-bound", "dump.instance.A.effects[0]")
+    path = tmp_path / "summary.json"
+    path.write_text(canonical_json(summary))
+    assert main(["replay", str(path), "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["field"], error["file"]) == ("dump.instance.A.effects[0]", str(path))
 
 
 def test_observables_of_different_sizes_are_infinitely_apart():

@@ -207,6 +207,49 @@ def test_a_hermitian_part_is_formed_only_by_linalg():
     assert sites == ["linalg.py:_hermitian_part"]
 
 
+# Where an input is checked: each function that calls a checked constructor,
+# or passes one as a callable.  The builders and samplers check nothing.
+CHECKED_INPUTS = {
+    "serialization.py:decode_state", "serialization.py:decode_observable",
+    "instruments.py:Instrument.__init__", "qubit.py:noisy_spin",
+    "states.py:maximally_mixed", "sampling.py:random_density",
+    "sampling.py:random_faithful_density", "demos.py:demo_example1",
+    "demos.py:demo_example2", "demos.py:demo_example8",
+}
+
+
+def _scopes(tree: ast.Module):
+    """(name, node) for each top-level statement, a class's split into its
+    methods' ``Class.method``."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{getattr(item, 'name', '')}", item)
+                        for item in top.body)
+        else:
+            yield getattr(top, "name", ""), top
+
+
+def test_the_checked_constructors_are_called_only_at_input_boundaries():
+    """``Observable`` and ``DensityOperator`` check what they are given; a
+    builder or a sampler builds through ``X.__new__(X)._build``, and
+    ``derived.effect_spectrum`` checks what it makes.  So a new call of a
+    checked constructor is a second check or a new input boundary, and one
+    gone is a boundary that no longer checks: either shows here."""
+    checked = ("Observable", "DensityOperator")
+    sites = set()
+    for module, tree in _trees():
+        for scope, top in _scopes(tree):
+            for call in ast.walk(top):
+                if not isinstance(call, ast.Call) or _name(call.func) in (
+                        "isinstance", "__new__"):
+                    continue
+                operands = call.func, *call.args, *(k.value for k in call.keywords)
+                if any(isinstance(x, (ast.Name, ast.Attribute)) and _name(x) in checked
+                       for x in operands):
+                    sites.add(f"{module}:{scope}")
+    assert sites == CHECKED_INPUTS
+
+
 def test_no_message_restates_its_record():
     """A raise site passes its field, violation and bound in the record
     only: the message is rendered from the record, so an expression

@@ -604,6 +604,17 @@ class TestDerivedWithoutSecondCheck:
         assert_rebuilds_exactly(
             obs.coarse_grain(labels, {"a": 1.0, "b": -1.0, "c": 1.0}))
 
+    @pytest.mark.parametrize("dim", [*range(1, 9), 16, 32, 64])
+    def test_sampler_draws_pass_the_constructors_rule(self, dim):
+        """The samplers build as the builders do, without the effect check;
+        their constructions are valid by design, which the public
+        constructor confirms on seeded draws of 1 to 4 outcomes."""
+        rng = np.random.default_rng(dim)
+        for n in range(1, 5):
+            for draw in (random_observable, random_commutative_observable):
+                assert_rebuilds_exactly(draw(rng, dim, n))
+        assert_rebuilds_exactly(random_observable(rng, dim, 2, outcomes=[1.0, -1.0]))
+
     def test_input_accepted_at_a_loose_tol_psd_is_derived_from(self):
         # An effect eigenvalue of -1e-7 passes tol_psd=1e-6; derived
         # observables inherit that acceptance instead of rechecking at
