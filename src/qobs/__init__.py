@@ -16,7 +16,6 @@ from .errors import (
 from .linalg import (
     TOL_LIN,
     TOL_PSD,
-    TOL_REL,
     TOL_STAT,
     commutator,
     max_abs,
@@ -42,7 +41,6 @@ from .observables import (
 )
 from .statistics import (
     EqualityDiagnosis,
-    LinearRelation,
     UncertaintyReport,
     average,
     commutator_expectation,
@@ -50,7 +48,6 @@ from .statistics import (
     covariance,
     deviation,
     equality_diagnosis,
-    linear_relation,
     uncertainty_report,
     variance,
 )

@@ -25,9 +25,8 @@ from .errors import _RECORD, ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
 from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, _hermitian_part,
                      require_dim, require_hermitian)
-from .observables import (_outcomes, canonical_outcome, coarse_grain, conjugate,
-                          sharp_version)
-from .statistics import _is_equality, uncertainty_report
+from .observables import _outcomes, coarse_grain, conjugate, sharp_version
+from .statistics import equality_diagnosis
 from .serialization import SCHEMA_VERSION
 
 
@@ -43,9 +42,9 @@ _OBS_FILE = ("obs", _decode_obs, None)
 _REAL_OBS_FILE = ("obs", functools.partial(_decode_obs, real=True), None)
 _INSTRUMENT_FILE = ("instrument", lambda raw, a: ser.decode_instrument(
     raw, "instrument", tol_lin=a.tol_lin, tol_psd=a.tol_psd), None)
-_MAP_FILE = ("map", lambda raw, a: {  # a value that is no outcome: this file's fault
-    key: ser._located(f"map.{key}", canonical_outcome, z)
-    for key, z in ser.decode_function_map(raw, "map").items()}, "JSON object {label: value}")
+# A map value that is no outcome is this file's fault, named at map.<key>.
+_MAP_FILE = ("map", lambda raw, a: ser._outcome_map(raw, "map"),
+             "JSON object {label: value}")
 _TOLS = ("tol-lin", "tol-psd")  # read by every decoder of an input file
 
 # Subcommands that decode their input files, make one library call and print
@@ -221,8 +220,9 @@ def _cmd_uncertainty(args) -> int:
                 tol_lin=args.tol_lin, tol_psd=args.tol_psd)
     A = _load(args.obs_a, _decode_operand, "obs-a", args.tol_lin, args.tol_psd)
     B = _load(args.obs_b, _decode_operand, "obs-b", args.tol_lin, args.tol_psd)
-    rep = uncertainty_report(rho, A, B, tol=args.tol_stat)
-    _emit({**ser.encode_report(rep), "equality": _is_equality(rep)}, args)
+    diag = equality_diagnosis(rho, A, B, tol=args.tol_stat)
+    _emit({**ser.encode_report(diag.report),
+           "equality": diag.inequality_is_equality}, args)
     return 0
 
 

@@ -70,6 +70,7 @@ from .sampling import (
 from .serialization import (
     SCHEMA_VERSION,
     _expect,
+    decode_function_map,
     decode_matrix,
     decode_observable,
     decode_state,
@@ -385,27 +386,49 @@ def _chk_coarse_grain_valid(inst, cfg):
     return ("stochastic",), [res], [cfg.tol_lin * scale_of(direct)]
 
 
-def _uncertainty_residuals(rho, A, B):
-    # Measure the residuals here; an infinite tolerance disarms the report's
-    # own internal-consistency guard so violations are counted, not raised.
-    # A NaN residual still raises, and counts as the property's error.
-    rep = stats.uncertainty_report(rho, A, B, tol=math.inf)
-    s = float(scale(rep.correlation_sq))
-    return (abs(rep.equation_residual) / s, _excess(-rep.inequality_slack) / s,
-            _excess(rep.commutator_term - rep.variance_product) / s)
+def _uncertainty_reports(inst):
+    """For each of the trial's operand triples (rho, A, B) and (rho_low, C,
+    D): the triple, its uncertainty report and the report's scale(|Cor|^2).
+    Measure the residuals here; an infinite tolerance disarms the report's
+    own internal-consistency guard so violations are counted, not raised.
+    A NaN residual still raises, and counts as the property's error."""
+    for names in (("rho", "A", "B"), ("rho_low", "C", "D")):
+        rep = _shared(inst, stats.uncertainty_report, *names, tol=math.inf)
+        yield [inst[n] for n in names], rep, float(scale(rep.correlation_sq))
 
 
 def _chk_uncertainty_equation(inst, cfg):
-    eq1, _, _ = _shared(inst, _uncertainty_residuals, "rho", "A", "B")
-    eq2, _, _ = _shared(inst, _uncertainty_residuals, "rho_low", "C", "D")
-    return ("rho,A,B", "rho_low,C,D"), [eq1, eq2], [cfg.tol_stat] * 2
+    rows = [abs(rep.equation_residual) / s for _, rep, s in _uncertainty_reports(inst)]
+    return ("rho,A,B", "rho_low,C,D"), rows, [cfg.tol_stat] * 2
 
 
 def _chk_uncertainty_inequality(inst, cfg):
-    _, in1, rh1 = _shared(inst, _uncertainty_residuals, "rho", "A", "B")
-    _, in2, rh2 = _shared(inst, _uncertainty_residuals, "rho_low", "C", "D")
+    (_, r1, s1), (_, r2, s2) = _uncertainty_reports(inst)
     return (("slack[rho,A,B]", "slack[rho_low,C,D]", "robertson[rho,A,B]",
-             "robertson[rho_low,C,D]"), [in1, in2, rh1, rh2], [cfg.tol_stat] * 4)
+             "robertson[rho_low,C,D]"),
+            [_excess(-r1.inequality_slack) / s1, _excess(-r2.inequality_slack) / s2,
+             _excess(r1.commutator_term - r1.variance_product) / s1,
+             _excess(r2.commutator_term - r2.variance_product) / s2],
+            [cfg.tol_stat] * 4)
+
+
+def _lagrange_term(rho, A, B) -> float:
+    """Var(A) tr(rho R*R) with R = B0 - c A0 and c = Cor / Var(A), or 0 when
+    Var(A) = 0 (at d = 1), from the deviations A0, B0 of one moment-kernel
+    pass: by Lagrange's identity, the uncertainty slack Var(A) Var(B) - |Cor|^2."""
+    X, means, _ = stats._moments(rho.matrix, A, B)
+    A0, B0 = X - means[:, None, None] * np.eye(rho.dim)
+    rho_a0 = rho.matrix @ A0
+    var_a, cor = np.trace(rho_a0 @ A0).real, np.trace(rho_a0 @ B0)
+    R = B0 - (cor / var_a if var_a else 0.0) * A0
+    return float(var_a * np.trace(rho.matrix @ R.conj().T @ R).real)
+
+
+def _chk_uncertainty_lagrange(inst, cfg):
+    """Lagrange's identity: each report's slack against its right side."""
+    rows = [abs(rep.inequality_slack - _lagrange_term(*operands)) / s
+            for operands, rep, s in _uncertainty_reports(inst)]
+    return ("identity[rho,A,B]", "identity[rho_low,C,D]"), rows, [cfg.tol_stat] * 2
 
 
 def _chk_correlation_symmetry(inst, cfg):
@@ -544,6 +567,7 @@ CHECKS = {
     "coarse_grain.validity": _chk_coarse_grain_valid,
     "uncertainty.equation": _chk_uncertainty_equation,
     "uncertainty.inequality": _chk_uncertainty_inequality,
+    "uncertainty.lagrange": _chk_uncertainty_lagrange,
     "correlation.conjugate_symmetry": _chk_correlation_symmetry,
     "statistics.sharp_consistency": _chk_statistics_sharp_consistency,
     "statistics.maximally_mixed": _chk_maximally_mixed_closed_form,
@@ -564,10 +588,6 @@ def _encode_map(f: dict) -> dict:
     return {repr(k): v for k, v in f.items()}
 
 
-def _decode_map(obj: dict, field: str) -> dict:  # keys ascending, as built
-    return dict(sorted((float(k), float(v)) for k, v in obj.items()))
-
-
 # Replay codec for the fields of a trial bundle; ``omega`` and ``alphas``
 # are present only in their family's bundles.
 # (names, encode(value), decode(json, field name)).
@@ -578,7 +598,9 @@ _FIELDS = (
     (("A", "B", "A_comm"), encode_observable, decode_observable),
     (("bloch",), lambda r: [float(v) for v in r],
      lambda obj, field: np.asarray(obj, dtype=float)),
-    (("f_obs", "f_inst", "g", "h", "omega"), _encode_map, _decode_map),
+    (("f_obs", "f_inst", "g", "h", "omega"), _encode_map,  # keys ascending, as built
+     lambda obj, field: dict(sorted((float(k), v) for k, v in
+                                    decode_function_map(obj, field).items()))),
     (("alphas",), lambda alphas: [encode_state(a) for a in alphas],
      lambda obj, field: [decode_state(s, f"{field}[{i}]")
                          for i, s in enumerate(obj)]),

@@ -23,7 +23,6 @@ from .errors import ConvergenceFailureError, ValidationError
 TOL_LIN = 1e-9    # structural identities: Hermiticity, completeness, reconstruction
 TOL_PSD = 1e-8    # slack allowed below zero in positive-semidefinite spectra
 TOL_STAT = 1e-9   # statistical identities built from products of traces
-TOL_REL = 1e-8    # acceptance threshold for affine operator relations
 MAX_DIM = 64      # the documented range of dimensions, d <= MAX_DIM
 MAX_OUTCOMES = MAX_DIM ** 2  # most outcomes of an extremal POVM at d <= 64
 

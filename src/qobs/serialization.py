@@ -21,7 +21,7 @@ from .instruments import (
     trivial_instrument,
 )
 from .linalg import TOL_LIN, TOL_PSD, require_dim
-from .observables import Observable, is_real
+from .observables import Observable, canonical_outcome, is_real
 from .states import DensityOperator, bloch_state
 from .statistics import UncertaintyReport
 
@@ -231,6 +231,13 @@ def decode_function_map(obj, field: str = "map") -> dict:
             for key, val in obj.items()}
 
 
+def _outcome_map(obj, field: str) -> dict:
+    """``decode_function_map`` whose every value is an outcome, finite, else
+    a ``finite-outcome`` error at ``<field>.<key>``."""
+    return {key: _located(f"{field}.{key}", canonical_outcome, z)
+            for key, z in decode_function_map(obj, field).items()}
+
+
 def encode_instrument(inst: Instrument) -> dict:
     """The maps as held: Kraus slices, or Holevo pairs keyed by outcome, or by
     pair index with a ``map`` to the outcomes where coarse graining merged them."""
@@ -278,7 +285,7 @@ def decode_instrument(obj, field: str = "instrument", *,
                   for i, s in enumerate(raw_states)]
         inst = _located(field, holevo_instrument, A, alphas)
         if "map" in obj:  # pairs keyed by index, merged as the API merges them
-            f = decode_function_map(obj["map"], f"{field}.map")
+            f = _outcome_map(obj["map"], f"{field}.map")
             inst = _located(f"{field}.map", inst.coarse_grain, f)
         return inst
     if family == "kraus":

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .linalg import (TOL_LIN, TOL_REL, TOL_STAT, max_abs, require_hermitian,
-                     require_margin, require_same_dim, require_tolerance,
-                     scale, scale_of)
+from .linalg import (TOL_STAT, require_hermitian, require_margin,
+                     require_same_dim, require_tolerance, scale)
 from .observables import Observable, stochastic_operator
 from .states import DensityOperator, is_faithful
 
@@ -114,11 +113,6 @@ def uncertainty_report(rho: DensityOperator, A, B,
     return UncertaintyReport(*(t.item() for t in _terms(means, M, tol)), tol)
 
 
-def _is_equality(rep: UncertaintyReport) -> bool:
-    """Var(A) Var(B) = |Cor|^2 within tolerance; the slack is already >= -tol."""
-    return bool(abs(rep.inequality_slack) <= rep.tol * scale(rep.correlation_sq))
-
-
 def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     """The six ``UncertaintyReport`` terms in field order, as arrays over the
     states along the leading axes of the kernel's means and M, in row-major
@@ -149,84 +143,54 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
 
 
 @dataclass(frozen=True)
-class LinearRelation:
-    """Best affine fit B ~ alpha A + beta I in the Hilbert-Schmidt sense.
-
-    ``related`` is True when the residual is within tolerance; alpha, beta
-    and the residual are reported either way.
-    """
-
-    alpha: float
-    beta: float
-    residual: float
-    related: bool
-
-
-def linear_relation(A, B, *, tol_lin: float = TOL_LIN,
-                    tol_rel: float = TOL_REL) -> LinearRelation:
-    """Fit B = alpha A + beta I for Hermitian A, B.
-
-    alpha is the Hilbert-Schmidt projection of the traceless part of B onto
-    that of A (the least-squares optimum), so exact relations are recovered
-    exactly.  When A is a multiple of the identity, a relation exists only
-    if B is too.
-    """
-    require_tolerance(tol_lin, "tol_lin")
-    require_tolerance(tol_rel, "tol_rel")
-    A = require_hermitian(A, name="A")
-    B = require_hermitian(B, name="B")
-    require_same_dim(B.shape[0], A.shape[0], "B")
-    return _fit(A, B, tol_lin, tol_rel)
-
-
-def _fit(A: np.ndarray, B: np.ndarray, tol_lin: float,
-         tol_rel: float) -> LinearRelation:
-    d = A.shape[0]
-    eye = np.eye(d)
-    A0 = A - (np.trace(A) / d) * eye
-    B0 = B - (np.trace(B) / d) * eye
-    if max_abs(A0) <= tol_lin:
-        beta = float(np.trace(B).real / d)
-        residual = max_abs(B0)
-        return LinearRelation(0.0, beta, residual, residual <= tol_lin)
-    alpha = float((np.trace(A0 @ B0) / np.trace(A0 @ A0)).real)
-    beta = float((np.trace(B).real - alpha * np.trace(A).real) / d)
-    residual = max_abs(B - alpha * A - beta * eye)
-    related = bool(residual <= tol_rel * scale_of(B))
-    return LinearRelation(alpha, beta, residual, related)
-
-
-@dataclass(frozen=True)
 class EqualityDiagnosis:
-    """Raw facts about when the uncertainty inequality is tight.
+    """When the uncertainty inequality is tight, by Lagrange's identity
 
-    For a faithful state, tightness is equivalent to an affine relation
-    between the operators; for non-faithful states the two flags can
-    legitimately disagree, so no equivalence is claimed here.
+        Var(A) Var(B) - |Cor|^2 = Var(A) tr(rho R*R),  R = B0 - c A0,
+
+    with A0, B0 the deviations and c = Cor / Var(A), the rho-weighted best
+    fit of B0 by A0.  ``relative_slack`` is g = slack / (Var(A) Var(B)) =
+    tr(rho R*R) / Var(B), invariant under scaling A or B and under adding
+    multiples of I.  ``inequality_is_equality`` is g <= tol: for a faithful
+    state that is B0 = c A0 with c real, the affine relation B = c A + beta I;
+    for other states R need vanish only on the support of rho.
     """
 
     faithful: bool
     min_eigenvalue: float
-    relation: LinearRelation
+    slope: complex           # c = Cor / Var(A)
+    relative_slack: float    # g
     inequality_is_equality: bool
     three_way_equality: bool
     report: UncertaintyReport
 
 
+def _equality(rho: np.ndarray, X: np.ndarray, means: np.ndarray,
+              tol: float):
+    """(c, g, g <= tol, and also (Im Cor)^2 <= tol |Cor|^2) for one state,
+    from the Gram matrix G_ij = tr(rho D_i D_j) of the deviations D_i of the
+    kernel's X_i, which does not cancel as the moments do when a multiple
+    of I is added.  A variance within ``tol`` of ||X_i||_F ||D_i||_F, the
+    scale of its rounding, is zero up to rounding; then every term is, and
+    the pair is trivially tight, with c = g = 0."""
+    D = X - means[:, None, None] * np.eye(rho.shape[0])
+    G = np.einsum("iab,jba->ij", rho @ D, D)
+    var, cor = G.diagonal().real, G[0, 1]
+    rounding = np.linalg.norm(X, axis=(1, 2)) * np.linalg.norm(D, axis=(1, 2))
+    if not (var > tol * rounding).all():
+        return 0j, 0.0, True, True
+    g = float((var[0] * var[1] - abs(cor) ** 2) / (var[0] * var[1]))
+    tight = g <= tol
+    return (complex(cor / var[0]), g, tight,
+            tight and cor.imag ** 2 <= tol * abs(cor) ** 2)
+
+
 def equality_diagnosis(rho: DensityOperator, A, B,
                        tol: float = TOL_STAT) -> EqualityDiagnosis:
-    """Report faithfulness, the affine fit, and whether the chain
-    covariance^2 = |Cor|^2 = Var(A) Var(B) holds within tolerance."""
+    """Faithfulness, the uncertainty report, and whether the chain
+    covariance^2 = |Cor|^2 = Var(A) Var(B) holds within tolerance, from one
+    pass of the moment kernel."""
     X, means, M = _moments(rho.matrix, A, B)
     rep = UncertaintyReport(*(t.item() for t in _terms(means, M, tol)), tol)
-    eq_ineq = _is_equality(rep)
-    three_way = eq_ineq and bool(abs(rep.covariance_sq - rep.correlation_sq)
-                                 <= tol * scale(rep.correlation_sq))
-    return EqualityDiagnosis(
-        faithful=is_faithful(rho),
-        min_eigenvalue=rho.eigenvalues[0],
-        relation=_fit(X[0], X[1], TOL_LIN, TOL_REL),
-        inequality_is_equality=eq_ineq,
-        three_way_equality=three_way,
-        report=rep,
-    )
+    return EqualityDiagnosis(is_faithful(rho), rho.eigenvalues[0],
+                             *_equality(rho.matrix, X, means, tol), rep)

@@ -149,29 +149,27 @@ def test_criterion_4_equality_characterization():
         A = random_hermitian(rng, d)
         alpha, beta = rng.uniform(-3, 3), rng.uniform(-3, 3)
         B = alpha * A + beta * np.eye(d)
-        rep = stats.uncertainty_report(rho, A, B)
+        diag = stats.equality_diagnosis(rho, A, B)
+        rep = diag.report
         scale = max(1.0, rep.correlation_sq)
         gap = abs(rep.variance_product - rep.correlation_sq)
         assert gap <= 1e-8 * scale
-        rel = stats.linear_relation(A, B)
-        assert rel.related
-        assert abs(rel.alpha - alpha) <= 1e-8
-        assert abs(rel.beta - beta) <= 1e-8
+        assert diag.faithful and diag.inequality_is_equality
+        # The relation B = c A + beta I, read off the diagnosis.
+        a = diag.slope.real
+        b = stats.average(rho, B) - a * stats.average(rho, A)
+        assert abs(a - alpha) <= 1e-8
+        assert abs(b - beta) <= 1e-8
         worst_gap = max(worst_gap, gap / scale)
-        worst_rec = max(worst_rec, abs(rel.alpha - alpha),
-                        abs(rel.beta - beta))
+        worst_rec = max(worst_rec, abs(a - alpha), abs(b - beta))
     for i in range(200):
         d = DIMS[i % len(DIMS)]
         rho = random_faithful_density(rng, d, floor=0.05)
         A, B = random_hermitian(rng, d), random_hermitian(rng, d)
-        rep = stats.uncertainty_report(rho, A, B)
-        scale = max(1.0, rep.correlation_sq)
-        equality = abs(rep.variance_product - rep.correlation_sq) <= 1e-10 * scale
-        rel = stats.linear_relation(A, B)
-        assert not (equality and not rel.related)
+        assert not stats.equality_diagnosis(rho, A, B).inequality_is_equality
     print(f"ACCEPTANCE 4 PASS: affine pairs give equality (max gap/scale "
           f"{worst_gap:.2e}, recovery error {worst_rec:.2e}); no random pair "
-          f"is tight without a relation")
+          f"is tight")
 
 
 def test_criterion_5_sharp_version_and_conjugate():

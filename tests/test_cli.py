@@ -834,6 +834,20 @@ class TestValidate:
         assert err["violation"] == pytest.approx(1.0)
         assert err["field"] == "observable.effects[0]"
 
+    def test_non_finite_holevo_map_value_is_named_by_its_key(self, capsys,
+                                                             tmp_path, rng):
+        inst = holevo_instrument(noisy_spin(0.5, "x"),
+                                 [random_density(rng, 2) for _ in range(2)])
+        doc = ser.encode_instrument(inst.coarse_grain(lambda x: 0.0))
+        doc["map"] = {"0": float("nan"), "1": 1.0}
+        path = tmp_path / "holevo.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert (out["error"]["invariant"], out["error"]["field"],
+                out["error"]["file"]) == ("finite-outcome", "instrument.map.0",
+                                          str(path))
+
     def test_lueders_file_validates_at_its_observables_tol_psd(self, capsys,
                                                               tmp_path):
         # An effect eigenvalue of -5e-7 passes --tol-psd 1e-6; the Lueders
@@ -1462,12 +1476,13 @@ class TestColdLaunch:
 
     # SHA-256 of the stdout, as written before these imports moved into the
     # handlers that run them; the fuzz summary and the replay since with the
-    # name of the worst row, ``row``, their only new key.
+    # name of the worst row, ``row``, their only new key, and the summary
+    # since with the property ``uncertainty.lagrange``.
     @pytest.mark.parametrize("argv, digest", [
         (("demo", "example1", "--json"),
          "62a1e3f30bd0bcc34b7b3540e598596c2961e463eced3ca85bd78e947866b7a4"),
         (("fuzz", "--trials", "2", "--json"),
-         "54cd5af480eb93f36ab14fd5b41c8a945851d989c80fc5b51d9d48021ed3f994"),
+         "16feef780f3e17f5f4112a0734bb20948b9177b19ad01cd6a1c66e06d723523c"),
         (("sweep-example4", "--samples", "2", "--json"),
          "fd4f9e832b35bdf6d2997e206ddc41f9e74cfed5b89b71d1853680044118e21a"),
     ], ids=["demo", "fuzz", "sweep"])

@@ -4,6 +4,7 @@ linear forms of two checks bound their references in ``conftest``.  Every
 property returns rows, which ``fuzz._decide`` alone reduces."""
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import json
@@ -16,7 +17,7 @@ import pytest
 
 from qobs import fuzz, instruments, linalg, observables, sampling
 from qobs.cli import main
-from qobs.errors import InternalConsistencyError, ValidationError
+from qobs.errors import InternalConsistencyError, ParseError, ValidationError
 from qobs.observables import Observable
 from qobs.sampling import haar_unitary
 from qobs.states import maximally_mixed
@@ -184,8 +185,9 @@ PROPERTIES = (
     "bloch.eigenvalues", "sharp.same_stochastic", "sharp.idempotent",
     "conjugate.same_sharp", "conjugate.commutative_identity",
     "coarse_grain.validity", "uncertainty.equation", "uncertainty.inequality",
-    "correlation.conjugate_symmetry", "statistics.sharp_consistency",
-    "statistics.maximally_mixed", "deviation.traceless",
+    "uncertainty.lagrange", "correlation.conjugate_symmetry",
+    "statistics.sharp_consistency", "statistics.maximally_mixed",
+    "deviation.traceless",
     "commutator.imaginary_identity", "instrument.family", "instrument.channel",
     "instrument.coarse_grain_measured", "instrument.mean",
     "sequential.marginal", "conditioned.mean", "product.split_function",
@@ -195,26 +197,28 @@ PROPERTIES = (
 
 def test_checks_are_exactly_the_listed_properties():
     assert tuple(fuzz.CHECKS) == PROPERTIES
-    assert len(PROPERTIES) == 28
+    assert len(PROPERTIES) == 29
 
 
 # SHA-256 of the bytes ``qobs fuzz --json`` prints for each config, and of
-# those bytes without ``worst.row``, the one key added since they were first
-# pinned: the rows moved no number.  A digest changes only in a change that
-# declares an output change in CHANGES.md, as ``tests/test_public_api.py``
-# does for the public names.  Pinned with numpy 2.4 on OpenBLAS 0.3.31,
-# single- and multi-threaded alike; a BLAS that rounds differently can move
-# them without any change to the library.
+# those bytes without ``worst.row``, a key added after they were first
+# pinned: the rows moved no number.  Re-pinned when the property
+# ``uncertainty.lagrange`` was added; without its entry the summaries are
+# the bytes pinned before it, so it moved no other number.  A digest changes
+# only in a change that declares an output change in CHANGES.md, as
+# ``tests/test_public_api.py`` does for the public names.  Pinned with
+# numpy 2.4 on OpenBLAS 0.3.31, single- and multi-threaded alike; a BLAS
+# that rounds differently can move them without any change to the library.
 SUMMARY_DIGESTS = [
     (fuzz.RunConfig(seed=42, trials=200),
-     "5fc7de6fe5aa0b20fd7387966428801ac6ca5ac5a915d754eaa2e01f2833ddea",
-     "a516be9976b365db941aa6c1b63269b498b478324c5f3b034b68b3342d01bd45"),
+     "783206a4234446fc6ac844eda3ee08ca297767de06be937589dc2213ba6fbbf8",
+     "227f6e380be3e58ead9095b95c275fe02f9af675729420eb42451d5baee6e620"),
     (fuzz.RunConfig(seed=3, trials=45, dims=tuple(range(1, 10))),
-     "9502871a54e5fffcf8af4a238a9e346a8bc0ef9dacb61d4fe24361cadf16c564",
-     "332c45927a6b08d04616a94b654e7082e5eff2c7f6866475483f01cc1aa7045a"),
+     "af693523a80073cf70667a2cffbe81e7b7e758d177e194a7b5a5eee36b419711",
+     "a5d0656aa66d03de7af10a4600b97242b71adfee0345750969be9d10e31dc98d"),
     (fuzz.RunConfig(seed=5, trials=30, dims=(2, 3, 4), cluster_tol=0.05),
-     "e7d33a13c1a4838f9d15c06fd594a387b2da903f06f7d95e308e2b338268cdbb",
-     "3c6bf402c5133e2f9d241b9e70a01281cdceee0fc83096dc356bd8ac16f5b8fd"),
+     "b8e431e0224185c10cf2074b4db1a22ff84da14b2c80323932e7340fd78e28ce",
+     "3da50864545fd5f3fb21a0621a012bd755010108f1e4345175d65c8ad37536f5"),
 ]
 
 
@@ -458,6 +462,20 @@ def test_a_sampler_fault_is_counted_not_raised(monkeypatch, tmp_path, capsys):
     assert (error["field"], error["file"]) == ("dump.instance.A.effects[0]", str(path))
 
 
+@pytest.mark.parametrize("value", ["1", True, None])
+@pytest.mark.parametrize("name", ["f_obs", "f_inst", "g", "h", "omega"])
+def test_a_replayed_map_value_must_be_a_number(name, value):
+    """The replay codec reads each map of the bundle with
+    ``serialization.decode_function_map``, as the CLI reads a map file."""
+    summary = fuzz.run_fuzz(fuzz.RunConfig(trials=1, dims=(2,)))  # trivial
+    fmap = summary["worst"]["instance"][name]
+    key = next(iter(fmap))
+    fmap[key] = value
+    with pytest.raises(ParseError) as info:
+        fuzz.replay_instance(summary)
+    assert info.value.field == f"dump.instance.{name}.{key}"
+
+
 def test_observables_of_different_sizes_are_infinitely_apart():
     two, three = (Observable(range(n), np.full((n, 1, 1), 1.0 / n))
                   for n in (2, 3))
@@ -472,10 +490,28 @@ def test_nan_uncertainty_residual_is_an_error_not_a_pass():
     rho = maximally_mixed(2)
     bundle = {"rho": rho, "rho_low": rho, "A": D, "B": D, "C": D, "D": D}
     for check in (fuzz._chk_uncertainty_equation,
-                  fuzz._chk_uncertainty_inequality):
+                  fuzz._chk_uncertainty_inequality,
+                  fuzz._chk_uncertainty_lagrange):
         with np.errstate(invalid="ignore"):  # inf - inf
             with pytest.raises(InternalConsistencyError):
                 check(bundle, fuzz.RunConfig())
+
+
+def test_only_lagrange_sees_a_slack_off_by_a_factor(monkeypatch):
+    """A report whose slack is doubled keeps the inequality and leaves the
+    equation alone: only ``uncertainty.lagrange`` compares the slack with an
+    independent form of it."""
+    report = fuzz.stats.uncertainty_report
+
+    def doubled(*args, **kwargs):
+        rep = report(*args, **kwargs)
+        return dataclasses.replace(rep, inequality_slack=2 * rep.inequality_slack)
+
+    monkeypatch.setattr(fuzz.stats, "uncertainty_report", doubled)
+    props = fuzz.run_fuzz(fuzz.RunConfig(trials=6))["properties"]
+    assert props["uncertainty.lagrange"]["violations"] == 6
+    assert {name for name, p in props.items() if p["violations"]} == {
+        "uncertainty.lagrange"}
 
 
 def _shifted_holevo(A, alphas):
@@ -664,9 +700,9 @@ def _row_builders(source: str) -> dict:
 def test_no_row_builder_folds_rows_with_builtin_max_or_min():
     source = Path(fuzz.__file__).read_text(encoding="utf-8")
     builders = _row_builders(source)
-    assert len([name for name in builders if name.startswith("_chk_")]) == 28
-    assert {"_uncertainty_residuals", "_matched_observable_delta", "_family_rows",
-            "_trial_observables", "_excess"} <= set(builders)
+    assert len([name for name in builders if name.startswith("_chk_")]) == 29
+    assert {"_uncertainty_reports", "_lagrange_term", "_matched_observable_delta",
+            "_family_rows", "_trial_observables", "_excess"} <= set(builders)
     calls = {(name, ast.get_source_segment(source, node))
              for name, fn in builders.items() for node in ast.walk(fn)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None)

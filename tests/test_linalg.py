@@ -265,7 +265,8 @@ _MISMATCHES = {
     "commuting_joint": (lambda: commuting_joint(_SPIN, _OBS3), "B"),
     "average-observable": (lambda: stats.average(_RHO, _OBS3), "A"),
     "correlation-matrix": (lambda: stats.correlation(_RHO, SIGMA_X, _EYE3), "B"),
-    "linear_relation": (lambda: stats.linear_relation(SIGMA_X, _EYE3), "B"),
+    "equality_diagnosis": (lambda: stats.equality_diagnosis(_RHO, SIGMA_X, _EYE3),
+                           "B"),
     "state_form-C": (lambda: state_form(_RHO, _EYE3, SIGMA_X), "C"),
     "state_form-D": (lambda: state_form(_RHO, SIGMA_X, _EYE3), "D"),
     "Instrument": (lambda: Instrument([0.0, 1.0], [[np.eye(2) / np.sqrt(2)],
@@ -351,10 +352,8 @@ _TOLERANT = {
                               "tol"),
     "trivial_instrument-tol_lin": (lambda t: trivial_instrument(
         {0.0: 1.0}, 2, tol_lin=t), "tol_lin"),
-    "linear_relation-tol_lin": (lambda t: stats.linear_relation(
-        np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), tol_lin=t), "tol_lin"),
-    "linear_relation-tol_rel": (lambda t: stats.linear_relation(
-        np.diag([1.0, 2.0]), np.diag([1.0, 2.0]), tol_rel=t), "tol_rel"),
+    "equality_diagnosis-tol": (lambda t: stats.equality_diagnosis(
+        _RHO, SIGMA_X, SIGMA_Y, tol=t), "tol"),
 }
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qobs
-from qobs import fuzz
+from qobs import fuzz, linalg
 from qobs.cli import _SHARED_FLAGS, _build_parser
 
 from conftest import long_options, subparsers
@@ -91,3 +91,15 @@ def test_every_property_named_is_a_fuzz_check():
     assert named - set(fuzz.CHECKS) == set()
     assert _property_names("`instrument.adjointness`, `statistics._terms`") == {
         "instrument.adjointness"}
+
+
+def test_tolerance_table_lists_each_linalg_tolerance():
+    """The table under Numerical conventions has one row per
+    ``linalg.TOL_*``, each naming one and giving its default."""
+    table = re.search(r"^\| knob .*\n\|[-|]+\n((?:\|.*\n)+)", README, re.M).group(1)
+    rows = dict(tuple(cell.strip() for cell in row.split("|")[1:3])
+                for row in table.splitlines())
+    tolerances = {f"`{name}`": value for name, value in vars(linalg).items()
+                  if name.startswith("TOL_")}
+    assert rows.keys() == tolerances.keys()
+    assert {knob: float(default) for knob, default in rows.items()} == tolerances

@@ -217,6 +217,15 @@ class TestInstrument:
         assert (info.value.invariant, info.value.field) == (
             "known-outcome", "instrument.map.typo")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_map_value_names_its_key(self, rng, value):
+        inst = random_instrument(rng, 2, "holevo", n_outcomes=3)
+        enc = ser.encode_instrument(inst.coarse_grain(lambda x: 0.0))
+        with pytest.raises(ValidationError) as info:
+            ser.decode_instrument(dict(enc, map={**enc["map"], "1": value}))
+        assert (info.value.invariant, info.value.field) == (
+            "finite-outcome", "instrument.map.1")
+
     @pytest.mark.parametrize("key", ["7", "7.50", "1e0x"])
     def test_unknown_map_key_is_named_as_written(self, rng, key):
         inst = random_instrument(rng, 2, "holevo", n_outcomes=3)

@@ -1,5 +1,7 @@
 """Averages, correlations, the uncertainty principle, equality diagnosis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qobs.observables import Observable, sharp_version, stochastic_operator
 from qobs.qubit import SIGMA_X, SIGMA_Y, noisy_spin
 from qobs.sampling import (
     ginibre,
+    haar_unitary,
     random_bloch_vector,
     random_density,
     random_faithful_density,
@@ -278,38 +281,48 @@ class TestUncertaintyReport:
                        - stats.average(rho, sharp_version(A))) < 1e-10
 
 
-class TestLinearRelation:
+def _fit_residual(diag, rho, A, B) -> float:
+    """max |B - Re(c) A - beta I| for the relation the diagnosis reads off,
+    beta = <B> - Re(c) <A>."""
+    a = diag.slope.real
+    beta = stats.average(rho, B) - a * stats.average(rho, A)
+    return max_abs_diff(B, a * A + beta * np.eye(A.shape[0]))
+
+
+class TestEqualityAtTheMaximallyMixedState:
+    """The Hilbert-Schmidt fit B ~ alpha A + beta I is the rule at I/d."""
+
     def test_recovers_constructed_relation(self, rng):
         A = random_hermitian(rng, 3)
-        rel = stats.linear_relation(A, 2.0 * A + 3.0 * np.eye(3))
-        assert rel.related
-        assert rel.alpha == pytest.approx(2.0, abs=1e-12)
-        assert rel.beta == pytest.approx(3.0, abs=1e-12)
-        assert rel.residual < 1e-12
+        B = 2.0 * A + 3.0 * np.eye(3)
+        diag = stats.equality_diagnosis(maximally_mixed(3), A, B)
+        assert diag.inequality_is_equality
+        assert diag.slope == pytest.approx(2.0, abs=1e-12)
+        assert _fit_residual(diag, maximally_mixed(3), A, B) < 1e-12
 
     def test_pauli_pair_has_no_relation(self):
-        rel = stats.linear_relation(SIGMA_X, SIGMA_Y)
-        assert not rel.related
-        assert rel.alpha == pytest.approx(0.0)
-        assert rel.residual == pytest.approx(1.0)  # ||sigma_y||
+        diag = stats.equality_diagnosis(maximally_mixed(2), SIGMA_X, SIGMA_Y)
+        assert not diag.inequality_is_equality
+        assert diag.slope == 0.0
+        assert diag.relative_slack == 1.0  # R = sigma_y: tr(rho R*R) = Var(B)
 
     def test_identity_fit(self, rng):
         A = random_hermitian(rng, 4)
-        rel = stats.linear_relation(A, A)
-        assert rel.related
-        assert rel.alpha == pytest.approx(1.0, abs=1e-12)
-        assert rel.beta == pytest.approx(0.0, abs=1e-12)
+        diag = stats.equality_diagnosis(maximally_mixed(4), A, A)
+        assert diag.inequality_is_equality and diag.three_way_equality
+        assert diag.slope == pytest.approx(1.0, abs=1e-12)
 
     def test_dims_must_match(self):
         with pytest.raises(ValidationError) as err:
-            stats.linear_relation(SIGMA_X, np.eye(3))
-        assert err.value.invariant == "matching-dims"
+            stats.equality_diagnosis(maximally_mixed(2), SIGMA_X, np.eye(3))
+        assert (err.value.invariant, err.value.field) == ("matching-dims", "B")
 
-    def test_scalar_operand_branch(self):
-        rel = stats.linear_relation(2.0 * np.eye(3), 3.0 * np.eye(3))
-        assert rel.related and rel.alpha == 0.0 and rel.beta == pytest.approx(3.0)
-        rel = stats.linear_relation(2.0 * np.eye(2), np.diag([1.0, -1.0]))
-        assert not rel.related
+    def test_scalar_operand_is_related_to_every_operand(self):
+        """A = 2I has no variance: A = 0 B + 2I, so the bound is tight."""
+        for B in (3.0 * np.eye(2), np.diag([1.0, -1.0])):
+            diag = stats.equality_diagnosis(maximally_mixed(2), 2.0 * np.eye(2), B)
+            assert diag.inequality_is_equality and diag.three_way_equality
+            assert (diag.slope, diag.relative_slack) == (0.0, 0.0)
 
 
 class TestEqualityDiagnosis:
@@ -321,8 +334,7 @@ class TestEqualityDiagnosis:
         assert diag.faithful
         assert diag.inequality_is_equality
         assert diag.three_way_equality
-        assert diag.relation.related
-        assert diag.relation.alpha == pytest.approx(-1.5, abs=1e-10)
+        assert diag.slope == pytest.approx(-1.5, abs=1e-10)
 
     def test_faithful_state_with_unrelated_pair(self):
         rho = maximally_mixed(2)
@@ -330,18 +342,19 @@ class TestEqualityDiagnosis:
                                         noisy_spin(1.0, "y"))
         assert diag.faithful
         assert not diag.inequality_is_equality
-        assert not diag.relation.related
+        assert diag.relative_slack == 1.0
 
-    def test_non_faithful_state_flags_may_disagree(self):
+    def test_non_faithful_state_is_tight_without_a_relation(self):
         # Pure state, deviations of A and B agree on its range but the
-        # operators are not affinely related: tightness without a relation.
+        # operators are not affinely related: R vanishes only on the range.
         rho = DensityOperator(np.diag([1.0, 0.0]))
         A = SIGMA_X
         B = np.array([[0.0, 1.0], [1.0, 5.0]], dtype=complex)
         diag = stats.equality_diagnosis(rho, A, B)
         assert not diag.faithful
         assert diag.inequality_is_equality
-        assert not diag.relation.related
+        assert diag.slope == 1.0
+        assert _fit_residual(diag, rho, A, B) == 5.0
 
     def test_validates_each_operand_once(self, monkeypatch):
         calls = []
@@ -355,13 +368,110 @@ class TestEqualityDiagnosis:
         stats.equality_diagnosis(maximally_mixed(2), SIGMA_X, B)
         assert calls == ["A", "B"]
 
-    def test_faithful_equality_matches_relation_on_random_pairs(self, rng):
-        for _ in range(25):
-            rho = random_faithful_density(rng, 3)
-            A, B = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    def test_report_is_uncertainty_report(self, rng):
+        rho = random_density(rng, 3)
+        A, B = random_observable(rng, 3, 3), random_observable(rng, 3, 2)
+        assert stats.equality_diagnosis(rho, A, B, tol=1e-7).report == \
+            stats.uncertainty_report(rho, A, B, tol=1e-7)
+
+
+class TestOneEqualityRule:
+    """g = slack / (Var(A) Var(B)) <= tol, by Lagrange's identity
+    tr(rho R*R) / Var(B) with R = B0 - c A0: one scale-free number."""
+
+    @staticmethod
+    def _seeded_pair(rng, eps, d=4):
+        """A faithful state and B = 0.7 A + 0.2 I + eps E."""
+        rho = random_faithful_density(rng, d)
+        A, E = random_hermitian(rng, d), random_hermitian(rng, d)
+        return rho, A, 0.7 * A + 0.2 * np.eye(d) + eps * E
+
+    def test_relation_seeded_pairs_are_equal_only_near_the_relation(self, rng):
+        """The faithful d = 4 pairs at which the old fit and the old gap
+        disagreed (eps 1e-7..1e-5): g is second order in eps."""
+        for eps, equal in [(0.0, True), (1e-12, True), (1e-10, True),
+                           (1e-9, True), (1e-4, False), (1e-3, False),
+                           (1e-2, False), (1.0, False)]:
+            for _ in range(20):
+                diag = stats.equality_diagnosis(*self._seeded_pair(rng, eps))
+                assert diag.faithful
+                assert diag.inequality_is_equality is equal, (eps, diag)
+
+    def test_exact_relations_read_off_alpha_and_beta(self, rng):
+        for i in range(100):
+            d = 2 + i % 6
+            rho = random_faithful_density(rng, d)
+            A = random_hermitian(rng, d)
+            alpha, beta = rng.uniform(-3, 3, size=2)
+            B = alpha * A + beta * np.eye(d)
             diag = stats.equality_diagnosis(rho, A, B)
-            if diag.inequality_is_equality:
-                assert diag.relation.related
+            assert diag.inequality_is_equality and diag.three_way_equality
+            a = diag.slope.real
+            assert abs(a - alpha) <= 1e-8
+            assert abs(stats.average(rho, B) - a * stats.average(rho, A) - beta) <= 1e-8
+
+    def test_unrelated_faithful_pairs_are_never_equal(self, rng):
+        for i in range(500):
+            d = 2 + i % 7
+            diag = stats.equality_diagnosis(random_faithful_density(rng, d),
+                                            random_hermitian(rng, d),
+                                            random_hermitian(rng, d))
+            assert not diag.inequality_is_equality
+
+    @pytest.mark.parametrize("k", [-30, -10, 10, 30])
+    def test_scaling_by_a_power_of_two_moves_no_bit(self, rng, k):
+        for eps in (0.0, 1e-6, 1e-2, 1.0):
+            rho, A, B = self._seeded_pair(rng, eps, d=3)
+            diag = stats.equality_diagnosis(rho, A, B)
+            for sA, sB in ((2.0 ** k, 2.0 ** k), (2.0 ** k, 1.0)):
+                scaled = stats.equality_diagnosis(rho, sA * A, sB * B)
+                assert scaled.relative_slack == diag.relative_slack
+                assert scaled.inequality_is_equality is diag.inequality_is_equality
+                assert scaled.three_way_equality is diag.three_way_equality
+
+    def test_unrelated_pair_at_scale_1e_10_is_not_equal(self, rng):
+        """The old fit took any A with entries below tol_lin as a multiple of I."""
+        rho = random_faithful_density(rng, 3)
+        diag = stats.equality_diagnosis(rho, 1e-10 * random_hermitian(rng, 3),
+                                        1e-10 * random_hermitian(rng, 3))
+        assert not diag.inequality_is_equality
+
+    def test_zero_variance_is_trivially_tight(self, rng):
+        """A pure eigenstate of A, also of eigenvalue 0, and d = 1: every
+        term is zero up to rounding, so no quotient of rounding is formed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(40):
+                d = 2 + i % 5
+                U = haar_unitary(rng, d)
+                w = rng.normal(size=d)
+                w[i % d] = 0.0 if i % 2 else w[i % d]
+                A = (U * w) @ U.conj().T
+                rho = DensityOperator(np.outer(U[:, i % d], U[:, i % d].conj()))
+                diag = stats.equality_diagnosis(rho, A, random_hermitian(rng, d))
+                assert diag.inequality_is_equality and diag.three_way_equality
+                assert (diag.slope, diag.relative_slack) == (0.0, 0.0)
+            diag = stats.equality_diagnosis(DensityOperator(np.eye(1)),
+                                            np.array([[2.0]]), np.array([[-3.0]]))
+            assert diag.inequality_is_equality and diag.three_way_equality
+
+    def test_adding_a_multiple_of_identity_moves_g_by_rounding(self, rng):
+        for i in range(50):
+            d = 2 + i % 5
+            rho = random_faithful_density(rng, d)
+            A, B = random_hermitian(rng, d), random_hermitian(rng, d)
+            g = stats.equality_diagnosis(rho, A, B).relative_slack
+            shifted = stats.equality_diagnosis(rho, A + 1e3 * np.eye(d), B)
+            assert abs(shifted.relative_slack - g) < 1e-10
+
+    @pytest.mark.parametrize("shift", [1e5, 1e6, 1e8])
+    def test_a_large_multiple_of_identity_is_no_zero_variance(self, shift):
+        """The guard weighs a variance against the rounding of its deviation,
+        ||X|| ||D||, not against ||X||^2, which a shift by cI inflates."""
+        diag = stats.equality_diagnosis(maximally_mixed(2),
+                                        SIGMA_X + shift * np.eye(2), SIGMA_Y)
+        assert not diag.inequality_is_equality
+        assert diag.relative_slack == pytest.approx(1.0, abs=1e-6)
 
 
 class TestNoisySpinClosedForms:
