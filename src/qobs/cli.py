@@ -23,8 +23,8 @@ import numpy as np
 from . import serialization as ser
 from .errors import _RECORD, ParseError, QobsError, ValidationError
 from .instruments import conditioned_observable, sequential_product
-from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, _hermitian_part,
-                     require_dim, require_hermitian)
+from .linalg import (MAX_OUTCOMES, TOL_LIN, TOL_PSD, TOL_STAT, require_dim,
+                     require_hermitian)
 from .observables import _outcomes, coarse_grain, conjugate, sharp_version
 from .statistics import equality_diagnosis
 from .serialization import SCHEMA_VERSION
@@ -189,8 +189,7 @@ def _decode_operand(obj, field: str, tol_lin: float, tol_psd: float):
         A = ser.decode_observable(obj, field, tol_lin=tol_lin, tol_psd=tol_psd)
         _outcomes(A, field)  # label keys: the fault of this file
         return A
-    M = require_hermitian(ser.decode_matrix(obj, field), tol_lin, name=field)
-    return _hermitian_part(M)
+    return require_hermitian(ser.decode_matrix(obj, field), tol_lin, name=field)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:

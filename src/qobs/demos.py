@@ -296,7 +296,7 @@ def sweep_noisy_spin(mu_grid, bloch_vectors) -> dict:
     rows, maxima = [], []
     for mu in mu_grid:
         A, B = _spin_operator(float(mu), "x"), _spin_operator(float(mu), "y")
-        terms = stats._terms(*stats._moments(states, A, B)[1:], TOL_STAT)
+        terms = stats._terms(*stats._moments(states, A, B), TOL_STAT)
         ref = noisy_spin_closed_forms(mu, vectors)
         columns = [[float(mu)] * len(vectors), *r_columns]
         # Report fields 0-3 and inequality_slack, at the effect level.

@@ -70,6 +70,8 @@ from .sampling import (
 from .serialization import (
     SCHEMA_VERSION,
     _expect,
+    _list,
+    _real,
     decode_function_map,
     decode_matrix,
     decode_observable,
@@ -597,7 +599,7 @@ _FIELDS = (
     (("rho", "rho_low"), encode_state, decode_state),
     (("A", "B", "A_comm"), encode_observable, decode_observable),
     (("bloch",), lambda r: [float(v) for v in r],
-     lambda obj, field: np.asarray(obj, dtype=float)),
+     lambda obj, field: np.array([_real(v, field) for v in _list(obj, field)])),
     (("f_obs", "f_inst", "g", "h", "omega"), _encode_map,  # keys ascending, as built
      lambda obj, field: dict(sorted((float(k), v) for k, v in
                                     decode_function_map(obj, field).items()))),

@@ -9,8 +9,8 @@ frozen read-only.  Dimensions are expected to stay small (d <= ~64), so all
 checks are done densely.  Each shape rule is stated here once, for every
 module: ``require_dim``, ``require_same_dim`` and ``parallel_keys``; so is
 the margin rule, ``require_margin``, for every residual against its bound,
-the floor of every relative bound, ``scale``, and the Hermitian part that
-every builder takes, ``_hermitian_part``.
+the floor of every relative bound, ``scale``, and the Hermitian part,
+``_hermitian_part``, formed once, where a matrix enters or is made.
 """
 
 from __future__ import annotations
@@ -185,11 +185,12 @@ def hermiticity_defect(M: np.ndarray):
 
 
 def require_hermitian(M, tol: float = TOL_LIN, *, name: str = "matrix") -> np.ndarray:
+    """M's Hermitian part, if M is Hermitian within ``tol`` of its scale."""
     require_tolerance(tol, "tol")
     M = as_matrix(M, name=name)
     require_margin(hermiticity_defect(M), tol * scale_of(M), "not Hermitian",
                    invariant="hermitian", field=name)
-    return M
+    return _hermitian_part(M)
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
@@ -202,18 +203,18 @@ def _hermitian_part(M: np.ndarray) -> np.ndarray:
 
 
 def hermitian_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a (validated) Hermitian matrix, or of each
-    matrix in an ``(n, d, d)`` stack."""
+    """Ascending eigenvalues of a Hermitian matrix, or of each in an (n, d, d)
+    stack, from one triangle: within M's Hermiticity defect of its part's."""
     try:
-        return np.linalg.eigvalsh(_hermitian_part(M))
+        return np.linalg.eigvalsh(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - d<=64 converges
         raise ConvergenceFailureError(str(exc)) from exc
 
 
 def _eigh(M: np.ndarray):
-    """(w, V): ``eigh`` of the Hermitian part of M (or a stack), unchecked."""
+    """(w, V): ``eigh`` of a Hermitian M (or a stack), unchecked."""
     try:
-        return np.linalg.eigh(_hermitian_part(M))
+        return np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceFailureError(str(exc)) from exc
 

@@ -42,9 +42,9 @@ def _effect_margins(stacks: Sequence[np.ndarray], tol_lin: float, tol_psd: float
     return residual, bound
 
 
-def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
-    """Check 0 <= E_i <= I for every effect, reporting the first bad effect
-    and its first broken rule, then that the effects sum to I."""
+def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> np.ndarray:
+    """The Hermitian part of E, if 0 <= E_i <= I for every effect and the
+    effects sum to I; else the first bad effect's first broken rule."""
     residual, bound = _effect_margins([E], tol_lin, tol_psd)
     n = len(E)  # rows (effect, rule), effect-major
     linalg.require_margin(
@@ -54,6 +54,7 @@ def _check_effects(E: np.ndarray, tol_lin: float, tol_psd: float) -> None:
         field=lambda i, rule: f"effect[{i}]")
     linalg.require_margin(residual[-1], bound[-1], "effects do not sum to the identity",
                           invariant="completeness")
+    return linalg._hermitian_part(E)
 
 
 class Observable(_Immutable):
@@ -94,8 +95,7 @@ class Observable(_Immutable):
                 "outcomes are not pairwise distinct",
                 invariant="distinct-outcomes" if real else "distinct-labels")
         if tols is not None:
-            E = linalg.as_stack(E, name="effect")
-            _check_effects(E, *tols)
+            E = _check_effects(linalg.as_stack(E, name="effect"), *tols)
         stochastic = None
         if real:
             order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -197,7 +197,7 @@ def conjugate(A: Observable, cluster_tol: float | None = None) -> Observable:
     sharp version.  Equals the input exactly when the input is commutative.
     """
     return Observable.__new__(Observable)._build(
-        A.outcomes, _pinched(A, cluster_tol).sum(0))
+        A.outcomes, linalg._hermitian_part(_pinched(A, cluster_tol).sum(0)))
 
 
 def _pair_keyed(xs, ys, C: np.ndarray) -> Observable:

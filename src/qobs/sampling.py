@@ -75,7 +75,7 @@ def random_observable(rng: np.random.Generator, dim: int, n_outcomes: int,
     X = rng.standard_normal((n_outcomes, 2, dim, dim))  # the stream of n ginibre calls
     G = X[:, 0] + 1j * X[:, 1]
     pieces = G @ G.conj().swapaxes(-1, -2)
-    w, V = _eigh(pieces.sum(0))
+    w, V = _eigh(_hermitian_part(pieces.sum(0)))
     inv_root = (V * (1.0 / np.sqrt(w))) @ V.conj().T
     effects = _hermitian_part(inv_root @ pieces @ inv_root)
     if outcomes is None:

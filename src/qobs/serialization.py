@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
+from itertools import chain
 
 import numpy as np
 
@@ -51,9 +52,15 @@ def _finite_grid(raw, shape: tuple) -> np.ndarray | None:
     return arr if arr.shape == shape and np.isfinite(arr).all() else None
 
 
+def _numbers(grids) -> bool:
+    """Whether every entry of these JSON grids, lists of rows, is a number by
+    ``_real``'s rule, which ``np.asarray`` does not keep: no string or bool."""
+    return set(map(type, chain.from_iterable(chain.from_iterable(grids)))) <= {int, float}
+
+
 def _real_grid(raw, d: int, field: str) -> np.ndarray:
     arr = _finite_grid(raw, (d, d))
-    if arr is None:
+    if arr is None or not _numbers([raw]):
         raise ParseError(f"expected a {d}x{d} array of finite numbers",
                          field=field)
     return arr
@@ -135,10 +142,10 @@ def _matrix_stack(raw: list, field: str):
             and "re" in E for E in raw):
         shape = (len(raw), d, d)
         re = _finite_grid([E["re"] for E in raw], shape)
-        if re is not None:  # only now is a d x d array backed by the input
-            zero = np.zeros((d, d))
+        if re is not None and _numbers(E["re"] for E in raw):
+            zero = np.zeros((d, d))  # only now is a d x d array backed by the input
             im = _finite_grid([E.get("im", zero) for E in raw], shape)
-            if im is not None:
+            if im is not None and _numbers(E["im"] for E in raw if "im" in E):
                 return re + 1j * im
     return [decode_matrix(E, f"{field}[{i}]") for i, E in enumerate(raw)]
 

@@ -19,9 +19,11 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .linalg import (TOL_STAT, require_hermitian, require_margin,
-                     require_same_dim, require_tolerance, scale)
+                     require_same_dim, require_tolerance)
 from .observables import Observable, stochastic_operator
 from .states import DensityOperator, is_faithful
+
+_TINY = np.finfo(float).tiny  # the least normal double
 
 
 def _as_operator(x, dim: int, name: str) -> np.ndarray:
@@ -90,7 +92,7 @@ class UncertaintyReport:
 
     ``equation_residual`` must vanish (the equation is an identity) and
     ``inequality_slack`` must be nonnegative, both up to ``tol`` relative to
-    ``max(1, correlation_sq)``.
+    (||A~||_F ||B~||_F)^2, the scale at which the raw moments round.
     """
 
     commutator_term: float   # (1/4) |tr(rho [A~, B~])|^2
@@ -109,16 +111,21 @@ def uncertainty_report(rho: DensityOperator, A, B,
     A residual beyond tolerance means a broken internal identity, not bad
     input, so it raises ``InternalConsistencyError`` rather than returning.
     """
-    _, means, M = _moments(rho.matrix, A, B)
-    return UncertaintyReport(*(t.item() for t in _terms(means, M, tol)), tol)
+    return UncertaintyReport(
+        *(t.item() for t in _terms(*_moments(rho.matrix, A, B), tol)), tol)
 
 
-def _terms(means: np.ndarray, M: np.ndarray, tol: float):
+def _terms(X: np.ndarray, means: np.ndarray, M: np.ndarray, tol: float):
     """The six ``UncertaintyReport`` terms in field order, as arrays over the
     states along the leading axes of the kernel's means and M, in row-major
-    order.  Raises for the first state whose residuals exceed ``tol`` or
-    are NaN."""
+    order.  Raises for the first state whose residuals exceed ``tol`` times
+    (||X_A||_F ||X_B||_F)^2, the scale at which the moments round, or are NaN.
+    The scale is at least the least normal double: below it rounding is
+    absolute, not relative."""
     require_tolerance(tol, "tol")
+    parts = X.reshape(len(X), -1).view(float)  # real and imaginary parts
+    a, b = np.einsum("ij,ij->i", parts, parts).tolist()  # ||X_i||_F^2, or inf
+    bound = tol * max(a * b, _TINY)
     means, M = means.reshape(-1, 2), M.reshape(-1, 2, 2)
     cor = M[:, 0, 1] - means[:, 0] * means[:, 1]
     comm = M[:, 0, 1] - M[:, 1, 0]
@@ -132,8 +139,7 @@ def _terms(means: np.ndarray, M: np.ndarray, tol: float):
     equation_residual = commutator_term + covariance_sq - correlation_sq
     inequality_slack = variance_product - correlation_sq
     # Rows (state, identity): the equation, then the inequality.
-    require_margin(np.array((np.abs(equation_residual), -inequality_slack)).T,
-                   (tol * scale(correlation_sq))[:, None],
+    require_margin(np.array((np.abs(equation_residual), -inequality_slack)).T, bound,
                    ("uncertainty equation residual exceeds its bound",
                     "uncertainty inequality violated"),
                    invariant=("uncertainty-equation", "uncertainty-inequality"),
@@ -191,6 +197,6 @@ def equality_diagnosis(rho: DensityOperator, A, B,
     covariance^2 = |Cor|^2 = Var(A) Var(B) holds within tolerance, from one
     pass of the moment kernel."""
     X, means, M = _moments(rho.matrix, A, B)
-    rep = UncertaintyReport(*(t.item() for t in _terms(means, M, tol)), tol)
+    rep = UncertaintyReport(*(t.item() for t in _terms(X, means, M, tol)), tol)
     return EqualityDiagnosis(is_faithful(rho), rho.eigenvalues[0],
                              *_equality(rho.matrix, X, means, tol), rep)

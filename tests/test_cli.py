@@ -299,9 +299,9 @@ class TestDemo:
         ("example3", "ce59f010b5a7dff62adc67a7a56e9010c2dda79a179e23a8f2ef31c4118aae3b"),
         ("example4", "d8df9833cc6155616cecd96a43abf29db09d79d5c06642a21f8709e15e72774f"),
         ("example5", "410294f693fbb192c6c85f211fa6a022469525dcf6a53d34d61d4c0f4117f6b5"),
-        ("example6", "6cde6eb1cbb5d9ea4c9d676bb93947e82e54132e9d41649de2e407a8d8abf5b0"),
+        ("example6", "b0c8ccf19ee75d09ca2b124120da312aef0838f854fc993f47ccfd9af4c3a06a"),
         ("example7", "21ae9b48180e093766718b51d37fb5ccce78462ad2a43276f1aa1ff2009d2a69"),
-        ("example8", "9f9339d9e2456f4e37fbf68be3182ebe3c320e9a31be95f13444a09d02902bbd"),
+        ("example8", "967f90bd422289c8b424ddd4ca2a04b9c359c7ba79ef75f2333851f6abf6abc0"),
         ("example9", "53a3cdee67c9b37d59949dea4cba77d47ba5775944e3bd3806dc092f41c3b30d"),
     ])
     def test_stdout_at_the_defaults_is_pinned(self, capsys, name, digest):
@@ -833,6 +833,27 @@ class TestValidate:
         assert err["invariant"] == "effect-upper-bound"
         assert err["violation"] == pytest.approx(1.0)
         assert err["field"] == "observable.effects[0]"
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"type": "density", "matrix": {"dim": 2, "re": [[True, 0], [0, False]]}},
+         "state.matrix.re"),
+        ({"type": "density", "matrix": {"dim": 2, "re": [[0.5, 0], [0, "0.5"]]}},
+         "state.matrix.re"),
+        ({"type": "density", "matrix": {"dim": 2, "re": [[0.5, 0], [0, 0.5]],
+                                        "im": [[0, False], [False, 0]]}},
+         "state.matrix.im"),
+        ({"type": "observable", "outcomes": [0, 1],
+          "effects": [{"dim": 1, "re": [["1"]]}, {"dim": 1, "re": [[0]]}]},
+         "observable.effects[0].re"),
+    ], ids=["bools", "string", "bool-im", "string-effect"])
+    def test_a_matrix_entry_must_be_a_json_number(self, capsys, tmp_path, doc, field):
+        """A string or a bool is no number, though ``np.asarray`` reads
+        "0.5" as 0.5 and true as 1.0: each such file was valid."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert (out["error"]["type"], out["error"]["field"]) == ("ParseError", field)
 
     def test_non_finite_holevo_map_value_is_named_by_its_key(self, capsys,
                                                              tmp_path, rng):
@@ -1428,10 +1449,10 @@ def _seven_commands(tmp_path, d: int, family: str) -> list[list[str]]:
 
 
 @pytest.mark.parametrize("d, family, digest", [
-    (2, "trivial", "aeb882f056acf14d2d84a2268a183879e9ad9eab51d69ed852be2f60dacad12a"),
-    (3, "holevo", "e42d80e7af9818253a83977143280bbb4fdf9da3d4af20e9fe028b8127bf2fb9"),
-    (4, "lueders", "8f7e878bd3f00613251450b51490d3d42c45a6725df3769449503a63f99b30df"),
-    (3, "kraus", "b60d0b8486658274f4e2262a2f45d818fad6f0b8e69104fef62e9da2db089673"),
+    (2, "trivial", "e7231897dfcd432fc7b6ca24865a1a958254452ddea313cc7e8d2f54219f8ea2"),
+    (3, "holevo", "05b5f53168924bee3ac4ebe11d9a8a324edf22d0a23db838d9c6ad2b008f8fa5"),
+    (4, "lueders", "63ef0fb98117f6a7fa7f10cf8a57537a1638aed20f497a5c8c98acef178cb4b0"),
+    (3, "kraus", "4c734eec373f4ad3573c0113d2b5f96f1ffdd60b618542bbac355f4ec7ee6cb7"),
 ], ids=["trivial", "holevo", "lueders", "kraus"])
 def test_stdout_of_the_benchmark_commands_is_pinned(capsys, tmp_path, d,
                                                     family, digest):
@@ -1476,13 +1497,14 @@ class TestColdLaunch:
 
     # SHA-256 of the stdout, as written before these imports moved into the
     # handlers that run them; the fuzz summary and the replay since with the
-    # name of the worst row, ``row``, their only new key, and the summary
-    # since with the property ``uncertainty.lagrange``.
+    # name of the worst row, ``row``, their only new key, the summary since
+    # with the property ``uncertainty.lagrange``, and since with its states
+    # and conjugate effects held exactly Hermitian.
     @pytest.mark.parametrize("argv, digest", [
         (("demo", "example1", "--json"),
          "62a1e3f30bd0bcc34b7b3540e598596c2961e463eced3ca85bd78e947866b7a4"),
         (("fuzz", "--trials", "2", "--json"),
-         "16feef780f3e17f5f4112a0734bb20948b9177b19ad01cd6a1c66e06d723523c"),
+         "b0e402e792c9322a53df828bc831a6e9d77a34757b761e1cbaa1a78192955352"),
         (("sweep-example4", "--samples", "2", "--json"),
          "fd4f9e832b35bdf6d2997e206ddc41f9e74cfed5b89b71d1853680044118e21a"),
     ], ids=["demo", "fuzz", "sweep"])

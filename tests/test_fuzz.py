@@ -57,6 +57,48 @@ def _worst_row(check, inst, cfg):
     return residual, bound
 
 
+def _exactly_hermitian(M) -> bool:
+    return np.array_equal(M, M.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("dim", [*range(1, 9), 16, 32])
+def test_every_matrix_a_trial_holds_is_exactly_hermitian(dim):
+    """30 trials per dim, 10 per family: each effect stack and stochastic
+    operator of ``_trial_observables``, rho, rho_low, the Holevo alphas and
+    the channel's output equal their conjugate transposes, entry for entry.
+    Each is formed exactly Hermitian where it is made, so an eigensolver
+    may read one triangle of it."""
+    cfg = fuzz.RunConfig()
+    for k in range(30):
+        inst = fuzz.build_instance(np.random.default_rng([dim, k]), dim,
+                                   fuzz.FAMILIES[k % 3])
+        rho = inst["rho"]
+        held = [rho.matrix, inst["rho_low"].matrix, inst["inst"].channel(rho).matrix,
+                *(alpha.matrix for alpha in inst.get("alphas", ()))]
+        for obs in fuzz._trial_observables(inst, cfg):
+            held.append(obs.effects)
+            if obs.outcomes is not None:
+                held.append(observables.stochastic_operator(obs))
+        assert all(map(_exactly_hermitian, held))
+
+
+def test_no_effect_of_the_pinned_run_has_a_hermiticity_defect(monkeypatch):
+    """Each ``hermitian[i][j]`` row of ``derived.effect_spectrum`` reads
+    exactly 0.0 over ``--trials 200 --seed 42``."""
+    rows = []
+
+    def recorded(inst, cfg):
+        names, residual, bound = fuzz._chk_derived_spectrum(inst, cfg)
+        names = list(names)
+        rows.extend(r for name, r in zip(names, residual)
+                    if name.startswith("hermitian["))
+        return names, residual, bound
+
+    monkeypatch.setattr(fuzz, "CHECKS", {"derived.effect_spectrum": recorded})
+    fuzz.run_fuzz(fuzz.RunConfig(seed=42, trials=200))
+    assert len(rows) > 200 and set(rows) == {0.0}
+
+
 def test_each_trial_builds_its_shared_values_once(monkeypatch):
     calls = {}
 
@@ -211,14 +253,14 @@ def test_checks_are_exactly_the_listed_properties():
 # that rounds differently can move them without any change to the library.
 SUMMARY_DIGESTS = [
     (fuzz.RunConfig(seed=42, trials=200),
-     "783206a4234446fc6ac844eda3ee08ca297767de06be937589dc2213ba6fbbf8",
-     "227f6e380be3e58ead9095b95c275fe02f9af675729420eb42451d5baee6e620"),
+     "c5b8f554be65e33388e7ce9fbe729c82735f0a7140c33c5b0e54f30e5c7109be",
+     "9c27a87513f17f3856f8c57c3f812a875005f1162f64772336fd962a35aa2c33"),
     (fuzz.RunConfig(seed=3, trials=45, dims=tuple(range(1, 10))),
-     "af693523a80073cf70667a2cffbe81e7b7e758d177e194a7b5a5eee36b419711",
-     "a5d0656aa66d03de7af10a4600b97242b71adfee0345750969be9d10e31dc98d"),
+     "59445fce680aa4b56d5ac3005f302b35d46f6ce469b3ebf08bfb61dd8c1f07b8",
+     "e8c45717c38dccd4cf276b505260e486e2a0b89bf5e52ecb5794379f6ebc555e"),
     (fuzz.RunConfig(seed=5, trials=30, dims=(2, 3, 4), cluster_tol=0.05),
-     "b8e431e0224185c10cf2074b4db1a22ff84da14b2c80323932e7340fd78e28ce",
-     "3da50864545fd5f3fb21a0621a012bd755010108f1e4345175d65c8ad37536f5"),
+     "3d11ab39035ef65f0bfe979cb0f320fdf8a3b914cd870fb480536c56af75f7c8",
+     "cc6f3af1a30d3d5f29fde6f85b1ca7af1a8d6d917b94f90baa7e3f92d1e6128c"),
 ]
 
 
@@ -440,10 +482,13 @@ def test_a_sampler_fault_is_counted_not_raised(monkeypatch, tmp_path, capsys):
     input observable that breaks the effect rule is a violation in every
     trial, not an error that ends the run, and its replay names the effect
     when the instance is decoded."""
+    def effects_below_zero(M):  # the part of the effect stack, not of their sum
+        M = linalg._hermitian_part(M)
+        return _first_effect_below_zero(M) if M.ndim == 3 else M
+
     def faulty(rng, dim, n_outcomes, outcomes=None):
         with pytest.MonkeyPatch.context() as inner:  # where the sampler forms E
-            inner.setattr(sampling, "_hermitian_part",
-                          lambda M: _first_effect_below_zero(linalg._hermitian_part(M)))
+            inner.setattr(sampling, "_hermitian_part", effects_below_zero)
             return sampling.random_observable(rng, dim, n_outcomes, outcomes)
 
     monkeypatch.setattr(fuzz, "random_observable", faulty)
@@ -474,6 +519,19 @@ def test_a_replayed_map_value_must_be_a_number(name, value):
     with pytest.raises(ParseError) as info:
         fuzz.replay_instance(summary)
     assert info.value.field == f"dump.instance.{name}.{key}"
+
+
+@pytest.mark.parametrize("bloch", [["0.1", True, 0], [0.1, 0.2, False]])
+def test_a_replayed_bloch_entry_must_be_a_number(bloch, tmp_path, capsys):
+    """The replay codec reads ``bloch`` by the JSON number rule, as the
+    decoders read a Bloch vector: no string or bool."""
+    summary = fuzz.run_fuzz(fuzz.RunConfig(trials=1, dims=(2,)))
+    summary["worst"]["instance"]["bloch"] = bloch
+    path = tmp_path / "summary.json"
+    path.write_text(canonical_json(summary))
+    assert main(["replay", str(path), "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["type"], error["field"]) == ("ParseError", "dump.instance.bloch")
 
 
 def test_observables_of_different_sizes_are_infinitely_apart():

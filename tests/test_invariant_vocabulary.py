@@ -207,6 +207,32 @@ def test_a_hermitian_part_is_formed_only_by_linalg():
     assert sites == ["linalg.py:_hermitian_part"]
 
 
+# Where a held matrix is made exactly Hermitian: where it enters (the checks
+# that accept it) or where a builder or a sampler forms it.  Every other
+# function reads it as it is, the eigensolvers included.
+HERMITIAN_PART_SITES = {
+    "linalg.py:require_hermitian", "linalg.py:_eigendecomposition",
+    "linalg.py:_root", "observables.py:_check_effects",
+    "observables.py:conjugate", "observables.py:_pair_keyed",
+    "instruments.py:Instrument._build", "instruments.py:Instrument.channel",
+    "instruments.py:conditioned_observable", "sampling.py:random_hermitian",
+    "sampling.py:random_observable", "sampling.py:random_commutative_observable",
+}
+
+
+def test_the_hermitian_part_is_taken_once_where_a_matrix_enters_or_is_made():
+    """Each function that calls ``_hermitian_part``.  The eigensolvers and
+    the CLI are not among them: an eigensolver reads one triangle of a
+    matrix that is exactly Hermitian already, and a file's matrix gets its
+    part from ``require_hermitian``, where it is checked."""
+    sites = {f"{module}:{scope}" for module, tree in _trees()
+             for scope, top in _scopes(tree) for call in ast.walk(top)
+             if isinstance(call, ast.Call) and _name(call.func) == "_hermitian_part"}
+    assert sites == HERMITIAN_PART_SITES
+    assert not {"linalg.py:_eigh", "linalg.py:hermitian_eigenvalues"} & sites
+    assert not any(site.startswith("cli.py:") for site in sites)
+
+
 # Where an input is checked: each function that calls a checked constructor,
 # or passes one as a callable.  The builders and samplers check nothing.
 CHECKED_INPUTS = {

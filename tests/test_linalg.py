@@ -1,5 +1,6 @@
 """Matrix arithmetic and spectral primitives."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from qobs.observables import (Observable, commuting_joint, conjugate,
                               conjugate_joint, is_commutative, is_sharp,
                               sharp_version, stochastic_operator)
 from qobs.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z, noisy_spin
-from qobs.sampling import random_hermitian, random_observable
+from qobs.sampling import ginibre, haar_unitary, random_hermitian, random_observable
 from qobs.states import (DensityOperator, bloch_state, is_faithful, maximally_mixed,
                          state_form)
 
@@ -193,6 +194,40 @@ class TestRequireHermitian:
         with pytest.raises(ValidationError) as err:
             linalg.require_hermitian(np.diag([1.0, -1.0]) + skew, 1e-9)
         assert err.value.invariant == "hermitian"
+
+    def test_returns_the_hermitian_part_of_what_it_accepts(self, rng):
+        """A matrix within the tolerance of Hermitian enters as its exactly
+        Hermitian part, so no eigensolver forms that part again."""
+        for d in (1, 2, 3, 6, 64):
+            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            M = G @ G.conj().T + 1e-12 * G
+            assert not np.array_equal(M, M.conj().T)
+            H = linalg.require_hermitian(M)
+            assert H.tobytes() == linalg._hermitian_part(M).tobytes()
+            assert np.array_equal(H, H.conj().T)
+
+    def test_raw_inputs_keep_their_spectral_bits(self):
+        """States G G*/tr and Haar-rotated spectra U diag(w) U*, none of them
+        exactly Hermitian: their eigenvalues, and the sharp version's outcomes
+        and effects, keep the bits they had when the eigensolver formed the
+        Hermitian part itself."""
+        rng, digest, raw = np.random.default_rng(42), hashlib.sha256(), 0
+        for d in (2, 3, 6):
+            for _ in range(10):
+                G = ginibre(rng, d, d)
+                M = G @ G.conj().T
+                M = M / np.trace(M).real
+                U = haar_unitary(rng, d)
+                H = (U * rng.standard_normal(d)) @ U.conj().T
+                raw += (not np.array_equal(M, M.conj().T)) + (
+                    not np.array_equal(H, H.conj().T))
+                digest.update(np.array(DensityOperator(M).eigenvalues).tobytes())
+                sharp = sharp_version(H)
+                digest.update(np.array(sharp.outcomes).tobytes())
+                digest.update(sharp.effects.tobytes())
+        assert raw == 60
+        assert digest.hexdigest() == (
+            "d7f952d3f3f2aa67bb0724e06b003abe97f29fbe8ea71b78f090067a6927731f")
 
 
 class TestPsdSqrt:

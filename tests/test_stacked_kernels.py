@@ -7,7 +7,7 @@ import pytest
 
 from qobs import linalg
 from qobs.instruments import lueders_instrument
-from qobs.observables import fibers
+from qobs.observables import fibers, sharp_version
 from qobs.sampling import (haar_unitary, random_commutative_observable,
                            random_hermitian, random_observable)
 
@@ -43,16 +43,22 @@ def test_eigendecomposition_matches_one_matmul_per_cluster(dim):
 def test_merged_cluster_is_a_projection_near_the_loop_form():
     """diag(0, 5e-9, 1) merges its first two eigenvalues at the default
     cluster_tol: the summed rank-one products are still idempotent, sum to
-    I, and lie within 1e-15 of the per-cluster matmul."""
+    I, and lie within 1e-15 of the per-cluster matmul.  The kernel takes
+    the exactly Hermitian part its callers hold; ``sharp_version`` takes
+    the raw product, forms that part itself, and gives the same bits."""
     U = haar_unitary(np.random.default_rng(7), 3)
-    H = (U * np.array([0.0, 5e-9, 1.0])) @ U.conj().T
+    raw = (U * np.array([0.0, 5e-9, 1.0])) @ U.conj().T
+    H = linalg._hermitian_part(raw)
     values, P = linalg._eigendecomposition(H, None)
-    want_values, want_P = eigendecomposition_loop(H, None)
+    want_values, want_P = eigendecomposition_loop(raw, None)
     assert ranks(P) == ranks(want_P) == (2, 1)
     assert values == want_values
     assert linalg.max_abs(P @ P - P) <= 1e-15
     assert linalg.max_abs(P.sum(0) - np.eye(3)) <= 1e-15
     assert linalg.max_abs(P - want_P) <= 1e-15
+    sharp = sharp_version(raw)
+    assert list(sharp.outcomes) == values
+    assert np.array_equal(sharp.effects, P)
 
 
 @pytest.mark.parametrize("cut", [None, 0.9e-8, 0.0])
@@ -62,7 +68,7 @@ def test_scalar_clustering_of_a_chain_gives_the_numpy_starts(cut):
     Python-scalar comparison cuts where np.diff does, and each merged
     projection lies within 1e-15 of the per-cluster matmul."""
     U = haar_unitary(np.random.default_rng(11), 64)
-    H = (U * (0.9e-8 * np.arange(64.0))) @ U.conj().T
+    H = linalg._hermitian_part((U * (0.9e-8 * np.arange(64.0))) @ U.conj().T)
     w, _ = linalg._eigh(H)
     tol = linalg.default_cluster_tol(H) if cut is None else cut
     starts = np.append(0, np.flatnonzero(np.diff(w) > tol) + 1)

@@ -1,5 +1,6 @@
 """Averages, correlations, the uncertainty principle, equality diagnosis."""
 
+import math
 import warnings
 
 import numpy as np
@@ -474,6 +475,89 @@ class TestOneEqualityRule:
         assert diag.relative_slack == pytest.approx(1.0, abs=1e-6)
 
 
+def _guard_outcome(rho, A, B, tol):
+    """None if ``uncertainty_report`` passes its guard, else the failing
+    identity and its violation / bound."""
+    try:
+        stats.uncertainty_report(rho, A, B, tol=tol)
+    except InternalConsistencyError as exc:
+        return exc.invariant, exc.violation / exc.bound
+    return None
+
+
+class TestGuardScale:
+    """The guard bounds both identities by tol (||A~||_F ||B~||_F)^2, the
+    scale at which the raw moments round, and not by max(1, |Cor|^2)."""
+
+    @pytest.mark.parametrize("norm", [1e3, 1e4, 1e5, 1e6])
+    def test_a_pure_eigenstate_of_a_large_operand_passes(self, norm):
+        """Var(A) = <A^2> - <A>^2 rounds to about eps ||A||^2 below 0 while
+        |Cor|^2 is about 0: a floored bound raised on such valid input."""
+        rng = np.random.default_rng([7, int(math.log10(norm))])
+        for k in range(200):
+            d = 2 + k % 4
+            U = haar_unitary(rng, d)
+            A = (U * (norm * rng.standard_normal(d))) @ U.conj().T
+            B = random_hermitian(rng, d)
+            rho = DensityOperator(np.outer(U[:, 0], U[:, 0].conj()))
+            stats.uncertainty_report(rho, A, B / np.abs(B).max())
+
+    @pytest.mark.parametrize("norm", [1e-6, 1.0, 1e6])
+    def test_a_perturbed_commutator_fails_at_every_norm(self, monkeypatch, norm):
+        """tr(rho B A) moved by 10% of |Cor| along the commutator breaks the
+        equation at every operand norm; at 1e-6 a floored bound took it."""
+        moments = stats._moments
+
+        def perturbed(rho, *operands):
+            X, means, M = moments(rho, *operands)
+            cor = M[0, 1] - means[0] * means[1]
+            comm = M[0, 1] - M[1, 0]
+            M = M.copy()
+            M[1, 0] -= 0.1 * abs(cor) * (comm / abs(comm) if comm else 1j)
+            return X, means, M
+
+        monkeypatch.setattr(stats, "_moments", perturbed)
+        rng = np.random.default_rng(11)
+        for k in range(50):
+            d = 2 + k % 4
+            rho = random_density(rng, d)
+            A, B = (norm * random_hermitian(rng, d) for _ in range(2))
+            with pytest.raises(InternalConsistencyError) as err:
+                stats.uncertainty_report(rho, A, B)
+            assert err.value.invariant == "uncertainty-equation"
+
+    def test_scaling_by_powers_of_two_keeps_every_decision(self):
+        """Residuals and bound scale alike under A -> 2^k A, B -> 2^j B, so
+        each pass or failure, and its ratio, is bit-identical."""
+        rng = np.random.default_rng(3)
+        outcomes = []
+        for k in range(40):
+            d = 2 + k % 4
+            rho = random_density(rng, d)
+            A, B = random_hermitian(rng, d), random_hermitian(rng, d)
+            outcome = _guard_outcome(rho, A, B, 1e-18)
+            for i, j in ((-30, 10), (30, -10), (20, 20)):
+                assert _guard_outcome(rho, 2.0 ** i * A, 2.0 ** j * B, 1e-18) == outcome
+            outcomes.append(outcome)
+        assert None in outcomes and any(outcomes)  # both decisions are seen
+
+    def test_subnormal_terms_pass(self):
+        """At operand norm 1e-80 the terms are subnormal and round by an
+        absolute amount, which the least normal double bounds."""
+        rng = np.random.default_rng(13)
+        for k in range(100):
+            d = 2 + k % 4
+            rho = random_density(rng, d)
+            A, B = (1e-80 * random_hermitian(rng, d) for _ in range(2))
+            stats.uncertainty_report(rho, A, B)
+
+    def test_a_zero_operand_passes_at_every_tolerance(self, rng):
+        rho, A = random_density(rng, 3), random_hermitian(rng, 3)
+        for tol in (0.0, 1e-9, np.inf):
+            rep = stats.uncertainty_report(rho, np.zeros((3, 3)), A, tol=tol)
+            assert (rep.equation_residual, rep.inequality_slack) == (0.0, 0.0)
+
+
 class TestNoisySpinClosedForms:
     """Full closed-form battery over a mu grid and random Bloch vectors."""
 
@@ -582,8 +666,7 @@ class TestMomentKernel:
         stack = np.array([rho.matrix for rho in states])
         A, H = random_observable(rng, d, 3), random_hermitian(rng, d)
         for a, b in ((A, H), (H, A), (A, A)):
-            _, means, M = stats._moments(stack, a, b)
-            terms = stats._terms(means, M, stats.TOL_STAT)
+            terms = stats._terms(*stats._moments(stack, a, b), stats.TOL_STAT)
             assert [len(t) for t in terms] == [len(states)] * 6
             for k, rho in enumerate(states):
                 want = stats.uncertainty_report(rho, a, b)
@@ -591,8 +674,8 @@ class TestMomentKernel:
                     got, ref = t[k], getattr(want, field)
                     assert abs(got - ref) <= 1e-15 * max(1.0, abs(ref))
             # Further leading axes flatten in row-major order.
-            _, means2, M2 = stats._moments(stack.reshape(2, 3, d, d), a, b)
-            terms2 = stats._terms(means2, M2, stats.TOL_STAT)
+            terms2 = stats._terms(*stats._moments(stack.reshape(2, 3, d, d), a, b),
+                                  stats.TOL_STAT)
             assert [t.tolist() for t in terms2] == [t.tolist() for t in terms]
 
     def test_guard_fires_on_both_paths(self, rng):
@@ -603,16 +686,17 @@ class TestMomentKernel:
         A, B = noisy_spin(1.0, "x"), noisy_spin(1.0, "y")
         with pytest.raises(InternalConsistencyError) as single:
             stats.uncertainty_report(states[0], A, B, tol=0.0)
-        _, means, M = stats._moments(np.array([r.matrix for r in states]), A, B)
+        moments = stats._moments(np.array([r.matrix for r in states]), A, B)
         with pytest.raises(InternalConsistencyError) as batched:
-            stats._terms(means, M, 0.0)
+            stats._terms(*moments, 0.0)
         assert str(batched.value) == str(single.value)
         assert "uncertainty equation residual" in str(single.value)
 
     def test_guard_names_the_first_failing_state(self, rng):
         states = [random_density(rng, 4) for _ in range(8)]
         A, B = random_hermitian(rng, 4), random_hermitian(rng, 4)
-        ratios = [abs(r.equation_residual) / max(1.0, r.correlation_sq)
+        scale = (np.linalg.norm(A) * np.linalg.norm(B)) ** 2  # the guard's
+        ratios = [abs(r.equation_residual) / scale
                   for r in (stats.uncertainty_report(rho, A, B, tol=np.inf)
                             for rho in states)]
         # The median ratio as tolerance fails several states; the guard must
@@ -621,9 +705,9 @@ class TestMomentKernel:
         failing = [k for k, ratio in enumerate(ratios) if ratio > tol]
         assert len(failing) > 1
         first = failing[0]
-        _, means, M = stats._moments(np.array([r.matrix for r in states]), A, B)
+        moments = stats._moments(np.array([r.matrix for r in states]), A, B)
         with pytest.raises(InternalConsistencyError) as batched:
-            stats._terms(means, M, tol)
+            stats._terms(*moments, tol)
         with pytest.raises(InternalConsistencyError) as single:
             stats.uncertainty_report(states[first], A, B, tol=tol)
         assert str(batched.value) == str(single.value)
